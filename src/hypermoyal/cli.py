@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import interference as intf
 from .distributions import Ultradistribution
-from .errors import HypermoyalError
+from .errors import HypermoyalError, ValidationError
 from .grassmann import annihilator_witness, parity, supercommutator
 from .operators import Operator, WaveFunction
 from .parsing import parse_grassmann, parse_symbol
@@ -66,16 +66,24 @@ def _parse_pair(a_text: str, b_text: str, sigma: Sigma, dof):
     return parse_symbol(a_text, sigma, dof), parse_symbol(b_text, sigma, dof)
 
 
+def _positive_h(text: str) -> Fraction:
+    try:
+        h = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        h = 0
+    if h <= 0:
+        raise ValidationError(f"--h must be a positive rational, got {text}")
+    return h
+
+
 def _cmd_star(args) -> int:
+    h = None if args.h is None else _positive_h(args.h)
     lines = []
     payload = []
     for sigma in _sigmas(args.sigma):
         a, b = _parse_pair(args.a, args.b, sigma, args.dof)
         result = star(a, b, args.degree_cap)
-        if args.h is not None:
-            h = Fraction(args.h)
-            if h <= 0:
-                raise HypermoyalError(f"--h must be a positive rational, got {args.h}")
+        if h is not None:
             result = result.substitute_h(h)
         lines.append(f"sigma={sigma}: {result.to_text()}")
         payload.append({"sigma": sigma.value, "result": result.to_text(),
@@ -88,6 +96,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    if args.steps < 0:
+        raise ValidationError(f"--steps must be >= 0, got {args.steps}")
     all_zero = True
     blocks = []
     payload = []
@@ -287,6 +297,15 @@ def _add_sigma(parser, both=False):
                         help="signature of the imaginary unit square")
 
 
+def _dash_epilog(example: str) -> str:
+    """Help text for expression arguments: argparse reads a leading ``-`` as
+    an option, so such an expression must follow ``--``."""
+    return (
+        "An expression that starts with '-' must follow '--', after all "
+        f"options: %(prog)s -- {example}"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermoyal",
@@ -295,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_star = sub.add_parser("star", help="star product of two symbol expressions")
+    p_star = sub.add_parser("star", help="star product of two symbol expressions",
+                            epilog=_dash_epilog("-q p"))
     p_star.add_argument("a")
     p_star.add_argument("b")
     p_star.add_argument("--dof", type=int, default=None)
@@ -308,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_star.set_defaults(handler=_cmd_star)
 
     p_limit = sub.add_parser(
-        "limit", help="classical-limit residual of the scaled star commutator"
+        "limit", help="classical-limit residual of the scaled star commutator",
+        epilog=_dash_epilog("-q p"),
     )
     p_limit.add_argument("a")
     p_limit.add_argument("b")
@@ -342,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p_intf, default="json")
     p_intf.set_defaults(handler=_cmd_interfere)
 
-    p_super = sub.add_parser("super", help="Grassmann product and annihilator witness")
+    p_super = sub.add_parser("super", help="Grassmann product and annihilator witness",
+                             epilog=_dash_epilog("-t1 t2"))
     p_super.add_argument("a", nargs="?", default=None)
     p_super.add_argument("b", nargs="?", default=None)
     p_super.add_argument("--gens", type=int, default=None)

@@ -12,8 +12,18 @@ composition of normal-ordered (q-left, d/dq-right) operators:
     a ⋆ b = sum over multi-indices kappa of
             (sigma*u*h)^|kappa| / kappa! * d_p^kappa(a) * d_q^kappa(b)
 
-For polynomial symbols the series terminates, so the product is exact.  The
-same product is derived independently through the distributional route in
+For polynomial symbols the series terminates, so the product is exact.  It
+is the product's definition; the computation works one pair of terms at a
+time in closed form.  Each coefficient is ``(re + u*im) / den`` with integer
+``re``, ``im`` and one denominator per operand, and the monomials
+``q^alpha1 p^beta1`` and ``q^alpha2 p^beta2`` meet through the integer
+structure constant ``prod C(beta1, kappa) * alpha2!/(alpha2 - kappa)!`` for
+each ``kappa <= min(beta1, alpha2)``.  ``(sigma*u)^|kappa|`` is a sign, times
+``u`` when ``|kappa|`` is odd, so the sums stay in integers until the result
+is divided by the denominators.  :func:`moyal_bracket` and
+:func:`scaled_bracket` add ``a ⋆ b`` and ``-(b ⋆ a)`` into one such sum,
+leaving out ``kappa = 0``, whose pointwise terms cancel.  The same product
+is derived independently through the distributional route in
 :mod:`hypermoyal.distributions`, and through operator application in
 :mod:`hypermoyal.operators`; the test suite checks all three against each
 other.
@@ -25,7 +35,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
+from operator import add, sub
 
 from .errors import DegreeCapError, DimensionMismatchError, SignatureMismatchError
 from .scalars import Binarion, Sigma, as_sigma
@@ -607,13 +618,110 @@ def _require_compatible(a: PolySymbol, b: PolySymbol):
         raise DimensionMismatchError(f"cannot combine dof={a.dof} with dof={b.dof}")
 
 
-def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
-    """Noncommutative product realizing operator composition on symbols.
+def _flatten(symbol: PolySymbol):
+    """Integer form of ``symbol`` over one common denominator.
 
-    Expands ``sum_kappa (sigma*u*h)^|kappa|/kappa! d_p^kappa(a) d_q^kappa(b)``;
-    the series terminates at the componentwise p-degree of ``a``.  Associative,
-    bilinear, and equal to the pointwise product at ``h = 0``.
+    Returns ``(den, terms)`` where ``terms`` lists
+    ``(alpha, beta, [(hdeg, re_num, im_num), ...])`` and each coefficient
+    equals ``(re_num + u*im_num) / den``.
     """
+    den = 1
+    for coeff in symbol._terms.values():
+        for v in coeff._coeffs.values():
+            den = math.lcm(den, v.re.denominator, v.im.denominator)
+    terms = [
+        (
+            alpha,
+            beta,
+            [
+                (d, v.re.numerator * (den // v.re.denominator),
+                 v.im.numerator * (den // v.im.denominator))
+                for d, v in coeff._coeffs.items()
+            ],
+        )
+        for (alpha, beta), coeff in symbol._terms.items()
+    ]
+    return den, terms
+
+
+def _structure_constants(beta1, alpha2, s: int, sign: int, start: int):
+    """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``.
+
+    Lists ``(kappa, |kappa|, c)`` for ``kappa <= min(beta1, alpha2)``
+    componentwise, where ``c = sign * s^(|kappa| + |kappa|//2) *
+    prod C(beta1_i, kappa_i) * alpha2_i!/(alpha2_i - kappa_i)!`` is the
+    integer part of ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) *
+    d_q^kappa(q^alpha2)``; the remaining ``u^(|kappa| % 2)`` is applied by
+    the caller.  ``start=1`` drops ``kappa = 0``, which comes first.
+    """
+    out = []
+    ranges = (range(min(b, a) + 1) for b, a in zip(beta1, alpha2))
+    for kappa in islice(iter_product(*ranges), start, None):
+        n = sum(kappa)
+        c = sign if s > 0 or (n + n // 2) % 2 == 0 else -sign
+        for b, a, k in zip(beta1, alpha2, kappa):
+            c *= math.comb(b, k) * math.perm(a, k)
+        out.append((kappa, n, c))
+    return out
+
+
+def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
+    """Add ``sign * (left ⋆ right)`` in integer form into ``acc``.
+
+    ``left`` and ``right`` are :func:`_flatten` term lists; ``acc`` maps
+    ``(alpha, beta, hdeg)`` to ``[re_num, im_num]`` over the product of
+    their denominators.  The structure constants are cached for this call
+    only, keyed by ``(beta1, alpha2)``.
+    """
+    table = {}
+    for alpha1, beta1, c1 in left:
+        for alpha2, beta2, c2 in right:
+            kappas = table.get((beta1, alpha2))
+            if kappas is None:
+                kappas = table[(beta1, alpha2)] = _structure_constants(
+                    beta1, alpha2, s, sign, start
+                )
+            if not kappas:
+                continue
+            alpha = tuple(map(add, alpha1, alpha2))
+            beta = tuple(map(add, beta1, beta2))
+            products = [
+                (d1 + d2, r1 * r2 + s * i1 * i2, r1 * i2 + i1 * r2)
+                for d1, r1, i1 in c1
+                for d2, r2, i2 in c2
+            ]
+            for kappa, n, c in kappas:
+                alpha_out = tuple(map(sub, alpha, kappa))
+                beta_out = tuple(map(sub, beta, kappa))
+                odd = n & 1
+                for d, re, im in products:
+                    if odd:  # times u: re + u*im -> s*im + u*re
+                        re, im = c * s * im, c * re
+                    else:
+                        re, im = c * re, c * im
+                    key = (alpha_out, beta_out, d + n)
+                    entry = acc.get(key)
+                    if entry is None:
+                        acc[key] = [re, im]
+                    else:
+                        entry[0] += re
+                        entry[1] += im
+
+
+def _from_integers(acc: dict, den: int, dof: int, sigma: Sigma) -> PolySymbol:
+    """The symbol whose ``(alpha, beta, hdeg)`` coefficients are ``acc / den``."""
+    grouped = {}
+    for (alpha, beta, d), (re, im) in acc.items():
+        if re or im:
+            grouped.setdefault((alpha, beta), {})[d] = Binarion(
+                Fraction(re, den), Fraction(im, den), sigma
+            )
+    return PolySymbol(
+        dof, sigma, {key: HPoly(coeffs, sigma) for key, coeffs in grouped.items()}
+    )
+
+
+def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap):
     _require_compatible(a, b)
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     if a.total_degree() + b.total_degree() > cap:
@@ -621,30 +729,50 @@ def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
             f"star product degree {a.total_degree() + b.total_degree()} "
             f"exceeds cap {cap}"
         )
-    sigma = a.sigma
-    sigma_u = Binarion(0, sigma.value, sigma)  # sigma * u
-    result = PolySymbol.zero(a.dof, sigma)
-    bounds = a.p_degrees()
-    for kappa in iter_product(*(range(m + 1) for m in bounds)):
-        da = a.differentiate_multi("p", kappa)
-        if da.is_zero():
-            continue
-        db = b.differentiate_multi("q", kappa)
-        if db.is_zero():
-            continue
-        order = sum(kappa)
-        kappa_factorial = 1
-        for n in kappa:
-            kappa_factorial *= math.factorial(n)
-        scalar = (sigma_u**order) / Fraction(kappa_factorial)
-        factor = HPoly({order: scalar}, sigma)
-        result = result + (da * db).scale_hpoly(factor)
-    return result
+
+
+def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
+    """Noncommutative product realizing operator composition on symbols.
+
+    Defined by ``sum_kappa (sigma*u*h)^|kappa|/kappa! d_p^kappa(a) d_q^kappa(b)``;
+    the series terminates at the componentwise p-degree of ``a``.  Associative,
+    bilinear, and equal to the pointwise product at ``h = 0``.
+
+    Computed one pair of terms at a time in closed form: the monomials
+    ``c1 q^alpha1 p^beta1`` and ``c2 q^alpha2 p^beta2`` contribute, for each
+    ``kappa <= min(beta1, alpha2)``,
+    ``c1 c2 (sigma*u*h)^|kappa| prod C(beta1, kappa) alpha2!/(alpha2 - kappa)!
+    q^(alpha1 + alpha2 - kappa) p^(beta1 + beta2 - kappa)``, summed in
+    integers over the product of the operands' common denominators.
+    """
+    _check_operands(a, b, degree_cap)
+    den_a, terms_a = _flatten(a)
+    den_b, terms_b = _flatten(b)
+    acc = {}
+    _accumulate(acc, terms_a, terms_b, a.sigma.value, 1, 0)
+    return _from_integers(acc, den_a * den_b, a.dof, a.sigma)
+
+
+def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
+    """``a ⋆ b - b ⋆ a`` in integer form: ``(acc, den)``.
+
+    The ``kappa = 0`` terms are the pointwise products, which cancel
+    exactly, so both passes skip them and every key has ``hdeg >= 1``.
+    """
+    _check_operands(a, b, degree_cap)
+    den_a, terms_a = _flatten(a)
+    den_b, terms_b = _flatten(b)
+    s = a.sigma.value
+    acc = {}
+    _accumulate(acc, terms_a, terms_b, s, 1, 1)
+    _accumulate(acc, terms_b, terms_a, s, -1, 1)
+    return acc, den_a * den_b
 
 
 def moyal_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     """Star commutator ``a ⋆ b - b ⋆ a``; every term carries ``h``-degree >= 1."""
-    return star(a, b, degree_cap) - star(b, a, degree_cap)
+    acc, den = _commutator_integers(a, b, degree_cap)
+    return _from_integers(acc, den, a.dof, a.sigma)
 
 
 def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
@@ -665,6 +793,10 @@ def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> Poly
     :func:`poisson_bracket` exactly for ``h``-free inputs, which is the
     package's central correspondence check.
     """
-    mb = moyal_bracket(a, b, degree_cap)
-    u = Binarion.unit(a.sigma)
-    return mb.scale_hpoly(HPoly.from_scalar(u)).div_h()
+    acc, den = _commutator_integers(a, b, degree_cap)
+    s = a.sigma.value
+    # times u: re + u*im -> s*im + u*re; divided by h: one degree less
+    scaled = {
+        (alpha, beta, d - 1): (s * im, re) for (alpha, beta, d), (re, im) in acc.items()
+    }
+    return _from_integers(scaled, den, a.dof, a.sigma)

@@ -53,6 +53,19 @@ def test_star_numeric_h(capsys):
     assert code == 2 and "positive" in err
 
 
+def test_star_h_must_be_a_rational(capsys):
+    for value in ("abc", "1/0"):
+        code, out, err = run(capsys, "star", "p", "q", "--h", value)
+        assert code == 2 and out == ""
+        assert err == f"error: --h must be a positive rational, got {value}\n"
+
+
+def test_star_expression_with_leading_minus_follows_double_dash(capsys):
+    code, out, _ = run(capsys, "star", "--", "-q", "p")
+    assert code == 0
+    assert out == "sigma=+1: -q1*p1\n"
+
+
 def test_star_json_format(capsys):
     code, out, _ = run(capsys, "star", "p", "q", "--sigma", "+1", "--format", "json")
     assert code == 0
@@ -85,6 +98,12 @@ def test_limit_cubes_shows_linear_decay(capsys):
     norms = [abs(float(v["re"])) + abs(float(v["im"])) for v in values]
     for a, b in zip(norms, norms[1:]):
         assert b < a / 1.9
+
+
+def test_limit_negative_steps_rejected(capsys):
+    code, out, err = run(capsys, "limit", "p", "q", "--steps", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --steps must be >= 0, got -3\n"
 
 
 def test_limit_constant_inputs(capsys):
@@ -201,6 +220,12 @@ def test_super_witness(capsys):
     assert data["witness"] == "θ1θ2θ3"
     assert data["odd_monomials_annihilated"] == 4
     assert data["nonzero"] is True
+
+
+def test_super_expression_with_leading_minus_follows_double_dash(capsys):
+    code, out, _ = run(capsys, "super", "--", "-t1", "t2")
+    assert code == 0
+    assert "a*b = -θ1θ2" in out
 
 
 def test_super_needs_arguments(capsys):

@@ -1,7 +1,9 @@
 """Tests for the phase-space symbol algebra and its brackets."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 import sympy as sp
@@ -20,6 +22,7 @@ from hypermoyal import (
     scaled_bracket,
     star,
 )
+from hypermoyal.symbols import DEFAULT_DEGREE_CAP, _require_compatible
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -62,7 +65,98 @@ def _random_symbol(rng, k, sigma, max_degree, max_terms=3):
     return PolySymbol(k, sigma, terms)
 
 
+def _series_star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
+    """The defining kappa series of ``star``, kept as its oracle.
+
+    Expands ``sum_kappa (sigma*u*h)^|kappa|/kappa! d_p^kappa(a) d_q^kappa(b)``
+    through derivative symbols and nested coefficient arithmetic, independent
+    of the pairwise integer kernel that ``star`` uses.
+    """
+    _require_compatible(a, b)
+    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+    if a.total_degree() + b.total_degree() > cap:
+        raise DegreeCapError(
+            f"star product degree {a.total_degree() + b.total_degree()} "
+            f"exceeds cap {cap}"
+        )
+    sigma = a.sigma
+    sigma_u = Binarion(0, sigma.value, sigma)  # sigma * u
+    result = PolySymbol.zero(a.dof, sigma)
+    bounds = a.p_degrees()
+    for kappa in iter_product(*(range(m + 1) for m in bounds)):
+        da = a.differentiate_multi("p", kappa)
+        if da.is_zero():
+            continue
+        db = b.differentiate_multi("q", kappa)
+        if db.is_zero():
+            continue
+        order = sum(kappa)
+        kappa_factorial = 1
+        for n in kappa:
+            kappa_factorial *= math.factorial(n)
+        scalar = (sigma_u**order) / Fraction(kappa_factorial)
+        factor = HPoly({order: scalar}, sigma)
+        result = result + (da * db).scale_hpoly(factor)
+    return result
+
+
+def _h_symbol(rng, k, sigma, max_degree):
+    """A random symbol with fractional, unit-bearing coefficients of h-degree 0..2."""
+    terms = {}
+    for alpha, beta, coeff in _random_symbol(rng, k, sigma, max_degree, 4).terms():
+        h_factor = HPoly(
+            {
+                rng.randint(0, 2): 1,
+                rng.randint(0, 2): Binarion(Fraction(rng.randint(-3, 3), 2), 1, sigma),
+            },
+            sigma,
+        )
+        terms[(alpha, beta)] = coeff * h_factor
+    return PolySymbol(k, sigma, terms)
+
+
+def _oracle_pairs(seed, count):
+    """Seeded operand pairs for k = 1..3 in both rings, with cancelling cases.
+
+    Besides random pairs, each round adds a zero operand and, in the
+    hyperbolic ring, a light-cone pair ``(1+j)a, (1-j)b`` whose every
+    coefficient product is zero.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        k = 1 + i % 3
+        for sigma in SIGMAS:
+            a = _h_symbol(rng, k, sigma, 4)
+            b = _h_symbol(rng, k, sigma, 4)
+            yield a, b
+            yield a, PolySymbol.zero(k, sigma)
+            if sigma is H:
+                plus = HPoly.from_scalar(Binarion(1, 1, H))
+                minus = HPoly.from_scalar(Binarion(1, -1, H))
+                yield a.scale_hpoly(plus), b.scale_hpoly(minus)
+
+
+def _assert_no_zero_coefficients(symbol):
+    for _, _, coeff in symbol.terms():
+        assert not coeff.is_zero()
+        assert all(not v.is_zero() for _, v in coeff.items())
+
+
 # -- star product -----------------------------------------------------------
+
+
+def test_star_matches_series_oracle():
+    for a, b in _oracle_pairs(73, 60):
+        for x, y in ((a, b), (b, a)):
+            got = star(x, y)
+            assert got == _series_star(x, y)
+            _assert_no_zero_coefficients(got)
+
+
+def test_light_cone_star_is_zero():
+    a = PolySymbol.monomial((1,), (2,), Binarion(1, 1, H), H)
+    b = PolySymbol.monomial((3,), (0,), Binarion(2, -2, H), H)
+    assert star(a, b).is_zero() and _series_star(a, b).is_zero()
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
@@ -157,6 +251,30 @@ def test_mismatches_rejected():
 
 
 # -- brackets ------------------------------------------------------------------
+
+
+def test_brackets_match_series_oracle():
+    for a, b in _oracle_pairs(79, 40):
+        commutator = _series_star(a, b) - _series_star(b, a)
+        u = HPoly.from_scalar(Binarion.unit(a.sigma))
+        for x, y, sign in ((a, b, 1), (b, a, -1)):
+            got = moyal_bracket(x, y)
+            assert got == (commutator if sign > 0 else -commutator)
+            _assert_no_zero_coefficients(got)
+            scaled = scaled_bracket(x, y)
+            assert scaled == got.scale_hpoly(u).div_h()
+            _assert_no_zero_coefficients(scaled)
+        assert moyal_bracket(a, a).is_zero() and scaled_bracket(a, a).is_zero()
+
+
+def test_brackets_degree_cap():
+    q, p = qp(H)
+    a, b = q**9, p**8
+    for bracket in (moyal_bracket, scaled_bracket):
+        with pytest.raises(DegreeCapError):
+            bracket(a, b)
+    commutator = _series_star(a, b, 17) - _series_star(b, a, 17)
+    assert moyal_bracket(a, b, degree_cap=17) == commutator
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
