@@ -50,11 +50,7 @@ from .distributions import (
     CharSum,
     ExpPoly,
     Ultradistribution,
-    derivative,
-    fourier,
     inverse_fourier_symbol,
-    mul_monomial,
-    pair,
     paley_wiener_growth,
     star_distributional,
     symbol_from_distribution,
@@ -84,7 +80,6 @@ from .grassmann import (
     Parity,
     annihilator_witness,
     generators,
-    gproduct,
     parity,
     supercommutator,
 )
@@ -134,15 +129,10 @@ __all__ = [
     "commutator",
     "compose_check",
     "contexts_from_csv",
-    "derivative",
     "forward",
-    "fourier",
     "generators",
-    "gproduct",
     "inverse_fourier_symbol",
     "moyal_bracket",
-    "mul_monomial",
-    "pair",
     "paley_wiener_growth",
     "parity",
     "parse_binarion",

@@ -16,11 +16,11 @@ from fractions import Fraction
 
 from . import interference as intf
 from .distributions import Ultradistribution
-from .errors import HypermoyalError, ValidationError
+from .errors import HypermoyalError, ValidationError, json_field
 from .grassmann import annihilator_witness, parity, supercommutator
 from .operators import Operator, WaveFunction
 from .parsing import parse_grassmann, parse_symbol
-from .scalars import Sigma, as_sigma
+from .scalars import Sigma, _json_fraction, as_sigma
 from .selftest import run_selftest
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
 
@@ -150,10 +150,10 @@ def _cmd_fourier(args) -> int:
 
 def _cmd_apply(args) -> int:
     op_data = _read_json(args.operator)
-    if isinstance(op_data.get("symbol"), str):
-        sigma = as_sigma(op_data["sigma"])
+    if isinstance(op_data, dict) and isinstance(op_data.get("symbol"), str):
+        sigma = json_field(op_data, "sigma", as_sigma)
         symbol = parse_symbol(op_data["symbol"], sigma)
-        operator = Operator(symbol, Fraction(str(op_data["h"])), sigma)
+        operator = Operator(symbol, json_field(op_data, "h", _json_fraction), sigma)
     else:
         operator = Operator.from_json_dict(op_data)
     phi = WaveFunction.from_json_dict(_read_json(args.wavefunction))
@@ -212,9 +212,7 @@ def _cmd_super(args) -> int:
     if args.witness is not None:
         n = args.witness
         witness = annihilator_witness(n, sigma)
-        odd_count = sum(
-            1 for mask in range(1, 1 << n) if mask.bit_count() % 2 == 1
-        )
+        odd_count = 1 << (n - 1)
         payload = {
             "witness": str(witness),
             "generators": n,

@@ -15,6 +15,13 @@ multiplied by adding exponents and only mapped to ``cosh/sinh`` (or
 ``cos/sin``) floats on demand.  Every structural identity in this module is
 therefore checked with exact arithmetic.
 
+All three classes are sparse term maps over the shared base of
+:mod:`hypermoyal.sparse`: :class:`CharSum` maps exponents ``r`` to
+binarions, :class:`ExpPoly` maps ``(freq, exps)`` and
+:class:`Ultradistribution` maps ``(loc, order)`` to :class:`CharSum`
+coefficients.  Their public constructors validate; the results of the
+calculus below are built from terms that are clean by construction.
+
 The module also carries the symbol <-> distribution bridge used by the
 pseudo-differential calculus: a phase-space symbol ``a(q, p)`` corresponds
 to a distribution in transposed variables via
@@ -31,18 +38,24 @@ import json
 import math
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import add
 
-from .errors import DimensionMismatchError, SignatureMismatchError
-from .scalars import Binarion, Sigma, as_sigma
+from .errors import (
+    DegreeCapError,
+    DimensionMismatchError,
+    SignatureMismatchError,
+    json_field,
+)
+from .scalars import (
+    Binarion,
+    Sigma,
+    _as_fraction,
+    _json_fraction,
+    as_sigma,
+    binarion_from_json,
+)
+from .sparse import SparseAlgebra, SparseMap, binarion_coefficient, collect, nonnegative
 from .symbols import PolySymbol
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _check_sigma(a, b):
@@ -52,7 +65,11 @@ def _check_sigma(a, b):
         )
 
 
-class CharSum:
+def _fractions(values) -> tuple:
+    return tuple(_json_fraction(x) for x in values)
+
+
+class CharSum(SparseAlgebra):
     """Formal sum ``sum_r c_r * exp(u*r)`` over rational exponents ``r``.
 
     The characters multiply by adding exponents, so the class is an exact
@@ -61,20 +78,15 @@ class CharSum:
     or ``cos/sin`` depending on the signature.
     """
 
-    __slots__ = ("sigma", "_terms")
+    __slots__ = ()
 
     def __init__(self, terms: dict, sigma: Sigma):
+        self._size = None
         self.sigma = as_sigma(sigma)
-        clean = {}
-        for r, c in terms.items():
-            r = _as_fraction(r)
-            if not isinstance(c, Binarion):
-                c = Binarion(c, 0, self.sigma)
-            if c.sigma is not self.sigma:
-                raise SignatureMismatchError("coefficient sigma differs from CharSum sigma")
-            if not c.is_zero():
-                clean[r] = clean[r] + c if r in clean else c
-        self._terms = {r: c for r, c in clean.items() if not c.is_zero()}
+        self._terms = collect(
+            (_as_fraction(r), binarion_coefficient(c, self.sigma, "CharSum"))
+            for r, c in terms.items()
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -102,10 +114,10 @@ class CharSum:
         c = coeff if isinstance(coeff, Binarion) else Binarion(coeff, 0, sigma)
         return cls({_as_fraction(exponent): c}, sigma)
 
-    # -- queries -------------------------------------------------------------
+    def _constant(self, value) -> "CharSum":
+        return CharSum.from_scalar(value, self.sigma)
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    # -- queries -------------------------------------------------------------
 
     def items(self):
         return sorted(self._terms.items())
@@ -119,54 +131,8 @@ class CharSum:
             raise ValueError(f"{self} carries formal characters; not a plain scalar")
         return self._terms.get(Fraction(0), Binarion.zero(self.sigma))
 
-    # -- ring operations --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CharSum):
-            _check_sigma(self, other)
-            return other
-        if isinstance(other, (Binarion, int, Fraction)):
-            return CharSum.from_scalar(other, self.sigma)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for r, c in o._terms.items():
-            out[r] = out[r] + c if r in out else c
-        return CharSum(out, self.sigma)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self):
-        return CharSum({r: -c for r, c in self._terms.items()}, self.sigma)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in o._terms.items():
-                r = r1 + r2
-                c = c1 * c2
-                out[r] = out[r] + c if r in out else c
-        return CharSum(out, self.sigma)
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "CharSum":
-        return CharSum(
-            {-r: c.conjugate() for r, c in self._terms.items()}, self.sigma
-        )
+        return self._new({-r: c.conjugate() for r, c in self._terms.items()})
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -191,14 +157,7 @@ class CharSum:
         re, im = self.to_floats()
         return math.hypot(re, im)
 
-    # -- comparison / rendering ---------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (Binarion, int, Fraction)):
-            other = CharSum.from_scalar(other, self.sigma)
-        if not isinstance(other, CharSum):
-            return NotImplemented
-        return self.sigma is other.sigma and self._terms == other._terms
+    # -- rendering ---------------------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -228,19 +187,20 @@ def _weight_to_json(w: CharSum) -> dict:
 
 def _weight_from_json(data: dict, sigma: Sigma) -> CharSum:
     if "chars" in data:
-        terms = {}
-        for entry in data["chars"]:
-            r = Fraction(str(entry["exp"]))
-            c = Binarion(
-                Fraction(str(entry["re"])), Fraction(str(entry.get("im", 0))), sigma
-            )
-            terms[r] = terms[r] + c if r in terms else c
-        return CharSum(terms, sigma)
-    b = Binarion(Fraction(str(data["re"])), Fraction(str(data.get("im", 0))), sigma)
-    return CharSum.from_scalar(b)
+        return CharSum(json_field(data, "chars", lambda e: _sum_chars(e, sigma)), sigma)
+    return CharSum.from_scalar(binarion_from_json(data, sigma))
 
 
-class ExpPoly:
+def _sum_chars(entries, sigma: Sigma) -> dict:
+    terms = {}
+    for entry in entries:
+        r = json_field(entry, "exp", _json_fraction)
+        c = binarion_from_json(entry, sigma)
+        terms[r] = terms[r] + c if r in terms else c
+    return terms
+
+
+class ExpPoly(SparseAlgebra):
     """Finite sum of ``poly(x) * exp(u*<freq, x>)`` terms on ``R^m``.
 
     Closed under multiplication, differentiation and argument shifts, and
@@ -249,36 +209,27 @@ class ExpPoly:
     survives the twist and shift operations of the operator calculus.
     """
 
-    __slots__ = ("dim", "sigma", "_terms")
+    __slots__ = ()
+    _SIZE_NAME = "dim"
+    _SCALARS = (CharSum, Binarion, int, Fraction)
+    dim = property(lambda self: self._size, doc="Dimension ``m`` of the domain.")
 
     def __init__(self, dim: int, sigma: Sigma, terms: dict = None):
         if dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
-        self.dim = int(dim)
+        self._size = int(dim)
         self.sigma = as_sigma(sigma)
-        clean = {}
+        pairs = []
         for (freq, exps), coeff in (terms or {}).items():
             freq = tuple(_as_fraction(f) for f in freq)
-            exps = tuple(int(e) for e in exps)
+            exps = nonnegative(exps, "negative exponents are not allowed")
             if len(freq) != self.dim or len(exps) != self.dim:
                 raise DimensionMismatchError(f"term vectors must have length {self.dim}")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponents are not allowed")
             coeff = CharSum.from_scalar(coeff, self.sigma)
             if coeff.sigma is not self.sigma:
                 raise SignatureMismatchError("coefficient sigma differs from ExpPoly sigma")
-            if coeff.is_zero():
-                continue
-            key = (freq, exps)
-            if key in clean:
-                merged = clean[key] + coeff
-                if merged.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = merged
-            else:
-                clean[key] = coeff
-        self._terms = clean
+            pairs.append(((freq, exps), coeff))
+        self._terms = collect(pairs)
 
     # -- constructors --------------------------------------------------------
 
@@ -341,10 +292,10 @@ class ExpPoly:
             terms[(zero_freq, alpha + beta)] = CharSum.from_scalar(value)
         return cls(2 * k, symbol.sigma, terms)
 
-    # -- queries -------------------------------------------------------------------
+    def _constant(self, value) -> "ExpPoly":
+        return ExpPoly.constant(value, self.dim, self.sigma)
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    # -- queries -------------------------------------------------------------------
 
     def terms(self):
         return [
@@ -359,54 +310,10 @@ class ExpPoly:
 
     # -- ring operations ---------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, ExpPoly):
-            _check_sigma(self, other)
-            if other.dim != self.dim:
-                raise DimensionMismatchError(
-                    f"cannot combine dim={self.dim} with dim={other.dim}"
-                )
-            return other
-        if isinstance(other, (CharSum, Binarion, int, Fraction)):
-            return ExpPoly.constant(other, self.dim, self.sigma)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in o._terms.items():
-            out[key] = out[key] + c if key in out else c
-        return ExpPoly(self.dim, self.sigma, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self):
-        return ExpPoly(self.dim, self.sigma, {k: -c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for (f1, e1), c1 in self._terms.items():
-            for (f2, e2), c2 in o._terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(f1, f2)),
-                    tuple(x + y for x, y in zip(e1, e2)),
-                )
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
-        return ExpPoly(self.dim, self.sigma, out)
-
-    __rmul__ = __mul__
+    @staticmethod
+    def _term_mul(k1, c1, k2, c2):
+        (f1, e1), (f2, e2) = k1, k2
+        return (tuple(map(add, f1, f2)), tuple(map(add, e1, e2))), c1 * c2
 
     # -- calculus --------------------------------------------------------------------
 
@@ -415,23 +322,16 @@ class ExpPoly:
         if not 0 <= index < self.dim:
             raise IndexError(f"index {index} out of range for dim {self.dim}")
         u = Binarion.unit(self.sigma)
-        out = {}
-
-        def _acc(key, c):
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-
+        out = []
         for (freq, exps), coeff in self._terms.items():
             e = exps[index]
             if e > 0:
                 lowered = list(exps)
                 lowered[index] -= 1
-                _acc((freq, tuple(lowered)), coeff * Binarion(e, 0, self.sigma))
+                out.append(((freq, tuple(lowered)), coeff * e))
             if freq[index] != 0:
-                _acc((freq, exps), coeff * (u * freq[index]))
-        return ExpPoly(self.dim, self.sigma, out)
+                out.append(((freq, exps), coeff * (u * freq[index])))
+        return self._new(collect(out))
 
     def differentiate_multi(self, order) -> "ExpPoly":
         out = self
@@ -463,14 +363,6 @@ class ExpPoly:
             out = out + shifted
         return out
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = ExpPoly.one(self.dim, self.sigma)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def evaluate(self, point) -> CharSum:
         """Exact evaluation at a rational point; characters stay formal."""
         point = tuple(_as_fraction(x) for x in point)
@@ -490,18 +382,7 @@ class ExpPoly:
     def evaluate_floats(self, point) -> tuple[float, float]:
         return self.evaluate(point).to_floats()
 
-    # -- comparison / rendering -------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (CharSum, Binarion, int, Fraction)):
-            other = ExpPoly.constant(other, self.dim, self.sigma)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.sigma is other.sigma
-            and self._terms == other._terms
-        )
+    # -- rendering ----------------------------------------------------------------------
 
     def to_text(self, names=None) -> str:
         if self.is_zero():
@@ -554,17 +435,16 @@ class ExpPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpPoly":
-        sigma = as_sigma(data["sigma"])
-        dim = int(data["dim"])
+        sigma = json_field(data, "sigma", as_sigma)
         terms = {}
-        for entry in data["terms"]:
+        for entry in json_field(data, "terms", list):
             key = (
-                tuple(Fraction(str(f)) for f in entry["freq"]),
-                tuple(int(e) for e in entry["exp"]),
+                json_field(entry, "freq", _fractions),
+                json_field(entry, "exp", lambda v: tuple(int(e) for e in v)),
             )
-            c = _weight_from_json(entry["coeff"], sigma)
+            c = json_field(entry, "coeff", lambda w: _weight_from_json(w, sigma))
             terms[key] = terms[key] + c if key in terms else c
-        return cls(dim, sigma, terms)
+        return cls(json_field(data, "dim", int), sigma, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -574,7 +454,7 @@ class ExpPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-class Ultradistribution:
+class Ultradistribution(SparseMap):
     """Finite sum of weighted derivatives of point masses on ``R^m``.
 
     An atom ``(loc, order, weight)`` stands for ``weight * delta^(order)``
@@ -584,36 +464,27 @@ class Ultradistribution:
     twist/pushforward machinery of the star product.
     """
 
-    __slots__ = ("dim", "sigma", "_atoms")
+    __slots__ = ()
+    _SIZE_NAME = "dim"
+    _SCALARS = ()
+    dim = property(lambda self: self._size, doc="Dimension ``m`` of the space.")
 
     def __init__(self, dim: int, sigma: Sigma, atoms=None):
         if dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
-        self.dim = int(dim)
+        self._size = int(dim)
         self.sigma = as_sigma(sigma)
-        clean = {}
+        pairs = []
         for loc, order, weight in atoms or []:
             loc = tuple(_as_fraction(x) for x in loc)
-            order = tuple(int(n) for n in order)
+            order = nonnegative(order, "derivative orders must be nonnegative")
             if len(loc) != self.dim or len(order) != self.dim:
                 raise DimensionMismatchError(f"atom vectors must have length {self.dim}")
-            if any(n < 0 for n in order):
-                raise ValueError("derivative orders must be nonnegative")
             weight = CharSum.from_scalar(weight, self.sigma)
             if weight.sigma is not self.sigma:
                 raise SignatureMismatchError("weight sigma differs from distribution sigma")
-            if weight.is_zero():
-                continue
-            key = (loc, order)
-            if key in clean:
-                merged = clean[key] + weight
-                if merged.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = merged
-            else:
-                clean[key] = weight
-        self._atoms = clean
+            pairs.append(((loc, order), weight))
+        self._terms = collect(pairs)
 
     # -- constructors -----------------------------------------------------------
 
@@ -632,44 +503,16 @@ class Ultradistribution:
 
     # -- queries ------------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._atoms
-
     def atoms(self):
         """Atom triples ``(loc, order, weight)`` in canonical order."""
         return [
-            (loc, order, self._atoms[(loc, order)])
-            for loc, order in sorted(self._atoms)
+            (loc, order, self._terms[(loc, order)])
+            for loc, order in sorted(self._terms)
         ]
-
-    # -- linear structure -------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Ultradistribution):
-            return NotImplemented
-        _check_sigma(self, other)
-        if other.dim != self.dim:
-            raise DimensionMismatchError("dimension mismatch")
-        out = dict(self._atoms)
-        for key, w in other._atoms.items():
-            out[key] = out[key] + w if key in out else w
-        return Ultradistribution(
-            self.dim, self.sigma, [(l, o, w) for (l, o), w in out.items()]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(Binarion(-1, 0, self.sigma))
 
     def scale(self, factor) -> "Ultradistribution":
         factor = CharSum.from_scalar(factor, self.sigma)
-        return Ultradistribution(
-            self.dim,
-            self.sigma,
-            [(l, o, w * factor) for (l, o), w in self._atoms.items()],
-        )
+        return self._map(lambda w: w * factor)
 
     # -- distribution calculus ----------------------------------------------------------
 
@@ -680,12 +523,12 @@ class Ultradistribution:
         """
         if not 0 <= axis < self.dim:
             raise IndexError(f"axis {axis} out of range for dim {self.dim}")
-        out = []
-        for (loc, order), w in self._atoms.items():
+        out = {}
+        for (loc, order), w in self._terms.items():
             raised = list(order)
             raised[axis] += 1
-            out.append((loc, tuple(raised), w))
-        return Ultradistribution(self.dim, self.sigma, out)
+            out[(loc, tuple(raised))] = w
+        return self._new(out)
 
     def derivative_multi(self, order) -> "Ultradistribution":
         out = self
@@ -703,13 +546,11 @@ class Ultradistribution:
         """
         if isinstance(exponents, int):
             exponents = (exponents,)
-        exponents = tuple(int(n) for n in exponents)
+        exponents = nonnegative(exponents, "monomial exponents must be nonnegative")
         if len(exponents) != self.dim:
             raise DimensionMismatchError("exponent vector length must match dim")
-        if any(n < 0 for n in exponents):
-            raise ValueError("monomial exponents must be nonnegative")
         out = []
-        for (loc, order), w in self._atoms.items():
+        for (loc, order), w in self._terms.items():
             ranges = [range(min(n, m) + 1) for n, m in zip(exponents, order)]
             for kappa in iter_product(*ranges):
                 scalar = Fraction(1)
@@ -724,8 +565,8 @@ class Ultradistribution:
                     continue
                 sign = -1 if sum(kappa) % 2 else 1
                 new_order = tuple(m - k for m, k in zip(order, kappa))
-                out.append((loc, new_order, w * (sign * scalar)))
-        return Ultradistribution(self.dim, self.sigma, out)
+                out.append(((loc, new_order), w * (sign * scalar)))
+        return self._new(collect(out))
 
     def pair(self, f: ExpPoly) -> CharSum:
         """Exact pairing with a test function: ``(delta^(n)_x0, f) = (-1)^|n| (d^n f)(x0)``."""
@@ -737,7 +578,7 @@ class Ultradistribution:
                 f"distribution dim {self.dim} differs from test function dim {f.dim}"
             )
         total = CharSum.zero(self.sigma)
-        for (loc, order), w in self._atoms.items():
+        for (loc, order), w in self._terms.items():
             value = f.differentiate_multi(order).evaluate(loc)
             if sum(order) % 2:
                 value = -value
@@ -749,32 +590,21 @@ class Ultradistribution:
 
         Each atom ``(x0, n, w)`` contributes ``w * (-u*y)^n * exp(u*<y, x0>)``.
         """
-        u = Binarion.unit(self.sigma)
-        out = {}
-        for (loc, order), w in self._atoms.items():
-            scalar = w * ((-u) ** sum(order))
-            key = (loc, order)
-            out[key] = out[key] + scalar if key in out else scalar
-        return ExpPoly(self.dim, self.sigma, out)
+        minus_u = -Binarion.unit(self.sigma)
+        return ExpPoly._make(self.dim, self.sigma, {
+            key: w * minus_u ** sum(key[1]) for key, w in self._terms.items()
+        })
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         _check_sigma(self, other)
-        atoms = []
-        for (l1, o1), w1 in self._atoms.items():
-            for (l2, o2), w2 in other._atoms.items():
-                atoms.append((l1 + l2, o1 + o2, w1 * w2))
-        return Ultradistribution(self.dim + other.dim, self.sigma, atoms)
-
-    # -- comparison / serialization ----------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Ultradistribution):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.sigma is other.sigma
-            and self._atoms == other._atoms
+        atoms = collect(
+            ((l1 + l2, o1 + o2), w1 * w2)
+            for (l1, o1), w1 in self._terms.items()
+            for (l2, o2), w2 in other._terms.items()
         )
+        return Ultradistribution._make(self.dim + other.dim, self.sigma, atoms)
+
+    # -- rendering / serialization -----------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -807,18 +637,18 @@ class Ultradistribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Ultradistribution":
-        sigma = as_sigma(data["sigma"])
-        dim = int(data["dim"])
-        atoms = []
-        for entry in data["atoms"]:
-            atoms.append(
-                (
-                    tuple(Fraction(str(x)) for x in entry["loc"]),
-                    tuple(int(n) for n in entry["order"]),
-                    _weight_from_json(entry["weight"], sigma),
-                )
+        sigma = json_field(data, "sigma", as_sigma)
+
+        def read_atom(entry):
+            return (
+                json_field(entry, "loc", _fractions),
+                json_field(entry, "order", lambda v: nonnegative(
+                    v, "derivative orders must be nonnegative")),
+                json_field(entry, "weight", lambda w: _weight_from_json(w, sigma)),
             )
-        return cls(dim, sigma, atoms)
+
+        atoms = json_field(data, "atoms", lambda entries: [read_atom(e) for e in entries])
+        return cls(json_field(data, "dim", int), sigma, atoms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -826,25 +656,6 @@ class Ultradistribution:
     @classmethod
     def from_json(cls, text: str) -> "Ultradistribution":
         return cls.from_json_dict(json.loads(text))
-
-
-# -- module-level operation names -------------------------------------------------
-
-
-def pair(distribution: Ultradistribution, f: ExpPoly) -> CharSum:
-    return distribution.pair(f)
-
-
-def fourier(distribution: Ultradistribution) -> ExpPoly:
-    return distribution.fourier()
-
-
-def derivative(distribution: Ultradistribution, axis: int = 0) -> Ultradistribution:
-    return distribution.derivative(axis)
-
-
-def mul_monomial(distribution: Ultradistribution, exponents) -> Ultradistribution:
-    return distribution.mul_monomial(exponents)
 
 
 def _coerce_symbol(a, h=None) -> ExpPoly:
@@ -871,11 +682,9 @@ def inverse_fourier_symbol(a, h=None) -> Ultradistribution:
     sigma = a.sigma
     u = Binarion.unit(sigma)
     minus_inv_u = -(u.invert())  # equals -sigma*u
-    atoms = []
-    for freq, exps, coeff in a.terms():
-        weight = coeff * (minus_inv_u ** sum(exps))
-        atoms.append((freq, exps, weight))
-    return Ultradistribution(a.dim, sigma, atoms)
+    return Ultradistribution._make(a.dim, sigma, {
+        key: coeff * minus_inv_u ** sum(key[1]) for key, coeff in a._terms.items()
+    })
 
 
 def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
@@ -899,7 +708,7 @@ def _twist(distribution: Ultradistribution, h: Fraction, k: int) -> Ultradistrib
     q1 = slice(k, 2 * k)
     p2 = slice(2 * k, 3 * k)
     out = []
-    for (loc, order), w in distribution._atoms.items():
+    for (loc, order), w in distribution._terms.items():
         nq1 = order[q1]
         np2 = order[p2]
         base_char = CharSum.character(
@@ -939,8 +748,8 @@ def _twist(distribution: Ultradistribution, h: Fraction, k: int) -> Ultradistrib
                 + order[3 * k :]
             )
             factor = base_char * (value * (sign * comb))
-            out.append((loc, new_order, w * factor))
-    return Ultradistribution(distribution.dim, sigma, out)
+            out.append(((loc, new_order), w * factor))
+    return distribution._new(collect(out))
 
 
 def _twist_step(polys, kq, kp, uh, k):
@@ -972,38 +781,32 @@ def _inc(t, i):
 
 def _twist_diff(poly, block, i, uh, k):
     """d/d(q1_i) or d/d(p2_i) of ``poly * exp(u*h*<q1, p2>)``, poly part only."""
-    out = {}
-
-    def _acc(key, c):
-        if key in out:
-            s = out[key] + c
-            if s.is_zero():
-                del out[key]
-            else:
-                out[key] = s
-        elif not c.is_zero():
-            out[key] = c
-
+    out = []
     for (eq, ep), c in poly.items():
         if block == "q1":
             if eq[i] > 0:
-                _acc((_dec(eq, i), ep), c * eq[i])
-            _acc((eq, _inc(ep, i)), c * uh)  # exponent factor u*h*p2_i
+                out.append(((_dec(eq, i), ep), c * eq[i]))
+            out.append(((eq, _inc(ep, i)), c * uh))  # exponent factor u*h*p2_i
         else:
             if ep[i] > 0:
-                _acc((eq, _dec(ep, i)), c * ep[i])
-            _acc((_inc(eq, i), ep), c * uh)  # exponent factor u*h*q1_i
-    return out
+                out.append(((eq, _dec(ep, i)), c * ep[i]))
+            out.append(((_inc(eq, i), ep), c * uh))  # exponent factor u*h*q1_i
+    return collect(out)
 
 
 def _pushforward_sum(distribution: Ultradistribution, k: int) -> Ultradistribution:
     """Push a ``(p1, q1, p2, q2)`` distribution forward under block addition."""
-    atoms = []
-    for (loc, order), w in distribution._atoms.items():
-        loc2 = tuple(loc[i] + loc[2 * k + i] for i in range(2 * k))
-        order2 = tuple(order[i] + order[2 * k + i] for i in range(2 * k))
-        atoms.append((loc2, order2, w))
-    return Ultradistribution(2 * k, distribution.sigma, atoms)
+    atoms = collect(
+        (
+            (
+                tuple(loc[i] + loc[2 * k + i] for i in range(2 * k)),
+                tuple(order[i] + order[2 * k + i] for i in range(2 * k)),
+            ),
+            w,
+        )
+        for (loc, order), w in distribution._terms.items()
+    )
+    return Ultradistribution._make(2 * k, distribution.sigma, atoms)
 
 
 def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
@@ -1025,8 +828,6 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
         raise DimensionMismatchError("phase-space symbols need even dimension")
     k = ea.dim // 2
     if degree_cap is not None and ea.degree() + eb.degree() > degree_cap:
-        from .errors import DegreeCapError
-
         raise DegreeCapError("star product exceeds degree cap")
     ta = inverse_fourier_symbol(ea)
     tb = inverse_fourier_symbol(eb)

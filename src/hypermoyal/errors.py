@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field reader
+that turns malformed input into them."""
 
 
 class HypermoyalError(Exception):
@@ -48,3 +49,22 @@ class InvalidStateError(HypermoyalError, ValueError):
         super().__init__(message)
         self.value = value
         self.bound = bound
+
+
+def json_field(data, name: str, convert=None):
+    """``convert(data[name])`` for a parsed JSON object.
+
+    A missing field, or one that ``convert`` rejects, raises
+    :class:`ValidationError` naming it; nested reads prefix the outer names,
+    as in ``atoms: loc: ...``.
+    """
+    if not isinstance(data, dict) or name not in data:
+        raise ValidationError(f"missing field {name!r}")
+    if convert is None:
+        return data[name]
+    try:
+        return convert(data[name])
+    except KeyError as exc:
+        raise ValidationError(f"{name}: missing field {exc}") from None
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None

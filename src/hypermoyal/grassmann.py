@@ -7,16 +7,26 @@ forces ``theta_i^2 = 0`` and the sign bookkeeping of the canonical
 ``|S| mod 2``, and the top monomial ``theta_1 ... theta_n`` is a nonzero
 annihilator of the whole odd part -- the witness returned by
 :func:`annihilator_witness`.
+
+:class:`GrassmannElement` is a sparse term map over the shared base of
+:mod:`hypermoyal.sparse`; it contributes only its mask checks and the
+product of two monomials, which vanishes on a repeated generator and
+otherwise carries the reordering sign.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from fractions import Fraction
 
-from .errors import DimensionMismatchError, SignatureMismatchError
-from .scalars import Binarion, Sigma, as_sigma
+from .errors import DimensionMismatchError, ValidationError, json_field
+from .scalars import Binarion, Sigma, as_sigma, binarion_from_json
+from .sparse import SparseAlgebra, binarion_coefficient, collect
+
+#: Largest generator count :func:`annihilator_witness` accepts.  Its check
+#: visits all ``2^n`` basis monomials, so its time doubles with each
+#: generator; larger counts are refused before any work starts.
+MAX_WITNESS_GENERATORS = 16
 
 
 class Parity(enum.Enum):
@@ -45,31 +55,27 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
-class GrassmannElement:
+class GrassmannElement(SparseAlgebra):
     """Element of the Grassmann algebra on ``n`` generators over binarions."""
 
-    __slots__ = ("n", "sigma", "_terms")
+    __slots__ = ()
+    _SIZE_NAME = "n"
+    n = property(lambda self: self._size, doc="Number of generators.")
 
     def __init__(self, n: int, sigma: Sigma, terms: dict = None):
         if n < 0:
-            raise ValueError("generator count must be nonnegative")
-        self.n = int(n)
+            raise ValidationError("generator count must be nonnegative")
+        self._size = int(n)
         self.sigma = as_sigma(sigma)
-        clean = {}
+        pairs = []
         for mask, coeff in (terms or {}).items():
             mask = int(mask)
             if mask < 0 or mask >= (1 << self.n):
                 raise DimensionMismatchError(
                     f"monomial {mask:#b} uses generators beyond n={self.n}"
                 )
-            if not isinstance(coeff, Binarion):
-                coeff = Binarion(coeff, 0, self.sigma)
-            if coeff.sigma is not self.sigma:
-                raise SignatureMismatchError("coefficient sigma differs from algebra sigma")
-            if coeff.is_zero():
-                continue
-            clean[mask] = clean[mask] + coeff if mask in clean else coeff
-        self._terms = {m: c for m, c in clean.items() if not c.is_zero()}
+            pairs.append((mask, binarion_coefficient(coeff, self.sigma, "algebra")))
+        self._terms = collect(pairs)
 
     # -- constructors -----------------------------------------------------
 
@@ -99,11 +105,10 @@ class GrassmannElement:
             mask |= bit
         return cls(n, sigma, {mask: coeff})
 
+    def _constant(self, value) -> "GrassmannElement":
+        return GrassmannElement.scalar(value, self.n, self.sigma)
 
     # -- queries --------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def terms(self):
         return [(mask, self._terms[mask]) for mask in sorted(self._terms)]
@@ -117,96 +122,19 @@ class GrassmannElement:
         return Parity.EVEN
 
     def even_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.n,
-            self.sigma,
-            {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0},
-        )
+        return self._new({m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0})
 
     def odd_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.n,
-            self.sigma,
-            {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1},
-        )
+        return self._new({m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1})
 
     # -- algebra -----------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GrassmannElement):
-            if other.sigma is not self.sigma:
-                raise SignatureMismatchError("mixed signatures in Grassmann arithmetic")
-            if other.n != self.n:
-                raise DimensionMismatchError("mixed generator counts")
-            return other
-        if isinstance(other, (Binarion, int, Fraction)):
-            return GrassmannElement.scalar(other, self.n, self.sigma)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in o._terms.items():
-            out[m] = out[m] + c if m in out else c
-        return GrassmannElement(self.n, self.sigma, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return GrassmannElement(
-            self.n, self.sigma, {m: -c for m, c in self._terms.items()}
-        )
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                if m1 & m2:
-                    continue  # repeated generator: square is zero
-                mask = m1 | m2
-                c = c1 * c2
-                if _merge_sign(m1, m2) < 0:
-                    c = -c
-                out[mask] = out[mask] + c if mask in out else c
-        return GrassmannElement(self.n, self.sigma, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = GrassmannElement.scalar(1, self.n, self.sigma)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (Binarion, int, Fraction)):
-            other = GrassmannElement.scalar(other, self.n, self.sigma)
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.sigma is other.sigma
-            and self._terms == other._terms
-        )
+    @staticmethod
+    def _term_mul(m1, c1, m2, c2):
+        if m1 & m2:
+            return None  # repeated generator: square is zero
+        c = c1 * c2
+        return m1 | m2, (-c if _merge_sign(m1, m2) < 0 else c)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -246,16 +174,15 @@ class GrassmannElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GrassmannElement":
-        sigma = as_sigma(data["sigma"])
-        n = int(data["n"])
+        sigma = json_field(data, "sigma", as_sigma)
         terms = {}
-        for entry in data["terms"]:
+        for entry in json_field(data, "terms", list):
             mask = 0
-            for g in entry["gens"]:
+            for g in json_field(entry, "gens", list):
                 mask |= 1 << (int(g) - 1)
-            c = Binarion(Fraction(str(entry["re"])), Fraction(str(entry.get("im", 0))), sigma)
+            c = binarion_from_json(entry, sigma)
             terms[mask] = terms[mask] + c if mask in terms else c
-        return cls(n, sigma, terms)
+        return cls(json_field(data, "n", int), sigma, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -264,10 +191,6 @@ class GrassmannElement:
 def generators(n: int, sigma: Sigma) -> tuple:
     """The ``n`` anticommuting generators as elements of the algebra."""
     return tuple(GrassmannElement.generator(i, n, sigma) for i in range(n))
-
-
-def gproduct(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b
 
 
 def parity(a: GrassmannElement) -> Parity:
@@ -303,7 +226,11 @@ def annihilator_witness(n: int, sigma: Sigma = Sigma.HYPERBOLIC) -> GrassmannEle
     one.
     """
     if n < 1:
-        raise ValueError("witness needs at least one generator")
+        raise ValidationError("witness needs at least one generator")
+    if n > MAX_WITNESS_GENERATORS:
+        raise ValidationError(
+            f"witness needs at most {MAX_WITNESS_GENERATORS} generators, got {n}"
+        )
     top = GrassmannElement(n, sigma, {(1 << n) - 1: 1})
     for mask in range(1, 1 << n):
         if mask.bit_count() % 2 == 1:

@@ -32,17 +32,21 @@ from .distributions import (
     inverse_fourier_symbol,
     star_distributional,
 )
-from .errors import DimensionMismatchError, SignatureMismatchError
-from .scalars import Binarion, Sigma, as_sigma
+from .errors import (
+    DimensionMismatchError,
+    SignatureMismatchError,
+    ValidationError,
+    json_field,
+)
+from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
 from .symbols import PolySymbol, star
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+def _positive_h(h) -> Fraction:
+    h = _as_fraction(h)
+    if h <= 0:
+        raise ValidationError("h must be a positive rational")
+    return h
 
 
 class WaveFunction:
@@ -58,9 +62,7 @@ class WaveFunction:
     __slots__ = ("h", "func")
 
     def __init__(self, func: ExpPoly, h):
-        self.h = _as_fraction(h)
-        if self.h <= 0:
-            raise ValueError("h must be a positive rational")
+        self.h = _positive_h(h)
         if not isinstance(func, ExpPoly):
             raise TypeError("func must be an ExpPoly")
         self.func = func
@@ -169,7 +171,10 @@ class WaveFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WaveFunction":
-        return cls(ExpPoly.from_json_dict(data["func"]), Fraction(str(data["h"])))
+        return cls(
+            json_field(data, "func", ExpPoly.from_json_dict),
+            json_field(data, "h", _json_fraction),
+        )
 
 
 class Operator:
@@ -185,9 +190,7 @@ class Operator:
                 "phase-space symbols need even dimension (q variables then p)"
             )
         self.symbol = symbol
-        self.h = _as_fraction(h)
-        if self.h <= 0:
-            raise ValueError("h must be a positive rational")
+        self.h = _positive_h(h)
         self.sigma = symbol.sigma if sigma is None else as_sigma(sigma)
         if self.sigma is not symbol.sigma:
             raise SignatureMismatchError("operator sigma differs from symbol sigma")
@@ -288,12 +291,13 @@ class Operator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Operator":
-        kind = data.get("kind", "poly")
-        if kind == "poly":
-            symbol = PolySymbol.from_json_dict(data["symbol"])
-        else:
-            symbol = ExpPoly.from_json_dict(data["symbol"])
-        return cls(symbol, Fraction(str(data["h"])), as_sigma(data["sigma"]))
+        kind = data.get("kind", "poly") if isinstance(data, dict) else "poly"
+        symbol_cls = PolySymbol if kind == "poly" else ExpPoly
+        return cls(
+            json_field(data, "symbol", symbol_cls.from_json_dict),
+            json_field(data, "h", _json_fraction),
+            json_field(data, "sigma", as_sigma),
+        )
 
     def __repr__(self) -> str:
         return f"Operator({self.symbol!r}, h={self.h})"

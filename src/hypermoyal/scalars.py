@@ -18,7 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotRepresentableError, SignatureMismatchError, ZeroDivisorError
+from .errors import (
+    NotRepresentableError,
+    SignatureMismatchError,
+    ValidationError,
+    ZeroDivisorError,
+    json_field,
+)
 
 #: Exact coefficient field used throughout the package.
 Rational = Fraction
@@ -58,12 +64,12 @@ def as_sigma(value) -> Sigma:
             return Sigma.HYPERBOLIC
         if value in ("-1", "-"):
             return Sigma.COMPLEX
-        raise ValueError(f"not a signature: {value!r}")
+        raise ValidationError(f"not a signature: {value!r}")
     if value == 1:
         return Sigma.HYPERBOLIC
     if value == -1:
         return Sigma.COMPLEX
-    raise ValueError(f"not a signature: {value!r}")
+    raise ValidationError(f"not a signature: {value!r}")
 
 
 class GClass(enum.Enum):
@@ -86,11 +92,14 @@ class GClass(enum.Enum):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _json_fraction(value) -> Fraction:
+    """A rational written in JSON as text or as a number."""
+    return Fraction(str(value))
 
 
 def _frac_str(r: Fraction) -> str:
@@ -301,6 +310,13 @@ class Binarion:
         return f"{_frac_str(self.re)} {sign} {_frac_str(abs(self.im))}{u}"
 
     __repr__ = __str__
+
+
+def binarion_from_json(data, sigma: Sigma) -> Binarion:
+    """The binarion of a JSON object ``{"re": x, "im": y}``; ``im`` defaults to 0."""
+    re = json_field(data, "re", _json_fraction)
+    im = json_field(data, "im", _json_fraction) if "im" in data else 0
+    return Binarion(re, im, sigma)
 
 
 @dataclass(frozen=True)

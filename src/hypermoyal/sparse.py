@@ -1,0 +1,195 @@
+"""One sparse term map behind every algebra class of the package.
+
+Symbols, ``h``-polynomials, character sums, exponential polynomials, point
+distributions and Grassmann elements are all finite maps from a key (a
+monomial, a degree, an exponent, an atom or a generator mask) to a nonzero
+coefficient.  :class:`SparseMap` owns that storage and what does not depend
+on the meaning of a key: dropping zeros, merging, ``+``, ``-``, negation,
+scalar coercion and equality.  :class:`SparseAlgebra` adds ``*`` and ``**``
+through one per-class hook, the product of two terms.
+
+Elements enter in two ways.  A class's public constructor validates its
+input (key shapes, signs, the coefficients' signature) and sums it with
+:func:`collect`.  Results of arithmetic are built by :meth:`SparseMap._make`
+(or ``_new``, which keeps the operand's size and signature), which checks
+nothing: their keys are canonical and no coefficient is zero by
+construction, which the test suite checks by passing every result back
+through the public constructor.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import add, sub
+
+from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError
+from .scalars import Binarion
+
+
+def collect(pairs) -> dict:
+    """Sum ``(key, coefficient)`` pairs per key and drop the zero sums."""
+    out = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if not value.is_zero()}
+
+
+def nonnegative(values, message: str) -> tuple:
+    """``values`` as a tuple of ints; a negative entry raises ``message``."""
+    out = tuple(int(v) for v in values)
+    if any(v < 0 for v in out):
+        raise ValidationError(message)
+    return out
+
+
+def binarion_coefficient(value, sigma, owner: str) -> Binarion:
+    """``value`` as a binarion of signature ``sigma``; rationals embed as reals."""
+    if not isinstance(value, Binarion):
+        value = Binarion(value, 0, sigma)
+    if value.sigma is not sigma:
+        raise SignatureMismatchError(f"coefficient sigma differs from {owner} sigma")
+    return value
+
+
+class SparseMap:
+    """Finite map from keys to nonzero coefficients, with its linear structure.
+
+    ``sigma`` is the signature of every coefficient.  ``_size`` is the
+    dimension of the space the keys live on (``dof``, ``dim`` or ``n``,
+    named by ``_SIZE_NAME``; ``None`` for the scalar rings); two elements
+    combine only when both agree.
+    """
+
+    __slots__ = ("sigma", "_size", "_terms")
+
+    _SIZE_NAME = None
+    #: Operand types that enter arithmetic and comparison as constants.
+    _SCALARS = (Binarion, int, Fraction)
+
+    @classmethod
+    def _make(cls, size, sigma, terms: dict):
+        """The element holding ``terms`` as given; nothing is checked."""
+        out = object.__new__(cls)
+        out._size = size
+        out.sigma = sigma
+        out._terms = terms
+        return out
+
+    def _new(self, terms: dict):
+        return self._make(self._size, self.sigma, terms)
+
+    def _constant(self, value):
+        """``value`` (one of ``_SCALARS``) as an element like ``self``."""
+        raise NotImplementedError
+
+    def _check(self, other):
+        if other.sigma is not self.sigma:
+            raise SignatureMismatchError(
+                f"cannot combine sigma={self.sigma} with sigma={other.sigma}"
+            )
+        if other._size != self._size:
+            name = self._SIZE_NAME
+            raise DimensionMismatchError(
+                f"cannot combine {name}={self._size} with {name}={other._size}"
+            )
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return other
+        if isinstance(other, self._SCALARS):
+            return self._constant(other)
+        return None
+
+    def _map(self, fn):
+        """Apply ``fn`` to every coefficient, dropping the zeros it makes."""
+        out = {}
+        for key, value in self._terms.items():
+            value = fn(value)
+            if not value.is_zero():
+                out[key] = value
+        return self._new(out)
+
+    def _merged(self, other, op):
+        out = dict(self._terms)
+        for key, value in other._terms.items():
+            if key in out:
+                value = op(out[key], value)
+                if value.is_zero():
+                    del out[key]
+                    continue
+            elif op is sub:
+                value = -value
+            out[key] = value
+        return self._new(out)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._merged(o, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._merged(o, sub)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return self._new({key: -value for key, value in self._terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, self._SCALARS):
+            other = self._constant(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self._size == other._size
+            and self.sigma is other.sigma
+            and self._terms == other._terms
+        )
+
+
+class SparseAlgebra(SparseMap):
+    """A :class:`SparseMap` that is also a ring, with ``*`` and ``**``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _term_mul(k1, c1, k2, c2):
+        """The product of two terms as ``(key, coefficient)``, or ``None``
+        when it vanishes.  Keys that add, such as degrees, are the default."""
+        return k1 + k2, c1 * c2
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        term_mul = self._term_mul
+        products = (
+            term_mul(k1, c1, k2, c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in o._terms.items()
+        )
+        return self._new(collect(term for term in products if term is not None))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        result = self._constant(1)
+        for _ in range(exponent):
+            result = result * self
+        return result

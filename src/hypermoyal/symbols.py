@@ -6,6 +6,12 @@ binarion scalars.  Keeping ``h`` formal makes the classical limit exact:
 extracting the ``h``-constant term of :func:`scaled_bracket` reproduces the
 Poisson bracket on the nose, with no numerical extrapolation.
 
+Both :class:`HPoly` and :class:`PolySymbol` are sparse term maps over the
+shared base of :mod:`hypermoyal.sparse`.  A symbol is stored flat, as one
+map from ``(alpha, beta, hdeg)`` to the binarion coefficient of
+``h^hdeg q^alpha p^beta``; :meth:`PolySymbol.terms` and
+:meth:`PolySymbol.coeff` regroup it into ``(alpha, beta, HPoly)`` views.
+
 The noncommutative :func:`star` product implements the symbol-level
 composition of normal-ordered (q-left, d/dq-right) operators:
 
@@ -20,8 +26,9 @@ time in closed form.  Each coefficient is ``(re + u*im) / den`` with integer
 structure constant ``prod C(beta1, kappa) * alpha2!/(alpha2 - kappa)!`` for
 each ``kappa <= min(beta1, alpha2)``.  ``(sigma*u)^|kappa|`` is a sign, times
 ``u`` when ``|kappa|`` is odd, so the sums stay in integers until the result
-is divided by the denominators.  :func:`moyal_bracket` and
-:func:`scaled_bracket` add ``a ⋆ b`` and ``-(b ⋆ a)`` into one such sum,
+is divided by the denominators; the kernel reads the operands' flat maps
+and writes the result's map directly, without re-validating it.
+:func:`moyal_bracket` and :func:`scaled_bracket` add ``a ⋆ b`` and ``-(b ⋆ a)`` into one such sum,
 leaving out ``kappa = 0``, whose pointwise terms cancel.  The same product
 is derived independently through the distributional route in
 :mod:`hypermoyal.distributions`, and through operator application in
@@ -38,8 +45,15 @@ from fractions import Fraction
 from itertools import islice, product as iter_product
 from operator import add, sub
 
-from .errors import DegreeCapError, DimensionMismatchError, SignatureMismatchError
-from .scalars import Binarion, Sigma, as_sigma
+from .errors import (
+    DegreeCapError,
+    DimensionMismatchError,
+    SignatureMismatchError,
+    ValidationError,
+    json_field,
+)
+from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json
+from .sparse import SparseAlgebra, binarion_coefficient, collect, nonnegative
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -48,36 +62,25 @@ from .scalars import Binarion, Sigma, as_sigma
 DEFAULT_DEGREE_CAP = 16
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-class HPoly:
+class HPoly(SparseAlgebra):
     """Polynomial in the formal deformation parameter ``h`` over binarions.
 
-    Internally a sparse map from ``h``-degree to coefficient; explicit zero
-    coefficients are never stored.
+    A sparse map from ``h``-degree to coefficient; explicit zero coefficients
+    are never stored.
     """
 
-    __slots__ = ("sigma", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, coeffs: dict, sigma: Sigma):
+        self._size = None
         self.sigma = as_sigma(sigma)
-        clean = {}
+        pairs = []
         for degree, value in coeffs.items():
-            if not isinstance(value, Binarion):
-                value = Binarion(value, 0, self.sigma)
-            if value.sigma is not self.sigma:
-                raise SignatureMismatchError("coefficient sigma differs from HPoly sigma")
+            value = binarion_coefficient(value, self.sigma, "HPoly")
             if degree < 0:
-                raise ValueError("h-degree must be nonnegative")
-            if not value.is_zero():
-                clean[int(degree)] = value
-        self._coeffs = clean
+                raise ValidationError("h-degree must be nonnegative")
+            pairs.append((int(degree), value))
+        self._terms = collect(pairs)
 
     # -- constructors ---------------------------------------------------
 
@@ -100,19 +103,19 @@ class HPoly:
         b = coeff if isinstance(coeff, Binarion) else Binarion(coeff, 0, sigma)
         return cls({degree: b}, sigma)
 
+    def _constant(self, value) -> "HPoly":
+        return HPoly.from_scalar(value, self.sigma)
+
     # -- queries ----------------------------------------------------------
 
     def coeff(self, degree: int) -> Binarion:
-        return self._coeffs.get(degree, Binarion.zero(self.sigma))
+        return self._terms.get(degree, Binarion.zero(self.sigma))
 
     def items(self):
-        return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return sorted(self._terms.items())
 
     def degree(self) -> int:
-        return max(self._coeffs) if self._coeffs else 0
+        return max(self._terms) if self._terms else 0
 
     @property
     def constant_term(self) -> Binarion:
@@ -120,78 +123,28 @@ class HPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, HPoly):
-            if other.sigma is not self.sigma:
-                raise SignatureMismatchError("mixed signatures in HPoly arithmetic")
-            return other
-        if isinstance(other, (Binarion, int, Fraction)):
-            return HPoly.from_scalar(other, self.sigma)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for d, v in o._coeffs.items():
-            out[d] = out.get(d, Binarion.zero(self.sigma)) + v
-        return HPoly(out, self.sigma)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __neg__(self):
-        return HPoly({d: -v for d, v in self._coeffs.items()}, self.sigma)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for d1, v1 in self._coeffs.items():
-            for d2, v2 in o._coeffs.items():
-                d = d1 + d2
-                w = v1 * v2
-                out[d] = out.get(d, Binarion.zero(self.sigma)) + w
-        return HPoly(out, self.sigma)
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "HPoly":
-        return HPoly({d: v.conjugate() for d, v in self._coeffs.items()}, self.sigma)
+        return self._map(Binarion.conjugate)
 
     def times_h(self, power: int = 1) -> "HPoly":
-        return HPoly({d + power: v for d, v in self._coeffs.items()}, self.sigma)
+        return HPoly({d + power: v for d, v in self._terms.items()}, self.sigma)
 
     def div_h(self) -> "HPoly":
         """Exact division by ``h``; every term must have degree >= 1."""
-        if 0 in self._coeffs:
+        if 0 in self._terms:
             raise ArithmeticError("not divisible by h: constant term present")
-        return HPoly({d - 1: v for d, v in self._coeffs.items()}, self.sigma)
+        return self._new({d - 1: v for d, v in self._terms.items()})
 
     def substitute(self, h) -> Binarion:
         """Evaluate at a numeric (rational) value of ``h``."""
         h = _as_fraction(h)
         total = Binarion.zero(self.sigma)
-        for d, v in self._coeffs.items():
+        for d, v in self._terms.items():
             total = total + v * (h**d)
         return total
 
     def constant_part(self) -> "HPoly":
-        return HPoly({0: self.coeff(0)}, self.sigma)
-
-    def __eq__(self, other):
-        if isinstance(other, (Binarion, int, Fraction)):
-            other = HPoly.from_scalar(other, self.sigma)
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.sigma is other.sigma and self._coeffs == other._coeffs
+        return self._new({d: v for d, v in self._terms.items() if d == 0})
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -236,44 +189,39 @@ def _bump(exps: tuple, index: int, amount: int = 1) -> tuple:
     return tuple(out)
 
 
-class PolySymbol:
+class PolySymbol(SparseAlgebra):
     """Sparse polynomial in ``q1..qk, p1..pk`` with :class:`HPoly` coefficients.
 
-    A symbol is an *observable* when every coefficient is a plain real
-    scalar: imaginary part zero and no ``h``-dependence.
+    Stored flat, as one map from ``(alpha, beta, hdeg)`` to the binarion
+    coefficient of ``h^hdeg q^alpha p^beta``; :meth:`terms` and
+    :meth:`coeff` regroup it by monomial.  A symbol is an *observable* when
+    every coefficient is a plain real scalar: imaginary part zero and no
+    ``h``-dependence.
     """
 
-    __slots__ = ("dof", "sigma", "_terms")
+    __slots__ = ()
+    _SIZE_NAME = "dof"
+    _SCALARS = (Binarion, HPoly, int, Fraction)
+    dof = property(lambda self: self._size, doc="Number of degrees of freedom ``k``.")
 
     def __init__(self, dof: int, sigma: Sigma, terms: dict = None):
         if dof < 1:
             raise DimensionMismatchError("dof must be >= 1")
-        self.dof = int(dof)
+        self._size = int(dof)
         self.sigma = as_sigma(sigma)
-        clean = {}
+        pairs = []
         for (alpha, beta), coeff in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            beta = tuple(int(b) for b in beta)
+            alpha = nonnegative(alpha, "negative exponents are not allowed")
+            beta = nonnegative(beta, "negative exponents are not allowed")
             if len(alpha) != self.dof or len(beta) != self.dof:
                 raise DimensionMismatchError(
                     f"exponent vectors must have length {self.dof}"
                 )
-            if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
-                raise ValueError("negative exponents are not allowed")
             coeff = HPoly.from_scalar(coeff, self.sigma)
             if coeff.sigma is not self.sigma:
                 raise SignatureMismatchError("coefficient sigma differs from symbol sigma")
-            if not coeff.is_zero():
-                key = (alpha, beta)
-                if key in clean:
-                    merged = clean[key] + coeff
-                    if merged.is_zero():
-                        del clean[key]
-                    else:
-                        clean[key] = merged
-                else:
-                    clean[key] = coeff
-        self._terms = clean
+            pairs.extend(((alpha, beta, d), v) for d, v in coeff._terms.items())
+        self._terms = collect(pairs)
 
     # -- constructors ---------------------------------------------------
 
@@ -309,111 +257,51 @@ class PolySymbol:
             c = c.times_h(h_degree)
         return cls(dof, sigma, {(tuple(alpha), tuple(beta)): c})
 
-    # -- queries -----------------------------------------------------------
+    def _constant(self, value) -> "PolySymbol":
+        return PolySymbol.constant(value, self.dof, self.sigma)
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    # -- queries -----------------------------------------------------------
 
     def terms(self):
         """Term triples ``(alpha, beta, coeff)`` in canonical order."""
+        grouped = {}
+        for (alpha, beta, d), v in self._terms.items():
+            grouped.setdefault((alpha, beta), {})[d] = v
         return [
-            (alpha, beta, self._terms[(alpha, beta)])
-            for alpha, beta in sorted(self._terms, key=_term_order_key)
+            (alpha, beta, HPoly._make(None, self.sigma, grouped[(alpha, beta)]))
+            for alpha, beta in sorted(grouped, key=_term_order_key)
         ]
 
     def coeff(self, alpha, beta) -> HPoly:
-        return self._terms.get((tuple(alpha), tuple(beta)), HPoly.zero(self.sigma))
+        monomial = (tuple(alpha), tuple(beta))
+        return HPoly._make(None, self.sigma, {
+            d: v for (a, b, d), v in self._terms.items() if (a, b) == monomial
+        })
 
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return max(sum(a) + sum(b) for a, b in self._terms)
+        return max(sum(a) + sum(b) for a, b, _ in self._terms)
 
     def p_degrees(self) -> tuple:
         """Componentwise maximum p-exponent; bounds the star-product series."""
         bounds = [0] * self.dof
-        for _, beta in self._terms:
+        for _, beta, _ in self._terms:
             for i, b in enumerate(beta):
                 bounds[i] = max(bounds[i], b)
         return tuple(bounds)
 
     def is_observable(self) -> bool:
         """True when every coefficient is real and free of ``h``."""
-        for coeff in self._terms.values():
-            for d, v in coeff.items():
-                if d != 0 or not v.is_real():
-                    return False
-        return True
+        return all(d == 0 and v.is_real() for (_, _, d), v in self._terms.items())
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, PolySymbol):
-            _require_compatible(self, other)
-            return other
-        if isinstance(other, (Binarion, HPoly, int, Fraction)):
-            return PolySymbol.constant(other, self.dof, self.sigma)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in o._terms.items():
-            if key in out:
-                out[key] = out[key] + coeff
-            else:
-                out[key] = coeff
-        return PolySymbol(self.dof, self.sigma, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return PolySymbol(
-            self.dof, self.sigma, {key: -c for key, c in self._terms.items()}
-        )
-
-    def __mul__(self, other):
+    @staticmethod
+    def _term_mul(k1, c1, k2, c2):
         """Commutative pointwise product (the h -> 0 limit of ``star``)."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in o._terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                c = c1 * c2
-                if key in out:
-                    out[key] = out[key] + c
-                else:
-                    out[key] = c
-        return PolySymbol(self.dof, self.sigma, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = PolySymbol.one(self.dof, self.sigma)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        (a1, b1, d1), (a2, b2, d2) = k1, k2
+        return (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), d1 + d2), c1 * c2
 
     # -- calculus -------------------------------------------------------------
 
@@ -423,20 +311,15 @@ class PolySymbol:
             raise ValueError("variable must be 'q' or 'p'")
         if not 0 <= index < self.dof:
             raise IndexError(f"index {index} out of range for dof {self.dof}")
-        out = {}
-        for (alpha, beta), coeff in self._terms.items():
+        out = []
+        for (alpha, beta, d), v in self._terms.items():
             exps = alpha if variable == "q" else beta
             e = exps[index]
-            if e == 0:
-                continue
-            new_exps = _bump(exps, index, -1)
-            key = (new_exps, beta) if variable == "q" else (alpha, new_exps)
-            c = coeff * Binarion(e, 0, self.sigma)
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-        return PolySymbol(self.dof, self.sigma, out)
+            if e:
+                lowered = _bump(exps, index, -1)
+                key = (lowered, beta, d) if variable == "q" else (alpha, lowered, d)
+                out.append((key, v * e))
+        return self._new(collect(out))
 
     def differentiate_multi(self, variable: str, kappa) -> "PolySymbol":
         out = self
@@ -457,57 +340,37 @@ class PolySymbol:
                 f"point has dof {point.dof}, symbol has dof {self.dof}"
             )
         total = Binarion.zero(self.sigma)
-        for (alpha, beta), coeff in self._terms.items():
-            mono = Fraction(1)
+        for (alpha, beta, d), v in self._terms.items():
+            mono = h**d
             for x, e in zip(point.q, alpha):
                 mono *= x**e
             for x, e in zip(point.p, beta):
                 mono *= x**e
-            total = total + coeff.substitute(h) * mono
+            total = total + v * mono
         return total
 
     def substitute_h(self, h) -> "PolySymbol":
         """Replace the formal ``h`` by a numeric rational value."""
-        out = {}
-        for key, coeff in self._terms.items():
-            out[key] = HPoly.from_scalar(coeff.substitute(h))
-        return PolySymbol(self.dof, self.sigma, out)
+        h = _as_fraction(h)
+        return self._new(collect(
+            ((alpha, beta, 0), v * h**d) for (alpha, beta, d), v in self._terms.items()
+        ))
 
     def h_constant_part(self) -> "PolySymbol":
         """The ``h``-degree-0 part; this is the classical limit h -> 0."""
-        out = {}
-        for key, coeff in self._terms.items():
-            out[key] = coeff.constant_part()
-        return PolySymbol(self.dof, self.sigma, out)
+        return self._new({key: v for key, v in self._terms.items() if key[2] == 0})
 
     def scale_hpoly(self, factor: HPoly) -> "PolySymbol":
-        return PolySymbol(
-            self.dof, self.sigma, {key: c * factor for key, c in self._terms.items()}
-        )
+        return self * factor
 
     def conjugate(self) -> "PolySymbol":
         """Coefficientwise involution; observables are the fixed points."""
-        return PolySymbol(
-            self.dof, self.sigma, {key: c.conjugate() for key, c in self._terms.items()}
-        )
+        return self._map(Binarion.conjugate)
 
     def div_h(self) -> "PolySymbol":
-        return PolySymbol(
-            self.dof, self.sigma, {key: c.div_h() for key, c in self._terms.items()}
-        )
-
-    # -- comparison -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (Binarion, HPoly, int, Fraction)):
-            other = PolySymbol.constant(other, self.dof, self.sigma)
-        if not isinstance(other, PolySymbol):
-            return NotImplemented
-        return (
-            self.dof == other.dof
-            and self.sigma is other.sigma
-            and self._terms == other._terms
-        )
+        if any(d == 0 for _, _, d in self._terms):
+            raise ArithmeticError("not divisible by h: constant term present")
+        return self._new({(a, b, d - 1): v for (a, b, d), v in self._terms.items()})
 
     # -- rendering ----------------------------------------------------------------
 
@@ -515,11 +378,10 @@ class PolySymbol:
         """Canonical text form with graded-lexicographic term order (q before p)."""
         if self.is_zero():
             return "0"
-        monomials = []
-        for alpha, beta, coeff in self.terms():
-            for hdeg, value in coeff.items():
-                monomials.append((alpha, beta, hdeg, value))
-        rendered = [_render_monomial(a, b, d, v) for a, b, d, v in monomials]
+        rendered = [
+            _render_monomial(*key, self._terms[key])
+            for key in sorted(self._terms, key=_term_order_key)
+        ]
         text = rendered[0]
         for part in rendered[1:]:
             if part.startswith("-"):
@@ -552,19 +414,20 @@ class PolySymbol:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolySymbol":
-        sigma = as_sigma(data["sigma"])
-        dof = int(data["dof"])
+        sigma = json_field(data, "sigma", as_sigma)
+
+        def read_coeff(entries) -> HPoly:
+            return HPoly(
+                {json_field(c, "h", int): binarion_from_json(c, sigma) for c in entries},
+                sigma,
+            )
+
         terms = {}
-        for entry in data["terms"]:
-            coeffs = {}
-            for c in entry["coeff"]:
-                coeffs[int(c["h"])] = Binarion(
-                    Fraction(str(c["re"])), Fraction(str(c.get("im", 0))), sigma
-                )
-            key = (tuple(entry["q"]), tuple(entry["p"]))
-            hp = HPoly(coeffs, sigma)
+        for entry in json_field(data, "terms", list):
+            key = (json_field(entry, "q", tuple), json_field(entry, "p", tuple))
+            hp = json_field(entry, "coeff", read_coeff)
             terms[key] = terms[key] + hp if key in terms else hp
-        return cls(dof, sigma, terms)
+        return cls(json_field(data, "dof", int), sigma, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -575,9 +438,11 @@ class PolySymbol:
 
 
 def _term_order_key(key):
-    alpha, beta = key
+    """Sort key of a monomial ``(alpha, beta)`` or a flat ``(alpha, beta, hdeg)``:
+    total degree descending, then q and p exponents descending, then ``h``."""
+    alpha, beta = key[0], key[1]
     degree = sum(alpha) + sum(beta)
-    return (-degree, tuple(-a for a in alpha), tuple(-b for b in beta))
+    return (-degree, tuple(-a for a in alpha), tuple(-b for b in beta), key[2:])
 
 
 def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
@@ -609,37 +474,23 @@ def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
     return "*".join([coeff] + factors)
 
 
-def _require_compatible(a: PolySymbol, b: PolySymbol):
-    if a.sigma is not b.sigma:
-        raise SignatureMismatchError(
-            f"cannot combine sigma={a.sigma} with sigma={b.sigma}"
-        )
-    if a.dof != b.dof:
-        raise DimensionMismatchError(f"cannot combine dof={a.dof} with dof={b.dof}")
+_require_compatible = PolySymbol._check
 
 
 def _flatten(symbol: PolySymbol):
     """Integer form of ``symbol`` over one common denominator.
 
     Returns ``(den, terms)`` where ``terms`` lists
-    ``(alpha, beta, [(hdeg, re_num, im_num), ...])`` and each coefficient
-    equals ``(re_num + u*im_num) / den``.
+    ``(alpha, beta, hdeg, re_num, im_num)`` and each coefficient equals
+    ``(re_num + u*im_num) / den``.
     """
     den = 1
-    for coeff in symbol._terms.values():
-        for v in coeff._coeffs.values():
-            den = math.lcm(den, v.re.denominator, v.im.denominator)
+    for v in symbol._terms.values():
+        den = math.lcm(den, v.re.denominator, v.im.denominator)
     terms = [
-        (
-            alpha,
-            beta,
-            [
-                (d, v.re.numerator * (den // v.re.denominator),
-                 v.im.numerator * (den // v.im.denominator))
-                for d, v in coeff._coeffs.items()
-            ],
-        )
-        for (alpha, beta), coeff in symbol._terms.items()
+        (alpha, beta, d, v.re.numerator * (den // v.re.denominator),
+         v.im.numerator * (den // v.im.denominator))
+        for (alpha, beta, d), v in symbol._terms.items()
     ]
     return den, terms
 
@@ -674,8 +525,8 @@ def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
     only, keyed by ``(beta1, alpha2)``.
     """
     table = {}
-    for alpha1, beta1, c1 in left:
-        for alpha2, beta2, c2 in right:
+    for alpha1, beta1, d1, r1, i1 in left:
+        for alpha2, beta2, d2, r2, i2 in right:
             kappas = table.get((beta1, alpha2))
             if kappas is None:
                 kappas = table[(beta1, alpha2)] = _structure_constants(
@@ -685,40 +536,30 @@ def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
                 continue
             alpha = tuple(map(add, alpha1, alpha2))
             beta = tuple(map(add, beta1, beta2))
-            products = [
-                (d1 + d2, r1 * r2 + s * i1 * i2, r1 * i2 + i1 * r2)
-                for d1, r1, i1 in c1
-                for d2, r2, i2 in c2
-            ]
+            d = d1 + d2
+            re = r1 * r2 + s * i1 * i2
+            im = r1 * i2 + i1 * r2
             for kappa, n, c in kappas:
-                alpha_out = tuple(map(sub, alpha, kappa))
-                beta_out = tuple(map(sub, beta, kappa))
-                odd = n & 1
-                for d, re, im in products:
-                    if odd:  # times u: re + u*im -> s*im + u*re
-                        re, im = c * s * im, c * re
-                    else:
-                        re, im = c * re, c * im
-                    key = (alpha_out, beta_out, d + n)
-                    entry = acc.get(key)
-                    if entry is None:
-                        acc[key] = [re, im]
-                    else:
-                        entry[0] += re
-                        entry[1] += im
+                key = (tuple(map(sub, alpha, kappa)), tuple(map(sub, beta, kappa)), d + n)
+                if n & 1:  # times u: re + u*im -> s*im + u*re
+                    x, y = c * s * im, c * re
+                else:
+                    x, y = c * re, c * im
+                entry = acc.get(key)
+                if entry is None:
+                    acc[key] = [x, y]
+                else:
+                    entry[0] += x
+                    entry[1] += y
 
 
 def _from_integers(acc: dict, den: int, dof: int, sigma: Sigma) -> PolySymbol:
     """The symbol whose ``(alpha, beta, hdeg)`` coefficients are ``acc / den``."""
-    grouped = {}
-    for (alpha, beta, d), (re, im) in acc.items():
-        if re or im:
-            grouped.setdefault((alpha, beta), {})[d] = Binarion(
-                Fraction(re, den), Fraction(im, den), sigma
-            )
-    return PolySymbol(
-        dof, sigma, {key: HPoly(coeffs, sigma) for key, coeffs in grouped.items()}
-    )
+    return PolySymbol._make(dof, sigma, {
+        key: Binarion(Fraction(re, den), Fraction(im, den), sigma)
+        for key, (re, im) in acc.items()
+        if re or im
+    })
 
 
 def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap):

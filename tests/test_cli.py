@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import json
 from fractions import Fraction
 
+import pytest
+
 from hypermoyal import Binarion, ExpPoly, Sigma, Ultradistribution, WaveFunction
 from hypermoyal.cli import main
+from hypermoyal.grassmann import MAX_WITNESS_GENERATORS
 
 H = Sigma.HYPERBOLIC
 
@@ -155,6 +159,65 @@ def test_apply_command_missing_file_fails(capsys):
     assert err
 
 
+ATOMS = {"dim": 1, "sigma": 1, "atoms": [{"loc": ["1/2"], "order": [2], "weight": {"re": "1"}}]}
+OPERATOR = {
+    "h": "1/2",
+    "sigma": 1,
+    "kind": "poly",
+    "symbol": {"dof": 1, "sigma": 1, "terms": [{"q": [0], "p": [1], "coeff": [{"h": 0, "re": "1"}]}]},
+}
+WAVE = {"h": "1/2", "func": {"dim": 1, "sigma": 1, "terms": [{"freq": ["2"], "exp": [0], "coeff": {"re": "1"}}]}}
+
+
+def _drop_atoms(d):
+    del d["atoms"]
+
+
+def _negative_order(d):
+    d["atoms"][0]["order"] = [-1]
+
+
+def _bad_sigma(d):
+    d["sigma"] = 3
+
+
+def _bad_loc(d):
+    d["atoms"][0]["loc"] = ["x"]
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (_drop_atoms, "missing field 'atoms'"),
+        (_negative_order, "atoms: order: derivative orders must be nonnegative"),
+        (_bad_sigma, "sigma: not a signature: 3"),
+        (_bad_loc, "atoms: loc: Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_fourier_malformed_json_is_one_line_error(tmp_path, capsys, malform, message):
+    data = copy.deepcopy(ATOMS)
+    malform(data)
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "fourier", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_apply_malformed_json_is_one_line_error(tmp_path, capsys):
+    op = copy.deepcopy(OPERATOR)
+    del op["symbol"]["terms"]
+    wave = copy.deepcopy(WAVE)
+    wave["h"] = "0"
+    paths = {}
+    for name, data in (("op", OPERATOR), ("bad_op", op), ("wave", WAVE), ("bad_wave", wave)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "apply", str(paths["op"]), str(paths["wave"]))[0] == 0
+    assert run(capsys, "apply", str(paths["bad_op"]), str(paths["wave"])) == (
+        2, "", "error: symbol: missing field 'terms'\n")
+    assert run(capsys, "apply", str(paths["op"]), str(paths["bad_wave"])) == (
+        2, "", "error: h must be a positive rational\n")
+
+
 # -- interfere -----------------------------------------------------------------------
 
 
@@ -220,6 +283,25 @@ def test_super_witness(capsys):
     assert data["witness"] == "θ1θ2θ3"
     assert data["odd_monomials_annihilated"] == 4
     assert data["nonzero"] is True
+
+
+def test_super_witness_bounds(capsys):
+    assert MAX_WITNESS_GENERATORS >= 12
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "super", "--witness", n)
+        assert (code, out) == (2, "")
+        assert err == "error: witness needs at least one generator\n"
+    # refused by the cap before any of the 2^n work starts
+    too_many = str(10**9)
+    code, out, err = run(capsys, "super", "--witness", too_many)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: witness needs at most {MAX_WITNESS_GENERATORS} generators, got {too_many}\n"
+    )
+    code, out, _ = run(capsys, "super", "--witness", str(MAX_WITNESS_GENERATORS),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["odd_monomials_annihilated"] == 1 << (MAX_WITNESS_GENERATORS - 1)
 
 
 def test_super_expression_with_leading_minus_follows_double_dash(capsys):

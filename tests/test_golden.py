@@ -1,0 +1,840 @@
+"""Byte-for-byte CLI outputs.
+
+Each case runs one command in process and compares stdout with the exact
+text recorded here, so any change in a rendering, in term order or in the
+arithmetic behind it fails.  The inputs carry ``h``- and unit-bearing
+coefficients, fractional weights and formal characters.  Update an expected
+text only for an intended change of output.
+"""
+
+import json
+
+import pytest
+
+from hypermoyal.cli import main
+
+FOURIER_JSON = {
+    "dim": 2,
+    "sigma": 1,
+    "atoms": [
+        {"loc": ["1/2", "0"], "order": [2, 1],
+         "weight": {"chars": [{"exp": "1/3", "re": "2", "im": "-1"},
+                              {"exp": "0", "re": "1/2", "im": "0"}]}},
+        {"loc": ["0", "-1"], "order": [0, 3], "weight": {"re": "3/4", "im": "5"}},
+        {"loc": ["0", "0"], "order": [1, 0], "weight": {"re": "-2", "im": "0"}},
+    ],
+}
+OPERATOR_JSON = {
+    "h": "1/3",
+    "sigma": -1,
+    "kind": "poly",
+    "symbol": {
+        "dof": 2,
+        "sigma": -1,
+        "terms": [
+            {"q": [1, 0], "p": [0, 2], "coeff": [{"h": 0, "re": "2", "im": "1/2"},
+                                                 {"h": 1, "re": "0", "im": "-1"}]},
+            {"q": [0, 1], "p": [1, 0], "coeff": [{"h": 0, "re": "-3/5", "im": "0"}]},
+            {"q": [0, 0], "p": [0, 0], "coeff": [{"h": 2, "re": "1", "im": "1"}]},
+        ],
+    },
+}
+WAVE_JSON = {
+    "h": "1/3",
+    "func": {
+        "dim": 2,
+        "sigma": -1,
+        "terms": [
+            {"freq": ["3", "0"], "exp": [1, 0], "coeff": {"re": "1", "im": "2"}},
+            {"freq": ["0", "-3/2"], "exp": [0, 2], "coeff": {"re": "-1/2", "im": "0"}},
+            {"freq": ["0", "0"], "exp": [1, 1], "coeff": {"re": "0", "im": "1"}},
+        ],
+    },
+}
+
+A = "(1+2j)*q1*p2 + h*p1^2 - 3/2*q2"
+B = "q1^2*p1 - 1/2*q2*p2 + 2j*h*q1"
+AI = "(1+2i)*q1*p2 + h*p1^2 - 3/2*q2"
+BI = "q1^2*p1 - 1/2*q2*p2 + 2i*h*q1"
+E = "p1^2*q2 + h*q1*p2 - 3/2"
+F = "q1^3*p1 + 1/2*q2^2*p2"
+C = "p1*q2 + h*q1 - 3/2"
+D = "q1^2*p1 + 1/2*p2"
+L1 = "q1^2*p2 + 2*p1^3"
+L2 = "q2*p1^2 + 1/2*q1^3"
+G1 = "t1 + 2*t2*t3 + 5"
+G2 = "t2 - 3*t1*t3 + 1/2*t1*t2*t3"
+G3 = "(1+i)*t2 - 3*t1*t3 + 1/2*t1*t2*t3"
+
+CASES = {
+    "star_text": (
+        ["star", A, B, "--sigma", "+1"],
+        '''sigma=+1: (1 + 2j)*q1^3*p1*p2 + h*q1^2*p1^3 - 3/2*q1^2*q2*p1 + (-1/2 - 1j)*q1*q2*p2^2 - 1/2*h*q2*p1^2*p2 + (4 + 2j)*h*q1^2*p2 + 6j*h^2*q1*p1^2 + 3/4*q2^2*p2 - 3j*h*q1*q2 + (-1 - 1/2j)*h*q1*p2 + 6*h^3*p1
+''',
+    ),
+    "star_json": (
+        ["star", AI, BI, "--sigma", "-1", "--format", "json"],
+        '''{
+  "result": "(1 + 2i)*q1^3*p1*p2 + h*q1^2*p1^3 - 3/2*q1^2*q2*p1 + (-1/2 - 1i)*q1*q2*p2^2 - 1/2*h*q2*p1^2*p2 + (-4 + 2i)*h*q1^2*p2 - 2i*h^2*q1*p1^2 + 3/4*q2^2*p2 - 3i*h*q1*q2 + (-1 + 1/2i)*h*q1*p2 + 2*h^3*p1",
+  "sigma": -1,
+  "terms": [
+    {
+      "coeff": [
+        {
+          "h": 0,
+          "im": "2",
+          "re": "1"
+        }
+      ],
+      "p": [
+        1,
+        1
+      ],
+      "q": [
+        3,
+        0
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 1,
+          "im": "0",
+          "re": "1"
+        }
+      ],
+      "p": [
+        3,
+        0
+      ],
+      "q": [
+        2,
+        0
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 0,
+          "im": "0",
+          "re": "-3/2"
+        }
+      ],
+      "p": [
+        1,
+        0
+      ],
+      "q": [
+        2,
+        1
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 0,
+          "im": "-1",
+          "re": "-1/2"
+        }
+      ],
+      "p": [
+        0,
+        2
+      ],
+      "q": [
+        1,
+        1
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 1,
+          "im": "0",
+          "re": "-1/2"
+        }
+      ],
+      "p": [
+        2,
+        1
+      ],
+      "q": [
+        0,
+        1
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 1,
+          "im": "2",
+          "re": "-4"
+        }
+      ],
+      "p": [
+        0,
+        1
+      ],
+      "q": [
+        2,
+        0
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 2,
+          "im": "-2",
+          "re": "0"
+        }
+      ],
+      "p": [
+        2,
+        0
+      ],
+      "q": [
+        1,
+        0
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 0,
+          "im": "0",
+          "re": "3/4"
+        }
+      ],
+      "p": [
+        0,
+        1
+      ],
+      "q": [
+        0,
+        2
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 1,
+          "im": "-3",
+          "re": "0"
+        }
+      ],
+      "p": [
+        0,
+        0
+      ],
+      "q": [
+        1,
+        1
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 1,
+          "im": "1/2",
+          "re": "-1"
+        }
+      ],
+      "p": [
+        0,
+        1
+      ],
+      "q": [
+        1,
+        0
+      ]
+    },
+    {
+      "coeff": [
+        {
+          "h": 3,
+          "im": "0",
+          "re": "2"
+        }
+      ],
+      "p": [
+        1,
+        0
+      ],
+      "q": [
+        0,
+        0
+      ]
+    }
+  ]
+}
+''',
+    ),
+    "star_both_text": (
+        ["star", E, F, "--sigma", "both"],
+        '''sigma=+1: q1^3*q2*p1^3 + h*q1^4*p1*p2 + 1/2*q2^3*p1^2*p2 + 6j*h*q1^2*q2*p1^2 + 1/2*h*q1*q2^2*p2^2 - 3/2*q1^3*p1 + 6*h^2*q1*q2*p1 + 1j*h^2*q1*q2*p2 - 3/4*q2^2*p2
+sigma=-1: q1^3*q2*p1^3 + h*q1^4*p1*p2 + 1/2*q2^3*p1^2*p2 - 6i*h*q1^2*q2*p1^2 + 1/2*h*q1*q2^2*p2^2 - 3/2*q1^3*p1 - 6*h^2*q1*q2*p1 - 1i*h^2*q1*q2*p2 - 3/4*q2^2*p2
+''',
+    ),
+    "star_h_text": (
+        ["star", E, F, "--sigma", "both", "--h", "1/2"],
+        '''sigma=+1: q1^3*q2*p1^3 + 1/2*q1^4*p1*p2 + 1/2*q2^3*p1^2*p2 + 3j*q1^2*q2*p1^2 + 1/4*q1*q2^2*p2^2 - 3/2*q1^3*p1 + 3/2*q1*q2*p1 + 1/4j*q1*q2*p2 - 3/4*q2^2*p2
+sigma=-1: q1^3*q2*p1^3 + 1/2*q1^4*p1*p2 + 1/2*q2^3*p1^2*p2 - 3i*q1^2*q2*p1^2 + 1/4*q1*q2^2*p2^2 - 3/2*q1^3*p1 - 3/2*q1*q2*p1 - 1/4i*q1*q2*p2 - 3/4*q2^2*p2
+''',
+    ),
+    "star_h_json": (
+        ["star", C, D, "--sigma", "both", "--h", "1/2", "--format", "json"],
+        '''[
+  {
+    "result": "q1^2*q2*p1^2 + 1/2*q1^3*p1 - 3/2*q1^2*p1 + 1j*q1*q2*p1 + 1/2*q2*p1*p2 + 1/4*q1*p2 - 3/4*p2",
+    "sigma": 1,
+    "terms": [
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1"
+          }
+        ],
+        "p": [
+          2,
+          0
+        ],
+        "q": [
+          2,
+          1
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1/2"
+          }
+        ],
+        "p": [
+          1,
+          0
+        ],
+        "q": [
+          3,
+          0
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "-3/2"
+          }
+        ],
+        "p": [
+          1,
+          0
+        ],
+        "q": [
+          2,
+          0
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "1",
+            "re": "0"
+          }
+        ],
+        "p": [
+          1,
+          0
+        ],
+        "q": [
+          1,
+          1
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1/2"
+          }
+        ],
+        "p": [
+          1,
+          1
+        ],
+        "q": [
+          0,
+          1
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1/4"
+          }
+        ],
+        "p": [
+          0,
+          1
+        ],
+        "q": [
+          1,
+          0
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "-3/4"
+          }
+        ],
+        "p": [
+          0,
+          1
+        ],
+        "q": [
+          0,
+          0
+        ]
+      }
+    ]
+  },
+  {
+    "result": "q1^2*q2*p1^2 + 1/2*q1^3*p1 - 3/2*q1^2*p1 - 1i*q1*q2*p1 + 1/2*q2*p1*p2 + 1/4*q1*p2 - 3/4*p2",
+    "sigma": -1,
+    "terms": [
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1"
+          }
+        ],
+        "p": [
+          2,
+          0
+        ],
+        "q": [
+          2,
+          1
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1/2"
+          }
+        ],
+        "p": [
+          1,
+          0
+        ],
+        "q": [
+          3,
+          0
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "-3/2"
+          }
+        ],
+        "p": [
+          1,
+          0
+        ],
+        "q": [
+          2,
+          0
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "-1",
+            "re": "0"
+          }
+        ],
+        "p": [
+          1,
+          0
+        ],
+        "q": [
+          1,
+          1
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1/2"
+          }
+        ],
+        "p": [
+          1,
+          1
+        ],
+        "q": [
+          0,
+          1
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "1/4"
+          }
+        ],
+        "p": [
+          0,
+          1
+        ],
+        "q": [
+          1,
+          0
+        ]
+      },
+      {
+        "coeff": [
+          {
+            "h": 0,
+            "im": "0",
+            "re": "-3/4"
+          }
+        ],
+        "p": [
+          0,
+          1
+        ],
+        "q": [
+          0,
+          0
+        ]
+      }
+    ]
+  }
+]
+''',
+    ),
+    "limit_text": (
+        ["limit", L1, L2, "--sigma", "both", "--steps", "3"],
+        '''sigma=+1: residual = 18j*h*q1*p1 - 2j*h*q2*p2 + 6*h^2
+  constant term zero: yes
+  h=       1  residual(1,..,1) = 6 + 16u
+  h=     1/2  residual(1,..,1) = 1.5 + 8u
+  h=     1/4  residual(1,..,1) = 0.375 + 4u
+sigma=-1: residual = -18i*h*q1*p1 + 2i*h*q2*p2 - 6*h^2
+  constant term zero: yes
+  h=       1  residual(1,..,1) = -6 + -16u
+  h=     1/2  residual(1,..,1) = -1.5 + -8u
+  h=     1/4  residual(1,..,1) = -0.375 + -4u
+''',
+    ),
+    "limit_json": (
+        ["limit", L1, L2, "--sigma", "-1", "--steps", "3", "--format", "json"],
+        '''{
+  "constant_term_zero": true,
+  "residual": "-18i*h*q1*p1 + 2i*h*q2*p2 - 6*h^2",
+  "sigma": -1,
+  "values_at_ones": [
+    {
+      "h": "1",
+      "im": "-16",
+      "re": "-6"
+    },
+    {
+      "h": "1/2",
+      "im": "-8",
+      "re": "-1.5"
+    },
+    {
+      "h": "1/4",
+      "im": "-4",
+      "re": "-0.375"
+    }
+  ]
+}
+''',
+    ),
+    "fourier_text": (
+        ["fourier", "{fourier}"],
+        '''(-5 - 3/4j)*x2^3*exp(j*(-1*x2)) + (2j)*x1 + (-1/2j + (1 - 2j)*e^(1/3j))*x1^2*x2*exp(j*(1/2*x1))
+''',
+    ),
+    "fourier_json": (
+        ["fourier", "{fourier}", "--format", "json"],
+        '''{
+  "dim": 2,
+  "sigma": 1,
+  "terms": [
+    {
+      "coeff": {
+        "im": "-3/4",
+        "re": "-5"
+      },
+      "exp": [
+        0,
+        3
+      ],
+      "freq": [
+        "0",
+        "-1"
+      ]
+    },
+    {
+      "coeff": {
+        "im": "2",
+        "re": "0"
+      },
+      "exp": [
+        1,
+        0
+      ],
+      "freq": [
+        "0",
+        "0"
+      ]
+    },
+    {
+      "coeff": {
+        "chars": [
+          {
+            "exp": "0",
+            "im": "-1/2",
+            "re": "0"
+          },
+          {
+            "exp": "1/3",
+            "im": "-2",
+            "re": "1"
+          }
+        ]
+      },
+      "exp": [
+        2,
+        1
+      ],
+      "freq": [
+        "1/2",
+        "0"
+      ]
+    }
+  ]
+}
+''',
+    ),
+    "apply_text": (
+        ["apply", "{operator}", "{wave}"],
+        '''(-1/18 - 1/18i)*q2^2*exp(i*(-3/2*q2)) + (2/9 + 1/54i)*q1*exp(i*(-3/2*q2)) + (1/18 - 2/3i)*q1*q2*exp(i*(-3/2*q2)) + (-1/4 - 1/48i)*q1*q2^2*exp(i*(-3/2*q2)) + -1/5*q2^2 + (-1/9 + 1/9i)*q1*q2 + (-2/5 + 1/5i)*q2*exp(i*(3*q1)) + (-1/9 + 1/3i)*q1*exp(i*(3*q1)) + (-3/5 - 6/5i)*q1*q2*exp(i*(3*q1))
+''',
+    ),
+    "apply_json": (
+        ["apply", "{operator}", "{wave}", "--format", "json"],
+        '''{
+  "func": {
+    "dim": 2,
+    "sigma": -1,
+    "terms": [
+      {
+        "coeff": {
+          "im": "-1/18",
+          "re": "-1/18"
+        },
+        "exp": [
+          0,
+          2
+        ],
+        "freq": [
+          "0",
+          "-3/2"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "1/54",
+          "re": "2/9"
+        },
+        "exp": [
+          1,
+          0
+        ],
+        "freq": [
+          "0",
+          "-3/2"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "-2/3",
+          "re": "1/18"
+        },
+        "exp": [
+          1,
+          1
+        ],
+        "freq": [
+          "0",
+          "-3/2"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "-1/48",
+          "re": "-1/4"
+        },
+        "exp": [
+          1,
+          2
+        ],
+        "freq": [
+          "0",
+          "-3/2"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "0",
+          "re": "-1/5"
+        },
+        "exp": [
+          0,
+          2
+        ],
+        "freq": [
+          "0",
+          "0"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "1/9",
+          "re": "-1/9"
+        },
+        "exp": [
+          1,
+          1
+        ],
+        "freq": [
+          "0",
+          "0"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "1/5",
+          "re": "-2/5"
+        },
+        "exp": [
+          0,
+          1
+        ],
+        "freq": [
+          "3",
+          "0"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "1/3",
+          "re": "-1/9"
+        },
+        "exp": [
+          1,
+          0
+        ],
+        "freq": [
+          "3",
+          "0"
+        ]
+      },
+      {
+        "coeff": {
+          "im": "-6/5",
+          "re": "-3/5"
+        },
+        "exp": [
+          1,
+          1
+        ],
+        "freq": [
+          "3",
+          "0"
+        ]
+      }
+    ]
+  },
+  "h": "1/3"
+}
+''',
+    ),
+    "super_text": (
+        ["super", G1, G2, "--gens", "3"],
+        '''a = 5 + θ1 + (2)·θ2θ3  (parity mixed)
+b = θ2 + (-3)·θ1θ3 + (1/2)·θ1θ2θ3  (parity mixed)
+a*b = (5)·θ2 + θ1θ2 + (-15)·θ1θ3 + (5/2)·θ1θ2θ3
+supercommutator = 0
+''',
+    ),
+    "super_json": (
+        ["super", G1, G3, "--gens", "3", "--sigma", "-1", "--format", "json"],
+        r'''{
+  "a": "5 + \u03b81 + (2)\u00b7\u03b82\u03b83",
+  "b": "(1 + 1i)\u00b7\u03b82 + (-3)\u00b7\u03b81\u03b83 + (1/2)\u00b7\u03b81\u03b82\u03b83",
+  "parity_a": "mixed",
+  "parity_b": "mixed",
+  "product": "(5 + 5i)\u00b7\u03b82 + (1 + 1i)\u00b7\u03b81\u03b82 + (-15)\u00b7\u03b81\u03b83 + (5/2)\u00b7\u03b81\u03b82\u03b83",
+  "supercommutator": "0"
+}
+''',
+    ),
+    "witness_text": (
+        ["super", "--witness", "5"],
+        '''witness = θ1θ2θ3θ4θ5 annihilates all 16 odd basis monomials and is nonzero
+''',
+    ),
+}
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    paths = {}
+    for name, data in (
+        ("fourier", FOURIER_JSON),
+        ("operator", OPERATOR_JSON),
+        ("wave", WAVE_JSON),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_output_is_byte_identical(name, input_files, capsys):
+    argv, expected = CASES[name]
+    argv = [arg.format(**input_files) if arg.startswith("{") else arg for arg in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == expected

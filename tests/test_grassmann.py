@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypermoyal import grassmann
 from hypermoyal import (
     Binarion,
     DimensionMismatchError,
@@ -12,9 +13,9 @@ from hypermoyal import (
     Parity,
     Sigma,
     SignatureMismatchError,
+    ValidationError,
     annihilator_witness,
     generators,
-    gproduct,
     parity,
     supercommutator,
 )
@@ -159,9 +160,14 @@ def test_witness_small_cases():
 # -- misc ---------------------------------------------------------------------------------
 
 
-def test_gproduct_alias():
-    t1, t2 = generators(2, H)
-    assert gproduct(t1, t2) == t1 * t2
+def test_witness_refuses_too_many_generators_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("annihilator_witness started work")
+
+    monkeypatch.setattr(grassmann, "GrassmannElement", no_work)
+    for n in (grassmann.MAX_WITNESS_GENERATORS + 1, 10**9):
+        with pytest.raises(ValidationError, match="at most"):
+            annihilator_witness(n)
 
 
 def test_mismatches_rejected():

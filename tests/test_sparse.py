@@ -1,0 +1,175 @@
+"""Invariants of the sparse term map behind the six algebra classes.
+
+Results of arithmetic are built without validation, so each must already
+be what the validating public constructor makes of its own terms: equal to
+them passed back through that constructor, and holding no zero
+coefficient.  The public constructors keep rejecting malformed input with
+the same error types.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hypermoyal import (
+    Binarion,
+    CharSum,
+    DimensionMismatchError,
+    ExpPoly,
+    GrassmannElement,
+    HPoly,
+    PolySymbol,
+    Sigma,
+    SignatureMismatchError,
+    Ultradistribution,
+    moyal_bracket,
+    scaled_bracket,
+    star,
+    supercommutator,
+)
+
+H = Sigma.HYPERBOLIC
+C = Sigma.COMPLEX
+SIGMAS = (H, C)
+
+
+def _coeff(rng, sigma):
+    # few small values, half of them on the light cone x = +/-y, so that
+    # sums cancel and hyperbolic products vanish
+    re = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    im = rng.choice([re, -re, Fraction(rng.randint(-1, 1))])
+    return Binarion(re, im, sigma)
+
+
+def _exps(rng, k):
+    return tuple(rng.randint(0, 2) for _ in range(k))
+
+
+def _hpoly(rng, sigma):
+    return HPoly({rng.randint(0, 2): _coeff(rng, sigma) for _ in range(3)}, sigma)
+
+
+def _charsum(rng, sigma):
+    return CharSum({Fraction(rng.randint(-2, 2), 2): _coeff(rng, sigma) for _ in range(3)}, sigma)
+
+
+def _symbol(rng, sigma):
+    return PolySymbol(
+        2, sigma, {(_exps(rng, 2), _exps(rng, 2)): _hpoly(rng, sigma) for _ in range(3)}
+    )
+
+
+def _exppoly(rng, sigma):
+    return ExpPoly(
+        1,
+        sigma,
+        {((Fraction(rng.randint(-1, 1)),), _exps(rng, 1)): _charsum(rng, sigma) for _ in range(3)},
+    )
+
+
+def _distribution(rng, sigma):
+    return Ultradistribution(
+        1,
+        sigma,
+        [((Fraction(rng.randint(-1, 1)),), _exps(rng, 1), _charsum(rng, sigma)) for _ in range(3)],
+    )
+
+
+def _grassmann(rng, sigma):
+    return GrassmannElement(3, sigma, {rng.randrange(8): _coeff(rng, sigma) for _ in range(3)})
+
+
+REBUILD = {
+    HPoly: lambda x: HPoly(dict(x.items()), x.sigma),
+    CharSum: lambda x: CharSum(dict(x.items()), x.sigma),
+    PolySymbol: lambda x: PolySymbol(x.dof, x.sigma, {(a, b): c for a, b, c in x.terms()}),
+    ExpPoly: lambda x: ExpPoly(x.dim, x.sigma, {(f, e): c for f, e, c in x.terms()}),
+    Ultradistribution: lambda x: Ultradistribution(x.dim, x.sigma, x.atoms()),
+    GrassmannElement: lambda x: GrassmannElement(x.n, x.sigma, dict(x.terms())),
+}
+
+
+def _assert_clean(x):
+    assert x == REBUILD[type(x)](x)
+    for value in x._terms.values():
+        assert not value.is_zero()
+        if isinstance(value, CharSum):
+            _assert_clean(value)
+
+
+def _ring_results(a, b, sigma):
+    light_cone = Binarion(1, 1, sigma)
+    return [a + b, a - b, a - a, -a, a * b, b * a, a**0, a**2, a + 1, 2 - a, a * light_cone]
+
+
+def _extra_results(a, b, sigma):
+    if isinstance(a, PolySymbol):
+        h = Fraction(1, 3)
+        return [
+            a.scale_hpoly(HPoly({1: Binarion(1, -1, sigma)}, sigma)),
+            star(a, b), moyal_bracket(a, b), scaled_bracket(a, b), moyal_bracket(a, b).div_h(),
+            a.differentiate("p", 1), a.substitute_h(h), a.h_constant_part(), a.conjugate(),
+            a.coeff((0, 0), (0, 0)),
+        ] + [coeff for _, _, coeff in a.terms()]
+    if isinstance(a, (HPoly, CharSum)):
+        return [a.conjugate()]
+    if isinstance(a, ExpPoly):
+        return [a.differentiate(0), a.shift((Fraction(1, 2),))]
+    return [a.even_part(), a.odd_part(), supercommutator(a, b)]
+
+
+@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _exppoly, _grassmann])
+def test_ring_results_are_clean(make):
+    rng = random.Random(17)
+    for sigma in SIGMAS:
+        for _ in range(25):
+            a, b = make(rng, sigma), make(rng, sigma)
+            for result in _ring_results(a, b, sigma) + _extra_results(a, b, sigma):
+                _assert_clean(result)
+
+
+def test_distribution_results_are_clean():
+    rng = random.Random(17)
+    for sigma in SIGMAS:
+        for _ in range(25):
+            a, b = _distribution(rng, sigma), _distribution(rng, sigma)
+            for result in (
+                a + b, a - b, a - a, -a, a.scale(Binarion(1, -1, sigma)),
+                a.derivative(0), a.mul_monomial((2,)), a.tensor(b), a.fourier(),
+            ):
+                _assert_clean(result)
+
+
+def test_public_constructors_still_validate():
+    # wrong key length
+    with pytest.raises(DimensionMismatchError):
+        PolySymbol(2, H, {((1,), (0, 0)): 1})
+    with pytest.raises(DimensionMismatchError):
+        ExpPoly(2, H, {((0,), (0, 0)): 1})
+    with pytest.raises(DimensionMismatchError):
+        Ultradistribution(2, H, [((0,), (0, 0), 1)])
+    # negative exponent, order or h-degree
+    with pytest.raises(ValueError):
+        PolySymbol(1, H, {((0,), (-1,)): 1})
+    with pytest.raises(ValueError):
+        ExpPoly(1, H, {((0,), (-1,)): 1})
+    with pytest.raises(ValueError):
+        Ultradistribution(1, H, [((0,), (-1,), 1)])
+    with pytest.raises(ValueError):
+        HPoly({-1: 1}, H)
+    # a coefficient of the other signature
+    other = Binarion(1, 1, C)
+    for build in (
+        lambda c: HPoly({0: c}, H),
+        lambda c: CharSum({0: c}, H),
+        lambda c: PolySymbol(1, H, {((0,), (0,)): c}),
+        lambda c: ExpPoly(1, H, {((0,), (0,)): c}),
+        lambda c: Ultradistribution(1, H, [((0,), (0,), c)]),
+        lambda c: GrassmannElement(1, H, {0: c}),
+    ):
+        with pytest.raises(SignatureMismatchError):
+            build(other)
+    # a Grassmann mask beyond n
+    with pytest.raises(DimensionMismatchError):
+        GrassmannElement(2, H, {0b100: 1})
