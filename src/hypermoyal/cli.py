@@ -148,15 +148,22 @@ def _cmd_fourier(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
-    op_data = _read_json(args.operator)
+def _load(role: str, path: str, build):
+    """``build`` of the JSON in ``path``; an error in it is prefixed with ``role``."""
+    return json_field({role: _read_json(path)}, role, build)
+
+
+def _operator_from_json(op_data) -> Operator:
     if isinstance(op_data, dict) and isinstance(op_data.get("symbol"), str):
         sigma = json_field(op_data, "sigma", as_sigma)
         symbol = parse_symbol(op_data["symbol"], sigma)
-        operator = Operator(symbol, json_field(op_data, "h", _json_fraction), sigma)
-    else:
-        operator = Operator.from_json_dict(op_data)
-    phi = WaveFunction.from_json_dict(_read_json(args.wavefunction))
+        return Operator(symbol, json_field(op_data, "h", _json_fraction), sigma)
+    return Operator.from_json_dict(op_data)
+
+
+def _cmd_apply(args) -> int:
+    operator = _load("operator", args.operator, _operator_from_json)
+    phi = _load("wavefunction", args.wavefunction, WaveFunction.from_json_dict)
     result = operator.apply(phi)
     if args.format == "json":
         _emit(_dump_json(result.to_json_dict()), args.out)

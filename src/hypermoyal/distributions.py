@@ -16,11 +16,14 @@ multiplied by adding exponents and only mapped to ``cosh/sinh`` (or
 therefore checked with exact arithmetic.
 
 All three classes are sparse term maps over the shared base of
-:mod:`hypermoyal.sparse`: :class:`CharSum` maps exponents ``r`` to
-binarions, :class:`ExpPoly` maps ``(freq, exps)`` and
-:class:`Ultradistribution` maps ``(loc, order)`` to :class:`CharSum`
-coefficients.  Their public constructors validate; the results of the
-calculus below are built from terms that are clean by construction.
+:mod:`hypermoyal.sparse`, with binarion values under flat keys:
+:class:`CharSum` maps exponents ``r``, :class:`ExpPoly` maps
+``(freq, exps, r)`` and :class:`Ultradistribution` maps ``(loc, order, r)``.
+A character factor ``exp(u*s)`` is therefore a shift ``r -> r + s`` of the
+keys; :meth:`ExpPoly.terms` and :meth:`Ultradistribution.atoms` regroup the
+``r`` parts into :class:`CharSum` coefficients.  Their public constructors
+validate; the results of the calculus below are built from terms that are
+clean by construction.
 
 The module also carries the symbol <-> distribution bridge used by the
 pseudo-differential calculus: a phase-space symbol ``a(q, p)`` corresponds
@@ -28,8 +31,10 @@ to a distribution in transposed variables via
 ``a(q, p) = integral exp(u*(<q, p1> + <p, q1>)) a~(dp1 dq1)``,
 and :func:`star_distributional` composes two symbols by tensoring their
 distributions, applying the twist ``exp(u*h*<q1, p2>)``, and pushing
-forward under addition of locations.  On polynomial symbols this agrees
-exactly with :func:`hypermoyal.symbols.star`.
+forward under addition of locations.  The derivatives of the twist that
+act on each atom come from a closed form per coordinate pair
+``(q1_i, p2_i)``.  On polynomial symbols this agrees exactly with
+:func:`hypermoyal.symbols.star`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product as iter_product
-from operator import add
+from operator import add, mul
 
 from .errors import (
     DegreeCapError,
@@ -54,8 +59,8 @@ from .scalars import (
     as_sigma,
     binarion_from_json,
 )
-from .sparse import SparseAlgebra, SparseMap, binarion_coefficient, collect, nonnegative
-from .symbols import PolySymbol
+from .sparse import SparseAlgebra, SparseMap, binarion_coefficient, collect, nonnegative, regroup
+from .symbols import DEFAULT_DEGREE_CAP, PolySymbol
 
 
 def _check_sigma(a, b):
@@ -67,6 +72,14 @@ def _check_sigma(a, b):
 
 def _fractions(values) -> tuple:
     return tuple(_json_fraction(x) for x in values)
+
+
+def _flat_terms(head, weight, sigma: Sigma, owner: str):
+    """The flat ``((*head, r), c)`` terms of one :class:`CharSum` coefficient."""
+    weight = CharSum.from_scalar(weight, sigma)
+    if weight.sigma is not sigma:
+        raise SignatureMismatchError(f"coefficient sigma differs from {owner} sigma")
+    return [(head + (r,), c) for r, c in weight._terms.items()]
 
 
 class CharSum(SparseAlgebra):
@@ -205,8 +218,9 @@ class ExpPoly(SparseAlgebra):
 
     Closed under multiplication, differentiation and argument shifts, and
     exactly evaluable at rational points (values land in :class:`CharSum`).
-    Polynomial coefficients are stored as :class:`CharSum` so the closure
-    survives the twist and shift operations of the operator calculus.
+    Coefficients are :class:`CharSum` values, so the closure survives the
+    twist and shift operations of the operator calculus; they are stored
+    flat, a binarion per ``(freq, exps, r)``.
     """
 
     __slots__ = ()
@@ -225,10 +239,7 @@ class ExpPoly(SparseAlgebra):
             exps = nonnegative(exps, "negative exponents are not allowed")
             if len(freq) != self.dim or len(exps) != self.dim:
                 raise DimensionMismatchError(f"term vectors must have length {self.dim}")
-            coeff = CharSum.from_scalar(coeff, self.sigma)
-            if coeff.sigma is not self.sigma:
-                raise SignatureMismatchError("coefficient sigma differs from ExpPoly sigma")
-            pairs.append(((freq, exps), coeff))
+            pairs += _flat_terms((freq, exps), coeff, self.sigma, "ExpPoly")
         self._terms = collect(pairs)
 
     # -- constructors --------------------------------------------------------
@@ -239,9 +250,7 @@ class ExpPoly(SparseAlgebra):
 
     @classmethod
     def constant(cls, value, dim: int, sigma: Sigma) -> "ExpPoly":
-        coeff = CharSum.from_scalar(value, sigma)
-        zero = (Fraction(0),) * dim
-        return cls(dim, sigma, {(zero, (0,) * dim): coeff})
+        return cls.character((0,) * dim, sigma, value)
 
     @classmethod
     def one(cls, dim: int, sigma: Sigma) -> "ExpPoly":
@@ -251,25 +260,17 @@ class ExpPoly(SparseAlgebra):
     def coordinate(cls, index: int, dim: int, sigma: Sigma) -> "ExpPoly":
         if not 0 <= index < dim:
             raise IndexError(f"index {index} out of range for dim {dim}")
-        exps = [0] * dim
-        exps[index] = 1
-        zero = (Fraction(0),) * dim
-        return cls(dim, sigma, {(zero, tuple(exps)): CharSum.one(sigma)})
+        return cls.monomial(tuple(int(i == index) for i in range(dim)), 1, sigma)
 
     @classmethod
     def monomial(cls, exps, coeff, sigma: Sigma) -> "ExpPoly":
-        dim = len(exps)
-        zero = (Fraction(0),) * dim
-        return cls(dim, sigma, {(zero, tuple(exps)): CharSum.from_scalar(coeff, sigma)})
+        return cls(len(exps), sigma, {((0,) * len(exps), tuple(exps)): coeff})
 
     @classmethod
     def character(cls, freq, sigma: Sigma, coeff=1) -> "ExpPoly":
         """Plane wave ``exp(u*<freq, x>)`` with an optional scalar factor."""
-        freq = tuple(_as_fraction(f) for f in freq)
-        dim = len(freq)
-        return cls(
-            dim, sigma, {(freq, (0,) * dim): CharSum.from_scalar(coeff, sigma)}
-        )
+        freq = tuple(freq)
+        return cls(len(freq), sigma, {(freq, (0,) * len(freq)): coeff})
 
     @classmethod
     def from_poly_symbol(cls, symbol: PolySymbol, h=None) -> "ExpPoly":
@@ -279,18 +280,14 @@ class ExpPoly(SparseAlgebra):
         formal ``h`` must be substituted by a rational value unless the
         symbol is ``h``-free.
         """
-        k = symbol.dof
-        zero_freq = (Fraction(0),) * (2 * k)
+        dim = 2 * symbol.dof
         terms = {}
         for alpha, beta, coeff in symbol.terms():
-            if h is None:
-                if coeff.degree() > 0:
-                    raise ValueError("symbol carries formal h; pass a numeric h")
-                value = coeff.constant_term
-            else:
-                value = coeff.substitute(h)
-            terms[(zero_freq, alpha + beta)] = CharSum.from_scalar(value)
-        return cls(2 * k, symbol.sigma, terms)
+            if h is None and coeff.degree() > 0:
+                raise ValueError("symbol carries formal h; pass a numeric h")
+            value = coeff.constant_term if h is None else coeff.substitute(h)
+            terms[((0,) * dim, alpha + beta)] = value
+        return cls(dim, symbol.sigma, terms)
 
     def _constant(self, value) -> "ExpPoly":
         return ExpPoly.constant(value, self.dim, self.sigma)
@@ -298,22 +295,20 @@ class ExpPoly(SparseAlgebra):
     # -- queries -------------------------------------------------------------------
 
     def terms(self):
-        return [
-            (freq, exps, self._terms[(freq, exps)])
-            for freq, exps in sorted(self._terms)
-        ]
+        """Term triples ``(freq, exps, coeff)`` in canonical order."""
+        return regroup(self, CharSum)
 
     def degree(self) -> int:
         if not self._terms:
             return 0
-        return max(sum(e) for _, e in self._terms)
+        return max(sum(e) for _, e, _ in self._terms)
 
     # -- ring operations ---------------------------------------------------------------
 
     @staticmethod
     def _term_mul(k1, c1, k2, c2):
-        (f1, e1), (f2, e2) = k1, k2
-        return (tuple(map(add, f1, f2)), tuple(map(add, e1, e2))), c1 * c2
+        (f1, e1, r1), (f2, e2, r2) = k1, k2
+        return (tuple(map(add, f1, f2)), tuple(map(add, e1, e2)), r1 + r2), c1 * c2
 
     # -- calculus --------------------------------------------------------------------
 
@@ -323,14 +318,14 @@ class ExpPoly(SparseAlgebra):
             raise IndexError(f"index {index} out of range for dim {self.dim}")
         u = Binarion.unit(self.sigma)
         out = []
-        for (freq, exps), coeff in self._terms.items():
+        for (freq, exps, r), coeff in self._terms.items():
             e = exps[index]
             if e > 0:
                 lowered = list(exps)
                 lowered[index] -= 1
-                out.append(((freq, tuple(lowered)), coeff * e))
+                out.append(((freq, tuple(lowered), r), coeff * e))
             if freq[index] != 0:
-                out.append(((freq, exps), coeff * (u * freq[index])))
+                out.append(((freq, exps, r), coeff * (u * freq[index])))
         return self._new(collect(out))
 
     def differentiate_multi(self, order) -> "ExpPoly":
@@ -343,41 +338,38 @@ class ExpPoly(SparseAlgebra):
         return out
 
     def shift(self, offset) -> "ExpPoly":
-        """Exact substitution ``x -> x + offset`` for a rational offset vector."""
+        """Exact substitution ``x -> x + offset`` for a rational offset vector.
+
+        ``exp(u*<freq, x>)`` gains the character ``exp(u*<freq, offset>)``
+        and each ``x_i^e`` expands by the binomial theorem.
+        """
         offset = tuple(_as_fraction(c) for c in offset)
         if len(offset) != self.dim:
             raise DimensionMismatchError("offset length must match dim")
-        out = ExpPoly.zero(self.dim, self.sigma)
-        for (freq, exps), coeff in self._terms.items():
-            phase = sum(f * c for f, c in zip(freq, offset))
-            scalar = CharSum.character(phase, self.sigma) * coeff
-            shifted = ExpPoly(self.dim, self.sigma, {(freq, (0,) * self.dim): scalar})
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                base = ExpPoly.coordinate(i, self.dim, self.sigma) + ExpPoly.constant(
-                    offset[i], self.dim, self.sigma
-                )
-                shifted = shifted * base**e
-
-            out = out + shifted
-        return out
+        out = []
+        for (freq, exps, r), coeff in self._terms.items():
+            phase = r + sum(f * c for f, c in zip(freq, offset))
+            expansions = [
+                [(j, math.comb(e, j) * c ** (e - j)) for j in range(e + 1)] if c else [(e, 1)]
+                for e, c in zip(exps, offset)
+            ]
+            for choice in iter_product(*expansions):
+                scalar = math.prod(s for _, s in choice)
+                out.append(((freq, tuple(j for j, _ in choice), phase), coeff * scalar))
+        return self._new(collect(out))
 
     def evaluate(self, point) -> CharSum:
         """Exact evaluation at a rational point; characters stay formal."""
         point = tuple(_as_fraction(x) for x in point)
         if len(point) != self.dim:
             raise DimensionMismatchError("point length must match dim")
-        total = CharSum.zero(self.sigma)
-        for (freq, exps), coeff in self._terms.items():
-            mono = Fraction(1)
-            for x, e in zip(point, exps):
-                mono *= x**e
-            if mono == 0:
-                continue
-            phase = sum(f * x for f, x in zip(freq, point))
-            total = total + coeff * CharSum.character(phase, self.sigma, mono)
-        return total
+        values = []
+        for (freq, exps, r), coeff in self._terms.items():
+            mono = math.prod(x**e for x, e in zip(point, exps))
+            if mono:
+                phase = r + sum(f * x for f, x in zip(freq, point))
+                values.append((phase, coeff * mono))
+        return CharSum._make(None, self.sigma, collect(values))
 
     def evaluate_floats(self, point) -> tuple[float, float]:
         return self.evaluate(point).to_floats()
@@ -461,7 +453,9 @@ class Ultradistribution(SparseMap):
     at ``loc``; the pairing with a test function ``f`` is
     ``weight * (-1)^|order| * (d^order f)(loc)``.  The class is closed under
     derivatives, multiplication by monomials, tensor products, and the
-    twist/pushforward machinery of the star product.
+    twist/pushforward machinery of the star product.  Weights are
+    :class:`CharSum` values, stored flat as a binarion per
+    ``(loc, order, r)``.
     """
 
     __slots__ = ()
@@ -480,10 +474,7 @@ class Ultradistribution(SparseMap):
             order = nonnegative(order, "derivative orders must be nonnegative")
             if len(loc) != self.dim or len(order) != self.dim:
                 raise DimensionMismatchError(f"atom vectors must have length {self.dim}")
-            weight = CharSum.from_scalar(weight, self.sigma)
-            if weight.sigma is not self.sigma:
-                raise SignatureMismatchError("weight sigma differs from distribution sigma")
-            pairs.append(((loc, order), weight))
+            pairs += _flat_terms((loc, order), weight, self.sigma, "distribution")
         self._terms = collect(pairs)
 
     # -- constructors -----------------------------------------------------------
@@ -505,14 +496,15 @@ class Ultradistribution(SparseMap):
 
     def atoms(self):
         """Atom triples ``(loc, order, weight)`` in canonical order."""
-        return [
-            (loc, order, self._terms[(loc, order)])
-            for loc, order in sorted(self._terms)
-        ]
+        return regroup(self, CharSum)
 
     def scale(self, factor) -> "Ultradistribution":
         factor = CharSum.from_scalar(factor, self.sigma)
-        return self._map(lambda w: w * factor)
+        return self._new(collect(
+            ((loc, order, r + s), w * c)
+            for (loc, order, r), w in self._terms.items()
+            for s, c in factor._terms.items()
+        ))
 
     # -- distribution calculus ----------------------------------------------------------
 
@@ -524,10 +516,10 @@ class Ultradistribution(SparseMap):
         if not 0 <= axis < self.dim:
             raise IndexError(f"axis {axis} out of range for dim {self.dim}")
         out = {}
-        for (loc, order), w in self._terms.items():
+        for (loc, order, r), w in self._terms.items():
             raised = list(order)
             raised[axis] += 1
-            out[(loc, tuple(raised))] = w
+            out[(loc, tuple(raised), r)] = w
         return self._new(out)
 
     def derivative_multi(self, order) -> "Ultradistribution":
@@ -550,22 +542,17 @@ class Ultradistribution(SparseMap):
         if len(exponents) != self.dim:
             raise DimensionMismatchError("exponent vector length must match dim")
         out = []
-        for (loc, order), w in self._terms.items():
+        for (loc, order, r), w in self._terms.items():
             ranges = [range(min(n, m) + 1) for n, m in zip(exponents, order)]
             for kappa in iter_product(*ranges):
-                scalar = Fraction(1)
-                for n, m, k, x0 in zip(exponents, order, kappa, loc):
-                    scalar *= math.comb(m, k)
-                    scalar *= Fraction(math.factorial(n), math.factorial(n - k))
-                    if n - k > 0:
-                        scalar *= x0 ** (n - k)
-                    if scalar == 0:
-                        break
-                if scalar == 0:
-                    continue
-                sign = -1 if sum(kappa) % 2 else 1
-                new_order = tuple(m - k for m, k in zip(order, kappa))
-                out.append(((loc, new_order), w * (sign * scalar)))
+                scalar = math.prod(
+                    math.comb(m, j) * math.perm(n, j) * x0 ** (n - j)
+                    for n, m, j, x0 in zip(exponents, order, kappa, loc)
+                )
+                if scalar:
+                    new_order = tuple(m - j for m, j in zip(order, kappa))
+                    sign = -1 if sum(kappa) % 2 else 1
+                    out.append(((loc, new_order, r), w * (sign * scalar)))
         return self._new(collect(out))
 
     def pair(self, f: ExpPoly) -> CharSum:
@@ -578,7 +565,7 @@ class Ultradistribution(SparseMap):
                 f"distribution dim {self.dim} differs from test function dim {f.dim}"
             )
         total = CharSum.zero(self.sigma)
-        for (loc, order), w in self._terms.items():
+        for loc, order, w in self.atoms():
             value = f.differentiate_multi(order).evaluate(loc)
             if sum(order) % 2:
                 value = -value
@@ -598,9 +585,9 @@ class Ultradistribution(SparseMap):
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         _check_sigma(self, other)
         atoms = collect(
-            ((l1 + l2, o1 + o2), w1 * w2)
-            for (l1, o1), w1 in self._terms.items()
-            for (l2, o2), w2 in other._terms.items()
+            ((l1 + l2, o1 + o2, r1 + r2), w1 * w2)
+            for (l1, o1, r1), w1 in self._terms.items()
+            for (l2, o2, r2), w2 in other._terms.items()
         )
         return Ultradistribution._make(self.dim + other.dim, self.sigma, atoms)
 
@@ -698,113 +685,61 @@ def _twist(distribution: Ultradistribution, h: Fraction, k: int) -> Ultradistrib
     """Multiply a ``(p1, q1, p2, q2)`` atom distribution by ``exp(u*h*<q1, p2>)``.
 
     Uses ``g * delta^(n) = sum_kappa (-1)^|kappa| binom(n, kappa)
-    (d^kappa g)(x0) delta^(n-kappa)``; derivatives of the twist are
-    polynomials in the ``q1``/``p2`` coordinates times the twist itself,
-    built by the product rule, and the twist value at a rational location is
-    a formal character.
+    (d^kappa g)(x0) delta^(n-kappa)``.  The twist is a product over the
+    coordinate pairs ``(x, y) = (q1_i, p2_i)`` of ``exp(u*h*x*y)``, so each
+    pair contributes its own factors (:func:`_pair_factors`) and the
+    twist's value at a rational location is a character, a shift of ``r``.
     """
     sigma = distribution.sigma
-    uh = Binarion(0, h, sigma)  # u*h
-    q1 = slice(k, 2 * k)
-    p2 = slice(2 * k, 3 * k)
     out = []
-    for (loc, order), w in distribution._terms.items():
-        nq1 = order[q1]
-        np2 = order[p2]
-        base_char = CharSum.character(
-            h * sum(a * b for a, b in zip(loc[q1], loc[p2])), sigma
-        )
-        # derivative polynomials of the twist, indexed by (kappa_q1, kappa_p2);
-        # keys of each poly are (exps_q1, exps_p2) over the 2k twist variables
-        polys = {((0,) * k, (0,) * k): {((0,) * k, (0,) * k): Binarion.one(sigma)}}
-        ranges = [range(n + 1) for n in nq1] + [range(n + 1) for n in np2]
-        for kappa in iter_product(*ranges):
-            kq = tuple(kappa[:k])
-            kp = tuple(kappa[k:])
-            if (kq, kp) not in polys:
-                polys[(kq, kp)] = _twist_step(polys, kq, kp, uh, k)
-            poly = polys[(kq, kp)]
-            value = Binarion.zero(sigma)
-            for (eq, ep), c in poly.items():
-                mono = Fraction(1)
-                for x, e in zip(loc[q1], eq):
-                    mono *= x**e
-                for x, e in zip(loc[p2], ep):
-                    mono *= x**e
-                if mono != 0:
-                    value = value + c * mono
-            if value.is_zero():
-                continue
-            comb = 1
-            for n, kk in zip(nq1, kq):
-                comb *= math.comb(n, kk)
-            for n, kk in zip(np2, kp):
-                comb *= math.comb(n, kk)
-            sign = -1 if (sum(kq) + sum(kp)) % 2 else 1
-            new_order = (
-                order[:k]
-                + tuple(n - kk for n, kk in zip(nq1, kq))
-                + tuple(n - kk for n, kk in zip(np2, kp))
-                + order[3 * k :]
-            )
-            factor = base_char * (value * (sign * comb))
-            out.append(((loc, new_order), w * factor))
+    for (loc, order, r), w in distribution._terms.items():
+        xs, ys = loc[k : 2 * k], loc[2 * k : 3 * k]
+        per_pair = [
+            _pair_factors(*pair, h, sigma)
+            for pair in zip(xs, ys, order[k : 2 * k], order[2 * k : 3 * k])
+        ]
+        phase = r + h * sum(map(mul, xs, ys))
+        for choice in iter_product(*per_pair):
+            q1_orders, p2_orders, factors = zip(*choice)
+            new_order = order[:k] + q1_orders + p2_orders + order[3 * k :]
+            out.append(((loc, new_order, phase), math.prod(factors, start=w)))
     return distribution._new(collect(out))
 
 
-def _twist_step(polys, kq, kp, uh, k):
-    """Derivative polynomial for multi-index (kq, kp) from a predecessor."""
-    for i in range(k):
-        if kq[i] > 0:
-            prev_key = (_dec(kq, i), kp)
-            if prev_key in polys:
-                return _twist_diff(polys[prev_key], "q1", i, uh, k)
-    for i in range(k):
-        if kp[i] > 0:
-            prev_key = (kq, _dec(kp, i))
-            if prev_key in polys:
-                return _twist_diff(polys[prev_key], "p2", i, uh, k)
-    raise AssertionError("twist derivative lattice visited out of order")
+def _pair_factors(x, y, a, b, h, sigma) -> list:
+    """The nonzero terms ``(a - s, b - t, factor)`` that ``exp(c*x*y)``, ``c = u*h``,
+    makes of ``delta^((a, b))`` at ``(x, y)``, with its character left out.
 
-
-def _dec(t, i):
-    out = list(t)
-    out[i] -= 1
-    return tuple(out)
-
-
-def _inc(t, i):
-    out = list(t)
-    out[i] += 1
-    return tuple(out)
-
-
-def _twist_diff(poly, block, i, uh, k):
-    """d/d(q1_i) or d/d(p2_i) of ``poly * exp(u*h*<q1, p2>)``, poly part only."""
+    ``factor = (-1)^(s+t) binom(a, s) binom(b, t) sum_{j <= min(s, t)}
+    binom(s, j) binom(t, j) j! c^(s+t-j) x^(t-j) y^(s-j)``, the closed form of
+    ``d_x^s d_y^t exp(c*x*y) / exp(c*x*y)``.  ``c^n = h^n sigma^(n//2) u^(n%2)``.
+    At ``x = 0`` only ``j = t`` survives and at ``y = 0`` only ``j = s``;
+    zero factors are dropped here, before any product is formed.
+    """
     out = []
-    for (eq, ep), c in poly.items():
-        if block == "q1":
-            if eq[i] > 0:
-                out.append(((_dec(eq, i), ep), c * eq[i]))
-            out.append(((eq, _inc(ep, i)), c * uh))  # exponent factor u*h*p2_i
-        else:
-            if ep[i] > 0:
-                out.append(((eq, _dec(ep, i)), c * ep[i]))
-            out.append(((_inc(eq, i), ep), c * uh))  # exponent factor u*h*q1_i
-    return collect(out)
+    for s in range(a + 1):
+        for t in range(b + 1):
+            parts = [0, 0]
+            for j in range(min(s, t) + 1):
+                if (t > j and not x) or (s > j and not y):
+                    continue
+                n = s + t - j
+                parts[n % 2] += (
+                    math.comb(s, j) * math.comb(t, j) * math.factorial(j)
+                    * sigma.value ** (n // 2) * h**n * x ** (t - j) * y ** (s - j)
+                )
+            if any(parts):
+                scale = (-1) ** (s + t) * math.comb(a, s) * math.comb(b, t)
+                out.append((a - s, b - t, Binarion(scale * parts[0], scale * parts[1], sigma)))
+    return out
 
 
 def _pushforward_sum(distribution: Ultradistribution, k: int) -> Ultradistribution:
     """Push a ``(p1, q1, p2, q2)`` distribution forward under block addition."""
     atoms = collect(
-        (
-            (
-                tuple(loc[i] + loc[2 * k + i] for i in range(2 * k)),
-                tuple(order[i] + order[2 * k + i] for i in range(2 * k)),
-            ),
-            w,
-        )
-        for (loc, order), w in distribution._terms.items()
+        ((tuple(map(add, loc[: 2 * k], loc[2 * k :])),
+          tuple(map(add, order[: 2 * k], order[2 * k :])), r), w)
+        for (loc, order, r), w in distribution._terms.items()
     )
     return Ultradistribution._make(2 * k, distribution.sigma, atoms)
 
@@ -816,7 +751,8 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     twist ``exp(u*h*<q1, p2>)`` to their tensor product, pushes forward
     under addition of locations/orders, and transforms back.  Exact, and on
     polynomial symbols equal to :func:`hypermoyal.symbols.star` evaluated at
-    the same rational ``h``.
+    the same rational ``h``.  ``degree_cap`` bounds the sum of the operands'
+    polynomial degrees; ``None`` means ``DEFAULT_DEGREE_CAP``, as for ``star``.
     """
     h = _as_fraction(h)
     ea = _coerce_symbol(a, h)
@@ -827,8 +763,11 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     if ea.dim % 2:
         raise DimensionMismatchError("phase-space symbols need even dimension")
     k = ea.dim // 2
-    if degree_cap is not None and ea.degree() + eb.degree() > degree_cap:
-        raise DegreeCapError("star product exceeds degree cap")
+    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+    if ea.degree() + eb.degree() > cap:
+        raise DegreeCapError(
+            f"star product degree {ea.degree() + eb.degree()} exceeds cap {cap}"
+        )
     ta = inverse_fourier_symbol(ea)
     tb = inverse_fourier_symbol(eb)
     twisted = _twist(ta.tensor(tb), h, k)

@@ -338,6 +338,8 @@ def compose_check(a, b, phi: WaveFunction, h=None, degree_cap: int = None) -> Co
     ``a`` and ``b`` may be :class:`PolySymbol` (star computed with the
     formal-``h`` series) or :class:`ExpPoly` symbols (star computed along
     the distributional route).  ``h`` defaults to the wavefunction's value.
+    ``degree_cap`` bounds the star product on either route; ``None`` means
+    ``DEFAULT_DEGREE_CAP``.
     """
     h = phi.h if h is None else _as_fraction(h)
     if h != phi.h:
@@ -348,7 +350,7 @@ def compose_check(a, b, phi: WaveFunction, h=None, degree_cap: int = None) -> Co
     else:
         ea = a if isinstance(a, ExpPoly) else ExpPoly.from_poly_symbol(a, h)
         eb = b if isinstance(b, ExpPoly) else ExpPoly.from_poly_symbol(b, h)
-        op_ab = Operator(star_distributional(ea, eb, h), h)
+        op_ab = Operator(star_distributional(ea, eb, h, degree_cap), h)
     lhs = op_ab.apply(phi)
     rhs = Operator(a, h).apply(Operator(b, h).apply(phi))
     diff = lhs.func - rhs.func

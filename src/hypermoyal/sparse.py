@@ -34,6 +34,19 @@ def collect(pairs) -> dict:
     return {key: value for key, value in out.items() if not value.is_zero()}
 
 
+def regroup(element, view, sort_key=None) -> list:
+    """The terms of a flat map ``{(*head, last): value}`` as ``(*head, coeff)``
+    tuples sorted by ``head``, where ``coeff`` is the ``{last: value}`` part
+    of one head as an element of the scalar ring ``view``."""
+    groups = {}
+    for key, value in element._terms.items():
+        groups.setdefault(key[:-1], {})[key[-1]] = value
+    return [
+        (*head, view._make(None, element.sigma, groups[head]))
+        for head in sorted(groups, key=sort_key)
+    ]
+
+
 def nonnegative(values, message: str) -> tuple:
     """``values`` as a tuple of ints; a negative entry raises ``message``."""
     out = tuple(int(v) for v in values)

@@ -53,7 +53,7 @@ from .errors import (
     json_field,
 )
 from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json
-from .sparse import SparseAlgebra, binarion_coefficient, collect, nonnegative
+from .sparse import SparseAlgebra, binarion_coefficient, collect, nonnegative, regroup
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -264,13 +264,7 @@ class PolySymbol(SparseAlgebra):
 
     def terms(self):
         """Term triples ``(alpha, beta, coeff)`` in canonical order."""
-        grouped = {}
-        for (alpha, beta, d), v in self._terms.items():
-            grouped.setdefault((alpha, beta), {})[d] = v
-        return [
-            (alpha, beta, HPoly._make(None, self.sigma, grouped[(alpha, beta)]))
-            for alpha, beta in sorted(grouped, key=_term_order_key)
-        ]
+        return regroup(self, HPoly, _term_order_key)
 
     def coeff(self, alpha, beta) -> HPoly:
         monomial = (tuple(alpha), tuple(beta))

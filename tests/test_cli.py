@@ -213,9 +213,9 @@ def test_apply_malformed_json_is_one_line_error(tmp_path, capsys):
         paths[name].write_text(json.dumps(data), encoding="utf-8")
     assert run(capsys, "apply", str(paths["op"]), str(paths["wave"]))[0] == 0
     assert run(capsys, "apply", str(paths["bad_op"]), str(paths["wave"])) == (
-        2, "", "error: symbol: missing field 'terms'\n")
+        2, "", "error: operator: symbol: missing field 'terms'\n")
     assert run(capsys, "apply", str(paths["op"]), str(paths["bad_wave"])) == (
-        2, "", "error: h must be a positive rational\n")
+        2, "", "error: wavefunction: h must be a positive rational\n")
 
 
 # -- interfere -----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypermoyal import (
     Binarion,
     CharSum,
+    DegreeCapError,
     DimensionMismatchError,
     ExpPoly,
     PolySymbol,
@@ -351,6 +352,56 @@ def test_star_distributional_mixed_character_polynomial():
         )
         assert compose_check(a, b, phi)
         assert compose_check(b, a, phi)
+
+
+def _nonzero_fraction(rng):
+    while True:
+        value = _random_fraction(rng)
+        if value:
+            return value
+
+
+def _plane_wave_times_polynomial(rng, dim, sigma):
+    """``c * (x_i + r1) * (x_j + r2) * (x_l + r3) * exp(u*<freq, x>)`` with ``i``
+    in the first half of the variables, ``j`` in the second, and no zero
+    entry of ``freq`` or ``c``."""
+    half = dim // 2
+    coeff = Binarion(_nonzero_fraction(rng), _random_fraction(rng), sigma)
+    poly = ExpPoly.constant(coeff, dim, sigma)
+    for index in (rng.randrange(half), half + rng.randrange(half), rng.randrange(dim)):
+        poly = poly * (ExpPoly.coordinate(index, dim, sigma) + _random_fraction(rng))
+    freq = tuple(_nonzero_fraction(rng) for _ in range(dim))
+    return poly * ExpPoly.character(freq, sigma)
+
+
+def test_twist_at_nonzero_locations_matches_composition():
+    """Symbols whose p-frequencies (in ``a``) and q-frequencies (in ``b``) are
+    nonzero put the twist's atoms at ``q1*p2 != 0``, where every term of its
+    closed form contributes; the operator route checks the product."""
+    from hypermoyal import WaveFunction, compose_check
+
+    rng = random.Random(47)
+    for k in (1, 2):
+        for sigma in SIGMAS:
+            for _ in range(3):
+                h = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+                a = _plane_wave_times_polynomial(rng, 2 * k, sigma)
+                b = _plane_wave_times_polynomial(rng, 2 * k, sigma)
+                momentum = tuple(_random_fraction(rng) for _ in range(k))
+                poly = ExpPoly.coordinate(rng.randrange(k), k, sigma) + _random_fraction(rng)
+                phi = WaveFunction(poly * WaveFunction.plane_wave(momentum, h, sigma).func, h)
+                assert compose_check(a, b, phi)
+
+
+def test_star_distributional_degree_cap():
+    for sigma in SIGMAS:
+        q = PolySymbol.coordinate("q", 0, 1, sigma)
+        h = Fraction(1, 2)
+        for a, b in ((q**9, q**8), (ExpPoly.from_poly_symbol(q**9), ExpPoly.from_poly_symbol(q**8))):
+            with pytest.raises(DegreeCapError):
+                star_distributional(a, b, h)
+            got = star_distributional(a, b, h, degree_cap=20)
+            assert got == ExpPoly.from_poly_symbol(q**17)
 
 
 # -- growth bound ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hypermoyal import (
     Binarion,
+    DegreeCapError,
     DimensionMismatchError,
     ExpPoly,
     Operator,
@@ -159,6 +160,23 @@ def test_compose_check_randomized():
             b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
             phi = _random_wavefunction(rng, k, sigma, h)
             assert compose_check(a, b, phi)
+
+
+def test_compose_check_degree_cap():
+    """One cap on both routes: polynomial symbols (series) and exp-poly
+    symbols (distributional star); ``None`` means the default cap."""
+    h = Fraction(1, 2)
+    for sigma in SIGMAS:
+        q = PolySymbol.coordinate("q", 0, 1, sigma)
+        p = PolySymbol.coordinate("p", 0, 1, sigma)
+        phi = _quadratic_wavefunction(sigma, h)
+        for embed in (lambda s: s, lambda s: ExpPoly.from_poly_symbol(s, h)):
+            with pytest.raises(DegreeCapError):
+                compose_check(embed(q**2), embed(p**2), phi, degree_cap=1)
+            with pytest.raises(DegreeCapError):
+                compose_check(embed(q**9), embed(q**8), phi)
+            assert compose_check(embed(q**2), embed(p**2), phi, degree_cap=4)
+            assert compose_check(embed(q**9), embed(q**8), phi, degree_cap=20)
 
 
 def test_compose_check_reports_diff_on_mismatch():

@@ -23,9 +23,11 @@ from hypermoyal import (
     Sigma,
     SignatureMismatchError,
     Ultradistribution,
+    inverse_fourier_symbol,
     moyal_bracket,
     scaled_bracket,
     star,
+    star_distributional,
     supercommutator,
 )
 
@@ -60,12 +62,20 @@ def _symbol(rng, sigma):
     )
 
 
-def _exppoly(rng, sigma):
+def _exppoly(rng, sigma, dim=1):
     return ExpPoly(
-        1,
+        dim,
         sigma,
-        {((Fraction(rng.randint(-1, 1)),), _exps(rng, 1)): _charsum(rng, sigma) for _ in range(3)},
+        {
+            (tuple(Fraction(rng.randint(-1, 1)) for _ in range(dim)), _exps(rng, dim)):
+                _charsum(rng, sigma)
+            for _ in range(3)
+        },
     )
+
+
+def _exppoly_2(rng, sigma):
+    return _exppoly(rng, sigma, dim=2)
 
 
 def _distribution(rng, sigma):
@@ -93,9 +103,7 @@ REBUILD = {
 def _assert_clean(x):
     assert x == REBUILD[type(x)](x)
     for value in x._terms.values():
-        assert not value.is_zero()
-        if isinstance(value, CharSum):
-            _assert_clean(value)
+        assert isinstance(value, Binarion) and not value.is_zero()
 
 
 def _ring_results(a, b, sigma):
@@ -115,11 +123,15 @@ def _extra_results(a, b, sigma):
     if isinstance(a, (HPoly, CharSum)):
         return [a.conjugate()]
     if isinstance(a, ExpPoly):
-        return [a.differentiate(0), a.shift((Fraction(1, 2),))]
+        point = (Fraction(1, 2),) * a.dim
+        results = [a.differentiate(0), a.shift(point), a.evaluate(point)]
+        if a.dim == 2:
+            results += [star_distributional(a, b, Fraction(1, 3)), inverse_fourier_symbol(a)]
+        return results
     return [a.even_part(), a.odd_part(), supercommutator(a, b)]
 
 
-@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _exppoly, _grassmann])
+@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _exppoly, _exppoly_2, _grassmann])
 def test_ring_results_are_clean(make):
     rng = random.Random(17)
     for sigma in SIGMAS:
@@ -132,11 +144,15 @@ def test_ring_results_are_clean(make):
 def test_distribution_results_are_clean():
     rng = random.Random(17)
     for sigma in SIGMAS:
+        two_characters = CharSum(
+            {Fraction(0): Binarion(1, -1, sigma), Fraction(1, 2): Binarion(2, 1, sigma)}, sigma
+        )
         for _ in range(25):
             a, b = _distribution(rng, sigma), _distribution(rng, sigma)
             for result in (
                 a + b, a - b, a - a, -a, a.scale(Binarion(1, -1, sigma)),
-                a.derivative(0), a.mul_monomial((2,)), a.tensor(b), a.fourier(),
+                a.scale(two_characters), a.derivative(0), a.mul_monomial((2,)),
+                a.tensor(b), a.fourier(), a.pair(b.fourier()),
             ):
                 _assert_clean(result)
 
