@@ -187,6 +187,19 @@ class CharSum(SparseAlgebra):
     __repr__ = __str__
 
 
+def _times_unit_power(c: Binarion, n: int, sign: int) -> Binarion:
+    """``c * (sign*u)^n`` for ``sign = +-1``, without a binarion power.
+
+    ``u^n = sigma^(n//2) u^(n%2)``, so the power is a sign, and for odd
+    ``n`` a factor ``u``, which maps ``x + u*y`` to ``sigma*y + u*x``.
+    """
+    s = c.sigma.value
+    scale = sign**n * s ** (n // 2)
+    if n % 2:
+        return Binarion(scale * s * c.im, scale * c.re, c.sigma)
+    return c if scale == 1 else -c
+
+
 def _weight_to_json(w: CharSum) -> dict:
     if w.is_scalar():
         b = w.as_binarion()
@@ -577,9 +590,8 @@ class Ultradistribution(SparseMap):
 
         Each atom ``(x0, n, w)`` contributes ``w * (-u*y)^n * exp(u*<y, x0>)``.
         """
-        minus_u = -Binarion.unit(self.sigma)
         return ExpPoly._make(self.dim, self.sigma, {
-            key: w * minus_u ** sum(key[1]) for key, w in self._terms.items()
+            key: _times_unit_power(w, sum(key[1]), -1) for key, w in self._terms.items()
         })
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
@@ -666,11 +678,10 @@ def inverse_fourier_symbol(a, h=None) -> Ultradistribution:
     a = _coerce_symbol(a, h)
     if a.dim % 2:
         raise DimensionMismatchError("phase-space symbols need even dimension")
-    sigma = a.sigma
-    u = Binarion.unit(sigma)
-    minus_inv_u = -(u.invert())  # equals -sigma*u
-    return Ultradistribution._make(a.dim, sigma, {
-        key: coeff * minus_inv_u ** sum(key[1]) for key, coeff in a._terms.items()
+    minus_sigma = -a.sigma.value  # -1/u = -sigma*u
+    return Ultradistribution._make(a.dim, a.sigma, {
+        key: _times_unit_power(coeff, sum(key[1]), minus_sigma)
+        for key, coeff in a._terms.items()
     })
 
 

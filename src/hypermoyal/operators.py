@@ -6,16 +6,24 @@ equivalent routes, both exact:
 
 * *normal-ordered route* (polynomial symbols): the monomial
   ``q^alpha p^beta`` acts as ``q^alpha (sigma*u*h * d/dq)^beta``, position
-  factors to the left of the derivatives;
+  factors to the left of the derivatives.  It is computed in closed form,
+  one pair of a symbol term and a wavefunction term ``w x^e exp(u<f, x>)``
+  at a time: per coordinate ``d^b (x^e exp(u f x)) = sum_{j <= min(b, e)}
+  C(b, j) e!/(e - j)! (u f)^(b - j) x^(e - j) exp(u f x)``, and the powers
+  of ``u`` fold into a sign and a re/im swap;
 * *shift route* (any exponential-polynomial symbol): through the symbol's
   point-supported distribution, a plane-wave factor ``exp(u*<B, p>)`` in the
   symbol becomes the argument shift ``q -> q + h*B``.
 
 The two routes agree on their common domain, and
 :func:`compose_check` verifies operator composition against the star
-product -- the operator-side oracle of the symbol calculus.  The defining
+product -- the operator-side oracle of the symbol calculus.  The
+normal-ordered kernel therefore shares no code with the star kernels or
+with the shift route's :meth:`ExpPoly.differentiate`.  The defining
 eigenrelation is ``apply(a, e) = a(q, p0) * e`` on the plane wave
-``e = exp(u*<p0, q>/h)``.
+``e = exp(u*<p0, q>/h)``.  Every route refuses a symbol whose degree
+exceeds ``degree_cap`` (``None`` means ``DEFAULT_DEGREE_CAP``, as for
+``star``) before it reads the wavefunction.
 
 ``h`` is numeric here (unlike the formal ``h`` of
 :mod:`hypermoyal.symbols`) because wavefunction frequencies ``p0/h`` must
@@ -24,7 +32,10 @@ combine arithmetically.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product as iter_product
+from operator import add
 
 from .distributions import (
     CharSum,
@@ -33,13 +44,14 @@ from .distributions import (
     star_distributional,
 )
 from .errors import (
+    DegreeCapError,
     DimensionMismatchError,
     SignatureMismatchError,
     ValidationError,
     json_field,
 )
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
-from .symbols import PolySymbol, star
+from .symbols import DEFAULT_DEGREE_CAP, PolySymbol, star
 
 
 def _positive_h(h) -> Fraction:
@@ -47,6 +59,34 @@ def _positive_h(h) -> Fraction:
     if h <= 0:
         raise ValidationError("h must be a positive rational")
     return h
+
+
+def _derivative_terms(beta, exps, freq) -> list:
+    """The terms ``(e - j, factor, sum(b - j))`` of ``d^beta (x^e exp(u<f, x>))``
+    divided by ``exp(u<f, x>)``, with the powers of ``u`` left out.
+
+    Per coordinate ``factor`` has ``C(b, j) e!/(e - j)! f^(b - j)`` for
+    ``j <= min(b, e)``; at ``f = 0`` only ``j = b`` survives, and none when
+    ``b > e``.  Coordinates multiply.
+    """
+    per_coordinate = []
+    for b, e, f in zip(beta, exps, freq):
+        if f:
+            choices = [
+                (e - j, math.comb(b, j) * math.perm(e, j) * f ** (b - j), b - j)
+                for j in range(min(b, e) + 1)
+            ]
+        elif b <= e:
+            choices = [(e - b, math.perm(e, b), 0)]
+        else:
+            return []
+        per_coordinate.append(choices)
+    return [
+        (tuple(e for e, _, _ in choice),
+         math.prod(c for _, c, _ in choice),
+         sum(n for _, _, n in choice))
+        for choice in iter_product(*per_coordinate)
+    ]
 
 
 class WaveFunction:
@@ -213,43 +253,88 @@ class Operator:
 
     # -- application routes ----------------------------------------------------
 
-    def apply(self, phi: WaveFunction) -> WaveFunction:
-        """Apply along the natural route for the symbol type."""
-        if isinstance(self.symbol, PolySymbol):
-            return self.apply_normal_ordered(phi)
-        return self.apply_shift_form(phi)
+    def _check_cap(self, degree_cap):
+        symbol = self.symbol
+        degree = symbol.total_degree() if isinstance(symbol, PolySymbol) else symbol.degree()
+        cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+        if degree > cap:
+            raise DegreeCapError(f"operator symbol degree {degree} exceeds cap {cap}")
 
-    def apply_normal_ordered(self, phi: WaveFunction) -> WaveFunction:
-        """``q^alpha p^beta`` acts as ``q^alpha (sigma*u*h d/dq)^beta``."""
+    def apply(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
+        """Apply along the natural route for the symbol type.
+
+        ``degree_cap`` bounds the symbol's polynomial degree, checked before
+        any work; ``None`` means ``DEFAULT_DEGREE_CAP``, as for ``star``.
+        """
+        if isinstance(self.symbol, PolySymbol):
+            return self.apply_normal_ordered(phi, degree_cap)
+        return self.apply_shift_form(phi, degree_cap)
+
+    def apply_normal_ordered(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
+        """``q^alpha p^beta`` acts as ``q^alpha (sigma*u*h d/dq)^beta``.
+
+        Computed one pair of a symbol term ``c q^alpha p^beta`` and a
+        wavefunction term ``w x^e exp(u<f, x>) exp(u*r)`` at a time, per
+        coordinate by ``d^b (x^e exp(u f x)) = sum_{j <= min(b, e)} C(b, j)
+        e!/(e - j)! (u f)^(b - j) x^(e - j) exp(u f x)``; at ``f = 0`` only
+        ``j = b`` survives.  The ``|beta| + sum(b - j)`` factors of ``u`` are
+        ``sigma^(n//2) u^(n%2)``: a sign, and a re/im swap when ``n`` is odd.
+        """
         if not isinstance(self.symbol, PolySymbol):
             raise TypeError("normal-ordered route needs a polynomial symbol")
+        self._check_cap(degree_cap)
         self._check(phi)
-        k = self.dof
         sigma = self.sigma
-        su_h = Binarion(0, sigma.value * self.h, sigma)  # sigma*u*h
-        out = ExpPoly.zero(k, sigma)
-        for alpha, beta, coeff in self.symbol.terms():
-            value = coeff.substitute(self.h)
-            part = phi.func
-            for i, b in enumerate(beta):
-                for _ in range(b):
-                    part = part.differentiate(i)
+        s = sigma.value
+        h = self.h
+        # symbol coefficients at this h, times (sigma*h)^|beta|, grouped by beta
+        by_beta = {}
+        for (alpha, beta, d), v in self.symbol._terms.items():
             order = sum(beta)
-            if order:
-                part = part * ExpPoly.constant(su_h**order, k, sigma)
-            for i, a in enumerate(alpha):
-                if a:
-                    part = part * ExpPoly.coordinate(i, k, sigma) ** a
-            out = out + part * ExpPoly.constant(value, k, sigma)
-        return WaveFunction(out, self.h)
+            c = h ** (d + order) * (s if order % 2 else 1)
+            entry = by_beta.setdefault(beta, {}).setdefault(alpha, [0, 0])
+            entry[0] += c * v.re
+            entry[1] += c * v.im
+        groups = [
+            (beta, sum(beta),
+             [(alpha, re, im) for alpha, (re, im) in by_alpha.items() if re or im])
+            for beta, by_alpha in by_beta.items()
+        ]
+        acc = {}
+        for (freq, exps, r), w in phi.func._terms.items():
+            for beta, order, coeffs in groups:
+                derivatives = []
+                for lowered, c, n in _derivative_terms(beta, exps, freq):
+                    n += order
+                    if s < 0 and (n // 2) % 2:
+                        c = -c
+                    derivatives.append((lowered, c, n % 2))
+                for alpha, re, im in coeffs:
+                    # (re + u*im) * w; a factor u maps x + u*y to s*y + u*x
+                    x = re * w.re + s * im * w.im
+                    y = re * w.im + im * w.re
+                    for lowered, c, odd in derivatives:
+                        key = (freq, tuple(map(add, lowered, alpha)), r)
+                        dx, dy = (c * s * y, c * x) if odd else (c * x, c * y)
+                        entry = acc.get(key)
+                        if entry is None:
+                            acc[key] = [dx, dy]
+                        else:
+                            entry[0] += dx
+                            entry[1] += dy
+        out = ExpPoly._make(self.dof, sigma, {
+            key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im
+        })
+        return WaveFunction(out, h)
 
-    def apply_shift_form(self, phi: WaveFunction) -> WaveFunction:
+    def apply_shift_form(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Route through the symbol's distribution.
 
         For the atom ``w * delta^((r, s))`` at ``(A, B)`` the action is
         ``w * (-1)^(|r|+|s|) * u^|r| * h^|s| * q^r * exp(u*<A, q>)
-        * (d^s phi)(q + h*B)``.
+        * (d^s phi)(q + h*B)``.  ``degree_cap`` as for :meth:`apply`.
         """
+        self._check_cap(degree_cap)
         self._check(phi)
         sym = self.symbol
         if isinstance(sym, PolySymbol):
@@ -351,8 +436,8 @@ def compose_check(a, b, phi: WaveFunction, h=None, degree_cap: int = None) -> Co
         ea = a if isinstance(a, ExpPoly) else ExpPoly.from_poly_symbol(a, h)
         eb = b if isinstance(b, ExpPoly) else ExpPoly.from_poly_symbol(b, h)
         op_ab = Operator(star_distributional(ea, eb, h, degree_cap), h)
-    lhs = op_ab.apply(phi)
-    rhs = Operator(a, h).apply(Operator(b, h).apply(phi))
+    lhs = op_ab.apply(phi, degree_cap)
+    rhs = Operator(a, h).apply(Operator(b, h).apply(phi, degree_cap), degree_cap)
     diff = lhs.func - rhs.func
     return ComposeCheck(diff.is_zero(), lhs, rhs, diff)
 

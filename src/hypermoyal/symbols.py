@@ -611,13 +611,34 @@ def moyal_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolyS
 
 
 def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
-    """``sum_i d_p_i(a) d_q_i(b) - d_q_i(a) d_p_i(b)`` (so ``{q, p} = -1``)."""
+    """``sum_i d_p_i(a) d_q_i(b) - d_q_i(a) d_p_i(b)`` (so ``{q, p} = -1``).
+
+    Both products of a term pair land on one monomial per ``i``: ``c1
+    q^alpha1 p^beta1`` and ``c2 q^alpha2 p^beta2`` give ``(beta1_i alpha2_i -
+    alpha1_i beta2_i) c1 c2 q^(alpha1 + alpha2 - e_i) p^(beta1 + beta2 - e_i)``.
+    Kept apart from the star kernel, as the oracle of :func:`scaled_bracket`.
+    """
     _require_compatible(a, b)
-    total = PolySymbol.zero(a.dof, a.sigma)
-    for i in range(a.dof):
-        total = total + a.differentiate("p", i) * b.differentiate("q", i)
-        total = total - a.differentiate("q", i) * b.differentiate("p", i)
-    return total
+    s = a.sigma.value
+    acc = {}
+    for (alpha1, beta1, d1), c1 in a._terms.items():
+        for (alpha2, beta2, d2), c2 in b._terms.items():
+            weights = [p1 * q2 - q1 * p2 for q1, p1, q2, p2 in zip(alpha1, beta1, alpha2, beta2)]
+            if not any(weights):
+                continue
+            re = c1.re * c2.re + s * c1.im * c2.im
+            im = c1.re * c2.im + c1.im * c2.re
+            alpha = tuple(map(add, alpha1, alpha2))
+            beta = tuple(map(add, beta1, beta2))
+            for i, weight in enumerate(weights):
+                if weight:
+                    key = (_bump(alpha, i, -1), _bump(beta, i, -1), d1 + d2)
+                    entry = acc.setdefault(key, [0, 0])
+                    entry[0] += weight * re
+                    entry[1] += weight * im
+    return a._new({
+        key: Binarion(re, im, a.sigma) for key, (re, im) in acc.items() if re or im
+    })
 
 
 def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:

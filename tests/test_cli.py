@@ -218,6 +218,15 @@ def test_apply_malformed_json_is_one_line_error(tmp_path, capsys):
         2, "", "error: wavefunction: h must be a positive rational\n")
 
 
+def test_apply_over_degree_cap_is_one_line_error(tmp_path, capsys):
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"symbol": "q^17", "h": "1/2", "sigma": 1}), encoding="utf-8")
+    wave_path = tmp_path / "wave.json"
+    wave_path.write_text(json.dumps(WAVE), encoding="utf-8")
+    assert run(capsys, "apply", str(op_path), str(wave_path)) == (
+        2, "", "error: operator symbol degree 17 exceeds cap 16\n")
+
+
 # -- interfere -----------------------------------------------------------------------
 
 

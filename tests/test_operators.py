@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_sparse import _assert_clean
 
 from hypermoyal import (
     Binarion,
     DegreeCapError,
     DimensionMismatchError,
     ExpPoly,
+    HPoly,
     Operator,
     PolySymbol,
     Sigma,
@@ -66,6 +68,35 @@ def _quadratic_wavefunction(sigma, h, momentum=Fraction(1, 2)):
     """(1 + q)^2 times a plane wave."""
     base = ExpPoly.one(1, sigma) + ExpPoly.coordinate(0, 1, sigma)
     return WaveFunction(base * base * WaveFunction.plane_wave(momentum, h, sigma).func, h)
+
+
+def _iterated_apply(op: Operator, phi: WaveFunction) -> WaveFunction:
+    """The normal-ordered action applied step by step, kept as the oracle of
+    ``Operator.apply_normal_ordered``.
+
+    Per symbol term ``c q^alpha p^beta``: ``beta`` single derivatives of
+    ``phi``, then ``(sigma*u*h)^|beta|``, ``q^alpha`` and ``c`` at this ``h``
+    as exp-poly products, summed one term at a time; independent of the
+    closed-form pair kernel that ``apply_normal_ordered`` uses.
+    """
+    k = op.dof
+    sigma = op.sigma
+    su_h = Binarion(0, sigma.value * op.h, sigma)  # sigma*u*h
+    out = ExpPoly.zero(k, sigma)
+    for alpha, beta, coeff in op.symbol.terms():
+        value = coeff.substitute(op.h)
+        part = phi.func
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                part = part.differentiate(i)
+        order = sum(beta)
+        if order:
+            part = part * ExpPoly.constant(su_h**order, k, sigma)
+        for i, a in enumerate(alpha):
+            if a:
+                part = part * ExpPoly.coordinate(i, k, sigma) ** a
+        out = out + part * ExpPoly.constant(value, k, sigma)
+    return WaveFunction(out, op.h)
 
 
 # -- representation of q and p -----------------------------------------------------
@@ -240,6 +271,91 @@ def test_two_apply_routes_agree():
             phi = _random_wavefunction(rng, k, sigma, h)
             op = Operator(a, h)
             assert op.apply_normal_ordered(phi) == op.apply_shift_form(phi)
+
+
+def _h_symbol(rng, k, sigma):
+    """Random symbol whose coefficients carry powers of the formal ``h``."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        alpha = tuple(rng.randint(0, 2) for _ in range(k))
+        beta = tuple(rng.randint(0, 3) for _ in range(k))
+        coeff = HPoly(
+            {d: Binarion(_random_fraction(rng), _random_fraction(rng), sigma)
+             for d in rng.sample(range(3), rng.randint(1, 2))},
+            sigma,
+        )
+        terms[(alpha, beta)] = terms[(alpha, beta)] + coeff if (alpha, beta) in terms else coeff
+    return PolySymbol(k, sigma, terms)
+
+
+def _mixed_wavefunction(rng, k, sigma, h):
+    """A sum of ``q^e exp(u<f, q>)`` terms, some coordinates at frequency zero;
+    shifted half of the time, which adds character exponents ``r`` and
+    terms that collide."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        freq = tuple(rng.choice((Fraction(0), _random_fraction(rng))) for _ in range(k))
+        exps = tuple(rng.randint(0, 3) for _ in range(k))
+        terms[(freq, exps)] = Binarion(_random_fraction(rng), _random_fraction(rng), sigma)
+    phi = WaveFunction(ExpPoly(k, sigma, terms), h)
+    if rng.random() < 0.5:
+        phi = phi.shift(tuple(_random_fraction(rng) for _ in range(k)))
+    return phi
+
+
+def test_apply_normal_ordered_matches_iterated_oracle():
+    rng = random.Random(29)
+    for sigma in SIGMAS:
+        for k in (1, 2, 3):
+            h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            one = ExpPoly.one(k, sigma)
+            q = ExpPoly.coordinate(0, k, sigma)
+            light_cone = Binarion(1, 1, sigma)
+            fixed = [
+                # (1+j)*(1-j) = 0: every product vanishes in the hyperbolic ring
+                (PolySymbol.monomial((1,) + (0,) * (k - 1), (2,) + (0,) * (k - 1),
+                                     light_cone, sigma),
+                 WaveFunction((q**3 + one) * Binarion(1, -1, sigma), h)),
+                # q*p and 1 both send q to q
+                (PolySymbol.monomial((1,) * k, (1,) * k, 1, sigma) + 1,
+                 WaveFunction(q + q * q, h)),
+                (_h_symbol(rng, k, sigma), WaveFunction.zero(k, h, sigma)),
+                (_h_symbol(rng, k, sigma), WaveFunction(q, h).shift((Fraction(1),) * k)),
+            ]
+            cases = fixed + [
+                (_h_symbol(rng, k, sigma), _mixed_wavefunction(rng, k, sigma, h))
+                for _ in range(12)
+            ]
+            for symbol, phi in cases:
+                op = Operator(symbol, h)
+                got = op.apply_normal_ordered(phi)
+                assert got == _iterated_apply(op, phi)
+                _assert_clean(got.func)
+
+
+class _FailsOnUse:
+    def __getattr__(self, name):
+        raise AssertionError(f"wavefunction read before the degree cap check: {name}")
+
+
+def test_apply_checks_degree_cap_first(monkeypatch):
+    """Every route refuses a symbol beyond the cap before it touches ``phi``;
+    ``None`` means the default cap, as for ``star``."""
+    h = Fraction(1, 2)
+    for sigma in SIGMAS:
+        q = PolySymbol.coordinate("q", 0, 1, sigma)
+        poly = Operator(q**17, h)
+        exp = Operator(ExpPoly.from_poly_symbol(q**17, h), h)
+        phi = _quadratic_wavefunction(sigma, h)
+        assert poly.apply(phi, degree_cap=17) == _iterated_apply(poly, phi)
+        assert exp.apply(phi, degree_cap=17) == poly.apply_shift_form(phi, degree_cap=17)
+        monkeypatch.setattr(phi, "func", _FailsOnUse())
+        for route in (poly.apply, poly.apply_normal_ordered, poly.apply_shift_form,
+                      exp.apply, exp.apply_shift_form):
+            with pytest.raises(DegreeCapError, match="degree 17 exceeds cap 16"):
+                route(phi)
+            with pytest.raises(DegreeCapError, match="degree 17 exceeds cap 3"):
+                route(phi, degree_cap=3)
 
 
 # -- guards and serialization ------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Results of arithmetic are built without validation, so each must already
 be what the validating public constructor makes of its own terms: equal to
 them passed back through that constructor, and holding no zero
-coefficient.  The public constructors keep rejecting malformed input with
-the same error types.
+coefficient.  That rebuild reads back the result's own map, so it cannot see
+a term lost where two keys collide; results whose terms collide are also
+compared with an independent computation.  The public constructors keep
+rejecting malformed input with the same error types.
 """
 
 import random
@@ -155,6 +157,27 @@ def test_distribution_results_are_clean():
                 a.tensor(b), a.fourier(), a.pair(b.fourier()),
             ):
                 _assert_clean(result)
+
+
+@pytest.mark.parametrize("make", [_exppoly, _exppoly_2])
+def test_evaluate_sums_colliding_phases(make):
+    """At ``x = 1/2`` the phases ``r + <freq, x>`` of distinct terms meet
+    (``freq`` in -1..1, ``r`` in -1..1 by halves), so ``evaluate`` must sum
+    them: it equals the sum of its terms evaluated one by one and is
+    additive."""
+    rng = random.Random(31)
+    for sigma in SIGMAS:
+        for _ in range(25):
+            a, b = make(rng, sigma), make(rng, sigma)
+            point = (Fraction(1, 2),) * a.dim
+            value = a.evaluate(point)
+            one_by_one = CharSum.zero(sigma)
+            for (freq, exps, r), c in a._terms.items():
+                term = ExpPoly(a.dim, sigma, {(freq, exps): CharSum.character(r, sigma, c)})
+                one_by_one = one_by_one + term.evaluate(point)
+            assert value == one_by_one
+            assert (a + b).evaluate(point) == value + b.evaluate(point)
+            _assert_clean(value)
 
 
 def test_public_constructors_still_validate():
