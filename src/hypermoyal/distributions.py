@@ -33,8 +33,10 @@ and :func:`star_distributional` composes two symbols by tensoring their
 distributions, applying the twist ``exp(u*h*<q1, p2>)``, and pushing
 forward under addition of locations.  The derivatives of the twist that
 act on each atom come from a closed form per coordinate pair
-``(q1_i, p2_i)``.  On polynomial symbols this agrees exactly with
-:func:`hypermoyal.symbols.star`.
+``(q1_i, p2_i)``, and :meth:`ExpPoly.differentiate_multi` from a closed
+form per coordinate.  These kernels add plain real and unit parts into one
+map and build each output binarion once.  On polynomial symbols this agrees
+exactly with :func:`hypermoyal.symbols.star`.
 """
 
 from __future__ import annotations
@@ -72,6 +74,21 @@ def _check_sigma(a, b):
 
 def _fractions(values) -> tuple:
     return tuple(_json_fraction(x) for x in values)
+
+
+def _add_parts(acc: dict, key, re, im):
+    """Add ``re + u*im`` to the ``[re, im]`` entry of ``key`` in ``acc``."""
+    entry = acc.get(key)
+    if entry is None:
+        acc[key] = [re, im]
+    else:
+        entry[0] += re
+        entry[1] += im
+
+
+def _from_parts(acc: dict, sigma: Sigma) -> dict:
+    """The nonzero ``[re, im]`` entries of ``acc`` as binarions, built once each."""
+    return {key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im}
 
 
 def _flat_terms(head, weight, sigma: Sigma, owner: str):
@@ -291,16 +308,23 @@ class ExpPoly(SparseAlgebra):
 
         Variables are ordered ``q1..qk, p1..pk`` (dimension ``2k``).  The
         formal ``h`` must be substituted by a rational value unless the
-        symbol is ``h``-free.
+        symbol is ``h``-free.  Reads the symbol's flat ``(alpha, beta,
+        hdeg)`` map and sums each ``h^hdeg`` part into the key of
+        ``alpha + beta``.
         """
         dim = 2 * symbol.dof
-        terms = {}
-        for alpha, beta, coeff in symbol.terms():
-            if h is None and coeff.degree() > 0:
+        if h is None:
+            if any(d for _, _, d in symbol._terms):
                 raise ValueError("symbol carries formal h; pass a numeric h")
-            value = coeff.constant_term if h is None else coeff.substitute(h)
-            terms[((0,) * dim, alpha + beta)] = value
-        return cls(dim, symbol.sigma, terms)
+            h = 1
+        h = _as_fraction(h)
+        zero = Fraction(0)
+        freq = (zero,) * dim
+        acc = {}
+        for (alpha, beta, d), v in symbol._terms.items():
+            c = h**d
+            _add_parts(acc, (freq, alpha + beta, zero), c * v.re, c * v.im)
+        return cls._make(dim, symbol.sigma, _from_parts(acc, symbol.sigma))
 
     def _constant(self, value) -> "ExpPoly":
         return ExpPoly.constant(value, self.dim, self.sigma)
@@ -342,13 +366,53 @@ class ExpPoly(SparseAlgebra):
         return self._new(collect(out))
 
     def differentiate_multi(self, order) -> "ExpPoly":
-        out = self
-        for i, n in enumerate(order):
-            for _ in range(n):
-                out = out.differentiate(i)
-                if out.is_zero():
-                    return out
-        return out
+        """Exact mixed partial derivative ``d^order``, in closed form.
+
+        Per coordinate ``d^n (x^e exp(u f x)) = sum_{j <= min(n, e)} C(n, j)
+        e!/(e - j)! (u f)^(n - j) x^(e - j) exp(u f x)``; at ``f = 0`` only
+        ``j = n`` survives, and none when ``n > e``.  The ``m`` factors of
+        ``u`` are ``sigma^(m//2) u^(m%2)``: a sign, and a re/im swap when
+        ``m`` is odd.  ``order`` may be shorter than ``dim``; entries below
+        one are no-ops, and a positive entry past ``dim`` raises
+        :class:`IndexError`.
+        """
+        axes = [(i, n) for i, n in enumerate(order) if n > 0]
+        for i, _ in axes:
+            if i >= self.dim:
+                raise IndexError(f"index {i} out of range for dim {self.dim}")
+        if not axes:
+            return self
+        s = self.sigma.value
+        acc = {}
+        for (freq, exps, r), c in self._terms.items():
+            per_axis = []
+            for i, n in axes:
+                e, f = exps[i], freq[i]
+                if f:
+                    per_axis.append([
+                        (i, e - j, math.comb(n, j) * math.perm(e, j) * f ** (n - j), n - j)
+                        for j in range(min(n, e) + 1)
+                    ])
+                elif n <= e:
+                    per_axis.append([(i, e - n, math.perm(e, n), 0)])
+                else:
+                    break
+            else:
+                for choice in iter_product(*per_axis):
+                    lowered = list(exps)
+                    factor, m = 1, 0
+                    for i, power, scalar, u_power in choice:
+                        lowered[i] = power
+                        factor *= scalar
+                        m += u_power
+                    if s < 0 and (m // 2) % 2:
+                        factor = -factor
+                    if m % 2:  # a factor u maps x + u*y to s*y + u*x
+                        re, im = factor * s * c.im, factor * c.re
+                    else:
+                        re, im = factor * c.re, factor * c.im
+                    _add_parts(acc, (freq, tuple(lowered), r), re, im)
+        return self._new(_from_parts(acc, self.sigma))
 
     def shift(self, offset) -> "ExpPoly":
         """Exact substitution ``x -> x + offset`` for a rational offset vector.
@@ -383,9 +447,6 @@ class ExpPoly(SparseAlgebra):
                 phase = r + sum(f * x for f, x in zip(freq, point))
                 values.append((phase, coeff * mono))
         return CharSum._make(None, self.sigma, collect(values))
-
-    def evaluate_floats(self, point) -> tuple[float, float]:
-        return self.evaluate(point).to_floats()
 
     # -- rendering ----------------------------------------------------------------------
 
@@ -554,19 +615,21 @@ class Ultradistribution(SparseMap):
         exponents = nonnegative(exponents, "monomial exponents must be nonnegative")
         if len(exponents) != self.dim:
             raise DimensionMismatchError("exponent vector length must match dim")
-        out = []
+        acc = {}
         for (loc, order, r), w in self._terms.items():
-            ranges = [range(min(n, m) + 1) for n, m in zip(exponents, order)]
-            for kappa in iter_product(*ranges):
-                scalar = math.prod(
-                    math.comb(m, j) * math.perm(n, j) * x0 ** (n - j)
-                    for n, m, j, x0 in zip(exponents, order, kappa, loc)
-                )
-                if scalar:
-                    new_order = tuple(m - j for m, j in zip(order, kappa))
-                    sign = -1 if sum(kappa) % 2 else 1
-                    out.append(((loc, new_order, r), w * (sign * scalar)))
-        return self._new(collect(out))
+            # per axis the nonzero (m - kappa, binom(m, kappa) n!/(n-kappa)! x0^(n-kappa), kappa)
+            per_axis = [
+                [(m - j, math.comb(m, j) * math.perm(n, j) * x0 ** (n - j), j)
+                 for j in range(min(n, m) + 1) if x0 or j == n]
+                for n, m, x0 in zip(exponents, order, loc)
+            ]
+            for choice in iter_product(*per_axis):
+                new_order, scalars, kappa = zip(*choice)
+                scalar = math.prod(scalars)
+                if sum(kappa) % 2:
+                    scalar = -scalar
+                _add_parts(acc, (loc, new_order, r), scalar * w.re, scalar * w.im)
+        return self._new(_from_parts(acc, self.sigma))
 
     def pair(self, f: ExpPoly) -> CharSum:
         """Exact pairing with a test function: ``(delta^(n)_x0, f) = (-1)^|n| (d^n f)(x0)``."""
@@ -596,12 +659,16 @@ class Ultradistribution(SparseMap):
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         _check_sigma(self, other)
-        atoms = collect(
-            ((l1 + l2, o1 + o2, r1 + r2), w1 * w2)
-            for (l1, o1, r1), w1 in self._terms.items()
-            for (l2, o2, r2), w2 in other._terms.items()
-        )
-        return Ultradistribution._make(self.dim + other.dim, self.sigma, atoms)
+        sigma = self.sigma
+        s = sigma.value
+        acc = {}
+        for (l1, o1, r1), w1 in self._terms.items():
+            x1, y1 = w1.re, w1.im
+            for (l2, o2, r2), w2 in other._terms.items():
+                x2, y2 = w2.re, w2.im
+                _add_parts(acc, (l1 + l2, o1 + o2, r1 + r2),
+                           x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
+        return Ultradistribution._make(self.dim + other.dim, sigma, _from_parts(acc, sigma))
 
     # -- rendering / serialization -----------------------------------------------------
 
@@ -702,24 +769,30 @@ def _twist(distribution: Ultradistribution, h: Fraction, k: int) -> Ultradistrib
     twist's value at a rational location is a character, a shift of ``r``.
     """
     sigma = distribution.sigma
-    out = []
+    s = sigma.value
+    acc = {}
     for (loc, order, r), w in distribution._terms.items():
         xs, ys = loc[k : 2 * k], loc[2 * k : 3 * k]
         per_pair = [
-            _pair_factors(*pair, h, sigma)
+            _pair_factors(*pair, h, s)
             for pair in zip(xs, ys, order[k : 2 * k], order[2 * k : 3 * k])
         ]
         phase = r + h * sum(map(mul, xs, ys))
         for choice in iter_product(*per_pair):
-            q1_orders, p2_orders, factors = zip(*choice)
+            re, im = w.re, w.im
+            for _, _, x, y in choice:
+                re, im = re * x + s * im * y, re * y + im * x
+            q1_orders = tuple(a for a, _, _, _ in choice)
+            p2_orders = tuple(b for _, b, _, _ in choice)
             new_order = order[:k] + q1_orders + p2_orders + order[3 * k :]
-            out.append(((loc, new_order, phase), math.prod(factors, start=w)))
-    return distribution._new(collect(out))
+            _add_parts(acc, (loc, new_order, phase), re, im)
+    return distribution._new(_from_parts(acc, sigma))
 
 
-def _pair_factors(x, y, a, b, h, sigma) -> list:
-    """The nonzero terms ``(a - s, b - t, factor)`` that ``exp(c*x*y)``, ``c = u*h``,
-    makes of ``delta^((a, b))`` at ``(x, y)``, with its character left out.
+def _pair_factors(x, y, a, b, h, sigma: int) -> list:
+    """The nonzero terms ``(a - s, b - t, re, im)`` that ``exp(c*x*y)``, ``c = u*h``,
+    makes of ``delta^((a, b))`` at ``(x, y)``, with its character left out;
+    the factor is ``re + u*im`` in the ring where ``u*u = sigma``.
 
     ``factor = (-1)^(s+t) binom(a, s) binom(b, t) sum_{j <= min(s, t)}
     binom(s, j) binom(t, j) j! c^(s+t-j) x^(t-j) y^(s-j)``, the closed form of
@@ -737,22 +810,23 @@ def _pair_factors(x, y, a, b, h, sigma) -> list:
                 n = s + t - j
                 parts[n % 2] += (
                     math.comb(s, j) * math.comb(t, j) * math.factorial(j)
-                    * sigma.value ** (n // 2) * h**n * x ** (t - j) * y ** (s - j)
+                    * sigma ** (n // 2) * h**n * x ** (t - j) * y ** (s - j)
                 )
             if any(parts):
                 scale = (-1) ** (s + t) * math.comb(a, s) * math.comb(b, t)
-                out.append((a - s, b - t, Binarion(scale * parts[0], scale * parts[1], sigma)))
+                out.append((a - s, b - t, scale * parts[0], scale * parts[1]))
     return out
 
 
 def _pushforward_sum(distribution: Ultradistribution, k: int) -> Ultradistribution:
     """Push a ``(p1, q1, p2, q2)`` distribution forward under block addition."""
-    atoms = collect(
-        ((tuple(map(add, loc[: 2 * k], loc[2 * k :])),
-          tuple(map(add, order[: 2 * k], order[2 * k :])), r), w)
-        for (loc, order, r), w in distribution._terms.items()
-    )
-    return Ultradistribution._make(2 * k, distribution.sigma, atoms)
+    sigma = distribution.sigma
+    acc = {}
+    for (loc, order, r), w in distribution._terms.items():
+        key = (tuple(map(add, loc[: 2 * k], loc[2 * k :])),
+               tuple(map(add, order[: 2 * k], order[2 * k :])), r)
+        _add_parts(acc, key, w.re, w.im)
+    return Ultradistribution._make(2 * k, sigma, _from_parts(acc, sigma))
 
 
 def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:

@@ -10,16 +10,23 @@ equivalent routes, both exact:
   one pair of a symbol term and a wavefunction term ``w x^e exp(u<f, x>)``
   at a time: per coordinate ``d^b (x^e exp(u f x)) = sum_{j <= min(b, e)}
   C(b, j) e!/(e - j)! (u f)^(b - j) x^(e - j) exp(u f x)``, and the powers
-  of ``u`` fold into a sign and a re/im swap;
+  of ``u`` fold into a sign and a re/im swap.  The sums stay in integers:
+  symbol and wavefunction coefficients are numerators over one
+  denominator each, and each frequency vector is integers over its own
+  denominator ``F``, padded to the common power ``F^M``, ``M = max|beta|``;
 * *shift route* (any exponential-polynomial symbol): through the symbol's
   point-supported distribution, a plane-wave factor ``exp(u*<B, p>)`` in the
-  symbol becomes the argument shift ``q -> q + h*B``.
+  symbol becomes the argument shift ``q -> q + h*B``.  Atoms that share
+  their derivative order ``s`` and location ``B`` share one
+  ``(d^s phi)(q + h*B)``; the rest of each atom's action is a shift of
+  keys, a sign and a re/im swap.
 
 The two routes agree on their common domain, and
 :func:`compose_check` verifies operator composition against the star
 product -- the operator-side oracle of the symbol calculus.  The
 normal-ordered kernel therefore shares no code with the star kernels or
-with the shift route's :meth:`ExpPoly.differentiate`.  The defining
+with the shift route's closed-form :meth:`ExpPoly.differentiate_multi`,
+and the shift route uses none of the normal-ordered kernel.  The defining
 eigenrelation is ``apply(a, e) = a(q, p0) * e`` on the plane wave
 ``e = exp(u*<p0, q>/h)``.  Every route refuses a symbol whose degree
 exceeds ``degree_cap`` (``None`` means ``DEFAULT_DEGREE_CAP``, as for
@@ -61,19 +68,21 @@ def _positive_h(h) -> Fraction:
     return h
 
 
-def _derivative_terms(beta, exps, freq) -> list:
+def _derivative_terms(beta, exps, nums) -> list:
     """The terms ``(e - j, factor, sum(b - j))`` of ``d^beta (x^e exp(u<f, x>))``
-    divided by ``exp(u<f, x>)``, with the powers of ``u`` left out.
+    divided by ``exp(u<f, x>)``, with the powers of ``u`` left out and each
+    frequency ``f`` given by its integer numerator ``n = f * F``.
 
-    Per coordinate ``factor`` has ``C(b, j) e!/(e - j)! f^(b - j)`` for
+    Per coordinate ``factor`` has ``C(b, j) e!/(e - j)! n^(b - j)`` for
     ``j <= min(b, e)``; at ``f = 0`` only ``j = b`` survives, and none when
-    ``b > e``.  Coordinates multiply.
+    ``b > e``.  Coordinates multiply, so ``factor`` is ``F^sum(b - j)``
+    times the exact one.
     """
     per_coordinate = []
-    for b, e, f in zip(beta, exps, freq):
-        if f:
+    for b, e, n in zip(beta, exps, nums):
+        if n:
             choices = [
-                (e - j, math.comb(b, j) * math.perm(e, j) * f ** (b - j), b - j)
+                (e - j, math.comb(b, j) * math.perm(e, j) * n ** (b - j), b - j)
                 for j in range(min(b, e) + 1)
             ]
         elif b <= e:
@@ -84,9 +93,18 @@ def _derivative_terms(beta, exps, freq) -> list:
     return [
         (tuple(e for e, _, _ in choice),
          math.prod(c for _, c, _ in choice),
-         sum(n for _, _, n in choice))
+         sum(m for _, _, m in choice))
         for choice in iter_product(*per_coordinate)
     ]
+
+
+def _common_denominator(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _numerators(values, den: int) -> tuple:
+    """``values`` (fractions whose denominators divide ``den``) times ``den``."""
+    return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 class WaveFunction:
@@ -179,11 +197,6 @@ class WaveFunction:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def times_q(self, index: int = 0) -> "WaveFunction":
-        return WaveFunction(
-            self.func * ExpPoly.coordinate(index, self.dof, self.sigma), self.h
-        )
 
     def differentiate(self, index: int = 0) -> "WaveFunction":
         return WaveFunction(self.func.differentiate(index), self.h)
@@ -279,6 +292,13 @@ class Operator:
         e!/(e - j)! (u f)^(b - j) x^(e - j) exp(u f x)``; at ``f = 0`` only
         ``j = b`` survives.  The ``|beta| + sum(b - j)`` factors of ``u`` are
         ``sigma^(n//2) u^(n%2)``: a sign, and a re/im swap when ``n`` is odd.
+
+        The sums are kept in integers.  The symbol coefficients are
+        numerators over one denominator ``D_s``, the wavefunction's over
+        ``D_w``, and each frequency vector is integers over its lcm ``F``;
+        ``f^(b - j)`` is padded by ``F^(M - m)``, ``M = max|beta|`` and
+        ``m = sum(b - j)``, so every term of one output key (which holds
+        ``f``) lies over ``D_s D_w F^M``, divided out once per key.
         """
         if not isinstance(self.symbol, PolySymbol):
             raise TypeError("normal-ordered route needs a polynomial symbol")
@@ -295,24 +315,38 @@ class Operator:
             entry = by_beta.setdefault(beta, {}).setdefault(alpha, [0, 0])
             entry[0] += c * v.re
             entry[1] += c * v.im
+        d_s = _common_denominator(
+            v for by_alpha in by_beta.values() for parts in by_alpha.values() for v in parts
+        )
         groups = [
             (beta, sum(beta),
-             [(alpha, re, im) for alpha, (re, im) in by_alpha.items() if re or im])
+             [(alpha, *_numerators((re, im), d_s))
+              for alpha, (re, im) in by_alpha.items() if re or im])
             for beta, by_alpha in by_beta.items()
         ]
+        big_m = max((order for _, order, _ in groups), default=0)
+        terms = phi.func._terms
+        d_w = _common_denominator(v for w in terms.values() for v in (w.re, w.im))
+        den = {}  # freq -> D_s D_w F^M
         acc = {}
-        for (freq, exps, r), w in phi.func._terms.items():
+        for (freq, exps, r), w in terms.items():
+            f_den = _common_denominator(freq)
+            nums = _numerators(freq, f_den)
+            pads = [f_den ** (big_m - m) for m in range(big_m + 1)]
+            den[freq] = d_s * d_w * f_den**big_m
+            w_re, w_im = _numerators((w.re, w.im), d_w)
             for beta, order, coeffs in groups:
                 derivatives = []
-                for lowered, c, n in _derivative_terms(beta, exps, freq):
-                    n += order
+                for lowered, c, m in _derivative_terms(beta, exps, nums):
+                    n = order + m
+                    c *= pads[m]
                     if s < 0 and (n // 2) % 2:
                         c = -c
                     derivatives.append((lowered, c, n % 2))
                 for alpha, re, im in coeffs:
                     # (re + u*im) * w; a factor u maps x + u*y to s*y + u*x
-                    x = re * w.re + s * im * w.im
-                    y = re * w.im + im * w.re
+                    x = re * w_re + s * im * w_im
+                    y = re * w_im + im * w_re
                     for lowered, c, odd in derivatives:
                         key = (freq, tuple(map(add, lowered, alpha)), r)
                         dx, dy = (c * s * y, c * x) if odd else (c * x, c * y)
@@ -323,16 +357,22 @@ class Operator:
                             entry[0] += dx
                             entry[1] += dy
         out = ExpPoly._make(self.dof, sigma, {
-            key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im
+            key: Binarion(Fraction(re, den[key[0]]), Fraction(im, den[key[0]]), sigma)
+            for key, (re, im) in acc.items() if re or im
         })
         return WaveFunction(out, h)
 
     def apply_shift_form(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Route through the symbol's distribution.
 
-        For the atom ``w * delta^((r, s))`` at ``(A, B)`` the action is
-        ``w * (-1)^(|r|+|s|) * u^|r| * h^|s| * q^r * exp(u*<A, q>)
-        * (d^s phi)(q + h*B)``.  ``degree_cap`` as for :meth:`apply`.
+        For the atom ``w * exp(u*rho) * delta^((r, s))`` at ``(A, B)`` the
+        action is ``w * (-1)^(|r|+|s|) * u^|r| * h^|s| * q^r * exp(u*<A, q>)
+        * exp(u*rho) * (d^s phi)(q + h*B)``.  Atoms are grouped by ``(s, B)``,
+        so ``(d^s phi)(q + h*B)`` is formed once per group; per atom the
+        scalar is folded into ``re + u*im`` (``u^|r| = sigma^(|r|//2)
+        u^(|r|%2)``, a sign and a re/im swap), and ``q^r``, ``exp(u*<A, q>)``
+        and ``exp(u*rho)`` add ``r``, ``A`` and ``rho`` to the keys of each
+        term.  ``degree_cap`` as for :meth:`apply`.
         """
         self._check_cap(degree_cap)
         self._check(phi)
@@ -341,27 +381,46 @@ class Operator:
             sym = ExpPoly.from_poly_symbol(sym, self.h)
         k = self.dof
         sigma = self.sigma
-        u = Binarion.unit(sigma)
-        distribution = inverse_fourier_symbol(sym)
-        out = ExpPoly.zero(k, sigma)
-        for loc, order, w in distribution.atoms():
+        s = sigma.value
+        h = self.h
+        groups = {}
+        for (loc, order, rho), w in inverse_fourier_symbol(sym)._terms.items():
+            r, t = order[:k], order[k:]
+            n, order_t = sum(r), sum(t)
+            c = h**order_t * s ** (n // 2)
+            if (n + order_t) % 2:
+                c = -c
+            re, im = c * w.re, c * w.im
+            if n % 2:  # a factor u maps x + u*y to s*y + u*x
+                re, im = s * im, re
             a_vec = loc[:k]
-            b_vec = loc[k:]
-            r = order[:k]
-            s = order[k:]
-            part = phi.func.differentiate_multi(s)
-            part = part.shift(tuple(self.h * b for b in b_vec))
-            scalar = w * (u ** sum(r)) * (self.h ** sum(s))
-            if sum(order) % 2:
-                scalar = -scalar
-            part = part * ExpPoly(k, sigma, {((Fraction(0),) * k, (0,) * k): scalar})
-            for i, e in enumerate(r):
-                if e:
-                    part = part * ExpPoly.coordinate(i, k, sigma) ** e
-            if any(a != 0 for a in a_vec):
-                part = part * ExpPoly.character(a_vec, sigma)
-            out = out + part
-        return WaveFunction(out, self.h)
+            groups.setdefault((t, loc[k:]), []).append(
+                (a_vec if any(a_vec) else None, r if n else None, rho, re, im)
+            )
+        acc = {}
+        for (t, b_vec), atoms in groups.items():
+            part = phi.func.differentiate_multi(t)
+            if any(b_vec):
+                part = part.shift(tuple(h * b for b in b_vec))
+            for (freq, exps, phase), c in part._terms.items():
+                for a_vec, r, rho, re, im in atoms:
+                    key = (
+                        freq if a_vec is None else tuple(map(add, freq, a_vec)),
+                        exps if r is None else tuple(map(add, exps, r)),
+                        phase + rho,
+                    )
+                    x = c.re * re + s * c.im * im
+                    y = c.re * im + c.im * re
+                    entry = acc.get(key)
+                    if entry is None:
+                        acc[key] = [x, y]
+                    else:
+                        entry[0] += x
+                        entry[1] += y
+        out = ExpPoly._make(k, sigma, {
+            key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im
+        })
+        return WaveFunction(out, h)
 
     # -- serialization -------------------------------------------------------------
 

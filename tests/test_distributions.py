@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_sparse import _assert_clean
 
 from hypermoyal import (
     Binarion,
@@ -12,6 +13,7 @@ from hypermoyal import (
     DegreeCapError,
     DimensionMismatchError,
     ExpPoly,
+    HPoly,
     PolySymbol,
     Sigma,
     Ultradistribution,
@@ -484,3 +486,122 @@ def test_shift_composition_and_leibniz():
             assert lhs == rhs
         # shifts commute with products
         assert (f * g).shift(a) == f.shift(a) * g.shift(a)
+
+
+# -- closed-form differentiation and the polynomial embedding ---------------------------
+
+
+def _iterated_differentiate(f, order):
+    """``d^order f`` one single derivative at a time, kept as the oracle of
+    the closed-form ``ExpPoly.differentiate_multi``."""
+    for index, n in enumerate(order):
+        for _ in range(n):
+            f = f.differentiate(index)
+    return f
+
+
+def _mixed_exp_poly(rng, dim, sigma):
+    """Terms ``c x^e exp(u<f, x>)`` with each frequency entry zero half of the
+    time and coefficients that carry characters ``exp(u*r)``, ``r != 0``."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        freq = tuple(rng.choice((Fraction(0), _nonzero_fraction(rng))) for _ in range(dim))
+        exps = tuple(rng.randint(0, 3) for _ in range(dim))
+        chars = {Fraction(rng.randint(-2, 2), 2): _random_binarion(rng, sigma)
+                 for _ in range(rng.randint(1, 2))}
+        terms[(freq, exps)] = CharSum(chars, sigma)
+    return ExpPoly(dim, sigma, terms)
+
+
+def test_differentiate_multi_matches_iterated_oracle():
+    rng = random.Random(53)
+    for sigma in SIGMAS:
+        for dim in (1, 2, 3, 4):
+            light_cone = Binarion(1, 1, sigma)
+            x = ExpPoly.coordinate(0, dim, sigma)
+            fixed = [
+                # (1+j)*(1-j) = 0 under the unit swap: hyperbolic terms cancel
+                (ExpPoly.character((Fraction(1, 2),) * dim, sigma, light_cone) * x**2,
+                 (3,) + (0,) * (dim - 1)),
+                # x^2 at frequency zero dies at the third derivative
+                (x**2, (3,) + (1,) * (dim - 1)),
+                (ExpPoly.zero(dim, sigma), (1,) * dim),
+            ]
+            cases = fixed + [
+                (_mixed_exp_poly(rng, dim, sigma),
+                 tuple(rng.randint(0, 3) for _ in range(dim)))
+                for _ in range(10)
+            ]
+            for f, order in cases:
+                got = f.differentiate_multi(order)
+                assert got == _iterated_differentiate(f, order)
+                _assert_clean(got)
+
+
+def test_differentiate_multi_edge_cases():
+    rng = random.Random(59)
+    for sigma in SIGMAS:
+        f = _mixed_exp_poly(rng, 3, sigma)
+        # a short order leaves the remaining axes alone
+        assert f.differentiate_multi((2,)) == _iterated_differentiate(f, (2, 0, 0))
+        assert f.differentiate_multi((1, 2)) == _iterated_differentiate(f, (1, 2, 0))
+        # negative entries are no-ops, as an empty range of single steps
+        assert f.differentiate_multi((-1, 2, -3)) == _iterated_differentiate(f, (0, 2, 0))
+        # a zero order returns an equal element
+        assert f.differentiate_multi((0, 0, 0)) == f
+        assert f.differentiate_multi(()) == f
+        # entries past dim raise only when positive
+        assert f.differentiate_multi((1, 0, 0, 0, -2)) == f.differentiate(0)
+        for order in ((0, 0, 0, 1), (1, 1, 1, 0, 2)):
+            with pytest.raises(IndexError, match="out of range for dim 3"):
+                f.differentiate_multi(order)
+
+
+def _embed_via_terms(symbol, h=None):
+    """The regrouping embedding, kept as the oracle of ``ExpPoly.from_poly_symbol``."""
+    dim = 2 * symbol.dof
+    terms = {}
+    for alpha, beta, coeff in symbol.terms():
+        if h is None and coeff.degree() > 0:
+            raise ValueError("symbol carries formal h; pass a numeric h")
+        value = coeff.constant_term if h is None else coeff.substitute(h)
+        terms[((0,) * dim, alpha + beta)] = value
+    return ExpPoly(dim, symbol.sigma, terms)
+
+
+def test_from_poly_symbol_matches_terms_rebuild():
+    rng = random.Random(61)
+    for sigma in SIGMAS:
+        for k in (1, 2, 3):
+            mono = ((1,) + (0,) * (k - 1), (0,) * k)
+            h = Fraction(1, 2)
+            # (2 - u) + (-4 + 2u)*h vanishes at h = 1/2; (1 + u)*h^2 does not
+            cancels = PolySymbol(k, sigma, {
+                mono: HPoly({0: Binarion(2, -1, sigma), 1: Binarion(-4, 2, sigma)}, sigma),
+                ((0,) * k, (0,) * k): HPoly({2: Binarion(1, 1, sigma)}, sigma),
+            })
+            embedded = ExpPoly.from_poly_symbol(cancels, h)
+            assert embedded == _embed_via_terms(cancels, h)
+            assert embedded == ExpPoly.constant(Binarion(1, 1, sigma) * h**2, 2 * k, sigma)
+            zero = PolySymbol.zero(k, sigma)
+            cases = [(cancels, h), (zero, h), (zero, None)]
+            for _ in range(8):
+                symbol = _random_symbol(rng, k, sigma)
+                cases.append((symbol, None))
+                hbar = HPoly({d: _random_binarion(rng, sigma) for d in range(rng.randint(1, 3))},
+                             sigma)
+                cases.append((symbol.scale_hpoly(hbar), Fraction(rng.randint(1, 4), 3)))
+            for symbol, value in cases:
+                got = ExpPoly.from_poly_symbol(symbol, value)
+                assert got == _embed_via_terms(symbol, value)
+                _assert_clean(got)
+
+
+def test_from_poly_symbol_rejects_formal_h():
+    for sigma in SIGMAS:
+        symbol = PolySymbol.monomial((1,), (1,), 1, sigma, h_degree=1)
+        with pytest.raises(ValueError, match="symbol carries formal h; pass a numeric h"):
+            ExpPoly.from_poly_symbol(symbol)
+        with pytest.raises(ValueError, match="symbol carries formal h; pass a numeric h"):
+            _embed_via_terms(symbol)
+        assert ExpPoly.from_poly_symbol(symbol, 2) == ExpPoly.monomial((1, 1), 2, sigma)

@@ -8,6 +8,7 @@ from test_sparse import _assert_clean
 
 from hypermoyal import (
     Binarion,
+    CharSum,
     DegreeCapError,
     DimensionMismatchError,
     ExpPoly,
@@ -21,6 +22,7 @@ from hypermoyal import (
     compose_check,
     moyal_bracket,
     plane_wave_eigenvalue,
+    inverse_fourier_symbol,
     star,
 )
 
@@ -96,6 +98,43 @@ def _iterated_apply(op: Operator, phi: WaveFunction) -> WaveFunction:
             if a:
                 part = part * ExpPoly.coordinate(i, k, sigma) ** a
         out = out + part * ExpPoly.constant(value, k, sigma)
+    return WaveFunction(out, op.h)
+
+
+def _per_atom_shift_apply(op: Operator, phi: WaveFunction) -> WaveFunction:
+    """The shift-route action summed one atom at a time, kept as the oracle of
+    ``Operator.apply_shift_form``.
+
+    For the atom ``w * delta^((r, s))`` at ``(A, B)``: ``s`` single
+    derivatives of ``phi``, the shift by ``h*B``, then ``w * (-1)^(|r|+|s|) *
+    u^|r| * h^|s|``, ``q^r`` and ``exp(u*<A, q>)`` as exp-poly products;
+    independent of the grouped kernel that ``apply_shift_form`` uses.
+    """
+    sym = op.symbol
+    if isinstance(sym, PolySymbol):
+        sym = ExpPoly.from_poly_symbol(sym, op.h)
+    k = op.dof
+    sigma = op.sigma
+    u = Binarion.unit(sigma)
+    out = ExpPoly.zero(k, sigma)
+    for loc, order, w in inverse_fourier_symbol(sym).atoms():
+        a_vec, b_vec = loc[:k], loc[k:]
+        r, s = order[:k], order[k:]
+        part = phi.func
+        for i, n in enumerate(s):
+            for _ in range(n):
+                part = part.differentiate(i)
+        part = part.shift(tuple(op.h * b for b in b_vec))
+        scalar = w * (u ** sum(r)) * (op.h ** sum(s))
+        if sum(order) % 2:
+            scalar = -scalar
+        part = part * ExpPoly(k, sigma, {((Fraction(0),) * k, (0,) * k): scalar})
+        for i, e in enumerate(r):
+            if e:
+                part = part * ExpPoly.coordinate(i, k, sigma) ** e
+        if any(a != 0 for a in a_vec):
+            part = part * ExpPoly.character(a_vec, sigma)
+        out = out + part
     return WaveFunction(out, op.h)
 
 
@@ -330,6 +369,50 @@ def test_apply_normal_ordered_matches_iterated_oracle():
                 op = Operator(symbol, h)
                 got = op.apply_normal_ordered(phi)
                 assert got == _iterated_apply(op, phi)
+                _assert_clean(got.func)
+
+
+def _exp_symbol(rng, k, sigma):
+    """A phase-space ``ExpPoly`` whose terms ``c q^r p^s exp(u(<A, q> + <B, p>))``
+    have each of ``A`` and ``B`` zero or not at random and coefficients with
+    characters ``exp(u*rho)``, ``rho != 0``; repeated ``(s, B)`` pairs put
+    several atoms in one group of the shift route."""
+    terms = {}
+    b_choices = [(Fraction(0),) * k, tuple(_random_fraction(rng) for _ in range(k))]
+    for _ in range(rng.randint(1, 4)):
+        a_vec = rng.choice(((Fraction(0),) * k, tuple(_random_fraction(rng) for _ in range(k))))
+        freq = a_vec + rng.choice(b_choices)
+        exps = tuple(rng.randint(0, 2) for _ in range(2 * k))
+        chars = {Fraction(rng.randint(-2, 2), 2): Binarion(_random_fraction(rng),
+                                                           _random_fraction(rng), sigma)
+                 for _ in range(rng.randint(1, 2))}
+        terms[(freq, exps)] = CharSum(chars, sigma)
+    return ExpPoly(2 * k, sigma, terms)
+
+
+def test_apply_shift_form_matches_per_atom_oracle():
+    rng = random.Random(37)
+    for sigma in SIGMAS:
+        for k in (1, 2, 3):
+            h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            a_b = ExpPoly.character((Fraction(1),) * k + (Fraction(-1, 2),) * k, sigma,
+                                    CharSum.character(Fraction(1, 2), sigma, Binarion(1, 1, sigma)))
+            qp = ExpPoly.monomial((1,) * (2 * k), 1, sigma)
+            q_squared = ExpPoly.coordinate(0, k, sigma) ** 2
+            fixed = [
+                # weights (1+j)*(1-j) = 0: every hyperbolic product vanishes
+                (a_b * qp, WaveFunction(q_squared * Binarion(1, -1, sigma), h)),
+                (_exp_symbol(rng, k, sigma), WaveFunction.zero(k, h, sigma)),
+                (_h_symbol(rng, k, sigma), _mixed_wavefunction(rng, k, sigma, h)),
+            ]
+            cases = fixed + [
+                (_exp_symbol(rng, k, sigma), _mixed_wavefunction(rng, k, sigma, h))
+                for _ in range(6)
+            ]
+            for symbol, phi in cases:
+                op = Operator(symbol, h)
+                got = op.apply_shift_form(phi)
+                assert got == _per_atom_shift_apply(op, phi)
                 _assert_clean(got.func)
 
 
