@@ -14,14 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import interference as intf
-from .distributions import Ultradistribution
 from .errors import HypermoyalError, ValidationError, json_field
-from .grassmann import annihilator_witness, parity, supercommutator
-from .operators import Operator, WaveFunction
-from .parsing import parse_grassmann, parse_symbol
+from .parsing import parse_symbol
 from .scalars import Sigma, _json_fraction, as_sigma
-from .selftest import run_selftest
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
 
 
@@ -138,6 +133,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
+    from .distributions import Ultradistribution
+
     data = _read_json(args.input)
     distribution = Ultradistribution.from_json_dict(data)
     image = distribution.fourier()
@@ -154,6 +151,8 @@ def _load(role: str, path: str, build):
 
 
 def _operator_from_json(op_data) -> Operator:
+    from .operators import Operator
+
     if isinstance(op_data, dict) and isinstance(op_data.get("symbol"), str):
         sigma = json_field(op_data, "sigma", as_sigma)
         symbol = parse_symbol(op_data["symbol"], sigma)
@@ -162,6 +161,8 @@ def _operator_from_json(op_data) -> Operator:
 
 
 def _cmd_apply(args) -> int:
+    from .operators import WaveFunction
+
     operator = _load("operator", args.operator, _operator_from_json)
     phi = _load("wavefunction", args.wavefunction, WaveFunction.from_json_dict)
     result = operator.apply(phi)
@@ -173,6 +174,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_interfere(args) -> int:
+    from . import interference as intf
+
     rows = intf.contexts_from_csv(args.csv)
     report_rows = []
     for row_number, ctx in rows:
@@ -215,6 +218,9 @@ def _cmd_interfere(args) -> int:
 
 
 def _cmd_super(args) -> int:
+    from .grassmann import annihilator_witness, supercommutator
+    from .parsing import parse_grassmann
+
     sigma = as_sigma(args.sigma)
     if args.witness is not None:
         n = args.witness
@@ -247,8 +253,8 @@ def _cmd_super(args) -> int:
     payload = {
         "a": str(a),
         "b": str(b),
-        "parity_a": str(parity(a)),
-        "parity_b": str(parity(b)),
+        "parity_a": str(a.parity()),
+        "parity_b": str(b.parity()),
         "product": str(product),
         "supercommutator": str(scomm),
     }
@@ -258,8 +264,8 @@ def _cmd_super(args) -> int:
         _emit(
             "\n".join(
                 [
-                    f"a = {a}  (parity {parity(a)})",
-                    f"b = {b}  (parity {parity(b)})",
+                    f"a = {a}  (parity {a.parity()})",
+                    f"b = {b}  (parity {b.parity()})",
                     f"a*b = {product}",
                     f"supercommutator = {scomm}",
                 ]
@@ -271,6 +277,8 @@ def _cmd_super(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     report = run_selftest(seed=args.seed, fast=args.fast)
     if args.format == "text":
         lines = []
@@ -394,10 +402,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except HypermoyalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (HypermoyalError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

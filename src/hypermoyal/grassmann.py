@@ -55,6 +55,16 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
+def _generator_numbers(mask: int) -> list:
+    """The 1-based numbers of the generators in ``mask``, ascending."""
+    numbers = []
+    while mask:
+        low = mask & -mask
+        numbers.append(low.bit_length())
+        mask ^= low
+    return numbers
+
+
 class GrassmannElement(SparseAlgebra):
     """Element of the Grassmann algebra on ``n`` generators over binarions."""
 
@@ -70,7 +80,7 @@ class GrassmannElement(SparseAlgebra):
         pairs = []
         for mask, coeff in (terms or {}).items():
             mask = int(mask)
-            if mask < 0 or mask >= (1 << self.n):
+            if mask < 0 or mask.bit_length() > self.n:
                 raise DimensionMismatchError(
                     f"monomial {mask:#b} uses generators beyond n={self.n}"
                 )
@@ -143,9 +153,7 @@ class GrassmannElement(SparseAlgebra):
             return "0"
         parts = []
         for mask, coeff in self.terms():
-            gens = "".join(
-                f"θ{i + 1}" for i in range(self.n) if mask & (1 << i)
-            )
+            gens = "".join(f"θ{i}" for i in _generator_numbers(mask))
             if not gens:
                 parts.append(f"({coeff})" if not coeff.is_real() else str(coeff))
             elif coeff == 1:
@@ -164,7 +172,7 @@ class GrassmannElement(SparseAlgebra):
             "sigma": self.sigma.value,
             "terms": [
                 {
-                    "gens": [i + 1 for i in range(self.n) if mask & (1 << i)],
+                    "gens": _generator_numbers(mask),
                     "re": str(c.re),
                     "im": str(c.im),
                 }

@@ -140,10 +140,6 @@ class WaveFunction:
     def zero(cls, dof: int, h, sigma: Sigma) -> "WaveFunction":
         return cls(ExpPoly.zero(dof, sigma), h)
 
-    @classmethod
-    def constant(cls, value, dof: int, h, sigma: Sigma) -> "WaveFunction":
-        return cls(ExpPoly.constant(value, dof, sigma), h)
-
     # -- queries -----------------------------------------------------------
 
     @property

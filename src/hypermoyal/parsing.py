@@ -19,7 +19,6 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .grassmann import GrassmannElement
 from .scalars import Binarion, as_sigma
 from .symbols import HPoly, PolySymbol
 
@@ -218,6 +217,8 @@ def parse_binarion(text: str, sigma) -> Binarion:
 
 def parse_grassmann(text: str, sigma, n: int = None) -> GrassmannElement:
     """Parse a Grassmann expression over generators ``t1..tn`` (or ``θ1..θn``)."""
+    from .grassmann import GrassmannElement
+
     sigma = as_sigma(sigma)
     tokens = _tokenize(text)
     count = 1

@@ -102,10 +102,6 @@ def _json_fraction(value) -> Fraction:
     return Fraction(str(value))
 
 
-def _frac_str(r: Fraction) -> str:
-    return str(r)
-
-
 class Binarion:
     """``x + u*y`` with exact rational parts and ``u*u = sigma``.
 
@@ -138,10 +134,6 @@ class Binarion:
     def unit(cls, sigma: Sigma) -> "Binarion":
         """The imaginary unit ``u`` (``j`` or ``i``) of the ring."""
         return cls(0, 1, sigma)
-
-    @classmethod
-    def real(cls, value, sigma: Sigma) -> "Binarion":
-        return cls(value, 0, sigma)
 
     # -- basic queries -------------------------------------------------
 
@@ -303,11 +295,11 @@ class Binarion:
     def __str__(self) -> str:
         u = self.sigma.unit_symbol
         if self.im == 0:
-            return _frac_str(self.re)
+            return str(self.re)
         if self.re == 0:
-            return f"{_frac_str(self.im)}{u}"
+            return f"{self.im}{u}"
         sign = "-" if self.im < 0 else "+"
-        return f"{_frac_str(self.re)} {sign} {_frac_str(abs(self.im))}{u}"
+        return f"{self.re} {sign} {abs(self.im)}{u}"
 
     __repr__ = __str__
 

@@ -143,9 +143,6 @@ class HPoly(SparseAlgebra):
             total = total + v * (h**d)
         return total
 
-    def constant_part(self) -> "HPoly":
-        return self._new({d: v for d, v in self._terms.items() if d == 0})
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -344,11 +341,28 @@ class PolySymbol(SparseAlgebra):
         return total
 
     def substitute_h(self, h) -> "PolySymbol":
-        """Replace the formal ``h`` by a numeric rational value."""
+        """Replace the formal ``h`` by a numeric rational value.
+
+        One pass over the flat map: ``h^d`` is computed once per degree, and
+        the real and imaginary parts of each monomial are summed separately.
+        """
         h = _as_fraction(h)
-        return self._new(collect(
-            ((alpha, beta, 0), v * h**d) for (alpha, beta, d), v in self._terms.items()
-        ))
+        powers = {}
+        acc = {}
+        for (alpha, beta, d), v in self._terms.items():
+            hd = powers.get(d)
+            if hd is None:
+                hd = powers[d] = h**d
+            key = (alpha, beta, 0)
+            entry = acc.get(key)
+            if entry is None:
+                acc[key] = [v.re * hd, v.im * hd]
+            else:
+                entry[0] += v.re * hd
+                entry[1] += v.im * hd
+        return self._new({
+            key: Binarion(re, im, self.sigma) for key, (re, im) in acc.items() if re or im
+        })
 
     def h_constant_part(self) -> "PolySymbol":
         """The ``h``-degree-0 part; this is the classical limit h -> 0."""

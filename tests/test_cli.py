@@ -2,10 +2,14 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hypermoyal
 from hypermoyal import Binarion, ExpPoly, Sigma, Ultradistribution, WaveFunction
 from hypermoyal.cli import main
 from hypermoyal.grassmann import MAX_WITNESS_GENERATORS
@@ -275,6 +279,27 @@ def test_interfere_malformed_probability(tmp_path, capsys):
     assert "row 1" in err
 
 
+@pytest.mark.parametrize(
+    "command, inputs, bad",
+    [
+        ("fourier", [ATOMS], 0),
+        ("interfere", [CSV_ROWS], 0),
+        ("apply", [OPERATOR, WAVE], 0),
+        ("apply", [OPERATOR, WAVE], 1),
+    ],
+)
+def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, inputs, bad):
+    paths = []
+    for i, data in enumerate(inputs):
+        text = data if isinstance(data, str) else json.dumps(data)
+        path = tmp_path / f"input{i}"
+        path.write_bytes((b"\xff" if i == bad else b"") + text.encode("utf-8"))
+        paths.append(str(path))
+    code, out, err = run(capsys, command, *paths)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 # -- super ----------------------------------------------------------------------------
 
 
@@ -317,6 +342,17 @@ def test_super_expression_with_leading_minus_follows_double_dash(capsys):
     code, out, _ = run(capsys, "super", "--", "-t1", "t2")
     assert code == 0
     assert "a*b = -θ1θ2" in out
+
+
+def test_super_work_does_not_grow_with_generator_count():
+    """Mask checks and rendering visit a term's own generators, not all ``n``."""
+    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "hypermoyal.cli", "super", "t1", "t2", "--gens", "100000000"],
+        capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0
+    assert "a*b = θ1θ2\n" in result.stdout
 
 
 def test_super_needs_arguments(capsys):

@@ -7,6 +7,7 @@ from itertools import product as iter_product
 
 import pytest
 import sympy as sp
+from test_sparse import _assert_clean
 
 from hypermoyal import (
     Binarion,
@@ -491,6 +492,36 @@ def test_evaluate_is_ring_homomorphism():
             h = Fraction(rng.randint(0, 5), 2)
             assert (a * b).evaluate(point, h) == a.evaluate(point, h) * b.evaluate(point, h)
             assert (a + b).evaluate(point, h) == a.evaluate(point, h) + b.evaluate(point, h)
+
+
+def _substitute_via_terms(symbol, h):
+    """The regrouping substitution, kept as the oracle of ``PolySymbol.substitute_h``."""
+    return PolySymbol(symbol.dof, symbol.sigma, {
+        (alpha, beta): coeff.substitute(h) for alpha, beta, coeff in symbol.terms()
+    })
+
+
+def test_substitute_h_matches_terms_rebuild():
+    rng = random.Random(83)
+    for sigma in SIGMAS:
+        for k in (1, 2, 3):
+            mono = ((1,) + (0,) * (k - 1), (0,) * k)
+            h = Fraction(1, 2)
+            # (2 - u) + (-4 + 2u)*h vanishes at h = 1/2; (1 + u)*h^2 does not
+            cancels = PolySymbol(k, sigma, {
+                mono: HPoly({0: Binarion(2, -1, sigma), 1: Binarion(-4, 2, sigma)}, sigma),
+                ((0,) * k, (0,) * k): HPoly({2: Binarion(1, 1, sigma)}, sigma),
+            })
+            assert cancels.substitute_h(h) == PolySymbol.constant(
+                Binarion(1, 1, sigma) * h**2, k, sigma
+            )
+            cases = [(cancels, h), (PolySymbol.zero(k, sigma), h)]
+            for _ in range(8):
+                cases.append((_h_symbol(rng, k, sigma, 4), Fraction(rng.randint(0, 4), 3)))
+            for symbol, value in cases:
+                got = symbol.substitute_h(value)
+                assert got == _substitute_via_terms(symbol, value)
+                _assert_clean(got)
 
 
 def test_differentiate_example():
