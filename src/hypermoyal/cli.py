@@ -5,6 +5,11 @@ Subcommands: ``star``, ``limit``, ``fourier``, ``apply``, ``interfere``,
 configuration: canonical term ordering, floats printed with 12 significant
 digits, JSON keys sorted.  Exit status is 0 exactly when every requested
 check passed.
+
+Each subcommand handler does its work and returns its exit status with one
+zero-argument renderer per format its ``--format`` offers: a ``json``
+renderer returns the data, any other the text.  :func:`main` runs only the
+chosen renderer and writes the result to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -15,27 +20,18 @@ import sys
 from fractions import Fraction
 
 from .errors import HypermoyalError, ValidationError, json_field
-from .parsing import parse_symbol
-from .scalars import Sigma, _json_fraction, as_sigma
+from .parsing import _highest_index, parse_symbol
+from .scalars import Sigma, _json_fraction, _num_str, as_sigma
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return f"{float(value):.12g}"
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _one_or_all(entries):
+    """One signature's entry alone, several in a list."""
+    return entries if len(entries) > 1 else entries[0]
 
 
 def _sigmas(value: str):
@@ -54,11 +50,12 @@ def _read_json(path: str) -> dict:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _parse_pair(a_text: str, b_text: str, sigma: Sigma, dof):
-    """Parse two expressions over a shared number of degrees of freedom."""
-    if dof is None:
-        dof = max(parse_symbol(a_text, sigma).dof, parse_symbol(b_text, sigma).dof)
-    return parse_symbol(a_text, sigma, dof), parse_symbol(b_text, sigma, dof)
+def _parsed_pairs(args):
+    """Each requested signature with ``args.a`` and ``args.b`` parsed once,
+    over ``--dof`` or else the highest variable index either uses."""
+    dof = _highest_index("qp", args.a, args.b) if args.dof is None else args.dof
+    for sigma in _sigmas(args.sigma):
+        yield sigma, parse_symbol(args.a, sigma, dof), parse_symbol(args.b, sigma, dof)
 
 
 def _positive_h(text: str) -> Fraction:
@@ -71,83 +68,65 @@ def _positive_h(text: str) -> Fraction:
     return h
 
 
-def _cmd_star(args) -> int:
+def _cmd_star(args):
     h = None if args.h is None else _positive_h(args.h)
-    lines = []
-    payload = []
-    for sigma in _sigmas(args.sigma):
-        a, b = _parse_pair(args.a, args.b, sigma, args.dof)
+    results = []
+    for sigma, a, b in _parsed_pairs(args):
         result = star(a, b, args.degree_cap)
-        if h is not None:
-            result = result.substitute_h(h)
-        lines.append(f"sigma={sigma}: {result.to_text()}")
-        payload.append({"sigma": sigma.value, "result": result.to_text(),
-                        "terms": result.to_json_dict()["terms"]})
-    if args.format == "json":
-        _emit(_dump_json(payload if len(payload) > 1 else payload[0]), args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        results.append((sigma, result if h is None else result.substitute_h(h)))
+    return 0, {
+        "text": lambda: "".join(f"sigma={sigma}: {r.to_text()}\n" for sigma, r in results),
+        "json": lambda: _one_or_all([
+            {"sigma": sigma.value, "result": r.to_text(), "terms": r.to_json_dict()["terms"]}
+            for sigma, r in results
+        ]),
+    }
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args):
     if args.steps < 0:
         raise ValidationError(f"--steps must be >= 0, got {args.steps}")
-    all_zero = True
-    blocks = []
-    payload = []
     h_values = [Fraction(1, 2**n) for n in range(args.steps)]
-    for sigma in _sigmas(args.sigma):
-        a, b = _parse_pair(args.a, args.b, sigma, args.dof)
+    results = []
+    for sigma, a, b in _parsed_pairs(args):
         residual = scaled_bracket(a, b, args.degree_cap) - poisson_bracket(a, b)
-        constant = residual.h_constant_part()
-        ok = constant.is_zero()
-        all_zero = all_zero and ok
         point = PhasePoint((1,) * a.dof, (1,) * a.dof)
-        rows = []
-        for h in h_values:
-            value = residual.evaluate(point, h)
-            rows.append((h, value))
-        block = [f"sigma={sigma}: residual = {residual.to_text()}",
-                 f"  constant term zero: {'yes' if ok else 'NO'}"]
-        for h, value in rows:
-            re, im = value.to_floats()
-            block.append(f"  h={str(h):>8}  residual(1,..,1) = {_fmt(re)} + {_fmt(im)}u")
-        blocks.append("\n".join(block))
-        payload.append(
+        rows = [(h, *map(_num_str, residual.evaluate(point, h).to_floats())) for h in h_values]
+        results.append((sigma, residual, residual.h_constant_part().is_zero(), rows))
+
+    def text():
+        lines = []
+        for sigma, residual, ok, rows in results:
+            lines.append(f"sigma={sigma}: residual = {residual.to_text()}")
+            lines.append(f"  constant term zero: {'yes' if ok else 'NO'}")
+            lines.extend(f"  h={str(h):>8}  residual(1,..,1) = {re} + {im}u" for h, re, im in rows)
+        return "\n".join(lines) + "\n"
+
+    def data():
+        return _one_or_all([
             {
                 "sigma": sigma.value,
                 "residual": residual.to_text(),
                 "constant_term_zero": ok,
-                "values_at_ones": [
-                    {"h": str(h), "re": _fmt(v.to_floats()[0]), "im": _fmt(v.to_floats()[1])}
-                    for h, v in rows
-                ],
+                "values_at_ones": [{"h": str(h), "re": re, "im": im} for h, re, im in rows],
             }
-        )
-    if args.format == "json":
-        _emit(_dump_json(payload if len(payload) > 1 else payload[0]), args.out)
-    else:
-        _emit("\n".join(blocks) + "\n", args.out)
-    return 0 if all_zero else 1
+            for sigma, residual, ok, rows in results
+        ])
+
+    return (0 if all(ok for _, _, ok, _ in results) else 1), {"text": text, "json": data}
 
 
-def _cmd_fourier(args) -> int:
+def _cmd_fourier(args):
     from .distributions import Ultradistribution
 
-    data = _read_json(args.input)
-    distribution = Ultradistribution.from_json_dict(data)
-    image = distribution.fourier()
-    if args.format == "json":
-        _emit(_dump_json(image.to_json_dict()), args.out)
-    else:
-        _emit(image.to_text() + "\n", args.out)
-    return 0
+    image = Ultradistribution.from_json_dict(_read_json(args.input)).fourier()
+    return 0, {"text": lambda: image.to_text() + "\n", "json": image.to_json_dict}
 
 
 def _load(role: str, path: str, build):
-    """``build`` of the JSON in ``path``; an error in it is prefixed with ``role``."""
-    return json_field({role: _read_json(path)}, role, build)
+    """``build`` of the JSON in ``path``; a failure to read or build it is
+    prefixed with ``role``."""
+    return json_field({role: path}, role, lambda p: build(_read_json(p)))
 
 
 def _operator_from_json(op_data) -> Operator:
@@ -160,64 +139,43 @@ def _operator_from_json(op_data) -> Operator:
     return Operator.from_json_dict(op_data)
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args):
     from .operators import WaveFunction
 
     operator = _load("operator", args.operator, _operator_from_json)
     phi = _load("wavefunction", args.wavefunction, WaveFunction.from_json_dict)
     result = operator.apply(phi)
-    if args.format == "json":
-        _emit(_dump_json(result.to_json_dict()), args.out)
-    else:
-        _emit(result.to_text() + "\n", args.out)
-    return 0
+    return 0, {"text": lambda: result.to_text() + "\n", "json": result.to_json_dict}
 
 
-def _cmd_interfere(args) -> int:
+def _cmd_interfere(args):
     from . import interference as intf
 
-    rows = intf.contexts_from_csv(args.csv)
     report_rows = []
-    for row_number, ctx in rows:
-        report = intf.classify(ctx)
-        ranges = intf.theta_range(ctx.p_a, ctx.cond)
+    for row_number, ctx in intf.contexts_from_csv(args.csv):
         report_rows.append(
             {
                 "row": row_number,
-                "report": report.to_json_dict(),
-                "theta_range": [r.to_json_dict() for r in ranges],
+                "report": intf.classify(ctx).to_json_dict(),
+                "theta_range": [r.to_json_dict() for r in intf.theta_range(ctx.p_a, ctx.cond)],
             }
         )
-    if args.format == "csv":
-        lines = [
-            "row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual"
-        ]
+
+    def csv():
+        lines = ["row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual"]
         for entry in report_rows:
-            for j, outcome in enumerate(entry["report"]["outcomes"]):
-                bound = entry["theta_range"][j]["cosh_max"]
-                lines.append(
-                    ",".join(
-                        [
-                            str(entry["row"]),
-                            str(j + 1),
-                            outcome["observed"],
-                            outcome["classical"],
-                            outcome["d"],
-                            outcome["lambda"] if outcome["lambda"] is not None else "",
-                            outcome["regime"],
-                            outcome["theta"] if outcome["theta"] is not None else "",
-                            bound if bound is not None else "",
-                            entry["report"]["normalization_residual"],
-                        ]
-                    )
-                )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_dump_json(report_rows), args.out)
-    return 0
+            report = entry["report"]
+            for j, (o, bound) in enumerate(zip(report["outcomes"], entry["theta_range"]), 1):
+                cells = [entry["row"], j, o["observed"], o["classical"], o["d"], o["lambda"],
+                         o["regime"], o["theta"], bound["cosh_max"],
+                         report["normalization_residual"]]
+                lines.append(",".join("" if c is None else str(c) for c in cells))
+        return "\n".join(lines) + "\n"
+
+    return 0, {"json": lambda: report_rows, "csv": csv}
 
 
-def _cmd_super(args) -> int:
+def _cmd_super(args):
     from .grassmann import annihilator_witness, supercommutator
     from .parsing import parse_grassmann
 
@@ -226,80 +184,64 @@ def _cmd_super(args) -> int:
         n = args.witness
         witness = annihilator_witness(n, sigma)
         odd_count = 1 << (n - 1)
-        payload = {
-            "witness": str(witness),
-            "generators": n,
-            "odd_monomials_annihilated": odd_count,
-            "nonzero": not witness.is_zero(),
+        return 0, {
+            "text": lambda: f"witness = {witness} annihilates all {odd_count} odd basis "
+            f"monomials and is nonzero\n",
+            "json": lambda: {
+                "witness": str(witness),
+                "generators": n,
+                "odd_monomials_annihilated": odd_count,
+                "nonzero": not witness.is_zero(),
+            },
         }
-        if args.format == "json":
-            _emit(_dump_json(payload), args.out)
-        else:
-            _emit(
-                f"witness = {witness} annihilates all {odd_count} odd basis "
-                f"monomials and is nonzero\n",
-                args.out,
-            )
-        return 0
     if not (args.a and args.b):
         raise HypermoyalError("super needs two expressions or --witness N")
-    a = parse_grassmann(args.a, sigma, args.gens)
-    b = parse_grassmann(args.b, sigma, args.gens)
-    n = max(a.n, b.n)
+    n = _highest_index("tθ", args.a, args.b) if args.gens is None else args.gens
     a = parse_grassmann(args.a, sigma, n)
     b = parse_grassmann(args.b, sigma, n)
     product = a * b
     scomm = supercommutator(a, b)
-    payload = {
-        "a": str(a),
-        "b": str(b),
-        "parity_a": str(a.parity()),
-        "parity_b": str(b.parity()),
-        "product": str(product),
-        "supercommutator": str(scomm),
+    return 0, {
+        "text": lambda: (
+            f"a = {a}  (parity {a.parity()})\n"
+            f"b = {b}  (parity {b.parity()})\n"
+            f"a*b = {product}\n"
+            f"supercommutator = {scomm}\n"
+        ),
+        "json": lambda: {
+            "a": str(a),
+            "b": str(b),
+            "parity_a": str(a.parity()),
+            "parity_b": str(b.parity()),
+            "product": str(product),
+            "supercommutator": str(scomm),
+        },
     }
-    if args.format == "json":
-        _emit(_dump_json(payload), args.out)
-    else:
-        _emit(
-            "\n".join(
-                [
-                    f"a = {a}  (parity {a.parity()})",
-                    f"b = {b}  (parity {b.parity()})",
-                    f"a*b = {product}",
-                    f"supercommutator = {scomm}",
-                ]
-            )
-            + "\n",
-            args.out,
-        )
-    return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from .selftest import run_selftest
 
     report = run_selftest(seed=args.seed, fast=args.fast)
-    if args.format == "text":
-        lines = []
-        for c in report["criteria"]:
-            status = "PASS" if c["passed"] else "FAIL"
-            lines.append(
-                f"[{status}] {c['id']:>2}. {c['name']} "
-                f"({c['cases']} cases, {c['failures']} failures)"
-            )
+
+    def text():
+        lines = [
+            f"[{'PASS' if c['passed'] else 'FAIL'}] {c['id']:>2}. {c['name']} "
+            f"({c['cases']} cases, {c['failures']} failures)"
+            for c in report["criteria"]
+        ]
         lines.append("all passed" if report["all_passed"] else "FAILURES PRESENT")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_dump_json(report), args.out)
-    return 0 if report["all_passed"] else 1
+        return "\n".join(lines) + "\n"
+
+    return (0 if report["all_passed"] else 1), {"json": lambda: report, "text": text}
 
 
 # -- argument wiring --------------------------------------------------------------
 
 
-def _add_output(parser, default="text"):
-    parser.add_argument("--format", default=default, choices=["text", "json", "csv"],
+def _add_output(parser, formats=("text", "json")):
+    """``--format`` over the formats the handler renders; the first is the default."""
+    parser.add_argument("--format", default=formats[0], choices=formats,
                         help="output format")
     parser.add_argument("--out", default=None, help="write output to this path")
 
@@ -373,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interfere", help="classify observed probability tables from a CSV file"
     )
     p_intf.add_argument("csv", help="rows: P(a1), P(b1|a1), P(b1|a2), P(b1)")
-    _add_output(p_intf, default="json")
+    _add_output(p_intf, ("json", "csv"))
     p_intf.set_defaults(handler=_cmd_interfere)
 
     p_super = sub.add_parser("super", help="Grassmann product and annihilator witness",
@@ -391,17 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--fast", action="store_true",
                         help="reduced case counts for quick runs")
-    _add_output(p_self, default="json")
+    _add_output(p_self, ("json", "text"))
     p_self.set_defaults(handler=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status, renderers = args.handler(args)
+        fmt = args.format
+        rendered = renderers[fmt]()
+        text = _dump_json(rendered) if fmt == "json" else rendered
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return status
     except (HypermoyalError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

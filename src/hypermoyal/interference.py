@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidStateError, ValidationError
-from .scalars import FLOAT_TOLERANCE, Sigma, as_sigma
+from .scalars import FLOAT_TOLERANCE, Sigma, _num_str, as_sigma
 
 
 class Regime(enum.Enum):
@@ -168,14 +168,6 @@ class InterferenceReport:
             "outcomes": [o.to_json_dict() for o in self.outcomes],
             "normalization_residual": _num_str(self.normalization_residual),
         }
-
-
-def _num_str(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.12g}"
 
 
 def classify(ctx: DichotomousContext) -> InterferenceReport:

@@ -130,7 +130,7 @@ class WaveFunction:
     @classmethod
     def plane_wave(cls, momentum, h, sigma: Sigma) -> "WaveFunction":
         """``exp(u*<p0, q>/h)`` for a rational momentum vector ``p0``."""
-        h = _as_fraction(h)
+        h = _positive_h(h)
         if isinstance(momentum, (int, Fraction, str)):
             momentum = (momentum,)
         freq = tuple(_as_fraction(p) / h for p in momentum)
@@ -472,18 +472,16 @@ class ComposeCheck:
         return f"ComposeCheck(ok=False, diff={self.diff!r})"
 
 
-def compose_check(a, b, phi: WaveFunction, h=None, degree_cap: int = None) -> ComposeCheck:
+def compose_check(a, b, phi: WaveFunction, *, degree_cap: int = None) -> ComposeCheck:
     """Check ``star(a, b)`` against actual operator composition on ``phi``.
 
     ``a`` and ``b`` may be :class:`PolySymbol` (star computed with the
     formal-``h`` series) or :class:`ExpPoly` symbols (star computed along
-    the distributional route).  ``h`` defaults to the wavefunction's value.
+    the distributional route).  Both are taken at the wavefunction's ``h``.
     ``degree_cap`` bounds the star product on either route; ``None`` means
     ``DEFAULT_DEGREE_CAP``.
     """
-    h = phi.h if h is None else _as_fraction(h)
-    if h != phi.h:
-        raise ValueError("h must match the wavefunction's h")
+    h = phi.h
     if isinstance(a, PolySymbol) and isinstance(b, PolySymbol):
         composed = star(a, b, degree_cap).substitute_h(h)
         op_ab = Operator(composed, h)

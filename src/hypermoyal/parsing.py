@@ -160,12 +160,18 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
-def _scan_dof(tokens) -> int:
-    dof = 1
-    for kind, text, _ in tokens:
-        if kind == "name" and text[0] in "qp" and len(text) > 1:
-            dof = max(dof, int(text[1:]))
-    return dof
+def _highest_index(letters: str, *texts: str) -> int:
+    """The highest index on a name starting with one of ``letters`` in any of
+    ``texts``, and at least 1 (a bare ``q``/``p`` is index 1).
+
+    It sizes symbols (``"qp"``) and Grassmann elements (``"tθ"``) alike, so
+    several expressions can share one size and each be built once.
+    """
+    return max(
+        (int(name[1:]) for text in texts for kind, name, _ in _tokenize(text)
+         if kind == "name" and name[0] in letters and len(name) > 1),
+        default=1,
+    )
 
 
 def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
@@ -175,8 +181,7 @@ def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
     used (bare ``q``/``p`` count as index 1).
     """
     sigma = as_sigma(sigma)
-    tokens = _tokenize(text)
-    k = _scan_dof(tokens) if dof is None else int(dof)
+    k = _highest_index("qp", text) if dof is None else int(dof)
 
     def make_number(value: Fraction) -> PolySymbol:
         return PolySymbol.constant(value, k, sigma)
@@ -199,7 +204,7 @@ def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
             return PolySymbol.coordinate(name[0], index - 1, k, sigma)
         raise ParseError(f"unknown name {name!r} in a symbol expression", pos)
 
-    return _Parser(tokens, make_number, make_name).parse()
+    return _Parser(_tokenize(text), make_number, make_name).parse()
 
 
 def parse_binarion(text: str, sigma) -> Binarion:
@@ -220,12 +225,7 @@ def parse_grassmann(text: str, sigma, n: int = None) -> GrassmannElement:
     from .grassmann import GrassmannElement
 
     sigma = as_sigma(sigma)
-    tokens = _tokenize(text)
-    count = 1
-    for kind, t, _ in tokens:
-        if kind == "name" and t[0] in ("t", "θ"):
-            count = max(count, int(t[1:]))
-    n = count if n is None else int(n)
+    n = _highest_index("tθ", text) if n is None else int(n)
 
     def make_number(value: Fraction) -> GrassmannElement:
         return GrassmannElement.scalar(value, n, sigma)
@@ -242,4 +242,4 @@ def parse_grassmann(text: str, sigma, n: int = None) -> GrassmannElement:
             return GrassmannElement.generator(index - 1, n, sigma)
         raise ParseError(f"unknown name {name!r} in a Grassmann expression", pos)
 
-    return _Parser(tokens, make_number, make_name).parse()
+    return _Parser(_tokenize(text), make_number, make_name).parse()

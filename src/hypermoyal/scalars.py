@@ -97,6 +97,13 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _num_str(value) -> str:
+    """An exact number as itself, any other as a float to 12 significant digits."""
+    if isinstance(value, (Fraction, int)):
+        return str(value)
+    return f"{float(value):.12g}"
+
+
 def _json_fraction(value) -> Fraction:
     """A rational written in JSON as text or as a number."""
     return Fraction(str(value))

@@ -280,15 +280,18 @@ def test_interfere_malformed_probability(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, inputs, bad",
+    "command, inputs, bad, prefix",
     [
-        ("fourier", [ATOMS], 0),
-        ("interfere", [CSV_ROWS], 0),
-        ("apply", [OPERATOR, WAVE], 0),
-        ("apply", [OPERATOR, WAVE], 1),
+        ("fourier", [ATOMS], 0, ""),
+        ("interfere", [CSV_ROWS], 0, ""),
+        ("apply", [OPERATOR, WAVE], 0, "operator: "),
+        ("apply", [OPERATOR, WAVE], 1, "wavefunction: "),
+        ("apply", [OPERATOR, "{not json"], None, "wavefunction: "),
     ],
+    ids=["fourier-inputs0-0", "interfere-inputs1-0", "apply-inputs2-0", "apply-inputs3-1",
+         "apply-inputs4-not-json"],
 )
-def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, inputs, bad):
+def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, inputs, bad, prefix):
     paths = []
     for i, data in enumerate(inputs):
         text = data if isinstance(data, str) else json.dumps(data)
@@ -298,6 +301,7 @@ def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, inputs, bad
     code, out, err = run(capsys, command, *paths)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("error: " + prefix)
 
 
 # -- super ----------------------------------------------------------------------------
@@ -390,3 +394,80 @@ def test_out_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text() == "sigma=+1: q1*p1 + 1j*h\n"
+
+
+# -- formats and parsing -------------------------------------------------------------------
+
+#: each command on a small input, with the formats it renders, default first;
+#: ``{name}`` stands for an input file written from ``_INPUTS``
+OFFERED = {
+    "star": (["star", "p", "q"], ("text", "json")),
+    "limit": (["limit", "q^3", "p^3"], ("text", "json")),
+    "fourier": (["fourier", "{atoms}"], ("text", "json")),
+    "apply": (["apply", "{operator}", "{wave}"], ("text", "json")),
+    "interfere": (["interfere", "{tables}"], ("json", "csv")),
+    "super": (["super", "t1", "t2"], ("text", "json")),
+    "selftest": (["selftest", "--fast"], ("json", "text")),
+}
+_INPUTS = {"atoms": json.dumps(ATOMS), "operator": json.dumps(OPERATOR),
+           "wave": json.dumps(WAVE), "tables": CSV_ROWS}
+
+
+def _argv(tmp_path, command):
+    paths = {}
+    for name, text in _INPUTS.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    return [arg.format(**paths) for arg in OFFERED[command][0]]
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("star", "csv"), ("limit", "csv"), ("fourier", "csv"), ("apply", "csv"),
+     ("super", "csv"), ("selftest", "csv"), ("interfere", "text")],
+)
+def test_format_a_command_does_not_render_is_refused(tmp_path, capsys, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([*_argv(tmp_path, command), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --format: invalid choice: '{fmt}'" in err
+
+
+@pytest.mark.parametrize("command", sorted(OFFERED))
+def test_every_offered_format_renders_and_defaults_are_kept(tmp_path, capsys, command):
+    argv = _argv(tmp_path, command)
+    formats = OFFERED[command][1]
+    outputs = {}
+    for fmt in formats:
+        code, outputs[fmt], err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "") and outputs[fmt].endswith("\n")
+    json.loads(outputs["json"])
+    assert run(capsys, *argv) == (0, outputs[formats[0]], "")
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["star", "p", "q2"], 2),
+        (["star", "p", "q2", "--sigma", "both"], 4),
+        (["limit", "q^3", "p2^3"], 2),
+        (["limit", "q^3", "p2^3", "--sigma", "both"], 4),
+        (["super", "t1", "t3", "--gens", "3"], 2),
+        (["super", "t1", "t3"], 2),
+    ],
+)
+def test_each_expression_is_built_once_per_signature(monkeypatch, capsys, argv, builds):
+    from hypermoyal import parsing
+
+    parse = parsing._Parser.parse
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return parse(self)
+
+    monkeypatch.setattr(parsing._Parser, "parse", counting)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == builds

@@ -17,6 +17,7 @@ from hypermoyal import (
     PolySymbol,
     Sigma,
     SignatureMismatchError,
+    ValidationError,
     WaveFunction,
     commutator,
     compose_check,
@@ -249,6 +250,17 @@ def test_compose_check_degree_cap():
             assert compose_check(embed(q**9), embed(q**8), phi, degree_cap=20)
 
 
+def test_compose_check_takes_h_from_the_wavefunction():
+    """``degree_cap`` is keyword-only, so a positional fourth argument (once
+    an ``h`` that had to equal ``phi.h``) is refused, not read as a cap."""
+    h = Fraction(1, 2)
+    q = PolySymbol.coordinate("q", 0, 1, H)
+    p = PolySymbol.coordinate("p", 0, 1, H)
+    phi = _quadratic_wavefunction(H, h)
+    with pytest.raises(TypeError):
+        compose_check(p, q, phi, h)
+
+
 def test_compose_check_reports_diff_on_mismatch():
     h = Fraction(1, 2)
     q = PolySymbol.coordinate("q", 0, 1, H)
@@ -458,6 +470,12 @@ def test_mismatches_rejected():
         q_h.apply(phi_2d)
     with pytest.raises(ValueError):
         WaveFunction.plane_wave(Fraction(1), Fraction(-1), H)
+
+
+@pytest.mark.parametrize("h", [0, -1])
+def test_plane_wave_rejects_nonpositive_h_before_dividing(h):
+    with pytest.raises(ValidationError, match=r"^h must be a positive rational$"):
+        WaveFunction.plane_wave(1, h, H)
 
 
 def test_wavefunction_momenta():
