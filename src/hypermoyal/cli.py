@@ -24,6 +24,11 @@ from .parsing import _highest_index, parse_symbol
 from .scalars import Sigma, _json_fraction, _num_str, as_sigma
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
 
+#: Most rows ``limit --steps`` tabulates.  Row ``n`` prints ``h = 1/2^n`` in
+#: full, so the table grows as ``steps^2``; past 1,074 halvings ``h`` is below
+#: the smallest float.
+MAX_STEPS = 1000
+
 
 def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
@@ -86,6 +91,8 @@ def _cmd_star(args):
 def _cmd_limit(args):
     if args.steps < 0:
         raise ValidationError(f"--steps must be >= 0, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise ValidationError(f"--steps must be <= {MAX_STEPS}, got {args.steps}")
     h_values = [Fraction(1, 2**n) for n in range(args.steps)]
     results = []
     for sigma, a, b in _parsed_pairs(args):

@@ -34,8 +34,9 @@ distributions, applying the twist ``exp(u*h*<q1, p2>)``, and pushing
 forward under addition of locations.  The derivatives of the twist that
 act on each atom come from a closed form per coordinate pair
 ``(q1_i, p2_i)``, and :meth:`ExpPoly.differentiate_multi` from a closed
-form per coordinate.  These kernels add plain real and unit parts into one
-map and build each output binarion once.  On polynomial symbols this agrees
+form per coordinate.  These kernels add plain real and unit parts with
+:func:`hypermoyal.sparse.add_parts` and build each output binarion once
+with :func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this agrees
 exactly with :func:`hypermoyal.symbols.star`.
 """
 
@@ -61,34 +62,13 @@ from .scalars import (
     as_sigma,
     binarion_from_json,
 )
-from .sparse import SparseAlgebra, SparseMap, binarion_coefficient, collect, nonnegative, regroup
+from .sparse import (SparseAlgebra, SparseMap, add_parts, binarion_coefficient, collect,
+                     from_parts, nonnegative, regroup)
 from .symbols import DEFAULT_DEGREE_CAP, PolySymbol
-
-
-def _check_sigma(a, b):
-    if a.sigma is not b.sigma:
-        raise SignatureMismatchError(
-            f"cannot combine sigma={a.sigma} with sigma={b.sigma}"
-        )
 
 
 def _fractions(values) -> tuple:
     return tuple(_json_fraction(x) for x in values)
-
-
-def _add_parts(acc: dict, key, re, im):
-    """Add ``re + u*im`` to the ``[re, im]`` entry of ``key`` in ``acc``."""
-    entry = acc.get(key)
-    if entry is None:
-        acc[key] = [re, im]
-    else:
-        entry[0] += re
-        entry[1] += im
-
-
-def _from_parts(acc: dict, sigma: Sigma) -> dict:
-    """The nonzero ``[re, im]`` entries of ``acc`` as binarions, built once each."""
-    return {key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im}
 
 
 def _flat_terms(head, weight, sigma: Sigma, owner: str):
@@ -323,8 +303,8 @@ class ExpPoly(SparseAlgebra):
         acc = {}
         for (alpha, beta, d), v in symbol._terms.items():
             c = h**d
-            _add_parts(acc, (freq, alpha + beta, zero), c * v.re, c * v.im)
-        return cls._make(dim, symbol.sigma, _from_parts(acc, symbol.sigma))
+            add_parts(acc, (freq, alpha + beta, zero), c * v.re, c * v.im)
+        return cls._make(dim, symbol.sigma, from_parts(acc, symbol.sigma))
 
     def _constant(self, value) -> "ExpPoly":
         return ExpPoly.constant(value, self.dim, self.sigma)
@@ -411,8 +391,8 @@ class ExpPoly(SparseAlgebra):
                         re, im = factor * s * c.im, factor * c.re
                     else:
                         re, im = factor * c.re, factor * c.im
-                    _add_parts(acc, (freq, tuple(lowered), r), re, im)
-        return self._new(_from_parts(acc, self.sigma))
+                    add_parts(acc, (freq, tuple(lowered), r), re, im)
+        return self._new(from_parts(acc, self.sigma))
 
     def shift(self, offset) -> "ExpPoly":
         """Exact substitution ``x -> x + offset`` for a rational offset vector.
@@ -628,14 +608,14 @@ class Ultradistribution(SparseMap):
                 scalar = math.prod(scalars)
                 if sum(kappa) % 2:
                     scalar = -scalar
-                _add_parts(acc, (loc, new_order, r), scalar * w.re, scalar * w.im)
-        return self._new(_from_parts(acc, self.sigma))
+                add_parts(acc, (loc, new_order, r), scalar * w.re, scalar * w.im)
+        return self._new(from_parts(acc, self.sigma))
 
     def pair(self, f: ExpPoly) -> CharSum:
         """Exact pairing with a test function: ``(delta^(n)_x0, f) = (-1)^|n| (d^n f)(x0)``."""
         if not isinstance(f, ExpPoly):
             raise TypeError("pairing requires an ExpPoly test function")
-        _check_sigma(self, f)
+        self._check_sigma(f)
         if f.dim != self.dim:
             raise DimensionMismatchError(
                 f"distribution dim {self.dim} differs from test function dim {f.dim}"
@@ -658,7 +638,7 @@ class Ultradistribution(SparseMap):
         })
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
-        _check_sigma(self, other)
+        self._check_sigma(other)
         sigma = self.sigma
         s = sigma.value
         acc = {}
@@ -666,9 +646,9 @@ class Ultradistribution(SparseMap):
             x1, y1 = w1.re, w1.im
             for (l2, o2, r2), w2 in other._terms.items():
                 x2, y2 = w2.re, w2.im
-                _add_parts(acc, (l1 + l2, o1 + o2, r1 + r2),
+                add_parts(acc, (l1 + l2, o1 + o2, r1 + r2),
                            x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
-        return Ultradistribution._make(self.dim + other.dim, sigma, _from_parts(acc, sigma))
+        return Ultradistribution._make(self.dim + other.dim, sigma, from_parts(acc, sigma))
 
     # -- rendering / serialization -----------------------------------------------------
 
@@ -785,8 +765,8 @@ def _twist(distribution: Ultradistribution, h: Fraction, k: int) -> Ultradistrib
             q1_orders = tuple(a for a, _, _, _ in choice)
             p2_orders = tuple(b for _, b, _, _ in choice)
             new_order = order[:k] + q1_orders + p2_orders + order[3 * k :]
-            _add_parts(acc, (loc, new_order, phase), re, im)
-    return distribution._new(_from_parts(acc, sigma))
+            add_parts(acc, (loc, new_order, phase), re, im)
+    return distribution._new(from_parts(acc, sigma))
 
 
 def _pair_factors(x, y, a, b, h, sigma: int) -> list:
@@ -825,8 +805,8 @@ def _pushforward_sum(distribution: Ultradistribution, k: int) -> Ultradistributi
     for (loc, order, r), w in distribution._terms.items():
         key = (tuple(map(add, loc[: 2 * k], loc[2 * k :])),
                tuple(map(add, order[: 2 * k], order[2 * k :])), r)
-        _add_parts(acc, key, w.re, w.im)
-    return Ultradistribution._make(2 * k, sigma, _from_parts(acc, sigma))
+        add_parts(acc, key, w.re, w.im)
+    return Ultradistribution._make(2 * k, sigma, from_parts(acc, sigma))
 
 
 def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
@@ -842,7 +822,7 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     h = _as_fraction(h)
     ea = _coerce_symbol(a, h)
     eb = _coerce_symbol(b, h)
-    _check_sigma(ea, eb)
+    ea._check_sigma(eb)
     if ea.dim != eb.dim:
         raise DimensionMismatchError("symbols live on different phase spaces")
     if ea.dim % 2:

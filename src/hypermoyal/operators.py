@@ -12,8 +12,10 @@ equivalent routes, both exact:
   C(b, j) e!/(e - j)! (u f)^(b - j) x^(e - j) exp(u f x)``, and the powers
   of ``u`` fold into a sign and a re/im swap.  The sums stay in integers:
   symbol and wavefunction coefficients are numerators over one
-  denominator each, and each frequency vector is integers over its own
-  denominator ``F``, padded to the common power ``F^M``, ``M = max|beta|``;
+  denominator each, ``D_s`` and ``D_w``, and each frequency vector is
+  integers over its own denominator ``F``; every output coefficient lies
+  over the one denominator ``D_s D_w L^M``, where ``L`` is the lcm of the
+  ``F`` and ``M = max|beta|``;
 * *shift route* (any exponential-polynomial symbol): through the symbol's
   point-supported distribution, a plane-wave factor ``exp(u*<B, p>)`` in the
   symbol becomes the argument shift ``q -> q + h*B``.  Atoms that share
@@ -24,9 +26,11 @@ equivalent routes, both exact:
 The two routes agree on their common domain, and
 :func:`compose_check` verifies operator composition against the star
 product -- the operator-side oracle of the symbol calculus.  The
-normal-ordered kernel therefore shares no code with the star kernels or
-with the shift route's closed-form :meth:`ExpPoly.differentiate_multi`,
-and the shift route uses none of the normal-ordered kernel.  The defining
+normal-ordered kernel therefore shares no kernel math with the star
+kernels or with the shift route's closed-form
+:meth:`ExpPoly.differentiate_multi`, and the shift route uses none of the
+normal-ordered kernel; all of them only add their real and unit parts and
+build the result through :mod:`hypermoyal.sparse`.  The defining
 eigenrelation is ``apply(a, e) = a(q, p0) * e`` on the plane wave
 ``e = exp(u*<p0, q>/h)``.  Every route refuses a symbol whose degree
 exceeds ``degree_cap`` (``None`` means ``DEFAULT_DEGREE_CAP``, as for
@@ -58,6 +62,7 @@ from .errors import (
     json_field,
 )
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
+from .sparse import add_parts, from_parts
 from .symbols import DEFAULT_DEGREE_CAP, PolySymbol, star
 
 
@@ -293,8 +298,11 @@ class Operator:
         numerators over one denominator ``D_s``, the wavefunction's over
         ``D_w``, and each frequency vector is integers over its lcm ``F``;
         ``f^(b - j)`` is padded by ``F^(M - m)``, ``M = max|beta|`` and
-        ``m = sum(b - j)``, so every term of one output key (which holds
-        ``f``) lies over ``D_s D_w F^M``, divided out once per key.
+        ``m = sum(b - j)``, so a wavefunction term's contributions lie over
+        ``D_s D_w F^M``.  Its numerators are multiplied by ``(L/F)^M``, ``L``
+        the lcm of all the ``F``, which puts every output key over the one
+        denominator ``D_s D_w L^M``, divided out once when the result is
+        built.
         """
         if not isinstance(self.symbol, PolySymbol):
             raise TypeError("normal-ordered route needs a polynomial symbol")
@@ -308,9 +316,7 @@ class Operator:
         for (alpha, beta, d), v in self.symbol._terms.items():
             order = sum(beta)
             c = h ** (d + order) * (s if order % 2 else 1)
-            entry = by_beta.setdefault(beta, {}).setdefault(alpha, [0, 0])
-            entry[0] += c * v.re
-            entry[1] += c * v.im
+            add_parts(by_beta.setdefault(beta, {}), alpha, c * v.re, c * v.im)
         d_s = _common_denominator(
             v for by_alpha in by_beta.values() for parts in by_alpha.values() for v in parts
         )
@@ -323,14 +329,15 @@ class Operator:
         big_m = max((order for _, order, _ in groups), default=0)
         terms = phi.func._terms
         d_w = _common_denominator(v for w in terms.values() for v in (w.re, w.im))
-        den = {}  # freq -> D_s D_w F^M
+        big_l = _common_denominator(f for freq, _, _ in terms for f in freq)
         acc = {}
         for (freq, exps, r), w in terms.items():
             f_den = _common_denominator(freq)
             nums = _numerators(freq, f_den)
             pads = [f_den ** (big_m - m) for m in range(big_m + 1)]
-            den[freq] = d_s * d_w * f_den**big_m
-            w_re, w_im = _numerators((w.re, w.im), d_w)
+            # (L/F)^M moves this term from D_s D_w F^M onto D_s D_w L^M
+            lift = (big_l // f_den) ** big_m
+            w_re, w_im = (lift * n for n in _numerators((w.re, w.im), d_w))
             for beta, order, coeffs in groups:
                 derivatives = []
                 for lowered, c, m in _derivative_terms(beta, exps, nums):
@@ -346,17 +353,9 @@ class Operator:
                     for lowered, c, odd in derivatives:
                         key = (freq, tuple(map(add, lowered, alpha)), r)
                         dx, dy = (c * s * y, c * x) if odd else (c * x, c * y)
-                        entry = acc.get(key)
-                        if entry is None:
-                            acc[key] = [dx, dy]
-                        else:
-                            entry[0] += dx
-                            entry[1] += dy
-        out = ExpPoly._make(self.dof, sigma, {
-            key: Binarion(Fraction(re, den[key[0]]), Fraction(im, den[key[0]]), sigma)
-            for key, (re, im) in acc.items() if re or im
-        })
-        return WaveFunction(out, h)
+                        add_parts(acc, key, dx, dy)
+        out = from_parts(acc, sigma, d_s * d_w * big_l**big_m)
+        return WaveFunction(ExpPoly._make(self.dof, sigma, out), h)
 
     def apply_shift_form(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Route through the symbol's distribution.
@@ -372,15 +371,12 @@ class Operator:
         """
         self._check_cap(degree_cap)
         self._check(phi)
-        sym = self.symbol
-        if isinstance(sym, PolySymbol):
-            sym = ExpPoly.from_poly_symbol(sym, self.h)
         k = self.dof
         sigma = self.sigma
         s = sigma.value
         h = self.h
         groups = {}
-        for (loc, order, rho), w in inverse_fourier_symbol(sym)._terms.items():
+        for (loc, order, rho), w in inverse_fourier_symbol(self.symbol, h)._terms.items():
             r, t = order[:k], order[k:]
             n, order_t = sum(r), sum(t)
             c = h**order_t * s ** (n // 2)
@@ -405,18 +401,8 @@ class Operator:
                         exps if r is None else tuple(map(add, exps, r)),
                         phase + rho,
                     )
-                    x = c.re * re + s * c.im * im
-                    y = c.re * im + c.im * re
-                    entry = acc.get(key)
-                    if entry is None:
-                        acc[key] = [x, y]
-                    else:
-                        entry[0] += x
-                        entry[1] += y
-        out = ExpPoly._make(k, sigma, {
-            key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im
-        })
-        return WaveFunction(out, h)
+                    add_parts(acc, key, c.re * re + s * c.im * im, c.re * im + c.im * re)
+        return WaveFunction(ExpPoly._make(k, sigma, from_parts(acc, sigma)), h)
 
     # -- serialization -------------------------------------------------------------
 
@@ -486,9 +472,7 @@ def compose_check(a, b, phi: WaveFunction, *, degree_cap: int = None) -> Compose
         composed = star(a, b, degree_cap).substitute_h(h)
         op_ab = Operator(composed, h)
     else:
-        ea = a if isinstance(a, ExpPoly) else ExpPoly.from_poly_symbol(a, h)
-        eb = b if isinstance(b, ExpPoly) else ExpPoly.from_poly_symbol(b, h)
-        op_ab = Operator(star_distributional(ea, eb, h, degree_cap), h)
+        op_ab = Operator(star_distributional(a, b, h, degree_cap), h)
     lhs = op_ab.apply(phi, degree_cap)
     rhs = Operator(a, h).apply(Operator(b, h).apply(phi, degree_cap), degree_cap)
     diff = lhs.func - rhs.func

@@ -10,7 +10,9 @@ appears only inside rational literals.  A numeric literal may carry the
 unit as a suffix (``2j``, ``3/2i``), matching the scalar text rendering.
 
 Deliberately not a general expression parser: no functions, no floating
-literals, no implicit multiplication.
+literals, no implicit multiplication.  A digit run longer than
+:data:`MAX_DIGITS`, and a variable index, generator index or ``dof`` above
+:data:`MAX_INDEX`, is refused before anything is built from it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .scalars import Binarion, as_sigma
 from .symbols import HPoly, PolySymbol
+
+#: Largest variable or generator index, and largest ``dof``, an expression
+#: may use.
+MAX_INDEX = 1024
+#: Longest digit run read as one literal or index; Python converts at most
+#: 4,300 digits between integers and text.
+MAX_DIGITS = 1000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)"
@@ -40,12 +49,14 @@ def _tokenize(text: str):
                 break
             where = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", where)
-        if m.group("number") is not None:
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        token, start = m.group(kind), m.start(kind)
+        digits = token if kind == "number" else token[1:] if kind == "name" else ""
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"more than {MAX_DIGITS} digits in a row", start)
+        if kind == "name" and digits and int(digits) > MAX_INDEX:
+            raise ParseError(f"index of {token[0]!r} above {MAX_INDEX}", start)
+        tokens.append((kind, token, start))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -182,6 +193,8 @@ def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
     """
     sigma = as_sigma(sigma)
     k = _highest_index("qp", text) if dof is None else int(dof)
+    if k > MAX_INDEX:
+        raise ValidationError(f"dof must be <= {MAX_INDEX}, got {k}")
 
     def make_number(value: Fraction) -> PolySymbol:
         return PolySymbol.constant(value, k, sigma)

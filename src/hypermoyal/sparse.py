@@ -15,6 +15,13 @@ input (key shapes, signs, the coefficients' signature) and sums it with
 nothing: their keys are canonical and no coefficient is zero by
 construction, which the test suite checks by passing every result back
 through the public constructor.
+
+The closed-form kernels of the three star-product routes sum plain real and
+unit parts instead of binarions: :func:`add_parts` adds ``re + u*im`` into
+an accumulator ``{key: [re, im]}`` and :func:`from_parts` divides it by one
+common denominator, if any, and builds each nonzero binarion once.  Both only add and
+divide; structure constants, derivative factors, unit-power folds and the
+choice of denominator stay in each route.
 """
 
 from __future__ import annotations
@@ -32,6 +39,29 @@ def collect(pairs) -> dict:
     for key, value in pairs:
         out[key] = out[key] + value if key in out else value
     return {key: value for key, value in out.items() if not value.is_zero()}
+
+
+def add_parts(acc: dict, key, re, im):
+    """Add ``re + u*im`` to the ``[re, im]`` entry of ``key`` in ``acc``."""
+    entry = acc.get(key)
+    if entry is None:
+        acc[key] = [re, im]
+    else:
+        entry[0] += re
+        entry[1] += im
+
+
+def from_parts(acc: dict, sigma, den: int = None) -> dict:
+    """The nonzero ``(re + u*im) / den`` of the ``[re, im]`` entries of ``acc``
+    as binarions, each built once.  ``den`` is the common denominator of
+    integer numerators; ``None`` takes rational parts as they are."""
+    if den is None:
+        return {key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im}
+    return {
+        key: Binarion(Fraction(re, den), Fraction(im, den), sigma)
+        for key, (re, im) in acc.items()
+        if re or im
+    }
 
 
 def regroup(element, view, sort_key=None) -> list:
@@ -95,11 +125,14 @@ class SparseMap:
         """``value`` (one of ``_SCALARS``) as an element like ``self``."""
         raise NotImplementedError
 
-    def _check(self, other):
+    def _check_sigma(self, other):
         if other.sigma is not self.sigma:
             raise SignatureMismatchError(
                 f"cannot combine sigma={self.sigma} with sigma={other.sigma}"
             )
+
+    def _check(self, other):
+        self._check_sigma(other)
         if other._size != self._size:
             name = self._SIZE_NAME
             raise DimensionMismatchError(

@@ -53,7 +53,8 @@ from .errors import (
     json_field,
 )
 from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json
-from .sparse import SparseAlgebra, binarion_coefficient, collect, nonnegative, regroup
+from .sparse import (SparseAlgebra, add_parts, binarion_coefficient, collect, from_parts,
+                     nonnegative, regroup)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -353,16 +354,8 @@ class PolySymbol(SparseAlgebra):
             hd = powers.get(d)
             if hd is None:
                 hd = powers[d] = h**d
-            key = (alpha, beta, 0)
-            entry = acc.get(key)
-            if entry is None:
-                acc[key] = [v.re * hd, v.im * hd]
-            else:
-                entry[0] += v.re * hd
-                entry[1] += v.im * hd
-        return self._new({
-            key: Binarion(re, im, self.sigma) for key, (re, im) in acc.items() if re or im
-        })
+            add_parts(acc, (alpha, beta, 0), v.re * hd, v.im * hd)
+        return self._new(from_parts(acc, self.sigma))
 
     def h_constant_part(self) -> "PolySymbol":
         """The ``h``-degree-0 part; this is the classical limit h -> 0."""
@@ -482,9 +475,6 @@ def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
     return "*".join([coeff] + factors)
 
 
-_require_compatible = PolySymbol._check
-
-
 def _flatten(symbol: PolySymbol):
     """Integer form of ``symbol`` over one common denominator.
 
@@ -553,6 +543,8 @@ def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
                     x, y = c * s * im, c * re
                 else:
                     x, y = c * re, c * im
+                # sparse.add_parts inlined: the only loop run once per kappa
+                # term, and a bare get/insert loop is ~25% slower as a call
                 entry = acc.get(key)
                 if entry is None:
                     acc[key] = [x, y]
@@ -561,17 +553,8 @@ def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
                     entry[1] += y
 
 
-def _from_integers(acc: dict, den: int, dof: int, sigma: Sigma) -> PolySymbol:
-    """The symbol whose ``(alpha, beta, hdeg)`` coefficients are ``acc / den``."""
-    return PolySymbol._make(dof, sigma, {
-        key: Binarion(Fraction(re, den), Fraction(im, den), sigma)
-        for key, (re, im) in acc.items()
-        if re or im
-    })
-
-
 def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap):
-    _require_compatible(a, b)
+    a._check(b)
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     if a.total_degree() + b.total_degree() > cap:
         raise DegreeCapError(
@@ -599,7 +582,7 @@ def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     den_b, terms_b = _flatten(b)
     acc = {}
     _accumulate(acc, terms_a, terms_b, a.sigma.value, 1, 0)
-    return _from_integers(acc, den_a * den_b, a.dof, a.sigma)
+    return a._new(from_parts(acc, a.sigma, den_a * den_b))
 
 
 def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
@@ -621,7 +604,7 @@ def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
 def moyal_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     """Star commutator ``a ⋆ b - b ⋆ a``; every term carries ``h``-degree >= 1."""
     acc, den = _commutator_integers(a, b, degree_cap)
-    return _from_integers(acc, den, a.dof, a.sigma)
+    return a._new(from_parts(acc, a.sigma, den))
 
 
 def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
@@ -632,7 +615,7 @@ def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
     alpha1_i beta2_i) c1 c2 q^(alpha1 + alpha2 - e_i) p^(beta1 + beta2 - e_i)``.
     Kept apart from the star kernel, as the oracle of :func:`scaled_bracket`.
     """
-    _require_compatible(a, b)
+    a._check(b)
     s = a.sigma.value
     acc = {}
     for (alpha1, beta1, d1), c1 in a._terms.items():
@@ -647,12 +630,8 @@ def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
             for i, weight in enumerate(weights):
                 if weight:
                     key = (_bump(alpha, i, -1), _bump(beta, i, -1), d1 + d2)
-                    entry = acc.setdefault(key, [0, 0])
-                    entry[0] += weight * re
-                    entry[1] += weight * im
-    return a._new({
-        key: Binarion(re, im, a.sigma) for key, (re, im) in acc.items() if re or im
-    })
+                    add_parts(acc, key, weight * re, weight * im)
+    return a._new(from_parts(acc, a.sigma))
 
 
 def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
@@ -669,4 +648,4 @@ def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> Poly
     scaled = {
         (alpha, beta, d - 1): (s * im, re) for (alpha, beta, d), (re, im) in acc.items()
     }
-    return _from_integers(scaled, den, a.dof, a.sigma)
+    return a._new(from_parts(scaled, a.sigma, den))

@@ -10,9 +10,18 @@ from fractions import Fraction
 import pytest
 
 import hypermoyal
-from hypermoyal import Binarion, ExpPoly, Sigma, Ultradistribution, WaveFunction
-from hypermoyal.cli import main
+from hypermoyal import (
+    Binarion,
+    ExpPoly,
+    GrassmannElement,
+    PolySymbol,
+    Sigma,
+    Ultradistribution,
+    WaveFunction,
+)
+from hypermoyal.cli import MAX_STEPS, main
 from hypermoyal.grassmann import MAX_WITNESS_GENERATORS
+from hypermoyal.parsing import MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 
@@ -112,6 +121,56 @@ def test_limit_negative_steps_rejected(capsys):
     code, out, err = run(capsys, "limit", "p", "q", "--steps", "-3")
     assert code == 2 and out == ""
     assert err == "error: --steps must be >= 0, got -3\n"
+
+
+def _fail_on_use(*args, **kwargs):
+    raise AssertionError("built before the limit was checked")
+
+
+def test_limit_too_many_steps_rejected_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr("hypermoyal.cli.parse_symbol", _fail_on_use)
+    code, out, err = run(capsys, "limit", "q^3", "p^3", "--steps", str(MAX_STEPS + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}\n"
+
+
+def test_limit_at_most_steps_is_tabulated(capsys):
+    code, out, err = run(capsys, "limit", "q", "p", "--steps", str(MAX_STEPS), "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["values_at_ones"]
+    assert len(rows) == MAX_STEPS
+    assert rows[-1]["h"] == str(Fraction(1, 2 ** (MAX_STEPS - 1)))
+
+
+LONG = "9" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["star", "q99999999999999999999", "p"], f"index of 'q' above {MAX_INDEX} (at position 0)"),
+        (["star", "p", f"2*p{MAX_INDEX + 1}"], f"index of 'p' above {MAX_INDEX} (at position 2)"),
+        (["star", "p", "q", "--dof", "99999999999999999999"],
+         f"dof must be <= {MAX_INDEX}, got 99999999999999999999"),
+        (["limit", "p", "q", "--dof", str(MAX_INDEX + 1)],
+         f"dof must be <= {MAX_INDEX}, got {MAX_INDEX + 1}"),
+        (["star", "q" + LONG, "p"], f"more than {MAX_DIGITS} digits in a row (at position 0)"),
+        (["star", LONG, "p"], f"more than {MAX_DIGITS} digits in a row (at position 0)"),
+        (["star", "p", "1/" + LONG], f"more than {MAX_DIGITS} digits in a row (at position 2)"),
+        (["super", "t" + LONG, "t1"], f"more than {MAX_DIGITS} digits in a row (at position 0)"),
+        (["super", "t99999999999999999999", "t1", "--gens", "2"],
+         f"index of 't' above {MAX_INDEX} (at position 0)"),
+    ],
+)
+def test_oversized_index_or_literal_is_refused_before_anything_is_built(
+    monkeypatch, capsys, argv, message
+):
+    for owner, name in ((PolySymbol, "constant"), (PolySymbol, "coordinate"),
+                        (GrassmannElement, "scalar"), (GrassmannElement, "generator")):
+        monkeypatch.setattr(owner, name, _fail_on_use)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_limit_constant_inputs(capsys):

@@ -813,6 +813,106 @@ supercommutator = 0
         '''witness = θ1θ2θ3θ4θ5 annihilates all 16 odd basis monomials and is nonzero
 ''',
     ),
+    "selftest_text": (
+        ["selftest", "--fast", "--seed", "3", "--format", "text"],
+        '''[PASS]  1. canonical commutation relation (2 cases, 0 failures)
+[PASS]  2. classical limit is the Poisson bracket (40 cases, 0 failures)
+[PASS]  3. star product associativity (40 cases, 0 failures)
+[PASS]  4. operator-symbol composition homomorphism (40 cases, 0 failures)
+[PASS]  5. two independent star-product routes agree (20 cases, 0 failures)
+[PASS]  6. Fourier transform identities on point atoms (34 cases, 0 failures)
+[PASS]  7. plane-wave eigenrelation (20 cases, 0 failures)
+[PASS]  8. interference round trips and worked tables (103 cases, 0 failures)
+[PASS]  9. Grassmann supercommutativity and annihilator witness (36 cases, 0 failures)
+[PASS] 10. seeded reports are byte-identical (1 cases, 0 failures)
+all passed
+''',
+    ),
+    "selftest_json": (
+        ["selftest", "--fast", "--seed", "3", "--format", "json"],
+        '''{
+  "all_passed": true,
+  "criteria": [
+    {
+      "cases": 2,
+      "detail": {
+        "sigma=+1": "-1j*h",
+        "sigma=-1": "1i*h"
+      },
+      "failures": 0,
+      "id": 1,
+      "name": "canonical commutation relation",
+      "passed": true
+    },
+    {
+      "cases": 40,
+      "failures": 0,
+      "id": 2,
+      "name": "classical limit is the Poisson bracket",
+      "passed": true
+    },
+    {
+      "cases": 40,
+      "failures": 0,
+      "id": 3,
+      "name": "star product associativity",
+      "passed": true
+    },
+    {
+      "cases": 40,
+      "failures": 0,
+      "id": 4,
+      "name": "operator-symbol composition homomorphism",
+      "passed": true
+    },
+    {
+      "cases": 20,
+      "failures": 0,
+      "id": 5,
+      "name": "two independent star-product routes agree",
+      "passed": true
+    },
+    {
+      "cases": 34,
+      "failures": 0,
+      "id": 6,
+      "name": "Fourier transform identities on point atoms",
+      "passed": true
+    },
+    {
+      "cases": 20,
+      "failures": 0,
+      "id": 7,
+      "name": "plane-wave eigenrelation",
+      "passed": true
+    },
+    {
+      "cases": 103,
+      "failures": 0,
+      "id": 8,
+      "name": "interference round trips and worked tables",
+      "passed": true
+    },
+    {
+      "cases": 36,
+      "failures": 0,
+      "id": 9,
+      "name": "Grassmann supercommutativity and annihilator witness",
+      "passed": true
+    },
+    {
+      "cases": 1,
+      "failures": 0,
+      "id": 10,
+      "name": "seeded reports are byte-identical",
+      "passed": true
+    }
+  ],
+  "fast": true,
+  "seed": 3
+}
+''',
+    ),
 }
 
 

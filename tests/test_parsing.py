@@ -11,11 +11,13 @@ from hypermoyal import (
     ParseError,
     PolySymbol,
     Sigma,
+    ValidationError,
     parse_binarion,
     parse_grassmann,
     parse_symbol,
 )
 from hypermoyal.grassmann import generators
+from hypermoyal.parsing import MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -82,6 +84,21 @@ def test_round_trip_canonical_text():
                 terms[key] = terms[key] + hp if key in terms else hp
             symbol = PolySymbol(2, sigma, terms)
             assert parse_symbol(symbol.to_text(), sigma, dof=2) == symbol
+
+
+def test_indices_and_digit_runs_are_bounded():
+    assert parse_symbol(f"q{MAX_INDEX}", H).dof == MAX_INDEX
+    assert parse_symbol("0" * (MAX_DIGITS - 1) + "1*p", H) == PolySymbol.coordinate("p", 0, 1, H)
+    assert parse_grassmann(f"t{MAX_INDEX}", H, MAX_INDEX + 1) is not None
+    for text, position in ((f"p + q{MAX_INDEX + 1}", 4), (f"2*t{MAX_INDEX + 1}", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_symbol(text, H) if "q" in text else parse_grassmann(text, H)
+        assert err.value.position == position
+    with pytest.raises(ParseError) as err:
+        parse_symbol("p - " + "1" * (MAX_DIGITS + 1), H)
+    assert err.value.position == 4
+    with pytest.raises(ValidationError):
+        parse_symbol("p", H, dof=MAX_INDEX + 1)
 
 
 def test_wrong_unit_rejected_with_position():

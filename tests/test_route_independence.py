@@ -5,15 +5,20 @@ The series star of :mod:`hypermoyal.symbols`, the distributional route of
 :mod:`hypermoyal.operators` are each other's oracles, so a kernel shared
 between them would make those checks compare a computation with itself.
 These tests read the source with :mod:`ast` and fail when one route starts
-to name another's kernel.
+to name another's kernel.  The routes do share :mod:`hypermoyal.sparse`,
+which only adds real and unit parts and builds the result's binarions; it
+must stay free of kernel math and remain the one place that builds them.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-from hypermoyal import distributions, operators, symbols
+import hypermoyal
+from hypermoyal import distributions, operators, sparse, symbols
 
 
 def _tree(module) -> ast.Module:
@@ -77,3 +82,62 @@ def test_guard_sees_what_it_forbids():
     assert "_derivative_terms" in _names(_function(operators, "Operator", "apply_normal_ordered"))
     assert "differentiate_multi" in _names(_function(operators, "Operator", "apply_shift_form"))
     assert "_accumulate" in _names(_function(symbols, "star"))
+
+
+#: Methods that carry route kernels, besides the routes' module-level functions.
+KERNEL_METHODS = {
+    "substitute_h", "from_poly_symbol", "differentiate_multi", "mul_monomial", "tensor",
+    "apply_normal_ordered", "apply_shift_form",
+}
+
+
+def _route_kernels() -> set:
+    """The module-level functions of the three routes, and their kernel methods."""
+    names = set(KERNEL_METHODS)
+    for module in (symbols, distributions, operators):
+        names.update(
+            node.name for node in _tree(module).body if isinstance(node, ast.FunctionDef)
+        )
+    return names
+
+
+def _binarion_dict_comprehensions(tree) -> list:
+    """Line numbers of the dict comprehensions that call ``Binarion`` or one
+    of its constructors."""
+    def builds(call):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            func = func.value
+        return isinstance(func, ast.Name) and func.id == "Binarion"
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.DictComp)
+        and any(isinstance(c, ast.Call) and builds(c) for c in ast.walk(node))
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", [m.name for m in pkgutil.iter_modules(hypermoyal.__path__) if m.name != "sparse"]
+)
+def test_only_sparse_builds_binarions_in_a_dict_comprehension(name):
+    module = importlib.import_module(f"hypermoyal.{name}")
+    assert _binarion_dict_comprehensions(_tree(module)) == []
+
+
+def test_sparse_names_no_route_kernel_and_imports_no_route():
+    tree = _tree(sparse)
+    assert not _names(tree) & _route_kernels()
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative <= {"errors", "scalars"}
+
+
+def test_sparse_guards_see_what_they_forbid():
+    assert _binarion_dict_comprehensions(_tree(sparse))
+    assert _binarion_dict_comprehensions(
+        ast.parse("out = {key: Binarion.zero(sigma) for key in keys}")
+    )
+    kernel_call = ast.parse("def f(acc, a, b):\n    return _twist(a.tensor(b))")
+    assert _names(kernel_call) & _route_kernels() == {"_twist", "tensor"}

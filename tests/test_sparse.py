@@ -32,6 +32,7 @@ from hypermoyal import (
     star_distributional,
     supercommutator,
 )
+from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -212,3 +213,44 @@ def test_public_constructors_still_validate():
     # a Grassmann mask beyond n
     with pytest.raises(DimensionMismatchError):
         GrassmannElement(2, H, {0b100: 1})
+
+
+def test_add_parts_sums_both_parts_of_colliding_keys():
+    acc = {}
+    for key, re, im in (("a", 1, 2), ("b", 5, 0), ("a", 3, -7), ("a", 0, 1)):
+        add_parts(acc, key, re, im)
+    assert acc == {"a": [4, -4], "b": [5, 0]}
+
+
+def test_from_parts_drops_zero_sums_and_divides_integers_by_den():
+    acc = {}
+    for key, re, im in (
+        ("zero", 2, -3), ("zero", -2, 3), ("real", 6, 0), ("unit", 0, -4), ("both", 3, 9),
+    ):
+        add_parts(acc, key, re, im)
+    for sigma in SIGMAS:
+        out = from_parts(acc, sigma, 6)
+        assert out == {
+            "real": Binarion(1, 0, sigma),
+            "unit": Binarion(0, Fraction(-2, 3), sigma),
+            "both": Binarion(Fraction(1, 2), Fraction(3, 2), sigma),
+        }
+        assert all(v.sigma is sigma for v in out.values())
+        assert [(v.re, v.im) for v in out.values()] == [
+            (Fraction(1), Fraction(0)), (Fraction(0), Fraction(-2, 3)),
+            (Fraction(1, 2), Fraction(3, 2)),
+        ]
+
+
+def test_from_parts_takes_fraction_parts_as_they_are_or_over_one():
+    acc = {}
+    for key, re, im in (
+        (0, Fraction(1, 3), Fraction(-1, 2)), (0, Fraction(2, 3), Fraction(1, 2)),
+        (1, Fraction(1, 3), Fraction(1, 3)), (1, Fraction(-1, 3), Fraction(-1, 3)),
+        (2, Fraction(0), Fraction(5, 4)),
+    ):
+        add_parts(acc, key, re, im)
+    for sigma in SIGMAS:
+        expected = {0: Binarion(1, 0, sigma), 2: Binarion(0, Fraction(5, 4), sigma)}
+        assert from_parts(acc, sigma) == expected
+        assert from_parts(acc, sigma, 1) == expected

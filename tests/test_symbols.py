@@ -23,7 +23,7 @@ from hypermoyal import (
     scaled_bracket,
     star,
 )
-from hypermoyal.symbols import DEFAULT_DEGREE_CAP, _require_compatible
+from hypermoyal.symbols import DEFAULT_DEGREE_CAP
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -73,7 +73,7 @@ def _series_star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySy
     through derivative symbols and nested coefficient arithmetic, independent
     of the pairwise integer kernel that ``star`` uses.
     """
-    _require_compatible(a, b)
+    a._check(b)
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     if a.total_degree() + b.total_degree() > cap:
         raise DegreeCapError(
