@@ -63,7 +63,7 @@ from .scalars import (
     binarion_from_json,
 )
 from .sparse import (SparseAlgebra, SparseMap, add_parts, binarion_coefficient, collect,
-                     from_parts, nonnegative, regroup)
+                     from_parts, integer, nonnegative, regroup)
 from .symbols import DEFAULT_DEGREE_CAP, PolySymbol
 
 
@@ -486,11 +486,12 @@ class ExpPoly(SparseAlgebra):
         for entry in json_field(data, "terms", list):
             key = (
                 json_field(entry, "freq", _fractions),
-                json_field(entry, "exp", lambda v: tuple(int(e) for e in v)),
+                json_field(entry, "exp", lambda v: nonnegative(
+                    v, "negative exponents are not allowed")),
             )
             c = json_field(entry, "coeff", lambda w: _weight_from_json(w, sigma))
             terms[key] = terms[key] + c if key in terms else c
-        return cls(json_field(data, "dim", int), sigma, terms)
+        return cls(json_field(data, "dim", integer), sigma, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -694,7 +695,7 @@ class Ultradistribution(SparseMap):
             )
 
         atoms = json_field(data, "atoms", lambda entries: [read_atom(e) for e in entries])
-        return cls(json_field(data, "dim", int), sigma, atoms)
+        return cls(json_field(data, "dim", integer), sigma, atoms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -21,7 +21,7 @@ import json
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, as_sigma, binarion_from_json
-from .sparse import SparseAlgebra, binarion_coefficient, collect
+from .sparse import SparseAlgebra, binarion_coefficient, collect, integer
 
 #: Largest generator count :func:`annihilator_witness` accepts.  Its check
 #: visits all ``2^n`` basis monomials, so its time doubles with each
@@ -183,14 +183,22 @@ class GrassmannElement(SparseAlgebra):
     @classmethod
     def from_json_dict(cls, data: dict) -> "GrassmannElement":
         sigma = json_field(data, "sigma", as_sigma)
+        n = json_field(data, "n", integer)
+
+        def read_mask(gens) -> int:
+            mask = 0
+            for g in map(integer, gens):
+                if not 1 <= g <= n:
+                    raise ValidationError(f"generator {g} is outside 1..{n}")
+                mask |= 1 << (g - 1)
+            return mask
+
         terms = {}
         for entry in json_field(data, "terms", list):
-            mask = 0
-            for g in json_field(entry, "gens", list):
-                mask |= 1 << (int(g) - 1)
+            mask = json_field(entry, "gens", read_mask)
             c = binarion_from_json(entry, sigma)
             terms[mask] = terms[mask] + c if mask in terms else c
-        return cls(json_field(data, "n", int), sigma, terms)
+        return cls(n, sigma, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

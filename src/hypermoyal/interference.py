@@ -186,34 +186,22 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
         deviation = ctx.observed[j] - classical
         interference = deviation / 2
         residual = residual + interference
+        lam = sign = theta = None
         if d == 0:
-            outcomes.append(
-                OutcomeReport(
-                    observed=ctx.observed[j],
-                    classical=classical,
-                    d_squared=d_squared,
-                    d=d,
-                    interference=interference,
-                    regime=Regime.DEGENERATE,
-                    lam=None,
-                    sign=None,
-                    theta=None,
-                )
-            )
-            continue
-        lam = deviation / (2 * d)
-        if ctx.exact:
-            hyperbolic = deviation * deviation > 4 * d_squared
+            regime = Regime.DEGENERATE
         else:
-            hyperbolic = abs(lam) > 1 + FLOAT_TOLERANCE
-        if hyperbolic:
-            sign = 1 if lam > 0 else -1
-            theta = math.acosh(max(abs(float(lam)), 1.0))
-            regime = Regime.HYPERBOLIC
-        else:
-            sign = None
-            theta = math.acos(min(1.0, max(-1.0, float(lam))))
-            regime = Regime.TRIGONOMETRIC
+            lam = deviation / (2 * d)
+            if ctx.exact:
+                hyperbolic = deviation * deviation > 4 * d_squared
+            else:
+                hyperbolic = abs(lam) > 1 + FLOAT_TOLERANCE
+            if hyperbolic:
+                sign = 1 if lam > 0 else -1
+                theta = math.acosh(max(abs(float(lam)), 1.0))
+                regime = Regime.HYPERBOLIC
+            else:
+                theta = math.acos(min(1.0, max(-1.0, float(lam))))
+                regime = Regime.TRIGONOMETRIC
         outcomes.append(
             OutcomeReport(
                 observed=ctx.observed[j],

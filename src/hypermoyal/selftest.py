@@ -5,6 +5,12 @@ seed gives a byte-identical report; the report carries no timestamps.  The
 final check re-runs the entire generation with the same seed and compares
 the canonical serializations, making determinism itself part of the suite.
 
+A randomized check is one case function run by :func:`_cases`, which calls
+it once per signature and case index and hands it the generator: a case
+receives the rng, draws its values from it and returns one truth value per
+identity it checked.  Fixed tables (point-mass Fourier images, the worked
+interference tables, Grassmann witnesses) draw nothing and run outside it.
+
 The checks are exact (rational arithmetic) except where a quantity is
 intrinsically transcendental (interference angles), which use the package
 float tolerance of 1e-12.
@@ -115,6 +121,14 @@ def _entry(cid: int, name: str, cases: int, failures: int, detail=None) -> dict:
     return entry
 
 
+def _cases(rng, cases: int, case) -> tuple:
+    """``(count, failures)`` over the truth values that ``case(rng, sigma, i)``
+    returns, one per checked identity, for each sigma in :data:`SIGMAS` and
+    each ``i < cases``; the only path from the generator to a case."""
+    oks = [ok for sigma in SIGMAS for i in range(cases) for ok in case(rng, sigma, i)]
+    return len(oks), sum(not ok for ok in oks)
+
+
 # -- individual checks ------------------------------------------------------------
 
 
@@ -138,115 +152,88 @@ def check_commutation() -> dict:
 
 def check_classical_limit(rng, cases: int) -> dict:
     """Constant-h term of (u/h)*Moyal bracket equals the Poisson bracket."""
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for i in range(cases):
-            k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma, max_degree=5)
-            b = _random_symbol(rng, k, sigma, max_degree=5)
-            total += 1
-            if sym.scaled_bracket(a, b).h_constant_part() != sym.poisson_bracket(a, b):
-                failures += 1
-    return _entry(2, "classical limit is the Poisson bracket", total, failures)
+
+    def case(rng, sigma, i):
+        a = _random_symbol(rng, 1 + i % 2, sigma, max_degree=5)
+        b = _random_symbol(rng, 1 + i % 2, sigma, max_degree=5)
+        return (sym.scaled_bracket(a, b).h_constant_part() == sym.poisson_bracket(a, b),)
+
+    return _entry(2, "classical limit is the Poisson bracket", *_cases(rng, cases, case))
 
 
 def check_associativity(rng, cases: int) -> dict:
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for i in range(cases):
-            k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma, max_degree=4)
-            b = _random_symbol(rng, k, sigma, max_degree=4)
-            c = _random_symbol(rng, k, sigma, max_degree=4)
-            total += 1
-            if sym.star(sym.star(a, b), c) != sym.star(a, sym.star(b, c)):
-                failures += 1
-    return _entry(3, "star product associativity", total, failures)
+    def case(rng, sigma, i):
+        a, b, c = (_random_symbol(rng, 1 + i % 2, sigma, max_degree=4) for _ in range(3))
+        return (sym.star(sym.star(a, b), c) == sym.star(a, sym.star(b, c)),)
+
+    return _entry(3, "star product associativity", *_cases(rng, cases, case))
 
 
 def check_composition(rng, cases: int) -> dict:
     """Operator-side oracle: apply(star(a, b)) == apply(a) after apply(b)."""
     h_values = (Fraction(1), Fraction(1, 3), Fraction(7, 2))
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for i in range(cases):
-            h = h_values[i % len(h_values)]
-            k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
-            b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
-            phi = _random_wavefunction(rng, k, sigma, h)
-            total += 1
-            if not ops.compose_check(a, b, phi):
-                failures += 1
-    return _entry(4, "operator-symbol composition homomorphism", total, failures)
+
+    def case(rng, sigma, i):
+        k = 1 + i % 2
+        a = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
+        b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
+        phi = _random_wavefunction(rng, k, sigma, h_values[i % len(h_values)])
+        return (ops.compose_check(a, b, phi),)
+
+    return _entry(4, "operator-symbol composition homomorphism", *_cases(rng, cases, case))
 
 
 def check_two_path(rng, cases: int) -> dict:
     """Differential and distributional star products agree exactly."""
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for i in range(cases):
-            k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma, max_degree=4)
-            b = _random_symbol(rng, k, sigma, max_degree=4)
-            h = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-            total += 1
-            via_series = dist.ExpPoly.from_poly_symbol(sym.star(a, b).substitute_h(h))
-            via_atoms = dist.star_distributional(a, b, h)
-            if via_series != via_atoms:
-                failures += 1
-    return _entry(5, "two independent star-product routes agree", total, failures)
+
+    def case(rng, sigma, i):
+        a = _random_symbol(rng, 1 + i % 2, sigma, max_degree=4)
+        b = _random_symbol(rng, 1 + i % 2, sigma, max_degree=4)
+        h = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        via_series = dist.ExpPoly.from_poly_symbol(sym.star(a, b).substitute_h(h))
+        return (via_series == dist.star_distributional(a, b, h),)
+
+    return _entry(5, "two independent star-product routes agree", *_cases(rng, cases, case))
 
 
 def check_fourier_identities(rng, cases: int) -> dict:
     """Transform identities for derivatives and monomial multiplication."""
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
+
+    def case(rng, sigma, i):
         u = Binarion.unit(sigma)
-        # closed form for derivatives of the point mass at the origin
-        delta = dist.Ultradistribution.delta((0,), sigma)
-        for n in range(0, 7):
-            total += 1
-            expected = dist.ExpPoly.monomial((n,), (-u) ** n, sigma)
-            if delta.derivative_multi((n,)).fourier() != expected:
-                failures += 1
-        for _ in range(cases):
-            lam = _random_distribution(rng, 1, sigma)
-            n = rng.randint(1, 4)
-            total += 2
-            lhs = lam.fourier().differentiate_multi((n,))
-            rhs = (u**n) * lam.mul_monomial((n,)).fourier()
-            if lhs != rhs:
-                failures += 1
-            lhs2 = lam.derivative_multi((n,)).fourier()
-            rhs2 = dist.ExpPoly.monomial((n,), (-u) ** n, sigma) * lam.fourier()
-            if lhs2 != rhs2:
-                failures += 1
-    return _entry(6, "Fourier transform identities on point atoms", total, failures)
+        lam = _random_distribution(rng, 1, sigma)
+        n = rng.randint(1, 4)
+        x_n = dist.ExpPoly.monomial((n,), (-u) ** n, sigma)
+        return (
+            lam.fourier().differentiate_multi((n,)) == (u**n) * lam.mul_monomial((n,)).fourier(),
+            lam.derivative_multi((n,)).fourier() == x_n * lam.fourier(),
+        )
+
+    count, failures = _cases(rng, cases, case)
+    # closed form for derivatives of the point mass at the origin
+    table = [
+        dist.Ultradistribution.delta((0,), sigma).derivative_multi((n,)).fourier()
+        == dist.ExpPoly.monomial((n,), (-Binarion.unit(sigma)) ** n, sigma)
+        for sigma in SIGMAS
+        for n in range(7)
+    ]
+    return _entry(6, "Fourier transform identities on point atoms",
+                  count + len(table), failures + table.count(False))
 
 
 def check_eigenrelation(rng, cases: int) -> dict:
     """Plane waves are exact eigenfunctions: apply(a, e) = a(q, p0) * e."""
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for i in range(cases):
-            k = 1 + (i % 2)
-            h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-            a = _random_symbol(rng, k, sigma, max_degree=4)
-            momentum = tuple(_random_fraction(rng) for _ in range(k))
-            wave = ops.WaveFunction.plane_wave(momentum, h, sigma)
-            total += 1
-            got = ops.Operator(a, h).apply(wave)
-            expected = ops.plane_wave_eigenvalue(a, momentum, h) * wave.func
-            if got.func != expected:
-                failures += 1
-    return _entry(7, "plane-wave eigenrelation", total, failures)
+
+    def case(rng, sigma, i):
+        k = 1 + i % 2
+        h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        a = _random_symbol(rng, k, sigma, max_degree=4)
+        momentum = tuple(_random_fraction(rng) for _ in range(k))
+        wave = ops.WaveFunction.plane_wave(momentum, h, sigma)
+        got = ops.Operator(a, h).apply(wave)
+        return (got.func == ops.plane_wave_eigenvalue(a, momentum, h) * wave.func,)
+
+    return _entry(7, "plane-wave eigenrelation", *_cases(rng, cases, case))
 
 
 def _random_round_trip(rng, sigma: Sigma):
@@ -259,32 +246,20 @@ def _random_round_trip(rng, sigma: Sigma):
     base = rng.uniform(-2.0, 2.0)
     if sigma is Sigma.COMPLEX:
         delta = rng.uniform(0.1, math.pi - 0.1)
-        amp1 = intf.Amplitude2.from_probabilities(
-            p_a, cond[0], (base + delta, base), sigma
-        )
-        amp2 = intf.Amplitude2.from_probabilities(
-            p_a, cond[1], (base + (math.pi - delta), base), sigma
-        )
-        expected_regime = intf.Regime.TRIGONOMETRIC
-        expected_theta = delta
-        expected_sign = None
+        expected_regime, expected_sign = intf.Regime.TRIGONOMETRIC, None
+        phase2, signs = base + (math.pi - delta), ((1, 1), (1, 1))
     else:
         ranges = intf.theta_range(p_a, cond)
         if not ranges[0].admissible or ranges[0].theta_max < 0.15:
             return problems  # too close to the zero-interference boundary
         delta = rng.uniform(0.1, min(2.0, 0.95 * ranges[0].theta_max))
-        sign = rng.choice((1, -1))
-        signs1 = (1, 1) if sign > 0 else (1, -1)
-        amp1 = intf.Amplitude2.from_probabilities(
-            p_a, cond[0], (base + delta, base), sigma, signs=signs1
-        )
-        signs2 = (1, -1) if sign > 0 else (1, 1)
-        amp2 = intf.Amplitude2.from_probabilities(
-            p_a, cond[1], (base + delta, base), sigma, signs=signs2
-        )
-        expected_regime = intf.Regime.HYPERBOLIC
-        expected_theta = delta
-        expected_sign = sign
+        expected_regime, expected_sign = intf.Regime.HYPERBOLIC, rng.choice((1, -1))
+        phase2 = base + delta
+        signs = ((1, 1), (1, -1)) if expected_sign > 0 else ((1, -1), (1, 1))
+    amp1, amp2 = (
+        intf.Amplitude2.from_probabilities(p_a, cond[j], (phase, base), sigma, signs=signs[j])
+        for j, phase in enumerate((base + delta, phase2))
+    )
     try:
         _, report = intf.forward(amp1, amp2)
     except (intf.ValidationError, intf.InvalidStateError) as exc:  # pragma: no cover
@@ -294,8 +269,8 @@ def _random_round_trip(rng, sigma: Sigma):
     tol = 1e-12
     if outcome.regime is not expected_regime:
         problems.append(f"regime {outcome.regime} != {expected_regime}")
-    elif abs(outcome.theta - expected_theta) > tol:
-        problems.append(f"theta {outcome.theta} != {expected_theta}")
+    elif abs(outcome.theta - delta) > tol:
+        problems.append(f"theta {outcome.theta} != {delta}")
     if expected_sign is not None and outcome.sign != expected_sign:
         problems.append(f"sign {outcome.sign} != {expected_sign}")
     lam = outcome.lam
@@ -310,65 +285,38 @@ def _random_round_trip(rng, sigma: Sigma):
 
 def check_interference(rng, cases: int) -> dict:
     """Forward/inverse round trips plus the three exact worked tables."""
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for _ in range(cases):
-            total += 1
-            if _random_round_trip(rng, sigma):
-                failures += 1
+    count, failures = _cases(
+        rng, cases, lambda rng, sigma, i: (not _random_round_trip(rng, sigma),)
+    )
     # frozen exact tables: lambda = 0, 4/5 (trigonometric) and 3/2 (hyperbolic)
-    half = Fraction(1, 2)
+    half, trig, hyp = Fraction(1, 2), intf.Regime.TRIGONOMETRIC, intf.Regime.HYPERBOLIC
     worked = [
-        (
-            intf.DichotomousContext.from_b1_row(half, half, half, half),
-            Fraction(0),
-            intf.Regime.TRIGONOMETRIC,
-        ),
-        (
-            intf.DichotomousContext.from_b1_row(half, half, half, Fraction(9, 10)),
-            Fraction(4, 5),
-            intf.Regime.TRIGONOMETRIC,
-        ),
-        (
-            intf.DichotomousContext.from_b1_row(
-                half, Fraction(9, 10), Fraction(1, 10), Fraction(19, 20)
-            ),
-            Fraction(3, 2),
-            intf.Regime.HYPERBOLIC,
-        ),
+        ((half, half, half, half), Fraction(0), trig),
+        ((half, half, half, Fraction(9, 10)), Fraction(4, 5), trig),
+        ((half, Fraction(9, 10), Fraction(1, 10), Fraction(19, 20)), Fraction(3, 2), hyp),
     ]
-    for ctx, lam, regime in worked:
-        total += 1
-        outcome = intf.classify(ctx).outcomes[0]
-        if outcome.lam != lam or outcome.regime is not regime:
-            failures += 1
-    return _entry(8, "interference round trips and worked tables", total, failures)
+    table = []
+    for row, lam, regime in worked:
+        outcome = intf.classify(intf.DichotomousContext.from_b1_row(*row)).outcomes[0]
+        table.append(outcome.lam == lam and outcome.regime is regime)
+    return _entry(8, "interference round trips and worked tables",
+                  count + len(table), failures + table.count(False))
 
 
 def check_grassmann(rng, cases: int) -> dict:
     """Supercommutativity and the odd-part annihilator witness."""
-    failures = 0
-    total = 0
-    for sigma in SIGMAS:
-        for _ in range(cases):
-            n = rng.randint(1, 6)
-            total += 1
-            a = _random_grassmann(rng, n, sigma)
-            b = _random_grassmann(rng, n, sigma)
-            c = _random_grassmann(rng, n, sigma)
-            if not gr.supercommutator(a, b).is_zero():
-                failures += 1
-                continue
-            if (a * b) * c != a * (b * c):
-                failures += 1
-    for n in range(1, 9):
-        for sigma in SIGMAS:
-            total += 1
-            witness = gr.annihilator_witness(n, sigma)
-            if witness.is_zero():
-                failures += 1
-    return _entry(9, "Grassmann supercommutativity and annihilator witness", total, failures)
+
+    def case(rng, sigma, i):
+        n = rng.randint(1, 6)
+        a, b, c = (_random_grassmann(rng, n, sigma) for _ in range(3))
+        return (gr.supercommutator(a, b).is_zero() and (a * b) * c == a * (b * c),)
+
+    count, failures = _cases(rng, cases, case)
+    table = [
+        not gr.annihilator_witness(n, sigma).is_zero() for n in range(1, 9) for sigma in SIGMAS
+    ]
+    return _entry(9, "Grassmann supercommutativity and annihilator witness",
+                  count + len(table), failures + table.count(False))
 
 
 def _random_grassmann(rng, n: int, sigma: Sigma) -> gr.GrassmannElement:

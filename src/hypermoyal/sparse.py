@@ -77,9 +77,19 @@ def regroup(element, view, sort_key=None) -> list:
     ]
 
 
+def integer(value) -> int:
+    """``value`` as an int; a value that ``int`` would change, such as ``1.9``
+    or ``"3"``, raises :class:`ValidationError` instead of being truncated."""
+    out = int(value)
+    if out != value:
+        raise ValidationError(f"{value!r} is not an integer")
+    return out
+
+
 def nonnegative(values, message: str) -> tuple:
-    """``values`` as a tuple of ints; a negative entry raises ``message``."""
-    out = tuple(int(v) for v in values)
+    """``values`` as a tuple of :func:`integer` entries; a negative entry
+    raises ``message``."""
+    out = tuple(map(integer, values))
     if any(v < 0 for v in out):
         raise ValidationError(message)
     return out

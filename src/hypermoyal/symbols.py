@@ -54,7 +54,7 @@ from .errors import (
 )
 from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json
 from .sparse import (SparseAlgebra, add_parts, binarion_coefficient, collect, from_parts,
-                     nonnegative, regroup)
+                     integer, nonnegative, regroup)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -419,16 +419,19 @@ class PolySymbol(SparseAlgebra):
 
         def read_coeff(entries) -> HPoly:
             return HPoly(
-                {json_field(c, "h", int): binarion_from_json(c, sigma) for c in entries},
+                {json_field(c, "h", integer): binarion_from_json(c, sigma) for c in entries},
                 sigma,
             )
 
+        def exponents(values) -> tuple:
+            return nonnegative(values, "negative exponents are not allowed")
+
         terms = {}
         for entry in json_field(data, "terms", list):
-            key = (json_field(entry, "q", tuple), json_field(entry, "p", tuple))
+            key = (json_field(entry, "q", exponents), json_field(entry, "p", exponents))
             hp = json_field(entry, "coeff", read_coeff)
             terms[key] = terms[key] + hp if key in terms else hp
-        return cls(json_field(data, "dof", int), sigma, terms)
+        return cls(json_field(data, "dof", integer), sigma, terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

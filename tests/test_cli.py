@@ -290,6 +290,67 @@ def test_apply_over_degree_cap_is_one_line_error(tmp_path, capsys):
         2, "", "error: operator symbol degree 17 exceeds cap 16\n")
 
 
+GRASSMANN = {"n": 2, "sigma": 1, "terms": [{"gens": [1, 2], "re": "1"}]}
+
+#: (reader, document, path to the field, value): an integer field holding a
+#: value that ``int`` would change or reject, or a generator outside ``1..n``.
+BAD_INTEGERS = [
+    (PolySymbol, OPERATOR["symbol"], ("dof",), 1.5),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), [0.5]),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), [[0]]),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), ["a"]),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "p"), ["1"]),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "coeff", 0, "h"), 0.5),
+    (ExpPoly, WAVE["func"], ("dim",), "1"),
+    (ExpPoly, WAVE["func"], ("terms", 0, "exp"), [2.7]),
+    (Ultradistribution, ATOMS, ("dim",), 1.5),
+    (Ultradistribution, ATOMS, ("atoms", 0, "order"), [1.9]),
+    (GrassmannElement, GRASSMANN, ("n",), 2.5),
+    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [1.5]),
+    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [0]),
+    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [10**9]),
+]
+
+
+def _with(document, path, value):
+    data = copy.deepcopy(document)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("reader, document, path, value", BAD_INTEGERS)
+def test_integer_fields_refuse_what_int_would_change(reader, document, path, value):
+    """The error names the field; a generator is checked against ``1..n``
+    before its bit is built."""
+    with pytest.raises(hypermoyal.HypermoyalError) as info:
+        reader.from_json_dict(_with(document, path, value))
+    assert f"{path[-1]}: " in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "command, documents, message",
+    [
+        ("apply", (_with(OPERATOR, ("symbol", "terms", 0, "q"), [0.5]), WAVE),
+         "operator: symbol: q: 0.5 is not an integer"),
+        ("apply", (OPERATOR, _with(WAVE, ("func", "terms", 0, "exp"), [2.7])),
+         "wavefunction: func: exp: 2.7 is not an integer"),
+        ("fourier", (_with(ATOMS, ("atoms", 0, "order"), [1.9]),),
+         "atoms: order: 1.9 is not an integer"),
+    ],
+)
+def test_non_integer_exponent_or_order_is_one_line_error(
+    tmp_path, capsys, command, documents, message
+):
+    paths = []
+    for i, data in enumerate(documents):
+        paths.append(tmp_path / f"input{i}.json")
+        paths[-1].write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, command, *map(str, paths)) == (2, "", f"error: {message}\n")
+
+
 # -- interfere -----------------------------------------------------------------------
 
 

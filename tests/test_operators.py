@@ -233,6 +233,34 @@ def test_compose_check_randomized():
             assert compose_check(a, b, phi)
 
 
+def _two_denominator_wavefunction(rng, k, sigma, h):
+    """Plane waves of momenta 1/2 and 1/3 in every coordinate, each times a
+    random linear factor: two frequency denominators in one wavefunction."""
+    func = ExpPoly.zero(k, sigma)
+    for momentum in (Fraction(1, 2), Fraction(1, 3)):
+        factor = ExpPoly.coordinate(rng.randrange(k), k, sigma) + ExpPoly.constant(
+            _random_fraction(rng), k, sigma
+        )
+        func = func + factor * WaveFunction.plane_wave((momentum,) * k, h, sigma).func
+    return WaveFunction(func, h)
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_compose_check_mixed_frequency_denominators(sigma):
+    """``apply_normal_ordered`` lifts each term from its own frequency
+    denominator onto the lcm of all of them; one frequency per wavefunction
+    (as in the randomized test above) never exercises that lift."""
+    rng = random.Random(25)
+    h_values = (Fraction(1), Fraction(1, 3), Fraction(7, 2))
+    for i in range(20):
+        h = h_values[i % 3]
+        k = 1 + (i % 2)
+        a = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
+        b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
+        phi = _two_denominator_wavefunction(rng, k, sigma, h)
+        assert compose_check(a, b, phi)
+
+
 def test_compose_check_degree_cap():
     """One cap on both routes: polynomial symbols (series) and exp-poly
     symbols (distributional star); ``None`` means the default cap."""
