@@ -42,7 +42,6 @@ exactly with :func:`hypermoyal.symbols.star`.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import product as iter_product
@@ -61,9 +60,10 @@ from .scalars import (
     _json_fraction,
     as_sigma,
     binarion_from_json,
+    binarion_to_json,
 )
 from .sparse import (SparseAlgebra, SparseMap, add_parts, binarion_coefficient, collect,
-                     from_parts, integer, nonnegative, regroup)
+                     from_parts, integer, nonnegative, regroup, summed)
 from .symbols import DEFAULT_DEGREE_CAP, PolySymbol
 
 
@@ -199,28 +199,16 @@ def _times_unit_power(c: Binarion, n: int, sign: int) -> Binarion:
 
 def _weight_to_json(w: CharSum) -> dict:
     if w.is_scalar():
-        b = w.as_binarion()
-        return {"re": str(b.re), "im": str(b.im)}
-    return {
-        "chars": [
-            {"exp": str(r), "re": str(c.re), "im": str(c.im)} for r, c in w.items()
-        ]
-    }
+        return binarion_to_json(w.as_binarion())
+    return {"chars": [{"exp": str(r), **binarion_to_json(c)} for r, c in w.items()]}
 
 
 def _weight_from_json(data: dict, sigma: Sigma) -> CharSum:
     if "chars" in data:
-        return CharSum(json_field(data, "chars", lambda e: _sum_chars(e, sigma)), sigma)
+        return CharSum(json_field(data, "chars", lambda entries: summed(
+            (json_field(e, "exp", _json_fraction), binarion_from_json(e, sigma)) for e in entries
+        )), sigma)
     return CharSum.from_scalar(binarion_from_json(data, sigma))
-
-
-def _sum_chars(entries, sigma: Sigma) -> dict:
-    terms = {}
-    for entry in entries:
-        r = json_field(entry, "exp", _json_fraction)
-        c = binarion_from_json(entry, sigma)
-        terms[r] = terms[r] + c if r in terms else c
-    return terms
 
 
 class ExpPoly(SparseAlgebra):
@@ -234,14 +222,14 @@ class ExpPoly(SparseAlgebra):
     """
 
     __slots__ = ()
-    _SIZE_NAME = "dim"
+    _JSON_FIELDS = ("dim", "terms")
     _SCALARS = (CharSum, Binarion, int, Fraction)
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the domain.")
 
     def __init__(self, dim: int, sigma: Sigma, terms: dict = None):
-        if dim < 1:
+        self._size = integer(dim)
+        if self._size < 1:
             raise DimensionMismatchError("dim must be >= 1")
-        self._size = int(dim)
         self.sigma = as_sigma(sigma)
         pairs = []
         for (freq, exps), coeff in (terms or {}).items():
@@ -465,40 +453,22 @@ class ExpPoly(SparseAlgebra):
 
     # -- serialization ---------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "sigma": self.sigma.value,
-            "terms": [
-                {
-                    "freq": [str(f) for f in freq],
-                    "exp": list(exps),
-                    "coeff": _weight_to_json(coeff),
-                }
-                for freq, exps, coeff in self.terms()
-            ],
-        }
+    def _json_terms(self):
+        return [((freq, exps), coeff) for freq, exps, coeff in self.terms()]
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExpPoly":
-        sigma = json_field(data, "sigma", as_sigma)
-        terms = {}
-        for entry in json_field(data, "terms", list):
-            key = (
-                json_field(entry, "freq", _fractions),
-                json_field(entry, "exp", lambda v: nonnegative(
-                    v, "negative exponents are not allowed")),
-            )
-            c = json_field(entry, "coeff", lambda w: _weight_from_json(w, sigma))
-            terms[key] = terms[key] + c if key in terms else c
-        return cls(json_field(data, "dim", integer), sigma, terms)
+    @staticmethod
+    def _term_to_json(key, coeff) -> dict:
+        freq, exps = key
+        return {"freq": [str(f) for f in freq], "exp": list(exps), "coeff": _weight_to_json(coeff)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExpPoly":
-        return cls.from_json_dict(json.loads(text))
+    @staticmethod
+    def _term_from_json(entry, sigma, dim):
+        key = (
+            json_field(entry, "freq", _fractions),
+            json_field(entry, "exp", lambda v: nonnegative(
+                v, "negative exponents are not allowed")),
+        )
+        return key, json_field(entry, "coeff", lambda w: _weight_from_json(w, sigma))
 
 
 class Ultradistribution(SparseMap):
@@ -514,14 +484,14 @@ class Ultradistribution(SparseMap):
     """
 
     __slots__ = ()
-    _SIZE_NAME = "dim"
+    _JSON_FIELDS = ("dim", "atoms")
     _SCALARS = ()
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the space.")
 
     def __init__(self, dim: int, sigma: Sigma, atoms=None):
-        if dim < 1:
+        self._size = integer(dim)
+        if self._size < 1:
             raise DimensionMismatchError("dim must be >= 1")
-        self._size = int(dim)
         self.sigma = as_sigma(sigma)
         pairs = []
         for loc, order, weight in atoms or []:
@@ -668,41 +638,26 @@ class Ultradistribution(SparseMap):
 
     __repr__ = __str__
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "sigma": self.sigma.value,
-            "atoms": [
-                {
-                    "loc": [str(x) for x in loc],
-                    "order": list(order),
-                    "weight": _weight_to_json(w),
-                }
-                for loc, order, w in self.atoms()
-            ],
-        }
+    def _json_terms(self):
+        return [((loc, order), w) for loc, order, w in self.atoms()]
+
+    @staticmethod
+    def _term_to_json(key, w) -> dict:
+        loc, order = key
+        return {"loc": [str(x) for x in loc], "order": list(order), "weight": _weight_to_json(w)}
+
+    @staticmethod
+    def _term_from_json(entry, sigma, dim):
+        key = (
+            json_field(entry, "loc", _fractions),
+            json_field(entry, "order", lambda v: nonnegative(
+                v, "derivative orders must be nonnegative")),
+        )
+        return key, json_field(entry, "weight", lambda w: _weight_from_json(w, sigma))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Ultradistribution":
-        sigma = json_field(data, "sigma", as_sigma)
-
-        def read_atom(entry):
-            return (
-                json_field(entry, "loc", _fractions),
-                json_field(entry, "order", lambda v: nonnegative(
-                    v, "derivative orders must be nonnegative")),
-                json_field(entry, "weight", lambda w: _weight_from_json(w, sigma)),
-            )
-
-        atoms = json_field(data, "atoms", lambda entries: [read_atom(e) for e in entries])
-        return cls(json_field(data, "dim", integer), sigma, atoms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Ultradistribution":
-        return cls.from_json_dict(json.loads(text))
+    def _from_json_terms(cls, dim, sigma, terms: dict):
+        return cls(dim, sigma, [(loc, order, w) for (loc, order), w in terms.items()])
 
 
 def _coerce_symbol(a, h=None) -> ExpPoly:

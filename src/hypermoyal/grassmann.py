@@ -17,10 +17,9 @@ otherwise carries the reordering sign.
 from __future__ import annotations
 
 import enum
-import json
 
 from .errors import DimensionMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, as_sigma, binarion_from_json
+from .scalars import Binarion, Sigma, as_sigma, binarion_from_json, binarion_to_json
 from .sparse import SparseAlgebra, binarion_coefficient, collect, integer
 
 #: Largest generator count :func:`annihilator_witness` accepts.  Its check
@@ -55,6 +54,18 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
+def _word_mask(indices) -> int:
+    """The mask of the word ``theta_{i1} ... theta_{ik}`` of 0-based indices,
+    which must be nonnegative and strictly ascending: such a word is its
+    own canonical monomial, with no sign."""
+    mask = 0
+    for i in map(integer, indices):
+        if i < 0 or mask >> i:
+            raise ValidationError("generators must be nonnegative and strictly ascending")
+        mask |= 1 << i
+    return mask
+
+
 def _generator_numbers(mask: int) -> list:
     """The 1-based numbers of the generators in ``mask``, ascending."""
     numbers = []
@@ -69,13 +80,13 @@ class GrassmannElement(SparseAlgebra):
     """Element of the Grassmann algebra on ``n`` generators over binarions."""
 
     __slots__ = ()
-    _SIZE_NAME = "n"
+    _JSON_FIELDS = ("n", "terms")
     n = property(lambda self: self._size, doc="Number of generators.")
 
     def __init__(self, n: int, sigma: Sigma, terms: dict = None):
-        if n < 0:
+        self._size = integer(n)
+        if self._size < 0:
             raise ValidationError("generator count must be nonnegative")
-        self._size = int(n)
         self.sigma = as_sigma(sigma)
         pairs = []
         for mask, coeff in (terms or {}).items():
@@ -106,14 +117,9 @@ class GrassmannElement(SparseAlgebra):
 
     @classmethod
     def monomial(cls, indices, n: int, sigma: Sigma, coeff=1) -> "GrassmannElement":
-        """``coeff * theta_{i1} ... theta_{ik}`` for ascending 0-based indices."""
-        mask = 0
-        for i in indices:
-            bit = 1 << int(i)
-            if mask & bit:
-                return cls.zero(n, sigma)
-            mask |= bit
-        return cls(n, sigma, {mask: coeff})
+        """``coeff * theta_{i1} ... theta_{ik}`` for strictly ascending 0-based
+        indices."""
+        return cls(n, sigma, {_word_mask(indices): coeff})
 
     def _constant(self, value) -> "GrassmannElement":
         return GrassmannElement.scalar(value, self.n, self.sigma)
@@ -122,6 +128,8 @@ class GrassmannElement(SparseAlgebra):
 
     def terms(self):
         return [(mask, self._terms[mask]) for mask in sorted(self._terms)]
+
+    _json_terms = terms
 
     def parity(self) -> Parity:
         degrees = {mask.bit_count() % 2 for mask in self._terms}
@@ -166,42 +174,20 @@ class GrassmannElement(SparseAlgebra):
 
     __repr__ = __str__
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": self.sigma.value,
-            "terms": [
-                {
-                    "gens": _generator_numbers(mask),
-                    "re": str(c.re),
-                    "im": str(c.im),
-                }
-                for mask, c in self.terms()
-            ],
-        }
+    @staticmethod
+    def _term_to_json(mask, c) -> dict:
+        return {"gens": _generator_numbers(mask), **binarion_to_json(c)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GrassmannElement":
-        sigma = json_field(data, "sigma", as_sigma)
-        n = json_field(data, "n", integer)
-
+    @staticmethod
+    def _term_from_json(entry, sigma, n):
         def read_mask(gens) -> int:
-            mask = 0
-            for g in map(integer, gens):
+            gens = list(map(integer, gens))
+            for g in gens:
                 if not 1 <= g <= n:
                     raise ValidationError(f"generator {g} is outside 1..{n}")
-                mask |= 1 << (g - 1)
-            return mask
+            return _word_mask(g - 1 for g in gens)
 
-        terms = {}
-        for entry in json_field(data, "terms", list):
-            mask = json_field(entry, "gens", read_mask)
-            c = binarion_from_json(entry, sigma)
-            terms[mask] = terms[mask] + c if mask in terms else c
-        return cls(n, sigma, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json_field(entry, "gens", read_mask), binarion_from_json(entry, sigma)
 
 
 def generators(n: int, sigma: Sigma) -> tuple:

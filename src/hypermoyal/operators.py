@@ -418,6 +418,8 @@ class Operator:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Operator":
         kind = data.get("kind", "poly") if isinstance(data, dict) else "poly"
+        if kind not in ("poly", "exp"):
+            raise ValidationError(f"kind: expected 'poly' or 'exp', got {kind!r}")
         symbol_cls = PolySymbol if kind == "poly" else ExpPoly
         return cls(
             json_field(data, "symbol", symbol_cls.from_json_dict),

@@ -311,6 +311,11 @@ class Binarion:
     __repr__ = __str__
 
 
+def binarion_to_json(value: Binarion) -> dict:
+    """The JSON object ``{"re": x, "im": y}`` of a binarion."""
+    return {"re": str(value.re), "im": str(value.im)}
+
+
 def binarion_from_json(data, sigma: Sigma) -> Binarion:
     """The binarion of a JSON object ``{"re": x, "im": y}``; ``im`` defaults to 0."""
     re = json_field(data, "re", _json_fraction)

@@ -29,6 +29,7 @@ from . import interference as intf
 from . import operators as ops
 from . import symbols as sym
 from .scalars import Binarion, Sigma
+from .sparse import summed
 
 SIGMAS = (Sigma.HYPERBOLIC, Sigma.COMPLEX)
 
@@ -69,7 +70,7 @@ def _random_binarion(rng, sigma: Sigma, zero_ok=False) -> Binarion:
 
 
 def _random_symbol(rng, k: int, sigma: Sigma, max_degree: int, max_terms: int = 3):
-    terms = {}
+    pairs = []
     for _ in range(rng.randint(1, max_terms)):
         degree = rng.randint(0, max_degree)
         alpha = [0] * k
@@ -80,10 +81,9 @@ def _random_symbol(rng, k: int, sigma: Sigma, max_degree: int, max_terms: int = 
                 alpha[slot] += 1
             else:
                 beta[slot - k] += 1
-        key = (tuple(alpha), tuple(beta))
         coeff = sym.HPoly.from_scalar(_random_binarion(rng, sigma))
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return sym.PolySymbol(k, sigma, terms)
+        pairs.append(((tuple(alpha), tuple(beta)), coeff))
+    return sym.PolySymbol(k, sigma, summed(pairs))
 
 
 def _random_distribution(rng, dim: int, sigma: Sigma, max_atoms=6, max_order=4):
@@ -320,12 +320,9 @@ def check_grassmann(rng, cases: int) -> dict:
 
 
 def _random_grassmann(rng, n: int, sigma: Sigma) -> gr.GrassmannElement:
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        mask = rng.randrange(1 << n)
-        coeff = _random_binarion(rng, sigma)
-        terms[mask] = terms[mask] + coeff if mask in terms else coeff
-    return gr.GrassmannElement(n, sigma, terms)
+    return gr.GrassmannElement(n, sigma, summed(
+        (rng.randrange(1 << n), _random_binarion(rng, sigma)) for _ in range(rng.randint(1, 4))
+    ))
 
 
 # -- suite driver -------------------------------------------------------------------

@@ -22,23 +22,35 @@ an accumulator ``{key: [re, im]}`` and :func:`from_parts` divides it by one
 common denominator, if any, and builds each nonzero binarion once.  Both only add and
 divide; structure constants, derivative factors, unit-power folds and the
 choice of denominator stay in each route.
+
+The four maps with a size (symbols, exponential polynomials, distributions
+and Grassmann elements) have one JSON edge, :meth:`SparseMap.to_json_dict`
+and :meth:`SparseMap.from_json_dict`, and one shape: the size, ``sigma``
+and a list of entries, whose repeated keys add through :func:`summed`.
+Each class converts only a single entry.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError
-from .scalars import Binarion
+from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
+from .scalars import Binarion, as_sigma
+
+
+def summed(pairs) -> dict:
+    """Sum ``(key, value)`` pairs per key, in the order keys first appear."""
+    out = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return out
 
 
 def collect(pairs) -> dict:
     """Sum ``(key, coefficient)`` pairs per key and drop the zero sums."""
-    out = {}
-    for key, value in pairs:
-        out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if not value.is_zero()}
+    return {key: value for key, value in summed(pairs).items() if not value.is_zero()}
 
 
 def add_parts(acc: dict, key, re, im):
@@ -79,9 +91,10 @@ def regroup(element, view, sort_key=None) -> list:
 
 def integer(value) -> int:
     """``value`` as an int; a value that ``int`` would change, such as ``1.9``
-    or ``"3"``, raises :class:`ValidationError` instead of being truncated."""
+    or ``"3"``, and a boolean raise :class:`ValidationError` instead of being
+    truncated or read as 0 or 1."""
     out = int(value)
-    if out != value:
+    if out != value or isinstance(value, bool):
         raise ValidationError(f"{value!r} is not an integer")
     return out
 
@@ -108,14 +121,23 @@ class SparseMap:
     """Finite map from keys to nonzero coefficients, with its linear structure.
 
     ``sigma`` is the signature of every coefficient.  ``_size`` is the
-    dimension of the space the keys live on (``dof``, ``dim`` or ``n``,
-    named by ``_SIZE_NAME``; ``None`` for the scalar rings); two elements
-    combine only when both agree.
+    dimension of the space the keys live on (``dof``, ``dim`` or ``n``;
+    ``None`` for the scalar rings); two elements combine only when both
+    agree.
+
+    A map with a size is written to JSON as ``{size: int, "sigma": int,
+    list: [entry, ...]}``, named by ``_JSON_FIELDS = (size, list)``.  Each
+    such class supplies ``_json_terms()``, its terms as ``(key,
+    coefficient)`` pairs in canonical order, and one converter per
+    direction for a single entry: ``_term_to_json(key, coeff)`` and
+    ``_term_from_json(entry, sigma, size)``, which returns the pair.
+    Reading sums repeated keys and builds the element through its public
+    constructor.
     """
 
     __slots__ = ("sigma", "_size", "_terms")
 
-    _SIZE_NAME = None
+    _JSON_FIELDS = (None, None)
     #: Operand types that enter arithmetic and comparison as constants.
     _SCALARS = (Binarion, int, Fraction)
 
@@ -144,7 +166,7 @@ class SparseMap:
     def _check(self, other):
         self._check_sigma(other)
         if other._size != self._size:
-            name = self._SIZE_NAME
+            name = self._JSON_FIELDS[0]
             raise DimensionMismatchError(
                 f"cannot combine {name}={self._size} with {name}={other._size}"
             )
@@ -181,6 +203,39 @@ class SparseMap:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    # -- JSON ---------------------------------------------------------------------
+
+    @classmethod
+    def _from_json_terms(cls, size, sigma, terms: dict):
+        """The element of summed ``{key: coefficient}`` terms, through the
+        public constructor."""
+        return cls(size, sigma, terms)
+
+    def to_json_dict(self) -> dict:
+        size_name, list_name = self._JSON_FIELDS
+        return {
+            size_name: self._size,
+            "sigma": self.sigma.value,
+            list_name: [self._term_to_json(key, coeff) for key, coeff in self._json_terms()],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        size_name, list_name = cls._JSON_FIELDS
+        sigma = json_field(data, "sigma", as_sigma)
+        size = json_field(data, size_name, integer)
+        terms = json_field(data, list_name, lambda entries: summed(
+            cls._term_from_json(entry, sigma, size) for entry in entries
+        ))
+        return cls._from_json_terms(size, sigma, terms)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))
 
     def __add__(self, other):
         o = self._coerce(other)

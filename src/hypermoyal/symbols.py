@@ -38,7 +38,6 @@ other.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,9 +51,10 @@ from .errors import (
     ValidationError,
     json_field,
 )
-from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json
+from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
+                      binarion_to_json)
 from .sparse import (SparseAlgebra, add_parts, binarion_coefficient, collect, from_parts,
-                     integer, nonnegative, regroup)
+                     integer, nonnegative, regroup, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -80,7 +80,7 @@ class HPoly(SparseAlgebra):
             value = binarion_coefficient(value, self.sigma, "HPoly")
             if degree < 0:
                 raise ValidationError("h-degree must be nonnegative")
-            pairs.append((int(degree), value))
+            pairs.append((integer(degree), value))
         self._terms = collect(pairs)
 
     # -- constructors ---------------------------------------------------
@@ -198,14 +198,14 @@ class PolySymbol(SparseAlgebra):
     """
 
     __slots__ = ()
-    _SIZE_NAME = "dof"
+    _JSON_FIELDS = ("dof", "terms")
     _SCALARS = (Binarion, HPoly, int, Fraction)
     dof = property(lambda self: self._size, doc="Number of degrees of freedom ``k``.")
 
     def __init__(self, dof: int, sigma: Sigma, terms: dict = None):
-        if dof < 1:
+        self._size = integer(dof)
+        if self._size < 1:
             raise DimensionMismatchError("dof must be >= 1")
-        self._size = int(dof)
         self.sigma = as_sigma(sigma)
         pairs = []
         for (alpha, beta), coeff in (terms or {}).items():
@@ -398,47 +398,26 @@ class PolySymbol(SparseAlgebra):
 
     # -- serialization ----------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        terms = []
-        for alpha, beta, coeff in self.terms():
-            terms.append(
-                {
-                    "q": list(alpha),
-                    "p": list(beta),
-                    "coeff": [
-                        {"h": d, "re": str(v.re), "im": str(v.im)}
-                        for d, v in coeff.items()
-                    ],
-                }
-            )
-        return {"dof": self.dof, "sigma": self.sigma.value, "terms": terms}
+    def _json_terms(self):
+        return [((alpha, beta), coeff) for alpha, beta, coeff in self.terms()]
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PolySymbol":
-        sigma = json_field(data, "sigma", as_sigma)
+    @staticmethod
+    def _term_to_json(key, coeff) -> dict:
+        coeff = [{"h": d, **binarion_to_json(v)} for d, v in coeff.items()]
+        return {"q": list(key[0]), "p": list(key[1]), "coeff": coeff}
 
-        def read_coeff(entries) -> HPoly:
-            return HPoly(
-                {json_field(c, "h", integer): binarion_from_json(c, sigma) for c in entries},
-                sigma,
-            )
-
+    @staticmethod
+    def _term_from_json(entry, sigma, dof):
         def exponents(values) -> tuple:
             return nonnegative(values, "negative exponents are not allowed")
 
-        terms = {}
-        for entry in json_field(data, "terms", list):
-            key = (json_field(entry, "q", exponents), json_field(entry, "p", exponents))
-            hp = json_field(entry, "coeff", read_coeff)
-            terms[key] = terms[key] + hp if key in terms else hp
-        return cls(json_field(data, "dof", integer), sigma, terms)
+        def read_coeff(entries) -> HPoly:
+            return HPoly(summed(
+                (json_field(c, "h", integer), binarion_from_json(c, sigma)) for c in entries
+            ), sigma)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolySymbol":
-        return cls.from_json_dict(json.loads(text))
+        key = (json_field(entry, "q", exponents), json_field(entry, "p", exponents))
+        return key, json_field(entry, "coeff", read_coeff)
 
 
 def _term_order_key(key):

@@ -330,13 +330,46 @@ def test_integer_fields_refuse_what_int_would_change(reader, document, path, val
     assert f"{path[-1]}: " in str(info.value)
 
 
+#: (reader, document, path to the field, value): a JSON boolean where an
+#: integer belongs, which ``int`` would read as 0 or 1.
+BOOLEANS = [
+    (PolySymbol, OPERATOR["symbol"], ("dof",), True),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), [True]),
+    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "coeff", 0, "h"), True),
+    (ExpPoly, WAVE["func"], ("terms", 0, "exp"), [False]),
+    (Ultradistribution, ATOMS, ("dim",), True),
+    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [True, 2]),
+]
+
+
+@pytest.mark.parametrize("reader, document, path, value", BOOLEANS)
+def test_integer_fields_refuse_booleans(reader, document, path, value):
+    with pytest.raises(hypermoyal.HypermoyalError) as info:
+        reader.from_json_dict(_with(document, path, value))
+    assert f"{path[-1]}: " in str(info.value) and "is not an integer" in str(info.value)
+
+
+def test_apply_refuses_an_unknown_operator_kind(tmp_path, capsys):
+    """A missing ``kind`` still means ``poly``."""
+    no_kind = copy.deepcopy(OPERATOR)
+    del no_kind["kind"]
+    paths = {}
+    for name, data in (("polly", _with(OPERATOR, ("kind",), "polly")), ("none", no_kind),
+                       ("wave", WAVE)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "apply", str(paths["polly"]), str(paths["wave"])) == (
+        2, "", "error: operator: kind: expected 'poly' or 'exp', got 'polly'\n")
+    assert run(capsys, "apply", str(paths["none"]), str(paths["wave"]))[0] == 0
+
+
 @pytest.mark.parametrize(
     "command, documents, message",
     [
         ("apply", (_with(OPERATOR, ("symbol", "terms", 0, "q"), [0.5]), WAVE),
-         "operator: symbol: q: 0.5 is not an integer"),
+         "operator: symbol: terms: q: 0.5 is not an integer"),
         ("apply", (OPERATOR, _with(WAVE, ("func", "terms", 0, "exp"), [2.7])),
-         "wavefunction: func: exp: 2.7 is not an integer"),
+         "wavefunction: func: terms: exp: 2.7 is not an integer"),
         ("fourier", (_with(ATOMS, ("atoms", 0, "order"), [1.9]),),
          "atoms: order: 1.9 is not an integer"),
     ],

@@ -187,3 +187,18 @@ def test_text_and_json():
     assert str(element) == "3/2 + (1j)·θ1θ3"
     back = GrassmannElement.from_json_dict(element.to_json_dict())
     assert back == element
+
+
+@pytest.mark.parametrize("indices", [(1, 0), (0, 0), (0, 2, 1), (-1,)])
+def test_monomial_refuses_a_word_that_is_not_strictly_ascending(indices):
+    """Such a word is not its own canonical monomial: a repeat is zero and a
+    reordering carries a sign, so it is refused rather than read as one."""
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        GrassmannElement.monomial(indices, 3, H)
+
+
+@pytest.mark.parametrize("gens", [[1, 1], [2, 1]])
+def test_json_gens_must_strictly_ascend(gens):
+    data = {"n": 2, "sigma": 1, "terms": [{"gens": gens, "re": "1"}]}
+    with pytest.raises(ValidationError, match="^terms: gens: .*strictly ascending"):
+        GrassmannElement.from_json_dict(data)

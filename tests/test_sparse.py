@@ -7,8 +7,12 @@ coefficient.  That rebuild reads back the result's own map, so it cannot see
 a term lost where two keys collide; results whose terms collide are also
 compared with an independent computation.  The public constructors keep
 rejecting malformed input with the same error types.
+
+The four classes with a size share one JSON codec in ``SparseMap``; every
+element, and each wrapper around one, reads back as itself.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,10 +25,13 @@ from hypermoyal import (
     ExpPoly,
     GrassmannElement,
     HPoly,
+    HypermoyalError,
+    Operator,
     PolySymbol,
     Sigma,
     SignatureMismatchError,
     Ultradistribution,
+    WaveFunction,
     inverse_fourier_symbol,
     moyal_bracket,
     scaled_bracket,
@@ -32,7 +39,7 @@ from hypermoyal import (
     star_distributional,
     supercommutator,
 )
-from hypermoyal.sparse import add_parts, from_parts
+from hypermoyal.sparse import SparseMap, add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -254,3 +261,104 @@ def test_from_parts_takes_fraction_parts_as_they_are_or_over_one():
         expected = {0: Binarion(1, 0, sigma), 2: Binarion(0, Fraction(5, 4), sigma)}
         assert from_parts(acc, sigma) == expected
         assert from_parts(acc, sigma, 1) == expected
+
+
+# -- JSON ----------------------------------------------------------------------
+
+
+def _scalar_atom(rng, sigma):
+    """A distribution that also holds a weight free of characters, written
+    as a bare ``{"re", "im"}`` object, at a nonzero location."""
+    return _distribution(rng, sigma) + Ultradistribution.delta(
+        (Fraction(rng.randint(1, 3), 2),), sigma, (rng.randint(0, 2),), _coeff(rng, sigma)
+    )
+
+
+JSON_ELEMENTS = {
+    "PolySymbol": _symbol,
+    "ExpPoly": _exppoly_2,
+    "Ultradistribution": _scalar_atom,
+    "GrassmannElement": _grassmann,
+    "WaveFunction": lambda rng, sigma: WaveFunction(_exppoly(rng, sigma), Fraction(1, 3)),
+    "Operator": lambda rng, sigma: Operator(
+        rng.choice([_symbol, _exppoly_2])(rng, sigma), Fraction(2, 3), sigma
+    ),
+}
+
+
+def _dumps(x) -> str:
+    return json.dumps(x.to_json_dict(), sort_keys=True)
+
+
+def _state(x):
+    """What equality compares; ``Operator`` defines no ``==``."""
+    return (x.symbol, x.h, x.sigma) if isinstance(x, Operator) else x
+
+
+@pytest.mark.parametrize("make", JSON_ELEMENTS.values(), ids=JSON_ELEMENTS)
+def test_json_reads_back_as_itself_and_its_text_is_a_fixed_point(make):
+    rng = random.Random(41)
+    for sigma in SIGMAS:
+        for _ in range(25):
+            x = make(rng, sigma)
+            text = _dumps(x)
+            back = type(x).from_json_dict(json.loads(text))
+            assert _state(back) == _state(x)
+            assert _dumps(back) == text
+            if isinstance(x, SparseMap):
+                assert x.to_json() == text
+                assert type(x).from_json(text) == x
+
+
+@pytest.mark.parametrize("cls", [PolySymbol, ExpPoly, Ultradistribution, GrassmannElement])
+def test_no_sparse_class_writes_its_own_codec(cls):
+    assert not {"to_json", "from_json", "to_json_dict", "from_json_dict"} & set(vars(cls))
+
+
+def _entries(*res):
+    return [{"h": 0, "re": re} for re in res]
+
+
+#: Documents that repeat a key, with the element that sums the repeats.
+REPEATED_KEYS = {
+    "h-degree": (PolySymbol, {"dof": 1, "sigma": 1, "terms": [
+        {"q": [1], "p": [0], "coeff": _entries("1", "2")},
+    ]}, PolySymbol.monomial((1,), (0,), 3, H)),
+    "symbol term": (PolySymbol, {"dof": 1, "sigma": 1, "terms": [
+        {"q": [1], "p": [0], "coeff": _entries("1")},
+        {"q": [1], "p": [0], "coeff": _entries("2")},
+    ]}, PolySymbol.monomial((1,), (0,), 3, H)),
+    "character": (ExpPoly, {"dim": 1, "sigma": 1, "terms": [
+        {"freq": ["0"], "exp": [0], "coeff": {"chars": [
+            {"exp": "1/2", "re": "1"}, {"exp": "1/2", "re": "2"},
+        ]}},
+    ]}, ExpPoly.constant(CharSum.character(Fraction(1, 2), H, 3), 1, H)),
+    "atom": (Ultradistribution, {"dim": 1, "sigma": 1, "atoms": [
+        {"loc": ["1/2"], "order": [1], "weight": {"re": "1"}},
+        {"loc": ["1/2"], "order": [1], "weight": {"re": "2"}},
+    ]}, Ultradistribution.delta((Fraction(1, 2),), H, (1,), 3)),
+    "Grassmann word": (GrassmannElement, {"n": 2, "sigma": 1, "terms": [
+        {"gens": [1, 2], "re": "1"}, {"gens": [1, 2], "re": "2"},
+    ]}, GrassmannElement.monomial((0, 1), 2, H, 3)),
+}
+
+
+@pytest.mark.parametrize("cls, data, expected", REPEATED_KEYS.values(), ids=REPEATED_KEYS)
+def test_repeated_json_keys_add(cls, data, expected):
+    assert cls.from_json_dict(data) == expected
+
+
+NON_INTEGER_SIZES = {
+    "dof 1.5": lambda: PolySymbol.zero(1.5, H),
+    "dof True": lambda: PolySymbol.zero(True, H),
+    "dim 2.7": lambda: ExpPoly.zero(2.7, H),
+    "atoms dim 1.5": lambda: Ultradistribution.zero(1.5, H),
+    "n 3.9": lambda: GrassmannElement.zero(3.9, H),
+    "h-degree True": lambda: HPoly({True: 1}, H),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES)
+def test_sizes_and_h_degrees_must_be_integers(build):
+    with pytest.raises(HypermoyalError, match="is not an integer"):
+        build()
