@@ -28,12 +28,13 @@ clean by construction.
 The module also carries the symbol <-> distribution bridge used by the
 pseudo-differential calculus: a phase-space symbol ``a(q, p)`` corresponds
 to a distribution in transposed variables via
-``a(q, p) = integral exp(u*(<q, p1> + <p, q1>)) a~(dp1 dq1)``,
-and :func:`star_distributional` composes two symbols by tensoring their
-distributions, applying the twist ``exp(u*h*<q1, p2>)``, and pushing
-forward under addition of locations.  The derivatives of the twist that
-act on each atom come from a closed form per coordinate pair
-``(q1_i, p2_i)``, and :meth:`ExpPoly.differentiate_multi` from a closed
+``a(q, p) = integral exp(u*(<q, p1> + <p, q1>)) a~(dp1 dq1)``.
+On that side the star product is a twisted convolution, which
+:func:`star_distributional` forms in one pass over the pairs of atoms of
+the two distributions: each pair adds its locations and orders, gains the
+character ``exp(u*h*<q1, p2>)``, takes the twist's derivatives from a
+closed form per coordinate pair ``(q1_i, p2_i)`` and is transformed back
+under its output key.  :meth:`ExpPoly.differentiate_multi` has a closed
 form per coordinate.  These kernels add plain real and unit parts with
 :func:`hypermoyal.sparse.add_parts` and build each output binarion once
 with :func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this agrees
@@ -477,8 +478,7 @@ class Ultradistribution(SparseMap):
     An atom ``(loc, order, weight)`` stands for ``weight * delta^(order)``
     at ``loc``; the pairing with a test function ``f`` is
     ``weight * (-1)^|order| * (d^order f)(loc)``.  The class is closed under
-    derivatives, multiplication by monomials, tensor products, and the
-    twist/pushforward machinery of the star product.  Weights are
+    derivatives, multiplication by monomials and tensor products.  Weights are
     :class:`CharSum` values, stored flat as a binarion per
     ``(loc, order, r)``.
     """
@@ -548,11 +548,18 @@ class Ultradistribution(SparseMap):
         return self._new(out)
 
     def derivative_multi(self, order) -> "Ultradistribution":
-        out = self
-        for axis, n in enumerate(order):
-            for _ in range(n):
-                out = out.derivative(axis)
-        return out
+        """Raise every atom's derivative order by ``order`` in one pass.
+
+        ``order`` may be shorter than ``dim``; entries below one are no-ops,
+        and a positive entry past ``dim`` raises :class:`IndexError`.
+        """
+        raised = [max(n, 0) for n in order] + [0] * self.dim
+        for axis, n in enumerate(raised[self.dim :], start=self.dim):
+            if n:
+                raise IndexError(f"axis {axis} out of range for dim {self.dim}")
+        return self._new({
+            (loc, tuple(map(add, o, raised)), r): w for (loc, o, r), w in self._terms.items()
+        })
 
     def mul_monomial(self, exponents) -> "Ultradistribution":
         """Multiply by ``x^exponents``, expanded on atoms via the Leibniz rule.
@@ -695,36 +702,6 @@ def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
     return distribution.fourier()
 
 
-def _twist(distribution: Ultradistribution, h: Fraction, k: int) -> Ultradistribution:
-    """Multiply a ``(p1, q1, p2, q2)`` atom distribution by ``exp(u*h*<q1, p2>)``.
-
-    Uses ``g * delta^(n) = sum_kappa (-1)^|kappa| binom(n, kappa)
-    (d^kappa g)(x0) delta^(n-kappa)``.  The twist is a product over the
-    coordinate pairs ``(x, y) = (q1_i, p2_i)`` of ``exp(u*h*x*y)``, so each
-    pair contributes its own factors (:func:`_pair_factors`) and the
-    twist's value at a rational location is a character, a shift of ``r``.
-    """
-    sigma = distribution.sigma
-    s = sigma.value
-    acc = {}
-    for (loc, order, r), w in distribution._terms.items():
-        xs, ys = loc[k : 2 * k], loc[2 * k : 3 * k]
-        per_pair = [
-            _pair_factors(*pair, h, s)
-            for pair in zip(xs, ys, order[k : 2 * k], order[2 * k : 3 * k])
-        ]
-        phase = r + h * sum(map(mul, xs, ys))
-        for choice in iter_product(*per_pair):
-            re, im = w.re, w.im
-            for _, _, x, y in choice:
-                re, im = re * x + s * im * y, re * y + im * x
-            q1_orders = tuple(a for a, _, _, _ in choice)
-            p2_orders = tuple(b for _, b, _, _ in choice)
-            new_order = order[:k] + q1_orders + p2_orders + order[3 * k :]
-            add_parts(acc, (loc, new_order, phase), re, im)
-    return distribution._new(from_parts(acc, sigma))
-
-
 def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     """The nonzero terms ``(a - s, b - t, re, im)`` that ``exp(c*x*y)``, ``c = u*h``,
     makes of ``delta^((a, b))`` at ``(x, y)``, with its character left out;
@@ -754,26 +731,16 @@ def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     return out
 
 
-def _pushforward_sum(distribution: Ultradistribution, k: int) -> Ultradistribution:
-    """Push a ``(p1, q1, p2, q2)`` distribution forward under block addition."""
-    sigma = distribution.sigma
-    acc = {}
-    for (loc, order, r), w in distribution._terms.items():
-        key = (tuple(map(add, loc[: 2 * k], loc[2 * k :])),
-               tuple(map(add, order[: 2 * k], order[2 * k :])), r)
-        add_parts(acc, key, w.re, w.im)
-    return Ultradistribution._make(2 * k, sigma, from_parts(acc, sigma))
-
-
 def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     """Star product computed along the distributional route.
 
-    Transforms both symbols to point-supported distributions, applies the
-    twist ``exp(u*h*<q1, p2>)`` to their tensor product, pushes forward
-    under addition of locations/orders, and transforms back.  Exact, and on
-    polynomial symbols equal to :func:`hypermoyal.symbols.star` evaluated at
-    the same rational ``h``.  ``degree_cap`` bounds the sum of the operands'
-    polynomial degrees; ``None`` means ``DEFAULT_DEGREE_CAP``, as for ``star``.
+    Forms the twisted convolution of the two symbols' distributions in one
+    pass over pairs of atoms: per pair, the twist ``exp(u*h*<q1, p2>)`` in
+    closed form, the pushforward under addition of locations and orders,
+    and the transform back.  Exact, and on polynomial symbols equal to
+    :func:`hypermoyal.symbols.star` evaluated at the same rational ``h``.
+    ``degree_cap`` bounds the sum of the operands' polynomial degrees;
+    ``None`` means ``DEFAULT_DEGREE_CAP``, as for ``star``.
     """
     h = _as_fraction(h)
     ea = _coerce_symbol(a, h)
@@ -789,10 +756,30 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
         raise DegreeCapError(
             f"star product degree {ea.degree() + eb.degree()} exceeds cap {cap}"
         )
-    ta = inverse_fourier_symbol(ea)
-    tb = inverse_fourier_symbol(eb)
-    twisted = _twist(ta.tensor(tb), h, k)
-    return symbol_from_distribution(_pushforward_sum(twisted, k))
+    sigma = ea.sigma
+    s = sigma.value
+    atoms_b = inverse_fourier_symbol(eb)._terms.items()
+    acc = {}
+    for (la, oa, ra), wa in inverse_fourier_symbol(ea)._terms.items():
+        for (lb, ob, rb), wb in atoms_b:
+            x = wa.re * wb.re + s * wa.im * wb.im
+            y = wa.re * wb.im + wa.im * wb.re
+            loc = tuple(map(add, la, lb))
+            phase = ra + rb + h * sum(map(mul, la[k:], lb[:k]))
+            per_pair = [
+                _pair_factors(*pair, h, s) for pair in zip(la[k:], lb[:k], oa[k:], ob[:k])
+            ]
+            for choice in iter_product(*per_pair):
+                re, im = x, y
+                for _, _, fx, fy in choice:
+                    re, im = re * fx + s * im * fy, re * fy + im * fx
+                order = tuple(map(add, oa[:k] + tuple(t for t, _, _, _ in choice),
+                                  tuple(t for _, t, _, _ in choice) + ob[k:]))
+                n = sum(order)
+                scale = (-1) ** n * s ** (n // 2)  # (-u)^n, a re/im swap for odd n
+                re, im = (scale * s * im, scale * re) if n % 2 else (scale * re, scale * im)
+                add_parts(acc, (loc, order, phase), re, im)
+    return ExpPoly._make(2 * k, sigma, from_parts(acc, sigma))
 
 
 def paley_wiener_growth(f: ExpPoly, n_max: int) -> tuple[float, float]:

@@ -54,14 +54,17 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
-def _word_mask(indices) -> int:
+def _word_mask(indices, n: int) -> int:
     """The mask of the word ``theta_{i1} ... theta_{ik}`` of 0-based indices,
     which must be nonnegative and strictly ascending: such a word is its
-    own canonical monomial, with no sign."""
+    own canonical monomial, with no sign.  An index ``>= n`` is refused
+    before its bit is built."""
     mask = 0
     for i in map(integer, indices):
         if i < 0 or mask >> i:
             raise ValidationError("generators must be nonnegative and strictly ascending")
+        if i >= n:
+            raise DimensionMismatchError(f"generator θ{i + 1} is beyond n={n}")
         mask |= 1 << i
     return mask
 
@@ -93,7 +96,7 @@ class GrassmannElement(SparseAlgebra):
             mask = int(mask)
             if mask < 0 or mask.bit_length() > self.n:
                 raise DimensionMismatchError(
-                    f"monomial {mask:#b} uses generators beyond n={self.n}"
+                    f"monomial uses generators up to θ{mask.bit_length()}, beyond n={self.n}"
                 )
             pairs.append((mask, binarion_coefficient(coeff, self.sigma, "algebra")))
         self._terms = collect(pairs)
@@ -119,7 +122,7 @@ class GrassmannElement(SparseAlgebra):
     def monomial(cls, indices, n: int, sigma: Sigma, coeff=1) -> "GrassmannElement":
         """``coeff * theta_{i1} ... theta_{ik}`` for strictly ascending 0-based
         indices."""
-        return cls(n, sigma, {_word_mask(indices): coeff})
+        return cls(n, sigma, {_word_mask(indices, integer(n)): coeff})
 
     def _constant(self, value) -> "GrassmannElement":
         return GrassmannElement.scalar(value, self.n, self.sigma)
@@ -185,7 +188,7 @@ class GrassmannElement(SparseAlgebra):
             for g in gens:
                 if not 1 <= g <= n:
                     raise ValidationError(f"generator {g} is outside 1..{n}")
-            return _word_mask(g - 1 for g in gens)
+            return _word_mask((g - 1 for g in gens), n)
 
         return json_field(entry, "gens", read_mask), binarion_from_json(entry, sigma)
 

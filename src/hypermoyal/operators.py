@@ -427,6 +427,11 @@ class Operator:
             json_field(data, "sigma", as_sigma),
         )
 
+    def __eq__(self, other):
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return (self.symbol, self.h, self.sigma) == (other.symbol, other.h, other.sigma)
+
     def __repr__(self) -> str:
         return f"Operator({self.symbol!r}, h={self.h})"
 

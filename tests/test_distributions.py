@@ -3,6 +3,8 @@ distributional star product."""
 
 import random
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import pytest
 from test_sparse import _assert_clean
@@ -23,6 +25,8 @@ from hypermoyal import (
     star_distributional,
     symbol_from_distribution,
 )
+from hypermoyal.distributions import _pair_factors
+from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -406,6 +410,81 @@ def test_star_distributional_degree_cap():
             assert got == ExpPoly.from_poly_symbol(q**17)
 
 
+def _staged_star_distributional(a, b, h) -> ExpPoly:
+    """The distributional star in stages, kept as the oracle of the one-pass
+    ``star_distributional``.
+
+    Builds the tensor of the two inverse transforms on ``(p1, q1, p2, q2)``,
+    multiplies it by the twist ``exp(u*h*<q1, p2>)`` atom by atom (through
+    the same per-pair closed form), pushes the result forward under block
+    addition of locations and orders, and transforms it back, each stage a
+    distribution of its own.
+    """
+    h = Fraction(h)
+    ta, tb = inverse_fourier_symbol(a, h), inverse_fourier_symbol(b, h)
+    k = ta.dim // 2
+    sigma = ta.sigma
+    s = sigma.value
+    twisted = {}
+    for (loc, order, r), w in ta.tensor(tb)._terms.items():
+        xs, ys = loc[k : 2 * k], loc[2 * k : 3 * k]
+        per_pair = [
+            _pair_factors(*pair, h, s)
+            for pair in zip(xs, ys, order[k : 2 * k], order[2 * k : 3 * k])
+        ]
+        phase = r + h * sum(x * y for x, y in zip(xs, ys))
+        for choice in product(*per_pair):
+            re, im = w.re, w.im
+            for _, _, x, y in choice:
+                re, im = re * x + s * im * y, re * y + im * x
+            new_order = (order[:k] + tuple(c[0] for c in choice)
+                         + tuple(c[1] for c in choice) + order[3 * k :])
+            add_parts(twisted, (loc, new_order, phase), re, im)
+    twisted = Ultradistribution._make(4 * k, sigma, from_parts(twisted, sigma))
+    pushed = {}
+    for (loc, order, r), w in twisted._terms.items():
+        key = (tuple(map(add, loc[: 2 * k], loc[2 * k :])),
+               tuple(map(add, order[: 2 * k], order[2 * k :])), r)
+        add_parts(pushed, key, w.re, w.im)
+    pushed = Ultradistribution._make(2 * k, sigma, from_parts(pushed, sigma))
+    return symbol_from_distribution(pushed)
+
+
+def _atom_symbol(rng, k, sigma):
+    """A symbol on ``2k`` variables whose atoms sit away from the origin in
+    about half of their coordinates and carry characters ``exp(u*r)`` and
+    light-cone weights ``1 +- u``."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        freq = tuple(rng.choice((Fraction(0), _nonzero_fraction(rng))) for _ in range(2 * k))
+        exps = [0] * (2 * k)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(2 * k)] += 1
+        weight = rng.choice((Binarion(1, 1, sigma), Binarion(1, -1, sigma),
+                             _random_binarion(rng, sigma)))
+        terms[(freq, tuple(exps))] = CharSum.character(Fraction(rng.randint(-2, 2), 2),
+                                                       sigma, weight)
+    return ExpPoly(2 * k, sigma, terms)
+
+
+def test_star_distributional_matches_staged_oracle():
+    rng = random.Random(61)
+    for sigma in SIGMAS:
+        for k in (1, 2, 3):
+            h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            wave = ExpPoly.character([_nonzero_fraction(rng) for _ in range(2 * k)], sigma)
+            q, p = ExpPoly.coordinate(0, 2 * k, sigma), ExpPoly.coordinate(k, 2 * k, sigma)
+            # (1+j)(1-j) = 0: in the hyperbolic ring every pair weight vanishes
+            cases = [(wave * p * Binarion(1, 1, sigma), wave * q * Binarion(1, -1, sigma)),
+                     (_random_symbol(rng, k, sigma), _random_symbol(rng, k, sigma))]
+            cases += [(_atom_symbol(rng, k, sigma), _atom_symbol(rng, k, sigma))
+                      for _ in range(12)]
+            for a, b in cases:
+                got = star_distributional(a, b, h)
+                assert got == _staged_star_distributional(a, b, h)
+                _assert_clean(got)
+
+
 # -- growth bound ----------------------------------------------------------------------
 
 
@@ -486,6 +565,35 @@ def test_shift_composition_and_leibniz():
             assert lhs == rhs
         # shifts commute with products
         assert (f * g).shift(a) == f.shift(a) * g.shift(a)
+
+def test_derivative_multi_raises_every_order_in_one_pass():
+    rng = random.Random(67)
+
+    def iterated(lam, order):
+        for axis, n in enumerate(order):
+            for _ in range(n):
+                lam = lam.derivative(axis)
+        return lam
+
+    for sigma in SIGMAS:
+        for dim in (1, 2, 3):
+            for _ in range(5):
+                lam = _random_distribution(rng, dim, sigma)
+                order = tuple(rng.randint(0, 3) for _ in range(dim))
+                got = lam.derivative_multi(order)
+                assert got == iterated(lam, order)
+                _assert_clean(got)
+        lam = _random_distribution(rng, 3, sigma)
+        # a short order leaves the remaining axes alone
+        assert lam.derivative_multi((2,)) == iterated(lam, (2, 0, 0))
+        # entries below one are no-ops
+        assert lam.derivative_multi((1, -2, 3)) == iterated(lam, (1, 0, 3))
+        assert lam.derivative_multi(()) == lam
+        # entries past dim raise only when positive
+        assert lam.derivative_multi((0, 1, 0, -1, 0)) == lam.derivative(1)
+        for order in ((0, 0, 0, 1), (1, 1, 1, 0, 2)):
+            with pytest.raises(IndexError, match="out of range for dim 3"):
+                lam.derivative_multi(order)
 
 
 # -- closed-form differentiation and the polynomial embedding ---------------------------

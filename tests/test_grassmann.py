@@ -202,3 +202,18 @@ def test_json_gens_must_strictly_ascend(gens):
     data = {"n": 2, "sigma": 1, "terms": [{"gens": gens, "re": "1"}]}
     with pytest.raises(ValidationError, match="^terms: gens: .*strictly ascending"):
         GrassmannElement.from_json_dict(data)
+
+
+@pytest.mark.parametrize("index", [10**7, 10**8, 10**30])
+def test_monomial_refuses_an_index_past_n_before_building_its_bit(index):
+    """``1 << 10**30`` cannot be built at all, so only a check made before
+    the mask gets to raise; the message stays short at any index."""
+    with pytest.raises(DimensionMismatchError, match="beyond n=2") as info:
+        GrassmannElement.monomial((index,), 2, H)
+    assert len(str(info.value)) < 200
+
+
+def test_mask_past_n_is_named_by_its_highest_generator():
+    with pytest.raises(DimensionMismatchError) as info:
+        GrassmannElement(2, H, {1 << 10**6 | 1: 1})
+    assert str(info.value) == "monomial uses generators up to θ1000001, beyond n=2"

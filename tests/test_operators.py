@@ -525,6 +525,20 @@ def test_operator_json_round_trip():
         assert back2.symbol == exp_op.symbol
 
 
+def test_operator_equality_compares_symbol_h_and_sigma():
+    rng = random.Random(29)
+    h = Fraction(2, 3)
+    for sigma in SIGMAS:
+        a = _random_symbol(rng, 1, sigma)
+        op = Operator(a, h)
+        assert op == Operator(a + 0, h, sigma)
+        assert op != Operator(a, Fraction(1, 3))
+        assert op != Operator(a + 1, h)
+        assert op != Operator(ExpPoly.from_poly_symbol(a), h)
+        assert op != a
+    assert Operator(PolySymbol.one(1, H), h) != Operator(PolySymbol.one(1, C), h)
+
+
 def test_wavefunction_json_round_trip():
     rng = random.Random(23)
     for sigma in SIGMAS:

@@ -15,12 +15,41 @@ from hypermoyal import (
     parse_binarion,
     parse_grassmann,
     parse_symbol,
+    star,
 )
 from hypermoyal.grassmann import generators
 from hypermoyal.parsing import MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+
+
+def _random_h_symbol(rng, k, sigma):
+    """Up to four terms ``c h^d q^alpha p^beta`` of total degree at most 3,
+    with rational real and unit parts."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * (2 * k)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(2 * k)] += 1
+        key = (tuple(exps[:k]), tuple(exps[k:]))
+        parts = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2))
+        coeff = HPoly({rng.randint(0, 2): Binarion(*parts, sigma)}, sigma)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return PolySymbol(k, sigma, terms)
+
+
+def test_symbol_text_reads_back_as_itself():
+    rng = random.Random(71)
+    for sigma in (H, C):
+        for k in (1, 2, 3):
+            for _ in range(8):
+                a, b = _random_h_symbol(rng, k, sigma), _random_h_symbol(rng, k, sigma)
+                h = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                ab, ba = star(a, b), star(b, a)
+                for symbol in (a, ab, ab.substitute_h(h), ab - ba,
+                               ab.substitute_h(h) - ba.substitute_h(h), a - a):
+                    assert parse_symbol(symbol.to_text(), sigma, k) == symbol
 
 
 def test_parse_coordinates():

@@ -77,6 +77,16 @@ def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
     assert kernel not in _names(_function(symbols, "poisson_bracket"))
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    ["_flatten", "_structure_constants", "_accumulate", "star", "substitute_h",
+     "_derivative_terms"],
+)
+def test_distributional_star_does_not_use_the_series_or_operator_kernels(kernel):
+    names = _names(_function(distributions, "star_distributional"))
+    assert "_pair_factors" in names and kernel not in names
+
+
 def test_guard_sees_what_it_forbids():
     """The name scan finds the kernels where they are in use."""
     assert "_derivative_terms" in _names(_function(operators, "Operator", "apply_normal_ordered"))
@@ -139,5 +149,5 @@ def test_sparse_guards_see_what_they_forbid():
     assert _binarion_dict_comprehensions(
         ast.parse("out = {key: Binarion.zero(sigma) for key in keys}")
     )
-    kernel_call = ast.parse("def f(acc, a, b):\n    return _twist(a.tensor(b))")
-    assert _names(kernel_call) & _route_kernels() == {"_twist", "tensor"}
+    kernel_call = ast.parse("def f(acc, a, b):\n    return _pair_factors(a.tensor(b))")
+    assert _names(kernel_call) & _route_kernels() == {"_pair_factors", "tensor"}
