@@ -48,12 +48,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import add, mul
 
-from .errors import (
-    DegreeCapError,
-    DimensionMismatchError,
-    SignatureMismatchError,
-    json_field,
-)
+from .errors import DimensionMismatchError, SignatureMismatchError, json_field
 from .scalars import (
     Binarion,
     Sigma,
@@ -63,24 +58,12 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (SparseAlgebra, SparseMap, add_parts, binarion_coefficient, collect,
-                     from_parts, integer, nonnegative, regroup, summed)
-from .symbols import DEFAULT_DEGREE_CAP, PolySymbol
+from .sparse import (ScalarRing, SparseAlgebra, SparseMap, add_parts, collect, from_parts,
+                     integer, nonnegative, summed)
+from .symbols import PolySymbol, check_degree_cap
 
 
-def _fractions(values) -> tuple:
-    return tuple(_json_fraction(x) for x in values)
-
-
-def _flat_terms(head, weight, sigma: Sigma, owner: str):
-    """The flat ``((*head, r), c)`` terms of one :class:`CharSum` coefficient."""
-    weight = CharSum.from_scalar(weight, sigma)
-    if weight.sigma is not sigma:
-        raise SignatureMismatchError(f"coefficient sigma differs from {owner} sigma")
-    return [(head + (r,), c) for r, c in weight._terms.items()]
-
-
-class CharSum(SparseAlgebra):
+class CharSum(ScalarRing):
     """Formal sum ``sum_r c_r * exp(u*r)`` over rational exponents ``r``.
 
     The characters multiply by adding exponents, so the class is an exact
@@ -90,48 +73,23 @@ class CharSum(SparseAlgebra):
     """
 
     __slots__ = ()
+    _read_key = staticmethod(_as_fraction)
 
     def __init__(self, terms: dict, sigma: Sigma):
-        self._size = None
-        self.sigma = as_sigma(sigma)
-        self._terms = collect(
-            (_as_fraction(r), binarion_coefficient(c, self.sigma, "CharSum"))
-            for r, c in terms.items()
-        )
+        self._fill(terms, sigma)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, sigma: Sigma) -> "CharSum":
-        return cls({}, sigma)
 
     @classmethod
     def one(cls, sigma: Sigma) -> "CharSum":
         return cls({Fraction(0): Binarion.one(sigma)}, sigma)
 
     @classmethod
-    def from_scalar(cls, value, sigma: Sigma = None) -> "CharSum":
-        if isinstance(value, CharSum):
-            return value
-        if isinstance(value, Binarion):
-            return cls({Fraction(0): value}, value.sigma)
-        if sigma is None:
-            raise TypeError("sigma required for rational scalars")
-        return cls({Fraction(0): Binarion(value, 0, sigma)}, sigma)
-
-    @classmethod
     def character(cls, exponent, sigma: Sigma, coeff=1) -> "CharSum":
         """The formal character ``coeff * exp(u*exponent)``."""
-        c = coeff if isinstance(coeff, Binarion) else Binarion(coeff, 0, sigma)
-        return cls({_as_fraction(exponent): c}, sigma)
-
-    def _constant(self, value) -> "CharSum":
-        return CharSum.from_scalar(value, self.sigma)
+        return cls({exponent: coeff}, sigma)
 
     # -- queries -------------------------------------------------------------
-
-    def items(self):
-        return sorted(self._terms.items())
 
     def is_scalar(self) -> bool:
         """True when no genuine character is present (only ``r = 0``)."""
@@ -168,21 +126,8 @@ class CharSum(SparseAlgebra):
         re, im = self.to_floats()
         return math.hypot(re, im)
 
-    # -- rendering ---------------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        u = self.sigma.unit_symbol
-        parts = []
-        for r, c in self.items():
-            if r == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"({c})*e^({r}{u})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def _term_text(self, r, c) -> str:
+        return str(c) if r == 0 else f"({c})*e^({r}{self.sigma.unit_symbol})"
 
 
 def _times_unit_power(c: Binarion, n: int, sign: int) -> Binarion:
@@ -212,7 +157,54 @@ def _weight_from_json(data: dict, sigma: Sigma) -> CharSum:
     return CharSum.from_scalar(binarion_from_json(data, sigma))
 
 
-class ExpPoly(SparseAlgebra):
+class _CharSumTerms(SparseMap):
+    """The constructor and JSON entry of :class:`ExpPoly` and :class:`Ultradistribution`.
+
+    Both map ``(vector, orders, r)`` to a binarion, so the ``r`` parts of one
+    head ``(vector, orders)`` are its :class:`CharSum` weight.  Each class
+    declares the JSON names of an entry's vector, orders and weight as
+    ``_ENTRY``, and as ``_ERRORS`` the messages for a negative order, a
+    vector whose length is not ``dim`` (a template) and a foreign sigma.
+    """
+
+    __slots__ = ()
+    _VIEW = CharSum
+
+    def _fill(self, dim: int, sigma: Sigma, entries):
+        """Validate ``((vector, orders), weight)`` entries and store their flat terms."""
+        negative, length, foreign = self._ERRORS
+        self._size = integer(dim)
+        if self._size < 1:
+            raise DimensionMismatchError("dim must be >= 1")
+        self.sigma = as_sigma(sigma)
+        pairs = []
+        for (vector, orders), weight in entries:
+            vector = tuple(_as_fraction(x) for x in vector)
+            orders = nonnegative(orders, negative)
+            if len(vector) != self._size or len(orders) != self._size:
+                raise DimensionMismatchError(length.format(self._size))
+            weight = CharSum.from_scalar(weight, self.sigma)
+            if weight.sigma is not self.sigma:
+                raise SignatureMismatchError(foreign)
+            pairs += [((vector, orders, r), c) for r, c in weight._terms.items()]
+        self._terms = collect(pairs)
+
+    def _term_to_json(self, head, weight) -> dict:
+        vector_name, orders_name, weight_name = self._ENTRY
+        return {vector_name: [str(x) for x in head[0]], orders_name: list(head[1]),
+                weight_name: _weight_to_json(weight)}
+
+    @classmethod
+    def _term_from_json(cls, entry, sigma, dim):
+        vector_name, orders_name, weight_name = cls._ENTRY
+        key = (
+            json_field(entry, vector_name, lambda v: tuple(map(_json_fraction, v))),
+            json_field(entry, orders_name, lambda v: nonnegative(v, cls._ERRORS[0])),
+        )
+        return key, json_field(entry, weight_name, lambda w: _weight_from_json(w, sigma))
+
+
+class ExpPoly(_CharSumTerms, SparseAlgebra):
     """Finite sum of ``poly(x) * exp(u*<freq, x>)`` terms on ``R^m``.
 
     Closed under multiplication, differentiation and argument shifts, and
@@ -224,22 +216,14 @@ class ExpPoly(SparseAlgebra):
 
     __slots__ = ()
     _JSON_FIELDS = ("dim", "terms")
+    _ENTRY = ("freq", "exp", "coeff")
+    _ERRORS = ("negative exponents are not allowed", "term vectors must have length {}",
+               "coefficient sigma differs from ExpPoly sigma")
     _SCALARS = (CharSum, Binarion, int, Fraction)
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the domain.")
 
     def __init__(self, dim: int, sigma: Sigma, terms: dict = None):
-        self._size = integer(dim)
-        if self._size < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        self.sigma = as_sigma(sigma)
-        pairs = []
-        for (freq, exps), coeff in (terms or {}).items():
-            freq = tuple(_as_fraction(f) for f in freq)
-            exps = nonnegative(exps, "negative exponents are not allowed")
-            if len(freq) != self.dim or len(exps) != self.dim:
-                raise DimensionMismatchError(f"term vectors must have length {self.dim}")
-            pairs += _flat_terms((freq, exps), coeff, self.sigma, "ExpPoly")
-        self._terms = collect(pairs)
+        self._fill(dim, sigma, (terms or {}).items())
 
     # -- constructors --------------------------------------------------------
 
@@ -302,7 +286,7 @@ class ExpPoly(SparseAlgebra):
 
     def terms(self):
         """Term triples ``(freq, exps, coeff)`` in canonical order."""
-        return regroup(self, CharSum)
+        return [(*head, coeff) for head, coeff in self._grouped()]
 
     def degree(self) -> int:
         if not self._terms:
@@ -450,29 +434,9 @@ class ExpPoly(SparseAlgebra):
         return " + ".join(parts)
 
     __str__ = to_text
-    __repr__ = to_text
-
-    # -- serialization ---------------------------------------------------------------
-
-    def _json_terms(self):
-        return [((freq, exps), coeff) for freq, exps, coeff in self.terms()]
-
-    @staticmethod
-    def _term_to_json(key, coeff) -> dict:
-        freq, exps = key
-        return {"freq": [str(f) for f in freq], "exp": list(exps), "coeff": _weight_to_json(coeff)}
-
-    @staticmethod
-    def _term_from_json(entry, sigma, dim):
-        key = (
-            json_field(entry, "freq", _fractions),
-            json_field(entry, "exp", lambda v: nonnegative(
-                v, "negative exponents are not allowed")),
-        )
-        return key, json_field(entry, "coeff", lambda w: _weight_from_json(w, sigma))
 
 
-class Ultradistribution(SparseMap):
+class Ultradistribution(_CharSumTerms):
     """Finite sum of weighted derivatives of point masses on ``R^m``.
 
     An atom ``(loc, order, weight)`` stands for ``weight * delta^(order)``
@@ -485,22 +449,14 @@ class Ultradistribution(SparseMap):
 
     __slots__ = ()
     _JSON_FIELDS = ("dim", "atoms")
+    _ENTRY = ("loc", "order", "weight")
+    _ERRORS = ("derivative orders must be nonnegative", "atom vectors must have length {}",
+               "coefficient sigma differs from distribution sigma")
     _SCALARS = ()
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the space.")
 
     def __init__(self, dim: int, sigma: Sigma, atoms=None):
-        self._size = integer(dim)
-        if self._size < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        self.sigma = as_sigma(sigma)
-        pairs = []
-        for loc, order, weight in atoms or []:
-            loc = tuple(_as_fraction(x) for x in loc)
-            order = nonnegative(order, "derivative orders must be nonnegative")
-            if len(loc) != self.dim or len(order) != self.dim:
-                raise DimensionMismatchError(f"atom vectors must have length {self.dim}")
-            pairs += _flat_terms((loc, order), weight, self.sigma, "distribution")
-        self._terms = collect(pairs)
+        self._fill(dim, sigma, (((loc, order), weight) for loc, order, weight in atoms or []))
 
     # -- constructors -----------------------------------------------------------
 
@@ -521,7 +477,7 @@ class Ultradistribution(SparseMap):
 
     def atoms(self):
         """Atom triples ``(loc, order, weight)`` in canonical order."""
-        return regroup(self, CharSum)
+        return [(*head, weight) for head, weight in self._grouped()]
 
     def scale(self, factor) -> "Ultradistribution":
         factor = CharSum.from_scalar(factor, self.sigma)
@@ -630,37 +586,13 @@ class Ultradistribution(SparseMap):
 
     # -- rendering / serialization -----------------------------------------------------
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for loc, order, w in self.atoms():
-            loc_s = ",".join(str(x) for x in loc)
-            if any(order):
-                order_s = ",".join(str(n) for n in order)
-                parts.append(f"({w})*d^({order_s})delta[{loc_s}]")
-            else:
-                parts.append(f"({w})*delta[{loc_s}]")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-    def _json_terms(self):
-        return [((loc, order), w) for loc, order, w in self.atoms()]
-
     @staticmethod
-    def _term_to_json(key, w) -> dict:
-        loc, order = key
-        return {"loc": [str(x) for x in loc], "order": list(order), "weight": _weight_to_json(w)}
-
-    @staticmethod
-    def _term_from_json(entry, sigma, dim):
-        key = (
-            json_field(entry, "loc", _fractions),
-            json_field(entry, "order", lambda v: nonnegative(
-                v, "derivative orders must be nonnegative")),
-        )
-        return key, json_field(entry, "weight", lambda w: _weight_from_json(w, sigma))
+    def _term_text(head, w) -> str:
+        loc, order = head
+        loc_s = ",".join(str(x) for x in loc)
+        if any(order):
+            return f"({w})*d^({','.join(str(n) for n in order)})delta[{loc_s}]"
+        return f"({w})*delta[{loc_s}]"
 
     @classmethod
     def _from_json_terms(cls, dim, sigma, terms: dict):
@@ -751,11 +683,7 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     if ea.dim % 2:
         raise DimensionMismatchError("phase-space symbols need even dimension")
     k = ea.dim // 2
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    if ea.degree() + eb.degree() > cap:
-        raise DegreeCapError(
-            f"star product degree {ea.degree() + eb.degree()} exceeds cap {cap}"
-        )
+    check_degree_cap(ea.degree() + eb.degree(), degree_cap, "star product")
     sigma = ea.sigma
     s = sigma.value
     atoms_b = inverse_fourier_symbol(eb)._terms.items()

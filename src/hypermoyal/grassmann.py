@@ -130,9 +130,7 @@ class GrassmannElement(SparseAlgebra):
     # -- queries --------------------------------------------------------------
 
     def terms(self):
-        return [(mask, self._terms[mask]) for mask in sorted(self._terms)]
-
-    _json_terms = terms
+        return self._grouped()
 
     def parity(self) -> Parity:
         degrees = {mask.bit_count() % 2 for mask in self._terms}
@@ -159,23 +157,16 @@ class GrassmannElement(SparseAlgebra):
 
     # -- rendering ------------------------------------------------------------------
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for mask, coeff in self.terms():
-            gens = "".join(f"θ{i}" for i in _generator_numbers(mask))
-            if not gens:
-                parts.append(f"({coeff})" if not coeff.is_real() else str(coeff))
-            elif coeff == 1:
-                parts.append(gens)
-            elif coeff == -1:
-                parts.append(f"-{gens}")
-            else:
-                parts.append(f"({coeff})·{gens}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    @staticmethod
+    def _term_text(mask, coeff) -> str:
+        gens = "".join(f"θ{i}" for i in _generator_numbers(mask))
+        if not gens:
+            return f"({coeff})" if not coeff.is_real() else str(coeff)
+        if coeff == 1:
+            return gens
+        if coeff == -1:
+            return f"-{gens}"
+        return f"({coeff})·{gens}"
 
     @staticmethod
     def _term_to_json(mask, c) -> dict:

@@ -54,16 +54,10 @@ from .distributions import (
     inverse_fourier_symbol,
     star_distributional,
 )
-from .errors import (
-    DegreeCapError,
-    DimensionMismatchError,
-    SignatureMismatchError,
-    ValidationError,
-    json_field,
-)
+from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
 from .sparse import add_parts, from_parts
-from .symbols import DEFAULT_DEGREE_CAP, PolySymbol, star
+from .symbols import PolySymbol, check_degree_cap, star
 
 
 def _positive_h(h) -> Fraction:
@@ -270,9 +264,7 @@ class Operator:
     def _check_cap(self, degree_cap):
         symbol = self.symbol
         degree = symbol.total_degree() if isinstance(symbol, PolySymbol) else symbol.degree()
-        cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-        if degree > cap:
-            raise DegreeCapError(f"operator symbol degree {degree} exceeds cap {cap}")
+        check_degree_cap(degree, degree_cap, "operator symbol")
 
     def apply(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Apply along the natural route for the symbol type.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,6 +103,17 @@ def _num_str(value) -> str:
     if isinstance(value, (Fraction, int)):
         return str(value)
     return f"{float(value):.12g}"
+
+
+def _part_text(value: Fraction) -> str:
+    """A binarion part as text.  A part past Python's int-to-text digit limit
+    raises :class:`ValidationError`; the limit is left alone, because it is
+    set for the whole process."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"coefficient too long to write: more than {limit} digits") from None
 
 
 def _json_fraction(value) -> Fraction:
@@ -302,18 +314,18 @@ class Binarion:
     def __str__(self) -> str:
         u = self.sigma.unit_symbol
         if self.im == 0:
-            return str(self.re)
+            return _part_text(self.re)
         if self.re == 0:
-            return f"{self.im}{u}"
+            return f"{_part_text(self.im)}{u}"
         sign = "-" if self.im < 0 else "+"
-        return f"{self.re} {sign} {abs(self.im)}{u}"
+        return f"{_part_text(self.re)} {sign} {_part_text(abs(self.im))}{u}"
 
     __repr__ = __str__
 
 
 def binarion_to_json(value: Binarion) -> dict:
     """The JSON object ``{"re": x, "im": y}`` of a binarion."""
-    return {"re": str(value.re), "im": str(value.im)}
+    return {"re": _part_text(value.re), "im": _part_text(value.im)}
 
 
 def binarion_from_json(data, sigma: Sigma) -> Binarion:

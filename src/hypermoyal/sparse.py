@@ -23,11 +23,13 @@ common denominator, if any, and builds each nonzero binarion once.  Both only ad
 divide; structure constants, derivative factors, unit-power folds and the
 choice of denominator stay in each route.
 
-The four maps with a size (symbols, exponential polynomials, distributions
-and Grassmann elements) have one JSON edge, :meth:`SparseMap.to_json_dict`
-and :meth:`SparseMap.from_json_dict`, and one shape: the size, ``sigma``
-and a list of entries, whose repeated keys add through :func:`summed`.
-Each class converts only a single entry.
+Every edge that reads keys is here.  Views, text and JSON all come from
+:meth:`SparseMap._grouped`, the sorted terms, with the last key part grouped
+into a coefficient ring where a class declares one.  The four maps with a
+size (symbols, exponential polynomials, distributions and Grassmann
+elements) share one JSON shape: the size, ``sigma`` and a list of entries,
+whose repeated keys add through :func:`summed`.  Each class writes and reads
+only a single term.  :class:`ScalarRing` builds the two maps without a size.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
-from .scalars import Binarion, as_sigma
+from .scalars import Binarion, Sigma, as_sigma
 
 
 def summed(pairs) -> dict:
@@ -76,19 +78,6 @@ def from_parts(acc: dict, sigma, den: int = None) -> dict:
     }
 
 
-def regroup(element, view, sort_key=None) -> list:
-    """The terms of a flat map ``{(*head, last): value}`` as ``(*head, coeff)``
-    tuples sorted by ``head``, where ``coeff`` is the ``{last: value}`` part
-    of one head as an element of the scalar ring ``view``."""
-    groups = {}
-    for key, value in element._terms.items():
-        groups.setdefault(key[:-1], {})[key[-1]] = value
-    return [
-        (*head, view._make(None, element.sigma, groups[head]))
-        for head in sorted(groups, key=sort_key)
-    ]
-
-
 def integer(value) -> int:
     """``value`` as an int; a value that ``int`` would change, such as ``1.9``
     or ``"3"``, and a boolean raise :class:`ValidationError` instead of being
@@ -125,19 +114,25 @@ class SparseMap:
     ``None`` for the scalar rings); two elements combine only when both
     agree.
 
+    Views, text and JSON all read :meth:`_grouped`, the terms as sorted
+    ``(head, coefficient)`` pairs.  A class whose last key part is the key
+    of a coefficient ring declares that ring as ``_VIEW``, and the sort key
+    of the heads as ``_ORDER``; the others view their stored terms.  Text
+    joins one ``_term_text(head, coefficient)`` per term with ``" + "``.
+
     A map with a size is written to JSON as ``{size: int, "sigma": int,
     list: [entry, ...]}``, named by ``_JSON_FIELDS = (size, list)``.  Each
-    such class supplies ``_json_terms()``, its terms as ``(key,
-    coefficient)`` pairs in canonical order, and one converter per
-    direction for a single entry: ``_term_to_json(key, coeff)`` and
-    ``_term_from_json(entry, sigma, size)``, which returns the pair.
-    Reading sums repeated keys and builds the element through its public
-    constructor.
+    such class supplies one converter per direction for a single entry:
+    ``_term_to_json(head, coeff)`` and ``_term_from_json(entry, sigma,
+    size)``, which returns the pair.  Reading sums repeated keys and builds
+    the element through its public constructor.
     """
 
     __slots__ = ("sigma", "_size", "_terms")
 
     _JSON_FIELDS = (None, None)
+    _VIEW = None
+    _ORDER = None
     #: Operand types that enter arithmetic and comparison as constants.
     _SCALARS = (Binarion, int, Fraction)
 
@@ -204,6 +199,28 @@ class SparseMap:
     def is_zero(self) -> bool:
         return not self._terms
 
+    # -- views and text -----------------------------------------------------------
+
+    def _grouped(self) -> list:
+        """The terms as ``(head, coefficient)`` pairs sorted by head: the stored
+        terms, or with a ``_VIEW`` ring the ``{last key part: value}`` part of
+        each head as an element of ``_VIEW``, the heads sorted by ``_ORDER``."""
+        if self._VIEW is None:
+            return sorted(self._terms.items())
+        groups = {}
+        for key, value in self._terms.items():
+            groups.setdefault(key[:-1], {})[key[-1]] = value
+        make, sigma = self._VIEW._make, self.sigma
+        return [(head, make(None, sigma, groups[head])) for head in sorted(groups, key=self._ORDER)]
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        return " + ".join(self._term_text(head, coeff) for head, coeff in self._grouped())
+
+    def __repr__(self) -> str:
+        return str(self)
+
     # -- JSON ---------------------------------------------------------------------
 
     @classmethod
@@ -217,7 +234,7 @@ class SparseMap:
         return {
             size_name: self._size,
             "sigma": self.sigma.value,
-            list_name: [self._term_to_json(key, coeff) for key, coeff in self._json_terms()],
+            list_name: [self._term_to_json(head, coeff) for head, coeff in self._grouped()],
         }
 
     @classmethod
@@ -304,3 +321,42 @@ class SparseAlgebra(SparseMap):
         for _ in range(exponent):
             result = result * self
         return result
+
+
+class ScalarRing(SparseAlgebra):
+    """A :class:`SparseAlgebra` without a size: a ring of scalars over the
+    binarions, whose constant part is the term of key 0.  Each class reads
+    a key of its input through ``_read_key``."""
+
+    __slots__ = ()
+
+    def _fill(self, terms: dict, sigma: Sigma):
+        """Validate ``{key: coefficient}`` terms and store their sums."""
+        self._size = None
+        self.sigma = as_sigma(sigma)
+        owner = type(self).__name__
+        self._terms = collect(
+            (self._read_key(key), binarion_coefficient(value, self.sigma, owner))
+            for key, value in terms.items()
+        )
+
+    @classmethod
+    def zero(cls, sigma: Sigma):
+        return cls({}, sigma)
+
+    @classmethod
+    def from_scalar(cls, value, sigma: Sigma = None):
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, Binarion):
+            sigma = value.sigma
+        elif sigma is None:
+            raise TypeError("sigma required for rational scalars")
+        return cls({0: value}, sigma)
+
+    def _constant(self, value):
+        return self.from_scalar(value, self.sigma)
+
+    def items(self):
+        """The ``(key, coefficient)`` terms in ascending key order."""
+        return self._grouped()

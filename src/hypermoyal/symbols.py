@@ -53,8 +53,8 @@ from .errors import (
 )
 from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
                       binarion_to_json)
-from .sparse import (SparseAlgebra, add_parts, binarion_coefficient, collect, from_parts,
-                     integer, nonnegative, regroup, summed)
+from .sparse import (ScalarRing, SparseAlgebra, add_parts, collect, from_parts, integer,
+                     nonnegative, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -63,7 +63,15 @@ from .sparse import (SparseAlgebra, add_parts, binarion_coefficient, collect, fr
 DEFAULT_DEGREE_CAP = 16
 
 
-class HPoly(SparseAlgebra):
+def check_degree_cap(degree: int, degree_cap, what: str):
+    """Refuse ``degree`` above ``degree_cap`` as ``what`` degree; ``None``
+    means :data:`DEFAULT_DEGREE_CAP`."""
+    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+    if degree > cap:
+        raise DegreeCapError(f"{what} degree {degree} exceeds cap {cap}")
+
+
+class HPoly(ScalarRing):
     """Polynomial in the formal deformation parameter ``h`` over binarions.
 
     A sparse map from ``h``-degree to coefficient; explicit zero coefficients
@@ -73,47 +81,24 @@ class HPoly(SparseAlgebra):
     __slots__ = ()
 
     def __init__(self, coeffs: dict, sigma: Sigma):
-        self._size = None
-        self.sigma = as_sigma(sigma)
-        pairs = []
-        for degree, value in coeffs.items():
-            value = binarion_coefficient(value, self.sigma, "HPoly")
-            if degree < 0:
-                raise ValidationError("h-degree must be nonnegative")
-            pairs.append((integer(degree), value))
-        self._terms = collect(pairs)
+        self._fill(coeffs, sigma)
+
+    @staticmethod
+    def _read_key(degree) -> int:
+        if degree < 0:
+            raise ValidationError("h-degree must be nonnegative")
+        return integer(degree)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, sigma: Sigma) -> "HPoly":
-        return cls({}, sigma)
-
-    @classmethod
-    def from_scalar(cls, value, sigma: Sigma = None) -> "HPoly":
-        if isinstance(value, HPoly):
-            return value
-        if isinstance(value, Binarion):
-            return cls({0: value}, value.sigma)
-        if sigma is None:
-            raise TypeError("sigma required for rational scalars")
-        return cls({0: Binarion(value, 0, sigma)}, sigma)
-
-    @classmethod
     def h_power(cls, degree: int, sigma: Sigma, coeff=1) -> "HPoly":
-        b = coeff if isinstance(coeff, Binarion) else Binarion(coeff, 0, sigma)
-        return cls({degree: b}, sigma)
-
-    def _constant(self, value) -> "HPoly":
-        return HPoly.from_scalar(value, self.sigma)
+        return cls({degree: coeff}, sigma)
 
     # -- queries ----------------------------------------------------------
 
     def coeff(self, degree: int) -> Binarion:
         return self._terms.get(degree, Binarion.zero(self.sigma))
-
-    def items(self):
-        return sorted(self._terms.items())
 
     def degree(self) -> int:
         return max(self._terms) if self._terms else 0
@@ -144,19 +129,11 @@ class HPoly(SparseAlgebra):
             total = total + v * (h**d)
         return total
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for d, v in self.items():
-            if d == 0:
-                parts.append(str(v))
-            else:
-                hpart = "h" if d == 1 else f"h^{d}"
-                parts.append(f"({v})*{hpart}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    @staticmethod
+    def _term_text(d, v) -> str:
+        if d == 0:
+            return str(v)
+        return f"({v})*h" if d == 1 else f"({v})*h^{d}"
 
 
 @dataclass(frozen=True)
@@ -187,6 +164,14 @@ def _bump(exps: tuple, index: int, amount: int = 1) -> tuple:
     return tuple(out)
 
 
+def _term_order_key(key):
+    """Sort key of a monomial ``(alpha, beta)`` or a flat ``(alpha, beta, hdeg)``:
+    total degree descending, then q and p exponents descending, then ``h``."""
+    alpha, beta = key[0], key[1]
+    degree = sum(alpha) + sum(beta)
+    return (-degree, tuple(-a for a in alpha), tuple(-b for b in beta), key[2:])
+
+
 class PolySymbol(SparseAlgebra):
     """Sparse polynomial in ``q1..qk, p1..pk`` with :class:`HPoly` coefficients.
 
@@ -199,6 +184,8 @@ class PolySymbol(SparseAlgebra):
 
     __slots__ = ()
     _JSON_FIELDS = ("dof", "terms")
+    _VIEW = HPoly
+    _ORDER = staticmethod(_term_order_key)
     _SCALARS = (Binarion, HPoly, int, Fraction)
     dof = property(lambda self: self._size, doc="Number of degrees of freedom ``k``.")
 
@@ -262,7 +249,7 @@ class PolySymbol(SparseAlgebra):
 
     def terms(self):
         """Term triples ``(alpha, beta, coeff)`` in canonical order."""
-        return regroup(self, HPoly, _term_order_key)
+        return [(*head, coeff) for head, coeff in self._grouped()]
 
     def coeff(self, alpha, beta) -> HPoly:
         monomial = (tuple(alpha), tuple(beta))
@@ -393,13 +380,7 @@ class PolySymbol(SparseAlgebra):
 
     __str__ = to_text
 
-    def __repr__(self) -> str:
-        return self.to_text()
-
     # -- serialization ----------------------------------------------------------------
-
-    def _json_terms(self):
-        return [((alpha, beta), coeff) for alpha, beta, coeff in self.terms()]
 
     @staticmethod
     def _term_to_json(key, coeff) -> dict:
@@ -418,14 +399,6 @@ class PolySymbol(SparseAlgebra):
 
         key = (json_field(entry, "q", exponents), json_field(entry, "p", exponents))
         return key, json_field(entry, "coeff", read_coeff)
-
-
-def _term_order_key(key):
-    """Sort key of a monomial ``(alpha, beta)`` or a flat ``(alpha, beta, hdeg)``:
-    total degree descending, then q and p exponents descending, then ``h``."""
-    alpha, beta = key[0], key[1]
-    degree = sum(alpha) + sum(beta)
-    return (-degree, tuple(-a for a in alpha), tuple(-b for b in beta), key[2:])
 
 
 def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
@@ -537,12 +510,7 @@ def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
 
 def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap):
     a._check(b)
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    if a.total_degree() + b.total_degree() > cap:
-        raise DegreeCapError(
-            f"star product degree {a.total_degree() + b.total_degree()} "
-            f"exceeds cap {cap}"
-        )
+    check_degree_cap(a.total_degree() + b.total_degree(), degree_cap, "star product")
 
 
 def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:

@@ -173,6 +173,15 @@ def test_oversized_index_or_literal_is_refused_before_anything_is_built(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("expression", ["2^15000", "*".join(["9" * MAX_DIGITS] * 5)])
+def test_coefficient_past_the_int_to_text_limit_is_one_line_error(capsys, expression, fmt):
+    code, out, err = run(capsys, "star", expression, "1", "--format", fmt)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: coefficient too long to write: more than {limit} digits\n"
+
+
 def test_limit_constant_inputs(capsys):
     code, out, _ = run(capsys, "limit", "5", "q", "--sigma", "+1")
     assert code == 0

@@ -1,16 +1,37 @@
-"""Byte-for-byte CLI outputs.
+"""Byte-for-byte CLI outputs and element renderings.
 
 Each case runs one command in process and compares stdout with the exact
 text recorded here, so any change in a rendering, in term order or in the
 arithmetic behind it fails.  The inputs carry ``h``- and unit-bearing
 coefficients, fractional weights and formal characters.  Update an expected
 text only for an intended change of output.
+
+A second check renders seeded elements of every sparse class and of the two
+wrappers through ``str``, ``repr``, JSON and the ``terms``/``atoms``/``items``
+views, and compares the count and the SHA-256 of the joined text with
+recorded values, so a change in how keys are stored is checked for the same
+bytes at every edge.
 """
 
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from hypermoyal import (
+    Binarion,
+    CharSum,
+    ExpPoly,
+    GrassmannElement,
+    HPoly,
+    Operator,
+    PolySymbol,
+    Sigma,
+    Ultradistribution,
+    WaveFunction,
+)
 from hypermoyal.cli import main
 
 FOURIER_JSON = {
@@ -938,3 +959,78 @@ def test_cli_output_is_byte_identical(name, input_files, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == expected
+
+
+def _coeff(rng, sigma):
+    re = Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+    im = rng.choice([0, 0, re, -re, Fraction(rng.randint(-3, 3), 2)])
+    return Binarion(re, im, sigma)
+
+
+def _exps(rng, k):
+    return tuple(rng.choice([0, 0, 1, 2]) for _ in range(k))
+
+
+def _rational(rng):
+    return rng.choice([0, 0, 1, Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))])
+
+
+def _elements(rng, sigma):
+    """One seeded element of each sparse class and of each wrapper."""
+    def terms(make):
+        return [make() for _ in range(rng.randint(0, 4))]
+
+    hpoly = HPoly(dict(terms(lambda: (rng.randint(0, 3), _coeff(rng, sigma)))), sigma)
+    charsum = CharSum(dict(terms(
+        lambda: (Fraction(rng.randint(-3, 3), rng.choice([1, 2])), _coeff(rng, sigma))
+    )), sigma)
+    k = rng.randint(1, 2)
+    symbol = PolySymbol(k, sigma, dict(terms(
+        lambda: ((_exps(rng, k), _exps(rng, k)), rng.choice([hpoly, _coeff(rng, sigma), 1, -1]))
+    )))
+    dim = 2 * k
+    exppoly = ExpPoly(dim, sigma, dict(terms(
+        lambda: ((tuple(_rational(rng) for _ in range(dim)), _exps(rng, dim)),
+                 rng.choice([charsum, _coeff(rng, sigma), 1, -1]))
+    )))
+    distribution = Ultradistribution(dim, sigma, terms(
+        lambda: (tuple(_rational(rng) for _ in range(dim)), _exps(rng, dim),
+                 rng.choice([charsum, _coeff(rng, sigma), -1]))
+    ))
+    n = rng.randint(0, 4)
+    grassmann = GrassmannElement(n, sigma, dict(terms(
+        lambda: (rng.randrange(1 << n), rng.choice([_coeff(rng, sigma), 1, -1]))
+    )))
+    h = Fraction(rng.randint(1, 4), 3)
+    return [
+        hpoly, charsum, symbol, exppoly, distribution, grassmann, hpoly * hpoly,
+        charsum * charsum, symbol * symbol, -exppoly, distribution.fourier(),
+        grassmann * grassmann, WaveFunction(exppoly, h),
+        Operator(symbol, h), Operator(exppoly, h),
+    ]
+
+
+def _element_renderings() -> list:
+    lines = []
+    for sigma in (Sigma.HYPERBOLIC, Sigma.COMPLEX):
+        rng = random.Random(f"renderings:{sigma.value}")
+        for _ in range(40):
+            for x in _elements(rng, sigma):
+                lines += [str(x), repr(x)]
+                if not isinstance(x, (HPoly, CharSum)):
+                    lines.append(json.dumps(x.to_json_dict(), sort_keys=True))
+                for view in ("terms", "atoms", "items"):
+                    if hasattr(x, view):
+                        lines.append(repr(getattr(x, view)()))
+    return lines
+
+
+#: Line count and SHA-256 of the joined renderings, recorded before the
+#: views, text and JSON of the sparse classes moved into ``SparseMap``.
+RENDERINGS = (4240, "283aff2e0927cf896dcdf43ad1cf53e1755a715ec02fe2054bfbe701ddfb71d0")
+
+
+def test_element_renderings_are_byte_identical():
+    lines = _element_renderings()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert (len(lines), digest) == RENDERINGS

@@ -57,7 +57,7 @@ def test_distributions_imports_only_the_cap_and_the_symbol_type_from_symbols():
                 assert "symbols" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert all(alias.name != "hypermoyal.symbols" for alias in node.names)
-    assert imported == {"DEFAULT_DEGREE_CAP", "PolySymbol"}
+    assert imported == {"check_degree_cap", "PolySymbol"}
 
 
 def test_shift_route_does_not_use_the_normal_ordered_kernel():
@@ -71,7 +71,7 @@ def test_normal_ordered_route_does_not_differentiate_exppolys():
 
 
 @pytest.mark.parametrize(
-    "kernel", ["_flatten", "_from_integers", "_structure_constants", "_accumulate"]
+    "kernel", ["_flatten", "_commutator_integers", "_structure_constants", "_accumulate"]
 )
 def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
     assert kernel not in _names(_function(symbols, "poisson_bracket"))
@@ -92,6 +92,7 @@ def test_guard_sees_what_it_forbids():
     assert "_derivative_terms" in _names(_function(operators, "Operator", "apply_normal_ordered"))
     assert "differentiate_multi" in _names(_function(operators, "Operator", "apply_shift_form"))
     assert "_accumulate" in _names(_function(symbols, "star"))
+    assert "_commutator_integers" in _names(_function(symbols, "scaled_bracket"))
 
 
 #: Methods that carry route kernels, besides the routes' module-level functions.

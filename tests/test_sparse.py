@@ -39,6 +39,7 @@ from hypermoyal import (
     star_distributional,
     supercommutator,
 )
+from hypermoyal import sparse
 from hypermoyal.sparse import SparseMap, add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
@@ -308,6 +309,69 @@ def test_json_reads_back_as_itself_and_its_text_is_a_fixed_point(make):
 @pytest.mark.parametrize("cls", [PolySymbol, ExpPoly, Ultradistribution, GrassmannElement])
 def test_no_sparse_class_writes_its_own_codec(cls):
     assert not {"to_json", "from_json", "to_json_dict", "from_json_dict"} & set(vars(cls))
+
+
+SPARSE_CLASSES = [HPoly, CharSum, PolySymbol, ExpPoly, Ultradistribution, GrassmannElement]
+
+
+def _defined_below_sparse_map(cls) -> set:
+    """The names ``cls`` and its bases under ``SparseMap`` define."""
+    return set().union(*(
+        vars(base) for base in cls.__mro__ if issubclass(base, SparseMap) and base is not SparseMap
+    ))
+
+
+def test_sparse_map_holds_the_only_views_and_text_join():
+    for cls in SPARSE_CLASSES:
+        assert not {"__repr__", "_json_terms"} & _defined_below_sparse_map(cls), cls
+    writers = {cls for cls in SPARSE_CLASSES if {"__str__", "to_text"} & set(vars(cls))}
+    assert writers == {PolySymbol, ExpPoly}
+    assert not hasattr(sparse, "regroup")
+
+
+#: Elements whose later terms start with ``-``.  Only ``PolySymbol`` writes
+#: ``a + -b`` as ``a - b``; every other class joins its terms with ``" + "``.
+JOINED_TEXTS = {
+    "charsum": (
+        lambda: CharSum({-1: 2, Fraction(-1, 2): Binarion(1, -1, H), 0: -3}, H),
+        "(2)*e^(-1j) + (1 - 1j)*e^(-1/2j) + -3",
+    ),
+    "charsum_unit": (
+        lambda: CharSum({-2: -1, 0: Binarion(-1, 1, C)}, C), "(-1)*e^(-2i) + -1 + 1i",
+    ),
+    "hpoly": (
+        lambda: HPoly({0: -1, 1: Binarion(-1, 2, H), 2: -3}, H), "-1 + (-1 + 2j)*h + (-3)*h^2",
+    ),
+    "distribution": (
+        lambda: Ultradistribution(1, C, [
+            ((0,), (1,), -1), ((Fraction(-1, 2),), (0,), CharSum({-1: -2, 0: -1}, C)),
+        ]),
+        "((-2)*e^(-1i) + -1)*delta[-1/2] + (-1)*d^(1)delta[0]",
+    ),
+    "exppoly": (
+        lambda: ExpPoly(1, H, {
+            ((0,), (1,)): 1, ((0,), (2,)): -2, ((-1,), (0,)): CharSum({-1: -1}, H),
+        }),
+        "((-1)*e^(-1j))*exp(j*(-1*x1)) + x1 + -2*x1^2",
+    ),
+    "grassmann": (
+        lambda: GrassmannElement(2, C, {0: 1, 1: -1, 2: Binarion(0, -1, C), 3: -2}),
+        "1 + -θ1 + (-1i)·θ2 + (-2)·θ1θ2",
+    ),
+    "symbol": (
+        lambda: PolySymbol(1, H, {
+            ((1,), (0,)): 1, ((0,), (1,)): -2,
+            ((0,), (0,)): HPoly({0: -1, 1: Binarion(-1, -1, H)}, H),
+        }),
+        "q1 - 2*p1 - 1 + (-1 - 1j)*h",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, text", JOINED_TEXTS.values(), ids=JOINED_TEXTS)
+def test_text_folds_a_leading_minus_only_in_symbols(build, text):
+    x = build()
+    assert str(x) == repr(x) == text
 
 
 def _entries(*res):
