@@ -25,6 +25,15 @@ keys; :meth:`ExpPoly.terms` and :meth:`Ultradistribution.atoms` regroup the
 validate; the results of the calculus below are built from terms that are
 clean by construction.
 
+The rational parts of an :class:`ExpPoly` or :class:`Ultradistribution` key,
+the vector and ``r``, are stored as integer numerators over one positive
+denominator per element, the least one (``_den``).  The kernels below add
+and scale keys in integers, bringing two operands to the lcm of their
+denominators first; ``Fraction`` values appear only at the edges: the views
+(and through them text and JSON), the validating constructor, and the
+:class:`CharSum` values of :meth:`ExpPoly.evaluate` and
+:meth:`Ultradistribution.pair`.
+
 The module also carries the symbol <-> distribution bridge used by the
 pseudo-differential calculus: a phase-space symbol ``a(q, p)`` corresponds
 to a distribution in transposed variables via
@@ -35,9 +44,10 @@ the two distributions: each pair adds its locations and orders, gains the
 character ``exp(u*h*<q1, p2>)``, takes the twist's derivatives from a
 closed form per coordinate pair ``(q1_i, p2_i)`` and is transformed back
 under its output key.  :meth:`ExpPoly.differentiate_multi` has a closed
-form per coordinate.  These kernels add plain real and unit parts with
-:func:`hypermoyal.sparse.add_parts` and build each output binarion once
-with :func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this agrees
+form per coordinate.  These kernels add integer numerators of the real and
+unit parts with :func:`hypermoyal.sparse.add_parts`, each operand's
+coefficients over one denominator, and build each output binarion once with
+:func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this agrees
 exactly with :func:`hypermoyal.symbols.star`.
 """
 
@@ -58,8 +68,8 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (ScalarRing, SparseAlgebra, SparseMap, add_parts, collect, from_parts,
-                     integer, nonnegative, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, SparseMap, add_parts, collect,
+                     from_parts, integer, nonnegative, summed)
 from .symbols import PolySymbol, check_degree_cap
 
 
@@ -143,6 +153,16 @@ def _times_unit_power(c: Binarion, n: int, sign: int) -> Binarion:
     return c if scale == 1 else -c
 
 
+def _weights(terms: dict) -> tuple:
+    """One denominator ``d`` of the coefficients of ``terms`` and their
+    ``(key, re * d, im * d)`` integer triples."""
+    d = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
+    return d, [
+        (key, c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
+        for key, c in terms.items()
+    ]
+
+
 def _weight_to_json(w: CharSum) -> dict:
     if w.is_scalar():
         return binarion_to_json(w.as_binarion())
@@ -157,17 +177,22 @@ def _weight_from_json(data: dict, sigma: Sigma) -> CharSum:
     return CharSum.from_scalar(binarion_from_json(data, sigma))
 
 
-class _CharSumTerms(SparseMap):
-    """The constructor and JSON entry of :class:`ExpPoly` and :class:`Ultradistribution`.
+class _CharSumTerms(SizedMap):
+    """The key storage, constructor and JSON entry of :class:`ExpPoly` and
+    :class:`Ultradistribution`.
 
     Both map ``(vector, orders, r)`` to a binarion, so the ``r`` parts of one
-    head ``(vector, orders)`` are its :class:`CharSum` weight.  Each class
-    declares the JSON names of an entry's vector, orders and weight as
-    ``_ENTRY``, and as ``_ERRORS`` the messages for a negative order, a
-    vector whose length is not ``dim`` (a template) and a foreign sigma.
+    head ``(vector, orders)`` are its :class:`CharSum` weight.  The vector
+    and ``r`` are stored as integer numerators over ``_den``, the least
+    common denominator: ``gcd(_den, every numerator) == 1``, and ``_den == 1``
+    for the empty element.  So equal elements store equal terms, and
+    numerators sort as their values do.  Each class declares the JSON names
+    of an entry's vector, orders and weight as ``_ENTRY``, and as
+    ``_ERRORS`` the messages for a negative order, a vector whose length is
+    not ``dim`` (a template) and a foreign sigma.
     """
 
-    __slots__ = ()
+    __slots__ = ("_den",)
     _VIEW = CharSum
 
     def _fill(self, dim: int, sigma: Sigma, entries):
@@ -187,7 +212,73 @@ class _CharSumTerms(SparseMap):
             if weight.sigma is not self.sigma:
                 raise SignatureMismatchError(foreign)
             pairs += [((vector, orders, r), c) for r, c in weight._terms.items()]
-        self._terms = collect(pairs)
+        terms = collect(pairs)
+        den = math.lcm(*(x.denominator for vector, _, r in terms for x in (*vector, r)))
+        self._den = den
+        self._terms = {
+            (tuple(x.numerator * (den // x.denominator) for x in vector), orders,
+             r.numerator * (den // r.denominator)): c
+            for (vector, orders, r), c in terms.items()
+        }
+
+    @classmethod
+    def _make(cls, size, sigma, terms: dict, den: int = 1):
+        """The element of ``terms``, whose vector and ``r`` parts are numerators
+        over ``den``, reduced to the least common denominator; nothing else
+        is checked."""
+        g = den
+        for vector, _, r in terms:
+            if g == 1:
+                break
+            g = math.gcd(g, r, *vector)
+        if g > 1:
+            den //= g
+            terms = {
+                (tuple(n // g for n in vector), orders, r // g): c
+                for (vector, orders, r), c in terms.items()
+            }
+        out = super()._make(size, sigma, terms)
+        out._den = den
+        return out
+
+    def _new(self, terms: dict, den: int = None):
+        return self._make(self._size, self.sigma, terms, self._den if den is None else den)
+
+    def _at(self, den: int):
+        """This element with its vector and ``r`` parts over ``den``, a multiple
+        of ``_den``.  Not reduced, so only an operand of a kernel that adds
+        keys."""
+        if den == self._den:
+            return self
+        f = den // self._den
+        out = object.__new__(type(self))
+        out._size, out.sigma, out._den = self._size, self.sigma, den
+        out._terms = {
+            (tuple(n * f for n in vector), orders, r * f): c
+            for (vector, orders, r), c in self._terms.items()
+        }
+        return out
+
+    def _merged(self, other, op):
+        den = math.lcm(self._den, other._den)
+        return SparseMap._merged(self._at(den), other._at(den), op)
+
+    def __eq__(self, other):
+        if isinstance(other, self._SCALARS):
+            other = self._constant(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._den == other._den and super().__eq__(other)
+
+    def _grouped(self) -> list:
+        """:meth:`SparseMap._grouped`, sorted on the numerators, with the
+        vectors and ``r`` parts then divided by ``_den``."""
+        den, sigma = self._den, self.sigma
+        return [
+            ((tuple(Fraction(n, den) for n in vector), orders),
+             CharSum._make(None, sigma, {Fraction(r, den): c for r, c in weight._terms.items()}))
+            for (vector, orders), weight in super()._grouped()
+        ]
 
     def _term_to_json(self, head, weight) -> dict:
         vector_name, orders_name, weight_name = self._ENTRY
@@ -211,7 +302,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
     exactly evaluable at rational points (values land in :class:`CharSum`).
     Coefficients are :class:`CharSum` values, so the closure survives the
     twist and shift operations of the operator calculus; they are stored
-    flat, a binarion per ``(freq, exps, r)``.
+    flat, a binarion per ``(freq, exps, r)``, with ``freq`` and ``r`` as
+    numerators over ``_den``.
     """
 
     __slots__ = ()
@@ -271,13 +363,15 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                 raise ValueError("symbol carries formal h; pass a numeric h")
             h = 1
         h = _as_fraction(h)
-        zero = Fraction(0)
-        freq = (zero,) * dim
+        hn, hd = h.numerator, h.denominator
+        top = max((d for _, _, d in symbol._terms), default=0)
+        den, weights = _weights(symbol._terms)
+        freq = (0,) * dim
         acc = {}
-        for (alpha, beta, d), v in symbol._terms.items():
-            c = h**d
-            add_parts(acc, (freq, alpha + beta, zero), c * v.re, c * v.im)
-        return cls._make(dim, symbol.sigma, from_parts(acc, symbol.sigma))
+        for (alpha, beta, d), re, im in weights:
+            c = hn**d * hd ** (top - d)  # h^d over hd^top
+            add_parts(acc, (freq, alpha + beta, 0), c * re, c * im)
+        return cls._make(dim, symbol.sigma, from_parts(acc, symbol.sigma, den * hd**top))
 
     def _constant(self, value) -> "ExpPoly":
         return ExpPoly.constant(value, self.dim, self.sigma)
@@ -295,10 +389,25 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     # -- ring operations ---------------------------------------------------------------
 
-    @staticmethod
-    def _term_mul(k1, c1, k2, c2):
-        (f1, e1, r1), (f2, e2, r2) = k1, k2
-        return (tuple(map(add, f1, f2)), tuple(map(add, e1, e2)), r1 + r2), c1 * c2
+    def __mul__(self, other):
+        """The product, summed in integers: both operands' keys over the lcm
+        of their denominators, and each one's coefficients over one
+        denominator."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        s = self.sigma.value
+        den = math.lcm(self._den, o._den)
+        d1, terms1 = _weights(self._at(den)._terms)
+        d2, terms2 = _weights(o._at(den)._terms)
+        acc = {}
+        for (f1, e1, r1), x1, y1 in terms1:
+            for (f2, e2, r2), x2, y2 in terms2:
+                add_parts(acc, (tuple(map(add, f1, f2)), tuple(map(add, e1, e2)), r1 + r2),
+                          x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
+        return self._new(from_parts(acc, self.sigma, d1 * d2), den)
+
+    __rmul__ = __mul__
 
     # -- calculus --------------------------------------------------------------------
 
@@ -315,7 +424,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                 lowered[index] -= 1
                 out.append(((freq, tuple(lowered), r), coeff * e))
             if freq[index] != 0:
-                out.append(((freq, exps, r), coeff * (u * freq[index])))
+                out.append(((freq, exps, r), coeff * (u * Fraction(freq[index], self._den))))
         return self._new(collect(out))
 
     def differentiate_multi(self, order) -> "ExpPoly":
@@ -328,6 +437,11 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         ``m`` is odd.  ``order`` may be shorter than ``dim``; entries below
         one are no-ops, and a positive entry past ``dim`` raises
         :class:`IndexError`.
+
+        The sums stay in integers: ``f`` is a numerator over ``_den``, so
+        ``f^m`` is padded by ``_den^(M - m)``, ``M = |order|``, and the
+        coefficients are numerators over one denominator ``d``; the result
+        is divided by ``d _den^M`` once.
         """
         axes = [(i, n) for i, n in enumerate(order) if n > 0]
         for i, _ in axes:
@@ -336,8 +450,11 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         if not axes:
             return self
         s = self.sigma.value
+        top = sum(n for _, n in axes)
+        pads = [self._den ** (top - m) for m in range(top + 1)]
+        den, weights = _weights(self._terms)
         acc = {}
-        for (freq, exps, r), c in self._terms.items():
+        for (freq, exps, r), c_re, c_im in weights:
             per_axis = []
             for i, n in axes:
                 e, f = exps[i], freq[i]
@@ -358,14 +475,15 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                         lowered[i] = power
                         factor *= scalar
                         m += u_power
+                    factor *= pads[m]
                     if s < 0 and (m // 2) % 2:
                         factor = -factor
                     if m % 2:  # a factor u maps x + u*y to s*y + u*x
-                        re, im = factor * s * c.im, factor * c.re
+                        re, im = factor * s * c_im, factor * c_re
                     else:
-                        re, im = factor * c.re, factor * c.im
+                        re, im = factor * c_re, factor * c_im
                     add_parts(acc, (freq, tuple(lowered), r), re, im)
-        return self._new(from_parts(acc, self.sigma))
+        return self._new(from_parts(acc, self.sigma, den * self._den**top))
 
     def shift(self, offset) -> "ExpPoly":
         """Exact substitution ``x -> x + offset`` for a rational offset vector.
@@ -376,9 +494,13 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         offset = tuple(_as_fraction(c) for c in offset)
         if len(offset) != self.dim:
             raise DimensionMismatchError("offset length must match dim")
+        # keys move from _den onto _den * q, q the offset's denominator
+        q = math.lcm(*(c.denominator for c in offset))
+        nums = [c.numerator * (q // c.denominator) for c in offset]
         out = []
         for (freq, exps, r), coeff in self._terms.items():
-            phase = r + sum(f * c for f, c in zip(freq, offset))
+            phase = r * q + sum(map(mul, freq, nums))
+            freq = tuple(f * q for f in freq)
             expansions = [
                 [(j, math.comb(e, j) * c ** (e - j)) for j in range(e + 1)] if c else [(e, 1)]
                 for e, c in zip(exps, offset)
@@ -386,7 +508,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             for choice in iter_product(*expansions):
                 scalar = math.prod(s for _, s in choice)
                 out.append(((freq, tuple(j for j, _ in choice), phase), coeff * scalar))
-        return self._new(collect(out))
+        return self._new(collect(out), self._den * q)
 
     def evaluate(self, point) -> CharSum:
         """Exact evaluation at a rational point; characters stay formal."""
@@ -397,7 +519,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         for (freq, exps, r), coeff in self._terms.items():
             mono = math.prod(x**e for x, e in zip(point, exps))
             if mono:
-                phase = r + sum(f * x for f, x in zip(freq, point))
+                phase = Fraction(r + sum(map(mul, freq, point)), self._den)
                 values.append((phase, coeff * mono))
         return CharSum._make(None, self.sigma, collect(values))
 
@@ -444,7 +566,7 @@ class Ultradistribution(_CharSumTerms):
     ``weight * (-1)^|order| * (d^order f)(loc)``.  The class is closed under
     derivatives, multiplication by monomials and tensor products.  Weights are
     :class:`CharSum` values, stored flat as a binarion per
-    ``(loc, order, r)``.
+    ``(loc, order, r)``, with ``loc`` and ``r`` as numerators over ``_den``.
     """
 
     __slots__ = ()
@@ -481,11 +603,13 @@ class Ultradistribution(_CharSumTerms):
 
     def scale(self, factor) -> "Ultradistribution":
         factor = CharSum.from_scalar(factor, self.sigma)
+        den = math.lcm(self._den, *(s.denominator for s in factor._terms))
+        shifts = [(s.numerator * (den // s.denominator), c) for s, c in factor._terms.items()]
         return self._new(collect(
             ((loc, order, r + s), w * c)
-            for (loc, order, r), w in self._terms.items()
-            for s, c in factor._terms.items()
-        ))
+            for (loc, order, r), w in self._at(den)._terms.items()
+            for s, c in shifts
+        ), den)
 
     # -- distribution calculus ----------------------------------------------------------
 
@@ -523,17 +647,23 @@ class Ultradistribution(_CharSumTerms):
         ``x^n * delta^(m)_x0 = sum over kappa <= min(n, m) of
         binom(m, kappa) * n!/(n-kappa)! * x0^(n-kappa) * (-1)^|kappa|
         * delta^(m-kappa)_x0``.
+
+        The sums stay in integers: ``x0`` is a numerator over ``_den``, so
+        ``x0^(n - kappa)`` is padded by ``_den^kappa``, and the weights are
+        numerators over one denominator ``d``; the result is divided by
+        ``d _den^|n|`` once.
         """
         if isinstance(exponents, int):
             exponents = (exponents,)
         exponents = nonnegative(exponents, "monomial exponents must be nonnegative")
         if len(exponents) != self.dim:
             raise DimensionMismatchError("exponent vector length must match dim")
+        den, weights = _weights(self._terms)
         acc = {}
-        for (loc, order, r), w in self._terms.items():
+        for (loc, order, r), w_re, w_im in weights:
             # per axis the nonzero (m - kappa, binom(m, kappa) n!/(n-kappa)! x0^(n-kappa), kappa)
             per_axis = [
-                [(m - j, math.comb(m, j) * math.perm(n, j) * x0 ** (n - j), j)
+                [(m - j, math.comb(m, j) * math.perm(n, j) * x0 ** (n - j) * self._den**j, j)
                  for j in range(min(n, m) + 1) if x0 or j == n]
                 for n, m, x0 in zip(exponents, order, loc)
             ]
@@ -542,8 +672,8 @@ class Ultradistribution(_CharSumTerms):
                 scalar = math.prod(scalars)
                 if sum(kappa) % 2:
                     scalar = -scalar
-                add_parts(acc, (loc, new_order, r), scalar * w.re, scalar * w.im)
-        return self._new(from_parts(acc, self.sigma))
+                add_parts(acc, (loc, new_order, r), scalar * w_re, scalar * w_im)
+        return self._new(from_parts(acc, self.sigma, den * self._den ** sum(exponents)))
 
     def pair(self, f: ExpPoly) -> CharSum:
         """Exact pairing with a test function: ``(delta^(n)_x0, f) = (-1)^|n| (d^n f)(x0)``."""
@@ -569,20 +699,22 @@ class Ultradistribution(_CharSumTerms):
         """
         return ExpPoly._make(self.dim, self.sigma, {
             key: _times_unit_power(w, sum(key[1]), -1) for key, w in self._terms.items()
-        })
+        }, self._den)
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         self._check_sigma(other)
         sigma = self.sigma
         s = sigma.value
+        den = math.lcm(self._den, other._den)
+        d1, atoms1 = _weights(self._at(den)._terms)
+        d2, atoms2 = _weights(other._at(den)._terms)
         acc = {}
-        for (l1, o1, r1), w1 in self._terms.items():
-            x1, y1 = w1.re, w1.im
-            for (l2, o2, r2), w2 in other._terms.items():
-                x2, y2 = w2.re, w2.im
+        for (l1, o1, r1), x1, y1 in atoms1:
+            for (l2, o2, r2), x2, y2 in atoms2:
                 add_parts(acc, (l1 + l2, o1 + o2, r1 + r2),
-                           x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
-        return Ultradistribution._make(self.dim + other.dim, sigma, from_parts(acc, sigma))
+                          x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
+        return Ultradistribution._make(self.dim + other.dim, sigma,
+                                       from_parts(acc, sigma, d1 * d2), den)
 
     # -- rendering / serialization -----------------------------------------------------
 
@@ -624,7 +756,7 @@ def inverse_fourier_symbol(a, h=None) -> Ultradistribution:
     return Ultradistribution._make(a.dim, a.sigma, {
         key: _times_unit_power(coeff, sum(key[1]), minus_sigma)
         for key, coeff in a._terms.items()
-    })
+    }, a._den)
 
 
 def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
@@ -644,18 +776,25 @@ def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     ``d_x^s d_y^t exp(c*x*y) / exp(c*x*y)``.  ``c^n = h^n sigma^(n//2) u^(n%2)``.
     At ``x = 0`` only ``j = t`` survives and at ``y = 0`` only ``j = s``;
     zero factors are dropped here, before any product is formed.
+
+    ``x``, ``y`` and ``h`` are ``(numerator, denominator)`` pairs, and ``re``
+    and ``im`` integer numerators over ``hd^(a+b) xd^b yd^a``: each term
+    ``h^n x^(t-j) y^(s-j)``, ``n = s + t - j``, is padded by
+    ``hd^(a+b-n) xd^(b-t+j) yd^(a-s+j)``.
     """
+    (xn, xd), (yn, yd), (hn, hd) = x, y, h
     out = []
     for s in range(a + 1):
         for t in range(b + 1):
             parts = [0, 0]
             for j in range(min(s, t) + 1):
-                if (t > j and not x) or (s > j and not y):
+                if (t > j and not xn) or (s > j and not yn):
                     continue
                 n = s + t - j
                 parts[n % 2] += (
-                    math.comb(s, j) * math.comb(t, j) * math.factorial(j)
-                    * sigma ** (n // 2) * h**n * x ** (t - j) * y ** (s - j)
+                    math.comb(s, j) * math.comb(t, j) * math.factorial(j) * sigma ** (n // 2)
+                    * hn**n * hd ** (a + b - n) * xn ** (t - j) * xd ** (b - t + j)
+                    * yn ** (s - j) * yd ** (a - s + j)
                 )
             if any(parts):
                 scale = (-1) ** (s + t) * math.comb(a, s) * math.comb(b, t)
@@ -673,6 +812,15 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     :func:`hypermoyal.symbols.star` evaluated at the same rational ``h``.
     ``degree_cap`` bounds the sum of the operands' polynomial degrees;
     ``None`` means ``DEFAULT_DEGREE_CAP``, as for ``star``.
+
+    The sums stay in integers.  ``h = hn/hd``, the atoms of ``a`` sit over
+    ``da`` and those of ``b`` over ``db``, and each side's weights are
+    numerators over one denominator, ``wa`` and ``wb``.  A pair's twist
+    factors lie over ``hd^(alpha+beta) da^beta db^alpha``, with ``alpha`` the
+    twisted orders of its ``a`` atom and ``beta`` those of its ``b`` atom, so
+    each weight is padded to the largest of these, ``A`` and ``B``: every
+    output coefficient lies over ``wa wb hd^(A+B) da^B db^A``, and every key
+    over ``hd da db``.
     """
     h = _as_fraction(h)
     ea = _coerce_symbol(a, h)
@@ -686,16 +834,34 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     check_degree_cap(ea.degree() + eb.degree(), degree_cap, "star product")
     sigma = ea.sigma
     s = sigma.value
-    atoms_b = inverse_fourier_symbol(eb)._terms.items()
+    hn, hd = h.numerator, h.denominator
+    dist_a, dist_b = inverse_fourier_symbol(ea), inverse_fourier_symbol(eb)
+    da, db = dist_a._den, dist_b._den
+    wa, atoms_a = _weights(dist_a._terms)
+    wb, atoms_b = _weights(dist_b._terms)
+    big_a = max((sum(o[k:]) for (_, o, _), _, _ in atoms_a), default=0)
+    big_b = max((sum(o[:k]) for (_, o, _), _, _ in atoms_b), default=0)
+    # keys move onto hd da db; weights are padded to the twist's denominator
+    fa, fb = hd * db, hd * da
+    atoms_a = [
+        (tuple(v * fa for v in la), ra * fa, la[k:], oa, fa ** (big_a - sum(oa[k:])), re, im)
+        for (la, oa, ra), re, im in atoms_a
+    ]
+    atoms_b = [
+        (tuple(v * fb for v in lb), rb * fb, lb[:k], ob, fb ** (big_b - sum(ob[:k])), re, im)
+        for (lb, ob, rb), re, im in atoms_b
+    ]
     acc = {}
-    for (la, oa, ra), wa in inverse_fourier_symbol(ea)._terms.items():
-        for (lb, ob, rb), wb in atoms_b:
-            x = wa.re * wb.re + s * wa.im * wb.im
-            y = wa.re * wb.im + wa.im * wb.re
+    for la, ra, xs, oa, pad_a, xa, ya in atoms_a:
+        for lb, rb, ys, ob, pad_b, xb, yb in atoms_b:
+            pad = pad_a * pad_b
+            x = pad * (xa * xb + s * ya * yb)
+            y = pad * (xa * yb + ya * xb)
             loc = tuple(map(add, la, lb))
-            phase = ra + rb + h * sum(map(mul, la[k:], lb[:k]))
+            phase = ra + rb + hn * sum(map(mul, xs, ys))
             per_pair = [
-                _pair_factors(*pair, h, s) for pair in zip(la[k:], lb[:k], oa[k:], ob[:k])
+                _pair_factors((xi, da), (yi, db), ai, bi, (hn, hd), s)
+                for xi, yi, ai, bi in zip(xs, ys, oa[k:], ob[:k])
             ]
             for choice in iter_product(*per_pair):
                 re, im = x, y
@@ -707,7 +873,8 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
                 scale = (-1) ** n * s ** (n // 2)  # (-u)^n, a re/im swap for odd n
                 re, im = (scale * s * im, scale * re) if n % 2 else (scale * re, scale * im)
                 add_parts(acc, (loc, order, phase), re, im)
-    return ExpPoly._make(2 * k, sigma, from_parts(acc, sigma))
+    den = wa * wb * hd ** (big_a + big_b) * da**big_b * db**big_a
+    return ExpPoly._make(2 * k, sigma, from_parts(acc, sigma, den), hd * da * db)
 
 
 def paley_wiener_growth(f: ExpPoly, n_max: int) -> tuple[float, float]:

@@ -20,7 +20,7 @@ import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, as_sigma, binarion_from_json, binarion_to_json
-from .sparse import SparseAlgebra, binarion_coefficient, collect, integer
+from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, collect, integer
 
 #: Largest generator count :func:`annihilator_witness` accepts.  Its check
 #: visits all ``2^n`` basis monomials, so its time doubles with each
@@ -79,7 +79,7 @@ def _generator_numbers(mask: int) -> list:
     return numbers
 
 
-class GrassmannElement(SparseAlgebra):
+class GrassmannElement(SizedMap, SparseAlgebra):
     """Element of the Grassmann algebra on ``n`` generators over binarions."""
 
     __slots__ = ()

@@ -12,16 +12,17 @@ equivalent routes, both exact:
   C(b, j) e!/(e - j)! (u f)^(b - j) x^(e - j) exp(u f x)``, and the powers
   of ``u`` fold into a sign and a re/im swap.  The sums stay in integers:
   symbol and wavefunction coefficients are numerators over one
-  denominator each, ``D_s`` and ``D_w``, and each frequency vector is
-  integers over its own denominator ``F``; every output coefficient lies
-  over the one denominator ``D_s D_w L^M``, where ``L`` is the lcm of the
-  ``F`` and ``M = max|beta|``;
+  denominator each, ``D_s`` and ``D_w``, and the frequencies are the
+  wavefunction's stored integer numerators over its one denominator ``F``;
+  every output coefficient lies over the one denominator ``D_s D_w F^M``,
+  where ``M = max|beta|``;
 * *shift route* (any exponential-polynomial symbol): through the symbol's
   point-supported distribution, a plane-wave factor ``exp(u*<B, p>)`` in the
   symbol becomes the argument shift ``q -> q + h*B``.  Atoms that share
   their derivative order ``s`` and location ``B`` share one
   ``(d^s phi)(q + h*B)``; the rest of each atom's action is a shift of
-  keys, a sign and a re/im swap.
+  integer keys, a sign and a re/im swap, and its sums also stay in
+  integers, over one denominator.
 
 The two routes agree on their common domain, and
 :func:`compose_check` verifies operator composition against the star
@@ -70,7 +71,8 @@ def _positive_h(h) -> Fraction:
 def _derivative_terms(beta, exps, nums) -> list:
     """The terms ``(e - j, factor, sum(b - j))`` of ``d^beta (x^e exp(u<f, x>))``
     divided by ``exp(u<f, x>)``, with the powers of ``u`` left out and each
-    frequency ``f`` given by its integer numerator ``n = f * F``.
+    frequency ``f`` given by its integer numerator ``n = f * F`` over the
+    wavefunction's key denominator ``F``.
 
     Per coordinate ``factor`` has ``C(b, j) e!/(e - j)! n^(b - j)`` for
     ``j <= min(b, e)``; at ``f = 0`` only ``j = b`` survives, and none when
@@ -154,9 +156,8 @@ class WaveFunction:
 
     def momenta(self):
         """Rational momentum vectors ``p0 = h * freq`` present in the function."""
-        return sorted(
-            {tuple(self.h * f for f in freq) for freq, _, _ in self.func.terms()}
-        )
+        den = self.func._den
+        return sorted({tuple(self.h * n / den for n in freq) for freq, _, _ in self.func._terms})
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -288,13 +289,11 @@ class Operator:
 
         The sums are kept in integers.  The symbol coefficients are
         numerators over one denominator ``D_s``, the wavefunction's over
-        ``D_w``, and each frequency vector is integers over its lcm ``F``;
-        ``f^(b - j)`` is padded by ``F^(M - m)``, ``M = max|beta|`` and
-        ``m = sum(b - j)``, so a wavefunction term's contributions lie over
-        ``D_s D_w F^M``.  Its numerators are multiplied by ``(L/F)^M``, ``L``
-        the lcm of all the ``F``, which puts every output key over the one
-        denominator ``D_s D_w L^M``, divided out once when the result is
-        built.
+        ``D_w``, and the frequencies are read from the wavefunction's keys,
+        integers over its one denominator ``F``; ``f^(b - j)`` is padded by
+        ``F^(M - m)``, ``M = max|beta|`` and ``m = sum(b - j)``, which puts
+        every output key over the one denominator ``D_s D_w F^M``, divided
+        out once when the result is built.
         """
         if not isinstance(self.symbol, PolySymbol):
             raise TypeError("normal-ordered route needs a polynomial symbol")
@@ -303,36 +302,35 @@ class Operator:
         sigma = self.sigma
         s = sigma.value
         h = self.h
-        # symbol coefficients at this h, times (sigma*h)^|beta|, grouped by beta
+        h_n, h_d = h.numerator, h.denominator
+        # symbol coefficients at this h, times (sigma*h)^|beta|, grouped by beta:
+        # numerators over D_s = D_v h_d^T, D_v the coefficients' denominator
+        # and T the largest hdeg + |beta|
+        symbol = self.symbol._terms
+        d_v = _common_denominator(v for c in symbol.values() for v in (c.re, c.im))
+        top = max((d + sum(beta) for _, beta, d in symbol), default=0)
         by_beta = {}
-        for (alpha, beta, d), v in self.symbol._terms.items():
+        for (alpha, beta, d), v in symbol.items():
             order = sum(beta)
-            c = h ** (d + order) * (s if order % 2 else 1)
-            add_parts(by_beta.setdefault(beta, {}), alpha, c * v.re, c * v.im)
-        d_s = _common_denominator(
-            v for by_alpha in by_beta.values() for parts in by_alpha.values() for v in parts
-        )
+            c = h_n ** (d + order) * h_d ** (top - d - order) * (s if order % 2 else 1)
+            re, im = _numerators((v.re, v.im), d_v)
+            add_parts(by_beta.setdefault(beta, {}), alpha, c * re, c * im)
+        d_s = d_v * h_d**top
         groups = [
-            (beta, sum(beta),
-             [(alpha, *_numerators((re, im), d_s))
-              for alpha, (re, im) in by_alpha.items() if re or im])
+            (beta, sum(beta), [(alpha, re, im) for alpha, (re, im) in by_alpha.items() if re or im])
             for beta, by_alpha in by_beta.items()
         ]
         big_m = max((order for _, order, _ in groups), default=0)
         terms = phi.func._terms
+        f_den = phi.func._den
+        pads = [f_den ** (big_m - m) for m in range(big_m + 1)]
         d_w = _common_denominator(v for w in terms.values() for v in (w.re, w.im))
-        big_l = _common_denominator(f for freq, _, _ in terms for f in freq)
         acc = {}
         for (freq, exps, r), w in terms.items():
-            f_den = _common_denominator(freq)
-            nums = _numerators(freq, f_den)
-            pads = [f_den ** (big_m - m) for m in range(big_m + 1)]
-            # (L/F)^M moves this term from D_s D_w F^M onto D_s D_w L^M
-            lift = (big_l // f_den) ** big_m
-            w_re, w_im = (lift * n for n in _numerators((w.re, w.im), d_w))
+            w_re, w_im = _numerators((w.re, w.im), d_w)
             for beta, order, coeffs in groups:
                 derivatives = []
-                for lowered, c, m in _derivative_terms(beta, exps, nums):
+                for lowered, c, m in _derivative_terms(beta, exps, freq):
                     n = order + m
                     c *= pads[m]
                     if s < 0 and (n // 2) % 2:
@@ -346,8 +344,8 @@ class Operator:
                         key = (freq, tuple(map(add, lowered, alpha)), r)
                         dx, dy = (c * s * y, c * x) if odd else (c * x, c * y)
                         add_parts(acc, key, dx, dy)
-        out = from_parts(acc, sigma, d_s * d_w * big_l**big_m)
-        return WaveFunction(ExpPoly._make(self.dof, sigma, out), h)
+        out = from_parts(acc, sigma, d_s * d_w * f_den**big_m)
+        return WaveFunction(ExpPoly._make(self.dof, sigma, out, f_den), h)
 
     def apply_shift_form(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Route through the symbol's distribution.
@@ -360,6 +358,14 @@ class Operator:
         u^(|r|%2)``, a sign and a re/im swap), and ``q^r``, ``exp(u*<A, q>)``
         and ``exp(u*rho)`` add ``r``, ``A`` and ``rho`` to the keys of each
         term.  ``degree_cap`` as for :meth:`apply`.
+
+        The sums are kept in integers.  ``h = h_n/h_d``; the atoms' weights
+        are numerators over one denominator ``D_a`` and ``h^|s|`` is padded
+        to ``h_d^T``, ``T`` the largest ``|s|``; the coefficients of the
+        ``(d^s phi)(q + h*B)`` are numerators over one denominator ``D_p``.
+        Every output coefficient lies over ``D_a h_d^T D_p``, and every key
+        over the lcm of the key denominators of the symbol's distribution
+        and of the parts.
         """
         self._check_cap(degree_cap)
         self._check(phi)
@@ -367,34 +373,55 @@ class Operator:
         sigma = self.sigma
         s = sigma.value
         h = self.h
+        h_n, h_d = h.numerator, h.denominator
+        dist = inverse_fourier_symbol(self.symbol, h)
+        d_a = _common_denominator(v for w in dist._terms.values() for v in (w.re, w.im))
+        top = max((sum(order[k:]) for _, order, _ in dist._terms), default=0)
         groups = {}
-        for (loc, order, rho), w in inverse_fourier_symbol(self.symbol, h)._terms.items():
+        for (loc, order, rho), w in dist._terms.items():
             r, t = order[:k], order[k:]
             n, order_t = sum(r), sum(t)
-            c = h**order_t * s ** (n // 2)
+            c = h_n**order_t * h_d ** (top - order_t) * s ** (n // 2)
             if (n + order_t) % 2:
                 c = -c
-            re, im = c * w.re, c * w.im
+            re, im = (c * v for v in _numerators((w.re, w.im), d_a))
             if n % 2:  # a factor u maps x + u*y to s*y + u*x
                 re, im = s * im, re
             a_vec = loc[:k]
             groups.setdefault((t, loc[k:]), []).append(
                 (a_vec if any(a_vec) else None, r if n else None, rho, re, im)
             )
-        acc = {}
+        parts = []
         for (t, b_vec), atoms in groups.items():
             part = phi.func.differentiate_multi(t)
             if any(b_vec):
-                part = part.shift(tuple(h * b for b in b_vec))
+                part = part.shift(tuple(h * b / dist._den for b in b_vec))
+            parts.append((part, atoms))
+        key_den = math.lcm(dist._den, *(part._den for part, _ in parts))
+        d_p = _common_denominator(
+            v for part, _ in parts for c in part._terms.values() for v in (c.re, c.im)
+        )
+        acc = {}
+        for part, atoms in parts:
+            f_part, f_atom = key_den // part._den, key_den // dist._den
+            atoms = [
+                (None if a_vec is None else tuple(f_atom * a for a in a_vec), r, f_atom * rho,
+                 re, im)
+                for a_vec, r, rho, re, im in atoms
+            ]
             for (freq, exps, phase), c in part._terms.items():
+                c_re, c_im = _numerators((c.re, c.im), d_p)
+                freq = tuple(f_part * f for f in freq)
+                phase *= f_part
                 for a_vec, r, rho, re, im in atoms:
                     key = (
                         freq if a_vec is None else tuple(map(add, freq, a_vec)),
                         exps if r is None else tuple(map(add, exps, r)),
                         phase + rho,
                     )
-                    add_parts(acc, key, c.re * re + s * c.im * im, c.re * im + c.im * re)
-        return WaveFunction(ExpPoly._make(k, sigma, from_parts(acc, sigma)), h)
+                    add_parts(acc, key, c_re * re + s * c_im * im, c_re * im + c_im * re)
+        out = from_parts(acc, sigma, d_a * h_d**top * d_p)
+        return WaveFunction(ExpPoly._make(k, sigma, out, key_den), h)
 
     # -- serialization -------------------------------------------------------------
 

@@ -91,6 +91,14 @@ class GClass(enum.Enum):
 
 
 def _as_fraction(value) -> Fraction:
+    # exact type tests first: for an int, ``isinstance(value, Fraction)`` goes
+    # through the ``numbers.Rational`` ABC check, which costs more than the
+    # conversion
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):

@@ -27,9 +27,11 @@ Every edge that reads keys is here.  Views, text and JSON all come from
 :meth:`SparseMap._grouped`, the sorted terms, with the last key part grouped
 into a coefficient ring where a class declares one.  The four maps with a
 size (symbols, exponential polynomials, distributions and Grassmann
-elements) share one JSON shape: the size, ``sigma`` and a list of entries,
-whose repeated keys add through :func:`summed`.  Each class writes and reads
-only a single term.  :class:`ScalarRing` builds the two maps without a size.
+elements) derive from :class:`SizedMap` and share one JSON shape: the size,
+``sigma`` and a list of entries, whose repeated keys add through
+:func:`summed`.  Each class writes and reads only a single term.
+:class:`ScalarRing` builds the two maps without a size, which have no JSON
+form.
 """
 
 from __future__ import annotations
@@ -110,27 +112,18 @@ class SparseMap:
     """Finite map from keys to nonzero coefficients, with its linear structure.
 
     ``sigma`` is the signature of every coefficient.  ``_size`` is the
-    dimension of the space the keys live on (``dof``, ``dim`` or ``n``;
-    ``None`` for the scalar rings); two elements combine only when both
-    agree.
+    dimension of the space the keys live on (``dof``, ``dim`` or ``n`` of a
+    :class:`SizedMap`; ``None`` for the scalar rings).
 
     Views, text and JSON all read :meth:`_grouped`, the terms as sorted
     ``(head, coefficient)`` pairs.  A class whose last key part is the key
     of a coefficient ring declares that ring as ``_VIEW``, and the sort key
     of the heads as ``_ORDER``; the others view their stored terms.  Text
     joins one ``_term_text(head, coefficient)`` per term with ``" + "``.
-
-    A map with a size is written to JSON as ``{size: int, "sigma": int,
-    list: [entry, ...]}``, named by ``_JSON_FIELDS = (size, list)``.  Each
-    such class supplies one converter per direction for a single entry:
-    ``_term_to_json(head, coeff)`` and ``_term_from_json(entry, sigma,
-    size)``, which returns the pair.  Reading sums repeated keys and builds
-    the element through its public constructor.
     """
 
     __slots__ = ("sigma", "_size", "_terms")
 
-    _JSON_FIELDS = (None, None)
     _VIEW = None
     _ORDER = None
     #: Operand types that enter arithmetic and comparison as constants.
@@ -159,12 +152,8 @@ class SparseMap:
             )
 
     def _check(self, other):
+        """Raise unless ``other``, of this class, can combine with this element."""
         self._check_sigma(other)
-        if other._size != self._size:
-            name = self._JSON_FIELDS[0]
-            raise DimensionMismatchError(
-                f"cannot combine {name}={self._size} with {name}={other._size}"
-            )
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -221,39 +210,6 @@ class SparseMap:
     def __repr__(self) -> str:
         return str(self)
 
-    # -- JSON ---------------------------------------------------------------------
-
-    @classmethod
-    def _from_json_terms(cls, size, sigma, terms: dict):
-        """The element of summed ``{key: coefficient}`` terms, through the
-        public constructor."""
-        return cls(size, sigma, terms)
-
-    def to_json_dict(self) -> dict:
-        size_name, list_name = self._JSON_FIELDS
-        return {
-            size_name: self._size,
-            "sigma": self.sigma.value,
-            list_name: [self._term_to_json(head, coeff) for head, coeff in self._grouped()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict):
-        size_name, list_name = cls._JSON_FIELDS
-        sigma = json_field(data, "sigma", as_sigma)
-        size = json_field(data, size_name, integer)
-        terms = json_field(data, list_name, lambda entries: summed(
-            cls._term_from_json(entry, sigma, size) for entry in entries
-        ))
-        return cls._from_json_terms(size, sigma, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -287,6 +243,61 @@ class SparseMap:
             and self.sigma is other.sigma
             and self._terms == other._terms
         )
+
+
+class SizedMap(SparseMap):
+    """A :class:`SparseMap` whose keys live on a space of a given size, with
+    its JSON form.
+
+    Two elements combine only when their sizes agree.  An element is written
+    to JSON as ``{size: int, "sigma": int, list: [entry, ...]}``, named by
+    ``_JSON_FIELDS = (size, list)``.  Each class supplies one converter per
+    direction for a single entry: ``_term_to_json(head, coeff)`` and
+    ``_term_from_json(entry, sigma, size)``, which returns the pair.
+    Reading sums repeated keys and builds the element through its public
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def _check(self, other):
+        self._check_sigma(other)
+        if other._size != self._size:
+            name = self._JSON_FIELDS[0]
+            raise DimensionMismatchError(
+                f"cannot combine {name}={self._size} with {name}={other._size}"
+            )
+
+    @classmethod
+    def _from_json_terms(cls, size, sigma, terms: dict):
+        """The element of summed ``{key: coefficient}`` terms, through the
+        public constructor."""
+        return cls(size, sigma, terms)
+
+    def to_json_dict(self) -> dict:
+        size_name, list_name = self._JSON_FIELDS
+        return {
+            size_name: self._size,
+            "sigma": self.sigma.value,
+            list_name: [self._term_to_json(head, coeff) for head, coeff in self._grouped()],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        size_name, list_name = cls._JSON_FIELDS
+        sigma = json_field(data, "sigma", as_sigma)
+        size = json_field(data, size_name, integer)
+        terms = json_field(data, list_name, lambda entries: summed(
+            cls._term_from_json(entry, sigma, size) for entry in entries
+        ))
+        return cls._from_json_terms(size, sigma, terms)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))
 
 
 class SparseAlgebra(SparseMap):

@@ -53,8 +53,8 @@ from .errors import (
 )
 from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
                       binarion_to_json)
-from .sparse import (ScalarRing, SparseAlgebra, add_parts, collect, from_parts, integer,
-                     nonnegative, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, collect, from_parts,
+                     integer, nonnegative, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -172,7 +172,7 @@ def _term_order_key(key):
     return (-degree, tuple(-a for a in alpha), tuple(-b for b in beta), key[2:])
 
 
-class PolySymbol(SparseAlgebra):
+class PolySymbol(SizedMap, SparseAlgebra):
     """Sparse polynomial in ``q1..qk, p1..pk`` with :class:`HPoly` coefficients.
 
     Stored flat, as one map from ``(alpha, beta, hdeg)`` to the binarion

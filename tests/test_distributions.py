@@ -1,6 +1,7 @@
 """Tests for point-supported distributions, the Fourier calculus, and the
 distributional star product."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -25,7 +26,6 @@ from hypermoyal import (
     star_distributional,
     symbol_from_distribution,
 )
-from hypermoyal.distributions import _pair_factors
 from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
@@ -410,15 +410,64 @@ def test_star_distributional_degree_cap():
             assert got == ExpPoly.from_poly_symbol(q**17)
 
 
+def _rational_pair_factors(x, y, a, b, h, sigma: int) -> list:
+    """The nonzero terms ``(a - s, b - t, re, im)`` that ``exp(c*x*y)``, ``c = u*h``,
+    makes of ``delta^((a, b))`` at ``(x, y)``, with its character left out;
+    the factor is ``re + u*im`` in the ring where ``u*u = sigma``.
+
+    ``factor = (-1)^(s+t) binom(a, s) binom(b, t) sum_{j <= min(s, t)}
+    binom(s, j) binom(t, j) j! c^(s+t-j) x^(t-j) y^(s-j)``, the closed form of
+    ``d_x^s d_y^t exp(c*x*y) / exp(c*x*y)``.  ``c^n = h^n sigma^(n//2) u^(n%2)``.
+    At ``x = 0`` only ``j = t`` survives and at ``y = 0`` only ``j = s``;
+    zero factors are dropped here, before any product is formed.
+
+    The rational form of ``distributions._pair_factors``, which works on
+    integer numerators; the oracle keeps it so that it shares no kernel code
+    with the route it checks.
+    """
+    out = []
+    for s in range(a + 1):
+        for t in range(b + 1):
+            parts = [0, 0]
+            for j in range(min(s, t) + 1):
+                if (t > j and not x) or (s > j and not y):
+                    continue
+                n = s + t - j
+                parts[n % 2] += (
+                    math.comb(s, j) * math.comb(t, j) * math.factorial(j)
+                    * sigma ** (n // 2) * h**n * x ** (t - j) * y ** (s - j)
+                )
+            if any(parts):
+                scale = (-1) ** (s + t) * math.comb(a, s) * math.comb(b, t)
+                out.append((a - s, b - t, scale * parts[0], scale * parts[1]))
+    return out
+
+
+def _flat_atoms(distribution):
+    """The ``(loc, order, r, weight)`` terms of ``distribution``, read from its
+    public view."""
+    return [(loc, order, r, w) for loc, order, weight in distribution.atoms()
+            for r, w in weight.items()]
+
+
+def _distribution_of_parts(dim, sigma, acc) -> Ultradistribution:
+    """The distribution of ``{(loc, order, r): [re, im]}``, built through the
+    public constructor."""
+    return Ultradistribution(dim, sigma, [
+        (loc, order, CharSum.character(r, sigma, w))
+        for (loc, order, r), w in from_parts(acc, sigma).items()
+    ])
+
+
 def _staged_star_distributional(a, b, h) -> ExpPoly:
     """The distributional star in stages, kept as the oracle of the one-pass
     ``star_distributional``.
 
     Builds the tensor of the two inverse transforms on ``(p1, q1, p2, q2)``,
     multiplies it by the twist ``exp(u*h*<q1, p2>)`` atom by atom (through
-    the same per-pair closed form), pushes the result forward under block
-    addition of locations and orders, and transforms it back, each stage a
-    distribution of its own.
+    the same per-pair closed form, in rationals), pushes the result forward
+    under block addition of locations and orders, and transforms it back,
+    each stage a distribution of its own.
     """
     h = Fraction(h)
     ta, tb = inverse_fourier_symbol(a, h), inverse_fourier_symbol(b, h)
@@ -426,10 +475,10 @@ def _staged_star_distributional(a, b, h) -> ExpPoly:
     sigma = ta.sigma
     s = sigma.value
     twisted = {}
-    for (loc, order, r), w in ta.tensor(tb)._terms.items():
+    for loc, order, r, w in _flat_atoms(ta.tensor(tb)):
         xs, ys = loc[k : 2 * k], loc[2 * k : 3 * k]
         per_pair = [
-            _pair_factors(*pair, h, s)
+            _rational_pair_factors(*pair, h, s)
             for pair in zip(xs, ys, order[k : 2 * k], order[2 * k : 3 * k])
         ]
         phase = r + h * sum(x * y for x, y in zip(xs, ys))
@@ -440,13 +489,13 @@ def _staged_star_distributional(a, b, h) -> ExpPoly:
             new_order = (order[:k] + tuple(c[0] for c in choice)
                          + tuple(c[1] for c in choice) + order[3 * k :])
             add_parts(twisted, (loc, new_order, phase), re, im)
-    twisted = Ultradistribution._make(4 * k, sigma, from_parts(twisted, sigma))
+    twisted = _distribution_of_parts(4 * k, sigma, twisted)
     pushed = {}
-    for (loc, order, r), w in twisted._terms.items():
+    for loc, order, r, w in _flat_atoms(twisted):
         key = (tuple(map(add, loc[: 2 * k], loc[2 * k :])),
                tuple(map(add, order[: 2 * k], order[2 * k :])), r)
         add_parts(pushed, key, w.re, w.im)
-    pushed = Ultradistribution._make(2 * k, sigma, from_parts(pushed, sigma))
+    pushed = _distribution_of_parts(2 * k, sigma, pushed)
     return symbol_from_distribution(pushed)
 
 

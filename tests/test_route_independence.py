@@ -95,6 +95,29 @@ def test_guard_sees_what_it_forbids():
     assert "_commutator_integers" in _names(_function(symbols, "scaled_bracket"))
 
 
+#: The kernels that sum integer numerators and divide once at the end.
+INTEGER_KERNELS = {
+    "star_distributional": (distributions, "star_distributional"),
+    "apply_shift_form": (operators, "Operator", "apply_shift_form"),
+    "apply_normal_ordered": (operators, "Operator", "apply_normal_ordered"),
+    "differentiate_multi": (distributions, "ExpPoly", "differentiate_multi"),
+    "mul_monomial": (distributions, "Ultradistribution", "mul_monomial"),
+}
+
+
+@pytest.mark.parametrize("path", INTEGER_KERNELS.values(), ids=INTEGER_KERNELS)
+def test_integer_kernels_name_no_fraction(path):
+    assert "Fraction" not in _names(_function(*path))
+
+
+def test_fraction_guard_sees_what_it_forbids():
+    """A copy of each integer kernel with one ``Fraction`` planted in it fails the scan."""
+    for path in INTEGER_KERNELS.values():
+        planted = _function(*path)
+        planted.body.append(ast.parse("h = Fraction(h)").body[0])
+        assert "Fraction" in _names(planted)
+
+
 #: Methods that carry route kernels, besides the routes' module-level functions.
 KERNEL_METHODS = {
     "substitute_h", "from_poly_symbol", "differentiate_multi", "mul_monomial", "tensor",

@@ -261,6 +261,22 @@ def test_cross_sigma_rejected():
         b(1, 2, H) * b(1, 2, C)
 
 
+def test_parts_are_fractions_whatever_exact_type_they_come_in():
+    class Third(Fraction):
+        pass
+
+    for sigma in SIGMAS:
+        z = Binarion(3, True, sigma)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert (z.re, z.im) == (3, 1)
+        assert Binarion("2/6", Fraction(4), sigma) == Binarion(Fraction(1, 3), 4, sigma)
+        assert type(Binarion(Third(1, 3), 0, sigma).re) is Third
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            Binarion(0.5, 0, sigma)
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            Binarion(1, 0.5, sigma)
+
+
 def test_text_rendering():
     assert str(b(3, 2, H)) == "3 + 2j"
     assert str(b(3, -2, H)) == "3 - 2j"

@@ -3,20 +3,26 @@
 Results of arithmetic are built without validation, so each must already
 be what the validating public constructor makes of its own terms: equal to
 them passed back through that constructor, and holding no zero
-coefficient.  That rebuild reads back the result's own map, so it cannot see
-a term lost where two keys collide; results whose terms collide are also
-compared with an independent computation.  The public constructors keep
-rejecting malformed input with the same error types.
+coefficient.  Exponential polynomials and distributions store the rational
+parts of their keys as integer numerators over one denominator, which must
+be the least one.  That rebuild reads back the result's own map, so it
+cannot see a term lost where two keys collide; results whose terms collide
+are also compared with an independent computation.  The public
+constructors keep rejecting malformed input with the same error types.
 
-The four classes with a size share one JSON codec in ``SparseMap``; every
+The four classes with a size share one JSON codec in ``SizedMap``; every
 element, and each wrapper around one, reads back as itself.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypermoyal import (
     Binarion,
@@ -40,7 +46,7 @@ from hypermoyal import (
     supercommutator,
 )
 from hypermoyal import sparse
-from hypermoyal.sparse import SparseMap, add_parts, from_parts
+from hypermoyal.sparse import SparseMap, add_parts, from_parts, summed
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -89,6 +95,19 @@ def _exppoly_2(rng, sigma):
     return _exppoly(rng, sigma, dim=2)
 
 
+def _exppoly_mixed(rng, sigma):
+    """Plane waves on two variables whose frequencies and characters have
+    different denominators, so that sums and products change ``_den``."""
+    def rational():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4, 6)))
+
+    return ExpPoly(2, sigma, {
+        ((rational(), rational()), _exps(rng, 2)):
+            CharSum({rational(): _coeff(rng, sigma) for _ in range(2)}, sigma)
+        for _ in range(3)
+    })
+
+
 def _distribution(rng, sigma):
     return Ultradistribution(
         1,
@@ -115,6 +134,12 @@ def _assert_clean(x):
     assert x == REBUILD[type(x)](x)
     for value in x._terms.values():
         assert isinstance(value, Binarion) and not value.is_zero()
+    if isinstance(x, (ExpPoly, Ultradistribution)):
+        # vector and r numerators over the least common denominator
+        numerators = [n for vector, _, r in x._terms for n in (*vector, r)]
+        assert all(type(n) is int for n in numerators)
+        assert type(x._den) is int and x._den >= 1
+        assert math.gcd(x._den, *numerators) == 1
 
 
 def _ring_results(a, b, sigma):
@@ -129,20 +154,27 @@ def _extra_results(a, b, sigma):
             a.scale_hpoly(HPoly({1: Binarion(1, -1, sigma)}, sigma)),
             star(a, b), moyal_bracket(a, b), scaled_bracket(a, b), moyal_bracket(a, b).div_h(),
             a.differentiate("p", 1), a.substitute_h(h), a.h_constant_part(), a.conjugate(),
-            a.coeff((0, 0), (0, 0)),
+            a.coeff((0, 0), (0, 0)), ExpPoly.from_poly_symbol(a, h),
         ] + [coeff for _, _, coeff in a.terms()]
     if isinstance(a, (HPoly, CharSum)):
         return [a.conjugate()]
     if isinstance(a, ExpPoly):
         point = (Fraction(1, 2),) * a.dim
-        results = [a.differentiate(0), a.shift(point), a.evaluate(point)]
+        third = ExpPoly.character((Fraction(1, 3),) * a.dim, sigma)
+        results = [
+            a.differentiate(0), a.shift(point), a.evaluate(point),
+            a.differentiate_multi((2,) * a.dim), a.shift((Fraction(-1, 3),) * a.dim),
+            (a + third) - third, a * third,
+        ]
         if a.dim == 2:
             results += [star_distributional(a, b, Fraction(1, 3)), inverse_fourier_symbol(a)]
         return results
     return [a.even_part(), a.odd_part(), supercommutator(a, b)]
 
 
-@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _exppoly, _exppoly_2, _grassmann])
+@pytest.mark.parametrize(
+    "make", [_hpoly, _charsum, _symbol, _exppoly, _exppoly_2, _exppoly_mixed, _grassmann]
+)
 def test_ring_results_are_clean(make):
     rng = random.Random(17)
     for sigma in SIGMAS:
@@ -158,12 +190,57 @@ def test_distribution_results_are_clean():
         two_characters = CharSum(
             {Fraction(0): Binarion(1, -1, sigma), Fraction(1, 2): Binarion(2, 1, sigma)}, sigma
         )
+        thirds = Ultradistribution.delta((Fraction(-1, 3),), sigma, (2,), Binarion(1, 1, sigma))
         for _ in range(25):
             a, b = _distribution(rng, sigma), _distribution(rng, sigma)
             for result in (
                 a + b, a - b, a - a, -a, a.scale(Binarion(1, -1, sigma)),
                 a.scale(two_characters), a.derivative(0), a.mul_monomial((2,)),
                 a.tensor(b), a.fourier(), a.pair(b.fourier()),
+                a.tensor(thirds), thirds.tensor(a), (a + thirds) - thirds,
+                (a + thirds).mul_monomial((3,)), (a + thirds).derivative_multi((2,)),
+            ):
+                _assert_clean(result)
+
+
+def test_a_cancellation_lowers_the_key_denominator():
+    for sigma in SIGMAS:
+        half = ExpPoly.character((Fraction(1, 2),), sigma)
+        third = ExpPoly.character((Fraction(1, 3),), sigma)
+        assert half != third  # both store the numerator 1
+        both = half + third
+        assert both._den == 6
+        assert (both - third)._den == 2 and both - third == half
+        assert (both - both)._den == 1 and (both - both).is_zero()
+        shifted = half.shift((Fraction(2, 3),))  # e^(u/3) e^(u x/2): r = 1/3
+        assert shifted._den == 6
+        assert shifted.shift((Fraction(-2, 3),)) == half
+        assert shifted.shift((Fraction(-2, 3),))._den == 2
+        # atoms that cancel in the constructor leave no denominator behind
+        built = Ultradistribution(1, sigma, [
+            ((Fraction(1, 3),), (0,), 1), ((Fraction(1, 2),), (1,), 1), ((Fraction(1, 3),), (0,), -1),
+        ])
+        assert built._den == 2
+        for x in (both, both - third, both - both, shifted, built):
+            _assert_clean(x)
+
+
+def test_operator_route_results_are_clean():
+    """Both routes' output on wavefunctions, and plane-wave symbols, whose
+    frequencies have different denominators."""
+    rng = random.Random(23)
+    for sigma in SIGMAS:
+        for _ in range(10):
+            h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            phi = WaveFunction(_exppoly_mixed(rng, sigma), h)
+            symbol = _symbol(rng, sigma)
+            plane = ExpPoly(4, sigma, {
+                (freq + freq, exps + exps): c for freq, exps, c in _exppoly_mixed(rng, sigma).terms()
+            })
+            for result in (
+                Operator(symbol, h).apply_normal_ordered(phi).func,
+                Operator(symbol, h).apply_shift_form(phi).func,
+                Operator(plane, h).apply_shift_form(phi).func,
             ):
                 _assert_clean(result)
 
@@ -181,9 +258,10 @@ def test_evaluate_sums_colliding_phases(make):
             point = (Fraction(1, 2),) * a.dim
             value = a.evaluate(point)
             one_by_one = CharSum.zero(sigma)
-            for (freq, exps, r), c in a._terms.items():
-                term = ExpPoly(a.dim, sigma, {(freq, exps): CharSum.character(r, sigma, c)})
-                one_by_one = one_by_one + term.evaluate(point)
+            for freq, exps, weight in a.terms():
+                for r, c in weight.items():
+                    term = ExpPoly(a.dim, sigma, {(freq, exps): CharSum.character(r, sigma, c)})
+                    one_by_one = one_by_one + term.evaluate(point)
             assert value == one_by_one
             assert (a + b).evaluate(point) == value + b.evaluate(point)
             _assert_clean(value)
@@ -306,9 +384,73 @@ def test_json_reads_back_as_itself_and_its_text_is_a_fixed_point(make):
                 assert type(x).from_json(text) == x
 
 
+JSON_NAMES = {"to_json", "from_json", "to_json_dict", "from_json_dict"}
+
+
 @pytest.mark.parametrize("cls", [PolySymbol, ExpPoly, Ultradistribution, GrassmannElement])
 def test_no_sparse_class_writes_its_own_codec(cls):
-    assert not {"to_json", "from_json", "to_json_dict", "from_json_dict"} & set(vars(cls))
+    assert not JSON_NAMES & set(vars(cls))
+
+
+@pytest.mark.parametrize("cls", [HPoly, CharSum])
+def test_the_scalar_rings_have_no_json_form(cls):
+    assert not [name for name in JSON_NAMES if hasattr(cls, name)]
+
+
+# -- keys over one denominator ----------------------------------------------------
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def _keyed_pairs(draw):
+    """Two exponential polynomials or two distributions of one dim and ring,
+    whose vectors and ``r`` have mixed denominators, and whose weights are
+    often on the light cone, so that sums cancel and products vanish."""
+    cls = draw(st.sampled_from((ExpPoly, Ultradistribution)))
+    dim = draw(st.integers(1, 2))
+    sigma = draw(st.sampled_from(SIGMAS))
+
+    def element():
+        atoms = []
+        for _ in range(draw(st.integers(0, 4))):
+            vector = tuple(draw(_rationals) for _ in range(dim))
+            orders = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+            re = draw(st.sampled_from((-1, Fraction(1, 2), 1, 2)))
+            im = draw(st.sampled_from((re, -re, 0, Fraction(1, 3))))
+            weight = CharSum.character(draw(_rationals), sigma, Binarion(re, im, sigma))
+            atoms.append((vector, orders, weight))
+        if cls is ExpPoly:
+            return ExpPoly(dim, sigma, summed(((v, o), w) for v, o, w in atoms))
+        return Ultradistribution(dim, sigma, atoms)
+
+    return element(), element()
+
+
+def _product_by_terms(a, b):
+    """``a * b`` (or ``a.tensor(b)``) rebuilt from the public views through
+    the public constructor."""
+    if isinstance(a, ExpPoly):
+        return ExpPoly(a.dim, a.sigma, summed(
+            ((tuple(map(add, f1, f2)), tuple(map(add, e1, e2))), w1 * w2)
+            for f1, e1, w1 in a.terms() for f2, e2, w2 in b.terms()
+        ))
+    return Ultradistribution(a.dim + b.dim, a.sigma, [
+        (l1 + l2, o1 + o2, w1 * w2) for l1, o1, w1 in a.atoms() for l2, o2, w2 in b.atoms()
+    ])
+
+
+@given(_keyed_pairs())
+def test_keys_over_one_denominator_property(pair):
+    a, b = pair
+    cls = type(a)
+    assert cls.from_json(a.to_json()) == a
+    assert (a + b) - b == a
+    assert (a - a).is_zero() and (a - a)._den == 1
+    product = a * b if cls is ExpPoly else a.tensor(b)
+    assert product == _product_by_terms(a, b)
+    for x in (a, b, a + b, a - b, product):
+        _assert_clean(x)
 
 
 SPARSE_CLASSES = [HPoly, CharSum, PolySymbol, ExpPoly, Ultradistribution, GrassmannElement]
