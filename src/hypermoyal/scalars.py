@@ -150,6 +150,15 @@ class Binarion:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _exact(cls, re: Fraction, im: Fraction, sigma: Sigma) -> "Binarion":
+        """Unchecked builder for results whose parts are known to be
+        ``Fraction``s and whose ``sigma`` is a :class:`Sigma`; stores them
+        as they are."""
+        out = object.__new__(cls)
+        out.re, out.im, out.sigma = re, im, sigma
+        return out
+
+    @classmethod
     def zero(cls, sigma: Sigma) -> "Binarion":
         return cls(0, 0, sigma)
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, as_sigma
+from .scalars import Binarion, Sigma, _as_fraction, as_sigma
 
 
 def summed(pairs) -> dict:
@@ -69,12 +69,17 @@ def add_parts(acc: dict, key, re, im):
 
 def from_parts(acc: dict, sigma, den: int = None) -> dict:
     """The nonzero ``(re + u*im) / den`` of the ``[re, im]`` entries of ``acc``
-    as binarions, each built once.  ``den`` is the common denominator of
-    integer numerators; ``None`` takes rational parts as they are."""
+    as binarions of the :class:`Sigma` ``sigma``, each built once, without
+    re-validation.  ``den`` is the common denominator of integer numerators;
+    ``None`` takes rational parts as they are."""
     if den is None:
-        return {key: Binarion(re, im, sigma) for key, (re, im) in acc.items() if re or im}
+        return {
+            key: Binarion._exact(_as_fraction(re), _as_fraction(im), sigma)
+            for key, (re, im) in acc.items()
+            if re or im
+        }
     return {
-        key: Binarion(Fraction(re, den), Fraction(im, den), sigma)
+        key: Binarion._exact(Fraction(re, den), Fraction(im, den), sigma)
         for key, (re, im) in acc.items()
         if re or im
     }

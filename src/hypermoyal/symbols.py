@@ -34,6 +34,14 @@ is derived independently through the distributional route in
 :mod:`hypermoyal.distributions`, and through operator application in
 :mod:`hypermoyal.operators`; the test suite checks all three against each
 other.
+
+Inside the kernel each monomial ``(alpha, beta, hdeg)`` is one packed int,
+with fields whose width is the bit length of the operands' summed total
+degree, which bounds every exponent of the result (see :func:`star`).  So
+adding two monomials is one int addition and a kappa term one more, by a
+precomputed shift; the result's keys are decoded once, at the end.  The
+structure constants are tabled per call by small ids of the distinct
+``beta1`` and ``alpha2``.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product as iter_product
-from operator import add, sub
+from functools import cache
+from operator import add
 
 from .errors import (
     DegreeCapError,
@@ -331,18 +339,25 @@ class PolySymbol(SizedMap, SparseAlgebra):
     def substitute_h(self, h) -> "PolySymbol":
         """Replace the formal ``h`` by a numeric rational value.
 
-        One pass over the flat map: ``h^d`` is computed once per degree, and
-        the real and imaginary parts of each monomial are summed separately.
+        One integer pass over the flat map: with ``h = hn/hd`` and every
+        coefficient over the symbol's common denominator, ``h^d`` becomes
+        ``hn^d * hd^(D - d)`` over ``hd^D``, where ``D`` is the largest
+        ``h``-degree, and the sums are divided once.
         """
         h = _as_fraction(h)
+        hn, hd = h.numerator, h.denominator
+        den = _common_denominator(self)
+        top = max((d for _, _, d in self._terms), default=0)
         powers = {}
         acc = {}
         for (alpha, beta, d), v in self._terms.items():
-            hd = powers.get(d)
-            if hd is None:
-                hd = powers[d] = h**d
-            add_parts(acc, (alpha, beta, 0), v.re * hd, v.im * hd)
-        return self._new(from_parts(acc, self.sigma))
+            c = powers.get(d)
+            if c is None:
+                c = powers[d] = hn**d * hd ** (top - d)
+            re, im = v.re, v.im
+            add_parts(acc, (alpha, beta, 0), c * re.numerator * (den // re.denominator),
+                      c * im.numerator * (den // im.denominator))
+        return self._new(from_parts(acc, self.sigma, den * hd**top))
 
     def h_constant_part(self) -> "PolySymbol":
         """The ``h``-degree-0 part; this is the classical limit h -> 0."""
@@ -430,87 +445,135 @@ def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
     return "*".join([coeff] + factors)
 
 
-def _flatten(symbol: PolySymbol):
-    """Integer form of ``symbol`` over one common denominator.
-
-    Returns ``(den, terms)`` where ``terms`` lists
-    ``(alpha, beta, hdeg, re_num, im_num)`` and each coefficient equals
-    ``(re_num + u*im_num) / den``.
-    """
+def _common_denominator(symbol: PolySymbol) -> int:
+    """The least common denominator of every part of every coefficient."""
     den = 1
     for v in symbol._terms.values():
         den = math.lcm(den, v.re.denominator, v.im.denominator)
-    terms = [
-        (alpha, beta, d, v.re.numerator * (den // v.re.denominator),
-         v.im.numerator * (den // v.im.denominator))
-        for (alpha, beta, d), v in symbol._terms.items()
-    ]
-    return den, terms
+    return den
 
 
-def _structure_constants(beta1, alpha2, s: int, sign: int, start: int):
-    """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``.
+def _flatten(symbol: PolySymbol, w: int):
+    """Integer form of ``symbol`` over one common denominator, with packed keys.
 
-    Lists ``(kappa, |kappa|, c)`` for ``kappa <= min(beta1, alpha2)``
-    componentwise, where ``c = sign * s^(|kappa| + |kappa|//2) *
-    prod C(beta1_i, kappa_i) * alpha2_i!/(alpha2_i - kappa_i)!`` is the
-    integer part of ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) *
-    d_q^kappa(q^alpha2)``; the remaining ``u^(|kappa| % 2)`` is applied by
-    the caller.  ``start=1`` drops ``kappa = 0``, which comes first.
+    Returns ``(den, terms, betas, alphas)``.  ``terms`` lists
+    ``(key, beta_id, alpha_id, re_num, im_num)``: ``key`` packs the monomial
+    ``(alpha, beta, hdeg)`` in fields of ``w`` bits (see :func:`star`), the
+    coefficient equals ``(re_num + u*im_num) / den``, and the ids index the
+    distinct p- and q-exponent vectors listed in ``betas`` and ``alphas``.
     """
-    out = []
-    ranges = (range(min(b, a) + 1) for b, a in zip(beta1, alpha2))
-    for kappa in islice(iter_product(*ranges), start, None):
-        n = sum(kappa)
-        c = sign if s > 0 or (n + n // 2) % 2 == 0 else -sign
-        for b, a, k in zip(beta1, alpha2, kappa):
-            c *= math.comb(b, k) * math.perm(a, k)
-        out.append((kappa, n, c))
-    return out
+    den = _common_denominator(symbol)
+    betas, alphas, terms = {}, {}, []
+    for (alpha, beta, d), v in symbol._terms.items():
+        key = d
+        for e in beta[::-1]:
+            key = key << w | e
+        for e in alpha[::-1]:
+            key = key << w | e
+        re, im = v.re, v.im
+        terms.append((
+            key, betas.setdefault(beta, len(betas)), alphas.setdefault(alpha, len(alphas)),
+            re.numerator * (den // re.denominator), im.numerator * (den // im.denominator),
+        ))
+    return den, terms, list(betas), list(alphas)
 
 
-def _accumulate(acc: dict, left, right, s: int, sign: int, start: int):
+def _structure_constants(beta1, alpha2, units, s: int, sign: int, start: int):
+    """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``, packed.
+
+    Lists ``(delta, |kappa| odd, c)`` for ``kappa <= min(beta1, alpha2)``
+    componentwise.  ``delta = sum kappa_i * units[i]`` moves a packed key by
+    ``-kappa`` on the q and p fields and by ``+|kappa|`` on the ``h`` field.
+    ``c = sign * s^(|kappa| + |kappa|//2) * prod C(beta1_i, kappa_i) *
+    alpha2_i!/(alpha2_i - kappa_i)!`` is the integer part of
+    ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) * d_q^kappa(q^alpha2)``;
+    the remaining ``u`` of an odd ``|kappa|`` is applied by the caller.
+    ``start=1`` drops ``kappa = 0``, which comes first.
+    """
+    out = [(0, 0, sign)]
+    for b, a, unit in zip(beta1, alpha2, units):
+        if b and a:  # otherwise kappa_i = 0 only, with factor 1
+            factors = [
+                (j * unit, j, math.comb(b, j) * math.perm(a, j)) for j in range(min(b, a) + 1)
+            ]
+            out = [(delta + dj, n + j, c * cj) for delta, n, c in out for dj, j, cj in factors]
+    if len(out) == 1:  # kappa = 0 alone, already in final form
+        return out[start:]
+    return [
+        (delta, n & 1, c if s > 0 or (n + n // 2) % 2 == 0 else -c)
+        for delta, n, c in out[start:]
+    ]
+
+
+@cache  # a few (k, w) pairs per process; small products would pay ~1.5% to rebuild it
+def _kappa_units(k: int, w: int) -> tuple:
+    """Per coordinate ``i``, the packed shift of ``kappa_i = 1``: ``+1`` on the
+    ``h`` field, ``-1`` on the fields of ``q_i`` and ``p_i``."""
+    return tuple((1 << 2 * k * w) - (1 << i * w) - (1 << (k + i) * w) for i in range(k))
+
+
+def _accumulate(acc: dict, left, right, units, s: int, sign: int, start: int):
     """Add ``sign * (left ⋆ right)`` in integer form into ``acc``.
 
-    ``left`` and ``right`` are :func:`_flatten` term lists; ``acc`` maps
-    ``(alpha, beta, hdeg)`` to ``[re_num, im_num]`` over the product of
-    their denominators.  The structure constants are cached for this call
-    only, keyed by ``(beta1, alpha2)``.
+    ``left`` and ``right`` are :func:`_flatten` results with fields of one
+    width ``w`` and ``units`` is :func:`_kappa_units` of that width; ``acc``
+    maps packed keys to ``[re_num, im_num]`` over the product of their
+    denominators.  A term pair's monomial is ``key1 + key2`` and each of its
+    kappa terms lands on ``key1 + key2 + delta``: no exponent tuple is built
+    in the loop.  The structure constants of this call are tabled by the
+    beta id of ``left`` and the alpha id of ``right``.
     """
-    table = {}
-    for alpha1, beta1, d1, r1, i1 in left:
-        for alpha2, beta2, d2, r2, i2 in right:
-            kappas = table.get((beta1, alpha2))
-            if kappas is None:
-                kappas = table[(beta1, alpha2)] = _structure_constants(
-                    beta1, alpha2, s, sign, start
-                )
+    _, left_terms, betas, _ = left
+    _, right_terms, _, alphas = right
+    table = [
+        [_structure_constants(beta1, alpha2, units, s, sign, start) for alpha2 in alphas]
+        for beta1 in betas
+    ]
+    for key1, b1, _, r1, i1 in left_terms:
+        row = table[b1]
+        for key2, _, a2, r2, i2 in right_terms:
+            kappas = row[a2]
             if not kappas:
                 continue
-            alpha = tuple(map(add, alpha1, alpha2))
-            beta = tuple(map(add, beta1, beta2))
-            d = d1 + d2
+            key = key1 + key2
             re = r1 * r2 + s * i1 * i2
             im = r1 * i2 + i1 * r2
-            for kappa, n, c in kappas:
-                key = (tuple(map(sub, alpha, kappa)), tuple(map(sub, beta, kappa)), d + n)
-                if n & 1:  # times u: re + u*im -> s*im + u*re
-                    x, y = c * s * im, c * re
+            sim = s * im
+            for delta, odd, c in kappas:
+                if odd:  # times u: re + u*im -> s*im + u*re
+                    x, y = c * sim, c * re
                 else:
                     x, y = c * re, c * im
                 # sparse.add_parts inlined: the only loop run once per kappa
                 # term, and a bare get/insert loop is ~25% slower as a call
-                entry = acc.get(key)
+                at = key + delta
+                entry = acc.get(at)
                 if entry is None:
-                    acc[key] = [x, y]
+                    acc[at] = [x, y]
                 else:
                     entry[0] += x
                     entry[1] += y
 
 
-def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap):
+def _unpacked(acc: dict, k: int, w: int) -> dict:
+    """The packed ``acc`` keyed by ``(alpha, beta, hdeg)``, decoded one field
+    at a time over all keys."""
+    mask = (1 << w) - 1
+    top = 2 * k * w
+    keys = list(acc)
+    fields = [[key >> i & mask for key in keys] for i in range(0, top, w)]
+    heads = zip(zip(*fields[:k]), zip(*fields[k:]), [key >> top for key in keys])
+    return dict(zip(heads, acc.values()))
+
+
+def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap) -> int:
+    """Check that ``a`` and ``b`` may be multiplied; returns the field width
+    of their packed keys: the bit length of the product's total degree, at
+    least 1."""
     a._check(b)
-    check_degree_cap(a.total_degree() + b.total_degree(), degree_cap, "star product")
+    top = a.total_degree() + b.total_degree()
+    check_degree_cap(top, degree_cap, "star product")
+    return max(top.bit_length(), 1)
 
 
 def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
@@ -526,29 +589,36 @@ def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     ``c1 c2 (sigma*u*h)^|kappa| prod C(beta1, kappa) alpha2!/(alpha2 - kappa)!
     q^(alpha1 + alpha2 - kappa) p^(beta1 + beta2 - kappa)``, summed in
     integers over the product of the operands' common denominators.
+
+    Each monomial ``(alpha, beta, hdeg)`` is one int with fields of ``w``
+    bits: ``alpha_i`` at bit ``i*w``, ``beta_i`` at ``(k + i)*w``, and
+    ``hdeg`` above them, unbounded.  No exponent of the product exceeds the
+    operands' summed total degree ``top``, so ``w = max(top.bit_length(),
+    1)`` keeps the fields of every key apart.  A product of two monomials is
+    one int addition and a kappa term one more; the keys are decoded once,
+    at the end.
     """
-    _check_operands(a, b, degree_cap)
-    den_a, terms_a = _flatten(a)
-    den_b, terms_b = _flatten(b)
+    w = _check_operands(a, b, degree_cap)
+    left, right = _flatten(a, w), _flatten(b, w)
     acc = {}
-    _accumulate(acc, terms_a, terms_b, a.sigma.value, 1, 0)
-    return a._new(from_parts(acc, a.sigma, den_a * den_b))
+    _accumulate(acc, left, right, _kappa_units(a.dof, w), a.sigma.value, 1, 0)
+    return a._new(from_parts(_unpacked(acc, a.dof, w), a.sigma, left[0] * right[0]))
 
 
 def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
-    """``a ⋆ b - b ⋆ a`` in integer form: ``(acc, den)``.
+    """``a ⋆ b - b ⋆ a`` in integer form: ``(acc, den)``, with ``acc`` keyed
+    by ``(alpha, beta, hdeg)``.
 
     The ``kappa = 0`` terms are the pointwise products, which cancel
     exactly, so both passes skip them and every key has ``hdeg >= 1``.
     """
-    _check_operands(a, b, degree_cap)
-    den_a, terms_a = _flatten(a)
-    den_b, terms_b = _flatten(b)
-    s = a.sigma.value
+    w = _check_operands(a, b, degree_cap)
+    left, right = _flatten(a, w), _flatten(b, w)
+    units, s = _kappa_units(a.dof, w), a.sigma.value
     acc = {}
-    _accumulate(acc, terms_a, terms_b, s, 1, 1)
-    _accumulate(acc, terms_b, terms_a, s, -1, 1)
-    return acc, den_a * den_b
+    _accumulate(acc, left, right, units, s, 1, 1)
+    _accumulate(acc, right, left, units, s, -1, 1)
+    return _unpacked(acc, a.dof, w), left[0] * right[0]
 
 
 def moyal_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:

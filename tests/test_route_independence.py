@@ -71,7 +71,9 @@ def test_normal_ordered_route_does_not_differentiate_exppolys():
 
 
 @pytest.mark.parametrize(
-    "kernel", ["_flatten", "_commutator_integers", "_structure_constants", "_accumulate"]
+    "kernel",
+    ["_flatten", "_commutator_integers", "_structure_constants", "_accumulate",
+     "_common_denominator", "_kappa_units", "_unpacked"],
 )
 def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
     assert kernel not in _names(_function(symbols, "poisson_bracket"))
@@ -80,7 +82,7 @@ def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
 @pytest.mark.parametrize(
     "kernel",
     ["_flatten", "_structure_constants", "_accumulate", "star", "substitute_h",
-     "_derivative_terms"],
+     "_derivative_terms", "_common_denominator", "_kappa_units", "_unpacked"],
 )
 def test_distributional_star_does_not_use_the_series_or_operator_kernels(kernel):
     names = _names(_function(distributions, "star_distributional"))
@@ -93,6 +95,11 @@ def test_guard_sees_what_it_forbids():
     assert "differentiate_multi" in _names(_function(operators, "Operator", "apply_shift_form"))
     assert "_accumulate" in _names(_function(symbols, "star"))
     assert "_commutator_integers" in _names(_function(symbols, "scaled_bracket"))
+    for helper in ("_kappa_units", "_unpacked"):
+        assert helper in _names(_function(symbols, "star"))
+        assert helper in _names(_function(symbols, "_commutator_integers"))
+    assert "_common_denominator" in _names(_function(symbols, "_flatten"))
+    assert "_common_denominator" in _names(_function(symbols, "PolySymbol", "substitute_h"))
 
 
 #: The kernels that sum integer numerators and divide once at the end.
@@ -102,6 +109,7 @@ INTEGER_KERNELS = {
     "apply_normal_ordered": (operators, "Operator", "apply_normal_ordered"),
     "differentiate_multi": (distributions, "ExpPoly", "differentiate_multi"),
     "mul_monomial": (distributions, "Ultradistribution", "mul_monomial"),
+    "substitute_h": (symbols, "PolySymbol", "substitute_h"),
 }
 
 

@@ -134,6 +134,8 @@ def _assert_clean(x):
     assert x == REBUILD[type(x)](x)
     for value in x._terms.values():
         assert isinstance(value, Binarion) and not value.is_zero()
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert value.sigma is x.sigma
     if isinstance(x, (ExpPoly, Ultradistribution)):
         # vector and r numerators over the least common denominator
         numerators = [n for vector, _, r in x._terms for n in (*vector, r)]
@@ -333,13 +335,16 @@ def test_from_parts_takes_fraction_parts_as_they_are_or_over_one():
     for key, re, im in (
         (0, Fraction(1, 3), Fraction(-1, 2)), (0, Fraction(2, 3), Fraction(1, 2)),
         (1, Fraction(1, 3), Fraction(1, 3)), (1, Fraction(-1, 3), Fraction(-1, 3)),
-        (2, Fraction(0), Fraction(5, 4)),
+        (2, Fraction(0), Fraction(5, 4)), (3, 2, 0),
     ):
         add_parts(acc, key, re, im)
     for sigma in SIGMAS:
-        expected = {0: Binarion(1, 0, sigma), 2: Binarion(0, Fraction(5, 4), sigma)}
-        assert from_parts(acc, sigma) == expected
-        assert from_parts(acc, sigma, 1) == expected
+        expected = {0: Binarion(1, 0, sigma), 2: Binarion(0, Fraction(5, 4), sigma),
+                    3: Binarion(2, 0, sigma)}
+        for out in (from_parts(acc, sigma), from_parts(acc, sigma, 1)):
+            assert out == expected
+            # an int part becomes a Fraction, as the validating constructor makes it
+            assert all(type(v.re) is Fraction and type(v.im) is Fraction for v in out.values())
 
 
 # -- JSON ----------------------------------------------------------------------

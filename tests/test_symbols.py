@@ -3,7 +3,8 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
+from operator import add, sub
 
 import pytest
 import sympy as sp
@@ -23,6 +24,7 @@ from hypermoyal import (
     scaled_bracket,
     star,
 )
+from hypermoyal import symbols
 from hypermoyal.symbols import DEFAULT_DEGREE_CAP
 
 H = Sigma.HYPERBOLIC
@@ -249,6 +251,192 @@ def test_mismatches_rejected():
     q2 = PolySymbol.coordinate("q", 0, 2, H)
     with pytest.raises(DimensionMismatchError):
         star(qh, q2)
+
+
+# -- the tuple-key series kernel, kept as the oracle of the packed one ----------
+#
+# ``_tuple_flatten``, ``_tuple_structure_constants`` and ``_tuple_accumulate``
+# are verbatim copies of the series kernel as it was before its monomials
+# became packed ints: every kappa term builds its ``(alpha, beta, hdeg)``
+# key from exponent tuples.  The packed kernel must equal them exactly.
+
+
+def _tuple_flatten(symbol: PolySymbol):
+    """Integer form of ``symbol`` over one common denominator.
+
+    Returns ``(den, terms)`` where ``terms`` lists
+    ``(alpha, beta, hdeg, re_num, im_num)`` and each coefficient equals
+    ``(re_num + u*im_num) / den``.
+    """
+    den = 1
+    for v in symbol._terms.values():
+        den = math.lcm(den, v.re.denominator, v.im.denominator)
+    terms = [
+        (alpha, beta, d, v.re.numerator * (den // v.re.denominator),
+         v.im.numerator * (den // v.im.denominator))
+        for (alpha, beta, d), v in symbol._terms.items()
+    ]
+    return den, terms
+
+
+def _tuple_structure_constants(beta1, alpha2, s: int, sign: int, start: int):
+    """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``.
+
+    Lists ``(kappa, |kappa|, c)`` for ``kappa <= min(beta1, alpha2)``
+    componentwise, where ``c = sign * s^(|kappa| + |kappa|//2) *
+    prod C(beta1_i, kappa_i) * alpha2_i!/(alpha2_i - kappa_i)!`` is the
+    integer part of ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) *
+    d_q^kappa(q^alpha2)``; the remaining ``u^(|kappa| % 2)`` is applied by
+    the caller.  ``start=1`` drops ``kappa = 0``, which comes first.
+    """
+    out = []
+    ranges = (range(min(b, a) + 1) for b, a in zip(beta1, alpha2))
+    for kappa in islice(iter_product(*ranges), start, None):
+        n = sum(kappa)
+        c = sign if s > 0 or (n + n // 2) % 2 == 0 else -sign
+        for b, a, k in zip(beta1, alpha2, kappa):
+            c *= math.comb(b, k) * math.perm(a, k)
+        out.append((kappa, n, c))
+    return out
+
+
+def _tuple_accumulate(acc: dict, left, right, s: int, sign: int, start: int):
+    """Add ``sign * (left ⋆ right)`` in integer form into ``acc``.
+
+    ``left`` and ``right`` are :func:`_flatten` term lists; ``acc`` maps
+    ``(alpha, beta, hdeg)`` to ``[re_num, im_num]`` over the product of
+    their denominators.  The structure constants are cached for this call
+    only, keyed by ``(beta1, alpha2)``.
+    """
+    table = {}
+    for alpha1, beta1, d1, r1, i1 in left:
+        for alpha2, beta2, d2, r2, i2 in right:
+            kappas = table.get((beta1, alpha2))
+            if kappas is None:
+                kappas = table[(beta1, alpha2)] = _tuple_structure_constants(
+                    beta1, alpha2, s, sign, start
+                )
+            if not kappas:
+                continue
+            alpha = tuple(map(add, alpha1, alpha2))
+            beta = tuple(map(add, beta1, beta2))
+            d = d1 + d2
+            re = r1 * r2 + s * i1 * i2
+            im = r1 * i2 + i1 * r2
+            for kappa, n, c in kappas:
+                key = (tuple(map(sub, alpha, kappa)), tuple(map(sub, beta, kappa)), d + n)
+                if n & 1:  # times u: re + u*im -> s*im + u*re
+                    x, y = c * s * im, c * re
+                else:
+                    x, y = c * re, c * im
+                # sparse.add_parts inlined: the only loop run once per kappa
+                # term, and a bare get/insert loop is ~25% slower as a call
+                entry = acc.get(key)
+                if entry is None:
+                    acc[key] = [x, y]
+                else:
+                    entry[0] += x
+                    entry[1] += y
+
+
+def _tuple_symbol(acc, den, like):
+    """The ``{(alpha, beta, hdeg): [re, im]}`` sums over ``den`` as a symbol,
+    built through the public constructor."""
+    sigma = like.sigma
+    terms = {}
+    for (alpha, beta, d), (re, im) in acc.items():
+        part = HPoly({d: Binarion(Fraction(re, den), Fraction(im, den), sigma)}, sigma)
+        terms[(alpha, beta)] = terms[(alpha, beta)] + part if (alpha, beta) in terms else part
+    return PolySymbol(like.dof, sigma, terms)
+
+
+def _tuple_star(a, b):
+    (den_a, terms_a), (den_b, terms_b) = _tuple_flatten(a), _tuple_flatten(b)
+    acc = {}
+    _tuple_accumulate(acc, terms_a, terms_b, a.sigma.value, 1, 0)
+    return _tuple_symbol(acc, den_a * den_b, a)
+
+
+def _tuple_brackets(a, b):
+    """``moyal_bracket`` and ``scaled_bracket`` of ``a, b`` through the tuple-key kernel."""
+    (den_a, terms_a), (den_b, terms_b) = _tuple_flatten(a), _tuple_flatten(b)
+    s = a.sigma.value
+    acc = {}
+    _tuple_accumulate(acc, terms_a, terms_b, s, 1, 1)
+    _tuple_accumulate(acc, terms_b, terms_a, s, -1, 1)
+    scaled = {(alpha, beta, d - 1): (s * im, re) for (alpha, beta, d), (re, im) in acc.items()}
+    return _tuple_symbol(acc, den_a * den_b, a), _tuple_symbol(scaled, den_a * den_b, a)
+
+
+def _axis(k, i, e):
+    return tuple(e if j == i else 0 for j in range(k))
+
+
+def _full_field_pairs():
+    """Per k and ring, ``(a, b, top)`` whose star product has a field of
+    exactly ``2**w - 1``: ``q1^top`` from ``q1^n * q1^(top - n)``, where
+    ``top`` is the summed total degree.  The other terms overlap in p and q,
+    so kappa terms and ``h``-degrees appear beside it."""
+    for k in (1, 2, 3):
+        for sigma in SIGMAS:
+            for top in (3, 7, 15):
+                n = top // 2
+                none = _axis(k, 0, 0)
+                a = PolySymbol.monomial(_axis(k, 0, n), none, 1, sigma) + PolySymbol.monomial(
+                    _axis(k, k - 1, 1), _axis(k, 0, n - 1), Binarion(1, -2, sigma), sigma, 1
+                )
+                b = PolySymbol.monomial(_axis(k, 0, top - n), none, 1, sigma) + PolySymbol.monomial(
+                    _axis(k, 0, 1), _axis(k, k - 1, top - n - 1), Fraction(-1, 3), sigma
+                )
+                yield a, b, top
+
+
+def _packing_cases():
+    """``(a, b, degree_cap)``: random pairs for k = 1..3 in both rings with
+    h- and unit-bearing coefficients over mixed denominators, zero and
+    light-cone operands (see :func:`_oracle_pairs`), constants, products
+    at a raised cap whose fields need 6 bits, and full-field products."""
+    rng = random.Random(97)
+    for a, b in _oracle_pairs(97, 24):
+        yield a, b, None
+        sigma = a.sigma
+        constant = HPoly({0: Binarion(Fraction(2, 3), -1, sigma),
+                          2: Binarion(0, Fraction(1, 5), sigma)}, sigma)
+        yield a, PolySymbol.constant(constant, a.dof, sigma), None
+    for k in (1, 2):
+        for sigma in SIGMAS:
+            a = _h_symbol(rng, k, sigma, 6) + PolySymbol.monomial(
+                _axis(k, 0, 9), _axis(k, k - 1, 11), Binarion(Fraction(1, 2), 3, sigma), sigma, 1
+            )
+            b = _h_symbol(rng, k, sigma, 6) + PolySymbol.monomial(
+                _axis(k, k - 1, 12), _axis(k, 0, 8), Binarion(-1, Fraction(1, 3), sigma), sigma
+            )
+            yield a, b, 40
+    for a, b, top in _full_field_pairs():
+        yield a, b, top
+
+
+def test_series_kernel_equals_tuple_key_oracle():
+    for a, b, cap in _packing_cases():
+        for x, y in ((a, b), (b, a)):
+            assert star(x, y, cap) == _tuple_star(x, y)
+            moyal, scaled = _tuple_brackets(x, y)
+            assert moyal_bracket(x, y, cap) == moyal
+            assert scaled_bracket(x, y, cap) == scaled
+
+
+def test_packed_fields_reach_their_width():
+    """The cases of the oracle test fill their fields: the raised-cap
+    products need 6 bits a field, and each full-field product has a
+    field of ``2**w - 1``."""
+    for a, b, cap in _packing_cases():
+        if cap == 40:
+            assert symbols._check_operands(a, b, cap) == 6
+    for a, b, top in _full_field_pairs():
+        w = symbols._check_operands(a, b, top)
+        assert top == 2**w - 1
+        fields = [e for alpha, beta, _ in star(a, b, top).terms() for e in alpha + beta]
+        assert max(fields) == top
 
 
 # -- brackets ------------------------------------------------------------------
