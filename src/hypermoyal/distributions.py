@@ -44,11 +44,11 @@ the two distributions: each pair adds its locations and orders, gains the
 character ``exp(u*h*<q1, p2>)``, takes the twist's derivatives from a
 closed form per coordinate pair ``(q1_i, p2_i)`` and is transformed back
 under its output key.  :meth:`ExpPoly.differentiate_multi` has a closed
-form per coordinate.  These kernels add integer numerators of the real and
-unit parts with :func:`hypermoyal.sparse.add_parts`, each operand's
-coefficients over one denominator, and build each output binarion once with
-:func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this agrees
-exactly with :func:`hypermoyal.symbols.star`.
+form per coordinate.  These kernels read each operand's coefficients as
+integer numerators over one denominator with :func:`hypermoyal.sparse.numerators`,
+add them with :func:`hypermoyal.sparse.add_parts` and build each output binarion
+once with :func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this
+agrees exactly with :func:`hypermoyal.symbols.star`.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .scalars import (
     binarion_to_json,
 )
 from .sparse import (ScalarRing, SizedMap, SparseAlgebra, SparseMap, add_parts, collect,
-                     from_parts, integer, nonnegative, summed)
+                     from_parts, integer, nonnegative, numerators, summed)
 from .symbols import PolySymbol, check_degree_cap
 
 
@@ -151,16 +151,6 @@ def _times_unit_power(c: Binarion, n: int, sign: int) -> Binarion:
     if n % 2:
         return Binarion(scale * s * c.im, scale * c.re, c.sigma)
     return c if scale == 1 else -c
-
-
-def _weights(terms: dict) -> tuple:
-    """One denominator ``d`` of the coefficients of ``terms`` and their
-    ``(key, re * d, im * d)`` integer triples."""
-    d = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
-    return d, [
-        (key, c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
-        for key, c in terms.items()
-    ]
 
 
 def _weight_to_json(w: CharSum) -> dict:
@@ -365,7 +355,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         h = _as_fraction(h)
         hn, hd = h.numerator, h.denominator
         top = max((d for _, _, d in symbol._terms), default=0)
-        den, weights = _weights(symbol._terms)
+        den, weights = numerators(symbol._terms)
         freq = (0,) * dim
         acc = {}
         for (alpha, beta, d), re, im in weights:
@@ -398,8 +388,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             return NotImplemented
         s = self.sigma.value
         den = math.lcm(self._den, o._den)
-        d1, terms1 = _weights(self._at(den)._terms)
-        d2, terms2 = _weights(o._at(den)._terms)
+        d1, terms1 = numerators(self._at(den)._terms)
+        d2, terms2 = numerators(o._at(den)._terms)
         acc = {}
         for (f1, e1, r1), x1, y1 in terms1:
             for (f2, e2, r2), x2, y2 in terms2:
@@ -452,7 +442,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         s = self.sigma.value
         top = sum(n for _, n in axes)
         pads = [self._den ** (top - m) for m in range(top + 1)]
-        den, weights = _weights(self._terms)
+        den, weights = numerators(self._terms)
         acc = {}
         for (freq, exps, r), c_re, c_im in weights:
             per_axis = []
@@ -658,7 +648,7 @@ class Ultradistribution(_CharSumTerms):
         exponents = nonnegative(exponents, "monomial exponents must be nonnegative")
         if len(exponents) != self.dim:
             raise DimensionMismatchError("exponent vector length must match dim")
-        den, weights = _weights(self._terms)
+        den, weights = numerators(self._terms)
         acc = {}
         for (loc, order, r), w_re, w_im in weights:
             # per axis the nonzero (m - kappa, binom(m, kappa) n!/(n-kappa)! x0^(n-kappa), kappa)
@@ -706,8 +696,8 @@ class Ultradistribution(_CharSumTerms):
         sigma = self.sigma
         s = sigma.value
         den = math.lcm(self._den, other._den)
-        d1, atoms1 = _weights(self._at(den)._terms)
-        d2, atoms2 = _weights(other._at(den)._terms)
+        d1, atoms1 = numerators(self._at(den)._terms)
+        d2, atoms2 = numerators(other._at(den)._terms)
         acc = {}
         for (l1, o1, r1), x1, y1 in atoms1:
             for (l2, o2, r2), x2, y2 in atoms2:
@@ -837,8 +827,8 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     hn, hd = h.numerator, h.denominator
     dist_a, dist_b = inverse_fourier_symbol(ea), inverse_fourier_symbol(eb)
     da, db = dist_a._den, dist_b._den
-    wa, atoms_a = _weights(dist_a._terms)
-    wb, atoms_b = _weights(dist_b._terms)
+    wa, atoms_a = numerators(dist_a._terms)
+    wb, atoms_b = numerators(dist_b._terms)
     big_a = max((sum(o[k:]) for (_, o, _), _, _ in atoms_a), default=0)
     big_b = max((sum(o[:k]) for (_, o, _), _, _ in atoms_b), default=0)
     # keys move onto hd da db; weights are padded to the twist's denominator

@@ -30,9 +30,9 @@ product -- the operator-side oracle of the symbol calculus.  The
 normal-ordered kernel therefore shares no kernel math with the star
 kernels or with the shift route's closed-form
 :meth:`ExpPoly.differentiate_multi`, and the shift route uses none of the
-normal-ordered kernel; all of them only add their real and unit parts and
-build the result through :mod:`hypermoyal.sparse`.  The defining
-eigenrelation is ``apply(a, e) = a(q, p0) * e`` on the plane wave
+normal-ordered kernel; all of them only read, add and divide integer
+numerators of their real and unit parts through :mod:`hypermoyal.sparse`.  The
+defining eigenrelation is ``apply(a, e) = a(q, p0) * e`` on the plane wave
 ``e = exp(u*<p0, q>/h)``.  Every route refuses a symbol whose degree
 exceeds ``degree_cap`` (``None`` means ``DEFAULT_DEGREE_CAP``, as for
 ``star``) before it reads the wavefunction.
@@ -57,7 +57,7 @@ from .distributions import (
 )
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
-from .sparse import add_parts, from_parts
+from .sparse import add_parts, from_parts, numerators
 from .symbols import PolySymbol, check_degree_cap, star
 
 
@@ -97,15 +97,6 @@ def _derivative_terms(beta, exps, nums) -> list:
          sum(m for _, _, m in choice))
         for choice in iter_product(*per_coordinate)
     ]
-
-
-def _common_denominator(values) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _numerators(values, den: int) -> tuple:
-    """``values`` (fractions whose denominators divide ``den``) times ``den``."""
-    return tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 class WaveFunction:
@@ -165,7 +156,7 @@ class WaveFunction:
         if self.sigma is not other.sigma:
             raise SignatureMismatchError("wavefunction signatures differ")
         if self.h != other.h:
-            raise ValueError(f"wavefunction h values differ: {self.h} vs {other.h}")
+            raise ValidationError(f"wavefunction h values differ: {self.h} vs {other.h}")
         if self.dof != other.dof:
             raise DimensionMismatchError("wavefunction dimensions differ")
 
@@ -254,7 +245,7 @@ class Operator:
         if phi.sigma is not self.sigma:
             raise SignatureMismatchError("operator and wavefunction signatures differ")
         if phi.h != self.h:
-            raise ValueError(f"operator h {self.h} differs from wavefunction h {phi.h}")
+            raise ValidationError(f"operator h {self.h} differs from wavefunction h {phi.h}")
         if phi.dof != self.dof:
             raise DimensionMismatchError(
                 f"operator dof {self.dof} differs from wavefunction dof {phi.dof}"
@@ -306,14 +297,12 @@ class Operator:
         # symbol coefficients at this h, times (sigma*h)^|beta|, grouped by beta:
         # numerators over D_s = D_v h_d^T, D_v the coefficients' denominator
         # and T the largest hdeg + |beta|
-        symbol = self.symbol._terms
-        d_v = _common_denominator(v for c in symbol.values() for v in (c.re, c.im))
-        top = max((d + sum(beta) for _, beta, d in symbol), default=0)
+        d_v, weights = numerators(self.symbol._terms)
+        top = max((d + sum(beta) for _, beta, d in self.symbol._terms), default=0)
         by_beta = {}
-        for (alpha, beta, d), v in symbol.items():
+        for (alpha, beta, d), re, im in weights:
             order = sum(beta)
             c = h_n ** (d + order) * h_d ** (top - d - order) * (s if order % 2 else 1)
-            re, im = _numerators((v.re, v.im), d_v)
             add_parts(by_beta.setdefault(beta, {}), alpha, c * re, c * im)
         d_s = d_v * h_d**top
         groups = [
@@ -321,13 +310,11 @@ class Operator:
             for beta, by_alpha in by_beta.items()
         ]
         big_m = max((order for _, order, _ in groups), default=0)
-        terms = phi.func._terms
         f_den = phi.func._den
         pads = [f_den ** (big_m - m) for m in range(big_m + 1)]
-        d_w = _common_denominator(v for w in terms.values() for v in (w.re, w.im))
+        d_w, terms = numerators(phi.func._terms)
         acc = {}
-        for (freq, exps, r), w in terms.items():
-            w_re, w_im = _numerators((w.re, w.im), d_w)
+        for (freq, exps, r), w_re, w_im in terms:
             for beta, order, coeffs in groups:
                 derivatives = []
                 for lowered, c, m in _derivative_terms(beta, exps, freq):
@@ -362,7 +349,8 @@ class Operator:
         The sums are kept in integers.  ``h = h_n/h_d``; the atoms' weights
         are numerators over one denominator ``D_a`` and ``h^|s|`` is padded
         to ``h_d^T``, ``T`` the largest ``|s|``; the coefficients of the
-        ``(d^s phi)(q + h*B)`` are numerators over one denominator ``D_p``.
+        ``(d^s phi)(q + h*B)`` are numerators over one denominator ``D_p``, the
+        lcm of the parts' own.
         Every output coefficient lies over ``D_a h_d^T D_p``, and every key
         over the lcm of the key denominators of the symbol's distribution
         and of the parts.
@@ -375,16 +363,16 @@ class Operator:
         h = self.h
         h_n, h_d = h.numerator, h.denominator
         dist = inverse_fourier_symbol(self.symbol, h)
-        d_a = _common_denominator(v for w in dist._terms.values() for v in (w.re, w.im))
+        d_a, weights = numerators(dist._terms)
         top = max((sum(order[k:]) for _, order, _ in dist._terms), default=0)
         groups = {}
-        for (loc, order, rho), w in dist._terms.items():
+        for (loc, order, rho), re, im in weights:
             r, t = order[:k], order[k:]
             n, order_t = sum(r), sum(t)
             c = h_n**order_t * h_d ** (top - order_t) * s ** (n // 2)
             if (n + order_t) % 2:
                 c = -c
-            re, im = (c * v for v in _numerators((w.re, w.im), d_a))
+            re, im = c * re, c * im
             if n % 2:  # a factor u maps x + u*y to s*y + u*x
                 re, im = s * im, re
             a_vec = loc[:k]
@@ -396,21 +384,19 @@ class Operator:
             part = phi.func.differentiate_multi(t)
             if any(b_vec):
                 part = part.shift(tuple(h * b / dist._den for b in b_vec))
-            parts.append((part, atoms))
-        key_den = math.lcm(dist._den, *(part._den for part, _ in parts))
-        d_p = _common_denominator(
-            v for part, _ in parts for c in part._terms.values() for v in (c.re, c.im)
-        )
+            parts.append((part, numerators(part._terms), atoms))
+        key_den = math.lcm(dist._den, *(part._den for part, _, _ in parts))
+        d_p = math.lcm(*(den for _, (den, _), _ in parts))
         acc = {}
-        for part, atoms in parts:
-            f_part, f_atom = key_den // part._den, key_den // dist._den
+        for part, (den, terms), atoms in parts:
+            f_part, f_atom, f_coeff = key_den // part._den, key_den // dist._den, d_p // den
             atoms = [
                 (None if a_vec is None else tuple(f_atom * a for a in a_vec), r, f_atom * rho,
                  re, im)
                 for a_vec, r, rho, re, im in atoms
             ]
-            for (freq, exps, phase), c in part._terms.items():
-                c_re, c_im = _numerators((c.re, c.im), d_p)
+            for (freq, exps, phase), c_re, c_im in terms:
+                c_re, c_im = f_coeff * c_re, f_coeff * c_im
                 freq = tuple(f_part * f for f in freq)
                 phase *= f_part
                 for a_vec, r, rho, re, im in atoms:

@@ -16,12 +16,12 @@ nothing: their keys are canonical and no coefficient is zero by
 construction, which the test suite checks by passing every result back
 through the public constructor.
 
-The closed-form kernels of the three star-product routes sum plain real and
-unit parts instead of binarions: :func:`add_parts` adds ``re + u*im`` into
-an accumulator ``{key: [re, im]}`` and :func:`from_parts` divides it by one
-common denominator, if any, and builds each nonzero binarion once.  Both only add and
-divide; structure constants, derivative factors, unit-power folds and the
-choice of denominator stay in each route.
+The closed-form kernels of the three star-product routes sum integers between
+two edges: :func:`numerators` reads coefficients as numerators over their least
+common denominator, and :func:`from_parts` divides ``{key: [re, im]}`` sums, added
+by :func:`add_parts`, by one denominator and builds each nonzero binarion once.
+They only convert, add and divide; structure constants, derivative factors,
+unit-power folds and the padding of denominators stay in each route.
 
 Every edge that reads keys is here.  Views, text and JSON all come from
 :meth:`SparseMap._grouped`, the sorted terms, with the last key part grouped
@@ -37,11 +37,12 @@ form.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from operator import add, sub
 
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, _as_fraction, as_sigma
+from .scalars import Binarion, Sigma, as_sigma
 
 
 def summed(pairs) -> dict:
@@ -67,17 +68,23 @@ def add_parts(acc: dict, key, re, im):
         entry[1] += im
 
 
-def from_parts(acc: dict, sigma, den: int = None) -> dict:
+def numerators(terms: dict) -> tuple:
+    """The coefficients of ``terms`` as integer numerators over their least
+    common denominator: ``(den, [(key, re, im), ...])`` with each coefficient
+    equal to ``(re + u*im) / den``; ``(1, [])`` for no terms.  The read-side
+    twin of :func:`from_parts`."""
+    den = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
+    return den, [
+        (key, c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator))
+        for key, c in terms.items()
+    ]
+
+
+def from_parts(acc: dict, sigma, den: int = 1) -> dict:
     """The nonzero ``(re + u*im) / den`` of the ``[re, im]`` entries of ``acc``
     as binarions of the :class:`Sigma` ``sigma``, each built once, without
-    re-validation.  ``den`` is the common denominator of integer numerators;
-    ``None`` takes rational parts as they are."""
-    if den is None:
-        return {
-            key: Binarion._exact(_as_fraction(re), _as_fraction(im), sigma)
-            for key, (re, im) in acc.items()
-            if re or im
-        }
+    re-validation.  ``den`` is the common denominator of the numerators."""
     return {
         key: Binarion._exact(Fraction(re, den), Fraction(im, den), sigma)
         for key, (re, im) in acc.items()

@@ -62,7 +62,7 @@ from .errors import (
 from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
                       binarion_to_json)
 from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, collect, from_parts,
-                     integer, nonnegative, summed)
+                     integer, nonnegative, numerators, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -346,17 +346,15 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """
         h = _as_fraction(h)
         hn, hd = h.numerator, h.denominator
-        den = _common_denominator(self)
+        den, terms = numerators(self._terms)
         top = max((d for _, _, d in self._terms), default=0)
         powers = {}
         acc = {}
-        for (alpha, beta, d), v in self._terms.items():
+        for (alpha, beta, d), re, im in terms:
             c = powers.get(d)
             if c is None:
                 c = powers[d] = hn**d * hd ** (top - d)
-            re, im = v.re, v.im
-            add_parts(acc, (alpha, beta, 0), c * re.numerator * (den // re.denominator),
-                      c * im.numerator * (den // im.denominator))
+            add_parts(acc, (alpha, beta, 0), c * re, c * im)
         return self._new(from_parts(acc, self.sigma, den * hd**top))
 
     def h_constant_part(self) -> "PolySymbol":
@@ -445,14 +443,6 @@ def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
     return "*".join([coeff] + factors)
 
 
-def _common_denominator(symbol: PolySymbol) -> int:
-    """The least common denominator of every part of every coefficient."""
-    den = 1
-    for v in symbol._terms.values():
-        den = math.lcm(den, v.re.denominator, v.im.denominator)
-    return den
-
-
 def _flatten(symbol: PolySymbol, w: int):
     """Integer form of ``symbol`` over one common denominator, with packed keys.
 
@@ -462,19 +452,16 @@ def _flatten(symbol: PolySymbol, w: int):
     coefficient equals ``(re_num + u*im_num) / den``, and the ids index the
     distinct p- and q-exponent vectors listed in ``betas`` and ``alphas``.
     """
-    den = _common_denominator(symbol)
+    den, weights = numerators(symbol._terms)
     betas, alphas, terms = {}, {}, []
-    for (alpha, beta, d), v in symbol._terms.items():
+    for (alpha, beta, d), re, im in weights:
         key = d
         for e in beta[::-1]:
             key = key << w | e
         for e in alpha[::-1]:
             key = key << w | e
-        re, im = v.re, v.im
-        terms.append((
-            key, betas.setdefault(beta, len(betas)), alphas.setdefault(alpha, len(alphas)),
-            re.numerator * (den // re.denominator), im.numerator * (den // im.denominator),
-        ))
+        terms.append((key, betas.setdefault(beta, len(betas)),
+                      alphas.setdefault(alpha, len(alphas)), re, im))
     return den, terms, list(betas), list(alphas)
 
 
@@ -633,25 +620,29 @@ def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
     Both products of a term pair land on one monomial per ``i``: ``c1
     q^alpha1 p^beta1`` and ``c2 q^alpha2 p^beta2`` give ``(beta1_i alpha2_i -
     alpha1_i beta2_i) c1 c2 q^(alpha1 + alpha2 - e_i) p^(beta1 + beta2 - e_i)``.
-    Kept apart from the star kernel, as the oracle of :func:`scaled_bracket`.
+    Kept apart from the star kernel, as the oracle of :func:`scaled_bracket`; it
+    shares only the edges ``sparse.numerators`` and ``sparse.from_parts``, and
+    sums integers over the product ``da * db`` of the operands' denominators.
     """
     a._check(b)
     s = a.sigma.value
+    da, left = numerators(a._terms)
+    db, right = numerators(b._terms)
     acc = {}
-    for (alpha1, beta1, d1), c1 in a._terms.items():
-        for (alpha2, beta2, d2), c2 in b._terms.items():
+    for (alpha1, beta1, d1), r1, i1 in left:
+        for (alpha2, beta2, d2), r2, i2 in right:
             weights = [p1 * q2 - q1 * p2 for q1, p1, q2, p2 in zip(alpha1, beta1, alpha2, beta2)]
             if not any(weights):
                 continue
-            re = c1.re * c2.re + s * c1.im * c2.im
-            im = c1.re * c2.im + c1.im * c2.re
+            re = r1 * r2 + s * i1 * i2
+            im = r1 * i2 + i1 * r2
             alpha = tuple(map(add, alpha1, alpha2))
             beta = tuple(map(add, beta1, beta2))
             for i, weight in enumerate(weights):
                 if weight:
                     key = (_bump(alpha, i, -1), _bump(beta, i, -1), d1 + d2)
                     add_parts(acc, key, weight * re, weight * im)
-    return a._new(from_parts(acc, a.sigma))
+    return a._new(from_parts(acc, a.sigma, da * db))
 
 
 def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:

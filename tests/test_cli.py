@@ -290,6 +290,23 @@ def test_apply_malformed_json_is_one_line_error(tmp_path, capsys):
         2, "", "error: wavefunction: h must be a positive rational\n")
 
 
+def test_apply_h_mismatch_is_one_line_error_without_traceback(tmp_path):
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"symbol": "q*p", "h": "1/2", "sigma": 1}), encoding="utf-8")
+    phi = WaveFunction.plane_wave(Fraction(1), Fraction(1, 3), H)
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(phi.to_json_dict()), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "hypermoyal.cli", "apply", str(op_path), str(phi_path)],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: operator h 1/2 differs from wavefunction h 1/3\n"
+    assert "Traceback" not in result.stderr
+
+
 def test_apply_over_degree_cap_is_one_line_error(tmp_path, capsys):
     op_path = tmp_path / "op.json"
     op_path.write_text(json.dumps({"symbol": "q^17", "h": "1/2", "sigma": 1}), encoding="utf-8")

@@ -6,8 +6,9 @@ The series star of :mod:`hypermoyal.symbols`, the distributional route of
 between them would make those checks compare a computation with itself.
 These tests read the source with :mod:`ast` and fail when one route starts
 to name another's kernel.  The routes do share :mod:`hypermoyal.sparse`,
-which only adds real and unit parts and builds the result's binarions; it
-must stay free of kernel math and remain the one place that builds them.
+which only reads coefficients as integer numerators, adds real and unit
+parts and builds the result's binarions; it must stay free of kernel math
+and remain the one place that converts coefficients and builds them.
 """
 
 import ast
@@ -98,8 +99,8 @@ def test_guard_sees_what_it_forbids():
     for helper in ("_kappa_units", "_unpacked"):
         assert helper in _names(_function(symbols, "star"))
         assert helper in _names(_function(symbols, "_commutator_integers"))
-    assert "_common_denominator" in _names(_function(symbols, "_flatten"))
-    assert "_common_denominator" in _names(_function(symbols, "PolySymbol", "substitute_h"))
+    assert "numerators" in _names(_function(symbols, "_flatten"))
+    assert "numerators" in _names(_function(symbols, "PolySymbol", "substitute_h"))
 
 
 #: The kernels that sum integer numerators and divide once at the end.
@@ -110,6 +111,7 @@ INTEGER_KERNELS = {
     "differentiate_multi": (distributions, "ExpPoly", "differentiate_multi"),
     "mul_monomial": (distributions, "Ultradistribution", "mul_monomial"),
     "substitute_h": (symbols, "PolySymbol", "substitute_h"),
+    "poisson_bracket": (symbols, "poisson_bracket"),
 }
 
 
@@ -124,6 +126,70 @@ def test_fraction_guard_sees_what_it_forbids():
         planted = _function(*path)
         planted.body.append(ast.parse("h = Fraction(h)").body[0])
         assert "Fraction" in _names(planted)
+
+
+def _is_part(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in ("re", "im")
+
+
+def _part_names(scope) -> set:
+    """The names that ``scope`` binds to a ``.re`` or ``.im`` attribute, by
+    assignment (``re, im = v.re, v.im``) or as a loop target over such
+    attributes (``for v in (c.re, c.im)``)."""
+    names = set()
+    for node in ast.walk(scope):
+        pairs = []
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(target.elts, node.value.elts)
+                else:
+                    pairs.append((target, node.value))
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            if isinstance(node.iter, (ast.Tuple, ast.List)) and all(
+                    map(_is_part, node.iter.elts)):
+                pairs.append((node.target, node.iter.elts[0]))
+        names.update(t.id for t, v in pairs if isinstance(t, ast.Name) and _is_part(v))
+    return names
+
+
+def _coefficient_part_reads(tree) -> list:
+    """Line numbers of the reads of ``.numerator`` or ``.denominator`` of a
+    ``.re`` or ``.im`` attribute, such as ``c.re.numerator``, or of a name
+    bound to one in the same function or anywhere in the module, which also
+    catches a helper that takes the parts from its caller."""
+    lines = set()
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for scope in scopes:
+        names = _part_names(scope)
+        lines.update(
+            node.lineno
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+            and (_is_part(node.value)
+                 or isinstance(node.value, ast.Name) and node.value.id in names)
+        )
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "name", [m.name for m in pkgutil.iter_modules(hypermoyal.__path__) if m.name != "sparse"]
+)
+def test_only_sparse_converts_coefficients_to_numerators(name):
+    module = importlib.import_module(f"hypermoyal.{name}")
+    assert _coefficient_part_reads(_tree(module)) == []
+
+
+def test_numerator_guard_sees_what_it_forbids():
+    assert _coefficient_part_reads(_tree(sparse))
+    planted = ast.parse(
+        "n = c.re.numerator * (den // c.im.denominator)\n"
+        "def f(v, x):\n"
+        "    re, im = v.re, v.im\n"
+        "    d = [w.denominator for w in (v.re, v.im)]\n"
+        "    return re.numerator, im.denominator, x.numerator\n"
+    )
+    assert _coefficient_part_reads(planted) == [1, 4, 5]
 
 
 #: Methods that carry route kernels, besides the routes' module-level functions.

@@ -46,7 +46,7 @@ from hypermoyal import (
     supercommutator,
 )
 from hypermoyal import sparse
-from hypermoyal.sparse import SparseMap, add_parts, from_parts, summed
+from hypermoyal.sparse import SparseMap, add_parts, from_parts, numerators, summed
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -345,6 +345,53 @@ def test_from_parts_takes_fraction_parts_as_they_are_or_over_one():
             assert out == expected
             # an int part becomes a Fraction, as the validating constructor makes it
             assert all(type(v.re) is Fraction and type(v.im) is Fraction for v in out.values())
+
+
+def _assert_numerators_invert_from_parts(terms, sigma):
+    """``numerators`` of ``terms`` are ints over the least common denominator,
+    in the map's order, and ``from_parts`` builds ``terms`` back from them."""
+    den, triples = numerators(terms)
+    assert [key for key, _, _ in triples] == list(terms)
+    parts = [n for _, re, im in triples for n in (re, im)]
+    assert all(type(n) is int for n in parts)
+    assert math.gcd(den, *parts) == 1  # no smaller denominator holds them all
+    out = from_parts({key: [re, im] for key, re, im in triples}, sigma, den)
+    assert out == terms and list(out) == list(terms)
+    assert all(v.sigma is sigma for v in out.values())
+
+
+def test_numerators_inverts_from_parts_in_both_rings():
+    rng = random.Random(17)
+    for sigma in SIGMAS:
+        _assert_numerators_invert_from_parts({
+            "mixed": Binarion(Fraction(1, 2), Fraction(-5, 3), sigma),
+            "light cone": Binarion(Fraction(3, 4), Fraction(-3, 4), sigma),
+            "int": Binarion(7, -2, sigma),
+            "no unit part": Binarion(Fraction(-2, 5), 0, sigma),
+            "no real part": Binarion(0, Fraction(1, 7), sigma),
+        }, sigma)
+        for _ in range(20):
+            terms = {}
+            for key in range(rng.randint(1, 6)):
+                c = Binarion(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 12)), sigma)
+                if not c.is_zero():
+                    terms[key] = c
+            _assert_numerators_invert_from_parts(terms, sigma)
+        for element in (_symbol(rng, sigma), _exppoly_mixed(rng, sigma),
+                        _distribution(rng, sigma), _grassmann(rng, sigma)):
+            _assert_numerators_invert_from_parts(element._terms, sigma)
+
+
+def test_numerators_take_the_least_common_denominator_and_one_when_empty():
+    for sigma in SIGMAS:
+        den, triples = numerators({"a": Binarion(Fraction(1, 2), Fraction(1, 3), sigma)})
+        assert (den, triples) == (6, [("a", 3, 2)])
+        den, triples = numerators({0: Binarion(Fraction(1, 2), 0, sigma),
+                                   1: Binarion(0, Fraction(-1, 3), sigma)})
+        assert (den, triples) == (6, [(0, 3, 0), (1, 0, -2)])
+        assert numerators({0: Binarion(3, -4, sigma)}) == (1, [(0, 3, -4)])
+    assert numerators({}) == (1, [])
 
 
 # -- JSON ----------------------------------------------------------------------

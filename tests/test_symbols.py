@@ -530,8 +530,12 @@ def test_poisson_jacobi_and_leibniz():
 # -- sympy as an independent differentiation/bracket oracle ------------------------
 
 
+H_SYM = sp.Symbol("h")
+
+
 def _to_sympy(symbol, q_syms, p_syms):
-    """Real and imaginary parts of an h-free symbol as sympy expressions."""
+    """Real and imaginary parts of a symbol as sympy expressions, with the
+    formal ``h`` as the sympy symbol ``H_SYM``."""
     re_expr = sp.Integer(0)
     im_expr = sp.Integer(0)
     for alpha, beta, coeff in symbol.terms():
@@ -540,9 +544,9 @@ def _to_sympy(symbol, q_syms, p_syms):
             mono *= s**e
         for s, e in zip(p_syms, beta):
             mono *= s**e
-        value = coeff.constant_term
-        re_expr += sp.Rational(value.re) * mono
-        im_expr += sp.Rational(value.im) * mono
+        for d, value in coeff.items():
+            re_expr += sp.Rational(value.re) * H_SYM**d * mono
+            im_expr += sp.Rational(value.im) * H_SYM**d * mono
     return sp.expand(re_expr), sp.expand(im_expr)
 
 
@@ -553,29 +557,62 @@ def _sympy_poisson(fa, fb, q_syms, p_syms):
     return sp.expand(out)
 
 
-def test_poisson_matches_sympy_oracle():
+def _sevenths_symbol(rng, k, sigma, max_degree):
+    """A random symbol whose coefficients carry ``h`` to degree 2 and real and
+    unit parts over denominators up to 7, some of them zero."""
+    terms = {}
+    for alpha, beta, _ in _random_symbol(rng, k, sigma, max_degree, 4).terms():
+        terms[(alpha, beta)] = HPoly({
+            rng.randint(0, 2): Binarion(
+                Fraction(rng.choice((0, rng.randint(-7, 7))), rng.randint(1, 7)),
+                Fraction(rng.choice((0, rng.randint(-7, 7))), rng.randint(1, 7)),
+                sigma,
+            )
+            for _ in range(2)
+        }, sigma)
+    return PolySymbol(k, sigma, terms)
+
+
+def _sympy_oracle_pairs():
+    """Operand pairs in both rings: h-free ones for k = 1, 2, then ones with
+    ``h``-bearing, unit-bearing coefficients over denominators up to 7 for
+    k = 1..3."""
     rng = random.Random(41)
     for sigma in SIGMAS:
         for i in range(15):
             k = 1 + (i % 2)
-            q_syms = sp.symbols(f"q1:{k + 1}")
-            p_syms = sp.symbols(f"p1:{k + 1}")
-            a = _random_symbol(rng, k, sigma, 4)
-            b = _random_symbol(rng, k, sigma, 4)
-            got = poisson_bracket(a, b)
-            g_re, g_im = _to_sympy(got, q_syms, p_syms)
-            a_re, a_im = _to_sympy(a, q_syms, p_syms)
-            b_re, b_im = _to_sympy(b, q_syms, p_syms)
-            s = sigma.value
-            # (a_re + u a_im, b_re + u b_im) expands with u^2 = s
-            want_re = _sympy_poisson(a_re, b_re, q_syms, p_syms) + s * _sympy_poisson(
-                a_im, b_im, q_syms, p_syms
-            )
-            want_im = _sympy_poisson(a_re, b_im, q_syms, p_syms) + _sympy_poisson(
-                a_im, b_re, q_syms, p_syms
-            )
-            assert sp.simplify(g_re - want_re) == 0
-            assert sp.simplify(g_im - want_im) == 0
+            yield k, _random_symbol(rng, k, sigma, 4), _random_symbol(rng, k, sigma, 4)
+    rng = random.Random(47)
+    for sigma in SIGMAS:
+        for i in range(15):
+            k = 1 + (i % 3)
+            yield k, _sevenths_symbol(rng, k, sigma, 4), _sevenths_symbol(rng, k, sigma, 4)
+
+
+def test_poisson_matches_sympy_oracle():
+    seen_h, seen_den = set(), set()
+    for k, a, b in _sympy_oracle_pairs():
+        q_syms = sp.symbols(f"q1:{k + 1}")
+        p_syms = sp.symbols(f"p1:{k + 1}")
+        got = poisson_bracket(a, b)
+        g_re, g_im = _to_sympy(got, q_syms, p_syms)
+        a_re, a_im = _to_sympy(a, q_syms, p_syms)
+        b_re, b_im = _to_sympy(b, q_syms, p_syms)
+        s = a.sigma.value
+        # (a_re + u a_im, b_re + u b_im) expands with u^2 = s
+        want_re = _sympy_poisson(a_re, b_re, q_syms, p_syms) + s * _sympy_poisson(
+            a_im, b_im, q_syms, p_syms
+        )
+        want_im = _sympy_poisson(a_re, b_im, q_syms, p_syms) + _sympy_poisson(
+            a_im, b_re, q_syms, p_syms
+        )
+        assert sp.simplify(g_re - want_re) == 0
+        assert sp.simplify(g_im - want_im) == 0
+        for (_, _, d), v in got._terms.items():
+            seen_h.add(d)
+            seen_den.update((v.re.denominator, v.im.denominator))
+    # the h-bearing cases reach every h-degree and denominators past the operands'
+    assert seen_h == {0, 1, 2, 3, 4} and max(seen_den) > 7
 
 
 def test_differentiate_matches_sympy_oracle():
