@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import HypermoyalError, ValidationError, json_field
 from .parsing import _highest_index, parse_symbol
-from .scalars import Sigma, _json_fraction, _num_str, as_sigma
+from .scalars import Sigma, _num_str, as_sigma
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
 
 #: Most rows ``limit --steps`` tabulates.  Row ``n`` prints ``h = 1/2^n`` in
@@ -136,20 +136,10 @@ def _load(role: str, path: str, build):
     return json_field({role: path}, role, lambda p: build(_read_json(p)))
 
 
-def _operator_from_json(op_data) -> Operator:
-    from .operators import Operator
-
-    if isinstance(op_data, dict) and isinstance(op_data.get("symbol"), str):
-        sigma = json_field(op_data, "sigma", as_sigma)
-        symbol = parse_symbol(op_data["symbol"], sigma)
-        return Operator(symbol, json_field(op_data, "h", _json_fraction), sigma)
-    return Operator.from_json_dict(op_data)
-
-
 def _cmd_apply(args):
-    from .operators import WaveFunction
+    from .operators import Operator, WaveFunction
 
-    operator = _load("operator", args.operator, _operator_from_json)
+    operator = _load("operator", args.operator, Operator.from_json_dict)
     phi = _load("wavefunction", args.wavefunction, WaveFunction.from_json_dict)
     result = operator.apply(phi)
     return 0, {"text": lambda: result.to_text() + "\n", "json": result.to_json_dict}

@@ -28,8 +28,11 @@ clean by construction.
 The rational parts of an :class:`ExpPoly` or :class:`Ultradistribution` key,
 the vector and ``r``, are stored as integer numerators over one positive
 denominator per element, the least one (``_den``).  The kernels below add
-and scale keys in integers, bringing two operands to the lcm of their
-denominators first; ``Fraction`` values appear only at the edges: the views
+and scale keys in integers; ``_aligned`` brings two operands to the lcm of
+their denominators for ``+``, ``-``, ``==``, ``*`` and the tensor product.
+Products, the tensor product and :meth:`Ultradistribution.scale` are formed
+by :func:`hypermoyal.sparse.multiply`, each with its own rule for the key
+of two terms' product.  ``Fraction`` values appear only at the edges: the views
 (and through them text and JSON), the validating constructor, and the
 :class:`CharSum` values of :meth:`ExpPoly.evaluate` and
 :meth:`Ultradistribution.pair`.
@@ -68,8 +71,8 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, SparseMap, add_parts, collect,
-                     from_parts, integer, nonnegative, numerators, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, collect, from_parts,
+                     integer, multiply, nonnegative, numerators, summed)
 from .symbols import PolySymbol, check_degree_cap
 
 
@@ -249,16 +252,10 @@ class _CharSumTerms(SizedMap):
         }
         return out
 
-    def _merged(self, other, op):
+    def _aligned(self, other):
+        """Both elements with their keys over the lcm of their denominators."""
         den = math.lcm(self._den, other._den)
-        return SparseMap._merged(self._at(den), other._at(den), op)
-
-    def __eq__(self, other):
-        if isinstance(other, self._SCALARS):
-            other = self._constant(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._den == other._den and super().__eq__(other)
+        return self._at(den), other._at(den)
 
     def _grouped(self) -> list:
         """:meth:`SparseMap._grouped`, sorted on the numerators, with the
@@ -379,25 +376,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     # -- ring operations ---------------------------------------------------------------
 
-    def __mul__(self, other):
-        """The product, summed in integers: both operands' keys over the lcm
-        of their denominators, and each one's coefficients over one
-        denominator."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        s = self.sigma.value
-        den = math.lcm(self._den, o._den)
-        d1, terms1 = numerators(self._at(den)._terms)
-        d2, terms2 = numerators(o._at(den)._terms)
-        acc = {}
-        for (f1, e1, r1), x1, y1 in terms1:
-            for (f2, e2, r2), x2, y2 in terms2:
-                add_parts(acc, (tuple(map(add, f1, f2)), tuple(map(add, e1, e2)), r1 + r2),
-                          x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
-        return self._new(from_parts(acc, self.sigma, d1 * d2), den)
-
-    __rmul__ = __mul__
+    #: ``(freq, exps, r)`` keys multiply as ``(alpha, beta, hdeg)`` keys do.
+    _key_mul = staticmethod(PolySymbol._key_mul)
 
     # -- calculus --------------------------------------------------------------------
 
@@ -594,12 +574,10 @@ class Ultradistribution(_CharSumTerms):
     def scale(self, factor) -> "Ultradistribution":
         factor = CharSum.from_scalar(factor, self.sigma)
         den = math.lcm(self._den, *(s.denominator for s in factor._terms))
-        shifts = [(s.numerator * (den // s.denominator), c) for s, c in factor._terms.items()]
-        return self._new(collect(
-            ((loc, order, r + s), w * c)
-            for (loc, order, r), w in self._at(den)._terms.items()
-            for s, c in shifts
-        ), den)
+        shifts = {s.numerator * (den // s.denominator): c for s, c in factor._terms.items()}
+        # the character exp(u*s) shifts the r of each atom by s
+        return self._new(multiply(self._at(den)._terms, shifts, self.sigma,
+                                  lambda k, s: ((k[0], k[1], k[2] + s), 1)), den)
 
     # -- distribution calculus ----------------------------------------------------------
 
@@ -693,18 +671,11 @@ class Ultradistribution(_CharSumTerms):
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         self._check_sigma(other)
-        sigma = self.sigma
-        s = sigma.value
-        den = math.lcm(self._den, other._den)
-        d1, atoms1 = numerators(self._at(den)._terms)
-        d2, atoms2 = numerators(other._at(den)._terms)
-        acc = {}
-        for (l1, o1, r1), x1, y1 in atoms1:
-            for (l2, o2, r2), x2, y2 in atoms2:
-                add_parts(acc, (l1 + l2, o1 + o2, r1 + r2),
-                          x1 * x2 + s * y1 * y2, x1 * y2 + y1 * x2)
-        return Ultradistribution._make(self.dim + other.dim, sigma,
-                                       from_parts(acc, sigma, d1 * d2), den)
+        a, b = self._aligned(other)
+        # locations and orders concatenate, characters add
+        terms = multiply(a._terms, b._terms, self.sigma,
+                         lambda k1, k2: ((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2]), 1))
+        return Ultradistribution._make(self.dim + other.dim, self.sigma, terms, a._den)
 
     # -- rendering / serialization -----------------------------------------------------
 

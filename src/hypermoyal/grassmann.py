@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, as_sigma, binarion_from_json, binarion_to_json
+from .scalars import Sigma, as_sigma, binarion_from_json, binarion_to_json
 from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, collect, integer
 
 #: Largest generator count :func:`annihilator_witness` accepts.  Its check
@@ -149,11 +149,10 @@ class GrassmannElement(SizedMap, SparseAlgebra):
     # -- algebra -----------------------------------------------------------------
 
     @staticmethod
-    def _term_mul(m1, c1, m2, c2):
+    def _key_mul(m1, m2):
         if m1 & m2:
             return None  # repeated generator: square is zero
-        c = c1 * c2
-        return m1 | m2, (-c if _merge_sign(m1, m2) < 0 else c)
+        return m1 | m2, _merge_sign(m1, m2)
 
     # -- rendering ------------------------------------------------------------------
 

@@ -58,6 +58,7 @@ from .distributions import (
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
 from .sparse import add_parts, from_parts, numerators
+from .parsing import parse_symbol
 from .symbols import PolySymbol, check_degree_cap, star
 
 
@@ -422,15 +423,23 @@ class Operator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Operator":
+        """The operator of ``{"symbol", "h", "sigma", "kind"}``.  ``kind`` is
+        ``"poly"`` (the default) or ``"exp"``; a ``poly`` symbol is a term map
+        or an expression, parsed at ``sigma``."""
         kind = data.get("kind", "poly") if isinstance(data, dict) else "poly"
         if kind not in ("poly", "exp"):
             raise ValidationError(f"kind: expected 'poly' or 'exp', got {kind!r}")
-        symbol_cls = PolySymbol if kind == "poly" else ExpPoly
-        return cls(
-            json_field(data, "symbol", symbol_cls.from_json_dict),
-            json_field(data, "h", _json_fraction),
-            json_field(data, "sigma", as_sigma),
-        )
+        sigma = json_field(data, "sigma", as_sigma)
+
+        def read_symbol(value):
+            if not isinstance(value, str):
+                return (PolySymbol if kind == "poly" else ExpPoly).from_json_dict(value)
+            if kind != "poly":
+                raise ValidationError(f"an expression is a 'poly' symbol, not {kind!r}")
+            return parse_symbol(value, sigma)
+
+        return cls(json_field(data, "symbol", read_symbol), json_field(data, "h", _json_fraction),
+                   sigma)
 
     def __eq__(self, other):
         if not isinstance(other, Operator):

@@ -125,8 +125,12 @@ def _part_text(value: Fraction) -> str:
 
 
 def _json_fraction(value) -> Fraction:
-    """A rational written in JSON as text or as a number."""
-    return Fraction(str(value))
+    """A rational written in JSON as text or as a number; a zero denominator
+    raises :class:`ValidationError`."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {value!r}") from None
 
 
 class Binarion:

@@ -5,8 +5,11 @@ distributions and Grassmann elements are all finite maps from a key (a
 monomial, a degree, an exponent, an atom or a generator mask) to a nonzero
 coefficient.  :class:`SparseMap` owns that storage and what does not depend
 on the meaning of a key: dropping zeros, merging, ``+``, ``-``, negation,
-scalar coercion and equality.  :class:`SparseAlgebra` adds ``*`` and ``**``
-through one per-class hook, the product of two terms.
+scalar coercion and equality, each on operands brought to comparable keys
+by one hook, ``_aligned``.  :class:`SparseAlgebra` adds ``*`` and ``**``:
+every product is formed by one loop, :func:`multiply`, which takes from
+each class only the key of the product of two terms and, for Grassmann
+elements, its reordering sign.
 
 Elements enter in two ways.  A class's public constructor validates its
 input (key shapes, signs, the coefficients' signature) and sums it with
@@ -22,6 +25,7 @@ common denominator, and :func:`from_parts` divides ``{key: [re, im]}`` sums, add
 by :func:`add_parts`, by one denominator and builds each nonzero binarion once.
 They only convert, add and divide; structure constants, derivative factors,
 unit-power folds and the padding of denominators stay in each route.
+:func:`multiply` sums between the same edges, but no route kernel calls it.
 
 Every edge that reads keys is here.  Views, text and JSON all come from
 :meth:`SparseMap._grouped`, the sorted terms, with the last key part grouped
@@ -90,6 +94,23 @@ def from_parts(acc: dict, sigma, den: int = 1) -> dict:
         for key, (re, im) in acc.items()
         if re or im
     }
+
+
+def multiply(left: dict, right: dict, sigma, key_mul) -> dict:
+    """The product of two term maps, summed in integers between :func:`numerators`
+    and :func:`from_parts`: each pair of terms under the key and sign that
+    ``key_mul(k1, k2)`` gives as ``(key, +-1)``, or dropped for ``None``."""
+    s = sigma.value
+    d1, terms1 = numerators(left)
+    d2, terms2 = numerators(right)
+    acc = {}
+    for k1, x1, y1 in terms1:
+        for k2, x2, y2 in terms2:
+            term = key_mul(k1, k2)
+            if term is not None:
+                key, sign = term
+                add_parts(acc, key, sign * (x1 * x2 + s * y1 * y2), sign * (x1 * y2 + y1 * x2))
+    return from_parts(acc, sigma, d1 * d2)
 
 
 def integer(value) -> int:
@@ -184,9 +205,15 @@ class SparseMap:
                 out[key] = value
         return self._new(out)
 
+    def _aligned(self, other):
+        """This element and ``other`` with keys that compare as their values
+        do: as they are, unless a class stores keys over a denominator."""
+        return self, other
+
     def _merged(self, other, op):
-        out = dict(self._terms)
-        for key, value in other._terms.items():
+        a, b = self._aligned(other)
+        out = dict(a._terms)
+        for key, value in b._terms.items():
             if key in out:
                 value = op(out[key], value)
                 if value.is_zero():
@@ -195,7 +222,7 @@ class SparseMap:
             elif op is sub:
                 value = -value
             out[key] = value
-        return self._new(out)
+        return a._new(out)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -250,11 +277,10 @@ class SparseMap:
             other = self._constant(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (
-            self._size == other._size
-            and self.sigma is other.sigma
-            and self._terms == other._terms
-        )
+        if self._size != other._size or self.sigma is not other.sigma:
+            return False
+        a, b = self._aligned(other)
+        return a._terms == b._terms
 
 
 class SizedMap(SparseMap):
@@ -318,22 +344,18 @@ class SparseAlgebra(SparseMap):
     __slots__ = ()
 
     @staticmethod
-    def _term_mul(k1, c1, k2, c2):
-        """The product of two terms as ``(key, coefficient)``, or ``None``
-        when it vanishes.  Keys that add, such as degrees, are the default."""
-        return k1 + k2, c1 * c2
+    def _key_mul(k1, k2):
+        """The key of the product of two terms and its sign, as ``(key, +-1)``,
+        or ``None`` when the product vanishes.  Keys that add, such as
+        degrees, are the default."""
+        return k1 + k2, 1
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        term_mul = self._term_mul
-        products = (
-            term_mul(k1, c1, k2, c2)
-            for k1, c1 in self._terms.items()
-            for k2, c2 in o._terms.items()
-        )
-        return self._new(collect(term for term in products if term is not None))
+        a, b = self._aligned(o)
+        return a._new(multiply(a._terms, b._terms, a.sigma, a._key_mul))
 
     __rmul__ = __mul__
 

@@ -285,10 +285,10 @@ class PolySymbol(SizedMap, SparseAlgebra):
     # -- ring operations ----------------------------------------------------
 
     @staticmethod
-    def _term_mul(k1, c1, k2, c2):
+    def _key_mul(k1, k2):
         """Commutative pointwise product (the h -> 0 limit of ``star``)."""
         (a1, b1, d1), (a2, b2, d2) = k1, k2
-        return (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), d1 + d2), c1 * c2
+        return (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), d1 + d2), 1
 
     # -- calculus -------------------------------------------------------------
 

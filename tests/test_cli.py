@@ -389,6 +389,47 @@ def test_apply_refuses_an_unknown_operator_kind(tmp_path, capsys):
     assert run(capsys, "apply", str(paths["none"]), str(paths["wave"]))[0] == 0
 
 
+def _write_documents(tmp_path, documents) -> list:
+    paths = []
+    for i, data in enumerate(documents):
+        paths.append(tmp_path / f"input{i}.json")
+        paths[-1].write_text(json.dumps(data), encoding="utf-8")
+    return [str(path) for path in paths]
+
+
+EXPRESSION_OPERATOR = {"symbol": "q*p", "h": "1/3", "sigma": 1}
+PLANE_WAVE_THIRD = WaveFunction.plane_wave(Fraction(1), Fraction(1, 3), H).to_json_dict()
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("bogus", "operator: kind: expected 'poly' or 'exp', got 'bogus'"),
+    ("exp", "operator: symbol: an expression is a 'poly' symbol, not 'exp'"),
+])
+def test_apply_reads_an_expression_symbol_only_as_kind_poly(tmp_path, capsys, kind, message):
+    """An expression symbol passes through the one operator reader, which
+    refuses any ``kind`` but ``poly``; without ``kind`` it still reads."""
+    op, bad_op, wave = _write_documents(
+        tmp_path, (EXPRESSION_OPERATOR, {**EXPRESSION_OPERATOR, "kind": kind}, PLANE_WAVE_THIRD)
+    )
+    assert run(capsys, "apply", bad_op, wave) == (2, "", f"error: {message}\n")
+    assert run(capsys, "apply", op, wave) == (0, "q1*exp(j*(3*q1))\n", "")
+    poly_op = _write_documents(tmp_path, ({**EXPRESSION_OPERATOR, "kind": "poly"},))[0]
+    assert run(capsys, "apply", poly_op, wave) == (0, "q1*exp(j*(3*q1))\n", "")
+
+
+@pytest.mark.parametrize("command, documents, message", [
+    ("apply", ({**EXPRESSION_OPERATOR, "h": "1/0"}, PLANE_WAVE_THIRD),
+     "operator: h: zero denominator in '1/0'"),
+    ("apply", (EXPRESSION_OPERATOR, {**PLANE_WAVE_THIRD, "h": "1/0"}),
+     "wavefunction: h: zero denominator in '1/0'"),
+    ("fourier", (_with(ATOMS, ("atoms", 0, "loc"), ["1/0"]),),
+     "atoms: loc: zero denominator in '1/0'"),
+], ids=["operator", "wavefunction", "atoms"])
+def test_a_zero_denominator_is_named_as_such(tmp_path, capsys, command, documents, message):
+    paths = _write_documents(tmp_path, documents)
+    assert run(capsys, command, *paths) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "command, documents, message",
     [

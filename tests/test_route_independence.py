@@ -8,7 +8,9 @@ These tests read the source with :mod:`ast` and fail when one route starts
 to name another's kernel.  The routes do share :mod:`hypermoyal.sparse`,
 which only reads coefficients as integer numerators, adds real and unit
 parts and builds the result's binarions; it must stay free of kernel math
-and remain the one place that converts coefficients and builds them.
+and remain the one place that converts coefficients and builds them.  Its
+one product loop, which every algebra class's ``*`` runs, is called by no
+route kernel.
 """
 
 import ast
@@ -90,6 +92,24 @@ def test_distributional_star_does_not_use_the_series_or_operator_kernels(kernel)
     assert "_pair_factors" in names and kernel not in names
 
 
+#: The route kernels, none of which may sum its products in the shared loop of
+#: ``sparse``, which every algebra class's ``*`` runs.
+ROUTE_KERNELS = {
+    "star": (symbols, "star"),
+    "_accumulate": (symbols, "_accumulate"),
+    "_commutator_integers": (symbols, "_commutator_integers"),
+    "poisson_bracket": (symbols, "poisson_bracket"),
+    "star_distributional": (distributions, "star_distributional"),
+    "apply_normal_ordered": (operators, "Operator", "apply_normal_ordered"),
+    "apply_shift_form": (operators, "Operator", "apply_shift_form"),
+}
+
+
+@pytest.mark.parametrize("path", ROUTE_KERNELS.values(), ids=ROUTE_KERNELS)
+def test_route_kernels_do_not_use_the_shared_product_loop(path):
+    assert "multiply" not in _names(_function(*path))
+
+
 def test_guard_sees_what_it_forbids():
     """The name scan finds the kernels where they are in use."""
     assert "_derivative_terms" in _names(_function(operators, "Operator", "apply_normal_ordered"))
@@ -101,6 +121,8 @@ def test_guard_sees_what_it_forbids():
         assert helper in _names(_function(symbols, "_commutator_integers"))
     assert "numerators" in _names(_function(symbols, "_flatten"))
     assert "numerators" in _names(_function(symbols, "PolySymbol", "substitute_h"))
+    assert "multiply" in _names(_function(sparse, "SparseAlgebra", "__mul__"))
+    assert "multiply" in _names(_function(distributions, "Ultradistribution", "tensor"))
 
 
 #: The kernels that sum integer numerators and divide once at the end.

@@ -46,7 +46,8 @@ from hypermoyal import (
     supercommutator,
 )
 from hypermoyal import sparse
-from hypermoyal.sparse import SparseMap, add_parts, from_parts, numerators, summed
+from hypermoyal.sparse import (SparseAlgebra, SparseMap, add_parts, collect, from_parts, numerators,
+                               summed)
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -615,3 +616,167 @@ NON_INTEGER_SIZES = {
 def test_sizes_and_h_degrees_must_be_integers(build):
     with pytest.raises(HypermoyalError, match="is not an integer"):
         build()
+
+
+# -- one product loop ---------------------------------------------------------------
+#
+# ``SparseAlgebra.__mul__``, ``Ultradistribution.tensor`` and
+# ``Ultradistribution.scale`` all sum integer numerators in ``sparse.multiply``.
+# The oracle below is the per-term loop that loop replaced, kept verbatim:
+# each pair of terms is multiplied with ``Binarion.__mul__`` under its class's
+# key rule and the products are summed with ``collect``.  It reads the
+# operands through their public views, so keys are compared as rationals,
+# whatever denominator each element stores them over.
+
+
+def _default_term_mul(k1, c1, k2, c2):
+    return k1 + k2, c1 * c2
+
+
+def _symbol_term_mul(k1, c1, k2, c2):
+    (a1, b1, d1), (a2, b2, d2) = k1, k2
+    return (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), d1 + d2), c1 * c2
+
+
+def _reorder_sign(m1, m2) -> int:
+    """``(-1)`` to the number of generator pairs ``i`` of ``m1`` and ``j`` of
+    ``m2`` with ``i > j``, each one transposition of ``theta^m1 theta^m2``."""
+    inversions = sum(
+        1 for i in range(m1.bit_length()) if m1 >> i & 1 for j in range(i) if m2 >> j & 1
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _grassmann_term_mul(m1, c1, m2, c2):
+    if m1 & m2:
+        return None  # repeated generator: square is zero
+    c = c1 * c2
+    return m1 | m2, (-c if _reorder_sign(m1, m2) < 0 else c)
+
+
+def _tensor_term_mul(k1, c1, k2, c2):
+    (l1, o1, r1), (l2, o2, r2) = k1, k2
+    return (l1 + l2, o1 + o2, r1 + r2), c1 * c2
+
+
+def _scale_term_mul(k1, c1, s, c2):
+    loc, order, r = k1
+    return (loc, order, r + s), c1 * c2
+
+
+def _by_terms(term_mul, a: dict, b: dict) -> dict:
+    """The per-term product of two ``{key: Binarion}`` maps."""
+    products = (
+        term_mul(k1, c1, k2, c2)
+        for k1, c1 in a.items()
+        for k2, c2 in b.items()
+    )
+    return collect(term for term in products if term is not None)
+
+
+def _viewed_terms(x) -> dict:
+    """``{key: Binarion}`` of ``x`` read from its public view, with the
+    rational parts of keys as ``Fraction`` values."""
+    if isinstance(x, (HPoly, CharSum)):
+        return dict(x.items())
+    if isinstance(x, GrassmannElement):
+        return dict(x.terms())
+    rows = x.atoms() if isinstance(x, Ultradistribution) else x.terms()
+    return {(vector, orders, r): c for vector, orders, w in rows for r, c in w.items()}
+
+
+TERM_MULS = {
+    HPoly: _default_term_mul,
+    CharSum: _default_term_mul,
+    PolySymbol: _symbol_term_mul,
+    ExpPoly: _symbol_term_mul,
+    GrassmannElement: _grassmann_term_mul,
+}
+
+
+def _distribution_mixed(rng, sigma):
+    """Atoms on two variables whose locations and characters have different
+    denominators."""
+    def rational():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4, 6)))
+
+    return Ultradistribution(2, sigma, [
+        ((rational(), rational()), _exps(rng, 2),
+         CharSum({rational(): _coeff(rng, sigma) for _ in range(2)}, sigma))
+        for _ in range(3)
+    ])
+
+
+def _grassmann_wide(rng, sigma):
+    """Six terms on five generators, so that most products reorder."""
+    return GrassmannElement(5, sigma, {rng.randrange(32): _coeff(rng, sigma) for _ in range(6)})
+
+
+@pytest.mark.parametrize(
+    "make", [_hpoly, _charsum, _symbol, _exppoly_mixed, _grassmann, _grassmann_wide]
+)
+def test_products_match_the_per_term_binarion_loop(make):
+    rng = random.Random(29)
+    for sigma in SIGMAS:
+        light_cone = Binarion(1, 1, sigma)
+        for _ in range(25):
+            a, b = make(rng, sigma), make(rng, sigma)
+            term_mul = TERM_MULS[type(a)]
+            for x, y in ((a, b), (b, a), (a, a), (a, a + light_cone)):
+                product = x * y
+                assert _viewed_terms(product) == _by_terms(
+                    term_mul, _viewed_terms(x), _viewed_terms(y)
+                )
+                _assert_clean(product)
+
+
+@pytest.mark.parametrize("make", [_distribution, _distribution_mixed])
+def test_tensor_and_scale_match_the_per_term_binarion_loop(make):
+    rng = random.Random(31)
+    for sigma in SIGMAS:
+        for _ in range(25):
+            a, b = make(rng, sigma), make(rng, sigma)
+            factor = _charsum(rng, sigma) + CharSum.character(
+                Fraction(rng.randint(-2, 2), rng.choice((1, 3, 4))), sigma, Binarion(1, -1, sigma)
+            )
+            tensor, scaled = a.tensor(b), a.scale(factor)
+            assert _viewed_terms(tensor) == _by_terms(
+                _tensor_term_mul, _viewed_terms(a), _viewed_terms(b)
+            )
+            assert _viewed_terms(scaled) == _by_terms(
+                _scale_term_mul, _viewed_terms(a), _viewed_terms(factor)
+            )
+            for x in (tensor, scaled):
+                _assert_clean(x)
+
+
+def test_the_oracle_sees_products_vanish_and_reorder():
+    """The cases the loop must get right occur in the oracle's inputs: light-cone
+    products that vanish in the split ring, and Grassmann reorderings of each sign."""
+    x = Binarion(1, 1, H)
+    assert (x * Binarion(1, -1, H)).is_zero()
+    assert _grassmann_term_mul(0b10, x, 0b01, x)[1] == -(x * x)
+    assert _grassmann_term_mul(0b01, x, 0b10, x)[1] == x * x
+    assert _grassmann_term_mul(0b11, x, 0b01, x) is None
+    assert _reorder_sign(0b110, 0b001) == 1 and _reorder_sign(0b100, 0b011) == 1
+    assert _reorder_sign(0b10100, 0b01011) == -1
+
+
+#: The six sparse classes and every base between them and ``SparseMap``.
+SPARSE_BASES = {base for cls in SPARSE_CLASSES for base in cls.__mro__
+                if issubclass(base, SparseMap)}
+
+
+@pytest.mark.parametrize("name, owner", [
+    ("__mul__", SparseAlgebra), ("__rmul__", SparseAlgebra),
+    ("_merged", SparseMap), ("__eq__", SparseMap),
+])
+def test_one_class_defines_each_product_and_comparison_method(name, owner):
+    assert {base for base in SPARSE_BASES if name in vars(base)} == {owner}
+
+
+def test_the_product_hook_gives_only_keys_and_signs():
+    assert not [cls for cls in SPARSE_BASES if "_term_mul" in vars(cls)]
+    assert GrassmannElement._key_mul(0b10, 0b01) == (0b11, -1)
+    assert GrassmannElement._key_mul(0b11, 0b01) is None
+    assert HPoly._key_mul(1, 2) == (3, 1)
