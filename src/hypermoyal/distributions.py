@@ -573,6 +573,7 @@ class Ultradistribution(_CharSumTerms):
 
     def scale(self, factor) -> "Ultradistribution":
         factor = CharSum.from_scalar(factor, self.sigma)
+        self._check_sigma(factor)
         den = math.lcm(self._den, *(s.denominator for s in factor._terms))
         shifts = {s.numerator * (den // s.denominator): c for s, c in factor._terms.items()}
         # the character exp(u*s) shifts the r of each atom by s

@@ -429,7 +429,9 @@ class Operator:
         kind = data.get("kind", "poly") if isinstance(data, dict) else "poly"
         if kind not in ("poly", "exp"):
             raise ValidationError(f"kind: expected 'poly' or 'exp', got {kind!r}")
-        sigma = json_field(data, "sigma", as_sigma)
+        expression = isinstance(data, dict) and isinstance(data.get("symbol"), str)
+        # an expression is parsed at the file's sigma, so that is read first
+        sigma = json_field(data, "sigma", as_sigma) if expression else None
 
         def read_symbol(value):
             if not isinstance(value, str):
@@ -439,7 +441,7 @@ class Operator:
             return parse_symbol(value, sigma)
 
         return cls(json_field(data, "symbol", read_symbol), json_field(data, "h", _json_fraction),
-                   sigma)
+                   sigma or json_field(data, "sigma", as_sigma))
 
     def __eq__(self, other):
         if not isinstance(other, Operator):

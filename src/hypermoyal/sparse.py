@@ -192,8 +192,8 @@ class SparseMap:
         if isinstance(other, type(self)):
             self._check(other)
             return other
-        if isinstance(other, self._SCALARS):
-            return self._constant(other)
+        if isinstance(other, self._SCALARS):  # a constant keeps a binarion's sigma
+            return self._coerce(self._constant(other))
         return None
 
     def _map(self, fn):

@@ -417,6 +417,17 @@ def test_apply_reads_an_expression_symbol_only_as_kind_poly(tmp_path, capsys, ki
     assert run(capsys, "apply", poly_op, wave) == (0, "q1*exp(j*(3*q1))\n", "")
 
 
+@pytest.mark.parametrize("operator, message", [
+    ({"symbol": {"sigma": 1, "dof": 1}, "h": "1/3"}, "operator: symbol: missing field 'terms'"),
+    ({"symbol": "q*", "h": "1/3"}, "operator: missing field 'sigma'"),
+], ids=["term-map", "expression"])
+def test_apply_reads_the_sigma_first_only_for_an_expression(tmp_path, capsys, operator, message):
+    """A term-map symbol is read before ``h`` and ``sigma``; an expression is
+    parsed at the file's ``sigma``, which is therefore read first."""
+    paths = _write_documents(tmp_path, (operator, PLANE_WAVE_THIRD))
+    assert run(capsys, "apply", *paths) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, documents, message", [
     ("apply", ({**EXPRESSION_OPERATOR, "h": "1/0"}, PLANE_WAVE_THIRD),
      "operator: h: zero denominator in '1/0'"),

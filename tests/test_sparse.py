@@ -762,6 +762,29 @@ def test_the_oracle_sees_products_vanish_and_reorder():
     assert _reorder_sign(0b10100, 0b01011) == -1
 
 
+@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _exppoly_mixed, _grassmann])
+def test_a_scalar_of_the_other_sigma_does_not_combine(make):
+    """A binarion of the other signature is refused on either side of ``*``,
+    ``+`` and ``-``, as the per-term binarion product refused it."""
+    rng = random.Random(37)
+    for sigma, other in ((H, C), (C, H)):
+        x = make(rng, sigma)
+        for scalar in (Binarion(1, 1, other), Binarion(2, 0, other)):
+            for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+                for left, right in ((x, scalar), (scalar, x)):
+                    with pytest.raises(SignatureMismatchError):
+                        combine(left, right)
+
+
+def test_a_distribution_refuses_a_factor_of_the_other_sigma():
+    rng = random.Random(41)
+    for sigma, other in ((H, C), (C, H)):
+        dist = _distribution(rng, sigma)
+        for factor in (Binarion(1, 0, other), CharSum.character(Fraction(1, 2), other)):
+            with pytest.raises(SignatureMismatchError):
+                dist.scale(factor)
+
+
 #: The six sparse classes and every base between them and ``SparseMap``.
 SPARSE_BASES = {base for cls in SPARSE_CLASSES for base in cls.__mro__
                 if issubclass(base, SparseMap)}
