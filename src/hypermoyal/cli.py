@@ -139,8 +139,11 @@ def _load(role: str, path: str, build):
 def _cmd_apply(args):
     from .operators import Operator, WaveFunction
 
-    operator = _load("operator", args.operator, Operator.from_json_dict)
+    document = _load("operator", args.operator, lambda data: data)
     phi = _load("wavefunction", args.wavefunction, WaveFunction.from_json_dict)
+    # an expression symbol is read at the wavefunction's dof, as star reads at --dof
+    operator = json_field({"operator": document}, "operator",
+                          lambda data: Operator._from_json(data, phi.dof))
     result = operator.apply(phi)
     return 0, {"text": lambda: result.to_text() + "\n", "json": result.to_json_dict}
 

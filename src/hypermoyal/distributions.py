@@ -16,7 +16,8 @@ multiplied by adding exponents and only mapped to ``cosh/sinh`` (or
 therefore checked with exact arithmetic.
 
 All three classes are sparse term maps over the shared base of
-:mod:`hypermoyal.sparse`, with binarion values under flat keys:
+:mod:`hypermoyal.sparse`, whose values are binarions stored as integer
+pairs over one least denominator per element (``_cden``), under flat keys:
 :class:`CharSum` maps exponents ``r``, :class:`ExpPoly` maps
 ``(freq, exps, r)`` and :class:`Ultradistribution` maps ``(loc, order, r)``.
 A character factor ``exp(u*s)`` is therefore a shift ``r -> r + s`` of the
@@ -26,15 +27,15 @@ validate; the results of the calculus below are built from terms that are
 clean by construction.
 
 The rational parts of an :class:`ExpPoly` or :class:`Ultradistribution` key,
-the vector and ``r``, are stored as integer numerators over one positive
+the vector and ``r``, are stored as integer numerators over a second positive
 denominator per element, the least one (``_den``).  The kernels below add
 and scale keys in integers; ``_aligned`` brings two operands to the lcm of
 their denominators for ``+``, ``-``, ``==``, ``*`` and the tensor product.
 Products, the tensor product and :meth:`Ultradistribution.scale` are formed
 by :func:`hypermoyal.sparse.multiply`, each with its own rule for the key
-of two terms' product.  ``Fraction`` values appear only at the edges: the views
-(and through them text and JSON), the validating constructor, and the
-:class:`CharSum` values of :meth:`ExpPoly.evaluate` and
+of two terms' product.  ``Fraction`` values and binarions appear only at the
+edges: the views (and through them text and JSON), the validating
+constructor, and the :class:`CharSum` values of :meth:`ExpPoly.evaluate` and
 :meth:`Ultradistribution.pair`.
 
 The module also carries the symbol <-> distribution bridge used by the
@@ -47,10 +48,10 @@ the two distributions: each pair adds its locations and orders, gains the
 character ``exp(u*h*<q1, p2>)``, takes the twist's derivatives from a
 closed form per coordinate pair ``(q1_i, p2_i)`` and is transformed back
 under its output key.  :meth:`ExpPoly.differentiate_multi` has a closed
-form per coordinate.  These kernels read each operand's coefficients as
-integer numerators over one denominator with :func:`hypermoyal.sparse.numerators`,
-add them with :func:`hypermoyal.sparse.add_parts` and build each output binarion
-once with :func:`hypermoyal.sparse.from_parts`.  On polynomial symbols this
+form per coordinate.  These kernels read each operand's stored integer
+coefficients and its ``_cden``, add them with
+:func:`hypermoyal.sparse.add_parts` and hand the sums and their one
+denominator to the reducing ``_make``.  On polynomial symbols this
 agrees exactly with :func:`hypermoyal.symbols.star`.
 """
 
@@ -61,7 +62,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import add, mul
 
-from .errors import DimensionMismatchError, SignatureMismatchError, json_field
+from .errors import DimensionMismatchError, json_field
 from .scalars import (
     Binarion,
     Sigma,
@@ -71,8 +72,8 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, collect, from_parts,
-                     integer, multiply, nonnegative, numerators, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, integer, multiply,
+                     nonnegative, stored, summed)
 from .symbols import PolySymbol, check_degree_cap
 
 
@@ -111,10 +112,10 @@ class CharSum(ScalarRing):
     def as_binarion(self) -> Binarion:
         if not self.is_scalar():
             raise ValueError(f"{self} carries formal characters; not a plain scalar")
-        return self._terms.get(Fraction(0), Binarion.zero(self.sigma))
+        return self._binarions().get(Fraction(0), Binarion.zero(self.sigma))
 
     def conjugate(self) -> "CharSum":
-        return self._new({-r: c.conjugate() for r, c in self._terms.items()})
+        return self._new({-r: (re, -im) for r, (re, im) in self._terms.items()}, self._cden)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -123,7 +124,7 @@ class CharSum(ScalarRing):
         re = 0.0
         im = 0.0
         hyper = self.sigma is Sigma.HYPERBOLIC
-        for r, c in self._terms.items():
+        for r, c in self._binarions().items():
             x, y = c.to_floats()
             if hyper:
                 cr, sr = math.cosh(r), math.sinh(r)
@@ -143,17 +144,18 @@ class CharSum(ScalarRing):
         return str(c) if r == 0 else f"({c})*e^({r}{self.sigma.unit_symbol})"
 
 
-def _times_unit_power(c: Binarion, n: int, sign: int) -> Binarion:
-    """``c * (sign*u)^n`` for ``sign = +-1``, without a binarion power.
+def _times_unit_power(parts: tuple, n: int, sign: int, s: int) -> tuple:
+    """The integer parts ``(re, im)`` times ``(sign*u)^n`` for ``sign = +-1``,
+    in the ring where ``u*u = s``.
 
-    ``u^n = sigma^(n//2) u^(n%2)``, so the power is a sign, and for odd
-    ``n`` a factor ``u``, which maps ``x + u*y`` to ``sigma*y + u*x``.
+    ``u^n = s^(n//2) u^(n%2)``, so the power is a sign, and for odd ``n`` a
+    factor ``u``, which maps ``x + u*y`` to ``s*y + u*x``.
     """
-    s = c.sigma.value
+    re, im = parts
     scale = sign**n * s ** (n // 2)
     if n % 2:
-        return Binarion(scale * s * c.im, scale * c.re, c.sigma)
-    return c if scale == 1 else -c
+        return scale * s * im, scale * re
+    return scale * re, scale * im
 
 
 def _weight_to_json(w: CharSum) -> dict:
@@ -174,15 +176,17 @@ class _CharSumTerms(SizedMap):
     """The key storage, constructor and JSON entry of :class:`ExpPoly` and
     :class:`Ultradistribution`.
 
-    Both map ``(vector, orders, r)`` to a binarion, so the ``r`` parts of one
-    head ``(vector, orders)`` are its :class:`CharSum` weight.  The vector
-    and ``r`` are stored as integer numerators over ``_den``, the least
-    common denominator: ``gcd(_den, every numerator) == 1``, and ``_den == 1``
-    for the empty element.  So equal elements store equal terms, and
-    numerators sort as their values do.  Each class declares the JSON names
-    of an entry's vector, orders and weight as ``_ENTRY``, and as
-    ``_ERRORS`` the messages for a negative order, a vector whose length is
-    not ``dim`` (a template) and a foreign sigma.
+    Both map ``(vector, orders, r)`` to a coefficient, so the ``r`` parts of
+    one head ``(vector, orders)`` are its :class:`CharSum` weight.  The
+    vector and ``r`` are stored as integer numerators over ``_den``, the
+    least common denominator: ``gcd(_den, every numerator) == 1``, and
+    ``_den == 1`` for the empty element.  So equal elements store equal
+    terms, and numerators sort as their values do.  ``_den`` is apart from
+    ``_cden``, the denominator of the coefficients.  Each class declares the
+    JSON names of an entry's vector, orders and weight as ``_ENTRY``, and as
+    ``_ERRORS`` the messages for a negative order and a vector whose length
+    is not ``dim`` (a template), and the name of the class in the message
+    for a coefficient of a foreign sigma.
     """
 
     __slots__ = ("_den",)
@@ -190,7 +194,7 @@ class _CharSumTerms(SizedMap):
 
     def _fill(self, dim: int, sigma: Sigma, entries):
         """Validate ``((vector, orders), weight)`` entries and store their flat terms."""
-        negative, length, foreign = self._ERRORS
+        negative, length, owner = self._ERRORS
         self._size = integer(dim)
         if self._size < 1:
             raise DimensionMismatchError("dim must be >= 1")
@@ -201,11 +205,9 @@ class _CharSumTerms(SizedMap):
             orders = nonnegative(orders, negative)
             if len(vector) != self._size or len(orders) != self._size:
                 raise DimensionMismatchError(length.format(self._size))
-            weight = CharSum.from_scalar(weight, self.sigma)
-            if weight.sigma is not self.sigma:
-                raise SignatureMismatchError(foreign)
-            pairs += [((vector, orders, r), c) for r, c in weight._terms.items()]
-        terms = collect(pairs)
+            pairs += [((vector, orders, r), c)
+                      for r, c in CharSum._coefficient_terms(weight, self.sigma, owner)]
+        terms, self._cden = stored(pairs)
         den = math.lcm(*(x.denominator for vector, _, r in terms for x in (*vector, r)))
         self._den = den
         self._terms = {
@@ -215,27 +217,27 @@ class _CharSumTerms(SizedMap):
         }
 
     @classmethod
-    def _make(cls, size, sigma, terms: dict, den: int = 1):
-        """The element of ``terms``, whose vector and ``r`` parts are numerators
-        over ``den``, reduced to the least common denominator; nothing else
-        is checked."""
+    def _make(cls, size, sigma, terms: dict, cden: int = 1, den: int = 1):
+        """:meth:`SparseMap._make`, then with the vector and ``r`` parts of the
+        keys, numerators over ``den``, reduced to the least common
+        denominator."""
+        out = super()._make(size, sigma, terms, cden)
         g = den
-        for vector, _, r in terms:
+        for vector, _, r in out._terms:
             if g == 1:
                 break
             g = math.gcd(g, r, *vector)
         if g > 1:
             den //= g
-            terms = {
+            out._terms = {
                 (tuple(n // g for n in vector), orders, r // g): c
-                for (vector, orders, r), c in terms.items()
+                for (vector, orders, r), c in out._terms.items()
             }
-        out = super()._make(size, sigma, terms)
         out._den = den
         return out
 
-    def _new(self, terms: dict, den: int = None):
-        return self._make(self._size, self.sigma, terms, self._den if den is None else den)
+    def _new(self, terms: dict, cden: int, den: int = None):
+        return self._make(self._size, self.sigma, terms, cden, self._den if den is None else den)
 
     def _at(self, den: int):
         """This element with its vector and ``r`` parts over ``den``, a multiple
@@ -245,7 +247,7 @@ class _CharSumTerms(SizedMap):
             return self
         f = den // self._den
         out = object.__new__(type(self))
-        out._size, out.sigma, out._den = self._size, self.sigma, den
+        out._size, out.sigma, out._cden, out._den = self._size, self.sigma, self._cden, den
         out._terms = {
             (tuple(n * f for n in vector), orders, r * f): c
             for (vector, orders, r), c in self._terms.items()
@@ -263,7 +265,8 @@ class _CharSumTerms(SizedMap):
         den, sigma = self._den, self.sigma
         return [
             ((tuple(Fraction(n, den) for n in vector), orders),
-             CharSum._make(None, sigma, {Fraction(r, den): c for r, c in weight._terms.items()}))
+             CharSum._make(None, sigma, {Fraction(r, den): c for r, c in weight._terms.items()},
+                           weight._cden))
             for (vector, orders), weight in super()._grouped()
         ]
 
@@ -297,7 +300,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
     _JSON_FIELDS = ("dim", "terms")
     _ENTRY = ("freq", "exp", "coeff")
     _ERRORS = ("negative exponents are not allowed", "term vectors must have length {}",
-               "coefficient sigma differs from ExpPoly sigma")
+               "ExpPoly")
     _SCALARS = (CharSum, Binarion, int, Fraction)
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the domain.")
 
@@ -352,13 +355,12 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         h = _as_fraction(h)
         hn, hd = h.numerator, h.denominator
         top = max((d for _, _, d in symbol._terms), default=0)
-        den, weights = numerators(symbol._terms)
         freq = (0,) * dim
         acc = {}
-        for (alpha, beta, d), re, im in weights:
+        for (alpha, beta, d), (re, im) in symbol._terms.items():
             c = hn**d * hd ** (top - d)  # h^d over hd^top
             add_parts(acc, (freq, alpha + beta, 0), c * re, c * im)
-        return cls._make(dim, symbol.sigma, from_parts(acc, symbol.sigma, den * hd**top))
+        return cls._make(dim, symbol.sigma, acc, symbol._cden * hd**top)
 
     def _constant(self, value) -> "ExpPoly":
         return ExpPoly.constant(value, self.dim, self.sigma)
@@ -385,17 +387,18 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         """Exact partial derivative along coordinate ``index``."""
         if not 0 <= index < self.dim:
             raise IndexError(f"index {index} out of range for dim {self.dim}")
-        u = Binarion.unit(self.sigma)
-        out = []
-        for (freq, exps, r), coeff in self._terms.items():
+        s, den = self.sigma.value, self._den
+        acc = {}
+        for (freq, exps, r), (re, im) in self._terms.items():
             e = exps[index]
-            if e > 0:
+            if e > 0:  # e x^(e-1), over den like the term below
                 lowered = list(exps)
                 lowered[index] -= 1
-                out.append(((freq, tuple(lowered), r), coeff * e))
-            if freq[index] != 0:
-                out.append(((freq, exps, r), coeff * (u * Fraction(freq[index], self._den))))
-        return self._new(collect(out))
+                add_parts(acc, (freq, tuple(lowered), r), e * den * re, e * den * im)
+            f = freq[index]
+            if f:  # times u f / den: x + u*y -> f (s*y + u*x)
+                add_parts(acc, (freq, exps, r), f * s * im, f * re)
+        return self._new(acc, self._cden * den)
 
     def differentiate_multi(self, order) -> "ExpPoly":
         """Exact mixed partial derivative ``d^order``, in closed form.
@@ -422,9 +425,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         s = self.sigma.value
         top = sum(n for _, n in axes)
         pads = [self._den ** (top - m) for m in range(top + 1)]
-        den, weights = numerators(self._terms)
         acc = {}
-        for (freq, exps, r), c_re, c_im in weights:
+        for (freq, exps, r), (c_re, c_im) in self._terms.items():
             per_axis = []
             for i, n in axes:
                 e, f = exps[i], freq[i]
@@ -453,7 +455,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                     else:
                         re, im = factor * c_re, factor * c_im
                     add_parts(acc, (freq, tuple(lowered), r), re, im)
-        return self._new(from_parts(acc, self.sigma, den * self._den**top))
+        return self._new(acc, self._cden * self._den**top)
 
     def shift(self, offset) -> "ExpPoly":
         """Exact substitution ``x -> x + offset`` for a rational offset vector.
@@ -464,21 +466,25 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         offset = tuple(_as_fraction(c) for c in offset)
         if len(offset) != self.dim:
             raise DimensionMismatchError("offset length must match dim")
-        # keys move from _den onto _den * q, q the offset's denominator
+        # keys move from _den onto _den * q, q the offset's denominator; the
+        # power (n/q)^m of an offset part is padded to q^top, top the largest degree
         q = math.lcm(*(c.denominator for c in offset))
         nums = [c.numerator * (q // c.denominator) for c in offset]
-        out = []
-        for (freq, exps, r), coeff in self._terms.items():
+        top = max((sum(exps) for _, exps, _ in self._terms), default=0)
+        pads = [q ** (top - m) for m in range(top + 1)]
+        acc = {}
+        for (freq, exps, r), (re, im) in self._terms.items():
             phase = r * q + sum(map(mul, freq, nums))
             freq = tuple(f * q for f in freq)
             expansions = [
-                [(j, math.comb(e, j) * c ** (e - j)) for j in range(e + 1)] if c else [(e, 1)]
-                for e, c in zip(exps, offset)
+                [(j, math.comb(e, j) * n ** (e - j), e - j) for j in range(e + 1)] if n
+                else [(e, 1, 0)]
+                for e, n in zip(exps, nums)
             ]
             for choice in iter_product(*expansions):
-                scalar = math.prod(s for _, s in choice)
-                out.append(((freq, tuple(j for j, _ in choice), phase), coeff * scalar))
-        return self._new(collect(out), self._den * q)
+                c = math.prod(x for _, x, _ in choice) * pads[sum(m for _, _, m in choice)]
+                add_parts(acc, (freq, tuple(j for j, _, _ in choice), phase), c * re, c * im)
+        return self._new(acc, self._cden * q**top, self._den * q)
 
     def evaluate(self, point) -> CharSum:
         """Exact evaluation at a rational point; characters stay formal."""
@@ -486,12 +492,12 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         if len(point) != self.dim:
             raise DimensionMismatchError("point length must match dim")
         values = []
-        for (freq, exps, r), coeff in self._terms.items():
+        for (freq, exps, r), coeff in self._binarions().items():
             mono = math.prod(x**e for x, e in zip(point, exps))
             if mono:
                 phase = Fraction(r + sum(map(mul, freq, point)), self._den)
                 values.append((phase, coeff * mono))
-        return CharSum._make(None, self.sigma, collect(values))
+        return CharSum._make(None, self.sigma, *stored(values))
 
     # -- rendering ----------------------------------------------------------------------
 
@@ -543,7 +549,7 @@ class Ultradistribution(_CharSumTerms):
     _JSON_FIELDS = ("dim", "atoms")
     _ENTRY = ("loc", "order", "weight")
     _ERRORS = ("derivative orders must be nonnegative", "atom vectors must have length {}",
-               "coefficient sigma differs from distribution sigma")
+               "distribution")
     _SCALARS = ()
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the space.")
 
@@ -577,8 +583,9 @@ class Ultradistribution(_CharSumTerms):
         den = math.lcm(self._den, *(s.denominator for s in factor._terms))
         shifts = {s.numerator * (den // s.denominator): c for s, c in factor._terms.items()}
         # the character exp(u*s) shifts the r of each atom by s
-        return self._new(multiply(self._at(den)._terms, shifts, self.sigma,
-                                  lambda k, s: ((k[0], k[1], k[2] + s), 1)), den)
+        terms = multiply(self._at(den)._terms, shifts, self.sigma.value,
+                         lambda k, s: ((k[0], k[1], k[2] + s), 1))
+        return self._new(terms, self._cden * factor._cden, den)
 
     # -- distribution calculus ----------------------------------------------------------
 
@@ -594,7 +601,7 @@ class Ultradistribution(_CharSumTerms):
             raised = list(order)
             raised[axis] += 1
             out[(loc, tuple(raised), r)] = w
-        return self._new(out)
+        return self._new(out, self._cden)
 
     def derivative_multi(self, order) -> "Ultradistribution":
         """Raise every atom's derivative order by ``order`` in one pass.
@@ -608,7 +615,7 @@ class Ultradistribution(_CharSumTerms):
                 raise IndexError(f"axis {axis} out of range for dim {self.dim}")
         return self._new({
             (loc, tuple(map(add, o, raised)), r): w for (loc, o, r), w in self._terms.items()
-        })
+        }, self._cden)
 
     def mul_monomial(self, exponents) -> "Ultradistribution":
         """Multiply by ``x^exponents``, expanded on atoms via the Leibniz rule.
@@ -627,9 +634,8 @@ class Ultradistribution(_CharSumTerms):
         exponents = nonnegative(exponents, "monomial exponents must be nonnegative")
         if len(exponents) != self.dim:
             raise DimensionMismatchError("exponent vector length must match dim")
-        den, weights = numerators(self._terms)
         acc = {}
-        for (loc, order, r), w_re, w_im in weights:
+        for (loc, order, r), (w_re, w_im) in self._terms.items():
             # per axis the nonzero (m - kappa, binom(m, kappa) n!/(n-kappa)! x0^(n-kappa), kappa)
             per_axis = [
                 [(m - j, math.comb(m, j) * math.perm(n, j) * x0 ** (n - j) * self._den**j, j)
@@ -642,7 +648,7 @@ class Ultradistribution(_CharSumTerms):
                 if sum(kappa) % 2:
                     scalar = -scalar
                 add_parts(acc, (loc, new_order, r), scalar * w_re, scalar * w_im)
-        return self._new(from_parts(acc, self.sigma, den * self._den ** sum(exponents)))
+        return self._new(acc, self._cden * self._den ** sum(exponents))
 
     def pair(self, f: ExpPoly) -> CharSum:
         """Exact pairing with a test function: ``(delta^(n)_x0, f) = (-1)^|n| (d^n f)(x0)``."""
@@ -666,17 +672,19 @@ class Ultradistribution(_CharSumTerms):
 
         Each atom ``(x0, n, w)`` contributes ``w * (-u*y)^n * exp(u*<y, x0>)``.
         """
+        s = self.sigma.value
         return ExpPoly._make(self.dim, self.sigma, {
-            key: _times_unit_power(w, sum(key[1]), -1) for key, w in self._terms.items()
-        }, self._den)
+            key: _times_unit_power(w, sum(key[1]), -1, s) for key, w in self._terms.items()
+        }, self._cden, self._den)
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         self._check_sigma(other)
         a, b = self._aligned(other)
         # locations and orders concatenate, characters add
-        terms = multiply(a._terms, b._terms, self.sigma,
+        terms = multiply(a._terms, b._terms, self.sigma.value,
                          lambda k1, k2: ((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2]), 1))
-        return Ultradistribution._make(self.dim + other.dim, self.sigma, terms, a._den)
+        return Ultradistribution._make(self.dim + other.dim, self.sigma, terms,
+                                       a._cden * b._cden, a._den)
 
     # -- rendering / serialization -----------------------------------------------------
 
@@ -714,11 +722,10 @@ def inverse_fourier_symbol(a, h=None) -> Ultradistribution:
     a = _coerce_symbol(a, h)
     if a.dim % 2:
         raise DimensionMismatchError("phase-space symbols need even dimension")
-    minus_sigma = -a.sigma.value  # -1/u = -sigma*u
+    s = a.sigma.value  # -1/u = -s*u
     return Ultradistribution._make(a.dim, a.sigma, {
-        key: _times_unit_power(coeff, sum(key[1]), minus_sigma)
-        for key, coeff in a._terms.items()
-    }, a._den)
+        key: _times_unit_power(coeff, sum(key[1]), -s, s) for key, coeff in a._terms.items()
+    }, a._cden, a._den)
 
 
 def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
@@ -799,19 +806,18 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
     hn, hd = h.numerator, h.denominator
     dist_a, dist_b = inverse_fourier_symbol(ea), inverse_fourier_symbol(eb)
     da, db = dist_a._den, dist_b._den
-    wa, atoms_a = numerators(dist_a._terms)
-    wb, atoms_b = numerators(dist_b._terms)
-    big_a = max((sum(o[k:]) for (_, o, _), _, _ in atoms_a), default=0)
-    big_b = max((sum(o[:k]) for (_, o, _), _, _ in atoms_b), default=0)
+    wa, wb = dist_a._cden, dist_b._cden
+    big_a = max((sum(o[k:]) for _, o, _ in dist_a._terms), default=0)
+    big_b = max((sum(o[:k]) for _, o, _ in dist_b._terms), default=0)
     # keys move onto hd da db; weights are padded to the twist's denominator
     fa, fb = hd * db, hd * da
     atoms_a = [
         (tuple(v * fa for v in la), ra * fa, la[k:], oa, fa ** (big_a - sum(oa[k:])), re, im)
-        for (la, oa, ra), re, im in atoms_a
+        for (la, oa, ra), (re, im) in dist_a._terms.items()
     ]
     atoms_b = [
         (tuple(v * fb for v in lb), rb * fb, lb[:k], ob, fb ** (big_b - sum(ob[:k])), re, im)
-        for (lb, ob, rb), re, im in atoms_b
+        for (lb, ob, rb), (re, im) in dist_b._terms.items()
     ]
     acc = {}
     for la, ra, xs, oa, pad_a, xa, ya in atoms_a:
@@ -836,7 +842,7 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
                 re, im = (scale * s * im, scale * re) if n % 2 else (scale * re, scale * im)
                 add_parts(acc, (loc, order, phase), re, im)
     den = wa * wb * hd ** (big_a + big_b) * da**big_b * db**big_a
-    return ExpPoly._make(2 * k, sigma, from_parts(acc, sigma, den), hd * da * db)
+    return ExpPoly._make(2 * k, sigma, acc, den, hd * da * db)
 
 
 def paley_wiener_growth(f: ExpPoly, n_max: int) -> tuple[float, float]:

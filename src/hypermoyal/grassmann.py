@@ -20,7 +20,7 @@ import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import Sigma, as_sigma, binarion_from_json, binarion_to_json
-from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, collect, integer
+from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, integer, stored
 
 #: Largest generator count :func:`annihilator_witness` accepts.  Its check
 #: visits all ``2^n`` basis monomials, so its time doubles with each
@@ -99,7 +99,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
                     f"monomial uses generators up to θ{mask.bit_length()}, beyond n={self.n}"
                 )
             pairs.append((mask, binarion_coefficient(coeff, self.sigma, "algebra")))
-        self._terms = collect(pairs)
+        self._terms, self._cden = stored(pairs)
 
     # -- constructors -----------------------------------------------------
 
@@ -141,10 +141,10 @@ class GrassmannElement(SizedMap, SparseAlgebra):
         return Parity.EVEN
 
     def even_part(self) -> "GrassmannElement":
-        return self._new({m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0})
+        return self._new({m: c for m, c in self._terms.items() if not m.bit_count() % 2}, self._cden)
 
     def odd_part(self) -> "GrassmannElement":
-        return self._new({m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1})
+        return self._new({m: c for m, c in self._terms.items() if m.bit_count() % 2}, self._cden)
 
     # -- algebra -----------------------------------------------------------------
 

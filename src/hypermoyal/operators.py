@@ -30,8 +30,8 @@ product -- the operator-side oracle of the symbol calculus.  The
 normal-ordered kernel therefore shares no kernel math with the star
 kernels or with the shift route's closed-form
 :meth:`ExpPoly.differentiate_multi`, and the shift route uses none of the
-normal-ordered kernel; all of them only read, add and divide integer
-numerators of their real and unit parts through :mod:`hypermoyal.sparse`.  The
+normal-ordered kernel; all of them read the integer parts that
+:mod:`hypermoyal.sparse` stores, add them and reduce the sums once.  The
 defining eigenrelation is ``apply(a, e) = a(q, p0) * e`` on the plane wave
 ``e = exp(u*<p0, q>/h)``.  Every route refuses a symbol whose degree
 exceeds ``degree_cap`` (``None`` means ``DEFAULT_DEGREE_CAP``, as for
@@ -57,7 +57,7 @@ from .distributions import (
 )
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
-from .sparse import add_parts, from_parts, numerators
+from .sparse import add_parts
 from .parsing import parse_symbol
 from .symbols import PolySymbol, check_degree_cap, star
 
@@ -284,8 +284,8 @@ class Operator:
         ``D_w``, and the frequencies are read from the wavefunction's keys,
         integers over its one denominator ``F``; ``f^(b - j)`` is padded by
         ``F^(M - m)``, ``M = max|beta|`` and ``m = sum(b - j)``, which puts
-        every output key over the one denominator ``D_s D_w F^M``, divided
-        out once when the result is built.
+        every output key over the one denominator ``D_s D_w F^M``, reduced
+        once when the result is built.
         """
         if not isinstance(self.symbol, PolySymbol):
             raise TypeError("normal-ordered route needs a polynomial symbol")
@@ -298,10 +298,10 @@ class Operator:
         # symbol coefficients at this h, times (sigma*h)^|beta|, grouped by beta:
         # numerators over D_s = D_v h_d^T, D_v the coefficients' denominator
         # and T the largest hdeg + |beta|
-        d_v, weights = numerators(self.symbol._terms)
+        d_v = self.symbol._cden
         top = max((d + sum(beta) for _, beta, d in self.symbol._terms), default=0)
         by_beta = {}
-        for (alpha, beta, d), re, im in weights:
+        for (alpha, beta, d), (re, im) in self.symbol._terms.items():
             order = sum(beta)
             c = h_n ** (d + order) * h_d ** (top - d - order) * (s if order % 2 else 1)
             add_parts(by_beta.setdefault(beta, {}), alpha, c * re, c * im)
@@ -313,9 +313,9 @@ class Operator:
         big_m = max((order for _, order, _ in groups), default=0)
         f_den = phi.func._den
         pads = [f_den ** (big_m - m) for m in range(big_m + 1)]
-        d_w, terms = numerators(phi.func._terms)
+        d_w = phi.func._cden
         acc = {}
-        for (freq, exps, r), w_re, w_im in terms:
+        for (freq, exps, r), (w_re, w_im) in phi.func._terms.items():
             for beta, order, coeffs in groups:
                 derivatives = []
                 for lowered, c, m in _derivative_terms(beta, exps, freq):
@@ -332,8 +332,7 @@ class Operator:
                         key = (freq, tuple(map(add, lowered, alpha)), r)
                         dx, dy = (c * s * y, c * x) if odd else (c * x, c * y)
                         add_parts(acc, key, dx, dy)
-        out = from_parts(acc, sigma, d_s * d_w * f_den**big_m)
-        return WaveFunction(ExpPoly._make(self.dof, sigma, out, f_den), h)
+        return WaveFunction(ExpPoly._make(self.dof, sigma, acc, d_s * d_w * f_den**big_m, f_den), h)
 
     def apply_shift_form(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Route through the symbol's distribution.
@@ -364,10 +363,10 @@ class Operator:
         h = self.h
         h_n, h_d = h.numerator, h.denominator
         dist = inverse_fourier_symbol(self.symbol, h)
-        d_a, weights = numerators(dist._terms)
+        d_a = dist._cden
         top = max((sum(order[k:]) for _, order, _ in dist._terms), default=0)
         groups = {}
-        for (loc, order, rho), re, im in weights:
+        for (loc, order, rho), (re, im) in dist._terms.items():
             r, t = order[:k], order[k:]
             n, order_t = sum(r), sum(t)
             c = h_n**order_t * h_d ** (top - order_t) * s ** (n // 2)
@@ -385,18 +384,18 @@ class Operator:
             part = phi.func.differentiate_multi(t)
             if any(b_vec):
                 part = part.shift(tuple(h * b / dist._den for b in b_vec))
-            parts.append((part, numerators(part._terms), atoms))
-        key_den = math.lcm(dist._den, *(part._den for part, _, _ in parts))
-        d_p = math.lcm(*(den for _, (den, _), _ in parts))
+            parts.append((part, atoms))
+        key_den = math.lcm(dist._den, *(part._den for part, _ in parts))
+        d_p = math.lcm(*(part._cden for part, _ in parts))
         acc = {}
-        for part, (den, terms), atoms in parts:
-            f_part, f_atom, f_coeff = key_den // part._den, key_den // dist._den, d_p // den
+        for part, atoms in parts:
+            f_part, f_atom, f_coeff = key_den // part._den, key_den // dist._den, d_p // part._cden
             atoms = [
                 (None if a_vec is None else tuple(f_atom * a for a in a_vec), r, f_atom * rho,
                  re, im)
                 for a_vec, r, rho, re, im in atoms
             ]
-            for (freq, exps, phase), c_re, c_im in terms:
+            for (freq, exps, phase), (c_re, c_im) in part._terms.items():
                 c_re, c_im = f_coeff * c_re, f_coeff * c_im
                 freq = tuple(f_part * f for f in freq)
                 phase *= f_part
@@ -407,8 +406,7 @@ class Operator:
                         phase + rho,
                     )
                     add_parts(acc, key, c_re * re + s * c_im * im, c_re * im + c_im * re)
-        out = from_parts(acc, sigma, d_a * h_d**top * d_p)
-        return WaveFunction(ExpPoly._make(k, sigma, out, key_den), h)
+        return WaveFunction(ExpPoly._make(k, sigma, acc, d_a * h_d**top * d_p, key_den), h)
 
     # -- serialization -------------------------------------------------------------
 
@@ -425,7 +423,14 @@ class Operator:
     def from_json_dict(cls, data: dict) -> "Operator":
         """The operator of ``{"symbol", "h", "sigma", "kind"}``.  ``kind`` is
         ``"poly"`` (the default) or ``"exp"``; a ``poly`` symbol is a term map
-        or an expression, parsed at ``sigma``."""
+        or an expression, parsed at ``sigma`` and at the degrees of freedom of
+        its highest variable index."""
+        return cls._from_json(data, None)
+
+    @classmethod
+    def _from_json(cls, data, dof) -> "Operator":
+        """:meth:`from_json_dict`, with an expression parsed at ``dof`` degrees
+        of freedom unless ``dof`` is ``None``; a term map keeps its own."""
         kind = data.get("kind", "poly") if isinstance(data, dict) else "poly"
         if kind not in ("poly", "exp"):
             raise ValidationError(f"kind: expected 'poly' or 'exp', got {kind!r}")
@@ -438,7 +443,7 @@ class Operator:
                 return (PolySymbol if kind == "poly" else ExpPoly).from_json_dict(value)
             if kind != "poly":
                 raise ValidationError(f"an expression is a 'poly' symbol, not {kind!r}")
-            return parse_symbol(value, sigma)
+            return parse_symbol(value, sigma, dof)
 
         return cls(json_field(data, "symbol", read_symbol), json_field(data, "h", _json_fraction),
                    sigma or json_field(data, "sigma", as_sigma))

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .scalars import Binarion, as_sigma
+from .sparse import integer
 from .symbols import HPoly, PolySymbol
 
 #: Largest variable or generator index, and largest ``dof``, an expression
@@ -192,7 +193,7 @@ def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
     used (bare ``q``/``p`` count as index 1).
     """
     sigma = as_sigma(sigma)
-    k = _highest_index("qp", text) if dof is None else int(dof)
+    k = _highest_index("qp", text) if dof is None else integer(dof)
     if k > MAX_INDEX:
         raise ValidationError(f"dof must be <= {MAX_INDEX}, got {k}")
 

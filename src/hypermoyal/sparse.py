@@ -11,21 +11,21 @@ every product is formed by one loop, :func:`multiply`, which takes from
 each class only the key of the product of two terms and, for Grassmann
 elements, its reordering sign.
 
-Elements enter in two ways.  A class's public constructor validates its
-input (key shapes, signs, the coefficients' signature) and sums it with
-:func:`collect`.  Results of arithmetic are built by :meth:`SparseMap._make`
-(or ``_new``, which keeps the operand's size and signature), which checks
-nothing: their keys are canonical and no coefficient is zero by
+Coefficients are stored as integers: ``_terms`` maps each key to ints
+``(re, im)``, the coefficient ``(re + u*im) / _cden``, over the least
+positive ``_cden`` (``gcd(_cden, every part) == 1``, no ``(0, 0)`` pair,
+``_cden == 1`` when empty), so equal elements store equal terms.  Binarions
+exist only at two edges: a public constructor validates its input (key
+shapes, signs, the coefficients' signature) and stores its sums through
+:func:`numerators`, and the views build binarions with :func:`from_parts`.
+Arithmetic and the route kernels sum integers, with :func:`add_parts`, over
+one denominator, and :meth:`SparseMap._make` (or ``_new``, which keeps the
+operand's size and signature) stores the sums with the zero pairs dropped,
+reduced by one gcd pass.  It checks nothing else: keys are canonical by
 construction, which the test suite checks by passing every result back
-through the public constructor.
-
-The closed-form kernels of the three star-product routes sum integers between
-two edges: :func:`numerators` reads coefficients as numerators over their least
-common denominator, and :func:`from_parts` divides ``{key: [re, im]}`` sums, added
-by :func:`add_parts`, by one denominator and builds each nonzero binarion once.
-They only convert, add and divide; structure constants, derivative factors,
-unit-power folds and the padding of denominators stay in each route.
-:func:`multiply` sums between the same edges, but no route kernel calls it.
+through the public constructor.  Structure constants, derivative factors,
+unit-power folds and the padding of denominators stay in each route; no
+route kernel calls :func:`multiply`.
 
 Every edge that reads keys is here.  Views, text and JSON all come from
 :meth:`SparseMap._grouped`, the sorted terms, with the last key part grouped
@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import add, sub
 
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, as_sigma
@@ -73,10 +72,10 @@ def add_parts(acc: dict, key, re, im):
 
 
 def numerators(terms: dict) -> tuple:
-    """The coefficients of ``terms`` as integer numerators over their least
-    common denominator: ``(den, [(key, re, im), ...])`` with each coefficient
-    equal to ``(re + u*im) / den``; ``(1, [])`` for no terms.  The read-side
-    twin of :func:`from_parts`."""
+    """The binarion coefficients of ``terms`` as integer numerators over their
+    least common denominator: ``(den, [(key, re, im), ...])`` with each
+    coefficient equal to ``(re + u*im) / den``; ``(1, [])`` for no terms.  The
+    constructor edge, and the twin of :func:`from_parts`."""
     den = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
     return den, [
         (key, c.re.numerator * (den // c.re.denominator),
@@ -88,7 +87,8 @@ def numerators(terms: dict) -> tuple:
 def from_parts(acc: dict, sigma, den: int = 1) -> dict:
     """The nonzero ``(re + u*im) / den`` of the ``[re, im]`` entries of ``acc``
     as binarions of the :class:`Sigma` ``sigma``, each built once, without
-    re-validation.  ``den`` is the common denominator of the numerators."""
+    re-validation.  ``den`` is the common denominator of the numerators.  The
+    view edge."""
     return {
         key: Binarion._exact(Fraction(re, den), Fraction(im, den), sigma)
         for key, (re, im) in acc.items()
@@ -96,21 +96,26 @@ def from_parts(acc: dict, sigma, den: int = 1) -> dict:
     }
 
 
-def multiply(left: dict, right: dict, sigma, key_mul) -> dict:
-    """The product of two term maps, summed in integers between :func:`numerators`
-    and :func:`from_parts`: each pair of terms under the key and sign that
-    ``key_mul(k1, k2)`` gives as ``(key, +-1)``, or dropped for ``None``."""
-    s = sigma.value
-    d1, terms1 = numerators(left)
-    d2, terms2 = numerators(right)
+def multiply(left: dict, right: dict, s: int, key_mul) -> dict:
+    """The product of two stored ``{key: (re, im)}`` term maps of a ring where
+    ``u*u = s``, as integer parts over the product of their denominators: each
+    pair of terms under the key and sign that ``key_mul(k1, k2)`` gives as
+    ``(key, +-1)``, or dropped for ``None``."""
     acc = {}
-    for k1, x1, y1 in terms1:
-        for k2, x2, y2 in terms2:
+    for k1, (x1, y1) in left.items():
+        for k2, (x2, y2) in right.items():
             term = key_mul(k1, k2)
             if term is not None:
                 key, sign = term
                 add_parts(acc, key, sign * (x1 * x2 + s * y1 * y2), sign * (x1 * y2 + y1 * x2))
-    return from_parts(acc, sigma, d1 * d2)
+    return acc
+
+
+def stored(pairs) -> tuple:
+    """``(key, binarion)`` pairs, summed by :func:`collect`, in stored form:
+    ``({key: (re, im)}, den)``, over the least common denominator."""
+    den, triples = numerators(collect(pairs))
+    return {key: (re, im) for key, re, im in triples}, den
 
 
 def integer(value) -> int:
@@ -146,7 +151,9 @@ class SparseMap:
 
     ``sigma`` is the signature of every coefficient.  ``_size`` is the
     dimension of the space the keys live on (``dof``, ``dim`` or ``n`` of a
-    :class:`SizedMap`; ``None`` for the scalar rings).
+    :class:`SizedMap`; ``None`` for the scalar rings).  ``_terms`` maps each
+    key to the integer pair ``(re, im)`` of the coefficient ``(re + u*im) /
+    _cden`` (see the module docstring).
 
     Views, text and JSON all read :meth:`_grouped`, the terms as sorted
     ``(head, coefficient)`` pairs.  A class whose last key part is the key
@@ -155,7 +162,7 @@ class SparseMap:
     joins one ``_term_text(head, coefficient)`` per term with ``" + "``.
     """
 
-    __slots__ = ("sigma", "_size", "_terms")
+    __slots__ = ("sigma", "_size", "_terms", "_cden")
 
     _VIEW = None
     _ORDER = None
@@ -163,16 +170,29 @@ class SparseMap:
     _SCALARS = (Binarion, int, Fraction)
 
     @classmethod
-    def _make(cls, size, sigma, terms: dict):
-        """The element holding ``terms`` as given; nothing is checked."""
+    def _make(cls, size, sigma, terms: dict, cden: int = 1):
+        """The element of ``{key: (re, im)}`` (or ``[re, im]``) integer parts
+        over ``cden``, with the zero pairs dropped and reduced to the least
+        denominator; nothing else is checked."""
+        terms = {key: (re, im) for key, (re, im) in terms.items() if re or im}
+        g = cden
+        for re, im in terms.values():
+            if g == 1:
+                break
+            g = math.gcd(g, re, im)
+        if g > 1:
+            cden //= g
+            terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
         out = object.__new__(cls)
-        out._size = size
-        out.sigma = sigma
-        out._terms = terms
+        out._size, out.sigma, out._terms, out._cden = size, sigma, terms, cden
         return out
 
-    def _new(self, terms: dict):
-        return self._make(self._size, self.sigma, terms)
+    def _new(self, terms: dict, cden: int):
+        return self._make(self._size, self.sigma, terms, cden)
+
+    def _binarions(self) -> dict:
+        """The stored terms as ``{key: Binarion}``, in stored order."""
+        return from_parts(self._terms, self.sigma, self._cden)
 
     def _constant(self, value):
         """``value`` (one of ``_SCALARS``) as an element like ``self``."""
@@ -196,33 +216,21 @@ class SparseMap:
             return self._coerce(self._constant(other))
         return None
 
-    def _map(self, fn):
-        """Apply ``fn`` to every coefficient, dropping the zeros it makes."""
-        out = {}
-        for key, value in self._terms.items():
-            value = fn(value)
-            if not value.is_zero():
-                out[key] = value
-        return self._new(out)
-
     def _aligned(self, other):
         """This element and ``other`` with keys that compare as their values
         do: as they are, unless a class stores keys over a denominator."""
         return self, other
 
-    def _merged(self, other, op):
+    def _merged(self, other, sign: int):
+        """``self + sign * other``, summed over the lcm of the denominators."""
         a, b = self._aligned(other)
-        out = dict(a._terms)
-        for key, value in b._terms.items():
-            if key in out:
-                value = op(out[key], value)
-                if value.is_zero():
-                    del out[key]
-                    continue
-            elif op is sub:
-                value = -value
-            out[key] = value
-        return a._new(out)
+        den = math.lcm(a._cden, b._cden)
+        fa, fb = den // a._cden, sign * (den // b._cden)
+        out = {key: (fa * re, fa * im) for key, (re, im) in a._terms.items()}
+        for key, (re, im) in b._terms.items():
+            x, y = out.get(key, (0, 0))
+            out[key] = (x + fb * re, y + fb * im)
+        return a._new(out, den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -234,12 +242,13 @@ class SparseMap:
         terms, or with a ``_VIEW`` ring the ``{last key part: value}`` part of
         each head as an element of ``_VIEW``, the heads sorted by ``_ORDER``."""
         if self._VIEW is None:
-            return sorted(self._terms.items())
+            return sorted(self._binarions().items())
         groups = {}
         for key, value in self._terms.items():
             groups.setdefault(key[:-1], {})[key[-1]] = value
-        make, sigma = self._VIEW._make, self.sigma
-        return [(head, make(None, sigma, groups[head])) for head in sorted(groups, key=self._ORDER)]
+        make, sigma, cden = self._VIEW._make, self.sigma, self._cden
+        heads = sorted(groups, key=self._ORDER)
+        return [(head, make(None, sigma, groups[head], cden)) for head in heads]
 
     def __str__(self) -> str:
         if not self._terms:
@@ -253,7 +262,7 @@ class SparseMap:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._merged(o, add)
+        return self._merged(o, 1)
 
     __radd__ = __add__
 
@@ -261,7 +270,7 @@ class SparseMap:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._merged(o, sub)
+        return self._merged(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -270,7 +279,7 @@ class SparseMap:
         return o - self
 
     def __neg__(self):
-        return self._new({key: -value for key, value in self._terms.items()})
+        return self._new({key: (-re, -im) for key, (re, im) in self._terms.items()}, self._cden)
 
     def __eq__(self, other):
         if isinstance(other, self._SCALARS):
@@ -280,7 +289,7 @@ class SparseMap:
         if self._size != other._size or self.sigma is not other.sigma:
             return False
         a, b = self._aligned(other)
-        return a._terms == b._terms
+        return a._cden == b._cden and a._terms == b._terms
 
 
 class SizedMap(SparseMap):
@@ -355,7 +364,7 @@ class SparseAlgebra(SparseMap):
         if o is None:
             return NotImplemented
         a, b = self._aligned(o)
-        return a._new(multiply(a._terms, b._terms, a.sigma, a._key_mul))
+        return a._new(multiply(a._terms, b._terms, a.sigma.value, a._key_mul), a._cden * b._cden)
 
     __rmul__ = __mul__
 
@@ -380,7 +389,7 @@ class ScalarRing(SparseAlgebra):
         self._size = None
         self.sigma = as_sigma(sigma)
         owner = type(self).__name__
-        self._terms = collect(
+        self._terms, self._cden = stored(
             (self._read_key(key), binarion_coefficient(value, self.sigma, owner))
             for key, value in terms.items()
         )
@@ -401,6 +410,16 @@ class ScalarRing(SparseAlgebra):
 
     def _constant(self, value):
         return self.from_scalar(value, self.sigma)
+
+    @classmethod
+    def _coefficient_terms(cls, value, sigma: Sigma, owner: str):
+        """The ``(key, binarion)`` terms of ``value`` as a coefficient in an
+        element of ``sigma``: an element's of this ring, or a scalar's at key 0."""
+        if not isinstance(value, cls):
+            return ((0, binarion_coefficient(value, sigma, owner)),)
+        if value.sigma is not sigma:
+            raise SignatureMismatchError(f"coefficient sigma differs from {owner} sigma")
+        return value._binarions().items()
 
     def items(self):
         """The ``(key, coefficient)`` terms in ascending key order."""

@@ -7,10 +7,12 @@ extracting the ``h``-constant term of :func:`scaled_bracket` reproduces the
 Poisson bracket on the nose, with no numerical extrapolation.
 
 Both :class:`HPoly` and :class:`PolySymbol` are sparse term maps over the
-shared base of :mod:`hypermoyal.sparse`.  A symbol is stored flat, as one
-map from ``(alpha, beta, hdeg)`` to the binarion coefficient of
-``h^hdeg q^alpha p^beta``; :meth:`PolySymbol.terms` and
-:meth:`PolySymbol.coeff` regroup it into ``(alpha, beta, HPoly)`` views.
+shared base of :mod:`hypermoyal.sparse`, which stores every coefficient as
+a pair of integers over one least denominator per element, ``_cden``.  A
+symbol is stored flat, as one map from ``(alpha, beta, hdeg)`` to the
+integer parts of the coefficient of ``h^hdeg q^alpha p^beta``;
+:meth:`PolySymbol.terms` and :meth:`PolySymbol.coeff` regroup it into
+``(alpha, beta, HPoly)`` views, whose binarions are built on reading.
 
 The noncommutative :func:`star` product implements the symbol-level
 composition of normal-ordered (q-left, d/dq-right) operators:
@@ -20,14 +22,15 @@ composition of normal-ordered (q-left, d/dq-right) operators:
 
 For polynomial symbols the series terminates, so the product is exact.  It
 is the product's definition; the computation works one pair of terms at a
-time in closed form.  Each coefficient is ``(re + u*im) / den`` with integer
-``re``, ``im`` and one denominator per operand, and the monomials
+time in closed form.  Each coefficient is stored as ``(re + u*im) / den``
+with integer ``re``, ``im`` and one denominator per operand, and the monomials
 ``q^alpha1 p^beta1`` and ``q^alpha2 p^beta2`` meet through the integer
 structure constant ``prod C(beta1, kappa) * alpha2!/(alpha2 - kappa)!`` for
 each ``kappa <= min(beta1, alpha2)``.  ``(sigma*u)^|kappa|`` is a sign, times
-``u`` when ``|kappa|`` is odd, so the sums stay in integers until the result
-is divided by the denominators; the kernel reads the operands' flat maps
-and writes the result's map directly, without re-validating it.
+``u`` when ``|kappa|`` is odd, so the sums stay in integers over the product
+of the denominators and the result is reduced once; the kernel reads the
+operands' stored integers and writes the result's, builds no ``Fraction``
+and re-validates nothing.
 :func:`moyal_bracket` and :func:`scaled_bracket` add ``a ⋆ b`` and ``-(b ⋆ a)`` into one such sum,
 leaving out ``kappa = 0``, whose pointwise terms cancel.  The same product
 is derived independently through the distributional route in
@@ -52,17 +55,11 @@ from fractions import Fraction
 from functools import cache
 from operator import add
 
-from .errors import (
-    DegreeCapError,
-    DimensionMismatchError,
-    SignatureMismatchError,
-    ValidationError,
-    json_field,
-)
+from .errors import DegreeCapError, DimensionMismatchError, ValidationError, json_field
 from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
                       binarion_to_json)
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, collect, from_parts,
-                     integer, nonnegative, numerators, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, integer, nonnegative,
+                     stored, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -106,7 +103,7 @@ class HPoly(ScalarRing):
     # -- queries ----------------------------------------------------------
 
     def coeff(self, degree: int) -> Binarion:
-        return self._terms.get(degree, Binarion.zero(self.sigma))
+        return self._binarions().get(degree, Binarion.zero(self.sigma))
 
     def degree(self) -> int:
         return max(self._terms) if self._terms else 0
@@ -117,23 +114,24 @@ class HPoly(ScalarRing):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def conjugate(self) -> "HPoly":
-        return self._map(Binarion.conjugate)
+    def conjugate(self):
+        """Coefficientwise involution ``x + u*y -> x - u*y``."""
+        return self._new({key: (re, -im) for key, (re, im) in self._terms.items()}, self._cden)
 
     def times_h(self, power: int = 1) -> "HPoly":
-        return HPoly({d + power: v for d, v in self._terms.items()}, self.sigma)
+        return HPoly({d + power: v for d, v in self._binarions().items()}, self.sigma)
 
     def div_h(self) -> "HPoly":
         """Exact division by ``h``; every term must have degree >= 1."""
         if 0 in self._terms:
             raise ArithmeticError("not divisible by h: constant term present")
-        return self._new({d - 1: v for d, v in self._terms.items()})
+        return self._new({d - 1: v for d, v in self._terms.items()}, self._cden)
 
     def substitute(self, h) -> Binarion:
         """Evaluate at a numeric (rational) value of ``h``."""
         h = _as_fraction(h)
         total = Binarion.zero(self.sigma)
-        for d, v in self._terms.items():
+        for d, v in self._binarions().items():
             total = total + v * (h**d)
         return total
 
@@ -183,8 +181,8 @@ def _term_order_key(key):
 class PolySymbol(SizedMap, SparseAlgebra):
     """Sparse polynomial in ``q1..qk, p1..pk`` with :class:`HPoly` coefficients.
 
-    Stored flat, as one map from ``(alpha, beta, hdeg)`` to the binarion
-    coefficient of ``h^hdeg q^alpha p^beta``; :meth:`terms` and
+    Stored flat, as one map from ``(alpha, beta, hdeg)`` to the integer
+    parts of the coefficient of ``h^hdeg q^alpha p^beta``; :meth:`terms` and
     :meth:`coeff` regroup it by monomial.  A symbol is an *observable* when
     every coefficient is a plain real scalar: imaginary part zero and no
     ``h``-dependence.
@@ -210,11 +208,9 @@ class PolySymbol(SizedMap, SparseAlgebra):
                 raise DimensionMismatchError(
                     f"exponent vectors must have length {self.dof}"
                 )
-            coeff = HPoly.from_scalar(coeff, self.sigma)
-            if coeff.sigma is not self.sigma:
-                raise SignatureMismatchError("coefficient sigma differs from symbol sigma")
-            pairs.extend(((alpha, beta, d), v) for d, v in coeff._terms.items())
-        self._terms = collect(pairs)
+            pairs.extend(((alpha, beta, d), v)
+                         for d, v in HPoly._coefficient_terms(coeff, self.sigma, "symbol"))
+        self._terms, self._cden = stored(pairs)
 
     # -- constructors ---------------------------------------------------
 
@@ -224,8 +220,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     @classmethod
     def constant(cls, value, dof: int, sigma: Sigma) -> "PolySymbol":
-        coeff = HPoly.from_scalar(value, sigma)
-        return cls(dof, sigma, {(_zero_exp(dof), _zero_exp(dof)): coeff})
+        return cls(dof, sigma, {(_zero_exp(dof), _zero_exp(dof)): value})
 
     @classmethod
     def one(cls, dof: int, sigma: Sigma) -> "PolySymbol":
@@ -263,7 +258,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
         monomial = (tuple(alpha), tuple(beta))
         return HPoly._make(None, self.sigma, {
             d: v for (a, b, d), v in self._terms.items() if (a, b) == monomial
-        })
+        }, self._cden)
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -280,7 +275,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     def is_observable(self) -> bool:
         """True when every coefficient is real and free of ``h``."""
-        return all(d == 0 and v.is_real() for (_, _, d), v in self._terms.items())
+        return all(d == 0 and not im for (_, _, d), (_, im) in self._terms.items())
 
     # -- ring operations ----------------------------------------------------
 
@@ -298,15 +293,15 @@ class PolySymbol(SizedMap, SparseAlgebra):
             raise ValueError("variable must be 'q' or 'p'")
         if not 0 <= index < self.dof:
             raise IndexError(f"index {index} out of range for dof {self.dof}")
-        out = []
-        for (alpha, beta, d), v in self._terms.items():
+        out = {}
+        for (alpha, beta, d), (re, im) in self._terms.items():
             exps = alpha if variable == "q" else beta
             e = exps[index]
-            if e:
+            if e:  # lowering one exponent maps distinct keys to distinct keys
                 lowered = _bump(exps, index, -1)
                 key = (lowered, beta, d) if variable == "q" else (alpha, lowered, d)
-                out.append((key, v * e))
-        return self._new(collect(out))
+                out[key] = (re * e, im * e)
+        return self._new(out, self._cden)
 
     def differentiate_multi(self, variable: str, kappa) -> "PolySymbol":
         out = self
@@ -327,7 +322,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
                 f"point has dof {point.dof}, symbol has dof {self.dof}"
             )
         total = Binarion.zero(self.sigma)
-        for (alpha, beta, d), v in self._terms.items():
+        for (alpha, beta, d), v in self._binarions().items():
             mono = h**d
             for x, e in zip(point.q, alpha):
                 mono *= x**e
@@ -346,32 +341,30 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """
         h = _as_fraction(h)
         hn, hd = h.numerator, h.denominator
-        den, terms = numerators(self._terms)
         top = max((d for _, _, d in self._terms), default=0)
         powers = {}
         acc = {}
-        for (alpha, beta, d), re, im in terms:
+        for (alpha, beta, d), (re, im) in self._terms.items():
             c = powers.get(d)
             if c is None:
                 c = powers[d] = hn**d * hd ** (top - d)
             add_parts(acc, (alpha, beta, 0), c * re, c * im)
-        return self._new(from_parts(acc, self.sigma, den * hd**top))
+        return self._new(acc, self._cden * hd**top)
 
     def h_constant_part(self) -> "PolySymbol":
         """The ``h``-degree-0 part; this is the classical limit h -> 0."""
-        return self._new({key: v for key, v in self._terms.items() if key[2] == 0})
+        return self._new({key: v for key, v in self._terms.items() if key[2] == 0}, self._cden)
 
     def scale_hpoly(self, factor: HPoly) -> "PolySymbol":
         return self * factor
 
-    def conjugate(self) -> "PolySymbol":
-        """Coefficientwise involution; observables are the fixed points."""
-        return self._map(Binarion.conjugate)
+    #: Coefficientwise involution; observables are the fixed points.
+    conjugate = HPoly.conjugate
 
     def div_h(self) -> "PolySymbol":
         if any(d == 0 for _, _, d in self._terms):
             raise ArithmeticError("not divisible by h: constant term present")
-        return self._new({(a, b, d - 1): v for (a, b, d), v in self._terms.items()})
+        return self._new({(a, b, d - 1): v for (a, b, d), v in self._terms.items()}, self._cden)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -379,10 +372,8 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """Canonical text form with graded-lexicographic term order (q before p)."""
         if self.is_zero():
             return "0"
-        rendered = [
-            _render_monomial(*key, self._terms[key])
-            for key in sorted(self._terms, key=_term_order_key)
-        ]
+        values = self._binarions()
+        rendered = [_render_monomial(*k, values[k]) for k in sorted(values, key=_term_order_key)]
         text = rendered[0]
         for part in rendered[1:]:
             if part.startswith("-"):
@@ -444,7 +435,7 @@ def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
 
 
 def _flatten(symbol: PolySymbol, w: int):
-    """Integer form of ``symbol`` over one common denominator, with packed keys.
+    """The stored integer form of ``symbol``, with packed keys.
 
     Returns ``(den, terms, betas, alphas)``.  ``terms`` lists
     ``(key, beta_id, alpha_id, re_num, im_num)``: ``key`` packs the monomial
@@ -452,9 +443,9 @@ def _flatten(symbol: PolySymbol, w: int):
     coefficient equals ``(re_num + u*im_num) / den``, and the ids index the
     distinct p- and q-exponent vectors listed in ``betas`` and ``alphas``.
     """
-    den, weights = numerators(symbol._terms)
+    den = symbol._cden
     betas, alphas, terms = {}, {}, []
-    for (alpha, beta, d), re, im in weights:
+    for (alpha, beta, d), (re, im) in symbol._terms.items():
         key = d
         for e in beta[::-1]:
             key = key << w | e
@@ -589,7 +580,7 @@ def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     left, right = _flatten(a, w), _flatten(b, w)
     acc = {}
     _accumulate(acc, left, right, _kappa_units(a.dof, w), a.sigma.value, 1, 0)
-    return a._new(from_parts(_unpacked(acc, a.dof, w), a.sigma, left[0] * right[0]))
+    return a._new(_unpacked(acc, a.dof, w), left[0] * right[0])
 
 
 def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
@@ -611,7 +602,7 @@ def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
 def moyal_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     """Star commutator ``a ⋆ b - b ⋆ a``; every term carries ``h``-degree >= 1."""
     acc, den = _commutator_integers(a, b, degree_cap)
-    return a._new(from_parts(acc, a.sigma, den))
+    return a._new(acc, den)
 
 
 def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
@@ -621,16 +612,14 @@ def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
     q^alpha1 p^beta1`` and ``c2 q^alpha2 p^beta2`` give ``(beta1_i alpha2_i -
     alpha1_i beta2_i) c1 c2 q^(alpha1 + alpha2 - e_i) p^(beta1 + beta2 - e_i)``.
     Kept apart from the star kernel, as the oracle of :func:`scaled_bracket`; it
-    shares only the edges ``sparse.numerators`` and ``sparse.from_parts``, and
-    sums integers over the product ``da * db`` of the operands' denominators.
+    shares only the stored integer form and the reducing ``_make``, and sums
+    integers over the product of the operands' denominators.
     """
     a._check(b)
     s = a.sigma.value
-    da, left = numerators(a._terms)
-    db, right = numerators(b._terms)
     acc = {}
-    for (alpha1, beta1, d1), r1, i1 in left:
-        for (alpha2, beta2, d2), r2, i2 in right:
+    for (alpha1, beta1, d1), (r1, i1) in a._terms.items():
+        for (alpha2, beta2, d2), (r2, i2) in b._terms.items():
             weights = [p1 * q2 - q1 * p2 for q1, p1, q2, p2 in zip(alpha1, beta1, alpha2, beta2)]
             if not any(weights):
                 continue
@@ -642,7 +631,7 @@ def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
                 if weight:
                     key = (_bump(alpha, i, -1), _bump(beta, i, -1), d1 + d2)
                     add_parts(acc, key, weight * re, weight * im)
-    return a._new(from_parts(acc, a.sigma, da * db))
+    return a._new(acc, a._cden * b._cden)
 
 
 def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
@@ -659,4 +648,4 @@ def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> Poly
     scaled = {
         (alpha, beta, d - 1): (s * im, re) for (alpha, beta, d), (re, im) in acc.items()
     }
-    return a._new(from_parts(scaled, a.sigma, den))
+    return a._new(scaled, den)

@@ -428,6 +428,22 @@ def test_apply_reads_the_sigma_first_only_for_an_expression(tmp_path, capsys, op
     assert run(capsys, "apply", *paths) == (2, "", f"error: {message}\n")
 
 
+PLANE_WAVE_THIRD_2 = WaveFunction.plane_wave((1, 2), Fraction(1, 3), H).to_json_dict()
+
+
+@pytest.mark.parametrize("operator, result", [
+    (EXPRESSION_OPERATOR, (0, "q1*exp(j*(3*q1 + 6*q2))\n", "")),
+    ({**EXPRESSION_OPERATOR, "symbol": "q3*p1"},
+     (2, "", "error: operator: symbol: variable 'q3' out of range for dof 2 (at position 0)\n")),
+    ({**OPERATOR, "h": "1/3"}, (2, "", "error: operator dof 1 differs from wavefunction dof 2\n")),
+], ids=["expression", "index-above-dof", "term-map"])
+def test_apply_reads_an_expression_at_the_wavefunction_dof(tmp_path, capsys, operator, result):
+    """An expression symbol is parsed at the wavefunction's dof; a term map
+    keeps its own dof and is refused when it differs."""
+    paths = _write_documents(tmp_path, (operator, PLANE_WAVE_THIRD_2))
+    assert run(capsys, "apply", *paths) == result
+
+
 @pytest.mark.parametrize("command, documents, message", [
     ("apply", ({**EXPRESSION_OPERATOR, "h": "1/0"}, PLANE_WAVE_THIRD),
      "operator: h: zero denominator in '1/0'"),

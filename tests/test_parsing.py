@@ -88,6 +88,14 @@ def test_parse_whitespace_insensitive():
     assert parse_symbol("q^2*p+h", H) == parse_symbol(" q^2 * p + h ", H)
 
 
+@pytest.mark.parametrize("dof", [2.7, 1.5, True, "2"])
+def test_parse_dof_must_be_an_integer(dof):
+    """A ``dof`` that ``int`` would change is refused, not truncated."""
+    with pytest.raises(ValidationError, match="is not an integer"):
+        parse_symbol("q1*p1", H, dof)
+    assert parse_symbol("q1*p1", H, 2.0).dof == 2
+
+
 def test_parse_dof_inference_and_override():
     a = parse_symbol("q1*p3", H)
     assert a.dof == 3

@@ -119,10 +119,47 @@ def test_guard_sees_what_it_forbids():
     for helper in ("_kappa_units", "_unpacked"):
         assert helper in _names(_function(symbols, "star"))
         assert helper in _names(_function(symbols, "_commutator_integers"))
-    assert "numerators" in _names(_function(symbols, "_flatten"))
-    assert "numerators" in _names(_function(symbols, "PolySymbol", "substitute_h"))
+    for path in STORAGE_READERS.values():
+        assert {"_terms", "_cden"} <= _names(_function(*path))
     assert "multiply" in _names(_function(sparse, "SparseAlgebra", "__mul__"))
     assert "multiply" in _names(_function(distributions, "Ultradistribution", "tensor"))
+
+
+#: Kernels that read the stored integer coefficients of their operands: none of
+#: them converts a coefficient to or from a binarion.
+STORAGE_READERS = {
+    "_flatten": (symbols, "_flatten"),
+    "substitute_h": (symbols, "PolySymbol", "substitute_h"),
+    "poisson_bracket": (symbols, "poisson_bracket"),
+    "from_poly_symbol": (distributions, "ExpPoly", "from_poly_symbol"),
+    "differentiate_multi": (distributions, "ExpPoly", "differentiate_multi"),
+    "shift": (distributions, "ExpPoly", "shift"),
+    "mul_monomial": (distributions, "Ultradistribution", "mul_monomial"),
+    "star_distributional": (distributions, "star_distributional"),
+    "apply_normal_ordered": (operators, "Operator", "apply_normal_ordered"),
+    "apply_shift_form": (operators, "Operator", "apply_shift_form"),
+}
+
+#: The names of the two coefficient edges and of what they build.
+EDGES = {"numerators", "from_parts", "stored", "_binarions", "Binarion"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*STORAGE_READERS.values(), (symbols, "star"), (symbols, "_commutator_integers"),
+     (symbols, "moyal_bracket"), (symbols, "scaled_bracket"), (symbols, "_accumulate")],
+    ids=[*STORAGE_READERS, "star", "_commutator_integers", "moyal_bracket", "scaled_bracket",
+         "_accumulate"],
+)
+def test_kernels_work_on_the_stored_integers(path):
+    assert not EDGES & _names(_function(*path))
+
+
+def test_edge_guard_sees_what_it_forbids():
+    planted = _function(symbols, "_flatten")
+    planted.body.insert(0, ast.parse("den, weights = numerators(symbol._terms)").body[0])
+    assert EDGES & _names(planted) == {"numerators"}
+    assert "from_parts" in _names(_function(sparse, "SparseMap", "_binarions"))
 
 
 #: The kernels that sum integer numerators and divide once at the end.

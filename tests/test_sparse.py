@@ -2,13 +2,15 @@
 
 Results of arithmetic are built without validation, so each must already
 be what the validating public constructor makes of its own terms: equal to
-them passed back through that constructor, and holding no zero
-coefficient.  Exponential polynomials and distributions store the rational
-parts of their keys as integer numerators over one denominator, which must
-be the least one.  That rebuild reads back the result's own map, so it
-cannot see a term lost where two keys collide; results whose terms collide
-are also compared with an independent computation.  The public
-constructors keep rejecting malformed input with the same error types.
+them passed back through that constructor, with the same stored form.  Every
+element stores its coefficients as pairs of int numerators over one
+denominator, the least one, and no zero pair; exponential polynomials and
+distributions also store the rational parts of their keys as integer
+numerators over one denominator, which must be the least one.  That rebuild
+reads back the result's own map, so it cannot see a term lost where two
+keys collide; results whose terms collide are also compared with an
+independent computation.  The public constructors keep rejecting malformed
+input with the same error types.
 
 The four classes with a size share one JSON codec in ``SizedMap``; every
 element, and each wrapper around one, reads back as itself.
@@ -132,17 +134,86 @@ REBUILD = {
 
 
 def _assert_clean(x):
-    assert x == REBUILD[type(x)](x)
+    rebuilt = REBUILD[type(x)](x)
+    assert x == rebuilt
+    assert (x._terms, x._cden) == (rebuilt._terms, rebuilt._cden)
+    assert x.sigma in SIGMAS
+    # coefficients: (re, im) int pairs over the least positive denominator
+    parts = []
     for value in x._terms.values():
-        assert isinstance(value, Binarion) and not value.is_zero()
-        assert type(value.re) is Fraction and type(value.im) is Fraction
-        assert value.sigma is x.sigma
+        assert type(value) is tuple and len(value) == 2 and value != (0, 0)
+        assert type(value[0]) is int and type(value[1]) is int
+        parts += value
+    assert type(x._cden) is int and x._cden >= 1
+    assert math.gcd(x._cden, *parts) == 1  # and 1 for the empty element
+    if x._VIEW is not None:
+        for _, coeff in x._grouped():
+            assert type(coeff) is x._VIEW and not coeff.is_zero()
+            _assert_clean(coeff)
     if isinstance(x, (ExpPoly, Ultradistribution)):
         # vector and r numerators over the least common denominator
         numerators = [n for vector, _, r in x._terms for n in (*vector, r)]
         assert all(type(n) is int for n in numerators)
         assert type(x._den) is int and x._den >= 1
         assert math.gcd(x._den, *numerators) == 1
+
+
+def _unreduced_make(cls, size, sigma, terms, cden=1):
+    """``SparseMap._make`` without its gcd pass: zero pairs dropped, the
+    denominator kept as given."""
+    out = object.__new__(cls)
+    out._size, out.sigma, out._cden = size, sigma, cden
+    out._terms = {key: (re, im) for key, (re, im) in terms.items() if re or im}
+    return out
+
+
+def test_the_clean_check_sees_a_denominator_left_unreduced(monkeypatch):
+    for sigma in SIGMAS:
+        half = HPoly({0: Fraction(1, 2), 1: Binarion(0, Fraction(1, 2), sigma)}, sigma)
+        symbol = PolySymbol.monomial((1,), (1,), Fraction(1, 2), sigma)
+
+        def results():  # each over 2 before it is reduced
+            return [half + half, symbol + symbol, star(symbol, symbol * 2)]
+
+        for x in results():
+            _assert_clean(x)
+        monkeypatch.setattr(SparseMap, "_make", classmethod(_unreduced_make))
+        for x in results():
+            with pytest.raises(AssertionError):
+                _assert_clean(x)
+        monkeypatch.undo()
+
+
+def test_filters_and_views_reduce_the_denominator():
+    """A filter or a view that leaves out the terms over the larger
+    denominator stores its rest over the smaller one."""
+    for sigma in SIGMAS:
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        symbol = PolySymbol(1, sigma, {
+            ((1,), (0,)): HPoly({0: half, 1: third}, sigma),
+            ((0,), (1,)): HPoly({1: Binarion(0, third, sigma)}, sigma),
+        })
+        assert symbol._cden == 6
+        for x, cden in (
+            (symbol.h_constant_part(), 2), (symbol.coeff((1,), (0,)), 6),
+            (symbol.coeff((0,), (1,)), 3), (symbol.coeff((0,), (1,)).div_h(), 3),
+            ((symbol - symbol.h_constant_part()).div_h(), 3),
+            (HPoly({1: half, 2: third}, sigma).div_h(), 6),
+        ):
+            assert x._cden == cden
+            _assert_clean(x)
+        grassmann = GrassmannElement(2, sigma, {0: half, 1: third, 3: Binarion(0, 2, sigma)})
+        for x, cden in ((grassmann.even_part(), 2), (grassmann.odd_part(), 3)):
+            assert x._cden == cden
+            _assert_clean(x)
+        views = [coeff for _, _, coeff in symbol.terms()] + [
+            w for _, _, w in ExpPoly(1, sigma, {
+                ((0,), (0,)): CharSum({0: half, 1: third}, sigma), ((1,), (0,)): 1,
+            }).terms()
+        ]
+        assert sorted(v._cden for v in views) == [1, 3, 6, 6]
+        for x in views:
+            _assert_clean(x)
 
 
 def _ring_results(a, b, sigma):
@@ -381,7 +452,10 @@ def test_numerators_inverts_from_parts_in_both_rings():
             _assert_numerators_invert_from_parts(terms, sigma)
         for element in (_symbol(rng, sigma), _exppoly_mixed(rng, sigma),
                         _distribution(rng, sigma), _grassmann(rng, sigma)):
-            _assert_numerators_invert_from_parts(element._terms, sigma)
+            _assert_numerators_invert_from_parts(_viewed_terms(element), sigma)
+            # and the stored form is the numerators of the flat binarion view
+            den, triples = numerators(element._binarions())
+            assert (element._cden, element._terms) == (den, {k: (re, im) for k, re, im in triples})
 
 
 def test_numerators_take_the_least_common_denominator_and_one_when_empty():

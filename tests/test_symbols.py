@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import islice, product as iter_product
 from operator import add, sub
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
@@ -154,6 +155,41 @@ def test_star_matches_series_oracle():
             got = star(x, y)
             assert got == _series_star(x, y)
             _assert_no_zero_coefficients(got)
+
+
+def _integer_symbol(rng, k, sigma):
+    """Four terms with integer real and unit parts, at h-degrees 0..1."""
+    terms = {}
+    for _ in range(4):
+        alpha, beta = (tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(2))
+        value = Binarion(rng.randint(-5, 5), rng.randint(-5, 5), sigma)
+        terms[(alpha, beta)] = HPoly({rng.randint(0, 1): value}, sigma)
+    return PolySymbol(k, sigma, terms)
+
+
+def test_star_and_brackets_build_no_fraction_on_integer_operands(monkeypatch):
+    """``star``, ``scaled_bracket`` and ``*`` on integer coefficients work on
+    the stored integers: ``Fraction.__new__`` is not called once."""
+    rng = random.Random(53)
+    pairs = [(_integer_symbol(rng, k, sigma), _integer_symbol(rng, k, sigma))
+             for k in (1, 2, 3) for sigma in SIGMAS]
+    expected = [(star(a, b), scaled_bracket(a, b), a * b) for a, b in pairs]
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) == Fraction(2, 4) and len(made) == 2  # the count sees a Fraction
+    assert str(pairs[0][0]) and len(made) > 2  # and so does the text
+    made.clear()
+    got = [(star(a, b), scaled_bracket(a, b), a * b) for a, b in pairs]
+    assert made == []
+    monkeypatch.undo()
+    assert got == expected
+    assert all(not product.is_zero() for product, _, _ in got)
 
 
 def test_light_cone_star_is_zero():
@@ -350,8 +386,17 @@ def _tuple_symbol(acc, den, like):
     return PolySymbol(like.dof, sigma, terms)
 
 
+def _binarion_form(symbol):
+    """``symbol`` with its flat ``{(alpha, beta, hdeg): Binarion}`` terms, read
+    from the public view, as ``_terms``: the form that ``_tuple_flatten`` read
+    when symbols stored binarions."""
+    terms = {(alpha, beta, d): v for alpha, beta, coeff in symbol.terms() for d, v in coeff.items()}
+    return SimpleNamespace(_terms=terms)
+
+
 def _tuple_star(a, b):
-    (den_a, terms_a), (den_b, terms_b) = _tuple_flatten(a), _tuple_flatten(b)
+    (den_a, terms_a), (den_b, terms_b) = (_tuple_flatten(_binarion_form(a)),
+                                          _tuple_flatten(_binarion_form(b)))
     acc = {}
     _tuple_accumulate(acc, terms_a, terms_b, a.sigma.value, 1, 0)
     return _tuple_symbol(acc, den_a * den_b, a)
@@ -359,7 +404,8 @@ def _tuple_star(a, b):
 
 def _tuple_brackets(a, b):
     """``moyal_bracket`` and ``scaled_bracket`` of ``a, b`` through the tuple-key kernel."""
-    (den_a, terms_a), (den_b, terms_b) = _tuple_flatten(a), _tuple_flatten(b)
+    (den_a, terms_a), (den_b, terms_b) = (_tuple_flatten(_binarion_form(a)),
+                                          _tuple_flatten(_binarion_form(b)))
     s = a.sigma.value
     acc = {}
     _tuple_accumulate(acc, terms_a, terms_b, s, 1, 1)
@@ -608,7 +654,7 @@ def test_poisson_matches_sympy_oracle():
         )
         assert sp.simplify(g_re - want_re) == 0
         assert sp.simplify(g_im - want_im) == 0
-        for (_, _, d), v in got._terms.items():
+        for (_, _, d), v in got._binarions().items():
             seen_h.add(d)
             seen_den.update((v.re.denominator, v.im.denominator))
     # the h-bearing cases reach every h-degree and denominators past the operands'
