@@ -260,14 +260,17 @@ class _CharSumTerms(SizedMap):
         return self._at(den), other._at(den)
 
     def _grouped(self) -> list:
-        """:meth:`SparseMap._grouped`, sorted on the numerators, with the
-        vectors and ``r`` parts then divided by ``_den``."""
-        den, sigma = self._den, self.sigma
+        """The ``((vector, orders), weight)`` terms sorted on the numerators, the
+        vector divided by ``_den``; each head's :class:`CharSum` weight, keyed by
+        its ``r`` parts over ``_den``, is built and reduced once."""
+        den, sigma, cden = self._den, self.sigma, self._cden
+        groups = {}
+        for (vector, orders, r), value in self._terms.items():
+            groups.setdefault((vector, orders), {})[Fraction(r, den)] = value
         return [
-            ((tuple(Fraction(n, den) for n in vector), orders),
-             CharSum._make(None, sigma, {Fraction(r, den): c for r, c in weight._terms.items()},
-                           weight._cden))
-            for (vector, orders), weight in super()._grouped()
+            ((tuple(Fraction(n, den) for n in head[0]), head[1]),
+             CharSum._make(None, sigma, groups[head], cden))
+            for head in sorted(groups)
         ]
 
     def _term_to_json(self, head, weight) -> dict:

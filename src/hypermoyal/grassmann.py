@@ -93,7 +93,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
         self.sigma = as_sigma(sigma)
         pairs = []
         for mask, coeff in (terms or {}).items():
-            mask = int(mask)
+            mask = integer(mask)
             if mask < 0 or mask.bit_length() > self.n:
                 raise DimensionMismatchError(
                     f"monomial uses generators up to θ{mask.bit_length()}, beyond n={self.n}"

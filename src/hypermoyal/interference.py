@@ -47,17 +47,14 @@ def _is_exact(*values) -> bool:
 
 def _sqrt(value):
     """Exact square root for perfect rational squares, float otherwise."""
+    if value < 0:
+        raise ValueError("square root of a negative value")
     if isinstance(value, (Fraction, int)):
         value = Fraction(value)
-        if value < 0:
-            raise ValueError("square root of a negative value")
         num = math.isqrt(value.numerator)
         den = math.isqrt(value.denominator)
         if num * num == value.numerator and den * den == value.denominator:
             return Fraction(num, den)
-        return math.sqrt(value)
-    if value < 0:
-        raise ValueError("square root of a negative value")
     return math.sqrt(value)
 
 
@@ -92,16 +89,8 @@ class DichotomousContext:
             raise ValidationError("conditional matrix must be 2x2")
         flat = list(self.p_a) + [x for r in self.cond for x in r] + list(self.observed)
         self.exact = _is_exact(*flat)
-        for name, value in (
-            ("P(a1)", self.p_a[0]),
-            ("P(a2)", self.p_a[1]),
-            ("P(b1|a1)", self.cond[0][0]),
-            ("P(b1|a2)", self.cond[0][1]),
-            ("P(b2|a1)", self.cond[1][0]),
-            ("P(b2|a2)", self.cond[1][1]),
-            ("P(b1)", self.observed[0]),
-            ("P(b2)", self.observed[1]),
-        ):
+        names = ("P(a1)", "P(a2)", "P(b1|a1)", "P(b1|a2)", "P(b2|a1)", "P(b2|a2)", "P(b1)", "P(b2)")
+        for name, value in zip(names, flat):
             _check_probability(value, name, row)
         where = f" (row {row})" if row is not None else ""
         if not _close(self.p_a[0] + self.p_a[1], 1, self.exact):

@@ -239,7 +239,7 @@ def parse_grassmann(text: str, sigma, n: int = None) -> GrassmannElement:
     from .grassmann import GrassmannElement
 
     sigma = as_sigma(sigma)
-    n = _highest_index("tθ", text) if n is None else int(n)
+    n = _highest_index("tθ", text) if n is None else integer(n)
 
     def make_number(value: Fraction) -> GrassmannElement:
         return GrassmannElement.scalar(value, n, sigma)

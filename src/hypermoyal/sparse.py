@@ -16,8 +16,8 @@ Coefficients are stored as integers: ``_terms`` maps each key to ints
 positive ``_cden`` (``gcd(_cden, every part) == 1``, no ``(0, 0)`` pair,
 ``_cden == 1`` when empty), so equal elements store equal terms.  Binarions
 exist only at two edges: a public constructor validates its input (key
-shapes, signs, the coefficients' signature) and stores its sums through
-:func:`numerators`, and the views build binarions with :func:`from_parts`.
+shapes, signs, the coefficients' signature) and sums and stores its terms
+with :func:`stored`, and the views build binarions with :func:`from_parts`.
 Arithmetic and the route kernels sum integers, with :func:`add_parts`, over
 one denominator, and :meth:`SparseMap._make` (or ``_new``, which keeps the
 operand's size and signature) stores the sums with the zero pairs dropped,
@@ -27,15 +27,14 @@ through the public constructor.  Structure constants, derivative factors,
 unit-power folds and the padding of denominators stay in each route; no
 route kernel calls :func:`multiply`.
 
-Every edge that reads keys is here.  Views, text and JSON all come from
-:meth:`SparseMap._grouped`, the sorted terms, with the last key part grouped
-into a coefficient ring where a class declares one.  The four maps with a
-size (symbols, exponential polynomials, distributions and Grassmann
-elements) derive from :class:`SizedMap` and share one JSON shape: the size,
-``sigma`` and a list of entries, whose repeated keys add through
-:func:`summed`.  Each class writes and reads only a single term.
-:class:`ScalarRing` builds the two maps without a size, which have no JSON
-form.
+Views, text and JSON all come from one ``_grouped`` per class, the sorted
+terms, with the last key part grouped into a coefficient ring where a class
+declares one.  The four maps with a size (symbols, exponential polynomials,
+distributions and Grassmann elements) derive from :class:`SizedMap` and
+share one JSON shape: the size, ``sigma`` and a list of entries, whose
+repeated keys add through :func:`summed`.  Each class writes and reads only
+a single term.  :class:`ScalarRing` builds the two maps without a size,
+which have no JSON form.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ def summed(pairs) -> dict:
     return out
 
 
-def collect(pairs) -> dict:
-    """Sum ``(key, coefficient)`` pairs per key and drop the zero sums."""
-    return {key: value for key, value in summed(pairs).items() if not value.is_zero()}
-
-
 def add_parts(acc: dict, key, re, im):
     """Add ``re + u*im`` to the ``[re, im]`` entry of ``key`` in ``acc``."""
     entry = acc.get(key)
@@ -69,19 +63,6 @@ def add_parts(acc: dict, key, re, im):
     else:
         entry[0] += re
         entry[1] += im
-
-
-def numerators(terms: dict) -> tuple:
-    """The binarion coefficients of ``terms`` as integer numerators over their
-    least common denominator: ``(den, [(key, re, im), ...])`` with each
-    coefficient equal to ``(re + u*im) / den``; ``(1, [])`` for no terms.  The
-    constructor edge, and the twin of :func:`from_parts`."""
-    den = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
-    return den, [
-        (key, c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator))
-        for key, c in terms.items()
-    ]
 
 
 def from_parts(acc: dict, sigma, den: int = 1) -> dict:
@@ -112,10 +93,14 @@ def multiply(left: dict, right: dict, s: int, key_mul) -> dict:
 
 
 def stored(pairs) -> tuple:
-    """``(key, binarion)`` pairs, summed by :func:`collect`, in stored form:
-    ``({key: (re, im)}, den)``, over the least common denominator."""
-    den, triples = numerators(collect(pairs))
-    return {key: (re, im) for key, re, im in triples}, den
+    """``(key, binarion)`` pairs summed per key, the zero sums dropped, as
+    ``({key: (re, im)}, den)`` over the least common denominator (``({}, 1)``
+    for none).  The constructor edge, and the twin of :func:`from_parts`."""
+    terms = {key: c for key, c in summed(pairs).items() if not c.is_zero()}
+    den = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
+    return {key: (c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator))
+            for key, c in terms.items()}, den
 
 
 def integer(value) -> int:

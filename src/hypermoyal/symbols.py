@@ -90,9 +90,10 @@ class HPoly(ScalarRing):
 
     @staticmethod
     def _read_key(degree) -> int:
+        degree = integer(degree)
         if degree < 0:
             raise ValidationError("h-degree must be nonnegative")
-        return integer(degree)
+        return degree
 
     # -- constructors ---------------------------------------------------
 

@@ -197,6 +197,14 @@ def test_monomial_refuses_a_word_that_is_not_strictly_ascending(indices):
         GrassmannElement.monomial(indices, 3, H)
 
 
+@pytest.mark.parametrize("mask", [2.7, "3", True])
+def test_masks_must_be_integers(mask):
+    """A mask that ``int`` would change is refused, not truncated."""
+    with pytest.raises(ValidationError, match="is not an integer"):
+        GrassmannElement(2, H, {mask: 1})
+    assert GrassmannElement(2, H, {2.0: 1}).terms() == [(2, Binarion(1, 0, H))]
+
+
 @pytest.mark.parametrize("gens", [[1, 1], [2, 1]])
 def test_json_gens_must_strictly_ascend(gens):
     data = {"n": 2, "sigma": 1, "terms": [{"gens": gens, "re": "1"}]}

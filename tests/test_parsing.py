@@ -96,6 +96,14 @@ def test_parse_dof_must_be_an_integer(dof):
     assert parse_symbol("q1*p1", H, 2.0).dof == 2
 
 
+@pytest.mark.parametrize("n", [2.7, True, "2"])
+def test_parse_grassmann_n_must_be_an_integer(n):
+    """An ``n`` that ``int`` would change is refused, not truncated."""
+    with pytest.raises(ValidationError, match="is not an integer"):
+        parse_grassmann("t1*t2", H, n)
+    assert parse_grassmann("t1*t2", H, 2.0).n == 2
+
+
 def test_parse_dof_inference_and_override():
     a = parse_symbol("q1*p3", H)
     assert a.dof == 3

@@ -239,6 +239,29 @@ def test_only_sparse_converts_coefficients_to_numerators(name):
     assert _coefficient_part_reads(_tree(module)) == []
 
 
+def _part_readers(tree) -> set:
+    """The names of the innermost functions of ``tree`` around its
+    :func:`_coefficient_part_reads`, ``"<module>"`` for a read outside any."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    readers = set()
+    for line in _coefficient_part_reads(tree):
+        around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+        readers.add(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return readers
+
+
+def test_in_sparse_only_stored_converts_coefficients_to_numerators():
+    assert _part_readers(_tree(sparse)) == {"stored"}
+    planted = ast.parse(
+        "def stored(pairs):\n"
+        "    return [c.re.numerator for c in pairs]\n"
+        "def numerators(terms):\n"
+        "    return [c.im.denominator for c in terms]\n"
+        "d = c.re.denominator\n"
+    )
+    assert _part_readers(planted) == {"stored", "numerators", "<module>"}
+
+
 def test_numerator_guard_sees_what_it_forbids():
     assert _coefficient_part_reads(_tree(sparse))
     planted = ast.parse(

@@ -39,6 +39,7 @@ from hypermoyal import (
     Sigma,
     SignatureMismatchError,
     Ultradistribution,
+    ValidationError,
     WaveFunction,
     inverse_fourier_symbol,
     moyal_bracket,
@@ -48,8 +49,7 @@ from hypermoyal import (
     supercommutator,
 )
 from hypermoyal import sparse
-from hypermoyal.sparse import (SparseAlgebra, SparseMap, add_parts, collect, from_parts, numerators,
-                               summed)
+from hypermoyal.sparse import SparseAlgebra, SparseMap, add_parts, from_parts, stored, summed
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -420,14 +420,16 @@ def test_from_parts_takes_fraction_parts_as_they_are_or_over_one():
 
 
 def _assert_numerators_invert_from_parts(terms, sigma):
-    """``numerators`` of ``terms`` are ints over the least common denominator,
-    in the map's order, and ``from_parts`` builds ``terms`` back from them."""
-    den, triples = numerators(terms)
-    assert [key for key, _, _ in triples] == list(terms)
-    parts = [n for _, re, im in triples for n in (re, im)]
+    """``stored`` of the pairs of ``terms`` holds ints over the least common
+    denominator, in the map's order, and ``from_parts`` builds ``terms`` back
+    from them."""
+    stored_terms, den = stored(terms.items())
+    assert list(stored_terms) == list(terms)
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in stored_terms.values())
+    parts = [n for re, im in stored_terms.values() for n in (re, im)]
     assert all(type(n) is int for n in parts)
     assert math.gcd(den, *parts) == 1  # no smaller denominator holds them all
-    out = from_parts({key: [re, im] for key, re, im in triples}, sigma, den)
+    out = from_parts({key: [re, im] for key, (re, im) in stored_terms.items()}, sigma, den)
     assert out == terms and list(out) == list(terms)
     assert all(v.sigma is sigma for v in out.values())
 
@@ -454,19 +456,28 @@ def test_numerators_inverts_from_parts_in_both_rings():
                         _distribution(rng, sigma), _grassmann(rng, sigma)):
             _assert_numerators_invert_from_parts(_viewed_terms(element), sigma)
             # and the stored form is the numerators of the flat binarion view
-            den, triples = numerators(element._binarions())
-            assert (element._cden, element._terms) == (den, {k: (re, im) for k, re, im in triples})
+            assert stored(element._binarions().items()) == (element._terms, element._cden)
 
 
 def test_numerators_take_the_least_common_denominator_and_one_when_empty():
     for sigma in SIGMAS:
-        den, triples = numerators({"a": Binarion(Fraction(1, 2), Fraction(1, 3), sigma)})
-        assert (den, triples) == (6, [("a", 3, 2)])
-        den, triples = numerators({0: Binarion(Fraction(1, 2), 0, sigma),
-                                   1: Binarion(0, Fraction(-1, 3), sigma)})
-        assert (den, triples) == (6, [(0, 3, 0), (1, 0, -2)])
-        assert numerators({0: Binarion(3, -4, sigma)}) == (1, [(0, 3, -4)])
-    assert numerators({}) == (1, [])
+        assert stored([("a", Binarion(Fraction(1, 2), Fraction(1, 3), sigma))]) == (
+            {"a": (3, 2)}, 6)
+        terms, den = stored([(0, Binarion(Fraction(1, 2), 0, sigma)),
+                             (1, Binarion(0, Fraction(-1, 3), sigma))])
+        assert (den, list(terms.items())) == (6, [(0, (3, 0)), (1, (0, -2))])
+        assert stored([(0, Binarion(3, -4, sigma))]) == ({0: (3, -4)}, 1)
+        # repeated keys add, in the order keys first appear; a cancelling sum
+        # is dropped, and the denominator is that of the sums, not the inputs
+        half = Binarion(Fraction(1, 2), Fraction(1, 3), sigma)
+        fifth = Binarion(0, Fraction(1, 5), sigma)
+        terms, den = stored([("a", half), ("b", Binarion(1, 1, sigma)), ("a", -half),
+                             ("c", Binarion(Fraction(1, 4), 0, sigma)),
+                             ("b", Binarion(0, Fraction(1, 6), sigma))])
+        assert (den, list(terms.items())) == (12, [("b", (12, 14)), ("c", (3, 0))])
+        assert stored([(0, fifth), (1, half), (0, -fifth)]) == ({1: (3, 2)}, 6)
+        assert stored([(1, fifth), (2, half), (1, -fifth), (2, -half)]) == ({}, 1)
+    assert stored([]) == ({}, 1)
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -683,6 +694,8 @@ NON_INTEGER_SIZES = {
     "atoms dim 1.5": lambda: Ultradistribution.zero(1.5, H),
     "n 3.9": lambda: GrassmannElement.zero(3.9, H),
     "h-degree True": lambda: HPoly({True: 1}, H),
+    "h-degree '1'": lambda: HPoly({"1": 1}, H),
+    "h-degree 1.5": lambda: HPoly({1.5: 1}, H),
 }
 
 
@@ -692,15 +705,21 @@ def test_sizes_and_h_degrees_must_be_integers(build):
         build()
 
 
+def test_an_h_degree_is_read_before_its_sign_is_checked():
+    with pytest.raises(ValidationError, match="h-degree must be nonnegative"):
+        HPoly({-1: 1}, H)
+    assert HPoly({2.0: 1}, H) == HPoly.h_power(2, H)
+
+
 # -- one product loop ---------------------------------------------------------------
 #
 # ``SparseAlgebra.__mul__``, ``Ultradistribution.tensor`` and
 # ``Ultradistribution.scale`` all sum integer numerators in ``sparse.multiply``.
-# The oracle below is the per-term loop that loop replaced, kept verbatim:
-# each pair of terms is multiplied with ``Binarion.__mul__`` under its class's
-# key rule and the products are summed with ``collect``.  It reads the
-# operands through their public views, so keys are compared as rationals,
-# whatever denominator each element stores them over.
+# The oracle below is the per-term loop that loop replaced: each pair of
+# terms is multiplied with ``Binarion.__mul__`` under its class's key rule and
+# the products are summed per key, with the zero sums dropped, by the oracle
+# itself.  It reads the operands through their public views, so keys are
+# compared as rationals, whatever denominator each element stores them over.
 
 
 def _default_term_mul(k1, c1, k2, c2):
@@ -739,13 +758,16 @@ def _scale_term_mul(k1, c1, s, c2):
 
 
 def _by_terms(term_mul, a: dict, b: dict) -> dict:
-    """The per-term product of two ``{key: Binarion}`` maps."""
-    products = (
-        term_mul(k1, c1, k2, c2)
-        for k1, c1 in a.items()
-        for k2, c2 in b.items()
-    )
-    return collect(term for term in products if term is not None)
+    """The per-term product of two ``{key: Binarion}`` maps, summed per key
+    with the zero sums dropped."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            term = term_mul(k1, c1, k2, c2)
+            if term is not None:
+                key, c = term
+                out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def _viewed_terms(x) -> dict:
