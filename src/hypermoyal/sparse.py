@@ -104,10 +104,13 @@ def stored(pairs) -> tuple:
 
 
 def integer(value) -> int:
-    """``value`` as an int; a value that ``int`` would change, such as ``1.9``
-    or ``"3"``, and a boolean raise :class:`ValidationError` instead of being
-    truncated or read as 0 or 1."""
-    out = int(value)
+    """``value`` as an int; a value that ``int`` would change or refuse, such
+    as ``1.9``, ``"3"`` or ``None``, and a boolean raise
+    :class:`ValidationError` instead of being truncated or read as 0 or 1."""
+    try:
+        out = int(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ValidationError(f"{value!r} is not an integer") from None
     if out != value or isinstance(value, bool):
         raise ValidationError(f"{value!r} is not an integer")
     return out

@@ -43,8 +43,8 @@ with fields whose width is the bit length of the operands' summed total
 degree, which bounds every exponent of the result (see :func:`star`).  So
 adding two monomials is one int addition and a kappa term one more, by a
 precomputed shift; the result's keys are decoded once, at the end.  The
-structure constants are tabled per call by small ids of the distinct
-``beta1`` and ``alpha2``.
+kappa row of an exponent pair is built once per process and memoized by
+pair, width and ring, no coefficient, up to :data:`KAPPA_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from operator import add
 
 from .errors import DegreeCapError, DimensionMismatchError, ValidationError, json_field
@@ -457,31 +457,39 @@ def _flatten(symbol: PolySymbol, w: int):
     return den, terms, list(betas), list(alphas)
 
 
-def _structure_constants(beta1, alpha2, units, s: int, sign: int, start: int):
+#: Bound on the memo of kappa rows, whose key holds no coefficient: a
+#: process meets its shapes only, 1,254 rows in a star-wide batch, 233-262
+#: in operator-route, 176 in ``selftest --fast`` and 525 in a full selftest.
+KAPPA_ROWS = 4096
+#: The row of every pair that overlaps in no coordinate, never memoized.
+_KAPPA_ZERO = ((0, 0, 1),)
+
+
+@lru_cache(maxsize=KAPPA_ROWS)
+def _structure_constants(beta1, alpha2, units, s: int) -> tuple:
     """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``, packed.
 
     Lists ``(delta, |kappa| odd, c)`` for ``kappa <= min(beta1, alpha2)``
-    componentwise.  ``delta = sum kappa_i * units[i]`` moves a packed key by
-    ``-kappa`` on the q and p fields and by ``+|kappa|`` on the ``h`` field.
-    ``c = sign * s^(|kappa| + |kappa|//2) * prod C(beta1_i, kappa_i) *
-    alpha2_i!/(alpha2_i - kappa_i)!`` is the integer part of
-    ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) * d_q^kappa(q^alpha2)``;
-    the remaining ``u`` of an odd ``|kappa|`` is applied by the caller.
-    ``start=1`` drops ``kappa = 0``, which comes first.
+    componentwise, ``kappa = 0`` first.  ``delta = sum kappa_i * units[i]``
+    moves a packed key by ``-kappa`` on the q and p fields and by
+    ``+|kappa|`` on the ``h`` field.  ``c = s^(|kappa| + |kappa|//2) * prod
+    C(beta1_i, kappa_i) * alpha2_i!/(alpha2_i - kappa_i)!`` is the integer
+    part of ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) *
+    d_q^kappa(q^alpha2)``; the remaining ``u`` of an odd ``|kappa|`` is
+    applied by the caller.  The row holds no coefficient, so it is memoized
+    under ``(beta1, alpha2, units, s)``, up to :data:`KAPPA_ROWS` rows, and
+    is a tuple, which no caller can change.
     """
-    out = [(0, 0, sign)]
+    out = [(0, 0, 1)]
     for b, a, unit in zip(beta1, alpha2, units):
         if b and a:  # otherwise kappa_i = 0 only, with factor 1
             factors = [
                 (j * unit, j, math.comb(b, j) * math.perm(a, j)) for j in range(min(b, a) + 1)
             ]
             out = [(delta + dj, n + j, c * cj) for delta, n, c in out for dj, j, cj in factors]
-    if len(out) == 1:  # kappa = 0 alone, already in final form
-        return out[start:]
-    return [
-        (delta, n & 1, c if s > 0 or (n + n // 2) % 2 == 0 else -c)
-        for delta, n, c in out[start:]
-    ]
+    return tuple(
+        (delta, n & 1, c if s > 0 or (n + n // 2) % 2 == 0 else -c) for delta, n, c in out
+    )
 
 
 @cache  # a few (k, w) pairs per process; small products would pay ~1.5% to rebuild it
@@ -499,16 +507,20 @@ def _accumulate(acc: dict, left, right, units, s: int, sign: int, start: int):
     maps packed keys to ``[re_num, im_num]`` over the product of their
     denominators.  A term pair's monomial is ``key1 + key2`` and each of its
     kappa terms lands on ``key1 + key2 + delta``: no exponent tuple is built
-    in the loop.  The structure constants of this call are tabled by the
-    beta id of ``left`` and the alpha id of ``right``.
+    in the loop.  The kappa rows of this call are tabled by the beta id of
+    ``left`` and the alpha id of ``right``; ``start=1`` drops ``kappa = 0``
+    and ``sign`` negates each left coefficient.
     """
     _, left_terms, betas, _ = left
     _, right_terms, _, alphas = right
     table = [
-        [_structure_constants(beta1, alpha2, units, s, sign, start) for alpha2 in alphas]
+        [(_structure_constants(beta1, alpha2, units, s) if any(map(min, beta1, alpha2))
+          else _KAPPA_ZERO)[start:] for alpha2 in alphas]
         for beta1 in betas
     ]
     for key1, b1, _, r1, i1 in left_terms:
+        if sign < 0:
+            r1, i1 = -r1, -i1
         row = table[b1]
         for key2, _, a2, r2, i2 in right_terms:
             kappas = row[a2]

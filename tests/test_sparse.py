@@ -43,6 +43,8 @@ from hypermoyal import (
     WaveFunction,
     inverse_fourier_symbol,
     moyal_bracket,
+    parse_grassmann,
+    parse_symbol,
     scaled_bracket,
     star,
     star_distributional,
@@ -701,6 +703,23 @@ NON_INTEGER_SIZES = {
 
 @pytest.mark.parametrize("build", NON_INTEGER_SIZES.values(), ids=NON_INTEGER_SIZES)
 def test_sizes_and_h_degrees_must_be_integers(build):
+    with pytest.raises(HypermoyalError, match="is not an integer"):
+        build()
+
+
+#: Integers that ``int`` itself refuses, with a ``ValueError``, ``TypeError``
+#: or ``OverflowError`` of its own.
+NOT_NUMBERS = {
+    "h-degree 'x'": lambda: HPoly({"x": 1}, H),
+    "n 'two'": lambda: parse_grassmann("t1", H, "two"),
+    "mask None": lambda: GrassmannElement(2, H, {None: 1}),
+    "h-degree inf": lambda: HPoly({float("inf"): 1}, H),
+    "dof nan": lambda: parse_symbol("q1", H, float("nan")),
+}
+
+
+@pytest.mark.parametrize("build", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_what_int_refuses_is_a_validation_error(build):
     with pytest.raises(HypermoyalError, match="is not an integer"):
         build()
 

@@ -1,5 +1,6 @@
 """Tests for the phase-space symbol algebra and its brackets."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -25,8 +26,8 @@ from hypermoyal import (
     scaled_bracket,
     star,
 )
-from hypermoyal import symbols
-from hypermoyal.symbols import DEFAULT_DEGREE_CAP
+from hypermoyal import selftest, symbols
+from hypermoyal.symbols import DEFAULT_DEGREE_CAP, KAPPA_ROWS
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -462,13 +463,25 @@ def _packing_cases():
         yield a, b, top
 
 
-def test_series_kernel_equals_tuple_key_oracle():
+def _assert_series_kernel_equals_tuple_key_oracle(cold: bool):
+    """Every packing case equals the tuple-key oracle; with ``cold``, the
+    memo of kappa rows is cleared before each case."""
     for a, b, cap in _packing_cases():
         for x, y in ((a, b), (b, a)):
+            if cold:
+                symbols._structure_constants.cache_clear()
             assert star(x, y, cap) == _tuple_star(x, y)
             moyal, scaled = _tuple_brackets(x, y)
             assert moyal_bracket(x, y, cap) == moyal
             assert scaled_bracket(x, y, cap) == scaled
+
+
+def test_series_kernel_equals_tuple_key_oracle():
+    _assert_series_kernel_equals_tuple_key_oracle(cold=False)
+
+
+def test_series_kernel_equals_tuple_key_oracle_from_a_cold_memo():
+    _assert_series_kernel_equals_tuple_key_oracle(cold=True)
 
 
 def test_packed_fields_reach_their_width():
@@ -483,6 +496,84 @@ def test_packed_fields_reach_their_width():
         assert top == 2**w - 1
         fields = [e for alpha, beta, _ in star(a, b, top).terms() for e in alpha + beta]
         assert max(fields) == top
+
+
+# -- the memo of kappa rows -------------------------------------------------------
+#
+# ``_structure_constants`` is memoized per process by exponent pair, field
+# width and ring.  No result may depend on what the memo holds: cold, warm,
+# or cycled through a bound smaller than the pairs pushed through it.
+
+KERNELS = (star, moyal_bracket, scaled_bracket)
+
+
+def _stored(symbol):
+    return symbol._terms, symbol._cden
+
+
+def _kernel_results(pairs) -> list:
+    return [(fn(x, y), fn(y, x)) for x, y in pairs for fn in KERNELS]
+
+
+def test_memo_cold_and_warm_give_equal_results():
+    pairs = list(_oracle_pairs(61, 12))
+    _kernel_results(pairs)
+    misses = symbols._structure_constants.cache_info().misses
+    warm = _kernel_results(pairs)
+    assert symbols._structure_constants.cache_info().misses == misses  # every row memoized
+    cold = []
+    for x, y in pairs:
+        for fn in KERNELS:
+            symbols._structure_constants.cache_clear()
+            forward = fn(x, y)
+            symbols._structure_constants.cache_clear()
+            cold.append((forward, fn(y, x)))
+    assert cold == warm
+    assert [tuple(map(_stored, r)) for r in cold] == [tuple(map(_stored, r)) for r in warm]
+
+
+def test_memoized_rows_are_tuples_and_pairs_without_overlap_are_not_memoized():
+    symbols._structure_constants.cache_clear()
+    units = symbols._kappa_units(2, 3)
+    row = symbols._structure_constants((2, 1), (1, 3), units, -1)
+    assert symbols._structure_constants((2, 1), (1, 3), units, -1) is row
+    assert isinstance(row, tuple) and all(isinstance(term, tuple) for term in row)
+    assert row[0] == symbols._KAPPA_ZERO[0] and len(row) == 2 * 2
+    assert isinstance(symbols._KAPPA_ZERO, tuple)
+    symbols._structure_constants.cache_clear()
+    q1, p1 = qp(H, 2)
+    assert star(q1, p1) == q1 * p1 and moyal_bracket(q1 * q1, q1).is_zero()
+    assert symbols._structure_constants.cache_info().currsize == 0
+
+
+def test_a_full_memo_evicts_and_results_stay_equal(monkeypatch):
+    pairs = list(_oracle_pairs(67, 9))
+    expected = _kernel_results(pairs)
+    bound = 8
+    stand_in = functools.lru_cache(maxsize=bound)(symbols._structure_constants.__wrapped__)
+    monkeypatch.setattr(symbols, "_structure_constants", stand_in)
+    got = _kernel_results(pairs)
+    info = stand_in.cache_info()
+    assert info.misses > 4 * bound  # far more rows built than the bound holds
+    assert info.currsize <= bound
+    assert got == expected
+    assert [tuple(map(_stored, r)) for r in got] == [tuple(map(_stored, r)) for r in expected]
+
+
+def test_full_selftest_shapes_fill_under_a_quarter_of_the_memo():
+    """One pass of the full ``selftest --seed 0`` meets every shape its
+    second pass meets, and leaves the memo at least 4x headroom."""
+    symbols._structure_constants.cache_clear()
+    selftest._payload(0, selftest._sizes(fast=False))
+    assert 0 < symbols._structure_constants.cache_info().currsize < KAPPA_ROWS / 4
+
+
+def test_selftest_is_byte_identical_from_a_cold_and_a_warm_memo():
+    symbols._structure_constants.cache_clear()
+    cold = selftest.canonical_json(selftest.run_selftest(seed=0, fast=True))
+    warm = selftest.canonical_json(selftest.run_selftest(seed=0, fast=True))
+    assert symbols._structure_constants.cache_info().hits > 0
+    assert cold == warm
 
 
 # -- brackets ------------------------------------------------------------------
