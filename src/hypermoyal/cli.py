@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import HypermoyalError, ValidationError, json_field
 from .parsing import _highest_index, parse_symbol
-from .scalars import Sigma, _num_str, as_sigma
+from .scalars import Sigma, _as_fraction, _num_str, as_sigma
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
 
 #: Most rows ``limit --steps`` tabulates.  Row ``n`` prints ``h = 1/2^n`` in
@@ -65,8 +65,8 @@ def _parsed_pairs(args):
 
 def _positive_h(text: str) -> Fraction:
     try:
-        h = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        h = _as_fraction(text)
+    except ValidationError:
         h = 0
     if h <= 0:
         raise ValidationError(f"--h must be a positive rational, got {text}")

@@ -62,7 +62,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from operator import add, mul
 
-from .errors import DimensionMismatchError, json_field
+from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import (
     Binarion,
     Sigma,
@@ -124,16 +124,19 @@ class CharSum(ScalarRing):
         re = 0.0
         im = 0.0
         hyper = self.sigma is Sigma.HYPERBOLIC
-        for r, c in self._binarions().items():
-            x, y = c.to_floats()
-            if hyper:
-                cr, sr = math.cosh(r), math.sinh(r)
-                re += x * cr + y * sr
-                im += x * sr + y * cr
-            else:
-                cr, sr = math.cos(r), math.sin(r)
-                re += x * cr - y * sr
-                im += x * sr + y * cr
+        try:
+            for r, c in self._binarions().items():
+                x, y = c.to_floats()
+                if hyper:
+                    cr, sr = math.cosh(r), math.sinh(r)
+                    re += x * cr + y * sr
+                    im += x * sr + y * cr
+                else:
+                    cr, sr = math.cos(r), math.sin(r)
+                    re += x * cr - y * sr
+                    im += x * sr + y * cr
+        except OverflowError:
+            raise ValidationError("value too large for a float") from None
         return re, im
 
     def pos_norm(self) -> float:

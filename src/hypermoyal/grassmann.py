@@ -195,21 +195,11 @@ def parity(a: GrassmannElement) -> Parity:
 def supercommutator(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """``a*b - (-1)^{|a||b|} b*a``, extended bilinearly to mixed elements.
 
-    Vanishes identically: the algebra is supercommutative.
+    Summed over the even and odd parts, only the odd-odd term has the sign
+    ``+``, so the sum is ``a*b - b*a + 2*b_odd*a_odd``.  Vanishes
+    identically: the algebra is supercommutative.
     """
-    total = GrassmannElement.zero(a.n, a.sigma)
-    for x, px in ((a.even_part(), 0), (a.odd_part(), 1)):
-        if x.is_zero():
-            continue
-        for y, py in ((b.even_part(), 0), (b.odd_part(), 1)):
-            if y.is_zero():
-                continue
-            yx = y * x
-            if px * py:
-                total = total + (x * y + yx)
-            else:
-                total = total + (x * y - yx)
-    return total
+    return a * b - b * a + 2 * (b.odd_part() * a.odd_part())
 
 
 def annihilator_witness(n: int, sigma: Sigma = Sigma.HYPERBOLIC) -> GrassmannElement:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidStateError, ValidationError
-from .scalars import FLOAT_TOLERANCE, Sigma, _num_str, as_sigma
+from .scalars import FLOAT_TOLERANCE, Sigma, _as_fraction, _num_str, as_sigma
 
 
 class Regime(enum.Enum):
@@ -358,8 +358,8 @@ def theta_range(p_a, cond) -> tuple:
 def _parse_csv_value(text: str, row: int):
     text = text.strip()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _as_fraction(text)
+    except ValidationError:
         raise ValidationError(f"not a number: {text!r} (row {row})") from None
 
 
@@ -379,8 +379,8 @@ def contexts_from_csv(path) -> list:
                 continue
             if row_number == 1:
                 try:
-                    Fraction(cells[0].strip())
-                except (ValueError, ZeroDivisionError):
+                    _as_fraction(cells[0])
+                except ValidationError:
                     continue  # header
             if len(cells) != 4:
                 raise ValidationError(

@@ -57,7 +57,7 @@ from .distributions import (
 )
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
-from .sparse import add_parts
+from .sparse import add_parts, summed
 from .parsing import parse_symbol
 from .symbols import PolySymbol, check_degree_cap, star
 
@@ -520,14 +520,8 @@ def plane_wave_eigenvalue(symbol: PolySymbol, momentum, h) -> ExpPoly:
     k = symbol.dof
     if len(momentum) != k:
         raise DimensionMismatchError("momentum length must match symbol dof")
-    out = ExpPoly.zero(k, symbol.sigma)
-    for alpha, beta, coeff in symbol.terms():
-        scalar = coeff.substitute(h)
-        mono = Fraction(1)
-        for p0, e in zip(momentum, beta):
-            mono *= p0**e
-        if mono == 0:
-            continue
-        term = ExpPoly.monomial(alpha, scalar * mono, symbol.sigma)
-        out = out + term
-    return out
+    zero = (0,) * k
+    return ExpPoly(k, symbol.sigma, summed(
+        ((zero, alpha), coeff.substitute(h) * math.prod(map(pow, momentum, beta)))
+        for alpha, beta, coeff in symbol.terms()
+    ))

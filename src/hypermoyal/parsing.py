@@ -8,6 +8,8 @@ the hyperbolic signature, ``i`` for the complex one), Grassmann generators
 is insignificant.  ``^`` takes a nonnegative integer exponent; ``/``
 appears only inside rational literals.  A numeric literal may carry the
 unit as a suffix (``2j``, ``3/2i``), matching the scalar text rendering.
+A unary sign binds looser than ``^`` wherever it stands (``q*-p^2`` is
+``-q*p^2``), and ``+`` is accepted wherever ``-`` is (``q*+p``).
 
 Deliberately not a general expression parser: no functions, no floating
 literals, no implicit multiplication.  A digit run longer than
@@ -84,12 +86,6 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect_op(self, op):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
     def parse(self):
         value = self.expression()
         kind, text, pos = self.peek()
@@ -98,16 +94,7 @@ class _Parser:
         return value
 
     def expression(self):
-        kind, value, _ = self.peek()
-        negate = False
-        while kind == "op" and value in "+-":
-            self.advance()
-            if value == "-":
-                negate = not negate
-            kind, value, _ = self.peek()
         total = self.term()
-        if negate:
-            total = -total
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
@@ -128,6 +115,13 @@ class _Parser:
                 return total
 
     def factor(self):
+        """``('+'|'-') factor | primary ('^' number)?``: the one sign rule."""
+        negate = False
+        kind, value, _ = self.peek()
+        while kind == "op" and value in "+-":
+            self.advance()
+            negate ^= value == "-"
+            kind, value, _ = self.peek()
         base = self.primary()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
@@ -136,8 +130,8 @@ class _Parser:
             if kind != "number":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            return base ** int(text)
-        return base
+            base = base ** int(text)
+        return -base if negate else base
 
     def primary(self):
         kind, text, pos = self.advance()
@@ -165,10 +159,10 @@ class _Parser:
             return self.make_name(text, pos)
         if kind == "op" and text == "(":
             value = self.expression()
-            self.expect_op(")")
+            kind, text, pos = self.advance()
+            if kind != "op" or text != ")":
+                raise ParseError("expected ')'", pos)
             return value
-        if kind == "op" and text == "-":
-            return -self.primary()
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
@@ -224,11 +218,9 @@ def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
 def parse_binarion(text: str, sigma) -> Binarion:
     """Parse scalar text such as ``3/2 + 1j`` into a :class:`Binarion`."""
     symbol = parse_symbol(text, sigma, dof=1)
-    value = HPoly.zero(symbol.sigma)
-    for alpha, beta, coeff in symbol.terms():
-        if any(alpha) or any(beta):
-            raise ParseError("expected a scalar, found phase-space variables", 0)
-        value = value + coeff
+    if symbol.total_degree() > 0:
+        raise ParseError("expected a scalar, found phase-space variables", 0)
+    value = symbol.coeff((0,), (0,))
     if value.degree() > 0:
         raise ParseError("expected a scalar, found the parameter h", 0)
     return value.constant_term

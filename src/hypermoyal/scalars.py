@@ -91,6 +91,8 @@ class GClass(enum.Enum):
 
 
 def _as_fraction(value) -> Fraction:
+    """An ``int``, ``Fraction`` or rational text as a ``Fraction``; the one
+    reader of rational text, which refuses bad text with ValidationError."""
     # exact type tests first: for an int, ``isinstance(value, Fraction)`` goes
     # through the ``numbers.Rational`` ABC check, which costs more than the
     # conversion
@@ -101,9 +103,16 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    if not isinstance(value, str):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {value!r}") from None
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _num_str(value) -> str:
@@ -125,12 +134,8 @@ def _part_text(value: Fraction) -> str:
 
 
 def _json_fraction(value) -> Fraction:
-    """A rational written in JSON as text or as a number; a zero denominator
-    raises :class:`ValidationError`."""
-    try:
-        return Fraction(str(value))
-    except ZeroDivisionError:
-        raise ValidationError(f"zero denominator in {value!r}") from None
+    """A rational written in JSON as text or as a number."""
+    return _as_fraction(str(value))
 
 
 class Binarion:
@@ -184,7 +189,10 @@ class Binarion:
         return self.im == 0
 
     def to_floats(self) -> tuple[float, float]:
-        return float(self.re), float(self.im)
+        try:
+            return float(self.re), float(self.im)
+        except OverflowError:
+            raise ValidationError("value too large for a float") from None
 
     # -- ring operations -----------------------------------------------
 

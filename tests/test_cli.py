@@ -47,6 +47,12 @@ def test_star_complex(capsys):
     assert out == "sigma=-1: q1*p1\n"
 
 
+def test_star_sign_after_an_operator_binds_looser_than_power(capsys):
+    expected = "sigma=+1: -q1^2*p1^2 - 2j*h*q1*p1\n"
+    assert run(capsys, "star", "q*-p^2", "q") == (0, expected, "")
+    assert run(capsys, "star", "--", "-q*p^2", "q") == (0, expected, "")
+
+
 def test_star_unit_absorbs(capsys):
     code, out, _ = run(capsys, "star", "1", "q^2", "--sigma", "+1")
     assert code == 0
@@ -121,6 +127,13 @@ def test_limit_negative_steps_rejected(capsys):
     code, out, err = run(capsys, "limit", "p", "q", "--steps", "-3")
     assert code == 2 and out == ""
     assert err == "error: --steps must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_limit_value_too_large_for_a_float_is_one_line_error(capsys, fmt):
+    code, out, err = run(capsys, "limit", "10^400*q^2", "p^2", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: value too large for a float\n"
 
 
 def _fail_on_use(*args, **kwargs):

@@ -308,6 +308,13 @@ def test_compose_check_reports_diff_on_mismatch():
 # -- eigenrelation -------------------------------------------------------------------------
 
 
+def test_plane_wave_eigenvalue_sums_terms_that_meet_on_one_power():
+    """``q*p + 2*q*p^2`` at momentum 3 is ``3*q + 18*q = 21*q``."""
+    a = PolySymbol.monomial((1,), (1,), 1, H) + PolySymbol.monomial((1,), (2,), 2, H)
+    assert plane_wave_eigenvalue(a, 3, 1) == ExpPoly.monomial((1,), 21, H)
+    assert plane_wave_eigenvalue(a, (0,), 1).is_zero()
+
+
 def test_plane_wave_eigenrelation_random():
     rng = random.Random(11)
     for sigma in SIGMAS:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from sympy.parsing.sympy_parser import parse_expr
 
 from hypermoyal import (
     Binarion,
@@ -75,6 +77,89 @@ def test_parse_respects_precedence_and_parens():
     assert parse_symbol("(q + p)^2", H) == parse_symbol("q^2 + 2*q*p + p^2", H)
     assert parse_symbol("-q^2", H) == -parse_symbol("q^2", H)
     assert parse_symbol("2*-q", H) == parse_symbol("-2*q", H)
+    # one unary-sign rule: ``-x^2`` is ``-(x^2)`` after an operator as at the
+    # start, and ``+`` is accepted wherever ``-`` is
+    assert parse_symbol("q*-p^2", H) == parse_symbol("-q*p^2", H) == -parse_symbol("q*p^2", H)
+    assert parse_symbol("2--3/2^2", H) == PolySymbol.constant(Fraction(17, 4), 1, H)
+    assert parse_symbol("-2^2", H) == PolySymbol.constant(-4, 1, H)
+    assert parse_binarion("2*-3^2", H) == -18
+    assert parse_binarion("2*(-3)^2", H) == 18
+    assert parse_symbol("q*+p", H) == parse_symbol("q*p", H)
+    assert parse_symbol("q-+p", H) == parse_symbol("q-p", H)
+    assert parse_symbol("q*-+-p", H) == parse_symbol("q*p", H)
+    assert parse_grassmann("t1*-t2", H) == -parse_grassmann("t1*t2", H)
+
+
+_ORACLE_NAMES = {name: sp.Symbol(name) for name in ("q1", "p1", "h")}
+
+
+def _random_expression(rng, depth):
+    """Text from a random derivation of the grammar over ``q1 p1 h 2 3/2 1``,
+    with unary signs, ``^`` and parentheses nested ``depth`` deep."""
+
+    def expression(d):
+        text = term(d)
+        for _ in range(rng.randint(0, 2)):
+            text += rng.choice(("+", "-", " + ", " - ")) + term(d)
+        return text
+
+    def term(d):
+        return "*".join(factor(d) for _ in range(rng.randint(1, 2)))
+
+    def factor(d):
+        signs = rng.choice(("", "", "-", "-", "--", "+"))
+        power = f"^{rng.randint(0, 3)}" if rng.random() < 0.5 else ""
+        return signs + primary(d) + power
+
+    def primary(d):
+        if d and rng.random() < 0.4:
+            return f"({expression(d - 1)})"
+        return rng.choice(("q1", "p1", "h", "2", "3/2", "1"))
+
+    return expression(depth)
+
+
+def test_grammar_matches_sympy_on_random_expressions():
+    """sympy reads the same text, with ``^`` written ``**`` and each rational
+    literal in parentheses, as an independent oracle for precedence and
+    signs; the two must give the same polynomial in ``q1, p1, h``."""
+    rng = random.Random(1)
+    for _ in range(200):
+        text = _random_expression(rng, 2)
+        got = {
+            (alpha[0], beta[0], d): value.re
+            for alpha, beta, coeff in parse_symbol(text, H, 1).terms()
+            for d, value in coeff.items()
+        }
+        oracle = parse_expr(text.replace("^", "**").replace("3/2", "(3/2)"),
+                            local_dict=_ORACLE_NAMES)
+        want = sp.Poly(oracle, *_ORACLE_NAMES.values()).as_dict()
+        assert got == {key: Fraction(int(c.p), int(c.q)) for key, c in want.items()}, text
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("-", "unexpected end of input", 1),
+    ("q*-", "unexpected end of input", 3),
+    ("--", "unexpected end of input", 2),
+    ("q+", "unexpected end of input", 2),
+    ("*q", "unexpected '*'", 0),
+    ("q*", "unexpected end of input", 2),
+    ("()", "unexpected ')'", 1),
+    ("-)", "unexpected ')'", 1),
+    ("+", "unexpected end of input", 1),
+    ("(q", "expected ')'", 2),
+    ("q^-2", "exponent must be a nonnegative integer", 2),
+    ("q^", "exponent must be a nonnegative integer", 2),
+    ("(q)(p)", "unexpected trailing '('", 3),
+    ("q p", "unexpected trailing 'p'", 2),
+    ("1/0", "zero denominator", 2),
+    ("3/", "expected denominator", 2),
+])
+def test_malformed_text_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_symbol(text, H)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_parse_unit_suffix_literals():

@@ -10,15 +10,22 @@ from hypothesis import strategies as st
 
 from hypermoyal import (
     Binarion,
+    CharSum,
     GClass,
     NotRepresentableError,
+    Operator,
+    PhasePoint,
+    PolySymbol,
     Sigma,
     SignatureMismatchError,
+    ValidationError,
+    WaveFunction,
     ZeroDivisorError,
     character,
     parse_binarion,
     polar,
 )
+from hypermoyal.scalars import _as_fraction, _json_fraction
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -291,3 +298,45 @@ def test_text_parse_round_trip():
         for _ in range(100):
             z = _random_binarion(rng, sigma)
             assert parse_binarion(str(z), sigma) == z
+
+
+# -- the text-to-rational reader -----------------------------------------------------
+
+
+def test_as_fraction_reads_text_and_refuses_with_validation_errors():
+    assert _as_fraction(" -3/6 ") == Fraction(-1, 2)
+    assert _as_fraction("0.25") == Fraction(1, 4)
+    with pytest.raises(ValidationError, match=r"^zero denominator in '1/0'$"):
+        _as_fraction("1/0")
+    with pytest.raises(ValidationError, match=r"^Invalid literal for Fraction: 'x'$"):
+        _as_fraction("x")
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        _as_fraction(0.5)
+    assert _json_fraction(0.5) == Fraction(1, 2)
+    with pytest.raises(ValidationError, match=r"^zero denominator in '3/0'$"):
+        _json_fraction("3/0")
+
+
+_Q = PolySymbol.coordinate("q", 0, 1, H)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Binarion("1/0", 0, H),
+    lambda: PhasePoint(("1/0",), (1,)),
+    lambda: WaveFunction.plane_wave("1/0", 1, H),
+    lambda: Operator(_Q, "x"),
+    lambda: _Q.substitute_h("x"),
+], ids=["binarion", "phase-point", "plane-wave", "operator-h", "substitute-h"])
+def test_constructors_refuse_bad_rational_text_with_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("value", [
+    lambda: Binarion(10**400, 0, H),
+    lambda: CharSum.character(1000, H),
+    lambda: CharSum.character(Fraction(10**400, 3), C),
+], ids=["binarion", "charsum-cosh", "charsum-exponent"])
+def test_to_floats_refuses_a_value_too_large_for_a_float(value):
+    with pytest.raises(ValidationError, match=r"^value too large for a float$"):
+        value().to_floats()

@@ -48,6 +48,17 @@ def test_a_planted_oracle_fault_fails_its_check(monkeypatch, name):
     assert entry["passed"] is False
 
 
+def test_a_negated_product_sign_fails_criterion_9(monkeypatch):
+    """Negating every product sign keeps ``a*b - b*a`` and associativity
+    intact; the ``2*b_odd*a_odd`` term of the supercommutator, whose factor 2
+    enters as a constant, does not."""
+    merge_sign = grassmann._merge_sign
+    monkeypatch.setattr(grassmann, "_merge_sign", lambda a, b: -merge_sign(a, b))
+    entry = selftest.check_grassmann(random.Random(5), 100)
+    assert entry["failures"] > 0
+    assert entry["passed"] is False
+
+
 def test_selftest_with_a_planted_fault_exits_1(monkeypatch, capsys):
     _plant(monkeypatch, "associativity")
     code = main(["selftest", "--fast", "--format", "text"])
