@@ -72,6 +72,15 @@ WAVE_JSON = {
         ],
     },
 }
+# a lambda = 0 row, an exact trigonometric row, an exact hyperbolic row, a
+# degenerate row (D = 0) and a row whose D is irrational
+INTERFERENCE_CSV = """P(a1),P(b1|a1),P(b1|a2),P(b1)
+0.5,0.5,0.5,0.5
+0.5,0.5,0.5,0.9
+0.5,0.9,0.1,0.95
+1,0.4,0.7,0.4
+0.3,0.2,0.7,0.61
+"""
 
 A = "(1+2j)*q1*p2 + h*p1^2 - 3/2*q2"
 B = "q1^2*p1 - 1/2*q2*p2 + 2j*h*q1"
@@ -934,6 +943,237 @@ all passed
 }
 ''',
     ),
+    "interfere_json": (
+        ["interfere", "{interference}", "--format", "json"],
+        '''[
+  {
+    "report": {
+      "normalization_residual": "0",
+      "outcomes": [
+        {
+          "classical": "1/2",
+          "d": "1/4",
+          "interference": "0",
+          "lambda": "0",
+          "observed": "1/2",
+          "regime": "trigonometric",
+          "sign": null,
+          "theta": "1.57079632679"
+        },
+        {
+          "classical": "1/2",
+          "d": "1/4",
+          "interference": "0",
+          "lambda": "0",
+          "observed": "1/2",
+          "regime": "trigonometric",
+          "sign": null,
+          "theta": "1.57079632679"
+        }
+      ]
+    },
+    "row": 2,
+    "theta_range": [
+      {
+        "admissible": true,
+        "cosh_max": "1",
+        "degenerate": false,
+        "theta_max": "0"
+      },
+      {
+        "admissible": true,
+        "cosh_max": "1",
+        "degenerate": false,
+        "theta_max": "0"
+      }
+    ]
+  },
+  {
+    "report": {
+      "normalization_residual": "0",
+      "outcomes": [
+        {
+          "classical": "1/2",
+          "d": "1/4",
+          "interference": "1/5",
+          "lambda": "4/5",
+          "observed": "9/10",
+          "regime": "trigonometric",
+          "sign": null,
+          "theta": "0.643501108793"
+        },
+        {
+          "classical": "1/2",
+          "d": "1/4",
+          "interference": "-1/5",
+          "lambda": "-4/5",
+          "observed": "1/10",
+          "regime": "trigonometric",
+          "sign": null,
+          "theta": "2.4980915448"
+        }
+      ]
+    },
+    "row": 3,
+    "theta_range": [
+      {
+        "admissible": true,
+        "cosh_max": "1",
+        "degenerate": false,
+        "theta_max": "0"
+      },
+      {
+        "admissible": true,
+        "cosh_max": "1",
+        "degenerate": false,
+        "theta_max": "0"
+      }
+    ]
+  },
+  {
+    "report": {
+      "normalization_residual": "0",
+      "outcomes": [
+        {
+          "classical": "1/2",
+          "d": "3/20",
+          "interference": "9/40",
+          "lambda": "3/2",
+          "observed": "19/20",
+          "regime": "hyperbolic",
+          "sign": 1,
+          "theta": "0.962423650119"
+        },
+        {
+          "classical": "1/2",
+          "d": "3/20",
+          "interference": "-9/40",
+          "lambda": "-3/2",
+          "observed": "1/20",
+          "regime": "hyperbolic",
+          "sign": -1,
+          "theta": "0.962423650119"
+        }
+      ]
+    },
+    "row": 4,
+    "theta_range": [
+      {
+        "admissible": true,
+        "cosh_max": "5/3",
+        "degenerate": false,
+        "theta_max": "1.09861228867"
+      },
+      {
+        "admissible": true,
+        "cosh_max": "5/3",
+        "degenerate": false,
+        "theta_max": "1.09861228867"
+      }
+    ]
+  },
+  {
+    "report": {
+      "normalization_residual": "0",
+      "outcomes": [
+        {
+          "classical": "2/5",
+          "d": "0",
+          "interference": "0",
+          "lambda": null,
+          "observed": "2/5",
+          "regime": "degenerate",
+          "sign": null,
+          "theta": null
+        },
+        {
+          "classical": "3/5",
+          "d": "0",
+          "interference": "0",
+          "lambda": null,
+          "observed": "3/5",
+          "regime": "degenerate",
+          "sign": null,
+          "theta": null
+        }
+      ]
+    },
+    "row": 5,
+    "theta_range": [
+      {
+        "admissible": false,
+        "cosh_max": null,
+        "degenerate": true,
+        "theta_max": null
+      },
+      {
+        "admissible": false,
+        "cosh_max": null,
+        "degenerate": true,
+        "theta_max": null
+      }
+    ]
+  },
+  {
+    "report": {
+      "normalization_residual": "0",
+      "outcomes": [
+        {
+          "classical": "11/20",
+          "d": "0.171464281995",
+          "interference": "3/100",
+          "lambda": "0.174963553056",
+          "observed": "61/100",
+          "regime": "trigonometric",
+          "sign": null,
+          "theta": "1.3949275767"
+        },
+        {
+          "classical": "9/20",
+          "d": "0.224499443206",
+          "interference": "-3/100",
+          "lambda": "-0.133630620956",
+          "observed": "39/100",
+          "regime": "trigonometric",
+          "sign": null,
+          "theta": "1.70482788821"
+        }
+      ]
+    },
+    "row": 6,
+    "theta_range": [
+      {
+        "admissible": true,
+        "cosh_max": "1.31222664792",
+        "degenerate": false,
+        "theta_max": "0.770985823404"
+      },
+      {
+        "admissible": true,
+        "cosh_max": "1.00222965717",
+        "degenerate": false,
+        "theta_max": "0.0667656963123"
+      }
+    ]
+  }
+]
+''',
+    ),
+    "interfere_csv": (
+        ["interfere", "{interference}", "--format", "csv"],
+        '''row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual
+2,1,1/2,1/2,1/4,0,trigonometric,1.57079632679,1,0
+2,2,1/2,1/2,1/4,0,trigonometric,1.57079632679,1,0
+3,1,9/10,1/2,1/4,4/5,trigonometric,0.643501108793,1,0
+3,2,1/10,1/2,1/4,-4/5,trigonometric,2.4980915448,1,0
+4,1,19/20,1/2,3/20,3/2,hyperbolic,0.962423650119,5/3,0
+4,2,1/20,1/2,3/20,-3/2,hyperbolic,0.962423650119,5/3,0
+5,1,2/5,2/5,0,,degenerate,,,0
+5,2,3/5,3/5,0,,degenerate,,,0
+6,1,61/100,11/20,0.171464281995,0.174963553056,trigonometric,1.3949275767,1.31222664792,0
+6,2,39/100,9/20,0.224499443206,-0.133630620956,trigonometric,1.70482788821,1.00222965717,0
+''',
+    ),
 }
 
 
@@ -948,6 +1188,9 @@ def input_files(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         paths[name] = str(path)
+    path = tmp_path / "interference.csv"
+    path.write_text(INTERFERENCE_CSV, encoding="utf-8")
+    paths["interference"] = str(path)
     return paths
 
 
