@@ -67,6 +67,7 @@ from .scalars import (
     Binarion,
     Sigma,
     _as_fraction,
+    _cos_sin,
     _json_fraction,
     as_sigma,
     binarion_from_json,
@@ -111,7 +112,7 @@ class CharSum(ScalarRing):
 
     def as_binarion(self) -> Binarion:
         if not self.is_scalar():
-            raise ValueError(f"{self} carries formal characters; not a plain scalar")
+            raise ValidationError(f"{self} carries formal characters; not a plain scalar")
         return self._binarions().get(Fraction(0), Binarion.zero(self.sigma))
 
     def conjugate(self) -> "CharSum":
@@ -120,23 +121,21 @@ class CharSum(ScalarRing):
     # -- evaluation -----------------------------------------------------------------
 
     def to_floats(self) -> tuple[float, float]:
-        """Numeric value as a ``(re, im)`` float pair."""
+        """Numeric value as a ``(re, im)`` float pair; a value past the float
+        range raises :class:`ValidationError`."""
         re = 0.0
         im = 0.0
-        hyper = self.sigma is Sigma.HYPERBOLIC
+        s = self.sigma.value
         try:
             for r, c in self._binarions().items():
                 x, y = c.to_floats()
-                if hyper:
-                    cr, sr = math.cosh(r), math.sinh(r)
-                    re += x * cr + y * sr
-                    im += x * sr + y * cr
-                else:
-                    cr, sr = math.cos(r), math.sin(r)
-                    re += x * cr - y * sr
-                    im += x * sr + y * cr
+                cr, sr = _cos_sin(r, self.sigma)
+                re += x * cr + s * y * sr
+                im += x * sr + y * cr
         except OverflowError:
             raise ValidationError("value too large for a float") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValidationError("value too large for a float")
         return re, im
 
     def pos_norm(self) -> float:
@@ -356,7 +355,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         dim = 2 * symbol.dof
         if h is None:
             if any(d for _, _, d in symbol._terms):
-                raise ValueError("symbol carries formal h; pass a numeric h")
+                raise ValidationError("symbol carries formal h; pass a numeric h")
             h = 1
         h = _as_fraction(h)
         hn, hd = h.numerator, h.denominator
@@ -454,12 +453,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                         factor *= scalar
                         m += u_power
                     factor *= pads[m]
-                    if s < 0 and (m // 2) % 2:
-                        factor = -factor
-                    if m % 2:  # a factor u maps x + u*y to s*y + u*x
-                        re, im = factor * s * c_im, factor * c_re
-                    else:
-                        re, im = factor * c_re, factor * c_im
+                    re, im = _times_unit_power((factor * c_re, factor * c_im), m, 1, s)
                     add_parts(acc, (freq, tuple(lowered), r), re, im)
         return self._new(acc, self._cden * self._den**top)
 
@@ -843,9 +837,7 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
                     re, im = re * fx + s * im * fy, re * fy + im * fx
                 order = tuple(map(add, oa[:k] + tuple(t for t, _, _, _ in choice),
                                   tuple(t for _, t, _, _ in choice) + ob[k:]))
-                n = sum(order)
-                scale = (-1) ** n * s ** (n // 2)  # (-u)^n, a re/im swap for odd n
-                re, im = (scale * s * im, scale * re) if n % 2 else (scale * re, scale * im)
+                re, im = _times_unit_power((re, im), sum(order), -1, s)  # times (-u)^n
                 add_parts(acc, (loc, order, phase), re, im)
     den = wa * wb * hd ** (big_a + big_b) * da**big_b * db**big_a
     return ExpPoly._make(2 * k, sigma, acc, den, hd * da * db)
@@ -862,7 +854,7 @@ def paley_wiener_growth(f: ExpPoly, n_max: int) -> tuple[float, float]:
     if f.dim != 1:
         raise DimensionMismatchError("growth check is defined for dim-1 functions")
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValidationError("n_max must be >= 1")
     norms = []
     current = f
     for _ in range(n_max + 1):

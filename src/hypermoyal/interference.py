@@ -16,7 +16,9 @@ theta range a real constraint (:func:`theta_range`).
 
 Probabilities may be exact rationals (decimal text in CSV files is parsed
 exactly) or floats; regime decisions are exact in rational mode and use a
-``1e-12`` tolerance in float mode.
+``1e-12`` tolerance in float mode.  An outcome's classical mixture and
+``D_j^2`` come from :func:`_mixture`; the ``cos`` or ``cosh`` of a Born
+value from :func:`hypermoyal.scalars._cos_sin`, the one place that picks it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InvalidStateError, ValidationError
-from .scalars import FLOAT_TOLERANCE, Sigma, _as_fraction, _num_str, as_sigma
+from .scalars import FLOAT_TOLERANCE, Sigma, _as_fraction, _cos_sin, _num_str, as_sigma
 
 
 class Regime(enum.Enum):
@@ -64,10 +65,11 @@ def _close(a, b, exact: bool) -> bool:
     return abs(a - b) <= FLOAT_TOLERANCE
 
 
-def _check_probability(value, what: str, row: Optional[int] = None):
-    if not (0 <= value <= 1):
-        where = f" (row {row})" if row is not None else ""
-        raise ValidationError(f"{what} = {value} outside [0, 1]{where}")
+def _mixture(p_a, cond, j: int) -> tuple:
+    """Outcome ``b_j``'s classical mixture ``sum_i P(b_j|a_i) P(a_i)`` and
+    ``D_j^2 = prod_i P(b_j|a_i) P(a_i)``."""
+    first = cond[j][0] * p_a[0]
+    return first + cond[j][1] * p_a[1], first * cond[j][1] * p_a[1]
 
 
 class DichotomousContext:
@@ -79,7 +81,7 @@ class DichotomousContext:
 
     __slots__ = ("p_a", "cond", "observed", "exact")
 
-    def __init__(self, p_a, cond, observed, row: Optional[int] = None):
+    def __init__(self, p_a, cond, observed, row: int | None = None):
         self.p_a = tuple(p_a)
         self.cond = tuple(tuple(r) for r in cond)
         self.observed = tuple(observed)
@@ -90,18 +92,17 @@ class DichotomousContext:
         flat = list(self.p_a) + [x for r in self.cond for x in r] + list(self.observed)
         self.exact = _is_exact(*flat)
         names = ("P(a1)", "P(a2)", "P(b1|a1)", "P(b1|a2)", "P(b2|a1)", "P(b2|a2)", "P(b1)", "P(b2)")
-        for name, value in zip(names, flat):
-            _check_probability(value, name, row)
         where = f" (row {row})" if row is not None else ""
-        if not _close(self.p_a[0] + self.p_a[1], 1, self.exact):
-            raise ValidationError(f"P(a) does not sum to 1{where}")
-        for i in range(2):
-            if not _close(self.cond[0][i] + self.cond[1][i], 1, self.exact):
-                raise ValidationError(
-                    f"conditionals for a{i + 1} do not sum to 1{where}"
-                )
-        if not _close(self.observed[0] + self.observed[1], 1, self.exact):
-            raise ValidationError(f"observed P(b) does not sum to 1{where}")
+        for name, value in zip(names, flat):
+            if not (0 <= value <= 1):
+                raise ValidationError(f"{name} = {value} outside [0, 1]{where}")
+        a1, a2 = zip(*self.cond)
+        for pair, message in ((self.p_a, "P(a) does not sum to 1"),
+                              (a1, "conditionals for a1 do not sum to 1"),
+                              (a2, "conditionals for a2 do not sum to 1"),
+                              (self.observed, "observed P(b) does not sum to 1")):
+            if not _close(pair[0] + pair[1], 1, self.exact):
+                raise ValidationError(message + where)
 
     @classmethod
     def from_b1_row(cls, p_a1, cond_b1_a1, cond_b1_a2, observed_b1, row=None):
@@ -124,9 +125,9 @@ class OutcomeReport:
     d: object
     interference: object  # lambda_j * D_j = (observed - classical) / 2
     regime: Regime
-    lam: Optional[float]
-    sign: Optional[int]
-    theta: Optional[float]
+    lam: float | None
+    sign: int | None
+    theta: float | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,8 +170,7 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
     outcomes = []
     residual = Fraction(0) if ctx.exact else 0.0
     for j in range(2):
-        classical = ctx.cond[j][0] * ctx.p_a[0] + ctx.cond[j][1] * ctx.p_a[1]
-        d_squared = ctx.cond[j][0] * ctx.p_a[0] * ctx.cond[j][1] * ctx.p_a[1]
+        classical, d_squared = _mixture(ctx.p_a, ctx.cond, j)
         d = _sqrt(d_squared)
         deviation = ctx.observed[j] - classical
         interference = deviation / 2
@@ -240,11 +240,7 @@ class Amplitude2:
         """``|z|^2 = z * conj(z)`` of the superposition (may be negative for sigma=+1)."""
         m1, m2 = self.magnitudes
         s = self.signs[0] * self.signs[1]
-        delta = self.phases[0] - self.phases[1]
-        if self.sigma is Sigma.HYPERBOLIC:
-            cross = math.cosh(delta)
-        else:
-            cross = math.cos(delta)
+        cross, _ = _cos_sin(self.phases[0] - self.phases[1], self.sigma)
         return m1 * m1 + m2 * m2 + 2 * s * m1 * m2 * cross
 
     @classmethod
@@ -268,18 +264,14 @@ def forward(amp_b1: Amplitude2, amp_b2: Amplitude2):
     if amp_b1.sigma is not amp_b2.sigma:
         raise ValidationError("amplitude signatures differ")
     exact = _is_exact(*amp_b1.magnitudes, *amp_b2.magnitudes)
-    p_a = tuple(
-        amp_b1.magnitudes[i] ** 2 + amp_b2.magnitudes[i] ** 2 for i in range(2)
-    )
+    weights = [[m**2 for m in amp.magnitudes] for amp in (amp_b1, amp_b2)]
+    p_a = tuple(x + y for x, y in zip(*weights))
     total = p_a[0] + p_a[1]
     if not _close(total, 1, exact):
         raise ValidationError(f"amplitude magnitudes give sum P(a) = {total} != 1")
     if any(p == 0 for p in p_a):
         raise ValidationError("degenerate prior: some P(a_i) = 0")
-    cond = tuple(
-        tuple(amp.magnitudes[i] ** 2 / p_a[i] for i in range(2))
-        for amp in (amp_b1, amp_b2)
-    )
+    cond = tuple(tuple(w / p for w, p in zip(row, p_a)) for row in weights)
     observed = []
     for amp in (amp_b1, amp_b2):
         value = amp.born_value()
@@ -292,10 +284,9 @@ def forward(amp_b1: Amplitude2, amp_b2: Amplitude2):
                 bound=bound,
             )
         observed.append(min(1.0, max(0.0, value)))
-    if not _close(observed[0] + observed[1], 1, False):
-        raise ValidationError(
-            f"amplitudes are inconsistent: observed sums to {observed[0] + observed[1]}"
-        )
+    total = observed[0] + observed[1]
+    if not _close(total, 1, False):
+        raise ValidationError(f"amplitudes are inconsistent: observed sums to {total}")
     # round away the it-must-sum-to-1 float dust so the context validates
     ctx = DichotomousContext(p_a, cond, (observed[0], 1 - observed[0]))
     return ctx, classify(ctx)
@@ -311,7 +302,7 @@ class ThetaRange:
     """
 
     cosh_max: object
-    theta_max: Optional[float]
+    theta_max: float | None
     admissible: bool
     degenerate: bool = False
 
@@ -339,8 +330,7 @@ def theta_range(p_a, cond) -> tuple:
     cond = tuple(tuple(r) for r in cond)
     out = []
     for j in range(2):
-        classical = cond[j][0] * p_a[0] + cond[j][1] * p_a[1]
-        d_squared = cond[j][0] * p_a[0] * cond[j][1] * p_a[1]
+        classical, d_squared = _mixture(p_a, cond, j)
         if d_squared == 0:
             out.append(
                 ThetaRange(cosh_max=None, theta_max=None, admissible=False, degenerate=True)

@@ -52,6 +52,7 @@ from operator import add
 from .distributions import (
     CharSum,
     ExpPoly,
+    _times_unit_power,
     inverse_fourier_symbol,
     star_distributional,
 )
@@ -369,12 +370,8 @@ class Operator:
         for (loc, order, rho), (re, im) in dist._terms.items():
             r, t = order[:k], order[k:]
             n, order_t = sum(r), sum(t)
-            c = h_n**order_t * h_d ** (top - order_t) * s ** (n // 2)
-            if (n + order_t) % 2:
-                c = -c
-            re, im = c * re, c * im
-            if n % 2:  # a factor u maps x + u*y to s*y + u*x
-                re, im = s * im, re
+            c = (-h_n) ** order_t * h_d ** (top - order_t)  # (-h)^|s| over h_d^T
+            re, im = _times_unit_power((c * re, c * im), n, -1, s)  # times (-u)^|r|
             a_vec = loc[:k]
             groups.setdefault((t, loc[k:]), []).append(
                 (a_vec if any(a_vec) else None, r if n else None, rho, re, im)

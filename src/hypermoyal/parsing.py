@@ -13,8 +13,9 @@ A unary sign binds looser than ``^`` wherever it stands (``q*-p^2`` is
 
 Deliberately not a general expression parser: no functions, no floating
 literals, no implicit multiplication.  A digit run longer than
-:data:`MAX_DIGITS`, and a variable index, generator index or ``dof`` above
-:data:`MAX_INDEX`, is refused before anything is built from it.
+:data:`MAX_DIGITS`, a variable index, generator index or ``dof`` above
+:data:`MAX_INDEX`, and parentheses nested deeper than :data:`MAX_DEPTH` are
+refused before anything is built from them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ MAX_INDEX = 1024
 #: Longest digit run read as one literal or index; Python converts at most
 #: 4,300 digits between integers and text.
 MAX_DIGITS = 1000
+#: Deepest parenthesis nesting an expression may use.  The parser recurses
+#: four frames per level, so this leaves room under Python's default
+#: recursion limit of 1000 for a deep caller.
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)"
@@ -43,7 +48,7 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
@@ -59,6 +64,12 @@ def _tokenize(text: str):
             raise ParseError(f"more than {MAX_DIGITS} digits in a row", start)
         if kind == "name" and digits and int(digits) > MAX_INDEX:
             raise ParseError(f"index of {token[0]!r} above {MAX_INDEX}", start)
+        if token == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", start)
+        elif token == ")":
+            depth -= 1
         tokens.append((kind, token, start))
         pos = m.end()
     tokens.append(("end", "", len(text)))

@@ -8,7 +8,8 @@ the package is tested under each.
 
 All algebraic operations are exact over :class:`fractions.Fraction`; only
 the transcendental helpers (:func:`character`, :func:`polar`) go through
-floating point, with a documented tolerance of ``1e-12``.
+floating point, with a documented tolerance of ``1e-12``.  One function,
+:func:`_cos_sin`, picks ``cos`` or ``cosh`` for a ring.
 """
 
 from __future__ import annotations
@@ -375,11 +376,16 @@ class HPolar:
     def reconstruct(self) -> Binarion:
         """Approximate binarion the decomposition stands for."""
         scale = Fraction(self.sign * self.modulus)
-        return Binarion(
-            scale * Fraction(math.cosh(self.theta)),
-            scale * Fraction(math.sinh(self.theta)),
-            Sigma.HYPERBOLIC,
-        )
+        c, s = _cos_sin(self.theta, Sigma.HYPERBOLIC)
+        return Binarion(scale * Fraction(c), scale * Fraction(s), Sigma.HYPERBOLIC)
+
+
+def _cos_sin(theta, sigma: Sigma) -> tuple[float, float]:
+    """``(cosh, sinh)`` of ``theta`` for ``u = j``, ``(cos, sin)`` for ``u = i``:
+    the float parts of ``e^{u*theta}``, with no finiteness check."""
+    if sigma is Sigma.HYPERBOLIC:
+        return math.cosh(theta), math.sinh(theta)
+    return math.cos(theta), math.sin(theta)
 
 
 def character(theta: float, sigma: Sigma) -> Binarion:
@@ -393,10 +399,9 @@ def character(theta: float, sigma: Sigma) -> Binarion:
     sigma = as_sigma(sigma)
     theta = float(theta)
     if not math.isfinite(theta):
-        raise ValueError(f"character requires finite theta, got {theta!r}")
-    if sigma is Sigma.HYPERBOLIC:
-        return Binarion(Fraction(math.cosh(theta)), Fraction(math.sinh(theta)), sigma)
-    return Binarion(Fraction(math.cos(theta)), Fraction(math.sin(theta)), sigma)
+        raise ValidationError(f"character requires finite theta, got {theta!r}")
+    c, s = _cos_sin(theta, sigma)
+    return Binarion(Fraction(c), Fraction(s), sigma)
 
 
 def polar(z: Binarion) -> HPolar:

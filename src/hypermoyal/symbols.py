@@ -231,7 +231,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
     def coordinate(cls, kind: str, index: int, dof: int, sigma: Sigma) -> "PolySymbol":
         """The coordinate symbol ``q_index`` or ``p_index`` (0-based index)."""
         if kind not in ("q", "p"):
-            raise ValueError("kind must be 'q' or 'p'")
+            raise ValidationError("kind must be 'q' or 'p'")
         if not 0 <= index < dof:
             raise IndexError(f"coordinate index {index} out of range for dof {dof}")
         alpha = _bump(_zero_exp(dof), index) if kind == "q" else _zero_exp(dof)
@@ -291,7 +291,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
     def differentiate(self, variable: str, index: int = 0) -> "PolySymbol":
         """Exact partial derivative with respect to ``q_index`` or ``p_index``."""
         if variable not in ("q", "p"):
-            raise ValueError("variable must be 'q' or 'p'")
+            raise ValidationError("variable must be 'q' or 'p'")
         if not 0 <= index < self.dof:
             raise IndexError(f"index {index} out of range for dof {self.dof}")
         out = {}
@@ -317,7 +317,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """Exact evaluation at a rational phase point and rational ``h >= 0``."""
         h = _as_fraction(h)
         if h < 0:
-            raise ValueError("h must be >= 0")
+            raise ValidationError("h must be >= 0")
         if point.dof != self.dof:
             raise DimensionMismatchError(
                 f"point has dof {point.dof}, symbol has dof {self.dof}"

@@ -21,7 +21,7 @@ from hypermoyal import (
 )
 from hypermoyal.cli import MAX_STEPS, main
 from hypermoyal.grassmann import MAX_WITNESS_GENERATORS
-from hypermoyal.parsing import MAX_DIGITS, MAX_INDEX
+from hypermoyal.parsing import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 
@@ -51,6 +51,12 @@ def test_star_sign_after_an_operator_binds_looser_than_power(capsys):
     expected = "sigma=+1: -q1^2*p1^2 - 2j*h*q1*p1\n"
     assert run(capsys, "star", "q*-p^2", "q") == (0, expected, "")
     assert run(capsys, "star", "--", "-q*p^2", "q") == (0, expected, "")
+
+
+def test_star_deep_nesting_is_one_line_error(capsys):
+    code, out, err = run(capsys, "star", "(" * 250 + "q" + ")" * 250, "q")
+    assert (code, out) == (2, "")
+    assert err == f"error: parentheses nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH})\n"
 
 
 def test_star_unit_absorbs(capsys):

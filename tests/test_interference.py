@@ -1,11 +1,15 @@
 """Tests for the trigonometric/hyperbolic interference analysis."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hypermoyal
 from hypermoyal import (
     Amplitude2,
     DichotomousContext,
@@ -150,6 +154,26 @@ def test_hyperbolic_born_expansion_identity():
         amp = Amplitude2((a, b), (x1, x2), H, signs=(1, sign))
         expected = a * a + b * b + 2 * sign * a * b * math.cosh(x1 - x2)
         assert amp.born_value() == pytest.approx(expected, rel=1e-12)
+
+
+Q = Fraction(1, 4)
+
+
+@pytest.mark.parametrize("p_a, cond, observed, row, message", [
+    ((HALF, HALF), ((HALF, 2), (HALF, -1)), (HALF, Q), 3, "P(b1|a2) = 2 outside [0, 1] (row 3)"),
+    ((HALF, Q), ((HALF, HALF), (HALF, HALF)), (HALF, Q), None, "P(a) does not sum to 1"),
+    ((HALF, HALF), ((HALF, HALF), (Q, Q)), (HALF, HALF), 2,
+     "conditionals for a1 do not sum to 1 (row 2)"),
+    ((HALF, HALF), ((HALF, HALF), (HALF, Q)), (HALF, HALF), None,
+     "conditionals for a2 do not sum to 1"),
+    ((HALF, HALF), ((HALF, HALF), (HALF, HALF)), (HALF, Q), 7,
+     "observed P(b) does not sum to 1 (row 7)"),
+    ((0.5, 0.5 + 1e-9), ((0.5, 0.5), (0.5, 0.5)), (0.5, 0.5), None, "P(a) does not sum to 1"),
+], ids=["range-first", "p-a", "a1", "a2", "observed", "float-sum"])
+def test_context_checks_name_the_first_failure(p_a, cond, observed, row, message):
+    with pytest.raises(ValidationError) as err:
+        DichotomousContext(p_a, cond, observed, row=row)
+    assert str(err.value) == message
 
 
 def test_forward_rejects_out_of_range_probability():
@@ -308,3 +332,14 @@ def test_report_json_shape():
     assert data["outcomes"][0]["lambda"] == "4/5"
     assert data["outcomes"][0]["regime"] == "trigonometric"
     assert data["normalization_residual"] == "0"
+
+
+def test_import_leaves_typing_unloaded():
+    # -S keeps site (and anything it imports) out, so only the package counts
+    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, hypermoyal.interference; print('typing' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")

@@ -20,7 +20,7 @@ from hypermoyal import (
     star,
 )
 from hypermoyal.grassmann import generators
-from hypermoyal.parsing import MAX_DIGITS, MAX_INDEX
+from hypermoyal.parsing import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -229,6 +229,25 @@ def test_indices_and_digit_runs_are_bounded():
     assert err.value.position == 4
     with pytest.raises(ValidationError):
         parse_symbol("p", H, dof=MAX_INDEX + 1)
+
+
+def _nested(depth: int, inner: str) -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def test_parenthesis_nesting_is_bounded():
+    def parse_below(frames: int):
+        """Parse at the bound with ``frames`` more frames on the caller's stack."""
+        return parse_below(frames - 1) if frames else parse_symbol(_nested(MAX_DEPTH, "q"), H)
+
+    assert parse_below(400) == PolySymbol.coordinate("q", 0, 1, H)
+    assert parse_grassmann(_nested(MAX_DEPTH, "t1"), H) == generators(1, H)[0]
+    for parse, inner in ((parse_symbol, "q"), (parse_grassmann, "t1")):
+        with pytest.raises(ParseError, match=f"^parentheses nested deeper than {MAX_DEPTH} ") as err:
+            parse("2*" + _nested(MAX_DEPTH + 1, inner), H)
+        assert err.value.position == 2 + MAX_DEPTH
+    # closed parentheses do not count toward the bound
+    assert parse_symbol("+".join([_nested(MAX_DEPTH, "q")] * 3), H) == 3 * parse_symbol("q", H)
 
 
 def test_wrong_unit_rejected_with_position():

@@ -9,9 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypermoyal import (
+    Amplitude2,
     Binarion,
     CharSum,
+    ExpPoly,
     GClass,
+    HPolar,
+    HypermoyalError,
     NotRepresentableError,
     Operator,
     PhasePoint,
@@ -22,7 +26,9 @@ from hypermoyal import (
     WaveFunction,
     ZeroDivisorError,
     character,
+    paley_wiener_growth,
     parse_binarion,
+    parse_symbol,
     polar,
 )
 from hypermoyal.scalars import _as_fraction, _json_fraction
@@ -336,7 +342,87 @@ def test_constructors_refuse_bad_rational_text_with_validation_error(call):
     lambda: Binarion(10**400, 0, H),
     lambda: CharSum.character(1000, H),
     lambda: CharSum.character(Fraction(10**400, 3), C),
-], ids=["binarion", "charsum-cosh", "charsum-exponent"])
+    lambda: CharSum({700: Binarion(10**300, 0, H)}, H),
+    lambda: CharSum({0: Binarion(10**308, 0, C), Fraction(1, 10**9): Binarion(10**308, 0, C)}, C),
+], ids=["binarion", "charsum-cosh", "charsum-exponent", "charsum-product", "charsum-sum"])
 def test_to_floats_refuses_a_value_too_large_for_a_float(value):
     with pytest.raises(ValidationError, match=r"^value too large for a float$"):
         value().to_floats()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PolySymbol.coordinate("x", 0, 1, H), "kind must be 'q' or 'p'"),
+    (lambda: _Q.differentiate("x"), "variable must be 'q' or 'p'"),
+    (lambda: _Q.evaluate(PhasePoint((0,), (0,)), -1), "h must be >= 0"),
+    (lambda: ExpPoly.from_poly_symbol(parse_symbol("h*q", H)),
+     "symbol carries formal h; pass a numeric h"),
+    (lambda: CharSum.character(1, H).as_binarion(), "carries formal characters"),
+    (lambda: paley_wiener_growth(ExpPoly.one(1, H), 0), "n_max must be >= 1"),
+    (lambda: character(float("inf"), H), "character requires finite theta, got inf"),
+    (lambda: character(float("nan"), C), "character requires finite theta, got nan"),
+], ids=["coordinate-kind", "differentiate-variable", "evaluate-h", "formal-h",
+        "as-binarion", "growth-n-max", "character-inf", "character-nan"])
+def test_malformed_input_raises_a_package_error(call, message):
+    with pytest.raises(HypermoyalError, match=message):
+        call()
+
+
+# -- the one choice of cos or cosh ----------------------------------------------
+#
+# The references below are the explicit formulas each caller used before the
+# choice moved into one helper; the results must agree bit for bit.
+
+
+def _reference_character(theta, sigma):
+    if sigma is H:
+        return Binarion(Fraction(math.cosh(theta)), Fraction(math.sinh(theta)), sigma)
+    return Binarion(Fraction(math.cos(theta)), Fraction(math.sin(theta)), sigma)
+
+
+def _reference_to_floats(value):
+    re = im = 0.0
+    for r, c in value._binarions().items():
+        x, y = c.to_floats()
+        if value.sigma is H:
+            cr, sr = math.cosh(r), math.sinh(r)
+            re += x * cr + y * sr
+        else:
+            cr, sr = math.cos(r), math.sin(r)
+            re += x * cr - y * sr
+        im += x * sr + y * cr
+    return re, im
+
+
+def _reference_born_value(amp):
+    m1, m2 = amp.magnitudes
+    delta = amp.phases[0] - amp.phases[1]
+    cross = math.cosh(delta) if amp.sigma is H else math.cos(delta)
+    return m1 * m1 + m2 * m2 + 2 * amp.signs[0] * amp.signs[1] * m1 * m2 * cross
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("sigma", [H, C])
+def test_cos_or_cosh_is_bit_identical_to_the_explicit_formulas(sigma):
+    rng = random.Random(f"cos-or-cosh:{sigma.value}")
+    for _ in range(200):
+        theta = rng.uniform(-8, 8)
+        assert character(theta, sigma) == _reference_character(theta, sigma)
+        terms = {Fraction(rng.randint(-40, 40), rng.randint(1, 9)):
+                 Binarion(Fraction(rng.randint(-99, 99), rng.randint(1, 7)),
+                          Fraction(rng.randint(-99, 99), rng.randint(1, 7)), sigma)
+                 for _ in range(rng.randint(1, 6))}
+        value = CharSum(terms, sigma)
+        assert _hex(value.to_floats()) == _hex(_reference_to_floats(value))
+        signs = (1, rng.choice((1, -1))) if sigma is H else (1, 1)
+        amp = Amplitude2((rng.random(), rng.random()), (theta, rng.uniform(-8, 8)), sigma, signs)
+        assert _hex([amp.born_value()]) == _hex([_reference_born_value(amp)])
+    for _ in range(200):
+        decomposition = HPolar(rng.choice((1, -1)), rng.uniform(0, 50), rng.uniform(-8, 8))
+        scale = Fraction(decomposition.sign * decomposition.modulus)
+        expected = _reference_character(decomposition.theta, H)
+        assert decomposition.reconstruct() == Binarion(
+            scale * expected.re, scale * expected.im, H
+        )
