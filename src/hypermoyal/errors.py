@@ -51,7 +51,7 @@ class InvalidStateError(HypermoyalError, ValueError):
         self.bound = bound
 
 
-def json_field(data, name: str, convert=None):
+def json_field(data, name: str, convert):
     """``convert(data[name])`` for a parsed JSON object.
 
     A missing field, or one that ``convert`` rejects, raises
@@ -60,8 +60,6 @@ def json_field(data, name: str, convert=None):
     """
     if not isinstance(data, dict) or name not in data:
         raise ValidationError(f"missing field {name!r}")
-    if convert is None:
-        return data[name]
     try:
         return convert(data[name])
     except KeyError as exc:

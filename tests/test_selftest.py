@@ -66,3 +66,18 @@ def test_selftest_with_a_planted_fault_exits_1(monkeypatch, capsys):
     assert code == 1
     assert lines[2].startswith("[FAIL]  3. star product associativity (")
     assert lines[-1] == "FAILURES PRESENT"
+
+
+def test_a_failing_compose_check_object_fails_criterion_4(monkeypatch):
+    """Criteria count a failure by truth value: a falsy ``ComposeCheck``, not
+    only the literal ``False``, is one."""
+    compose_check = operators.compose_check
+
+    def failing(a, b, phi):
+        check = compose_check(a, b, phi)
+        return operators.ComposeCheck(False, check.lhs, check.rhs, check.diff)
+
+    monkeypatch.setattr(operators, "compose_check", failing)
+    entry = selftest.check_composition(random.Random(0), 5)
+    assert entry["failures"] == entry["cases"] == 10
+    assert entry["passed"] is False
