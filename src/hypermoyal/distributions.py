@@ -73,8 +73,8 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, integer, multiply,
-                     nonnegative, stored, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
+                     multiply, nonnegative, stored, summed)
 from .symbols import PolySymbol, check_degree_cap
 
 
@@ -328,8 +328,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     @classmethod
     def coordinate(cls, index: int, dim: int, sigma: Sigma) -> "ExpPoly":
-        if not 0 <= index < dim:
-            raise IndexError(f"index {index} out of range for dim {dim}")
+        index = in_range(index, dim, "index", f"dim {dim}")
         return cls.monomial(tuple(int(i == index) for i in range(dim)), 1, sigma)
 
     @classmethod
@@ -390,8 +389,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     def differentiate(self, index: int = 0) -> "ExpPoly":
         """Exact partial derivative along coordinate ``index``."""
-        if not 0 <= index < self.dim:
-            raise IndexError(f"index {index} out of range for dim {self.dim}")
+        index = in_range(index, self.dim, "index", f"dim {self.dim}")
         s, den = self.sigma.value, self._den
         acc = {}
         for (freq, exps, r), (re, im) in self._terms.items():
@@ -421,10 +419,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         coefficients are numerators over one denominator ``d``; the result
         is divided by ``d _den^M`` once.
         """
-        axes = [(i, n) for i, n in enumerate(order) if n > 0]
-        for i, _ in axes:
-            if i >= self.dim:
-                raise IndexError(f"index {i} out of range for dim {self.dim}")
+        axes = [(in_range(i, self.dim, "index", f"dim {self.dim}"), n)
+                for i, n in enumerate(map(integer, order)) if n > 0]
         if not axes:
             return self
         s = self.sigma.value
@@ -594,8 +590,7 @@ class Ultradistribution(_CharSumTerms):
 
         On atoms this just raises the derivative order along ``axis``.
         """
-        if not 0 <= axis < self.dim:
-            raise IndexError(f"axis {axis} out of range for dim {self.dim}")
+        axis = in_range(axis, self.dim, "axis", f"dim {self.dim}")
         out = {}
         for (loc, order, r), w in self._terms.items():
             raised = list(order)
@@ -609,10 +604,10 @@ class Ultradistribution(_CharSumTerms):
         ``order`` may be shorter than ``dim``; entries below one are no-ops,
         and a positive entry past ``dim`` raises :class:`IndexError`.
         """
-        raised = [max(n, 0) for n in order] + [0] * self.dim
-        for axis, n in enumerate(raised[self.dim :], start=self.dim):
-            if n:
-                raise IndexError(f"axis {axis} out of range for dim {self.dim}")
+        raised = [0] * self.dim
+        for axis, n in enumerate(map(integer, order)):
+            if n > 0:
+                raised[in_range(axis, self.dim, "axis", f"dim {self.dim}")] = n
         return self._new({
             (loc, tuple(map(add, o, raised)), r): w for (loc, o, r), w in self._terms.items()
         }, self._cden)
@@ -853,6 +848,7 @@ def paley_wiener_growth(f: ExpPoly, n_max: int) -> tuple[float, float]:
     """
     if f.dim != 1:
         raise DimensionMismatchError("growth check is defined for dim-1 functions")
+    n_max = integer(n_max)
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     norms = []

@@ -20,7 +20,7 @@ import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import Sigma, as_sigma, binarion_from_json, binarion_to_json
-from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, integer, stored
+from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, in_range, integer, stored
 
 #: Largest generator count :func:`annihilator_witness` accepts.  Its check
 #: visits all ``2^n`` basis monomials, so its time doubles with each
@@ -114,9 +114,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
     @classmethod
     def generator(cls, index: int, n: int, sigma: Sigma) -> "GrassmannElement":
         """``theta_index`` (0-based)."""
-        if not 0 <= index < n:
-            raise IndexError(f"generator index {index} out of range for n={n}")
-        return cls(n, sigma, {1 << index: 1})
+        return cls(n, sigma, {1 << in_range(index, n, "generator index", f"n={n}"): 1})
 
     @classmethod
     def monomial(cls, indices, n: int, sigma: Sigma, coeff=1) -> "GrassmannElement":

@@ -49,7 +49,7 @@ def _is_exact(*values) -> bool:
 def _sqrt(value):
     """Exact square root for perfect rational squares, float otherwise."""
     if value < 0:
-        raise ValueError("square root of a negative value")
+        raise ValidationError("square root of a negative value")
     if isinstance(value, (Fraction, int)):
         value = Fraction(value)
         num = math.isqrt(value.numerator)
@@ -63,6 +63,16 @@ def _close(a, b, exact: bool) -> bool:
     if exact:
         return a == b
     return abs(a - b) <= FLOAT_TOLERANCE
+
+
+#: A context's entries in the order ``DichotomousContext`` flattens them.
+_NAMES = ("P(a1)", "P(a2)", "P(b1|a1)", "P(b1|a2)", "P(b2|a1)", "P(b2|a2)", "P(b1)", "P(b2)")
+
+
+def _check_probabilities(names, values, where=""):
+    for name, value in zip(names, values):
+        if not (0 <= value <= 1):
+            raise ValidationError(f"{name} = {value} outside [0, 1]{where}")
 
 
 def _mixture(p_a, cond, j: int) -> tuple:
@@ -91,11 +101,8 @@ class DichotomousContext:
             raise ValidationError("conditional matrix must be 2x2")
         flat = list(self.p_a) + [x for r in self.cond for x in r] + list(self.observed)
         self.exact = _is_exact(*flat)
-        names = ("P(a1)", "P(a2)", "P(b1|a1)", "P(b1|a2)", "P(b2|a1)", "P(b2|a2)", "P(b1)", "P(b2)")
         where = f" (row {row})" if row is not None else ""
-        for name, value in zip(names, flat):
-            if not (0 <= value <= 1):
-                raise ValidationError(f"{name} = {value} outside [0, 1]{where}")
+        _check_probabilities(_NAMES, flat, where)
         a1, a2 = zip(*self.cond)
         for pair, message in ((self.p_a, "P(a) does not sum to 1"),
                               (a1, "conditionals for a1 do not sum to 1"),
@@ -246,6 +253,7 @@ class Amplitude2:
     @classmethod
     def from_probabilities(cls, p_a, cond_row, phases, sigma, signs=(1, 1)):
         """Magnitudes ``sqrt(P(a_i) * P(b_j|a_i))`` for the outcome row given."""
+        _check_probabilities(("P(a1)", "P(a2)", "P(b|a1)", "P(b|a2)"), (*p_a, *cond_row))
         mags = tuple(_sqrt(p * c) for p, c in zip(p_a, cond_row))
         return cls(mags, phases, sigma, signs)
 
@@ -328,6 +336,7 @@ def theta_range(p_a, cond) -> tuple:
     """
     p_a = tuple(p_a)
     cond = tuple(tuple(r) for r in cond)
+    _check_probabilities(_NAMES, p_a + cond[0] + cond[1])
     out = []
     for j in range(2):
         classical, d_squared = _mixture(p_a, cond, j)

@@ -116,6 +116,15 @@ def integer(value) -> int:
     return out
 
 
+def in_range(value, size: int, name: str, space: str) -> int:
+    """``value`` read by :func:`integer`; outside ``range(size)`` it raises
+    :class:`IndexError` saying ``{name} {value} out of range for {space}``."""
+    value = integer(value)
+    if not 0 <= value < size:
+        raise IndexError(f"{name} {value} out of range for {space}")
+    return value
+
+
 def nonnegative(values, message: str) -> tuple:
     """``values`` as a tuple of :func:`integer` entries; a negative entry
     raises ``message``."""

@@ -58,8 +58,8 @@ from operator import add
 from .errors import DegreeCapError, DimensionMismatchError, ValidationError, json_field
 from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
                       binarion_to_json)
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, integer, nonnegative,
-                     stored, summed)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
+                     nonnegative, stored, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -232,8 +232,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """The coordinate symbol ``q_index`` or ``p_index`` (0-based index)."""
         if kind not in ("q", "p"):
             raise ValidationError("kind must be 'q' or 'p'")
-        if not 0 <= index < dof:
-            raise IndexError(f"coordinate index {index} out of range for dof {dof}")
+        index = in_range(index, dof, "coordinate index", f"dof {dof}")
         alpha = _bump(_zero_exp(dof), index) if kind == "q" else _zero_exp(dof)
         beta = _bump(_zero_exp(dof), index) if kind == "p" else _zero_exp(dof)
         return cls(dof, sigma, {(alpha, beta): HPoly.from_scalar(1, sigma)})
@@ -292,8 +291,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """Exact partial derivative with respect to ``q_index`` or ``p_index``."""
         if variable not in ("q", "p"):
             raise ValidationError("variable must be 'q' or 'p'")
-        if not 0 <= index < self.dof:
-            raise IndexError(f"index {index} out of range for dof {self.dof}")
+        index = in_range(index, self.dof, "index", f"dof {self.dof}")
         out = {}
         for (alpha, beta, d), (re, im) in self._terms.items():
             exps = alpha if variable == "q" else beta
@@ -305,8 +303,10 @@ class PolySymbol(SizedMap, SparseAlgebra):
         return self._new(out, self._cden)
 
     def differentiate_multi(self, variable: str, kappa) -> "PolySymbol":
+        if variable not in ("q", "p"):
+            raise ValidationError("variable must be 'q' or 'p'")
         out = self
-        for i, n in enumerate(kappa):
+        for i, n in enumerate(map(integer, kappa)):
             for _ in range(n):
                 out = out.differentiate(variable, i)
                 if out.is_zero():

@@ -176,6 +176,30 @@ def test_context_checks_name_the_first_failure(p_a, cond, observed, row, message
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Amplitude2.from_probabilities((-1 / 2, 3 / 2), (1 / 2, 1 / 2), (0.0, 0.0), C),
+     "P(a1) = -0.5 outside [0, 1]"),
+    (lambda: Amplitude2.from_probabilities((HALF, HALF), (HALF, 2), (0.0, 0.0), H),
+     "P(b|a2) = 2 outside [0, 1]"),
+    (lambda: theta_range((-1 / 2, 3 / 2), ((1 / 2, 1 / 2), (1 / 2, 1 / 2))),
+     "P(a1) = -0.5 outside [0, 1]"),
+    (lambda: theta_range((HALF, HALF), ((HALF, HALF), (HALF, -1))),
+     "P(b2|a2) = -1 outside [0, 1]"),
+    (lambda: hypermoyal.interference._sqrt(-1), "square root of a negative value"),
+], ids=["amplitude-prior", "amplitude-conditional", "theta-prior", "theta-conditional", "sqrt"])
+def test_probabilities_outside_the_unit_interval_are_refused(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_probabilities_zero_and_one_are_accepted():
+    amp = Amplitude2.from_probabilities((1, 0), (1, 1), (0.0, 0.0), C)
+    assert amp.magnitudes == (1, 0)
+    ranges = theta_range((1, 0), ((1, HALF), (0, HALF)))
+    assert all(r.degenerate for r in ranges)
+
+
 def test_forward_rejects_out_of_range_probability():
     # equal weights allow no hyperbolic interference at all: cosh bound is 1
     p_a = (HALF, HALF)

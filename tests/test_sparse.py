@@ -43,6 +43,7 @@ from hypermoyal import (
     WaveFunction,
     inverse_fourier_symbol,
     moyal_bracket,
+    paley_wiener_growth,
     parse_grassmann,
     parse_symbol,
     scaled_bracket,
@@ -722,6 +723,64 @@ NOT_NUMBERS = {
 def test_what_int_refuses_is_a_validation_error(build):
     with pytest.raises(HypermoyalError, match="is not an integer"):
         build()
+
+
+_X = ExpPoly.coordinate(0, 1, H)
+_Q = PolySymbol.coordinate("q", 0, 1, H)
+_DELTA = Ultradistribution.delta((0,), H)
+
+#: Index, order and ``n_max`` arguments are read by ``sparse.integer``: a
+#: fraction is refused, not truncated, stored or passed on to ``range``.
+INDEX_ARGUMENTS = {
+    "coordinate 0.5": (lambda: ExpPoly.coordinate(0.5, 2, H), ValidationError,
+                       "0.5 is not an integer"),
+    "symbol coordinate 0.5": (lambda: PolySymbol.coordinate("q", 0.5, 2, H), ValidationError,
+                              "0.5 is not an integer"),
+    "generator 1.5": (lambda: GrassmannElement.generator(1.5, 3, H), ValidationError,
+                      "1.5 is not an integer"),
+    "differentiate 0.5": (lambda: _X.differentiate(0.5), ValidationError,
+                          "0.5 is not an integer"),
+    "symbol differentiate 0.5": (lambda: _Q.differentiate("q", 0.5), ValidationError,
+                                 "0.5 is not an integer"),
+    "derivative 0.5": (lambda: _DELTA.derivative(0.5), ValidationError, "0.5 is not an integer"),
+    "order (0.5,)": (lambda: _X.differentiate_multi((0.5,)), ValidationError,
+                     "0.5 is not an integer"),
+    "symbol order (0.5,)": (lambda: _Q.differentiate_multi("q", (0.5,)), ValidationError,
+                            "0.5 is not an integer"),
+    "atom order (0.5,)": (lambda: _DELTA.derivative_multi((0.5,)), ValidationError,
+                          "0.5 is not an integer"),
+    "n_max 2.5": (lambda: paley_wiener_growth(_X, 2.5), ValidationError,
+                  "2.5 is not an integer"),
+    "variable x": (lambda: _Q.differentiate_multi("x", (0,)), ValidationError,
+                   "variable must be 'q' or 'p'"),
+    "coordinate 2": (lambda: ExpPoly.coordinate(2, 2, H), IndexError,
+                     "index 2 out of range for dim 2"),
+    "symbol coordinate -1": (lambda: PolySymbol.coordinate("p", -1, 2, H), IndexError,
+                             "coordinate index -1 out of range for dof 2"),
+    "generator 3": (lambda: GrassmannElement.generator(3, 3, H), IndexError,
+                    "generator index 3 out of range for n=3"),
+    "derivative 1": (lambda: _DELTA.derivative(1), IndexError, "axis 1 out of range for dim 1"),
+    "order (0, 1)": (lambda: _X.differentiate_multi((0, 1)), IndexError,
+                     "index 1 out of range for dim 1"),
+    "atom order (0, 1)": (lambda: _DELTA.derivative_multi((0, 1)), IndexError,
+                          "axis 1 out of range for dim 1"),
+    "symbol order (0, 1)": (lambda: _Q.differentiate_multi("p", (0, 1)), IndexError,
+                            "index 1 out of range for dof 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS)
+def test_index_and_order_arguments_are_read_as_integers(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_order_entries_below_one_do_nothing():
+    assert _X.differentiate_multi((-1, 0, 0.0)) == _X
+    assert _Q.differentiate_multi("p", (0, -2)) == _Q
+    assert _DELTA.derivative_multi((-1, 0, 0.0)) == _DELTA
+    assert ExpPoly.coordinate(1.0, 2, H) == ExpPoly.coordinate(1, 2, H)
 
 
 def test_an_h_degree_is_read_before_its_sign_is_checked():
