@@ -1,6 +1,6 @@
 """Each refusal of malformed input that a one-line call reaches raises its
-exception class with its message.  The table holds one row per ``raise``
-that the rest of the suite does not run."""
+exception class with its message.  Most rows of the table are refusals that
+no other test triggers."""
 
 import os
 import tempfile

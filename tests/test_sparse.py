@@ -776,7 +776,7 @@ def test_index_and_order_arguments_are_read_as_integers(call, error, message):
     assert str(err.value) == message
 
 
-def test_order_entries_below_one_do_nothing():
+def test_integral_values_and_order_entries_below_one_still_work():
     assert _X.differentiate_multi((-1, 0, 0.0)) == _X
     assert _Q.differentiate_multi("p", (0, -2)) == _Q
     assert _DELTA.derivative_multi((-1, 0, 0.0)) == _DELTA
