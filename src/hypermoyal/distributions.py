@@ -74,7 +74,7 @@ from .scalars import (
     binarion_to_json,
 )
 from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
-                     multiply, nonnegative, stored, summed)
+                     multiply, nonnegative, power_factors, stored, summed)
 from .symbols import PolySymbol, check_degree_cap
 
 
@@ -512,11 +512,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                 if not (coeff.is_scalar() and coeff.as_binarion().im == 0):
                     cs = f"({cs})"
                 factors.append(cs)
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
+            factors += power_factors(names, exps)
             phase = [
                 f"{f}*{names[i]}" if f != 1 else names[i]
                 for i, f in enumerate(freq)

@@ -191,7 +191,7 @@ def parity(a: GrassmannElement) -> Parity:
 
 
 def supercommutator(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """``a*b - (-1)^{|a||b|} b*a``, extended bilinearly to mixed elements.
+    """``a*b - (-1)^(|a||b|) b*a``, extended bilinearly to mixed elements.
 
     Summed over the even and odd parts, only the odd-odd term has the sign
     ``+``, so the sum is ``a*b - b*a + 2*b_odd*a_odd``.  Vanishes

@@ -216,7 +216,7 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
 
 @dataclass(frozen=True)
 class Amplitude2:
-    """Two-term amplitude ``sum_i signs_i * magnitudes_i * e^{u * phases_i}``.
+    """Two-term amplitude ``sum_i signs_i * magnitudes_i * e^(u * phases_i)``.
 
     Magnitudes are ``sqrt(P(a_i) * P(b_j | a_i))``; signs are meaningful for
     the hyperbolic signature only (the complex phase absorbs them).

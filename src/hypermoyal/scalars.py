@@ -367,7 +367,7 @@ def binarion_from_json(data, sigma: Sigma) -> Binarion:
 
 @dataclass(frozen=True)
 class HPolar:
-    """Hyperbolic polar decomposition ``z = sign * modulus * e^{u*theta}``."""
+    """Hyperbolic polar decomposition ``z = sign * modulus * e^(u*theta)``."""
 
     sign: int
     modulus: float
@@ -382,14 +382,14 @@ class HPolar:
 
 def _cos_sin(theta, sigma: Sigma) -> tuple[float, float]:
     """``(cosh, sinh)`` of ``theta`` for ``u = j``, ``(cos, sin)`` for ``u = i``:
-    the float parts of ``e^{u*theta}``, with no finiteness check."""
+    the float parts of ``e^(u*theta)``, with no finiteness check."""
     if sigma is Sigma.HYPERBOLIC:
         return math.cosh(theta), math.sinh(theta)
     return math.cos(theta), math.sin(theta)
 
 
 def character(theta: float, sigma: Sigma) -> Binarion:
-    """Unit-modulus element ``e^{u*theta}`` as an approximate binarion.
+    """Unit-modulus element ``e^(u*theta)`` as an approximate binarion.
 
     Hyperbolic signature yields ``cosh(theta) + u*sinh(theta)``, complex
     signature ``cos(theta) + u*sin(theta)``.  The float values are embedded

@@ -34,7 +34,8 @@ distributions and Grassmann elements) derive from :class:`SizedMap` and
 share one JSON shape: the size, ``sigma`` and a list of entries, whose
 repeated keys add through :func:`summed`.  Each class writes and reads only
 a single term.  :class:`ScalarRing` builds the two maps without a size,
-which have no JSON form.
+which have no JSON form.  Every power ``x^e`` in the text is written by
+:func:`power_factors`.
 """
 
 from __future__ import annotations
@@ -132,6 +133,12 @@ def nonnegative(values, message: str) -> tuple:
     if any(v < 0 for v in out):
         raise ValidationError(message)
     return out
+
+
+def power_factors(names, exps) -> list:
+    """``name`` or ``name^e`` for each positive exponent ``e``: the one writer
+    of a power in the package's text."""
+    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
 
 
 def binarion_coefficient(value, sigma, owner: str) -> Binarion:

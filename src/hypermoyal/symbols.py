@@ -59,7 +59,7 @@ from .errors import DegreeCapError, DimensionMismatchError, ValidationError, jso
 from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
                       binarion_to_json)
 from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
-                     nonnegative, stored, summed)
+                     nonnegative, power_factors, stored, summed)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -138,9 +138,7 @@ class HPoly(ScalarRing):
 
     @staticmethod
     def _term_text(d, v) -> str:
-        if d == 0:
-            return str(v)
-        return f"({v})*h" if d == 1 else f"({v})*h^{d}"
+        return "*".join([f"({v})", *power_factors(("h",), (d,))]) if d else str(v)
 
 
 @dataclass(frozen=True)
@@ -373,8 +371,10 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """Canonical text form with graded-lexicographic term order (q before p)."""
         if self.is_zero():
             return "0"
+        names = ["h", *(f"{x}{i + 1}" for x in "qp" for i in range(self.dof))]
         values = self._binarions()
-        rendered = [_render_monomial(*k, values[k]) for k in sorted(values, key=_term_order_key)]
+        rendered = [_render_monomial(names, (d, *alpha, *beta), values[alpha, beta, d])
+                    for alpha, beta, d in sorted(values, key=_term_order_key)]
         text = rendered[0]
         for part in rendered[1:]:
             if part.startswith("-"):
@@ -406,33 +406,14 @@ class PolySymbol(SizedMap, SparseAlgebra):
         return key, json_field(entry, "coeff", read_coeff)
 
 
-def _render_monomial(alpha, beta, hdeg, value: Binarion) -> str:
-    factors = []
-    if hdeg == 1:
-        factors.append("h")
-    elif hdeg > 1:
-        factors.append(f"h^{hdeg}")
-    for i, e in enumerate(alpha):
-        if e == 1:
-            factors.append(f"q{i + 1}")
-        elif e > 1:
-            factors.append(f"q{i + 1}^{e}")
-    for i, e in enumerate(beta):
-        if e == 1:
-            factors.append(f"p{i + 1}")
-        elif e > 1:
-            factors.append(f"p{i + 1}^{e}")
-    if not factors:
-        return f"({value})" if (value.re != 0 and value.im != 0) else str(value)
-    if value == 1:
+def _render_monomial(names, exps, value: Binarion) -> str:
+    """One term of :meth:`PolySymbol.to_text`, ``exps`` over ``h, q1..qk, p1..pk``."""
+    factors = power_factors(names, exps)
+    if factors and value == 1:
         return "*".join(factors)
-    if value == -1:
+    if factors and value == -1:
         return "-" + "*".join(factors)
-    if value.re != 0 and value.im != 0:
-        coeff = f"({value})"
-    else:
-        coeff = str(value)
-    return "*".join([coeff] + factors)
+    return "*".join([f"({value})" if value.re and value.im else str(value), *factors])
 
 
 def _flatten(symbol: PolySymbol, w: int):

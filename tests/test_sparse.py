@@ -657,6 +657,42 @@ def test_text_folds_a_leading_minus_only_in_symbols(build, text):
     assert str(x) == repr(x) == text
 
 
+def _unit(size, index, n):
+    return tuple(n if i == index else 0 for i in range(size))
+
+
+#: Elements with a variable index or an exponent of 10 or more, so that a
+#: writer that reads either one digit at a time shows.
+POWER_TEXTS = {
+    "symbol": (
+        lambda: PolySymbol(10, C, {
+            (_unit(10, 9, 12), _unit(10, 2, 1)): HPoly({11: 1}, C),
+            ((0,) * 10, _unit(10, 9, 10)): HPoly({0: -2, 10: Binarion(1, -1, C)}, C),
+        }),
+        "h^11*q10^12*p3 - 2*p10^10 + (1 - 1i)*h^10*p10^10",
+    ),
+    "hpoly": (lambda: HPoly({10: -3, 1: 1, 0: 2}, H), "2 + (1)*h + (-3)*h^10"),
+    "exppoly": (
+        lambda: ExpPoly(11, H, {
+            ((0,) * 11, _unit(11, 10, 10)): 1,
+            (_unit(11, 10, Fraction(1, 2)), _unit(11, 0, 12)): -1,
+        }),
+        "x11^10 + -1*x1^12*exp(j*(1/2*x11))",
+    ),
+    "wavefunction": (
+        lambda: WaveFunction(ExpPoly(2, C, {
+            ((0, 3), (10, 1)): 1, ((0, 0), (0, 11)): Binarion(1, 1, C),
+        }), Fraction(1, 3)),
+        "(1 + 1i)*q2^11 + q1^10*q2*exp(i*(3*q2))",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, text", POWER_TEXTS.values(), ids=POWER_TEXTS)
+def test_text_writes_indices_and_exponents_of_several_digits(build, text):
+    assert str(build()) == text
+
+
 def _entries(*res):
     return [{"h": 0, "re": re} for re in res]
 
