@@ -142,8 +142,8 @@ class CharSum(ScalarRing):
         re, im = self.to_floats()
         return math.hypot(re, im)
 
-    def _term_text(self, r, c) -> str:
-        return str(c) if r == 0 else f"({c})*e^({r}{self.sigma.unit_symbol})"
+    def _power_text(self, r) -> str:
+        return f"e^({r}{self.sigma.unit_symbol})"
 
 
 def _times_unit_power(parts: tuple, n: int, sign: int, s: int) -> tuple:

@@ -384,9 +384,16 @@ class SparseAlgebra(SparseMap):
 class ScalarRing(SparseAlgebra):
     """A :class:`SparseAlgebra` without a size: a ring of scalars over the
     binarions, whose constant part is the term of key 0.  Each class reads
-    a key of its input through ``_read_key``."""
+    a key of its input through ``_read_key`` and writes the generator power
+    of a nonzero key through ``_power_text``."""
 
     __slots__ = ()
+
+    def _term_text(self, key, c) -> str:
+        """``(c)*power``; a compound constant is bracketed beside other terms."""
+        if key:
+            return f"({c})*{self._power_text(key)}"
+        return f"({c})" if c.re and c.im and len(self._terms) > 1 else str(c)
 
     def _fill(self, terms: dict, sigma: Sigma):
         """Validate ``{key: coefficient}`` terms and store their sums."""

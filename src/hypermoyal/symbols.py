@@ -137,8 +137,8 @@ class HPoly(ScalarRing):
         return total
 
     @staticmethod
-    def _term_text(d, v) -> str:
-        return "*".join([f"({v})", *power_factors(("h",), (d,))]) if d else str(v)
+    def _power_text(d) -> str:
+        return power_factors(("h",), (d,))[0]
 
 
 @dataclass(frozen=True)

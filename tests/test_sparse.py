@@ -620,10 +620,13 @@ JOINED_TEXTS = {
         "(2)*e^(-1j) + (1 - 1j)*e^(-1/2j) + -3",
     ),
     "charsum_unit": (
-        lambda: CharSum({-2: -1, 0: Binarion(-1, 1, C)}, C), "(-1)*e^(-2i) + -1 + 1i",
+        lambda: CharSum({-2: -1, 0: Binarion(-1, 1, C)}, C), "(-1)*e^(-2i) + (-1 + 1i)",
     ),
     "hpoly": (
         lambda: HPoly({0: -1, 1: Binarion(-1, 2, H), 2: -3}, H), "-1 + (-1 + 2j)*h + (-3)*h^2",
+    ),
+    "hpoly_unit": (
+        lambda: HPoly({0: Binarion(-1, 1, H), 1: 1}, H), "(-1 + 1j) + (1)*h",
     ),
     "distribution": (
         lambda: Ultradistribution(1, C, [
@@ -655,6 +658,12 @@ JOINED_TEXTS = {
 def test_text_folds_a_leading_minus_only_in_symbols(build, text):
     x = build()
     assert str(x) == repr(x) == text
+
+
+def test_a_lone_compound_constant_is_written_bare():
+    for sigma in SIGMAS:
+        value = Binarion(-1, 1, sigma)
+        assert str(HPoly({0: value}, sigma)) == str(CharSum({0: value}, sigma)) == str(value)
 
 
 def _unit(size, index, n):
