@@ -320,7 +320,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     @classmethod
     def constant(cls, value, dim: int, sigma: Sigma) -> "ExpPoly":
-        return cls.character((0,) * dim, sigma, value)
+        return cls.character((0,) * integer(dim), sigma, value)
 
     @classmethod
     def one(cls, dim: int, sigma: Sigma) -> "ExpPoly":
@@ -328,6 +328,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     @classmethod
     def coordinate(cls, index: int, dim: int, sigma: Sigma) -> "ExpPoly":
+        dim = integer(dim)
         index = in_range(index, dim, "index", f"dim {dim}")
         return cls.monomial(tuple(int(i == index) for i in range(dim)), 1, sigma)
 

@@ -183,7 +183,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
 
 def generators(n: int, sigma: Sigma) -> tuple:
     """The ``n`` anticommuting generators as elements of the algebra."""
-    return tuple(GrassmannElement.generator(i, n, sigma) for i in range(n))
+    return tuple(GrassmannElement.generator(i, n, sigma) for i in range(integer(n)))
 
 
 def parity(a: GrassmannElement) -> Parity:
@@ -208,6 +208,7 @@ def annihilator_witness(n: int, sigma: Sigma = Sigma.HYPERBOLIC) -> GrassmannEle
     annihilator; finite-generator Grassmann algebras never have a trivial
     one.
     """
+    n = integer(n)
     if n < 1:
         raise ValidationError("witness needs at least one generator")
     if n > MAX_WITNESS_GENERATORS:

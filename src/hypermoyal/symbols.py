@@ -159,10 +159,6 @@ class PhasePoint:
         return len(self.q)
 
 
-def _zero_exp(k: int) -> tuple:
-    return (0,) * k
-
-
 def _bump(exps: tuple, index: int, amount: int = 1) -> tuple:
     out = list(exps)
     out[index] += amount
@@ -219,7 +215,8 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     @classmethod
     def constant(cls, value, dof: int, sigma: Sigma) -> "PolySymbol":
-        return cls(dof, sigma, {(_zero_exp(dof), _zero_exp(dof)): value})
+        zero = (0,) * integer(dof)
+        return cls(dof, sigma, {(zero, zero): value})
 
     @classmethod
     def one(cls, dof: int, sigma: Sigma) -> "PolySymbol":
@@ -230,10 +227,11 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """The coordinate symbol ``q_index`` or ``p_index`` (0-based index)."""
         if kind not in ("q", "p"):
             raise ValidationError("kind must be 'q' or 'p'")
+        dof = integer(dof)
         index = in_range(index, dof, "coordinate index", f"dof {dof}")
-        alpha = _bump(_zero_exp(dof), index) if kind == "q" else _zero_exp(dof)
-        beta = _bump(_zero_exp(dof), index) if kind == "p" else _zero_exp(dof)
-        return cls(dof, sigma, {(alpha, beta): HPoly.from_scalar(1, sigma)})
+        zero = (0,) * dof
+        unit = _bump(zero, index)
+        return cls(dof, sigma, {(unit, zero) if kind == "q" else (zero, unit): 1})
 
     @classmethod
     def monomial(cls, alpha, beta, coeff, sigma: Sigma, h_degree: int = 0) -> "PolySymbol":

@@ -26,9 +26,11 @@ from hypermoyal import (
     ValidationError,
     WaveFunction,
     ZeroDivisorError,
+    annihilator_witness,
     as_sigma,
     contexts_from_csv,
     forward,
+    generators,
     inverse_fourier_symbol,
     paley_wiener_growth,
     parse_grassmann,
@@ -62,6 +64,10 @@ def _csv(text):
 REFUSALS = {
     # distributions
     "exppoly dim 0": (lambda: ExpPoly.zero(0, H), DimensionMismatchError, "dim must be >= 1"),
+    "exppoly coordinate dim 2.5": (lambda: ExpPoly.coordinate(0, 2.5, H), ValidationError,
+                                   "2.5 is not an integer"),
+    "exppoly constant dim 2.5": (lambda: ExpPoly.constant(1, 2.5, H), ValidationError,
+                                 "2.5 is not an integer"),
     "shift length": (lambda: ExpPoly.one(1, H).shift((1, 2)), DimensionMismatchError,
                      "offset length must match dim"),
     "evaluate length": (lambda: ExpPoly.one(1, H).evaluate((0, 0)), DimensionMismatchError,
@@ -87,6 +93,9 @@ REFUSALS = {
     # grassmann
     "grassmann n -1": (lambda: GrassmannElement.zero(-1, H), ValidationError,
                        "generator count must be nonnegative"),
+    "generators n 2.5": (lambda: generators(2.5, H), ValidationError, "2.5 is not an integer"),
+    "witness n 2.5": (lambda: annihilator_witness(2.5, H), ValidationError,
+                      "2.5 is not an integer"),
     # interference
     "context sizes": (lambda: DichotomousContext((1,), ((1, 1), (0, 0)), (1, 0)),
                       ValidationError, "context requires dichotomous (2-outcome) tables"),
@@ -156,6 +165,10 @@ REFUSALS = {
     "phase point lengths": (lambda: PhasePoint((0,), (0, 0)), DimensionMismatchError,
                             "q and p must have the same length"),
     "symbol dof 0": (lambda: PolySymbol.zero(0, H), DimensionMismatchError, "dof must be >= 1"),
+    "symbol one dof 1.5": (lambda: PolySymbol.one(1.5, H), ValidationError,
+                           "1.5 is not an integer"),
+    "symbol coordinate dof 2.5": (lambda: PolySymbol.coordinate("q", 0, 2.5, H), ValidationError,
+                                  "2.5 is not an integer"),
     "symbol evaluate dof": (lambda: _Q.evaluate(PhasePoint((0, 0), (0, 0)), 1),
                             DimensionMismatchError, "point has dof 2, symbol has dof 1"),
 }
