@@ -593,6 +593,55 @@ def test_brackets_match_series_oracle():
         assert moyal_bracket(a, a).is_zero() and scaled_bracket(a, a).is_zero()
 
 
+#: ``(-i)^n`` for ``n % 4``.
+_MINUS_I_POWERS = tuple(Binarion(re, im, C) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1)))
+
+
+def _hyperbolic_to_complex(symbol):
+    """``symbol``, a hyperbolic result on real inputs, with each ``h^n``
+    coefficient ``c j^n`` mapped to ``c (-i)^n``, built by the constructor.
+
+    A coefficient ``v`` reads as ``(a + j b) j^n`` and maps to ``(a + i b)
+    (-i)^n``; ``b`` is 0 where the identity holds, and any other ``b`` lands
+    on the part of the complex coefficient that is 0, so the map hides no
+    fault."""
+    terms = {}
+    for alpha, beta, coeff in symbol.terms():
+        mapped = {}
+        for n, v in coeff.items():
+            a, b = (v.im, v.re) if n % 2 else (v.re, v.im)
+            mapped[n] = Binarion(a, b, C) * _MINUS_I_POWERS[n % 4]
+        terms[alpha, beta] = HPoly(mapped, C)
+    return PolySymbol(symbol.dof, C, terms)
+
+
+def _real_terms(rng, k, max_degree=6):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * (2 * k)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(2 * k)] += 1
+        terms[tuple(exps[:k]), tuple(exps[k:])] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    return terms
+
+
+def test_complex_results_are_hyperbolic_results_with_j_h_read_as_minus_i_h():
+    """For real, h-free operands the two rings share one real product: the
+    complex ``star`` and brackets are the hyperbolic ones with ``(j h)^n``
+    read as ``(-i h)^n``.  A ring-independent check of the sign logic."""
+    rng = random.Random(2404)
+    compared = 0
+    for k in (1, 2, 3):
+        for _ in range(64):
+            a_terms, b_terms = _real_terms(rng, k), _real_terms(rng, k)
+            for op in (star, moyal_bracket, scaled_bracket):
+                hyperbolic = op(PolySymbol(k, H, a_terms), PolySymbol(k, H, b_terms))
+                complex_ = op(PolySymbol(k, C, a_terms), PolySymbol(k, C, b_terms))
+                assert _hyperbolic_to_complex(hyperbolic) == complex_
+                compared += 1
+    assert compared == 576
+
+
 def test_brackets_degree_cap():
     q, p = qp(H)
     a, b = q**9, p**8
