@@ -503,6 +503,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.dim)]
+        elif len(names) < self.dim:
+            raise DimensionMismatchError(f"{self.dim} variable names needed, got {len(names)}")
         u = self.sigma.unit_symbol
         parts = []
         for freq, exps, coeff in self.terms():

@@ -68,6 +68,8 @@ REFUSALS = {
                                    "2.5 is not an integer"),
     "exppoly constant dim 2.5": (lambda: ExpPoly.constant(1, 2.5, H), ValidationError,
                                  "2.5 is not an integer"),
+    "text names": (lambda: ExpPoly.monomial((1, 2), 1, H).to_text(["a"]), DimensionMismatchError,
+                   "2 variable names needed, got 1"),
     "shift length": (lambda: ExpPoly.one(1, H).shift((1, 2)), DimensionMismatchError,
                      "offset length must match dim"),
     "evaluate length": (lambda: ExpPoly.one(1, H).evaluate((0, 0)), DimensionMismatchError,
