@@ -98,7 +98,8 @@ def _cmd_limit(args):
     for sigma, a, b in _parsed_pairs(args):
         residual = scaled_bracket(a, b, args.degree_cap) - poisson_bracket(a, b)
         point = PhasePoint((1,) * a.dof, (1,) * a.dof)
-        rows = [(h, *map(_num_str, residual.evaluate(point, h).to_floats())) for h in h_values]
+        rows = [tuple(map(_num_str, (h, *residual.evaluate(point, h).to_floats())))
+                for h in h_values]
         results.append((sigma, residual, residual.h_constant_part().is_zero(), rows))
 
     def text():
@@ -106,7 +107,7 @@ def _cmd_limit(args):
         for sigma, residual, ok, rows in results:
             lines.append(f"sigma={sigma}: residual = {residual.to_text()}")
             lines.append(f"  constant term zero: {'yes' if ok else 'NO'}")
-            lines.extend(f"  h={str(h):>8}  residual(1,..,1) = {re} + {im}u" for h, re, im in rows)
+            lines.extend(f"  h={h:>8}  residual(1,..,1) = {re} + {im}u" for h, re, im in rows)
         return "\n".join(lines) + "\n"
 
     def data():
@@ -115,7 +116,7 @@ def _cmd_limit(args):
                 "sigma": sigma.value,
                 "residual": residual.to_text(),
                 "constant_term_zero": ok,
-                "values_at_ones": [{"h": str(h), "re": re, "im": im} for h, re, im in rows],
+                "values_at_ones": [{"h": h, "re": re, "im": im} for h, re, im in rows],
             }
             for sigma, residual, ok, rows in results
         ])

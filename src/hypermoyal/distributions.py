@@ -69,6 +69,7 @@ from .scalars import (
     _as_fraction,
     _cos_sin,
     _json_fraction,
+    _num_str,
     as_sigma,
     binarion_from_json,
     binarion_to_json,
@@ -143,7 +144,7 @@ class CharSum(ScalarRing):
         return math.hypot(re, im)
 
     def _power_text(self, r) -> str:
-        return f"e^({r}{self.sigma.unit_symbol})"
+        return f"e^({_num_str(r)}{self.sigma.unit_symbol})"
 
 
 def _times_unit_power(parts: tuple, n: int, sign: int, s: int) -> tuple:
@@ -163,7 +164,7 @@ def _times_unit_power(parts: tuple, n: int, sign: int, s: int) -> tuple:
 def _weight_to_json(w: CharSum) -> dict:
     if w.is_scalar():
         return binarion_to_json(w.as_binarion())
-    return {"chars": [{"exp": str(r), **binarion_to_json(c)} for r, c in w.items()]}
+    return {"chars": [{"exp": _num_str(r), **binarion_to_json(c)} for r, c in w.items()]}
 
 
 def _weight_from_json(data: dict, sigma: Sigma) -> CharSum:
@@ -277,7 +278,7 @@ class _CharSumTerms(SizedMap):
 
     def _term_to_json(self, head, weight) -> dict:
         vector_name, orders_name, weight_name = self._ENTRY
-        return {vector_name: [str(x) for x in head[0]], orders_name: list(head[1]),
+        return {vector_name: list(map(_num_str, head[0])), orders_name: list(head[1]),
                 weight_name: _weight_to_json(weight)}
 
     @classmethod
@@ -517,7 +518,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                 factors.append(cs)
             factors += power_factors(names, exps)
             phase = [
-                f"{f}*{names[i]}" if f != 1 else names[i]
+                f"{_num_str(f)}*{names[i]}" if f != 1 else names[i]
                 for i, f in enumerate(freq)
                 if f != 0
             ]
@@ -685,9 +686,9 @@ class Ultradistribution(_CharSumTerms):
     @staticmethod
     def _term_text(head, w) -> str:
         loc, order = head
-        loc_s = ",".join(str(x) for x in loc)
+        loc_s = ",".join(map(_num_str, loc))
         if any(order):
-            return f"({w})*d^({','.join(str(n) for n in order)})delta[{loc_s}]"
+            return f"({w})*d^({','.join(map(_num_str, order))})delta[{loc_s}]"
         return f"({w})*delta[{loc_s}]"
 
     @classmethod

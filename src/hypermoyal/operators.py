@@ -57,7 +57,7 @@ from .distributions import (
     star_distributional,
 )
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, as_sigma
+from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, _num_str, as_sigma
 from .sparse import add_parts, summed
 from .parsing import parse_symbol
 from .symbols import PolySymbol, check_degree_cap, star
@@ -209,7 +209,7 @@ class WaveFunction:
     __repr__ = to_text
 
     def to_json_dict(self) -> dict:
-        return {"h": str(self.h), "func": self.func.to_json_dict()}
+        return {"h": _num_str(self.h), "func": self.func.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WaveFunction":
@@ -410,7 +410,7 @@ class Operator:
     def to_json_dict(self) -> dict:
         kind = "poly" if isinstance(self.symbol, PolySymbol) else "exp"
         return {
-            "h": str(self.h),
+            "h": _num_str(self.h),
             "sigma": self.sigma.value,
             "kind": kind,
             "symbol": self.symbol.to_json_dict(),
@@ -451,7 +451,7 @@ class Operator:
         return (self.symbol, self.h, self.sigma) == (other.symbol, other.h, other.sigma)
 
     def __repr__(self) -> str:
-        return f"Operator({self.symbol!r}, h={self.h})"
+        return f"Operator({self.symbol!r}, h={_num_str(self.h)})"
 
 
 def commutator(a: Operator, b: Operator, phi: WaveFunction) -> WaveFunction:

@@ -117,21 +117,18 @@ def _as_fraction(value) -> Fraction:
 
 
 def _num_str(value) -> str:
-    """An exact number as itself, any other as a float to 12 significant digits."""
-    if isinstance(value, (Fraction, int)):
-        return str(value)
+    """The one writer of a number: an exact one as itself, any other as a
+    float to 12 significant digits.  An exact number past Python's int-to-text
+    digit limit, left alone as it is set for the whole process, raises
+    :class:`ValidationError`."""
+    kind = type(value)  # exact type tests first, as in ``_as_fraction``
+    if kind is Fraction or kind is int or isinstance(value, (Fraction, int)):
+        try:
+            return str(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValidationError(f"number too long to write: more than {limit} digits") from None
     return f"{float(value):.12g}"
-
-
-def _part_text(value: Fraction) -> str:
-    """A binarion part as text.  A part past Python's int-to-text digit limit
-    raises :class:`ValidationError`; the limit is left alone, because it is
-    set for the whole process."""
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValidationError(f"coefficient too long to write: more than {limit} digits") from None
 
 
 def _json_fraction(value) -> Fraction:
@@ -344,18 +341,18 @@ class Binarion:
     def __str__(self) -> str:
         u = self.sigma.unit_symbol
         if self.im == 0:
-            return _part_text(self.re)
+            return _num_str(self.re)
         if self.re == 0:
-            return f"{_part_text(self.im)}{u}"
+            return f"{_num_str(self.im)}{u}"
         sign = "-" if self.im < 0 else "+"
-        return f"{_part_text(self.re)} {sign} {_part_text(abs(self.im))}{u}"
+        return f"{_num_str(self.re)} {sign} {_num_str(abs(self.im))}{u}"
 
     __repr__ = __str__
 
 
 def binarion_to_json(value: Binarion) -> dict:
     """The JSON object ``{"re": x, "im": y}`` of a binarion."""
-    return {"re": _part_text(value.re), "im": _part_text(value.im)}
+    return {"re": _num_str(value.re), "im": _num_str(value.im)}
 
 
 def binarion_from_json(data, sigma: Sigma) -> Binarion:
@@ -417,7 +414,7 @@ def polar(z: Binarion) -> HPolar:
     ms = z.modulus_sq()
     if ms <= 0:
         raise NotRepresentableError(
-            f"modulus_sq = {ms} <= 0: {z} lies outside the positive cone"
+            f"modulus_sq = {_num_str(ms)} <= 0: {z} lies outside the positive cone"
         )
     sign = 1 if z.re > 0 else -1
     modulus = math.sqrt(ms)

@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, as_sigma
+from .scalars import Binarion, Sigma, _num_str, as_sigma
 
 
 def summed(pairs) -> dict:
@@ -122,7 +122,7 @@ def in_range(value, size: int, name: str, space: str) -> int:
     :class:`IndexError` saying ``{name} {value} out of range for {space}``."""
     value = integer(value)
     if not 0 <= value < size:
-        raise IndexError(f"{name} {value} out of range for {space}")
+        raise IndexError(f"{name} {_num_str(value)} out of range for {space}")
     return value
 
 
@@ -138,7 +138,7 @@ def nonnegative(values, message: str) -> tuple:
 def power_factors(names, exps) -> list:
     """``name`` or ``name^e`` for each positive exponent ``e``: the one writer
     of a power in the package's text."""
-    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+    return [name if e == 1 else f"{name}^{_num_str(e)}" for name, e in zip(names, exps) if e]
 
 
 def binarion_coefficient(value, sigma, owner: str) -> Binarion:

@@ -56,7 +56,7 @@ from functools import cache, lru_cache
 from operator import add
 
 from .errors import DegreeCapError, DimensionMismatchError, ValidationError, json_field
-from .scalars import (Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json,
+from .scalars import (Binarion, Sigma, _as_fraction, _num_str, as_sigma, binarion_from_json,
                       binarion_to_json)
 from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
                      nonnegative, power_factors, stored, summed)
@@ -73,7 +73,7 @@ def check_degree_cap(degree: int, degree_cap, what: str):
     means :data:`DEFAULT_DEGREE_CAP`."""
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     if degree > cap:
-        raise DegreeCapError(f"{what} degree {degree} exceeds cap {cap}")
+        raise DegreeCapError(f"{what} degree {_num_str(degree)} exceeds cap {cap}")
 
 
 class HPoly(ScalarRing):
@@ -407,11 +407,10 @@ class PolySymbol(SizedMap, SparseAlgebra):
 def _render_monomial(names, exps, value: Binarion) -> str:
     """One term of :meth:`PolySymbol.to_text`, ``exps`` over ``h, q1..qk, p1..pk``."""
     factors = power_factors(names, exps)
-    if factors and value == 1:
-        return "*".join(factors)
-    if factors and value == -1:
-        return "-" + "*".join(factors)
-    return "*".join([f"({value})" if value.re and value.im else str(value), *factors])
+    text = str(value)
+    if factors and text in ("1", "-1"):
+        return text[:-1] + "*".join(factors)
+    return "*".join([f"({text})" if value.re and value.im else text, *factors])
 
 
 def _flatten(symbol: PolySymbol, w: int):

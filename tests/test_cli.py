@@ -198,7 +198,7 @@ def test_coefficient_past_the_int_to_text_limit_is_one_line_error(capsys, expres
     code, out, err = run(capsys, "star", expression, "1", "--format", fmt)
     assert (code, out) == (2, "")
     limit = sys.get_int_max_str_digits()
-    assert err == f"error: coefficient too long to write: more than {limit} digits\n"
+    assert err == f"error: number too long to write: more than {limit} digits\n"
 
 
 def test_limit_constant_inputs(capsys):
