@@ -335,6 +335,23 @@ def test_apply_over_degree_cap_is_one_line_error(tmp_path, capsys):
         2, "", "error: operator symbol degree 17 exceeds cap 16\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_apply_result_key_past_the_int_to_text_limit_is_one_line_error(tmp_path, capsys, fmt):
+    # each frequency has a 4,000-digit denominator; their sum, the result's
+    # frequency, has one of about 8,000 digits
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"h": "1", "sigma": 1, "kind": "exp", "symbol": {
+        "dim": 2, "sigma": 1, "terms": [{"freq": [f"1/{10**3999 + 3}", "0"], "exp": [0, 0],
+                                         "coeff": {"re": "1", "im": "0"}}]}}), encoding="utf-8")
+    wave_path = tmp_path / "wave.json"
+    wave_path.write_text(json.dumps({"h": "1", "func": {
+        "dim": 1, "sigma": 1, "terms": [{"freq": [f"1/{10**3999 + 1}"], "exp": [0],
+                                         "coeff": {"re": "1", "im": "0"}}]}}), encoding="utf-8")
+    code, out, err = run(capsys, "apply", str(op_path), str(wave_path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: number too long to write: more than 4300 digits\n"
+
+
 GRASSMANN = {"n": 2, "sigma": 1, "terms": [{"gens": [1, 2], "re": "1"}]}
 
 #: (reader, document, path to the field, value): an integer field holding a

@@ -11,6 +11,7 @@ import pytest
 from hypermoyal import (
     Amplitude2,
     Binarion,
+    CharSum,
     DichotomousContext,
     DimensionMismatchError,
     ExpPoly,
@@ -46,6 +47,11 @@ C = Sigma.COMPLEX
 HALF = Fraction(1, 2)
 _Q = PolySymbol.coordinate("q", 0, 1, H)
 _DELTA = Ultradistribution.delta((0,), H)
+#: Rationals whose denominators have 4,301 and 4,300 digits: just past and at
+#: the int-to-text digit limit that ``tests/conftest.py`` pins.
+_PAST = Fraction(1, 10**4300)
+_EDGE = Fraction(1, 10**4299)
+_TOO_LONG = "number too long to write: more than 4300 digits"
 
 
 def _wave(momentum, h=1, sigma=H):
@@ -89,6 +95,22 @@ REFUSALS = {
                  DimensionMismatchError, "phase-space symbols need even dimension"),
     "growth dim 2": (lambda: paley_wiener_growth(ExpPoly.one(2, H), 1), DimensionMismatchError,
                      "growth check is defined for dim-1 functions"),
+    "exppoly key str": (lambda: str(ExpPoly.character((_PAST,), H)), ValidationError, _TOO_LONG),
+    "exppoly key json": (lambda: ExpPoly.character((_PAST,), H).to_json(), ValidationError,
+                         _TOO_LONG),
+    "exppoly r text": (lambda: ExpPoly.constant(CharSum.character(_PAST, H), 1, H).to_text(),
+                       ValidationError, _TOO_LONG),
+    "exppoly r json": (lambda: ExpPoly.constant(CharSum.character(_PAST, H), 1, H).to_json(),
+                       ValidationError, _TOO_LONG),
+    "charsum r str": (lambda: str(CharSum.character(_PAST, H)), ValidationError, _TOO_LONG),
+    "delta location str": (lambda: str(Ultradistribution.delta((_PAST,), H)), ValidationError,
+                           _TOO_LONG),
+    "delta location json": (lambda: Ultradistribution.delta((_PAST,), H).to_json(),
+                            ValidationError, _TOO_LONG),
+    "delta order str": (lambda: str(Ultradistribution.delta((0,), H, order=(10**4300,))),
+                        ValidationError, _TOO_LONG),
+    "delta r json": (lambda: Ultradistribution.delta((0,), H, weight=CharSum.character(_PAST, H))
+                     .to_json(), ValidationError, _TOO_LONG),
     # errors
     "json nested key": (lambda: json_field({"a": {}}, "a", lambda d: d["x"]), ValidationError,
                         "a: missing field 'x'"),
@@ -132,6 +154,12 @@ REFUSALS = {
                        "wavefunction h values differ: 1 vs 2"),
     "wavefunction dofs": (lambda: _wave((1,)) + _wave((1, 1)), DimensionMismatchError,
                           "wavefunction dimensions differ"),
+    "wavefunction key str": (lambda: str(WaveFunction(ExpPoly.character((_PAST,), H), 1)),
+                             ValidationError, _TOO_LONG),
+    "wavefunction h json": (lambda: WaveFunction(ExpPoly.one(1, H), _PAST).to_json_dict(),
+                            ValidationError, _TOO_LONG),
+    "operator h repr": (lambda: repr(Operator(_Q, _PAST)), ValidationError, _TOO_LONG),
+    "operator h json": (lambda: Operator(_Q, _PAST).to_json_dict(), ValidationError, _TOO_LONG),
     "operator of 3": (lambda: Operator(3, 1), TypeError,
                       "symbol must be a PolySymbol or an ExpPoly"),
     "operator odd": (lambda: Operator(ExpPoly.one(1, H), 1), DimensionMismatchError,
@@ -166,6 +194,8 @@ REFUSALS = {
                      "not divisible by h: constant term present"),
     "phase point lengths": (lambda: PhasePoint((0,), (0, 0)), DimensionMismatchError,
                             "q and p must have the same length"),
+    "symbol exponent str": (lambda: str(PolySymbol(1, H, {((10**4300,), (0,)): 1})),
+                            ValidationError, _TOO_LONG),
     "symbol dof 0": (lambda: PolySymbol.zero(0, H), DimensionMismatchError, "dof must be >= 1"),
     "symbol one dof 1.5": (lambda: PolySymbol.one(1.5, H), ValidationError,
                            "1.5 is not an integer"),
@@ -182,3 +212,28 @@ def test_a_refusal_raises_its_class_and_message(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_a_number_at_the_digit_limit_is_written_in_full():
+    d = "1" + "0" * 4299
+    key = ExpPoly.character((_EDGE,), H)
+    r = ExpPoly.constant(CharSum.character(_EDGE, H), 1, H)
+    delta = Ultradistribution.delta((_EDGE,), H)
+    written = [
+        (str(key), f"exp(j*(1/{d}*x1))"),
+        (key.to_json(), '{"dim": 1, "sigma": 1, "terms": [{"coeff": {"im": "0", "re": "1"}, '
+                        f'"exp": [0], "freq": ["1/{d}"]}}]}}'),
+        (r.to_text(), f"((1)*e^(1/{d}j))"),
+        (r.to_json(), '{"dim": 1, "sigma": 1, "terms": [{"coeff": {"chars": [{"exp": '
+                      f'"1/{d}", "im": "0", "re": "1"}}]}}, "exp": [0], "freq": ["0"]}}]}}'),
+        (str(CharSum.character(_EDGE, H)), f"(1)*e^(1/{d}j)"),
+        (str(delta), f"(1)*delta[1/{d}]"),
+        (delta.to_json(), '{"atoms": [{"loc": ' f'["1/{d}"], "order": [0], "weight": '
+                          '{"im": "0", "re": "1"}}], "dim": 1, "sigma": 1}'),
+        (str(WaveFunction(key, 1)), f"exp(j*(1/{d}*q1))"),
+        (WaveFunction(ExpPoly.one(1, H), _EDGE).to_json_dict()["h"], f"1/{d}"),
+        (repr(Operator(_Q, _EDGE)), f"Operator(q1, h=1/{d})"),
+        (Operator(_Q, _EDGE).to_json_dict()["h"], f"1/{d}"),
+    ]
+    for got, expected in written:
+        assert got == expected
