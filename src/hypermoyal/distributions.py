@@ -127,14 +127,11 @@ class CharSum(ScalarRing):
         re = 0.0
         im = 0.0
         s = self.sigma.value
-        try:
-            for r, c in self._binarions().items():
-                x, y = c.to_floats()
-                cr, sr = _cos_sin(r, self.sigma)
-                re += x * cr + s * y * sr
-                im += x * sr + y * cr
-        except OverflowError:
-            raise ValidationError("value too large for a float") from None
+        for r, c in self._binarions().items():
+            x, y = c.to_floats()
+            cr, sr = _cos_sin(r, self.sigma)
+            re += x * cr + s * y * sr
+            im += x * sr + y * cr
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValidationError("value too large for a float")
         return re, im

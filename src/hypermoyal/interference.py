@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidStateError, ValidationError
-from .scalars import FLOAT_TOLERANCE, Sigma, _as_fraction, _cos_sin, _num_str, as_sigma
+from .scalars import FLOAT_TOLERANCE, Sigma, _as_fraction, _cos_sin, _float, _num_str, as_sigma
 
 
 class Regime(enum.Enum):
@@ -47,7 +47,8 @@ def _is_exact(*values) -> bool:
 
 
 def _sqrt(value):
-    """Exact square root for perfect rational squares, float otherwise."""
+    """Exact square root for perfect rational squares, float otherwise; a
+    positive value whose float root is 0.0 raises :class:`ValidationError`."""
     if value < 0:
         raise ValidationError("square root of a negative value")
     if isinstance(value, (Fraction, int)):
@@ -56,7 +57,10 @@ def _sqrt(value):
         den = math.isqrt(value.denominator)
         if num * num == value.numerator and den * den == value.denominator:
             return Fraction(num, den)
-    return math.sqrt(value)
+    root = math.sqrt(value)
+    if root == 0 < value:
+        raise ValidationError("value too small for a float")
+    return root
 
 
 def _close(a, b, exact: bool) -> bool:
@@ -183,7 +187,7 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
         interference = deviation / 2
         residual = residual + interference
         lam = sign = theta = None
-        if d == 0:
+        if d_squared == 0:
             regime = Regime.DEGENERATE
         else:
             lam = deviation / (2 * d)
@@ -193,7 +197,7 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
                 hyperbolic = abs(lam) > 1 + FLOAT_TOLERANCE
             if hyperbolic:
                 sign = 1 if lam > 0 else -1
-                theta = math.acosh(max(abs(float(lam)), 1.0))
+                theta = math.acosh(max(abs(_float(lam)), 1.0))
                 regime = Regime.HYPERBOLIC
             else:
                 theta = math.acos(min(1.0, max(-1.0, float(lam))))
@@ -229,7 +233,7 @@ class Amplitude2:
 
     def __post_init__(self):
         object.__setattr__(self, "magnitudes", tuple(self.magnitudes))
-        object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
+        object.__setattr__(self, "phases", tuple(map(_float, self.phases)))
         object.__setattr__(self, "sigma", as_sigma(self.sigma))
         object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
         if len(self.magnitudes) != 2 or len(self.phases) != 2 or len(self.signs) != 2:
@@ -349,7 +353,7 @@ def theta_range(p_a, cond) -> tuple:
         headroom = min(classical, 1 - classical)
         cosh_max = headroom / (2 * d)
         admissible = cosh_max >= 1
-        theta_max = math.acosh(float(cosh_max)) if admissible else None
+        theta_max = math.acosh(_float(cosh_max)) if admissible else None
         out.append(ThetaRange(cosh_max, theta_max, admissible))
     return tuple(out)
 

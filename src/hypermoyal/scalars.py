@@ -187,10 +187,7 @@ class Binarion:
         return self.im == 0
 
     def to_floats(self) -> tuple[float, float]:
-        try:
-            return float(self.re), float(self.im)
-        except OverflowError:
-            raise ValidationError("value too large for a float") from None
+        return _float(self.re), _float(self.im)
 
     # -- ring operations -----------------------------------------------
 
@@ -377,12 +374,25 @@ class HPolar:
         return Binarion(scale * Fraction(c), scale * Fraction(s), Sigma.HYPERBOLIC)
 
 
+def _float(value) -> float:
+    """``float(value)``; a value past the float range raises
+    :class:`ValidationError`, where ``float`` raises ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError("value too large for a float") from None
+
+
 def _cos_sin(theta, sigma: Sigma) -> tuple[float, float]:
     """``(cosh, sinh)`` of ``theta`` for ``u = j``, ``(cos, sin)`` for ``u = i``:
-    the float parts of ``e^(u*theta)``, with no finiteness check."""
-    if sigma is Sigma.HYPERBOLIC:
-        return math.cosh(theta), math.sinh(theta)
-    return math.cos(theta), math.sin(theta)
+    the float parts of ``e^(u*theta)``.  A ``theta`` or a part past the float
+    range raises :class:`ValidationError`, as in :func:`_float`."""
+    try:
+        if sigma is Sigma.HYPERBOLIC:
+            return math.cosh(theta), math.sinh(theta)
+        return math.cos(theta), math.sin(theta)
+    except OverflowError:
+        raise ValidationError("value too large for a float") from None
 
 
 def character(theta: float, sigma: Sigma) -> Binarion:
@@ -394,7 +404,7 @@ def character(theta: float, sigma: Sigma) -> Binarion:
     such as the group law hold within :data:`FLOAT_TOLERANCE`.
     """
     sigma = as_sigma(sigma)
-    theta = float(theta)
+    theta = _float(theta)
     if not math.isfinite(theta):
         raise ValidationError(f"character requires finite theta, got {theta!r}")
     c, s = _cos_sin(theta, sigma)
@@ -417,6 +427,6 @@ def polar(z: Binarion) -> HPolar:
             f"modulus_sq = {_num_str(ms)} <= 0: {z} lies outside the positive cone"
         )
     sign = 1 if z.re > 0 else -1
-    modulus = math.sqrt(ms)
+    modulus = math.sqrt(_float(ms))
     theta = math.atanh(float(z.im / z.re))
     return HPolar(sign=sign, modulus=modulus, theta=theta)

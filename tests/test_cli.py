@@ -546,6 +546,20 @@ def test_interfere_csv_report(tmp_path, capsys):
     assert len(lines) == 1 + 6  # header + two outcomes per table
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("row, message", [
+    # D^2 > 0, but D is below the smallest float
+    (f"1/{10**2999 + 1},1/{10**2999 + 3},1/2,1/2", "value too small for a float"),
+    # D is exact, and lambda is about 10^2000
+    (f"1/{10**4000},1,{10**4000 - 1}/{10**4000},1/2", "value too large for a float"),
+])
+def test_interfere_row_past_the_float_range_is_one_line_error(tmp_path, capsys, row, message,
+                                                              fmt):
+    path = tmp_path / "tables.csv"
+    path.write_text(row + "\n", encoding="utf-8")
+    assert run(capsys, "interfere", str(path), "--format", fmt) == (2, "", f"error: {message}\n")
+
+
 def test_interfere_empty_csv(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

@@ -29,6 +29,8 @@ from hypermoyal import (
     ZeroDivisorError,
     annihilator_witness,
     as_sigma,
+    character,
+    classify,
     contexts_from_csv,
     forward,
     generators,
@@ -37,9 +39,12 @@ from hypermoyal import (
     parse_grassmann,
     parse_symbol,
     plane_wave_eigenvalue,
+    polar,
     star_distributional,
     symbol_from_distribution,
+    theta_range,
 )
+from hypermoyal.scalars import HPolar
 from hypermoyal.errors import json_field
 
 H = Sigma.HYPERBOLIC
@@ -52,6 +57,12 @@ _DELTA = Ultradistribution.delta((0,), H)
 _PAST = Fraction(1, 10**4300)
 _EDGE = Fraction(1, 10**4299)
 _TOO_LONG = "number too long to write: more than 4300 digits"
+#: Tables whose ``D`` is positive but below the smallest float, and whose
+#: ``lambda`` (about 10^2000) is above the largest.
+_TINY_D = DichotomousContext.from_b1_row(Fraction(1, 10**2999 + 1), Fraction(1, 10**2999 + 3),
+                                         HALF, HALF)
+_HUGE_LAMBDA = DichotomousContext.from_b1_row(Fraction(1, 10**4000), 1,
+                                              Fraction(10**4000 - 1, 10**4000), HALF)
 
 
 def _wave(momentum, h=1, sigma=H):
@@ -144,6 +155,15 @@ REFUSALS = {
         lambda: forward(Amplitude2((HALF, HALF), (0.0, 0.0), C),
                         Amplitude2((HALF, HALF), (0.0, 0.0), C)),
         ValidationError, "amplitudes are inconsistent: observed sums to 2.0"),
+    "classify D below floats": (lambda: classify(_TINY_D), ValidationError,
+                                "value too small for a float"),
+    "theta range D below floats": (lambda: theta_range(_TINY_D.p_a, _TINY_D.cond),
+                                   ValidationError, "value too small for a float"),
+    "classify lambda above floats": (lambda: classify(_HUGE_LAMBDA), ValidationError,
+                                     "value too large for a float"),
+    "born value above floats": (
+        lambda: Amplitude2((HALF, HALF), (1000.0, 0.0), H).born_value(), ValidationError,
+        "value too large for a float"),
     "csv columns": (lambda: _csv("\n1/2,1/2,1/2\n"), ValidationError,
                     "expected 4 columns, got 3 (row 2)"),
     # operators
@@ -181,6 +201,14 @@ REFUSALS = {
     "sigma 2": (lambda: as_sigma(2), ValidationError, "not a signature: 2"),
     "binarion without sigma": (lambda: Binarion(1, 0), TypeError,
                                "Binarion requires an explicit sigma"),
+    "polar above floats": (lambda: polar(Binarion(10**400, 1, H)), ValidationError,
+                           "value too large for a float"),
+    "character of 10^400": (lambda: character(Fraction(10**400), H), ValidationError,
+                            "value too large for a float"),
+    "character of 800": (lambda: character(800, H), ValidationError,
+                         "value too large for a float"),
+    "reconstruct above floats": (lambda: HPolar(1, 1.0, 1000.0).reconstruct(), ValidationError,
+                                 "value too large for a float"),
     "binarion over 0": (lambda: Binarion(1, 0, H) / 0, ZeroDivisorError, "division by zero"),
     # sparse
     "scalar without sigma": (lambda: HPoly.from_scalar(1), TypeError,
