@@ -44,7 +44,8 @@ degree, which bounds every exponent of the result (see :func:`star`).  So
 adding two monomials is one int addition and a kappa term one more, by a
 precomputed shift; the result's keys are decoded once, at the end.  The
 kappa row of an exponent pair is built once per process and memoized by
-pair, width and ring, no coefficient, up to :data:`KAPPA_ROWS` rows.
+pair, width and ring, no coefficient, up to :data:`KAPPA_ROWS` rows of at
+most :data:`KAPPA_ROW_TERMS` terms.
 """
 
 from __future__ import annotations
@@ -439,12 +440,27 @@ def _flatten(symbol: PolySymbol, w: int):
 #: process meets its shapes only, 1,254 rows in a star-wide batch, 233-262
 #: in operator-route, 176 in ``selftest --fast`` and 525 in a full selftest.
 KAPPA_ROWS = 4096
+#: Most terms of a memoized kappa row.  A row has ``prod(min(beta1_i,
+#: alpha2_i) + 1)`` terms: at most 12 in star-wide, 8 in a full selftest and
+#: 17 for one degree of freedom under the default degree cap, but 256 for
+#: ``beta1 = alpha2 = (1,)*8`` (45 KB).  At 180 bytes a term, the most
+#: measured, a full memo holds at most 4,096 * 32 * 180 B, about 24 MB.
+KAPPA_ROW_TERMS = 32
 #: The row of every pair that overlaps in no coordinate, never memoized.
 _KAPPA_ZERO = ((0, 0, 1),)
 
 
 @lru_cache(maxsize=KAPPA_ROWS)
 def _structure_constants(beta1, alpha2, units, s: int) -> tuple:
+    """:func:`_kappa_row`, memoized; ``()`` for a row of more than
+    :data:`KAPPA_ROW_TERMS` terms, which the caller builds each time.  The
+    length is known before the row is built, so no row is built twice."""
+    if math.prod(min(b, a) + 1 for b, a in zip(beta1, alpha2)) > KAPPA_ROW_TERMS:
+        return ()
+    return _kappa_row(beta1, alpha2, units, s)
+
+
+def _kappa_row(beta1, alpha2, units, s: int) -> tuple:
     """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``, packed.
 
     Lists ``(delta, |kappa| odd, c)`` for ``kappa <= min(beta1, alpha2)``
@@ -454,9 +470,9 @@ def _structure_constants(beta1, alpha2, units, s: int) -> tuple:
     C(beta1_i, kappa_i) * alpha2_i!/(alpha2_i - kappa_i)!`` is the integer
     part of ``(sigma*u)^|kappa| / kappa! * d_p^kappa(p^beta1) *
     d_q^kappa(q^alpha2)``; the remaining ``u`` of an odd ``|kappa|`` is
-    applied by the caller.  The row holds no coefficient, so it is memoized
-    under ``(beta1, alpha2, units, s)``, up to :data:`KAPPA_ROWS` rows, and
-    is a tuple, which no caller can change.
+    applied by the caller.  The row holds no coefficient, so
+    :func:`_structure_constants` memoizes it under ``(beta1, alpha2, units,
+    s)``; it is a tuple, which no caller can change.
     """
     out = [(0, 0, 1)]
     for b, a, unit in zip(beta1, alpha2, units):
@@ -492,8 +508,8 @@ def _accumulate(acc: dict, left, right, units, s: int, sign: int, start: int):
     _, left_terms, betas, _ = left
     _, right_terms, _, alphas = right
     table = [
-        [(_structure_constants(beta1, alpha2, units, s) if any(map(min, beta1, alpha2))
-          else _KAPPA_ZERO)[start:] for alpha2 in alphas]
+        [(_structure_constants(beta1, alpha2, units, s) or _kappa_row(beta1, alpha2, units, s)
+          if any(map(min, beta1, alpha2)) else _KAPPA_ZERO)[start:] for alpha2 in alphas]
         for beta1 in betas
     ]
     for key1, b1, _, r1, i1 in left_terms:

@@ -75,8 +75,9 @@ def test_normal_ordered_route_does_not_differentiate_exppolys():
 
 @pytest.mark.parametrize(
     "kernel",
-    ["_flatten", "_commutator_integers", "_structure_constants", "_accumulate",
-     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "KAPPA_ROWS"],
+    ["_flatten", "_commutator_integers", "_structure_constants", "_kappa_row", "_accumulate",
+     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "KAPPA_ROWS",
+     "KAPPA_ROW_TERMS"],
 )
 def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
     assert kernel not in _names(_function(symbols, "poisson_bracket"))
@@ -84,9 +85,9 @@ def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
 
 @pytest.mark.parametrize(
     "kernel",
-    ["_flatten", "_structure_constants", "_accumulate", "star", "substitute_h",
+    ["_flatten", "_structure_constants", "_kappa_row", "_accumulate", "star", "substitute_h",
      "_derivative_terms", "_common_denominator", "_kappa_units", "_unpacked",
-     "_KAPPA_ZERO", "KAPPA_ROWS"],
+     "_KAPPA_ZERO", "KAPPA_ROWS", "KAPPA_ROW_TERMS"],
 )
 def test_distributional_star_does_not_use_the_series_or_operator_kernels(kernel):
     names = _names(_function(distributions, "star_distributional"))
@@ -120,8 +121,10 @@ def test_guard_sees_what_it_forbids():
     for helper in ("_kappa_units", "_unpacked"):
         assert helper in _names(_function(symbols, "star"))
         assert helper in _names(_function(symbols, "_commutator_integers"))
-    assert {"_structure_constants", "_KAPPA_ZERO"} <= _names(_function(symbols, "_accumulate"))
-    assert "KAPPA_ROWS" in _names(_function(symbols, "_structure_constants"))
+    assert {"_structure_constants", "_kappa_row", "_KAPPA_ZERO"} <= _names(
+        _function(symbols, "_accumulate"))
+    assert {"KAPPA_ROWS", "KAPPA_ROW_TERMS", "_kappa_row"} <= _names(
+        _function(symbols, "_structure_constants"))
     for path in STORAGE_READERS.values():
         assert {"_terms", "_cden"} <= _names(_function(*path))
     assert "multiply" in _names(_function(sparse, "SparseAlgebra", "__mul__"))

@@ -22,12 +22,13 @@ from hypermoyal import (
     Sigma,
     SignatureMismatchError,
     moyal_bracket,
+    parse_symbol,
     poisson_bracket,
     scaled_bracket,
     star,
 )
 from hypermoyal import selftest, symbols
-from hypermoyal.symbols import DEFAULT_DEGREE_CAP, KAPPA_ROWS
+from hypermoyal.symbols import DEFAULT_DEGREE_CAP, KAPPA_ROW_TERMS, KAPPA_ROWS
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -558,6 +559,47 @@ def test_a_full_memo_evicts_and_results_stay_equal(monkeypatch):
     assert info.currsize <= bound
     assert got == expected
     assert [tuple(map(_stored, r)) for r in got] == [tuple(map(_stored, r)) for r in expected]
+
+
+def _recorded_memo(monkeypatch) -> list:
+    """Stand in a memo of the same bound that records each value it keeps."""
+    kept, build = [], symbols._structure_constants.__wrapped__
+
+    def recording(*args):
+        kept.append(build(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(symbols, "_structure_constants",
+                        functools.lru_cache(maxsize=KAPPA_ROWS)(recording))
+    return kept
+
+
+def test_memo_keeps_no_row_above_the_term_bound(monkeypatch):
+    # one pair, beta1 = alpha2 = (1,)*8, whose row has 2^8 = 256 kappa terms
+    a = parse_symbol("p1*p2*p3*p4*p5*p6*p7*p8", H)
+    b = parse_symbol("q1*q2*q3*q4*q5*q6*q7*q8", H)
+    kept = _recorded_memo(monkeypatch)
+    once, twice = star(a, b), star(a, b)
+    assert kept == [()]  # the pair's slot holds no row
+    assert symbols._structure_constants.cache_info().hits == 1
+    assert once == twice and len(once.terms()) == 256
+    monkeypatch.setattr(symbols, "KAPPA_ROW_TERMS", 256)
+    assert star(a, b) == once  # the same product from a memoized row
+
+
+def test_every_row_of_the_star_wide_shapes_is_memoized(monkeypatch):
+    """The largest shapes of perfbench's star-wide ladder per degree of
+    freedom; their longest rows have 12 terms."""
+    pairs = [
+        ("(q1+2*p1+1)^8", "(3*q1+p1)^8"),
+        ("(q1+q2+p1+p2)^6", "(q1+2*q2+p1+p2+j)^5"),
+        ("(q1+q2+q3+p1+p2+p3)^4", "(q1+q2+2*q3+p1+p2+p3)^3"),
+    ]
+    kept = _recorded_memo(monkeypatch)
+    for x, y in pairs:
+        a, b = parse_symbol(x, H), parse_symbol(y, H)
+        star(a, b), scaled_bracket(a, b)
+    assert all(kept) and max(map(len, kept)) == 12 <= KAPPA_ROW_TERMS
 
 
 def test_full_selftest_shapes_fill_under_a_quarter_of_the_memo():
