@@ -684,6 +684,70 @@ def test_complex_results_are_hyperbolic_results_with_j_h_read_as_minus_i_h():
     assert compared == 576
 
 
+def _parts(symbol, unit):
+    """``symbol`` as the symbol of each coefficient's real part and that of its
+    ``unit`` part, both with real coefficients."""
+    sigma = symbol.sigma
+    return [PolySymbol(symbol.dof, sigma, {
+        (alpha, beta): HPoly({d: getattr(v, part) for d, v in coeff.items()}, sigma)
+        for alpha, beta, coeff in symbol.terms()
+    }) for part in ("re", unit)]
+
+
+def _real_product(fa, fb, t, q_syms, p_syms):
+    """``sum_kappa t^|kappa|/kappa! d_p^kappa(fa) d_q^kappa(fb)`` over real
+    sympy polynomials: the normal-ordered product at ``t``, computed by sympy
+    with no unit of either ring."""
+    gens = (*q_syms, *p_syms, H_SYM)
+    fa, fb, t = sp.Poly(fa, *gens), sp.Poly(fb, *gens), sp.Poly(t, *gens)
+    out = sp.Poly(0, *gens)
+    for kappa in iter_product(*(range(max(fa.degree(p), 0) + 1) for p in p_syms)):
+        da, db = fa, fb
+        for p, q, n in zip(p_syms, q_syms, kappa):
+            da, db = da.diff((p, n)) if n else da, db.diff((q, n)) if n else db
+        out += da * db * t ** sum(kappa) * sp.Rational(1, math.prod(map(math.factorial, kappa)))
+    return out
+
+
+def test_hyperbolic_star_splits_into_real_products_at_plus_and_minus_h():
+    """The idempotent split ``x + j y -> (x + y, x - y)`` maps the hyperbolic
+    ring onto two copies of the reals, and ``j h`` onto ``+h`` and ``-h``: so
+    each half of ``a ⋆ b`` is the real normal-ordered product of the halves
+    of ``a`` and ``b`` at ``+h`` or ``-h``.  The operands carry h and
+    fractional real and unit parts."""
+    rng = random.Random(2503)
+    failures, compared = [], 0
+    for i in range(24):
+        k = 1 + i % 3
+        q_syms, p_syms = sp.symbols(f"q1:{k + 1}"), sp.symbols(f"p1:{k + 1}")
+        a, b = _sevenths_symbol(rng, k, H, 4), _sevenths_symbol(rng, k, H, 3)
+        parts = [_to_sympy(x, q_syms, p_syms) for x in (a, b, star(a, b))]
+        for e in (1, -1):
+            fa, fb, got = (re + e * im for re, im in parts)
+            want = _real_product(fa, fb, e * H_SYM, q_syms, p_syms)
+            if not (sp.Poly(got, *q_syms, *p_syms, H_SYM) - want).is_zero:
+                failures.append((i, e))
+            compared += 1
+    assert failures == [] and compared == 48
+
+
+def test_complex_star_is_bilinear_over_real_and_imaginary_parts():
+    """``(ar + i ai) ⋆ (br + i bi) = ar⋆br - ai⋆bi + i (ar⋆bi + ai⋆br)``, each
+    product on the right of operands with real coefficients, where no
+    coefficient product has an imaginary part."""
+    rng = random.Random(2504)
+    i_unit = Binarion(0, 1, C)
+    failures = []
+    for n in range(150):
+        k = 1 + n % 3
+        a, b = _sevenths_symbol(rng, k, C, 4), _sevenths_symbol(rng, k, C, 3)
+        (ar, ai), (br, bi) = _parts(a, "im"), _parts(b, "im")
+        want = star(ar, br) - star(ai, bi) + (star(ar, bi) + star(ai, br)) * i_unit
+        if star(a, b) != want:
+            failures.append(n)
+    assert failures == []
+
+
 def test_brackets_degree_cap():
     q, p = qp(H)
     a, b = q**9, p**8
