@@ -58,7 +58,7 @@ def _sqrt(value):
         if num * num == value.numerator and den * den == value.denominator:
             return Fraction(num, den)
     root = math.sqrt(value)
-    if root == 0 < value:
+    if root == 0 and value > 0:
         raise ValidationError("value too small for a float")
     return root
 

@@ -10,6 +10,11 @@ All algebraic operations are exact over :class:`fractions.Fraction`; only
 the transcendental helpers (:func:`character`, :func:`polar`) go through
 floating point, with a documented tolerance of ``1e-12``.  One function,
 :func:`_cos_sin`, picks ``cos`` or ``cosh`` for a ring.
+
+The module also holds the package's number edge: :func:`_as_fraction` is
+the one reader of rational text, :func:`_num_str` the one writer of a
+number, and :func:`_float` with :func:`_cos_sin` the way to floats; each
+refuses what it cannot represent with :class:`ValidationError`.
 """
 
 from __future__ import annotations

@@ -452,9 +452,9 @@ _KAPPA_ZERO = ((0, 0, 1),)
 
 @lru_cache(maxsize=KAPPA_ROWS)
 def _structure_constants(beta1, alpha2, units, s: int) -> tuple:
-    """:func:`_kappa_row`, memoized; ``()`` for a row of more than
-    :data:`KAPPA_ROW_TERMS` terms, which the caller builds each time.  The
-    length is known before the row is built, so no row is built twice."""
+    """:func:`_kappa_row`, memoized; ``()`` in place of a row longer than
+    :data:`KAPPA_ROW_TERMS`, whose length is known before it is built and
+    which the caller builds each time."""
     if math.prod(min(b, a) + 1 for b, a in zip(beta1, alpha2)) > KAPPA_ROW_TERMS:
         return ()
     return _kappa_row(beta1, alpha2, units, s)
