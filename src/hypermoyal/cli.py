@@ -22,12 +22,8 @@ from fractions import Fraction
 from .errors import HypermoyalError, ValidationError, json_field
 from .parsing import _highest_index, parse_symbol
 from .scalars import Sigma, _as_fraction, _num_str, as_sigma
+from .sparse import MAX_STEPS
 from .symbols import PhasePoint, poisson_bracket, scaled_bracket, star
-
-#: Most rows ``limit --steps`` tabulates.  Row ``n`` prints ``h = 1/2^n`` in
-#: full, so the table grows as ``steps^2``; past 1,074 halvings ``h`` is below
-#: the smallest float.
-MAX_STEPS = 1000
 
 
 def _dump_json(data) -> str:

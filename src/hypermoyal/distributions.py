@@ -74,9 +74,9 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
-                     multiply, nonnegative, power_factors, stored, summed)
-from .symbols import PolySymbol, check_degree_cap
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, check_degree_cap, in_range,
+                     integer, multiply, nonnegative, power_factors, stored, summed)
+from .symbols import PolySymbol
 
 
 class CharSum(ScalarRing):

@@ -20,12 +20,8 @@ import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import Sigma, as_sigma, binarion_from_json, binarion_to_json
-from .sparse import SizedMap, SparseAlgebra, binarion_coefficient, in_range, integer, stored
-
-#: Largest generator count :func:`annihilator_witness` accepts.  Its check
-#: visits all ``2^n`` basis monomials, so its time doubles with each
-#: generator; larger counts are refused before any work starts.
-MAX_WITNESS_GENERATORS = 16
+from .sparse import (MAX_WITNESS_GENERATORS, SizedMap, SparseAlgebra, binarion_coefficient,
+                     in_range, integer, stored)
 
 
 class Parity(enum.Enum):

@@ -58,9 +58,9 @@ from .distributions import (
 )
 from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
 from .scalars import Binarion, Sigma, _as_fraction, _json_fraction, _num_str, as_sigma
-from .sparse import add_parts, summed
+from .sparse import add_parts, check_degree_cap, summed
 from .parsing import parse_symbol
-from .symbols import PolySymbol, check_degree_cap, star
+from .symbols import PolySymbol, star
 
 
 def _positive_h(h) -> Fraction:

@@ -25,19 +25,8 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .scalars import Binarion, as_sigma
-from .sparse import integer
+from .sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX, integer
 from .symbols import HPoly, PolySymbol
-
-#: Largest variable or generator index, and largest ``dof``, an expression
-#: may use.
-MAX_INDEX = 1024
-#: Longest digit run read as one literal or index; Python converts at most
-#: 4,300 digits between integers and text.
-MAX_DIGITS = 1000
-#: Deepest parenthesis nesting an expression may use.  The parser recurses
-#: four frames per level, so this leaves room under Python's default
-#: recursion limit of 1000 for a deep caller.
-MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)"

@@ -44,8 +44,41 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, SignatureMismatchError, ValidationError, json_field
+from .errors import (DegreeCapError, DimensionMismatchError, SignatureMismatchError,
+                     ValidationError, json_field)
 from .scalars import Binarion, Sigma, _num_str, as_sigma
+
+#: Default bound on the total degree of any star-product result.  The
+#: kappa-series always terminates on polynomials, but its width grows with
+#: the p-degree, so products beyond the cap are refused rather than left to
+#: run long.
+DEFAULT_DEGREE_CAP = 16
+#: Largest variable or generator index, and largest ``dof``, an expression
+#: may use.
+MAX_INDEX = 1024
+#: Longest digit run read as one literal or index; Python converts at most
+#: 4,300 digits between integers and text.
+MAX_DIGITS = 1000
+#: Deepest parenthesis nesting an expression may use.  The parser recurses
+#: four frames per level, so this leaves room under Python's default
+#: recursion limit of 1000 for a deep caller.
+MAX_DEPTH = 100
+#: Most rows ``limit --steps`` tabulates.  Row ``n`` prints ``h = 1/2^n`` in
+#: full, so the table grows as ``steps^2``; past 1,074 halvings ``h`` is below
+#: the smallest float.
+MAX_STEPS = 1000
+#: Largest generator count :func:`annihilator_witness` accepts.  Its check
+#: visits all ``2^n`` basis monomials, so its time doubles with each
+#: generator; larger counts are refused before any work starts.
+MAX_WITNESS_GENERATORS = 16
+
+
+def check_degree_cap(degree: int, degree_cap, what: str):
+    """Refuse ``degree`` above ``degree_cap`` as ``what`` degree; ``None``
+    means :data:`DEFAULT_DEGREE_CAP`."""
+    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+    if degree > cap:
+        raise DegreeCapError(f"{what} degree {_num_str(degree)} exceeds cap {cap}")
 
 
 def summed(pairs) -> dict:

@@ -56,25 +56,11 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from operator import add
 
-from .errors import DegreeCapError, DimensionMismatchError, ValidationError, json_field
-from .scalars import (Binarion, Sigma, _as_fraction, _num_str, as_sigma, binarion_from_json,
-                      binarion_to_json)
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, in_range, integer,
-                     nonnegative, power_factors, stored, summed)
-
-#: Default bound on the total degree of any star-product result.  The
-#: kappa-series always terminates on polynomials, but its width grows with
-#: the p-degree, so products beyond the cap are refused rather than left to
-#: run long.
-DEFAULT_DEGREE_CAP = 16
-
-
-def check_degree_cap(degree: int, degree_cap, what: str):
-    """Refuse ``degree`` above ``degree_cap`` as ``what`` degree; ``None``
-    means :data:`DEFAULT_DEGREE_CAP`."""
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    if degree > cap:
-        raise DegreeCapError(f"{what} degree {_num_str(degree)} exceeds cap {cap}")
+from .errors import DimensionMismatchError, ValidationError, json_field
+from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json, binarion_to_json
+from .sparse import (DEFAULT_DEGREE_CAP, ScalarRing, SizedMap, SparseAlgebra, add_parts,
+                     check_degree_cap, in_range, integer, nonnegative, power_factors, stored,
+                     summed)
 
 
 class HPoly(ScalarRing):

@@ -8,7 +8,9 @@ These tests read the source with :mod:`ast` and fail when one route starts
 to name another's kernel.  The routes do share :mod:`hypermoyal.sparse`,
 which only reads coefficients as integer numerators, adds real and unit
 parts and builds the result's binarions; it must stay free of kernel math
-and remain the one place that converts coefficients and builds them.  Its
+and remain the one place that converts coefficients and builds them.  It
+is also the one home of every input bound and of the degree-cap check that
+all three routes run.  Its
 one product loop, which every algebra class's ``*`` runs, is called by no
 route kernel.
 """
@@ -50,9 +52,11 @@ def _names(node) -> set:
     return out
 
 
-def test_distributions_imports_only_the_cap_and_the_symbol_type_from_symbols():
+def _symbols_imports(tree) -> set:
+    """The names ``tree`` imports from :mod:`hypermoyal.symbols`; importing the
+    module itself fails."""
     imported = set()
-    for node in ast.walk(_tree(distributions)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.module in ("symbols", "hypermoyal.symbols"):
                 imported.update(alias.name for alias in node.names)
@@ -60,7 +64,56 @@ def test_distributions_imports_only_the_cap_and_the_symbol_type_from_symbols():
                 assert "symbols" not in {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert all(alias.name != "hypermoyal.symbols" for alias in node.names)
-    assert imported == {"check_degree_cap", "PolySymbol"}
+    return imported
+
+
+#: What the other routes may take from the series route: the symbol type, and
+#: in ``operators`` the ``star`` that ``compose_check`` compares against.
+SERIES_IMPORTS = {"distributions": (distributions, {"PolySymbol"}),
+                  "operators": (operators, {"PolySymbol", "star"})}
+
+
+@pytest.mark.parametrize("route, allowed", SERIES_IMPORTS.values(), ids=SERIES_IMPORTS)
+def test_routes_import_only_the_symbol_type_and_star_from_symbols(route, allowed):
+    assert _symbols_imports(_tree(route)) == allowed
+
+
+def test_import_guard_sees_what_it_forbids():
+    planted = _tree(distributions)
+    planted.body.insert(0, ast.parse("from .symbols import check_degree_cap").body[0])
+    assert _symbols_imports(planted) == {"PolySymbol", "check_degree_cap"}
+
+
+def _bound_definitions(tree) -> set:
+    """The module-level names that ``tree`` binds by assignment and that name
+    an input bound: ``MAX_*`` and ``DEFAULT_DEGREE_CAP``."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(
+            child.id for target in targets for child in ast.walk(target)
+            if isinstance(child, ast.Name)
+            and (child.id.startswith("MAX_") or child.id == "DEFAULT_DEGREE_CAP")
+        )
+    return names
+
+
+@pytest.mark.parametrize(
+    "name", [m.name for m in pkgutil.iter_modules(hypermoyal.__path__) if m.name != "sparse"]
+)
+def test_only_sparse_defines_an_input_bound(name):
+    module = importlib.import_module(f"hypermoyal.{name}")
+    assert _bound_definitions(_tree(module)) == set()
+
+
+def test_bound_guard_sees_what_it_forbids():
+    assert _bound_definitions(_tree(sparse)) == {
+        "DEFAULT_DEGREE_CAP", "MAX_INDEX", "MAX_DIGITS", "MAX_DEPTH", "MAX_STEPS",
+        "MAX_WITNESS_GENERATORS"}
+    planted = _tree(operators)
+    planted.body.insert(0, ast.parse("MAX_TERMS = 1").body[0])
+    assert _bound_definitions(planted) == {"MAX_TERMS"}
 
 
 def test_shift_route_does_not_use_the_normal_ordered_kernel():
