@@ -352,8 +352,8 @@ def theta_range(p_a, cond) -> tuple:
         d = _sqrt(d_squared)
         headroom = min(classical, 1 - classical)
         cosh_max = headroom / (2 * d)
-        admissible = cosh_max >= 1
-        theta_max = math.acosh(_float(cosh_max)) if admissible else None
+        admissible = headroom * headroom >= 4 * d_squared  # exact, as in classify
+        theta_max = math.acosh(max(_float(cosh_max), 1.0)) if admissible else None
         out.append(ThetaRange(cosh_max, theta_max, admissible))
     return tuple(out)
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,63 @@ def test_theta_range_degenerate_empty():
     ranges = theta_range((HALF, HALF), ((Fraction(0), HALF), (Fraction(1), HALF)))
     assert ranges[0].degenerate and not ranges[0].admissible
     assert ranges[0].cosh_max is None
+
+
+def _near_boundary_tables(seed: int, count: int) -> list:
+    """Exact tables with an irrational ``D`` whose ``cosh_max`` lies within
+    about 1e-17 of 1.  Half put ``P(b1|a) = (c + e, c - e)`` under a uniform
+    prior, which is admissible by ``e^2`` for the outcome of mixture ``c <
+    1/2``; half put ``sqrt(u) + sqrt(v)`` a few units of ``1e-18`` either side
+    of 1, for ``u = P(b1|a1) P(a1)`` and ``v = P(b1|a2) P(a2)``."""
+    rng = random.Random(seed)
+    tables = []
+    for n in range(count):
+        if n % 2 == 0:
+            c = Fraction(rng.randint(1, 199), 400)
+            e = Fraction(1, rng.randint(10**8, 10**12))
+            b1 = (c + e, c - e)
+        else:
+            k = rng.randint(101, 199)
+            u = Fraction(k, 400)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                edge = (1 - Decimal(k).sqrt() / 20) ** 2  # (1 - sqrt(u))^2
+            v = Fraction(int(edge * 10**18) + rng.choice((-1, 1)) * rng.randint(1, 50), 10**18)
+            b1 = (2 * u, 2 * v)
+        tables.append(((HALF, HALF), (b1, (1 - b1[0], 1 - b1[1]))))
+    return tables
+
+
+def _admissible_by_decimal(p_a, cond, j) -> bool:
+    """``min(m, 1 - m) / (2 D) >= 1`` for the mixture ``m`` and ``D^2`` of
+    outcome ``j``, with the root taken by :mod:`decimal` to 60 digits."""
+    mixture = cond[j][0] * p_a[0] + cond[j][1] * p_a[1]
+    d_squared = cond[j][0] * p_a[0] * cond[j][1] * p_a[1]
+    headroom = min(mixture, 1 - mixture)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = (Decimal(d_squared.numerator) / Decimal(d_squared.denominator)).sqrt()
+        return Decimal(headroom.numerator) / Decimal(headroom.denominator) / (2 * d) >= 1
+
+
+def test_theta_range_decides_admissible_exactly_at_the_boundary():
+    """The float ``cosh_max >= 1`` gets some of these wrong; the decision
+    must follow the exact ``headroom^2 >= 4 D^2``, as ``classify`` does."""
+    wrong = []
+    for p_a, cond in _near_boundary_tables(2026, 200):
+        for j, r in enumerate(theta_range(p_a, cond)):
+            if r.admissible != _admissible_by_decimal(p_a, cond, j):
+                wrong.append((cond[0], j, r))
+            elif r.admissible:
+                assert r.theta_max >= 0.0
+    assert wrong == []
+
+
+def test_theta_range_keeps_a_float_cosh_max_below_1_when_admissible():
+    e = Fraction(1, 988381540383)
+    c = Fraction(47, 400)
+    r = theta_range((HALF, HALF), ((c + e, c - e), (1 - c - e, 1 - c + e)))[0]
+    assert (r.cosh_max, r.theta_max, r.admissible) == (0.9999999999999999, 0.0, True)
 
 
 def test_zero_interference_always_admissible():
