@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import HypermoyalError, ValidationError, json_field
+from .errors import HypermoyalError, ValidationError, json_document, json_field
 from .parsing import _highest_index, parse_symbol
 from .scalars import Sigma, _as_fraction, _num_str, as_sigma
 from .sparse import MAX_STEPS
@@ -43,9 +43,9 @@ def _sigmas(value: str):
 
 def _read_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
+        return json_document(sys.stdin.read())
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json_document(fh.read())
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return status
-    except (HypermoyalError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (HypermoyalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

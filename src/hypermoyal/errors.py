@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the JSON field reader
-that turns malformed input into them."""
+"""Exception types shared across the package, and the JSON document and
+field readers that turn malformed input into them."""
+
+import json
 
 
 class HypermoyalError(Exception):
@@ -49,6 +51,17 @@ class InvalidStateError(HypermoyalError, ValueError):
         super().__init__(message)
         self.value = value
         self.bound = bound
+
+
+def json_document(text):
+    """The value of the JSON document ``text``: the one JSON reader.  Malformed
+    text, an integer past Python's int-to-text digit limit and nesting past
+    the recursion limit raise :class:`ValidationError` with the parser's
+    one-line message."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def json_field(data, name: str, convert):

@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 
 from .errors import (DegreeCapError, DimensionMismatchError, SignatureMismatchError,
-                     ValidationError, json_field)
+                     ValidationError, json_document, json_field)
 from .scalars import Binarion, Sigma, _num_str, as_sigma
 
 #: Default bound on the total degree of any star-product result.  The
@@ -381,7 +381,7 @@ class SizedMap(SparseMap):
 
     @classmethod
     def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json_document(text))
 
 
 class SparseAlgebra(SparseMap):

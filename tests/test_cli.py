@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import copy
+import io
 import json
 import os
 import subprocess
@@ -227,6 +228,47 @@ def test_fourier_json_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "fourier", str(path), "--format", "json")
     assert code == 0
     assert ExpPoly.from_json_dict(json.loads(out)) == lam.fourier()
+
+
+def test_fourier_reads_its_document_from_stdin(monkeypatch, capsys):
+    lam = Ultradistribution.delta((0,), H, order=(2,))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(lam.to_json_dict())))
+    assert run(capsys, "fourier", "-") == (0, "x1^2\n", "")
+
+
+#: JSON text the parser refuses, and its one-line message.
+UNREADABLE_JSON = {
+    "long-order": (
+        '{"dim": 1, "sigma": 1, "atoms": [{"loc": ["0"], "order": [' + "9" * 4400 + "]}]}",
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 4400 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit"),
+    "deep-nesting": (
+        "[" * 100000,
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    "truncated": (
+        "{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("text, message", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+def test_fourier_unreadable_json_is_one_line_error(tmp_path, monkeypatch, capsys, text, message,
+                                                    source):
+    path = tmp_path / "atoms.json"
+    path.write_text(text, encoding="utf-8")
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    argument = str(path) if source == "file" else "-"
+    assert run(capsys, "fourier", argument) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bad, prefix", [(0, "operator"), (1, "wavefunction")])
+@pytest.mark.parametrize("text, message", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+def test_apply_unreadable_json_names_its_document(tmp_path, capsys, text, message, bad, prefix):
+    paths = [tmp_path / "op.json", tmp_path / "phi.json"]
+    for i, (path, good) in enumerate(zip(paths, (json.dumps(OPERATOR), json.dumps(WAVE)))):
+        path.write_text(text if i == bad else good, encoding="utf-8")
+    assert run(capsys, "apply", *map(str, paths)) == (2, "", f"error: {prefix}: {message}\n")
 
 
 def test_apply_command_with_expression_symbol(tmp_path, capsys):

@@ -215,6 +215,16 @@ REFUSALS = {
                              "sigma required for rational scalars"),
     "coefficient sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): HPoly.from_scalar(1, C)}),
                           SignatureMismatchError, "coefficient sigma differs from symbol sigma"),
+    "json truncated": (
+        lambda: PolySymbol.from_json("{"), ValidationError,
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "json nested past the recursion limit": (
+        lambda: PolySymbol.from_json("[" * 100000), ValidationError,
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    "json integer past the digit limit": (
+        lambda: GrassmannElement.from_json('{"n": ' + "9" * 4400 + "}"), ValidationError,
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 4400 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit"),
     # symbols
     "hpoly div_h": (lambda: HPoly.from_scalar(1, H).div_h(), ArithmeticError,
                     "not divisible by h: constant term present"),

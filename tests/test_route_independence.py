@@ -390,3 +390,38 @@ def test_sparse_guards_see_what_they_forbid():
     )
     kernel_call = ast.parse("def f(acc, a, b):\n    return _pair_factors(a.tensor(b))")
     assert _names(kernel_call) & _route_kernels() == {"_pair_factors", "tensor"}
+
+
+def _json_parsers(tree) -> set:
+    """The innermost functions of ``tree`` that name ``json.load`` or
+    ``json.loads``, ``"<module>"`` for a use outside any, and ``"<import>"``
+    when ``tree`` imports either from :mod:`json`."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    parsers = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            parsers.add(max(around, key=lambda f: f.lineno).name if around else "<module>")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {alias.name for alias in node.names} & {"load", "loads"}:
+                parsers.add("<import>")
+    return parsers
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(hypermoyal.__path__)])
+def test_only_the_one_reader_parses_json(name):
+    module = importlib.import_module(f"hypermoyal.{name}")
+    assert _json_parsers(_tree(module)) == ({"json_document"} if name == "errors" else set())
+
+
+def test_json_guard_sees_what_it_forbids():
+    planted = _tree(importlib.import_module("hypermoyal.cli"))
+    planted.body += ast.parse(
+        "from json import loads\n"
+        "def _read_json(path):\n"
+        "    with open(path) as fh:\n"
+        "        return json.load(fh)\n"
+        "reader = json.loads\n"
+    ).body
+    assert _json_parsers(planted) == {"<import>", "_read_json", "<module>"}
