@@ -649,7 +649,8 @@ class Ultradistribution(_CharSumTerms):
         self._check_sigma(f)
         if f.dim != self.dim:
             raise DimensionMismatchError(
-                f"distribution dim {self.dim} differs from test function dim {f.dim}"
+                f"distribution dim {_num_str(self.dim)} differs from test function dim "
+                f"{_num_str(f.dim)}"
             )
         total = CharSum.zero(self.sigma)
         for loc, order, w in self.atoms():

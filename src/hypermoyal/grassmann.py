@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
-from .scalars import Sigma, as_sigma, binarion_from_json, binarion_to_json
+from .scalars import Sigma, _num_str, as_sigma, binarion_from_json, binarion_to_json
 from .sparse import (MAX_WITNESS_GENERATORS, SizedMap, SparseAlgebra, binarion_coefficient,
                      in_range, integer, stored)
 
@@ -60,7 +60,7 @@ def _word_mask(indices, n: int) -> int:
         if i < 0 or mask >> i:
             raise ValidationError("generators must be nonnegative and strictly ascending")
         if i >= n:
-            raise DimensionMismatchError(f"generator θ{i + 1} is beyond n={n}")
+            raise DimensionMismatchError(f"generator θ{_num_str(i + 1)} is beyond n={_num_str(n)}")
         mask |= 1 << i
     return mask
 
@@ -171,7 +171,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
             gens = list(map(integer, gens))
             for g in gens:
                 if not 1 <= g <= n:
-                    raise ValidationError(f"generator {g} is outside 1..{n}")
+                    raise ValidationError(f"generator {_num_str(g)} is outside 1..{_num_str(n)}")
             return _word_mask((g - 1 for g in gens), n)
 
         return json_field(entry, "gens", read_mask), binarion_from_json(entry, sigma)
@@ -209,7 +209,7 @@ def annihilator_witness(n: int, sigma: Sigma = Sigma.HYPERBOLIC) -> GrassmannEle
         raise ValidationError("witness needs at least one generator")
     if n > MAX_WITNESS_GENERATORS:
         raise ValidationError(
-            f"witness needs at most {MAX_WITNESS_GENERATORS} generators, got {n}"
+            f"witness needs at most {MAX_WITNESS_GENERATORS} generators, got {_num_str(n)}"
         )
     top = GrassmannElement(n, sigma, {(1 << n) - 1: 1})
     for mask in range(1, 1 << n):

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidStateError, ValidationError
-from .scalars import FLOAT_TOLERANCE, Sigma, _as_fraction, _cos_sin, _float, _num_str, as_sigma
+from .scalars import (FLOAT_TOLERANCE, Sigma, _as_fraction, _cos_sin, _float, _num_msg, _num_str,
+                      as_sigma)
 
 
 class Regime(enum.Enum):
@@ -76,7 +77,7 @@ _NAMES = ("P(a1)", "P(a2)", "P(b1|a1)", "P(b1|a2)", "P(b2|a1)", "P(b2|a2)", "P(b
 def _check_probabilities(names, values, where=""):
     for name, value in zip(names, values):
         if not (0 <= value <= 1):
-            raise ValidationError(f"{name} = {value} outside [0, 1]{where}")
+            raise ValidationError(f"{name} = {_num_msg(value)} outside [0, 1]{where}")
 
 
 def _mixture(p_a, cond, j: int) -> tuple:
@@ -280,7 +281,7 @@ def forward(amp_b1: Amplitude2, amp_b2: Amplitude2):
     p_a = tuple(x + y for x, y in zip(*weights))
     total = p_a[0] + p_a[1]
     if not _close(total, 1, exact):
-        raise ValidationError(f"amplitude magnitudes give sum P(a) = {total} != 1")
+        raise ValidationError(f"amplitude magnitudes give sum P(a) = {_num_msg(total)} != 1")
     if any(p == 0 for p in p_a):
         raise ValidationError("degenerate prior: some P(a_i) = 0")
     cond = tuple(tuple(w / p for w, p in zip(row, p_a)) for row in weights)

@@ -158,7 +158,8 @@ class WaveFunction:
         if self.sigma is not other.sigma:
             raise SignatureMismatchError("wavefunction signatures differ")
         if self.h != other.h:
-            raise ValidationError(f"wavefunction h values differ: {self.h} vs {other.h}")
+            raise ValidationError(
+                f"wavefunction h values differ: {_num_str(self.h)} vs {_num_str(other.h)}")
         if self.dof != other.dof:
             raise DimensionMismatchError("wavefunction dimensions differ")
 
@@ -247,11 +248,11 @@ class Operator:
         if phi.sigma is not self.sigma:
             raise SignatureMismatchError("operator and wavefunction signatures differ")
         if phi.h != self.h:
-            raise ValidationError(f"operator h {self.h} differs from wavefunction h {phi.h}")
+            raise ValidationError(
+                f"operator h {_num_str(self.h)} differs from wavefunction h {_num_str(phi.h)}")
         if phi.dof != self.dof:
-            raise DimensionMismatchError(
-                f"operator dof {self.dof} differs from wavefunction dof {phi.dof}"
-            )
+            raise DimensionMismatchError(f"operator dof {_num_str(self.dof)} differs from "
+                                         f"wavefunction dof {_num_str(phi.dof)}")
 
     # -- application routes ----------------------------------------------------
 

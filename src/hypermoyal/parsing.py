@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .scalars import Binarion, as_sigma
+from .scalars import Binarion, _num_str, as_sigma
 from .sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX, integer
 from .symbols import HPoly, PolySymbol
 
@@ -189,7 +189,7 @@ def parse_symbol(text: str, sigma, dof: int = None) -> PolySymbol:
     sigma = as_sigma(sigma)
     k = _highest_index("qp", text) if dof is None else integer(dof)
     if k > MAX_INDEX:
-        raise ValidationError(f"dof must be <= {MAX_INDEX}, got {k}")
+        raise ValidationError(f"dof must be <= {MAX_INDEX}, got {_num_str(k)}")
 
     def make_number(value: Fraction) -> PolySymbol:
         return PolySymbol.constant(value, k, sigma)

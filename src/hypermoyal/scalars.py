@@ -13,8 +13,9 @@ floating point, with a documented tolerance of ``1e-12``.  One function,
 
 The module also holds the package's number edge: :func:`_as_fraction` is
 the one reader of rational text, :func:`_num_str` the one writer of a
-number, and :func:`_float` with :func:`_cos_sin` the way to floats; each
-refuses what it cannot represent with :class:`ValidationError`.
+number (through :func:`_num_msg` in a message), and :func:`_float` with
+:func:`_cos_sin` the way to floats; each refuses what it cannot represent
+with :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def _num_str(value) -> str:
             limit = sys.get_int_max_str_digits()
             raise ValidationError(f"number too long to write: more than {limit} digits") from None
     return f"{float(value):.12g}"
+
+
+def _num_msg(value) -> str:
+    """``value`` in a message: an exact number by :func:`_num_str`, any other
+    by ``str``, as an f-string writes it."""
+    return _num_str(value) if isinstance(value, (int, Fraction)) else str(value)
 
 
 def _json_fraction(value) -> Fraction:

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .errors import (DegreeCapError, DimensionMismatchError, SignatureMismatchError,
                      ValidationError, json_document, json_field)
-from .scalars import Binarion, Sigma, _num_str, as_sigma
+from .scalars import Binarion, Sigma, _num_msg, _num_str, as_sigma
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -78,7 +78,7 @@ def check_degree_cap(degree: int, degree_cap, what: str):
     means :data:`DEFAULT_DEGREE_CAP`."""
     cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
     if degree > cap:
-        raise DegreeCapError(f"{what} degree {_num_str(degree)} exceeds cap {cap}")
+        raise DegreeCapError(f"{what} degree {_num_str(degree)} exceeds cap {_num_msg(cap)}")
 
 
 def summed(pairs) -> dict:
@@ -349,7 +349,7 @@ class SizedMap(SparseMap):
         if other._size != self._size:
             name = self._JSON_FIELDS[0]
             raise DimensionMismatchError(
-                f"cannot combine {name}={self._size} with {name}={other._size}"
+                f"cannot combine {name}={_num_str(self._size)} with {name}={_num_str(other._size)}"
             )
 
     @classmethod

@@ -57,7 +57,8 @@ from functools import cache, lru_cache
 from operator import add
 
 from .errors import DimensionMismatchError, ValidationError, json_field
-from .scalars import Binarion, Sigma, _as_fraction, as_sigma, binarion_from_json, binarion_to_json
+from .scalars import (Binarion, Sigma, _as_fraction, _num_str, as_sigma, binarion_from_json,
+                      binarion_to_json)
 from .sparse import (DEFAULT_DEGREE_CAP, ScalarRing, SizedMap, SparseAlgebra, add_parts,
                      check_degree_cap, in_range, integer, nonnegative, power_factors, stored,
                      summed)
@@ -188,7 +189,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
             beta = nonnegative(beta, "negative exponents are not allowed")
             if len(alpha) != self.dof or len(beta) != self.dof:
                 raise DimensionMismatchError(
-                    f"exponent vectors must have length {self.dof}"
+                    f"exponent vectors must have length {_num_str(self.dof)}"
                 )
             pairs.extend(((alpha, beta, d), v)
                          for d, v in HPoly._coefficient_terms(coeff, self.sigma, "symbol"))
@@ -303,7 +304,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
             raise ValidationError("h must be >= 0")
         if point.dof != self.dof:
             raise DimensionMismatchError(
-                f"point has dof {point.dof}, symbol has dof {self.dof}"
+                f"point has dof {_num_str(point.dof)}, symbol has dof {_num_str(self.dof)}"
             )
         total = Binarion.zero(self.sigma)
         for (alpha, beta, d), v in self._binarions().items():

@@ -12,6 +12,7 @@ from hypermoyal import (
     Amplitude2,
     Binarion,
     CharSum,
+    DegreeCapError,
     DichotomousContext,
     DimensionMismatchError,
     ExpPoly,
@@ -40,12 +41,16 @@ from hypermoyal import (
     parse_symbol,
     plane_wave_eigenvalue,
     polar,
+    star,
     star_distributional,
     symbol_from_distribution,
     theta_range,
 )
+from hypermoyal.cli import _cmd_limit, build_parser
 from hypermoyal.scalars import HPolar
 from hypermoyal.errors import json_field
+from hypermoyal.sparse import (DEFAULT_DEGREE_CAP, MAX_DEPTH, MAX_DIGITS, MAX_INDEX, MAX_STEPS,
+                               MAX_WITNESS_GENERATORS)
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -63,6 +68,9 @@ _TINY_D = DichotomousContext.from_b1_row(Fraction(1, 10**2999 + 1), Fraction(1, 
                                          HALF, HALF)
 _HUGE_LAMBDA = DichotomousContext.from_b1_row(Fraction(1, 10**4000), 1,
                                               Fraction(10**4000 - 1, 10**4000), HALF)
+#: An integer past the digit limit.
+_LONG = 10**5000
+_ONE = PolySymbol.one(1, H)
 
 
 def _wave(momentum, h=1, sigma=H):
@@ -79,6 +87,43 @@ def _csv(text):
 
 #: name -> (call, exception class, message)
 REFUSALS = {
+    # the input bounds, all defined in ``sparse``
+    "degree cap": (lambda: star(_Q**DEFAULT_DEGREE_CAP, _Q), DegreeCapError,
+                   f"star product degree {DEFAULT_DEGREE_CAP + 1} exceeds cap "
+                   f"{DEFAULT_DEGREE_CAP}"),
+    "index bound": (lambda: parse_symbol(f"q{MAX_INDEX + 1}", H), ParseError,
+                    f"index of 'q' above {MAX_INDEX} (at position 0)"),
+    "dof bound": (lambda: parse_symbol("q", H, dof=MAX_INDEX + 1), ValidationError,
+                  f"dof must be <= {MAX_INDEX}, got {MAX_INDEX + 1}"),
+    "digit bound": (lambda: parse_symbol("1" * (MAX_DIGITS + 1), H), ParseError,
+                    f"more than {MAX_DIGITS} digits in a row (at position 0)"),
+    "depth bound": (lambda: parse_symbol("(" * (MAX_DEPTH + 1) + "q" + ")" * (MAX_DEPTH + 1), H),
+                    ParseError, f"parentheses nested deeper than {MAX_DEPTH} (at position "
+                                f"{MAX_DEPTH})"),
+    "steps bound": (
+        lambda: _cmd_limit(build_parser().parse_args(["limit", "q", "p", "--steps",
+                                                       str(MAX_STEPS + 1)])),
+        ValidationError, f"--steps must be <= {MAX_STEPS}, got {MAX_STEPS + 1}"),
+    "witness bound": (lambda: annihilator_witness(MAX_WITNESS_GENERATORS + 1, H), ValidationError,
+                      f"witness needs at most {MAX_WITNESS_GENERATORS} generators, got "
+                      f"{MAX_WITNESS_GENERATORS + 1}"),
+    # a refusal whose message would hold a number past the digit limit
+    "long dof": (lambda: parse_symbol("q", H, dof=_LONG), ValidationError, _TOO_LONG),
+    "long witness n": (lambda: annihilator_witness(_LONG, H), ValidationError, _TOO_LONG),
+    "long generator": (lambda: GrassmannElement.monomial([_LONG], 3, H), ValidationError,
+                       _TOO_LONG),
+    "long cap": (lambda: star(_ONE, _ONE, degree_cap=-_LONG), ValidationError, _TOO_LONG),
+    "long wavefunction h": (lambda: WaveFunction(ExpPoly.one(1, H), _PAST) + _wave((0,)),
+                            ValidationError, _TOO_LONG),
+    "long operator h": (lambda: Operator(_Q, _PAST).apply(_wave((1,))), ValidationError,
+                        _TOO_LONG),
+    "long table entry": (lambda: DichotomousContext.from_b1_row(Fraction(10**4400), 1, 1, 1),
+                         ValidationError, _TOO_LONG),
+    "long amplitude sum": (
+        lambda: forward(Amplitude2((Fraction(10**4400), 1), (0.0, 0.0), C),
+                        Amplitude2((1, 1), (0.0, 0.0), C)), ValidationError, _TOO_LONG),
+    "long symbol dof": (lambda: PolySymbol.zero(_LONG, H) + _ONE, ValidationError, _TOO_LONG),
+
     # distributions
     "exppoly dim 0": (lambda: ExpPoly.zero(0, H), DimensionMismatchError, "dim must be >= 1"),
     "exppoly coordinate dim 2.5": (lambda: ExpPoly.coordinate(0, 2.5, H), ValidationError,
