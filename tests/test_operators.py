@@ -9,6 +9,7 @@ from test_sparse import _assert_clean
 from hypermoyal import (
     Binarion,
     CharSum,
+    ComposeCheck,
     DegreeCapError,
     DimensionMismatchError,
     ExpPoly,
@@ -517,6 +518,25 @@ def test_wavefunction_momenta():
     h = Fraction(1, 4)
     phi = WaveFunction.plane_wave(Fraction(3, 2), h, H)
     assert phi.momenta() == [(Fraction(3, 2),)]
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_wavefunction_negation_derivative_and_value(sigma):
+    """``exp(u*4*q)`` at ``h = 1/2``: its negation, its derivative ``4u`` times
+    itself, and its value ``e^(u)`` at ``q = 1/4``."""
+    phi = WaveFunction.plane_wave(2, Fraction(1, 2), sigma)
+    assert -phi == WaveFunction(ExpPoly.character((4,), sigma, -1), Fraction(1, 2))
+    assert (phi + -phi).is_zero()
+    assert phi.differentiate() == phi * Binarion(0, 4, sigma)
+    assert phi.differentiate().differentiate() == phi * (Binarion(0, 4, sigma) ** 2)
+    assert phi.evaluate((Fraction(1, 4),)) == CharSum.character(1, sigma)
+
+
+def test_compose_check_repr_shows_the_difference_only_on_failure():
+    phi = WaveFunction.plane_wave(2, Fraction(1, 2), H)
+    assert repr(ComposeCheck(True, phi, phi, ExpPoly.zero(1, H))) == "ComposeCheck(ok=True)"
+    failed = ComposeCheck(False, phi, -phi, 2 * phi.func)
+    assert repr(failed) == "ComposeCheck(ok=False, diff=2*exp(j*(4*x1)))"
 
 
 def test_operator_json_round_trip():

@@ -202,6 +202,35 @@ def test_polar_round_trip_random():
         assert abs(back.im - z.im) / scale < 1e-12
 
 
+# -- difference, quotient, negative power and hash, by value -------------------------
+
+
+#: ``x = 3 + 2u`` and ``y = 1 + u/2`` give, per ring, ``x / y``, ``2 / y`` and
+#: ``y^-2``, worked by hand from ``1/y = conj(y) / (1 - sigma/4)``.
+QUOTIENTS = {
+    H: (b(Fraction(8, 3), Fraction(2, 3), H), b(Fraction(8, 3), Fraction(-4, 3), H),
+        b(Fraction(20, 9), Fraction(-16, 9), H)),
+    C: (b(Fraction(16, 5), Fraction(2, 5), C), b(Fraction(8, 5), Fraction(-4, 5), C),
+        b(Fraction(12, 25), Fraction(-16, 25), C)),
+}
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_difference_quotient_and_negative_power_by_value(sigma):
+    x, y = b(3, 2, sigma), b(1, Fraction(1, 2), sigma)
+    assert x - y == b(2, Fraction(3, 2), sigma)
+    assert 5 - y == b(4, Fraction(-1, 2), sigma)
+    assert y - Fraction(1, 2) == b(Fraction(1, 2), Fraction(1, 2), sigma)
+    assert (x / y, 2 / y, y**-2) == QUOTIENTS[sigma]
+    assert y**-2 * y**2 == 1
+
+
+def test_hash_agrees_with_equality_across_rings_and_with_rationals():
+    assert hash(b(3, 0, H)) == hash(3) == hash(b(3, 0, C))
+    assert hash(b(Fraction(1, 2), 0, C)) == hash(Fraction(1, 2))
+    assert len({b(1, 2, H), b(1, 2, H), b(1, 2, C), b(1, 0, H), b(1, 0, C), 1}) == 3
+
+
 # -- ring axioms, involution, classification ------------------------------------------
 
 
