@@ -33,9 +33,16 @@ declares one.  The four maps with a size (symbols, exponential polynomials,
 distributions and Grassmann elements) derive from :class:`SizedMap` and
 share one JSON shape: the size, ``sigma`` and a list of entries, whose
 repeated keys add through :func:`summed`.  Each class writes and reads only
-a single term.  :class:`ScalarRing` builds the two maps without a size,
-which have no JSON form.  Every power ``x^e`` in the text is written by
-:func:`power_factors`.
+a single term, and JSON text is parsed by the package's one reader,
+:func:`errors.json_document`.  :class:`ScalarRing` builds the two maps
+without a size, which have no JSON form.  Every power ``x^e`` in the text
+is written by :func:`power_factors`.
+
+The module is also the one home of every input bound, each with its
+reason: the default degree cap with :func:`check_degree_cap`, which all
+three star-product routes run, and the index, digit, depth, step and
+witness bounds, which the parser, ``limit`` and ``annihilator_witness``
+check where their estimates are known.
 """
 
 from __future__ import annotations
