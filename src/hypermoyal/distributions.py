@@ -69,13 +69,14 @@ from .scalars import (
     _as_fraction,
     _cos_sin,
     _json_fraction,
+    _json_int,
     _num_str,
     as_sigma,
     binarion_from_json,
     binarion_to_json,
 )
 from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, check_degree_cap, in_range,
-                     integer, multiply, nonnegative, power_factors, stored, summed)
+                     integer, multiply, nonnegative, power_factors, stored, summed, zeros)
 from .symbols import PolySymbol
 
 
@@ -89,10 +90,15 @@ class CharSum(ScalarRing):
     """
 
     __slots__ = ()
+    _OWNER = "CharSum"
     _read_key = staticmethod(_as_fraction)
 
     def __init__(self, terms: dict, sigma: Sigma):
         self._fill(terms, sigma)
+
+    @staticmethod
+    def _constant_key():
+        return Fraction(0)  # as ``_read_key`` reads the exponent 0
 
     # -- constructors ------------------------------------------------------
 
@@ -185,8 +191,7 @@ class _CharSumTerms(SizedMap):
     ``_cden``, the denominator of the coefficients.  Each class declares the
     JSON names of an entry's vector, orders and weight as ``_ENTRY``, and as
     ``_ERRORS`` the messages for a negative order and a vector whose length
-    is not ``dim`` (a template), and the name of the class in the message
-    for a coefficient of a foreign sigma.
+    is not ``dim`` (a template).
     """
 
     __slots__ = ("_den",)
@@ -194,7 +199,7 @@ class _CharSumTerms(SizedMap):
 
     def _fill(self, dim: int, sigma: Sigma, entries):
         """Validate ``((vector, orders), weight)`` entries and store their flat terms."""
-        negative, length, owner = self._ERRORS
+        negative, length = self._ERRORS
         self._size = integer(dim)
         if self._size < 1:
             raise DimensionMismatchError("dim must be >= 1")
@@ -206,7 +211,7 @@ class _CharSumTerms(SizedMap):
             if len(vector) != self._size or len(orders) != self._size:
                 raise DimensionMismatchError(length.format(self._size))
             pairs += [((vector, orders, r), c)
-                      for r, c in CharSum._coefficient_terms(weight, self.sigma, owner)]
+                      for r, c in CharSum._coefficient_terms(weight, self.sigma, self._OWNER)]
         terms, self._cden = stored(pairs)
         den = math.lcm(*(x.denominator for vector, _, r in terms for x in (*vector, r)))
         self._den = den
@@ -275,8 +280,8 @@ class _CharSumTerms(SizedMap):
 
     def _term_to_json(self, head, weight) -> dict:
         vector_name, orders_name, weight_name = self._ENTRY
-        return {vector_name: list(map(_num_str, head[0])), orders_name: list(head[1]),
-                weight_name: _weight_to_json(weight)}
+        return {vector_name: list(map(_num_str, head[0])),
+                orders_name: list(map(_json_int, head[1])), weight_name: _weight_to_json(weight)}
 
     @classmethod
     def _term_from_json(cls, entry, sigma, dim):
@@ -302,9 +307,9 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
     __slots__ = ()
     _JSON_FIELDS = ("dim", "terms")
     _ENTRY = ("freq", "exp", "coeff")
-    _ERRORS = ("negative exponents are not allowed", "term vectors must have length {}",
-               "ExpPoly")
+    _ERRORS = ("negative exponents are not allowed", "term vectors must have length {}")
     _SCALARS = (CharSum, Binarion, int, Fraction)
+    _OWNER = "ExpPoly"
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the domain.")
 
     def __init__(self, dim: int, sigma: Sigma, terms: dict = None):
@@ -318,7 +323,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     @classmethod
     def constant(cls, value, dim: int, sigma: Sigma) -> "ExpPoly":
-        return cls.character((0,) * integer(dim), sigma, value)
+        return cls.character(zeros(integer(dim)), sigma, value)
 
     @classmethod
     def one(cls, dim: int, sigma: Sigma) -> "ExpPoly":
@@ -327,8 +332,10 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
     @classmethod
     def coordinate(cls, index: int, dim: int, sigma: Sigma) -> "ExpPoly":
         dim = integer(dim)
-        index = in_range(index, dim, "index", f"dim {dim}")
-        return cls.monomial(tuple(int(i == index) for i in range(dim)), 1, sigma)
+        index = in_range(index, dim, "index", "dim {}")
+        exps = list(zeros(dim))
+        exps[index] = 1
+        return cls.monomial(tuple(exps), 1, sigma)
 
     @classmethod
     def monomial(cls, exps, coeff, sigma: Sigma) -> "ExpPoly":
@@ -365,8 +372,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             add_parts(acc, (freq, alpha + beta, 0), c * re, c * im)
         return cls._make(dim, symbol.sigma, acc, symbol._cden * hd**top)
 
-    def _constant(self, value) -> "ExpPoly":
-        return ExpPoly.constant(value, self.dim, self.sigma)
+    _constant_key = PolySymbol._constant_key
 
     # -- queries -------------------------------------------------------------------
 
@@ -388,7 +394,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     def differentiate(self, index: int = 0) -> "ExpPoly":
         """Exact partial derivative along coordinate ``index``."""
-        index = in_range(index, self.dim, "index", f"dim {self.dim}")
+        index = in_range(index, self.dim, "index", "dim {}")
         s, den = self.sigma.value, self._den
         acc = {}
         for (freq, exps, r), (re, im) in self._terms.items():
@@ -418,7 +424,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         coefficients are numerators over one denominator ``d``; the result
         is divided by ``d _den^M`` once.
         """
-        axes = [(in_range(i, self.dim, "index", f"dim {self.dim}"), n)
+        axes = [(in_range(i, self.dim, "index", "dim {}"), n)
                 for i, n in enumerate(map(integer, order)) if n > 0]
         if not axes:
             return self
@@ -541,9 +547,9 @@ class Ultradistribution(_CharSumTerms):
     __slots__ = ()
     _JSON_FIELDS = ("dim", "atoms")
     _ENTRY = ("loc", "order", "weight")
-    _ERRORS = ("derivative orders must be nonnegative", "atom vectors must have length {}",
-               "distribution")
+    _ERRORS = ("derivative orders must be nonnegative", "atom vectors must have length {}")
     _SCALARS = ()
+    _OWNER = "distribution"
     dim = property(lambda self: self._size, doc="Dimension ``m`` of the space.")
 
     def __init__(self, dim: int, sigma: Sigma, atoms=None):
@@ -587,7 +593,7 @@ class Ultradistribution(_CharSumTerms):
 
         On atoms this just raises the derivative order along ``axis``.
         """
-        axis = in_range(axis, self.dim, "axis", f"dim {self.dim}")
+        axis = in_range(axis, self.dim, "axis", "dim {}")
         out = {}
         for (loc, order, r), w in self._terms.items():
             raised = list(order)
@@ -604,7 +610,7 @@ class Ultradistribution(_CharSumTerms):
         raised = [0] * self.dim
         for axis, n in enumerate(map(integer, order)):
             if n > 0:
-                raised[in_range(axis, self.dim, "axis", f"dim {self.dim}")] = n
+                raised[in_range(axis, self.dim, "axis", "dim {}")] = n
         return self._new({
             (loc, tuple(map(add, o, raised)), r): w for (loc, o, r), w in self._terms.items()
         }, self._cden)

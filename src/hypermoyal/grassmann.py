@@ -80,6 +80,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
 
     __slots__ = ()
     _JSON_FIELDS = ("n", "terms")
+    _OWNER = "algebra"
     n = property(lambda self: self._size, doc="Number of generators.")
 
     def __init__(self, n: int, sigma: Sigma, terms: dict = None):
@@ -92,9 +93,10 @@ class GrassmannElement(SizedMap, SparseAlgebra):
             mask = integer(mask)
             if mask < 0 or mask.bit_length() > self.n:
                 raise DimensionMismatchError(
-                    f"monomial uses generators up to θ{mask.bit_length()}, beyond n={self.n}"
+                    f"monomial uses generators up to θ{mask.bit_length()}, "
+                    f"beyond n={_num_str(self.n)}"
                 )
-            pairs.append((mask, binarion_coefficient(coeff, self.sigma, "algebra")))
+            pairs.append((mask, binarion_coefficient(coeff, self.sigma, self._OWNER)))
         self._terms, self._cden = stored(pairs)
 
     # -- constructors -----------------------------------------------------
@@ -110,16 +112,13 @@ class GrassmannElement(SizedMap, SparseAlgebra):
     @classmethod
     def generator(cls, index: int, n: int, sigma: Sigma) -> "GrassmannElement":
         """``theta_index`` (0-based)."""
-        return cls(n, sigma, {1 << in_range(index, n, "generator index", f"n={n}"): 1})
+        return cls(n, sigma, {1 << in_range(index, n, "generator index", "n={}"): 1})
 
     @classmethod
     def monomial(cls, indices, n: int, sigma: Sigma, coeff=1) -> "GrassmannElement":
         """``coeff * theta_{i1} ... theta_{ik}`` for strictly ascending 0-based
         indices."""
         return cls(n, sigma, {_word_mask(indices, integer(n)): coeff})
-
-    def _constant(self, value) -> "GrassmannElement":
-        return GrassmannElement.scalar(value, self.n, self.sigma)
 
     # -- queries --------------------------------------------------------------
 

@@ -244,7 +244,7 @@ def parse_grassmann(text: str, sigma, n: int = None) -> GrassmannElement:
         if name[0] in ("t", "θ"):
             index = int(name[1:])
             if index < 1 or index > n:
-                raise ParseError(f"generator {name!r} out of range for n={n}", pos)
+                raise ParseError(f"generator {name!r} out of range for n={_num_str(n)}", pos)
             return GrassmannElement.generator(index - 1, n, sigma)
         raise ParseError(f"unknown name {name!r} in a Grassmann expression", pos)
 

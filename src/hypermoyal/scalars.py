@@ -6,10 +6,14 @@ complex numbers, ``u*u = +1`` the split-complex (hyperbolic) numbers.  One
 code path serves both signatures, so every identity exercised elsewhere in
 the package is tested under each.
 
-All algebraic operations are exact over :class:`fractions.Fraction`; only
-the transcendental helpers (:func:`character`, :func:`polar`) go through
-floating point, with a documented tolerance of ``1e-12``.  One function,
-:func:`_cos_sin`, picks ``cos`` or ``cosh`` for a ring.
+The parts are reduced :class:`fractions.Fraction` values, and all
+algebraic operations are exact: the ring operations compute on integers,
+reading a binarion as ``(x, y, d)`` through :func:`_integers`, the one
+reader of the numerators of its parts, and build each result once through
+the unchecked :meth:`Binarion._exact`.  Only the transcendental helpers
+(:func:`character`, :func:`polar`) go through floating point, with a
+documented tolerance of ``1e-12``.  One function, :func:`_cos_sin`, picks
+``cos`` or ``cosh`` for a ring.
 
 The module also holds the package's number edge: :func:`_as_fraction` is
 the one reader of rational text, :func:`_num_str` the one writer of a
@@ -132,9 +136,21 @@ def _num_str(value) -> str:
         try:
             return str(value)
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ValidationError(f"number too long to write: more than {limit} digits") from None
+            raise _too_long() from None
     return f"{float(value):.12g}"
+
+
+def _too_long() -> ValidationError:
+    """The refusal to write a number past the int-to-text digit limit."""
+    return ValidationError(
+        f"number too long to write: more than {sys.get_int_max_str_digits()} digits")
+
+
+def _json_int(value: int) -> int:
+    """``value`` for an integer field of a JSON document, checked by
+    :func:`_num_str` as its text would be."""
+    _num_str(value)
+    return value
 
 
 def _num_msg(value) -> str:
@@ -154,7 +170,9 @@ class Binarion:
     Values are immutable after construction and safe to share between
     threads.  Arithmetic with plain ``int``/``Fraction`` operands embeds
     them as real binarions of the same signature; arithmetic between
-    binarions of different signatures is rejected.
+    binarions of different signatures is rejected.  The ring methods work
+    on the integers of :func:`_integers` and build their results with
+    :meth:`_exact`, never through the validating constructor.
     """
 
     __slots__ = ("re", "im", "sigma")
@@ -170,9 +188,9 @@ class Binarion:
 
     @classmethod
     def _exact(cls, re: Fraction, im: Fraction, sigma: Sigma) -> "Binarion":
-        """Unchecked builder for results whose parts are known to be
+        """Unchecked builder for results whose parts are known to be reduced
         ``Fraction``s and whose ``sigma`` is a :class:`Sigma`; stores them
-        as they are."""
+        as they are.  The only builder of the ring methods."""
         out = object.__new__(cls)
         out.re, out.im, out.sigma = re, im, sigma
         return out
@@ -218,7 +236,11 @@ class Binarion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Binarion(self.re + o.re, self.im + o.im, self.sigma)
+        x1, y1, d1 = _integers(self)
+        x2, y2, d2 = _integers(o)
+        d = d1 * d2
+        return Binarion._exact(Fraction(x1 * d2 + x2 * d1, d), Fraction(y1 * d2 + y2 * d1, d),
+                               self.sigma)
 
     __radd__ = __add__
 
@@ -226,7 +248,11 @@ class Binarion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Binarion(self.re - o.re, self.im - o.im, self.sigma)
+        x1, y1, d1 = _integers(self)
+        x2, y2, d2 = _integers(o)
+        d = d1 * d2
+        return Binarion._exact(Fraction(x1 * d2 - x2 * d1, d), Fraction(y1 * d2 - y2 * d1, d),
+                               self.sigma)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -235,18 +261,18 @@ class Binarion:
         return o - self
 
     def __neg__(self):
-        return Binarion(-self.re, -self.im, self.sigma)
+        # negating a reduced part leaves it reduced: no integer reading needed
+        return Binarion._exact(-self.re, -self.im, self.sigma)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        s = self.sigma.value
-        return Binarion(
-            self.re * o.re + s * self.im * o.im,
-            self.re * o.im + self.im * o.re,
-            self.sigma,
-        )
+        x1, y1, d1 = _integers(self)
+        x2, y2, d2 = _integers(o)
+        d = d1 * d2
+        return Binarion._exact(Fraction(x1 * x2 + self.sigma.value * y1 * y2, d),
+                               Fraction(x1 * y2 + y1 * x2, d), self.sigma)
 
     __rmul__ = __mul__
 
@@ -254,38 +280,56 @@ class Binarion:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisorError("division by zero")
-            return Binarion(self.re / other, self.im / other, self.sigma)
+            x, y, d = _integers(self)
+            d *= other.numerator
+            q = other.denominator
+            return Binarion._exact(Fraction(x * q, d), Fraction(y * q, d), self.sigma)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.invert()
+        return self._divided(o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.invert()
+        return o._divided(self)
+
+    def _divided(self, other: "Binarion") -> "Binarion":
+        """``self / other``, as ``self * conj(other) / |other|^2`` on integers."""
+        x2, y2, d2 = _integers(other)
+        s = self.sigma.value
+        m = x2 * x2 - s * y2 * y2
+        if m == 0:
+            raise other._no_inverse()
+        x1, y1, d1 = _integers(self)
+        d = d1 * m
+        return Binarion._exact(Fraction((x1 * x2 - s * y1 * y2) * d2, d),
+                               Fraction((y1 * x2 - x1 * y2) * d2, d), self.sigma)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = Binarion.one(self.sigma)
-        base = self
+        s = self.sigma.value
+        x, y, d = _integers(self)
+        rx, ry = 1, 0
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                rx, ry = rx * x + s * ry * y, rx * y + ry * x
             n >>= 1
-        return result
+            if n:  # the square after the last bit would go unused
+                x, y = x * x + s * y * y, 2 * x * y
+        d **= exponent
+        return Binarion._exact(Fraction(rx, d), Fraction(ry, d), self.sigma)
 
     # -- involution and norms -------------------------------------------
 
     def conjugate(self) -> "Binarion":
         """Ring involution ``x + u*y -> x - u*y``."""
-        return Binarion(self.re, -self.im, self.sigma)
+        return Binarion._exact(self.re, -self.im, self.sigma)
 
     def modulus_sq(self) -> Fraction:
         """``z * conj(z) = x^2 - sigma*y^2``; multiplicative and exact.
@@ -320,14 +364,19 @@ class Binarion:
         Raises :class:`ZeroDivisorError` for zero and for light-cone
         elements, which have no inverse.
         """
-        ms = self.modulus_sq()
-        if ms == 0:
-            if self.is_zero():
-                raise ZeroDivisorError("cannot invert 0")
-            raise ZeroDivisorError(
-                f"{self} lies on the light cone (z*conj(z) = 0) and is a zero divisor"
-            )
-        return Binarion(self.re / ms, -self.im / ms, self.sigma)
+        x, y, d = _integers(self)
+        m = x * x - self.sigma.value * y * y  # |z|^2 = m / d^2
+        if m == 0:
+            raise self._no_inverse()
+        return Binarion._exact(Fraction(x * d, m), Fraction(-y * d, m), self.sigma)
+
+    def _no_inverse(self) -> ZeroDivisorError:
+        """The refusal to invert zero or a light-cone element."""
+        if self.is_zero():
+            return ZeroDivisorError("cannot invert 0")
+        return ZeroDivisorError(
+            f"{self} lies on the light cone (z*conj(z) = 0) and is a zero divisor"
+        )
 
     # -- comparison and hashing -------------------------------------------
 
@@ -357,6 +406,18 @@ class Binarion:
         return f"{_num_str(self.re)} {sign} {_num_str(abs(self.im))}{u}"
 
     __repr__ = __str__
+
+
+def _integers(value: Binarion) -> tuple:
+    """``value`` as integers ``(x, y, d)`` with ``re = x/d`` and ``im = y/d``,
+    ``d`` the lcm of the two denominators: the one reader of the numerators
+    of a binarion's parts.  ``gcd(x, y, d) == 1``, as both parts are reduced."""
+    re, im = value.re, value.im
+    a, b = re.denominator, im.denominator
+    if a == b:
+        return re.numerator, im.numerator, a
+    d = a * b // math.gcd(a, b)
+    return re.numerator * (d // a), im.numerator * (d // b), d
 
 
 def binarion_to_json(value: Binarion) -> dict:

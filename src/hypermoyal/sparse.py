@@ -17,7 +17,10 @@ positive ``_cden`` (``gcd(_cden, every part) == 1``, no ``(0, 0)`` pair,
 ``_cden == 1`` when empty), so equal elements store equal terms.  Binarions
 exist only at two edges: a public constructor validates its input (key
 shapes, signs, the coefficients' signature) and sums and stores its terms
-with :func:`stored`, and the views build binarions with :func:`from_parts`.
+with :func:`stored`, which reads each coefficient with
+:func:`scalars._integers`, and the views build binarions with
+:func:`from_parts`.  A scalar operand enters every class as the one term
+that :meth:`SparseMap._constant` builds by ``_make``.
 Arithmetic and the route kernels sum integers, with :func:`add_parts`, over
 one denominator, and :meth:`SparseMap._make` (or ``_new``, which keeps the
 operand's size and signature) stores the sums with the zero pairs dropped,
@@ -53,7 +56,8 @@ from fractions import Fraction
 
 from .errors import (DegreeCapError, DimensionMismatchError, SignatureMismatchError,
                      ValidationError, json_document, json_field)
-from .scalars import Binarion, Sigma, _num_msg, _num_str, as_sigma
+from .scalars import (Binarion, Sigma, _integers, _json_int, _num_msg, _num_str, _too_long,
+                      as_sigma)
 
 #: Default bound on the total degree of any star-product result.  The
 #: kappa-series always terminates on polynomials, but its width grows with
@@ -136,34 +140,52 @@ def multiply(left: dict, right: dict, s: int, key_mul) -> dict:
 def stored(pairs) -> tuple:
     """``(key, binarion)`` pairs summed per key, the zero sums dropped, as
     ``({key: (re, im)}, den)`` over the least common denominator (``({}, 1)``
-    for none).  The constructor edge, and the twin of :func:`from_parts`."""
-    terms = {key: c for key, c in summed(pairs).items() if not c.is_zero()}
-    den = math.lcm(*(v.denominator for c in terms.values() for v in (c.re, c.im)))
-    return {key: (c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator))
-            for key, c in terms.items()}, den
+    for none).  The constructor edge, and the twin of :func:`from_parts`;
+    each coefficient is read by :func:`scalars._integers`."""
+    terms = {key: _integers(c) for key, c in summed(pairs).items() if not c.is_zero()}
+    den = math.lcm(*(d for _, _, d in terms.values()))
+    return {key: (x * (den // d), y * (den // d)) for key, (x, y, d) in terms.items()}, den
 
 
 def integer(value) -> int:
     """``value`` as an int; a value that ``int`` would change or refuse, such
     as ``1.9``, ``"3"`` or ``None``, and a boolean raise
-    :class:`ValidationError` instead of being truncated or read as 0 or 1."""
+    :class:`ValidationError` instead of being truncated or read as 0 or 1.
+    The message writes ``value`` by ``repr``, or is the refusal of
+    :func:`scalars._num_str` for a value whose ``repr`` passes the digit
+    limit."""
     try:
         out = int(value)
     except (ValueError, TypeError, OverflowError):
-        raise ValidationError(f"{value!r} is not an integer") from None
-    if out != value or isinstance(value, bool):
-        raise ValidationError(f"{value!r} is not an integer")
+        out = None
+    if out is None or out != value or isinstance(value, bool):
+        try:
+            text = repr(value)
+        except ValueError:
+            raise _too_long() from None
+        raise ValidationError(f"{text} is not an integer")
     return out
 
 
 def in_range(value, size: int, name: str, space: str) -> int:
     """``value`` read by :func:`integer`; outside ``range(size)`` it raises
-    :class:`IndexError` saying ``{name} {value} out of range for {space}``."""
+    :class:`IndexError` saying ``{name} {value} out of range for {space}``,
+    where ``space`` is a template such as ``"dim {}"`` that gets ``size``,
+    written only then."""
     value = integer(value)
     if not 0 <= value < size:
-        raise IndexError(f"{name} {_num_str(value)} out of range for {space}")
+        raise IndexError(
+            f"{name} {_num_str(value)} out of range for {space.format(_num_str(size))}")
     return value
+
+
+def zeros(size: int) -> tuple:
+    """``size`` zeros, the exponent vector of a constant; a size past what a
+    tuple can hold raises :class:`ValidationError`."""
+    try:
+        return (0,) * size
+    except OverflowError:
+        raise ValidationError(f"size {_num_str(size)} is too large to build") from None
 
 
 def nonnegative(values, message: str) -> tuple:
@@ -212,6 +234,8 @@ class SparseMap:
     _ORDER = None
     #: Operand types that enter arithmetic and comparison as constants.
     _SCALARS = (Binarion, int, Fraction)
+    #: The class's name in the refusal of a coefficient of another signature.
+    _OWNER = None
 
     @classmethod
     def _make(cls, size, sigma, terms: dict, cden: int = 1):
@@ -239,8 +263,20 @@ class SparseMap:
         return from_parts(self._terms, self.sigma, self._cden)
 
     def _constant(self, value):
-        """``value`` (one of ``_SCALARS``) as an element like ``self``."""
-        raise NotImplementedError
+        """``value`` (one of ``_SCALARS``) as an element like ``self``: a
+        rational or binarion as the one term at ``_constant_key()``, built by
+        :meth:`_make`; an element of a coefficient ring (an ``HPoly`` in a
+        symbol, a ``CharSum`` in an exponential polynomial) by the class's
+        public ``constant``.  A binarion of another signature raises as a
+        coefficient of the public constructor does."""
+        if isinstance(value, SparseMap):
+            return self.constant(value, self._size, self.sigma)
+        x, y, d = _integers(binarion_coefficient(value, self.sigma, self._OWNER))
+        return self._make(self._size, self.sigma, {self._constant_key(): (x, y)}, d)
+
+    def _constant_key(self):
+        """The key of the constant term."""
+        return 0
 
     def _check_sigma(self, other):
         if other.sigma is not self.sigma:
@@ -256,8 +292,8 @@ class SparseMap:
         if isinstance(other, type(self)):
             self._check(other)
             return other
-        if isinstance(other, self._SCALARS):  # a constant keeps a binarion's sigma
-            return self._coerce(self._constant(other))
+        if isinstance(other, self._SCALARS):  # built at this size and signature
+            return self._constant(other)
         return None
 
     def _aligned(self, other):
@@ -367,8 +403,8 @@ class SizedMap(SparseMap):
 
     def to_json_dict(self) -> dict:
         size_name, list_name = self._JSON_FIELDS
-        return {
-            size_name: self._size,
+        return {  # the size bounds a Grassmann element's generator numbers too
+            size_name: _json_int(self._size),
             "sigma": self.sigma.value,
             list_name: [self._term_to_json(head, coeff) for head, coeff in self._grouped()],
         }
@@ -439,9 +475,8 @@ class ScalarRing(SparseAlgebra):
         """Validate ``{key: coefficient}`` terms and store their sums."""
         self._size = None
         self.sigma = as_sigma(sigma)
-        owner = type(self).__name__
         self._terms, self._cden = stored(
-            (self._read_key(key), binarion_coefficient(value, self.sigma, owner))
+            (self._read_key(key), binarion_coefficient(value, self.sigma, self._OWNER))
             for key, value in terms.items()
         )
 
@@ -458,9 +493,6 @@ class ScalarRing(SparseAlgebra):
         elif sigma is None:
             raise TypeError("sigma required for rational scalars")
         return cls({0: value}, sigma)
-
-    def _constant(self, value):
-        return self.from_scalar(value, self.sigma)
 
     @classmethod
     def _coefficient_terms(cls, value, sigma: Sigma, owner: str):

@@ -57,11 +57,11 @@ from functools import cache, lru_cache
 from operator import add
 
 from .errors import DimensionMismatchError, ValidationError, json_field
-from .scalars import (Binarion, Sigma, _as_fraction, _num_str, as_sigma, binarion_from_json,
-                      binarion_to_json)
+from .scalars import (Binarion, Sigma, _as_fraction, _json_int, _num_str, as_sigma,
+                      binarion_from_json, binarion_to_json)
 from .sparse import (DEFAULT_DEGREE_CAP, ScalarRing, SizedMap, SparseAlgebra, add_parts,
                      check_degree_cap, in_range, integer, nonnegative, power_factors, stored,
-                     summed)
+                     summed, zeros)
 
 
 class HPoly(ScalarRing):
@@ -72,6 +72,7 @@ class HPoly(ScalarRing):
     """
 
     __slots__ = ()
+    _OWNER = "HPoly"
 
     def __init__(self, coeffs: dict, sigma: Sigma):
         self._fill(coeffs, sigma)
@@ -176,6 +177,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
     _VIEW = HPoly
     _ORDER = staticmethod(_term_order_key)
     _SCALARS = (Binarion, HPoly, int, Fraction)
+    _OWNER = "symbol"
     dof = property(lambda self: self._size, doc="Number of degrees of freedom ``k``.")
 
     def __init__(self, dof: int, sigma: Sigma, terms: dict = None):
@@ -192,7 +194,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
                     f"exponent vectors must have length {_num_str(self.dof)}"
                 )
             pairs.extend(((alpha, beta, d), v)
-                         for d, v in HPoly._coefficient_terms(coeff, self.sigma, "symbol"))
+                         for d, v in HPoly._coefficient_terms(coeff, self.sigma, self._OWNER))
         self._terms, self._cden = stored(pairs)
 
     # -- constructors ---------------------------------------------------
@@ -203,7 +205,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     @classmethod
     def constant(cls, value, dof: int, sigma: Sigma) -> "PolySymbol":
-        zero = (0,) * integer(dof)
+        zero = zeros(integer(dof))
         return cls(dof, sigma, {(zero, zero): value})
 
     @classmethod
@@ -216,8 +218,8 @@ class PolySymbol(SizedMap, SparseAlgebra):
         if kind not in ("q", "p"):
             raise ValidationError("kind must be 'q' or 'p'")
         dof = integer(dof)
-        index = in_range(index, dof, "coordinate index", f"dof {dof}")
-        zero = (0,) * dof
+        index = in_range(index, dof, "coordinate index", "dof {}")
+        zero = zeros(dof)
         unit = _bump(zero, index)
         return cls(dof, sigma, {(unit, zero) if kind == "q" else (zero, unit): 1})
 
@@ -229,8 +231,9 @@ class PolySymbol(SizedMap, SparseAlgebra):
             c = c.times_h(h_degree)
         return cls(dof, sigma, {(tuple(alpha), tuple(beta)): c})
 
-    def _constant(self, value) -> "PolySymbol":
-        return PolySymbol.constant(value, self.dof, self.sigma)
+    def _constant_key(self):
+        zero = zeros(self._size)
+        return zero, zero, 0
 
     # -- queries -----------------------------------------------------------
 
@@ -275,7 +278,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
         """Exact partial derivative with respect to ``q_index`` or ``p_index``."""
         if variable not in ("q", "p"):
             raise ValidationError("variable must be 'q' or 'p'")
-        index = in_range(index, self.dof, "index", f"dof {self.dof}")
+        index = in_range(index, self.dof, "index", "dof {}")
         out = {}
         for (alpha, beta, d), (re, im) in self._terms.items():
             exps = alpha if variable == "q" else beta
@@ -375,8 +378,9 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     @staticmethod
     def _term_to_json(key, coeff) -> dict:
-        coeff = [{"h": d, **binarion_to_json(v)} for d, v in coeff.items()]
-        return {"q": list(key[0]), "p": list(key[1]), "coeff": coeff}
+        coeff = [{"h": _json_int(d), **binarion_to_json(v)} for d, v in coeff.items()]
+        return {"q": list(map(_json_int, key[0])), "p": list(map(_json_int, key[1])),
+                "coeff": coeff}
 
     @staticmethod
     def _term_from_json(entry, sigma, dof):

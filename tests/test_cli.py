@@ -394,6 +394,22 @@ def test_apply_result_key_past_the_int_to_text_limit_is_one_line_error(tmp_path,
     assert err == "error: number too long to write: more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_apply_result_exponent_past_the_int_to_text_limit_is_one_line_error(tmp_path, capsys,
+                                                                            fmt):
+    # the wavefunction's exponent has 4,300 digits, at the limit; times q it
+    # has 4,301, one past, in the text and in the JSON integer field alike
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps({"symbol": "q", "h": "1", "sigma": 1}), encoding="utf-8")
+    wave_path = tmp_path / "wave.json"
+    wave_path.write_text(json.dumps({"h": "1", "func": {
+        "dim": 1, "sigma": 1, "terms": [{"freq": ["0"], "exp": [10**4300 - 1],
+                                         "coeff": {"re": "1", "im": "0"}}]}}), encoding="utf-8")
+    code, out, err = run(capsys, "apply", str(op_path), str(wave_path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: number too long to write: more than 4300 digits\n"
+
+
 GRASSMANN = {"n": 2, "sigma": 1, "terms": [{"gens": [1, 2], "re": "1"}]}
 
 #: (reader, document, path to the field, value): an integer field holding a

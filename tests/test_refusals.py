@@ -123,6 +123,45 @@ REFUSALS = {
         lambda: forward(Amplitude2((Fraction(10**4400), 1), (0.0, 0.0), C),
                         Amplitude2((1, 1), (0.0, 0.0), C)), ValidationError, _TOO_LONG),
     "long symbol dof": (lambda: PolySymbol.zero(_LONG, H) + _ONE, ValidationError, _TOO_LONG),
+    # an integer field of a JSON document past the digit limit
+    "symbol exponent json": (lambda: PolySymbol(1, H, {((10**4300,), (0,)): 1}).to_json(),
+                             ValidationError, _TOO_LONG),
+    "symbol h-degree json": (
+        lambda: PolySymbol(1, H, {((0,), (0,)): HPoly({10**4300: 1}, H)}).to_json(),
+        ValidationError, _TOO_LONG),
+    "exppoly exponent json": (lambda: ExpPoly.monomial((10**4300,), 1, H).to_json(),
+                              ValidationError, _TOO_LONG),
+    "delta order json": (lambda: Ultradistribution.delta((0,), H, order=(10**4300,)).to_json(),
+                         ValidationError, _TOO_LONG),
+    "grassmann n json": (lambda: GrassmannElement.zero(_LONG, H).to_json(), ValidationError,
+                         _TOO_LONG),
+    # a size or value past the digit limit, in range or not
+    "long coordinate dof": (lambda: PolySymbol.coordinate("q", 0, _LONG, H), ValidationError,
+                            _TOO_LONG),
+    "long exppoly coordinate dim": (lambda: ExpPoly.coordinate(0, _LONG, H), ValidationError,
+                                    _TOO_LONG),
+    "long symbol constant dof": (lambda: PolySymbol.zero(_LONG, H) + 1, ValidationError,
+                                 _TOO_LONG),
+    "long generator n": (lambda: GrassmannElement.generator(-1, _LONG, H), ValidationError,
+                         _TOO_LONG),
+    "long generator n json": (lambda: GrassmannElement.generator(0, _LONG, H).to_json(),
+                              ValidationError, _TOO_LONG),
+    "long grassmann parse n": (lambda: parse_grassmann("t0", H, n=_LONG), ValidationError,
+                               _TOO_LONG),
+    "long grassmann parse n json": (lambda: parse_grassmann("t1", H, n=_LONG).to_json(),
+                                    ValidationError, _TOO_LONG),
+    "long grassmann mask n": (lambda: GrassmannElement(_LONG, H, {-1: 1}), ValidationError,
+                              _TOO_LONG),
+    "long witness half": (lambda: annihilator_witness(Fraction(_LONG + 1, 2), H),
+                          ValidationError, _TOO_LONG),
+    "symbol one dof past a tuple": (lambda: PolySymbol.one(10**30, H), ValidationError,
+                                    f"size {10**30} is too large to build"),
+    "exppoly coordinate index 5/2": (lambda: ExpPoly.coordinate(Fraction(5, 2), 3, H),
+                                     ValidationError, "Fraction(5, 2) is not an integer"),
+    "exppoly index out of range": (lambda: ExpPoly.coordinate(3, 3, H), IndexError,
+                                   "index 3 out of range for dim 3"),
+    "generator out of range": (lambda: GrassmannElement.generator(2, 2, H), IndexError,
+                               "generator index 2 out of range for n=2"),
 
     # distributions
     "exppoly dim 0": (lambda: ExpPoly.zero(0, H), DimensionMismatchError, "dim must be >= 1"),
@@ -295,6 +334,14 @@ def test_a_refusal_raises_its_class_and_message(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_an_index_in_range_of_a_size_past_the_digit_limit_builds_its_element():
+    """The size is written only into the refusal of an index out of range, so
+    a Grassmann algebra of 10^5000 generators still has its first generator."""
+    theta = GrassmannElement.generator(0, _LONG, H)
+    assert theta.n == _LONG and str(theta) == "θ1"
+    assert parse_grassmann("t1", H, n=_LONG) == theta
 
 
 def test_a_number_at_the_digit_limit_is_written_in_full():

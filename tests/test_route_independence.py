@@ -8,11 +8,13 @@ These tests read the source with :mod:`ast` and fail when one route starts
 to name another's kernel.  The routes do share :mod:`hypermoyal.sparse`,
 which only reads coefficients as integer numerators, adds real and unit
 parts and builds the result's binarions; it must stay free of kernel math
-and remain the one place that converts coefficients and builds them.  It
-is also the one home of every input bound and of the degree-cap check that
-all three routes run.  Its
-one product loop, which every algebra class's ``*`` runs, is called by no
-route kernel.
+and remain the one place that converts coefficients and builds them, with
+the one reader of a binarion's numerators, ``scalars._integers``.  It is
+also the one home of every input bound and of the degree-cap check that
+all three routes run.  Its one product loop, which every algebra class's
+``*`` runs, is called by no route kernel.  The ring methods of
+:class:`~hypermoyal.scalars.Binarion` build their results only through its
+unchecked builder ``_exact``.
 """
 
 import ast
@@ -23,7 +25,7 @@ import pkgutil
 import pytest
 
 import hypermoyal
-from hypermoyal import distributions, operators, sparse, symbols
+from hypermoyal import distributions, operators, scalars, sparse, symbols
 
 
 def _tree(module) -> ast.Module:
@@ -199,8 +201,9 @@ STORAGE_READERS = {
     "apply_shift_form": (operators, "Operator", "apply_shift_form"),
 }
 
-#: The names of the two coefficient edges and of what they build.
-EDGES = {"numerators", "from_parts", "stored", "_binarions", "Binarion"}
+#: The names of the two coefficient edges, of what they build and of the one
+#: reader of a binarion's numerators.
+EDGES = {"numerators", "from_parts", "stored", "_binarions", "Binarion", "_integers"}
 
 
 @pytest.mark.parametrize(
@@ -218,6 +221,8 @@ def test_edge_guard_sees_what_it_forbids():
     planted = _function(symbols, "_flatten")
     planted.body.insert(0, ast.parse("den, weights = numerators(symbol._terms)").body[0])
     assert EDGES & _names(planted) == {"numerators"}
+    planted.body.insert(0, ast.parse("x, y, d = _integers(c)").body[0])
+    assert EDGES & _names(planted) == {"numerators", "_integers"}
     assert "from_parts" in _names(_function(sparse, "SparseMap", "_binarions"))
 
 
@@ -291,9 +296,9 @@ def _coefficient_part_reads(tree) -> list:
 
 
 @pytest.mark.parametrize(
-    "name", [m.name for m in pkgutil.iter_modules(hypermoyal.__path__) if m.name != "sparse"]
+    "name", [m.name for m in pkgutil.iter_modules(hypermoyal.__path__) if m.name != "scalars"]
 )
-def test_only_sparse_converts_coefficients_to_numerators(name):
+def test_only_scalars_converts_coefficients_to_numerators(name):
     module = importlib.import_module(f"hypermoyal.{name}")
     assert _coefficient_part_reads(_tree(module)) == []
 
@@ -309,20 +314,32 @@ def _part_readers(tree) -> set:
     return readers
 
 
-def test_in_sparse_only_stored_converts_coefficients_to_numerators():
-    assert _part_readers(_tree(sparse)) == {"stored"}
+def test_in_scalars_only_integers_converts_coefficients_to_numerators():
+    assert _part_readers(_tree(scalars)) == {"_integers"}
     planted = ast.parse(
-        "def stored(pairs):\n"
-        "    return [c.re.numerator for c in pairs]\n"
+        "def _integers(value):\n"
+        "    return [c.re.numerator for c in value]\n"
         "def numerators(terms):\n"
         "    return [c.im.denominator for c in terms]\n"
         "d = c.re.denominator\n"
     )
-    assert _part_readers(planted) == {"stored", "numerators", "<module>"}
+    assert _part_readers(planted) == {"_integers", "numerators", "<module>"}
+
+
+@pytest.mark.parametrize("module", [sparse, symbols, operators], ids=lambda m: m.__name__)
+def test_a_second_reader_outside_scalars_fails_the_guard(module):
+    """The reader that ``sparse.stored`` once held, planted back into a module
+    that reads stored terms, is found."""
+    planted = _tree(module)
+    planted.body.append(ast.parse(
+        "def stored(pairs):\n"
+        "    return {key: (c.re.numerator, c.im.numerator) for key, c in pairs}\n"
+    ).body[0])
+    assert _part_readers(planted) == {"stored"}
 
 
 def test_numerator_guard_sees_what_it_forbids():
-    assert _coefficient_part_reads(_tree(sparse))
+    assert _coefficient_part_reads(_tree(scalars))
     planted = ast.parse(
         "n = c.re.numerator * (den // c.im.denominator)\n"
         "def f(v, x):\n"
@@ -331,6 +348,54 @@ def test_numerator_guard_sees_what_it_forbids():
         "    return re.numerator, im.denominator, x.numerator\n"
     )
     assert _coefficient_part_reads(planted) == [1, 4, 5]
+
+
+#: The ring methods of ``Binarion``: each builds its result through ``_exact``
+#: or hands it to another of them.
+BINARION_RING_METHODS = (
+    "__add__", "__sub__", "__rsub__", "__neg__", "__mul__", "__truediv__", "__rtruediv__",
+    "_divided", "__pow__", "conjugate", "invert",
+)
+
+
+def _binarion_builds(node) -> set:
+    """The builders that ``node`` calls: ``"Binarion"`` for the validating
+    constructor (or ``cls(...)``), and the attribute name for a classmethod
+    such as ``Binarion._exact`` or ``Binarion.one``."""
+    builds = set()
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in ("Binarion", "cls"):
+            builds.add("Binarion")
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in ("Binarion", "cls")):
+            builds.add(func.attr)
+    return builds
+
+
+@pytest.mark.parametrize("method", BINARION_RING_METHODS)
+def test_binarion_ring_methods_build_only_through_exact(method):
+    assert _binarion_builds(_function(scalars, "Binarion", method)) <= {"_exact"}
+
+
+def test_binarion_ring_methods_use_exact():
+    built = set()
+    for method in BINARION_RING_METHODS:
+        built |= _binarion_builds(_function(scalars, "Binarion", method))
+    assert built == {"_exact"}
+
+
+def test_binarion_builder_guard_sees_what_it_forbids():
+    planted = _function(scalars, "Binarion", "conjugate")
+    planted.body.insert(0, ast.parse("out = Binarion(self.re, -self.im, self.sigma)").body[0])
+    assert _binarion_builds(planted) == {"Binarion", "_exact"}
+    planted = _function(scalars, "Binarion", "__pow__")
+    planted.body.insert(0, ast.parse("result = Binarion.one(self.sigma)").body[0])
+    assert _binarion_builds(planted) == {"one", "_exact"}
+    assert _binarion_builds(ast.parse("z = cls(re, im, sigma)")) == {"Binarion"}
+    assert "Binarion" in _binarion_builds(_function(scalars, "Binarion", "_coerce"))
 
 
 #: Methods that carry route kernels, besides the routes' module-level functions.

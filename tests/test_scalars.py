@@ -293,6 +293,107 @@ def test_conjugation_is_involution_hypothesis(re, im):
         assert z.modulus_sq() == z.re**2 - sigma.value * z.im**2
 
 
+# -- the integer arithmetic by value ------------------------------------------------------
+
+#: Parts with mixed denominators, zero among them.
+parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def binarion_parts(draw):
+    """The ``(re, im)`` of a binarion: general, zero, or on the light cone
+    ``x = +-y``, where the hyperbolic ring has zero divisors."""
+    re = draw(parts)
+    shape = draw(st.sampled_from(("general", "zero", "light cone")))
+    if shape == "zero":
+        return Fraction(0), Fraction(0)
+    if shape == "light cone":
+        return re, draw(st.sampled_from((re, -re)))
+    return re, draw(parts)
+
+
+def _ref_mul(x, y, s):
+    """``(a + u b)(c + u d)`` by the Fraction formula, ``u*u = s``."""
+    return x[0] * y[0] + s * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_inverse(x, s):
+    m = x[0] ** 2 - s * x[1] ** 2
+    return (x[0] / m, -x[1] / m) if m else None
+
+
+def _ref_power(x, n, s):
+    if n < 0:
+        x, n = _ref_inverse(x, s), -n
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, x, s)
+    return out
+
+
+def _assert_value(z, expected, sigma):
+    """``z`` has ``sigma`` and exactly the parts ``expected``, as reduced Fractions."""
+    assert z.sigma is sigma and (z.re, z.im) == expected
+    for part in (z.re, z.im):
+        assert type(part) is Fraction and part.denominator > 0
+        assert math.gcd(part.numerator, part.denominator) == 1
+
+
+def _refusal(z) -> str:
+    return ("cannot invert 0" if z.is_zero()
+            else f"{z} lies on the light cone (z*conj(z) = 0) and is a zero divisor")
+
+
+@given(x=binarion_parts(), y=binarion_parts(), r=parts)
+def test_ring_operations_equal_the_fraction_formulas(x, y, r):
+    for sigma in SIGMAS:
+        s = sigma.value
+        a, c = Binarion(*x, sigma), Binarion(*y, sigma)
+        _assert_value(a + c, (x[0] + y[0], x[1] + y[1]), sigma)
+        _assert_value(a - c, (x[0] - y[0], x[1] - y[1]), sigma)
+        _assert_value(r - a, (r - x[0], -x[1]), sigma)
+        _assert_value(-a, (-x[0], -x[1]), sigma)
+        _assert_value(a.conjugate(), (x[0], -x[1]), sigma)
+        _assert_value(a * c, _ref_mul(x, y, s), sigma)
+        _assert_value(a * r, (x[0] * r, x[1] * r), sigma)
+        if r:
+            _assert_value(a / r, (x[0] / r, x[1] / r), sigma)
+        else:
+            with pytest.raises(ZeroDivisorError, match="^division by zero$"):
+                a / r
+        inverse = _ref_inverse(y, s)
+        if inverse is None:
+            for call in (c.invert, lambda: a / c, lambda: r / c):
+                with pytest.raises(ZeroDivisorError) as err:
+                    call()
+                assert str(err.value) == _refusal(c)
+        else:
+            _assert_value(c.invert(), inverse, sigma)
+            _assert_value(a / c, _ref_mul(x, inverse, s), sigma)
+            _assert_value(r / c, (r * inverse[0], r * inverse[1]), sigma)
+
+
+@given(x=binarion_parts(), n=st.integers(-6, 40))
+def test_power_equals_repeated_fraction_products(x, n):
+    for sigma in SIGMAS:
+        z = Binarion(*x, sigma)
+        if n < 0 and _ref_inverse(x, sigma.value) is None:
+            with pytest.raises(ZeroDivisorError) as err:
+                z**n
+            assert str(err.value) == _refusal(z)
+        else:
+            _assert_value(z**n, _ref_power(x, n, sigma.value), sigma)
+
+
+def test_power_of_the_unit_and_of_zero():
+    for sigma in SIGMAS:
+        u = Binarion.unit(sigma)
+        assert [u**n for n in range(4)] == [1, u, sigma.value, sigma.value * u]
+        assert Binarion.zero(sigma) ** 0 == 1 and Binarion.zero(sigma) ** 5 == 0
+        half = Binarion(Fraction(1, 2), Fraction(1, 3), sigma)
+        _assert_value(half**1, (Fraction(1, 2), Fraction(1, 3)), sigma)
+
+
 # -- signature discipline and text form -----------------------------------------------
 
 

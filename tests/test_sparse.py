@@ -995,6 +995,68 @@ def test_a_scalar_of_the_other_sigma_does_not_combine(make):
                         combine(left, right)
 
 
+#: Each algebra class, a maker of its elements, and its constant built by the
+#: public constructor at the size of an element ``x``.
+PUBLIC_CONSTANTS = {
+    HPoly: (_hpoly, lambda x, c: HPoly({0: c}, x.sigma)),
+    CharSum: (_charsum, lambda x, c: CharSum({0: c}, x.sigma)),
+    PolySymbol: (_symbol, lambda x, c: PolySymbol.constant(c, x.dof, x.sigma)),
+    ExpPoly: (_exppoly_mixed, lambda x, c: ExpPoly.constant(c, x.dim, x.sigma)),
+    GrassmannElement: (_grassmann, lambda x, c: GrassmannElement.scalar(c, x.n, x.sigma)),
+}
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _same(got, expected):
+    assert got == expected and (got._terms, got._cden) == (expected._terms, expected._cden)
+    assert {k: type(k) for k in got._terms} == {k: type(k) for k in expected._terms}
+    _assert_clean(got)
+
+
+@pytest.mark.parametrize("cls", PUBLIC_CONSTANTS)
+@given(seed=st.integers(0, 2**16), sigma=st.sampled_from(SIGMAS),
+       kind=st.sampled_from(("int", "Fraction", "Binarion", "other sigma")),
+       re=_small, im=_small, n=st.integers(0, 3))
+def test_a_scalar_operand_acts_as_the_public_constant(cls, seed, sigma, kind, re, im, n):
+    """``x + c``, ``x * c``, ``c * x``, ``x == c`` and ``x ** n`` give what the
+    constant from the public constructor gives, and a binarion of the other
+    signature raises what that constructor raises."""
+    make, constant = PUBLIC_CONSTANTS[cls]
+    x = make(random.Random(seed), sigma)
+    c = {"int": lambda: re.numerator, "Fraction": lambda: re,
+         "Binarion": lambda: Binarion(re, im, sigma),
+         "other sigma": lambda: Binarion(re, im, C if sigma is H else H)}[kind]()
+    if kind == "other sigma":
+        with pytest.raises(SignatureMismatchError) as expected:
+            constant(x, c)
+        for call in (lambda: x + c, lambda: c + x, lambda: x * c, lambda: c * x,
+                     lambda: x == c):
+            with pytest.raises(SignatureMismatchError) as err:
+                call()
+            assert str(err.value) == str(expected.value)
+        return
+    k = constant(x, c)
+    _same(c + k - k, k)
+    for got, expected in ((x + c, x + k), (c + x, x + k), (x - c, x - k), (c - x, k - x),
+                          (x * c, x * k), (c * x, k * x)):
+        _same(got, expected)
+    assert (x == c) is (x == k) and (k == c) is True
+    power = constant(x, 1)
+    for _ in range(n):
+        power = power * x
+    _same(x**n, power)
+
+
+def test_a_distribution_takes_no_scalar_operand():
+    delta = _distribution(random.Random(43), H)
+    for c in (1, Fraction(1, 2), Binarion(1, 1, H)):
+        for call in (lambda: delta + c, lambda: c * delta):
+            with pytest.raises(TypeError):
+                call()
+        assert delta != c
+
+
 def test_a_distribution_refuses_a_factor_of_the_other_sigma():
     rng = random.Random(41)
     for sigma, other in ((H, C), (C, H)):
