@@ -48,8 +48,10 @@ the two distributions: each pair adds its locations and orders, gains the
 character ``exp(u*h*<q1, p2>)``, takes the twist's derivatives from a
 closed form per coordinate pair ``(q1_i, p2_i)`` and is transformed back
 under its output key.  :meth:`ExpPoly.differentiate_multi` has a closed
-form per coordinate.  These kernels read each operand's stored integer
-coefficients and its ``_cden``, add them with
+form per coordinate.  The integer rows of both closed forms are built once
+per shape and memoized under keys that hold no coefficient, frequency,
+location or ``h``, up to :data:`FACTOR_ROWS` rows each.  These kernels read
+each operand's stored integer coefficients and its ``_cden``, add them with
 :func:`hypermoyal.sparse.add_parts` and hand the sums and their one
 denominator to the reducing ``_make``.  On polynomial symbols this
 agrees exactly with :func:`hypermoyal.symbols.star`.
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from operator import add, mul
 
@@ -415,8 +418,11 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         e!/(e - j)! (u f)^(n - j) x^(e - j) exp(u f x)``; at ``f = 0`` only
         ``j = n`` survives, and none when ``n > e``.  The ``m`` factors of
         ``u`` are ``sigma^(m//2) u^(m%2)``: a sign, and a re/im swap when
-        ``m`` is odd.  ``order`` may be shorter than ``dim``; entries below
-        one are no-ops, and a positive entry past ``dim`` raises
+        ``m`` is odd.  Per axis the integers ``C(n, j) e!/(e - j)!`` come
+        from the row of :func:`_axis_factors`, memoized under ``(n, e)``;
+        ``f^(n - j)`` is applied here, and the axes are combined one at a
+        time into one list.  ``order`` may be shorter than ``dim``; entries
+        below one are no-ops, and a positive entry past ``dim`` raises
         :class:`IndexError`.
 
         The sums stay in integers: ``f`` is a numerator over ``_den``, so
@@ -433,29 +439,21 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         pads = [self._den ** (top - m) for m in range(top + 1)]
         acc = {}
         for (freq, exps, r), (c_re, c_im) in self._terms.items():
-            per_axis = []
+            out = [(exps, 1, 0)]
             for i, n in axes:
                 e, f = exps[i], freq[i]
-                if f:
-                    per_axis.append([
-                        (i, e - j, math.comb(n, j) * math.perm(e, j) * f ** (n - j), n - j)
-                        for j in range(min(n, e) + 1)
-                    ])
-                elif n <= e:
-                    per_axis.append([(i, e - n, math.perm(e, n), 0)])
-                else:
-                    break
+                row = _axis_row(n, e) or _axis_factors(n, e)
+                if not f:
+                    if n > e:
+                        break
+                    row = row[-1:]
+                out = [(exps_out[:i] + (lowered,) + exps_out[i + 1:], c * cj * f**mj, m + mj)
+                       for exps_out, c, m in out for lowered, cj, mj in row]
             else:
-                for choice in iter_product(*per_axis):
-                    lowered = list(exps)
-                    factor, m = 1, 0
-                    for i, power, scalar, u_power in choice:
-                        lowered[i] = power
-                        factor *= scalar
-                        m += u_power
+                for lowered, factor, m in out:
                     factor *= pads[m]
                     re, im = _times_unit_power((factor * c_re, factor * c_im), m, 1, s)
-                    add_parts(acc, (freq, tuple(lowered), r), re, im)
+                    add_parts(acc, (freq, lowered, r), re, im)
         return self._new(acc, self._cden * self._den**top)
 
     def shift(self, offset) -> "ExpPoly":
@@ -734,6 +732,79 @@ def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
     return distribution.fourier()
 
 
+#: Bound on each of this module's two memos of factor rows, whose keys hold
+#: no coefficient, frequency, location or ``h``: the axis rows of
+#: :meth:`ExpPoly.differentiate_multi` under ``(n, e)`` and the twist rows of
+#: :func:`_pair_factors` under ``(a, b, x == 0, y == 0, sigma)``.  A process
+#: meets few shapes: 15-17 axis and 48-55 twist rows in an operator-route
+#: batch (seeds 1, 2, 3, 11, 601, 931), 16 and 23 in ``selftest --fast``, 20
+#: and 37 in a full selftest.
+FACTOR_ROWS = 1024
+#: A row is memoized only when the orders and exponents of its key are below
+#: this bound and it has at most this many terms; any other row is built each
+#: time.  So at most 32 * 32 = 1,024 axis rows exist, 1.2 MB in all, and of
+#: the 3,288 twist rows that qualify the largest takes 3.1 KB (``(a, b) =
+#: (30, 31)`` at the origin), so a full memo of twist rows holds at most
+#: 3.2 MB (measured with ``tracemalloc``).
+FACTOR_ROW_TERMS = 32
+
+
+@lru_cache(maxsize=FACTOR_ROWS)
+def _axis_row(n: int, e: int) -> tuple:
+    """:func:`_axis_factors`, memoized; ``()`` in place of a row whose ``n`` or
+    ``e`` reaches :data:`FACTOR_ROW_TERMS`, which the caller builds each time."""
+    if n >= FACTOR_ROW_TERMS or e >= FACTOR_ROW_TERMS:
+        return ()
+    return _axis_factors(n, e)
+
+
+def _axis_factors(n: int, e: int) -> tuple:
+    """The terms ``(e - j, C(n, j) e!/(e - j)!, n - j)``, ``j <= min(n, e)``, of
+    ``d^n (x^e exp(u f x)) / exp(u f x)`` with ``(u f)^(n - j)`` left out, for
+    :meth:`ExpPoly.differentiate_multi`; ``j = n``, the one term free of
+    ``f``, comes last when ``n <= e``.  A tuple that holds no coefficient or
+    frequency, memoized by :func:`_axis_row`."""
+    return tuple((e - j, math.comb(n, j) * math.perm(e, j), n - j) for j in range(min(n, e) + 1))
+
+
+@lru_cache(maxsize=FACTOR_ROWS)
+def _twist_row(a: int, b: int, x_zero: bool, y_zero: bool, sigma: int) -> tuple:
+    """:func:`_twist_terms`, memoized; ``()`` in place of a row whose ``a`` or
+    ``b`` reaches :data:`FACTOR_ROW_TERMS` or that has more terms than that,
+    which the caller builds each time."""
+    if a >= FACTOR_ROW_TERMS or b >= FACTOR_ROW_TERMS:
+        return ()
+    row = _twist_terms(a, b, x_zero, y_zero, sigma)
+    return row if sum(len(terms) for _, _, terms in row) <= FACTOR_ROW_TERMS else ()
+
+
+def _twist_terms(a: int, b: int, x_zero: bool, y_zero: bool, sigma: int) -> tuple:
+    """The integer skeleton of :func:`_pair_factors`: per ``(s, t)`` that keeps
+    a term, ``(a - s, b - t, terms)``, where ``terms`` lists each surviving
+    ``j`` as ``(n % 2, c, powers)``, ``n = s + t - j``,
+    ``c = (-1)^(s+t) C(a, s) C(b, t) C(s, j) C(t, j) j! sigma^(n//2)`` and
+    ``powers`` the exponents of ``(hn, hd, xn, xd, yn, yd)``.  At ``x = 0``
+    only ``j = t`` survives and at ``y = 0`` only ``j = s``.  The row holds no
+    coefficient, location or ``h``, so :func:`_twist_row` memoizes it under
+    its arguments; it is a tuple of tuples, which no caller can change.
+    """
+    out = []
+    for s in range(a + 1):
+        for t in range(b + 1):
+            scale = (-1) ** (s + t) * math.comb(a, s) * math.comb(b, t)
+            terms = []
+            for j in range(min(s, t) + 1):
+                if (t > j and x_zero) or (s > j and y_zero):
+                    continue
+                n = s + t - j
+                c = scale * math.comb(s, j) * math.comb(t, j) * math.factorial(j)
+                terms.append((n % 2, c * sigma ** (n // 2),
+                              (n, a + b - n, t - j, b - t + j, s - j, a - s + j)))
+            if terms:
+                out.append((a - s, b - t, tuple(terms)))
+    return tuple(out)
+
+
 def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     """The nonzero terms ``(a - s, b - t, re, im)`` that ``exp(c*x*y)``, ``c = u*h``,
     makes of ``delta^((a, b))`` at ``(x, y)``, with its character left out;
@@ -742,8 +813,11 @@ def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     ``factor = (-1)^(s+t) binom(a, s) binom(b, t) sum_{j <= min(s, t)}
     binom(s, j) binom(t, j) j! c^(s+t-j) x^(t-j) y^(s-j)``, the closed form of
     ``d_x^s d_y^t exp(c*x*y) / exp(c*x*y)``.  ``c^n = h^n sigma^(n//2) u^(n%2)``.
-    At ``x = 0`` only ``j = t`` survives and at ``y = 0`` only ``j = s``;
-    zero factors are dropped here, before any product is formed.
+    At ``x = 0`` only ``j = t`` survives and at ``y = 0`` only ``j = s``.
+    The integer part of each surviving term comes from the row of
+    :func:`_twist_terms`, memoized under ``(a, b, x == 0, y == 0, sigma)``;
+    the powers of ``h``, ``x`` and ``y`` are applied here, and zero factors
+    are dropped before any product is formed.
 
     ``x``, ``y`` and ``h`` are ``(numerator, denominator)`` pairs, and ``re``
     and ``im`` integer numerators over ``hd^(a+b) xd^b yd^a``: each term
@@ -751,22 +825,14 @@ def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     ``hd^(a+b-n) xd^(b-t+j) yd^(a-s+j)``.
     """
     (xn, xd), (yn, yd), (hn, hd) = x, y, h
+    key = (a, b, not xn, not yn, sigma)
     out = []
-    for s in range(a + 1):
-        for t in range(b + 1):
-            parts = [0, 0]
-            for j in range(min(s, t) + 1):
-                if (t > j and not xn) or (s > j and not yn):
-                    continue
-                n = s + t - j
-                parts[n % 2] += (
-                    math.comb(s, j) * math.comb(t, j) * math.factorial(j) * sigma ** (n // 2)
-                    * hn**n * hd ** (a + b - n) * xn ** (t - j) * xd ** (b - t + j)
-                    * yn ** (s - j) * yd ** (a - s + j)
-                )
-            if any(parts):
-                scale = (-1) ** (s + t) * math.comb(a, s) * math.comb(b, t)
-                out.append((a - s, b - t, scale * parts[0], scale * parts[1]))
+    for da, db, terms in _twist_row(*key) or _twist_terms(*key):
+        parts = [0, 0]
+        for odd, c, (e_hn, e_hd, e_xn, e_xd, e_yn, e_yd) in terms:
+            parts[odd] += c * hn**e_hn * hd**e_hd * xn**e_xn * xd**e_xd * yn**e_yn * yd**e_yd
+        if any(parts):
+            out.append((da, db, parts[0], parts[1]))
     return out
 
 

@@ -1,8 +1,10 @@
 """Tests for point-supported distributions, the Fourier calculus, and the
 distributional star product."""
 
+import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -26,6 +28,8 @@ from hypermoyal import (
     star_distributional,
     symbol_from_distribution,
 )
+from hypermoyal import distributions, operators, selftest
+from hypermoyal.distributions import FACTOR_ROW_TERMS, FACTOR_ROWS
 from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
@@ -380,13 +384,13 @@ def _plane_wave_times_polynomial(rng, dim, sigma):
     return poly * ExpPoly.character(freq, sigma)
 
 
-def test_twist_at_nonzero_locations_matches_composition():
+def _nonzero_twist_cases():
     """Symbols whose p-frequencies (in ``a``) and q-frequencies (in ``b``) are
-    nonzero put the twist's atoms at ``q1*p2 != 0``, where every term of its
-    closed form contributes; the operator route checks the product."""
-    from hypermoyal import WaveFunction, compose_check
+    nonzero, with a wavefunction to apply them to: ``(a, b, phi)``."""
+    from hypermoyal import WaveFunction
 
     rng = random.Random(47)
+    cases = []
     for k in (1, 2):
         for sigma in SIGMAS:
             for _ in range(3):
@@ -395,8 +399,18 @@ def test_twist_at_nonzero_locations_matches_composition():
                 b = _plane_wave_times_polynomial(rng, 2 * k, sigma)
                 momentum = tuple(_random_fraction(rng) for _ in range(k))
                 poly = ExpPoly.coordinate(rng.randrange(k), k, sigma) + _random_fraction(rng)
-                phi = WaveFunction(poly * WaveFunction.plane_wave(momentum, h, sigma).func, h)
-                assert compose_check(a, b, phi)
+                wave = WaveFunction.plane_wave(momentum, h, sigma).func
+                cases.append((a, b, WaveFunction(poly * wave, h)))
+    return cases
+
+
+def test_twist_at_nonzero_locations_matches_composition():
+    """The cases put the twist's atoms at ``q1*p2 != 0``, where every term of
+    its closed form contributes; the operator route checks the product."""
+    from hypermoyal import compose_check
+
+    for a, b, phi in _nonzero_twist_cases():
+        assert compose_check(a, b, phi)
 
 
 def test_star_distributional_degree_cap():
@@ -516,22 +530,30 @@ def _atom_symbol(rng, k, sigma):
     return ExpPoly(2 * k, sigma, terms)
 
 
-def test_star_distributional_matches_staged_oracle():
+def _staged_oracle_cases():
+    """``(a, b, h)`` for the staged oracle: light-cone weights, random
+    polynomial symbols and atoms away from the origin, ``k = 1, 2, 3``."""
     rng = random.Random(61)
+    cases = []
     for sigma in SIGMAS:
         for k in (1, 2, 3):
             h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             wave = ExpPoly.character([_nonzero_fraction(rng) for _ in range(2 * k)], sigma)
             q, p = ExpPoly.coordinate(0, 2 * k, sigma), ExpPoly.coordinate(k, 2 * k, sigma)
             # (1+j)(1-j) = 0: in the hyperbolic ring every pair weight vanishes
-            cases = [(wave * p * Binarion(1, 1, sigma), wave * q * Binarion(1, -1, sigma)),
+            pairs = [(wave * p * Binarion(1, 1, sigma), wave * q * Binarion(1, -1, sigma)),
                      (_random_symbol(rng, k, sigma), _random_symbol(rng, k, sigma))]
-            cases += [(_atom_symbol(rng, k, sigma), _atom_symbol(rng, k, sigma))
+            pairs += [(_atom_symbol(rng, k, sigma), _atom_symbol(rng, k, sigma))
                       for _ in range(12)]
-            for a, b in cases:
-                got = star_distributional(a, b, h)
-                assert got == _staged_star_distributional(a, b, h)
-                _assert_clean(got)
+            cases += [(a, b, h) for a, b in pairs]
+    return cases
+
+
+def test_star_distributional_matches_staged_oracle():
+    for a, b, h in _staged_oracle_cases():
+        got = star_distributional(a, b, h)
+        assert got == _staged_star_distributional(a, b, h)
+        _assert_clean(got)
 
 
 # -- growth bound ----------------------------------------------------------------------
@@ -670,13 +692,15 @@ def _mixed_exp_poly(rng, dim, sigma):
     return ExpPoly(dim, sigma, terms)
 
 
-def test_differentiate_multi_matches_iterated_oracle():
+def _differentiate_multi_cases():
+    """``(f, order)`` for the iterated oracle, in both rings, ``dim = 1..4``."""
     rng = random.Random(53)
+    cases = []
     for sigma in SIGMAS:
         for dim in (1, 2, 3, 4):
             light_cone = Binarion(1, 1, sigma)
             x = ExpPoly.coordinate(0, dim, sigma)
-            fixed = [
+            cases += [
                 # (1+j)*(1-j) = 0 under the unit swap: hyperbolic terms cancel
                 (ExpPoly.character((Fraction(1, 2),) * dim, sigma, light_cone) * x**2,
                  (3,) + (0,) * (dim - 1)),
@@ -684,15 +708,19 @@ def test_differentiate_multi_matches_iterated_oracle():
                 (x**2, (3,) + (1,) * (dim - 1)),
                 (ExpPoly.zero(dim, sigma), (1,) * dim),
             ]
-            cases = fixed + [
+            cases += [
                 (_mixed_exp_poly(rng, dim, sigma),
                  tuple(rng.randint(0, 3) for _ in range(dim)))
                 for _ in range(10)
             ]
-            for f, order in cases:
-                got = f.differentiate_multi(order)
-                assert got == _iterated_differentiate(f, order)
-                _assert_clean(got)
+    return cases
+
+
+def test_differentiate_multi_matches_iterated_oracle():
+    for f, order in _differentiate_multi_cases():
+        got = f.differentiate_multi(order)
+        assert got == _iterated_differentiate(f, order)
+        _assert_clean(got)
 
 
 def test_differentiate_multi_edge_cases():
@@ -712,6 +740,204 @@ def test_differentiate_multi_edge_cases():
         for order in ((0, 0, 0, 1), (1, 1, 1, 0, 2)):
             with pytest.raises(IndexError, match="out of range for dim 3"):
                 f.differentiate_multi(order)
+
+
+# -- the memos of factor rows ---------------------------------------------------------------
+#
+# ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``
+# and ``_twist_row`` (``_pair_factors``) by ``(a, b, x == 0, y == 0, sigma)``.
+# No result may depend on what the memos hold: cold, warm, or cycled through a
+# bound smaller than the rows pushed through them.
+
+MEMOS = ("_axis_row", "_twist_row")
+
+
+def _clear_memos():
+    for name in MEMOS:
+        getattr(distributions, name).cache_clear()
+
+
+def _misses() -> list:
+    return [getattr(distributions, name).cache_info().misses for name in MEMOS]
+
+
+def _stored(element):
+    return element._terms, element._cden, element._den
+
+
+def _memo_results() -> list:
+    """Every result of the three oracle tests that meet the memos, each
+    checked against its oracle."""
+    from hypermoyal import compose_check
+
+    out = []
+    for f, order in _differentiate_multi_cases():
+        out.append(f.differentiate_multi(order))
+        assert out[-1] == _iterated_differentiate(f, order)
+    for a, b, h in _staged_oracle_cases():
+        out.append(star_distributional(a, b, h))
+        assert out[-1] == _staged_star_distributional(a, b, h)
+    for a, b, phi in _nonzero_twist_cases():
+        check = compose_check(a, b, phi)
+        assert check
+        out.append(check.lhs.func)
+    return out
+
+
+def test_factor_memos_cold_and_warm_give_equal_results(monkeypatch):
+    _memo_results()
+    misses = _misses()
+    warm = _memo_results()
+    assert _misses() == misses  # every row memoized
+    # a stand-in of bound 0 keeps nothing: every row is built cold
+    for name in MEMOS:
+        memo = getattr(distributions, name)
+        monkeypatch.setattr(distributions, name, functools.lru_cache(maxsize=0)(memo.__wrapped__))
+    cold = _memo_results()
+    assert cold == warm
+    assert list(map(_stored, cold)) == list(map(_stored, warm))
+
+
+def test_memoized_factor_rows_are_tuples():
+    _clear_memos()
+    row = distributions._axis_row(2, 3)
+    assert distributions._axis_row(2, 3) is row
+    assert row == ((3, 1, 2), (2, 6, 1), (1, 6, 0))  # d^2 x^3: (u f)^2 x^3 + 6 (u f) x^2 + 6x
+    twist = distributions._twist_row(1, 1, True, True, -1)
+    assert distributions._twist_row(1, 1, True, True, -1) is twist
+    # at the origin delta^((1, 1)) keeps j = s = t: the factors 1 and c = u*h
+    assert twist == ((1, 1, ((0, 1, (0, 2, 0, 1, 0, 1)),)),
+                     (0, 0, ((1, 1, (1, 1, 0, 1, 0, 1)),)))
+    for value in (row, twist, twist[0][2]):
+        assert isinstance(value, tuple) and all(isinstance(term, tuple) for term in value)
+
+
+def test_full_factor_memos_evict_and_results_stay_equal(monkeypatch):
+    expected = _memo_results()
+    bound = 8
+    stand_ins = []
+    for name in MEMOS:
+        stand_ins.append(functools.lru_cache(maxsize=bound)(
+            getattr(distributions, name).__wrapped__))
+        monkeypatch.setattr(distributions, name, stand_ins[-1])
+    got = _memo_results()
+    for stand_in in stand_ins:
+        info = stand_in.cache_info()
+        assert info.misses > 4 * bound  # far more rows built than the bound holds
+        assert info.currsize <= bound
+    assert got == expected
+    assert list(map(_stored, got)) == list(map(_stored, expected))
+
+
+def _recorded_memo(monkeypatch, name) -> list:
+    """Stand in a memo of the same bound that records each value it keeps."""
+    kept, build = [], getattr(distributions, name).__wrapped__
+
+    def recording(*args):
+        kept.append(build(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(distributions, name,
+                        functools.lru_cache(maxsize=FACTOR_ROWS)(recording))
+    return kept
+
+
+def _pair_factors_as_fractions(x, y, a, b, h, sigma) -> list:
+    """``distributions._pair_factors`` at rational ``x``, ``y`` and ``h``, its
+    integer parts divided by their denominator ``hd^(a+b) xd^b yd^a``."""
+    x, y, h = Fraction(x), Fraction(y), Fraction(h)
+    den = h.denominator ** (a + b) * x.denominator**b * y.denominator**a
+    return [(s, t, Fraction(re, den), Fraction(im, den))
+            for s, t, re, im in distributions._pair_factors(
+                (x.numerator, x.denominator), (y.numerator, y.denominator), a, b,
+                (h.numerator, h.denominator), sigma)]
+
+
+def test_factor_memos_keep_no_row_above_the_bound(monkeypatch):
+    """Rows past the bound leave their slots empty, and the rows built in their
+    place give the results that memoized rows give under a raised bound."""
+    top = FACTOR_ROW_TERMS
+    # off the origin, (a, b) = (4, 4) has 55 terms; a = 32 or b = 32 reaches the bound
+    twists = [(Fraction(1, 2), Fraction(-3, 5), 4, 4), (0, 0, top, 1), (0, Fraction(1, 3), 1, top)]
+    f = ExpPoly.monomial((top + 1,), 1, H) + ExpPoly.character((Fraction(1, 3),), H)
+
+    def results():
+        twisted = [_pair_factors_as_fractions(x, y, a, b, Fraction(2, 3), sigma)
+                   for sigma in (1, -1) for x, y, a, b in twists]
+        return twisted, f.differentiate_multi((top,))
+
+    twist_rows = _recorded_memo(monkeypatch, "_twist_row")
+    axis_rows = _recorded_memo(monkeypatch, "_axis_row")
+    twisted, derived = results()
+    assert twisted == [_rational_pair_factors(Fraction(x), Fraction(y), a, b, Fraction(2, 3),
+                                              sigma)
+                       for sigma in (1, -1) for x, y, a, b in twists]
+    assert derived == _iterated_differentiate(f, (top,))
+    assert results() == (twisted, derived)
+    assert twist_rows == [()] * 6 and axis_rows == [(), ()]
+    assert distributions._axis_row.cache_info().hits == 2
+    monkeypatch.setattr(distributions, "FACTOR_ROW_TERMS", 64)
+    _clear_memos()
+    assert results() == (twisted, derived)  # the same results from memoized rows
+    assert max(map(len, axis_rows)) > top and all(twist_rows[6:])
+
+
+def _traced_size(build) -> int:
+    """The bytes that what ``build()`` returns holds, traced as it is built."""
+    tracemalloc.start()
+    try:
+        kept = build()  # held while it is measured
+        return tracemalloc.get_traced_memory()[0] if kept else 0
+    finally:
+        tracemalloc.stop()
+
+
+def test_factor_row_bound_caps_the_memo_memory():
+    """The bound admits 32 * 32 axis rows, under 2 MB together (1.2 MB when
+    measured), and the largest twist row it admits, ``(a, b) = (30, 31)`` at
+    the origin, takes under 4 KB, so a full memo of twist rows stays under
+    4 MB."""
+    assert FACTOR_ROWS == FACTOR_ROW_TERMS**2 == 1024
+    axis_rows = _traced_size(lambda: [distributions._axis_factors(n, e)
+                                      for n in range(32) for e in range(32)])
+    assert axis_rows < 2_000_000
+    largest = distributions._twist_terms(30, 31, True, True, -1)
+    assert sum(len(terms) for _, _, terms in largest) == 31
+    assert _traced_size(lambda: distributions._twist_terms(30, 31, True, True, -1)) < 4_000
+    assert distributions._twist_row(30, 31, True, True, -1) == largest
+    assert distributions._twist_row(31, 31, False, True, -1) == ()
+
+
+def test_twist_rows_at_and_off_the_origin_in_one_process():
+    """One ``(a, b, sigma)`` twisted at the origin and off it, at locations of
+    either sign, in both rings, in one process: each zero pattern has its
+    own memoized row."""
+    distributions._twist_row.cache_clear()
+    h = Fraction(2, 3)
+    points = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(-3, 5)),
+              (Fraction(1, 2), Fraction(-3, 5)), (Fraction(-1, 2), Fraction(3, 5)), (0, 0)]
+    for sigma in (1, -1, 1):
+        for a, b in ((2, 3), (3, 1), (1, 1)):
+            for x, y in points:
+                assert _pair_factors_as_fractions(x, y, a, b, h, sigma) == _rational_pair_factors(
+                    Fraction(x), Fraction(y), a, b, h, sigma)
+    info = distributions._twist_row.cache_info()
+    assert info.currsize == 2 * 3 * 4 and info.hits > 0
+
+
+def test_full_selftest_is_byte_identical_from_cold_and_warm_factor_memos():
+    """One pass of the full ``selftest --seed 0`` from cold memos of
+    derivative, axis and twist rows fills under a quarter of each factor
+    memo, and a warm pass reports the same bytes."""
+    operators._derivative_row.cache_clear()
+    _clear_memos()
+    cold = selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False)))
+    for name in MEMOS:
+        assert 0 < getattr(distributions, name).cache_info().currsize < FACTOR_ROWS / 4
+    warm = selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False)))
+    for memo in (operators._derivative_row, distributions._axis_row, distributions._twist_row):
+        assert memo.cache_info().hits > 0
+    assert cold == warm
 
 
 def _embed_via_terms(symbol, h=None):

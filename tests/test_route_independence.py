@@ -34,7 +34,11 @@ def _tree(module) -> ast.Module:
 
 def _function(module, *path) -> ast.AST:
     """The definition at ``path`` (class then method, or a function name)."""
-    node = _tree(module)
+    return _definition(_tree(module), *path)
+
+
+def _definition(node, *path) -> ast.AST:
+    """The definition at ``path`` inside the parsed ``node``."""
     for name in path:
         node = next(
             child for child in ast.iter_child_nodes(node)
@@ -118,13 +122,47 @@ def test_bound_guard_sees_what_it_forbids():
     assert _bound_definitions(planted) == {"MAX_TERMS"}
 
 
+def _reached(tree, *path) -> set:
+    """:func:`_names` of the definition at ``path`` in ``tree`` and of every
+    function or method defined in ``tree`` under a name that it uses,
+    followed to the end, so a helper's helper is scanned too."""
+    defined = {}
+    for node in tree.body:
+        for child in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(child, ast.FunctionDef):
+                defined.setdefault(child.name, []).append(child)
+    names, todo = set(), [_definition(tree, *path)]
+    while todo:
+        found = _names(todo.pop())
+        todo += [node for name in found - names for node in defined.get(name, ())]
+        names |= found
+    return names
+
+
+#: The normal-ordered kernel's helpers in ``operators``, and the memo's bounds.
+DERIVATIVE_HELPERS = ["_derivative_terms", "_derivative_row", "_derivative_factors",
+                      "DERIVATIVE_ROWS", "DERIVATIVE_ROW_TERMS"]
+#: The factor-row helpers of ``distributions``: ``differentiate_multi``'s axis
+#: rows, the twist rows of ``_pair_factors``, and their bounds.
+AXIS_HELPERS = ["_axis_row", "_axis_factors"]
+TWIST_HELPERS = ["_pair_factors", "_twist_row", "_twist_terms"]
+FACTOR_BOUNDS = ["FACTOR_ROWS", "FACTOR_ROW_TERMS"]
+
+
 def test_shift_route_does_not_use_the_normal_ordered_kernel():
-    names = _names(_function(operators, "Operator", "apply_shift_form"))
-    assert "_derivative_terms" not in names
+    names = _reached(_tree(operators), "Operator", "apply_shift_form")
+    assert not names & set(DERIVATIVE_HELPERS)
+
+
+@pytest.mark.parametrize("path", [("Operator", "apply_normal_ordered"), ("_derivative_terms",)],
+                         ids=["apply_normal_ordered", "_derivative_terms"])
+@pytest.mark.parametrize("helper", AXIS_HELPERS + TWIST_HELPERS + FACTOR_BOUNDS)
+def test_normal_ordered_route_uses_no_distributions_helper(path, helper):
+    assert helper not in _reached(_tree(operators), *path)
 
 
 def test_normal_ordered_route_does_not_differentiate_exppolys():
-    names = _names(_function(operators, "Operator", "apply_normal_ordered"))
+    names = _reached(_tree(operators), "Operator", "apply_normal_ordered")
     assert not [name for name in names if name.startswith("differentiate")]
 
 
@@ -141,12 +179,16 @@ def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
 @pytest.mark.parametrize(
     "kernel",
     ["_flatten", "_structure_constants", "_kappa_row", "_accumulate", "star", "substitute_h",
-     "_derivative_terms", "_common_denominator", "_kappa_units", "_unpacked",
-     "_KAPPA_ZERO", "KAPPA_ROWS", "KAPPA_ROW_TERMS"],
+     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "KAPPA_ROWS",
+     "KAPPA_ROW_TERMS", *DERIVATIVE_HELPERS, *AXIS_HELPERS, "differentiate_multi"],
 )
 def test_distributional_star_does_not_use_the_series_or_operator_kernels(kernel):
-    names = _names(_function(distributions, "star_distributional"))
-    assert "_pair_factors" in names and kernel not in names
+    """Neither ``star_distributional`` nor the twist helpers it calls name a
+    series kernel, an operator row helper or ``differentiate_multi``'s."""
+    for path in ("star_distributional", "_pair_factors"):
+        names = _reached(_tree(distributions), path)
+        assert set(TWIST_HELPERS) <= names | {path} and kernel not in names
+        assert not [name for name in names if name.lstrip("_").startswith("KAPPA")]
 
 
 #: The route kernels, none of which may sum its products in the shared loop of
@@ -170,6 +212,18 @@ def test_route_kernels_do_not_use_the_shared_product_loop(path):
 def test_guard_sees_what_it_forbids():
     """The name scan finds the kernels where they are in use."""
     assert "_derivative_terms" in _names(_function(operators, "Operator", "apply_normal_ordered"))
+    assert set(DERIVATIVE_HELPERS) <= _reached(_tree(operators), "Operator",
+                                               "apply_normal_ordered")
+    assert {"_derivative_row", "_derivative_factors"} <= _names(
+        _function(operators, "_derivative_terms"))
+    assert {"DERIVATIVE_ROW_TERMS", "_derivative_factors"} <= _names(
+        _function(operators, "_derivative_row"))
+    assert set(AXIS_HELPERS) <= _names(_function(distributions, "ExpPoly", "differentiate_multi"))
+    assert {"FACTOR_ROW_TERMS", "_axis_factors"} <= _names(_function(distributions, "_axis_row"))
+    assert {"_twist_row", "_twist_terms"} <= _names(_function(distributions, "_pair_factors"))
+    assert {"FACTOR_ROW_TERMS", "_twist_terms"} <= _names(_function(distributions, "_twist_row"))
+    assert set(TWIST_HELPERS + FACTOR_BOUNDS) <= _reached(_tree(distributions),
+                                                          "star_distributional")
     assert "differentiate_multi" in _names(_function(operators, "Operator", "apply_shift_form"))
     assert "_accumulate" in _names(_function(symbols, "star"))
     assert "_commutator_integers" in _names(_function(symbols, "scaled_bracket"))
@@ -184,6 +238,30 @@ def test_guard_sees_what_it_forbids():
         assert {"_terms", "_cden"} <= _names(_function(*path))
     assert "multiply" in _names(_function(sparse, "SparseAlgebra", "__mul__"))
     assert "multiply" in _names(_function(distributions, "Ultradistribution", "tensor"))
+
+
+@pytest.mark.parametrize(
+    "module, helper, planted, path",
+    [(operators, ("_derivative_factors",), "_axis_row(b, e)",
+      ("Operator", "apply_normal_ordered")),
+     (operators, ("_derivative_row",), "_twist_terms(b, e, 0, 0, 1)", ("_derivative_terms",)),
+     (operators, ("Operator", "_check_cap"), "_derivative_row(1, 1)",
+      ("Operator", "apply_shift_form")),
+     (distributions, ("_twist_terms",), "_derivative_factors(a, b)", ("star_distributional",)),
+     (distributions, ("_twist_row",), "KAPPA_ROWS", ("_pair_factors",))],
+    ids=["axis-row-in-derivative-factors", "twist-terms-in-derivative-row",
+         "derivative-row-in-the-shift-route", "derivative-factors-in-twist-terms",
+         "kappa-bound-in-twist-row"],
+)
+def test_reach_guard_sees_a_cross_route_call_in_a_helper(module, helper, planted, path):
+    """A cross-route name planted in a helper, not in the kernel the guard
+    names, is found through the helpers the kernel calls."""
+    tree = _tree(module)
+    name = planted.split("(")[0]
+    assert name not in _reached(tree, *path)
+    _definition(tree, *helper).body.insert(0, ast.parse(planted).body[0])
+    assert name not in _names(_definition(tree, *path))
+    assert name in _reached(tree, *path)
 
 
 #: Kernels that read the stored integer coefficients of their operands: none of
