@@ -436,7 +436,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             return self
         s = self.sigma.value
         top = sum(n for _, n in axes)
-        pads = [self._den ** (top - m) for m in range(top + 1)]
+        pads = {}  # _den^(top - m), built for the m a term reaches
         acc = {}
         for (freq, exps, r), (c_re, c_im) in self._terms.items():
             out = [(exps, 1, 0)]
@@ -451,6 +451,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                        for exps_out, c, m in out for lowered, cj, mj in row]
             else:
                 for lowered, factor, m in out:
+                    if m not in pads:
+                        pads[m] = self._den ** (top - m)
                     factor *= pads[m]
                     re, im = _times_unit_power((factor * c_re, factor * c_im), m, 1, s)
                     add_parts(acc, (freq, lowered, r), re, im)

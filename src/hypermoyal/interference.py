@@ -26,12 +26,11 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidStateError, ValidationError
-from .scalars import (FLOAT_TOLERANCE, Sigma, _as_fraction, _cos_sin, _float, _num_msg, _num_str,
-                      as_sigma)
+from .scalars import (FLOAT_TOLERANCE, Record, Sigma, _as_fraction, _cos_sin, _float, _num_msg,
+                      _num_str, as_sigma)
 
 
 class Regime(enum.Enum):
@@ -127,19 +126,13 @@ class DichotomousContext:
         )
 
 
-@dataclass(frozen=True)
-class OutcomeReport:
-    """Classification of one outcome ``b_j``."""
+class OutcomeReport(Record):
+    """Classification of one outcome ``b_j``; ``interference`` is
+    ``lambda_j * D_j = (observed - classical) / 2``."""
 
-    observed: object
-    classical: object
-    d_squared: object
-    d: object
-    interference: object  # lambda_j * D_j = (observed - classical) / 2
-    regime: Regime
-    lam: float | None
-    sign: int | None
-    theta: float | None
+    def __init__(self, observed, classical, d_squared, d, interference, regime: Regime,
+                 lam: float | None, sign: int | None, theta: float | None):
+        self._set(observed, classical, d_squared, d, interference, regime, lam, sign, theta)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,16 +147,15 @@ class OutcomeReport:
         }
 
 
-@dataclass(frozen=True)
-class InterferenceReport:
+class InterferenceReport(Record):
     """Joint classification of both outcomes plus the normalization check.
 
     ``normalization_residual`` is ``sum_j lambda_j D_j``; it vanishes
     exactly whenever the observed marginal is normalized.
     """
 
-    outcomes: tuple
-    normalization_residual: object
+    def __init__(self, outcomes: tuple, normalization_residual):
+        self._set(outcomes, normalization_residual)
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,34 +211,29 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
     return InterferenceReport(tuple(outcomes), residual)
 
 
-@dataclass(frozen=True)
-class Amplitude2:
+class Amplitude2(Record):
     """Two-term amplitude ``sum_i signs_i * magnitudes_i * e^(u * phases_i)``.
 
     Magnitudes are ``sqrt(P(a_i) * P(b_j | a_i))``; signs are meaningful for
     the hyperbolic signature only (the complex phase absorbs them).
     """
 
-    magnitudes: tuple
-    phases: tuple
-    sigma: Sigma
-    signs: tuple = (1, 1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnitudes", tuple(self.magnitudes))
-        object.__setattr__(self, "phases", tuple(map(_float, self.phases)))
-        object.__setattr__(self, "sigma", as_sigma(self.sigma))
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if len(self.magnitudes) != 2 or len(self.phases) != 2 or len(self.signs) != 2:
+    def __init__(self, magnitudes: tuple, phases: tuple, sigma: Sigma, signs: tuple = (1, 1)):
+        magnitudes = tuple(magnitudes)
+        phases = tuple(map(_float, phases))
+        sigma = as_sigma(sigma)
+        signs = tuple(int(s) for s in signs)
+        if len(magnitudes) != 2 or len(phases) != 2 or len(signs) != 2:
             raise ValidationError("amplitudes are two-term superpositions")
-        if any(m < 0 for m in self.magnitudes):
+        if any(m < 0 for m in magnitudes):
             raise ValidationError("magnitudes must be nonnegative")
-        if any(s not in (-1, 1) for s in self.signs):
+        if any(s not in (-1, 1) for s in signs):
             raise ValidationError("signs must be +1 or -1")
-        if self.sigma is Sigma.COMPLEX and self.signs != (1, 1):
+        if sigma is Sigma.COMPLEX and signs != (1, 1):
             raise ValidationError(
                 "explicit signs are hyperbolic-only; fold them into the phases"
             )
+        self._set(magnitudes, phases, sigma, signs)
 
     def born_value(self):
         """``|z|^2 = z * conj(z)`` of the superposition (may be negative for sigma=+1)."""
@@ -305,8 +292,7 @@ def forward(amp_b1: Amplitude2, amp_b2: Amplitude2):
     return ctx, classify(ctx)
 
 
-@dataclass(frozen=True)
-class ThetaRange:
+class ThetaRange(Record):
     """Admissible hyperbolic interference strength for one outcome.
 
     ``cosh(theta)`` may range over ``[1, cosh_max]``; ``admissible`` is
@@ -314,10 +300,9 @@ class ThetaRange:
     outside ``[0, 1]`` (then the hyperbolic regime cannot occur at all).
     """
 
-    cosh_max: object
-    theta_max: float | None
-    admissible: bool
-    degenerate: bool = False
+    def __init__(self, cosh_max, theta_max: float | None, admissible: bool,
+                 degenerate: bool = False):
+        self._set(cosh_max, theta_max, admissible, degenerate)
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -432,13 +431,51 @@ def binarion_from_json(data, sigma: Sigma) -> Binarion:
     return Binarion(re, im, sigma)
 
 
-@dataclass(frozen=True)
-class HPolar:
+class Record:
+    """Base of the package's immutable records.
+
+    A record's fields are the parameters of its ``__init__``, in order,
+    which checks them and sets them through :meth:`_set`.
+    ``__match_args__``, equality between records of one class, the hash and
+    the ``Name(field=value, ...)`` repr follow from the field names;
+    assigning or deleting an attribute raises :class:`AttributeError`.
+    Copies and pickles restore the fields as set.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def _fields(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HPolar(Record):
     """Hyperbolic polar decomposition ``z = sign * modulus * e^(u*theta)``."""
 
-    sign: int
-    modulus: float
-    theta: float
+    def __init__(self, sign: int, modulus: float, theta: float):
+        self._set(sign, modulus, theta)
 
     def reconstruct(self) -> Binarion:
         """Approximate binarion the decomposition stands for."""

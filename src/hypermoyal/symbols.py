@@ -51,13 +51,12 @@ most :data:`KAPPA_ROW_TERMS` terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import add
 
 from .errors import DimensionMismatchError, ValidationError, json_field
-from .scalars import (Binarion, Sigma, _as_fraction, _json_int, _num_str, as_sigma,
+from .scalars import (Binarion, Record, Sigma, _as_fraction, _json_int, _num_str, as_sigma,
                       binarion_from_json, binarion_to_json)
 from .sparse import (DEFAULT_DEGREE_CAP, ScalarRing, SizedMap, SparseAlgebra, add_parts,
                      check_degree_cap, in_range, integer, nonnegative, power_factors, stored,
@@ -130,18 +129,15 @@ class HPoly(ScalarRing):
         return power_factors(("h",), (d,))[0]
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(Record):
     """A rational point ``(q, p)`` of the k-dimensional phase space."""
 
-    q: tuple
-    p: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(_as_fraction(x) for x in self.q))
-        object.__setattr__(self, "p", tuple(_as_fraction(x) for x in self.p))
-        if len(self.q) != len(self.p):
+    def __init__(self, q: tuple, p: tuple):
+        q = tuple(_as_fraction(x) for x in q)
+        p = tuple(_as_fraction(x) for x in p)
+        if len(q) != len(p):
             raise DimensionMismatchError("q and p must have the same length")
+        self._set(q, p)
 
     @property
     def dof(self) -> int:

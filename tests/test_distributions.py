@@ -742,6 +742,26 @@ def test_differentiate_multi_edge_cases():
                 f.differentiate_multi(order)
 
 
+def _peak_bytes(run) -> int:
+    """The traced peak of the memory ``run()`` allocates."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_differentiate_multi_memory_grows_with_the_result_not_the_order_squared():
+    """A one-term derivative of order n holds numbers of about n digits; a
+    table of the powers ``_den^(n - m)`` for every ``m`` would take 7 MB at
+    n = 10,000 and grow with the square of n."""
+    f = ExpPoly.character((Fraction(3, 2),), Sigma.HYPERBOLIC)
+    peaks = {n: _peak_bytes(lambda n=n: f.differentiate_multi((n,))) for n in (5_000, 10_000)}
+    assert peaks[10_000] < 1_000_000
+    assert peaks[10_000] / peaks[5_000] < 2.5
+
+
 # -- the memos of factor rows ---------------------------------------------------------------
 #
 # ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``

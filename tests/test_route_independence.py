@@ -14,13 +14,17 @@ also the one home of every input bound and of the degree-cap check that
 all three routes run.  Its one product loop, which every algebra class's
 ``*`` runs, is called by no route kernel.  The ring methods of
 :class:`~hypermoyal.scalars.Binarion` build their results only through its
-unchecked builder ``_exact``.
+unchecked builder ``_exact``.  No module imports :mod:`dataclasses` or
+:mod:`inspect`, which would add their import to every command's start.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -568,3 +572,54 @@ def test_json_guard_sees_what_it_forbids():
         "reader = json.loads\n"
     ).body
     assert _json_parsers(planted) == {"<import>", "_read_json", "<module>"}
+
+
+#: Modules the package does not import: ``dataclasses`` and the ``inspect`` it
+#: loads took about 5.7 ms of every CLI process's start.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+MODULES = ["hypermoyal"] + [
+    f"hypermoyal.{m.name}" for m in pkgutil.iter_modules(hypermoyal.__path__)]
+
+
+def _imported_modules(tree) -> set:
+    """The top-level names of the modules ``tree`` imports, relative imports
+    left out."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_dataclasses_or_inspect(name):
+    assert _imported_modules(_tree(importlib.import_module(name))) & SLOW_IMPORTS == set()
+
+
+def test_slow_import_guard_sees_what_it_forbids():
+    assert {"fractions", "math"} <= _imported_modules(_tree(symbols))
+    planted = _tree(symbols)
+    planted.body.insert(0, ast.parse("from dataclasses import dataclass").body[0])
+    assert _imported_modules(planted) & SLOW_IMPORTS == {"dataclasses"}
+
+
+def _fresh_modules(code: str) -> set:
+    """The modules a fresh interpreter holds after running ``code``."""
+    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_no_import_loads_dataclasses_or_inspect():
+    """Compared with a bare interpreter, so that a module a site hook loads
+    does not decide the test."""
+    added = _fresh_modules("\n".join(f"import {name}" for name in MODULES)) - _fresh_modules("")
+    assert "hypermoyal.cli" in added and "hypermoyal.interference" in added
+    assert added & SLOW_IMPORTS == set()
