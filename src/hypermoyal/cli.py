@@ -150,13 +150,10 @@ def _cmd_interfere(args):
 
     report_rows = []
     for row_number, ctx in intf.contexts_from_csv(args.csv):
-        report_rows.append(
-            {
-                "row": row_number,
-                "report": intf.classify(ctx).to_json_dict(),
-                "theta_range": [r.to_json_dict() for r in intf.theta_range(ctx.p_a, ctx.cond)],
-            }
-        )
+        report = intf.classify(ctx)
+        ranges = [intf._cosh_range(o.classical, o.d_squared, o.d) for o in report.outcomes]
+        report_rows.append({"row": row_number, "report": report.to_json_dict(),
+                            "theta_range": [r.to_json_dict() for r in ranges]})
 
     def csv():
         lines = ["row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual"]

@@ -16,9 +16,11 @@ theta range a real constraint (:func:`theta_range`).
 
 Probabilities may be exact rationals (decimal text in CSV files is parsed
 exactly) or floats; regime decisions are exact in rational mode and use a
-``1e-12`` tolerance in float mode.  An outcome's classical mixture and
-``D_j^2`` come from :func:`_mixture`; the ``cos`` or ``cosh`` of a Born
-value from :func:`hypermoyal.scalars._cos_sin`, the one place that picks it.
+``1e-12`` tolerance in float mode.  :func:`_outcome` reads an outcome's
+classical mixture, ``D_j^2`` and ``D_j`` once, and :func:`_cosh_range` builds
+its admissible theta range from those three.  The ``cos`` or ``cosh`` of a
+Born value comes from :func:`hypermoyal.scalars._cos_sin`, the one place that
+picks it.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ def _check_probabilities(names, values, where=""):
             raise ValidationError(f"{name} = {_num_msg(value)} outside [0, 1]{where}")
 
 
-def _mixture(p_a, cond, j: int) -> tuple:
-    """Outcome ``b_j``'s classical mixture ``sum_i P(b_j|a_i) P(a_i)`` and
-    ``D_j^2 = prod_i P(b_j|a_i) P(a_i)``."""
+def _outcome(p_a, cond, j: int) -> tuple:
+    """Outcome ``b_j``'s classical mixture ``sum_i P(b_j|a_i) P(a_i)``,
+    ``D_j^2 = prod_i P(b_j|a_i) P(a_i)`` and ``D_j``."""
     first = cond[j][0] * p_a[0]
-    return first + cond[j][1] * p_a[1], first * cond[j][1] * p_a[1]
+    d_squared = first * cond[j][1] * p_a[1]
+    return first + cond[j][1] * p_a[1], d_squared, _sqrt(d_squared)
 
 
 class DichotomousContext:
@@ -174,8 +177,7 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
     outcomes = []
     residual = Fraction(0) if ctx.exact else 0.0
     for j in range(2):
-        classical, d_squared = _mixture(ctx.p_a, ctx.cond, j)
-        d = _sqrt(d_squared)
+        classical, d_squared, d = _outcome(ctx.p_a, ctx.cond, j)
         deviation = ctx.observed[j] - classical
         interference = deviation / 2
         residual = residual + interference
@@ -193,7 +195,7 @@ def classify(ctx: DichotomousContext) -> InterferenceReport:
                 theta = math.acosh(max(abs(_float(lam)), 1.0))
                 regime = Regime.HYPERBOLIC
             else:
-                theta = math.acos(min(1.0, max(-1.0, float(lam))))
+                theta = math.acos(min(1.0, max(-1.0, _float(lam))))
                 regime = Regime.TRIGONOMETRIC
         outcomes.append(
             OutcomeReport(
@@ -327,21 +329,19 @@ def theta_range(p_a, cond) -> tuple:
     p_a = tuple(p_a)
     cond = tuple(tuple(r) for r in cond)
     _check_probabilities(_NAMES, p_a + cond[0] + cond[1])
-    out = []
-    for j in range(2):
-        classical, d_squared = _mixture(p_a, cond, j)
-        if d_squared == 0:
-            out.append(
-                ThetaRange(cosh_max=None, theta_max=None, admissible=False, degenerate=True)
-            )
-            continue
-        d = _sqrt(d_squared)
-        headroom = min(classical, 1 - classical)
-        cosh_max = headroom / (2 * d)
-        admissible = headroom * headroom >= 4 * d_squared  # exact, as in classify
-        theta_max = math.acosh(max(_float(cosh_max), 1.0)) if admissible else None
-        out.append(ThetaRange(cosh_max, theta_max, admissible))
-    return tuple(out)
+    return tuple(_cosh_range(*_outcome(p_a, cond, j)) for j in range(2))
+
+
+def _cosh_range(classical, d_squared, d) -> ThetaRange:
+    """:func:`theta_range` of one outcome from the mixture, ``D^2`` and ``D``
+    that :func:`_outcome` reads and :class:`OutcomeReport` keeps."""
+    if d_squared == 0:
+        return ThetaRange(cosh_max=None, theta_max=None, admissible=False, degenerate=True)
+    headroom = min(classical, 1 - classical)
+    cosh_max = headroom / (2 * d)
+    admissible = headroom * headroom >= 4 * d_squared  # exact, as in classify
+    theta_max = math.acosh(max(_float(cosh_max), 1.0)) if admissible else None
+    return ThetaRange(cosh_max, theta_max, admissible)
 
 
 def _parse_csv_value(text: str, row: int):

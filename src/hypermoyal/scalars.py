@@ -538,5 +538,5 @@ def polar(z: Binarion) -> HPolar:
         )
     sign = 1 if z.re > 0 else -1
     modulus = math.sqrt(_float(ms))
-    theta = math.atanh(float(z.im / z.re))
+    theta = math.atanh(_float(z.im / z.re))
     return HPolar(sign=sign, modulus=modulus, theta=theta)

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,10 +20,13 @@ from hypermoyal import (
     Sigma,
     Ultradistribution,
     WaveFunction,
+    contexts_from_csv,
+    theta_range,
 )
 from hypermoyal.cli import MAX_STEPS, main
 from hypermoyal.grassmann import MAX_WITNESS_GENERATORS
 from hypermoyal.parsing import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
+from test_interference import _near_boundary_tables
 
 H = Sigma.HYPERBOLIC
 
@@ -632,6 +636,77 @@ def test_interfere_malformed_probability(tmp_path, capsys):
     code, _, err = run(capsys, "interfere", str(path))
     assert code == 2
     assert "row 1" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_interfere_takes_one_square_root_per_outcome(tmp_path, monkeypatch, capsys, fmt):
+    """The theta ranges come from the classification of each row, so each
+    outcome's ``D`` is taken once, the degenerate ``D = 0`` included."""
+    from hypermoyal import interference
+
+    rows = CSV_ROWS + "0.5,0,0.5,0.25\n"  # outcome 1 of the last row has D = 0
+    path = tmp_path / "tables.csv"
+    path.write_text(rows, encoding="utf-8")
+    sqrt, calls = interference._sqrt, []
+
+    def counting(value):
+        calls.append(value)
+        return sqrt(value)
+
+    monkeypatch.setattr(interference, "_sqrt", counting)
+    code, out, err = run(capsys, "interfere", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "degenerate" in out
+    assert len(calls) == 2 * rows.count("\n")
+
+
+def _oracle_table(seed: int) -> list:
+    """About 200 rows of four cells: decimal and fraction text mixed, every
+    eighth row with a 0 or 1 that makes ``D = 0`` for one or both outcomes,
+    and the near-boundary tables of the ``theta_range`` tests."""
+    rng = random.Random(seed)
+
+    def cell():
+        if rng.random() < 0.5:
+            return str(Fraction(rng.randint(0, 20), 20))
+        return f"0.{rng.randint(0, 999):03d}"
+
+    rows = []
+    for n in range(160):
+        cells = [cell() for _ in range(4)]
+        if n % 8 == 0:
+            cells[rng.randrange(3)] = rng.choice(("0", "1"))
+        rows.append(cells)
+    for p_a, cond in _near_boundary_tables(seed, 40):
+        rows.append([str(p_a[0]), str(cond[0][0]), str(cond[0][1]), cell()])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_interfere_ranges_equal_theta_range(tmp_path, capsys):
+    """Each row's ``theta_range`` entries of the JSON report and ``cosh_max``
+    cells of the CSV report equal the public :func:`theta_range` of the
+    context that :func:`contexts_from_csv` reads from the same file."""
+    path = tmp_path / "tables.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in _oracle_table(30)),
+                    encoding="utf-8")
+    expected = {row: [r.to_json_dict() for r in theta_range(ctx.p_a, ctx.cond)]
+                for row, ctx in contexts_from_csv(path)}
+    code, out, _ = run(capsys, "interfere", str(path))
+    assert code == 0
+    assert {entry["row"]: entry["theta_range"] for entry in json.loads(out)} == expected
+    code, out, _ = run(capsys, "interfere", str(path), "--format", "csv")
+    assert code == 0
+    cells = {}
+    for line in out.splitlines()[1:]:
+        row, _, *rest = line.split(",")
+        cells.setdefault(int(row), []).append(rest[6])
+    assert cells == {row: ["" if r["cosh_max"] is None else r["cosh_max"] for r in ranges]
+                     for row, ranges in expected.items()}
+    ranges = [r for entry in expected.values() for r in entry]
+    assert len(expected) == 200
+    assert {(r["degenerate"], r["admissible"]) for r in ranges} == {
+        (True, False), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize(
