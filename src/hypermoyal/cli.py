@@ -160,10 +160,10 @@ def _cmd_interfere(args):
         for entry in report_rows:
             report = entry["report"]
             for j, (o, bound) in enumerate(zip(report["outcomes"], entry["theta_range"]), 1):
-                cells = [entry["row"], j, o["observed"], o["classical"], o["d"], o["lambda"],
-                         o["regime"], o["theta"], bound["cosh_max"],
+                cells = [_num_str(entry["row"]), _num_str(j), o["observed"], o["classical"], o["d"],
+                         o["lambda"], o["regime"], o["theta"], bound["cosh_max"],
                          report["normalization_residual"]]
-                lines.append(",".join("" if c is None else str(c) for c in cells))
+                lines.append(",".join("" if c is None else c for c in cells))
         return "\n".join(lines) + "\n"
 
     return 0, {"json": lambda: report_rows, "csv": csv}
@@ -220,7 +220,7 @@ def _cmd_selftest(args):
 
     def text():
         lines = [
-            f"[{'PASS' if c['passed'] else 'FAIL'}] {c['id']:>2}. {c['name']} "
+            f"[{'PASS' if c['passed'] else 'FAIL'}] {_num_str(c['id']):>2}. {c['name']} "
             f"({c['cases']} cases, {c['failures']} failures)"
             for c in report["criteria"]
         ]

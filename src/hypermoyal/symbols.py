@@ -40,12 +40,11 @@ other.
 
 Inside the kernel each monomial ``(alpha, beta, hdeg)`` is one packed int,
 with fields whose width is the bit length of the operands' summed total
-degree, which bounds every exponent of the result (see :func:`star`).  So
-adding two monomials is one int addition and a kappa term one more, by a
-precomputed shift; the result's keys are decoded once, at the end.  The
-kappa row of an exponent pair is built once per process and memoized by
-pair, width and ring, no coefficient, up to :data:`KAPPA_ROWS` rows of at
-most :data:`KAPPA_ROW_TERMS` terms.
+degree, which bounds every exponent of the result (see :func:`star`).  So a
+pair's pointwise product, ``kappa = 0``, is one int addition and a kappa term
+one more, by a precomputed shift; the keys are decoded once, at the end.  Only
+exponents that overlap somewhere have a row of ``kappa >= 1`` terms, memoized by
+pair, width and ring within the bounds :data:`KAPPA_ROWS` and :data:`KAPPA_ROW_TERMS`.
 """
 
 from __future__ import annotations
@@ -427,21 +426,21 @@ def _flatten(symbol: PolySymbol, w: int):
 #: process meets its shapes only, 1,254 rows in a star-wide batch, 233-262
 #: in operator-route, 176 in ``selftest --fast`` and 525 in a full selftest.
 KAPPA_ROWS = 4096
-#: Most terms of a memoized kappa row.  A row has ``prod(min(beta1_i,
-#: alpha2_i) + 1)`` terms: at most 12 in star-wide, 8 in a full selftest and
-#: 17 for one degree of freedom under the default degree cap, but 256 for
-#: ``beta1 = alpha2 = (1,)*8`` (45 KB).  At 180 bytes a term, the most
-#: measured, a full memo holds at most 4,096 * 32 * 180 B, about 24 MB.
+#: Most multi-indices of a memoized row's pair, ``prod(min(beta1_i, alpha2_i)
+#: + 1)``; its row holds all but ``kappa = 0``: at most 11 terms in star-wide,
+#: 7 in a full selftest and 8 for one degree of freedom under the default cap,
+#: but 255 for ``beta1 = alpha2 = (1,)*8`` (42 KB).  At 195 bytes a term, the
+#: most measured, a full memo holds at most 4,096 * 31 * 195 B, about 25 MB.
 KAPPA_ROW_TERMS = 32
-#: The row of every pair that overlaps in no coordinate, never memoized.
-_KAPPA_ZERO = ((0, 0, 1),)
+#: Bit ``i`` of ``_support(v)`` is set where ``v[i] > 0``; memoized, as rows are.
+_support = lru_cache(maxsize=KAPPA_ROWS)(lambda v: sum(1 << i for i, e in enumerate(v) if e))
 
 
 @lru_cache(maxsize=KAPPA_ROWS)
 def _structure_constants(beta1, alpha2, units, s: int) -> tuple:
-    """:func:`_kappa_row`, memoized; ``()`` in place of a row longer than
-    :data:`KAPPA_ROW_TERMS`, whose length is known before it is built and
-    which the caller builds each time."""
+    """:func:`_kappa_row` of a pair that overlaps in some coordinate, memoized;
+    ``()`` in place of a row whose pair has more than :data:`KAPPA_ROW_TERMS`
+    multi-indices, counted before it is built, which the caller builds."""
     if math.prod(min(b, a) + 1 for b, a in zip(beta1, alpha2)) > KAPPA_ROW_TERMS:
         return ()
     return _kappa_row(beta1, alpha2, units, s)
@@ -450,8 +449,8 @@ def _structure_constants(beta1, alpha2, units, s: int) -> tuple:
 def _kappa_row(beta1, alpha2, units, s: int) -> tuple:
     """The kappa terms of one monomial pair ``p^beta1 ⋆ q^alpha2``, packed.
 
-    Lists ``(delta, |kappa| odd, c)`` for ``kappa <= min(beta1, alpha2)``
-    componentwise, ``kappa = 0`` first.  ``delta = sum kappa_i * units[i]``
+    Lists ``(delta, |kappa| odd, c)`` for ``0 < kappa <= min(beta1, alpha2)``
+    componentwise; the caller adds ``kappa = 0``.  ``delta = sum kappa_i * units[i]``
     moves a packed key by ``-kappa`` on the q and p fields and by
     ``+|kappa|`` on the ``h`` field.  ``c = s^(|kappa| + |kappa|//2) * prod
     C(beta1_i, kappa_i) * alpha2_i!/(alpha2_i - kappa_i)!`` is the integer
@@ -468,8 +467,8 @@ def _kappa_row(beta1, alpha2, units, s: int) -> tuple:
                 (j * unit, j, math.comb(b, j) * math.perm(a, j)) for j in range(min(b, a) + 1)
             ]
             out = [(delta + dj, n + j, c * cj) for delta, n, c in out for dj, j, cj in factors]
-    return tuple(
-        (delta, n & 1, c if s > 0 or (n + n // 2) % 2 == 0 else -c) for delta, n, c in out
+    return tuple(  # out[0] is kappa = 0
+        (delta, n & 1, c if s > 0 or (n + n // 2) % 2 == 0 else -c) for delta, n, c in out[1:]
     )
 
 
@@ -488,28 +487,39 @@ def _accumulate(acc: dict, left, right, units, s: int, sign: int, start: int):
     maps packed keys to ``[re_num, im_num]`` over the product of their
     denominators.  A term pair's monomial is ``key1 + key2`` and each of its
     kappa terms lands on ``key1 + key2 + delta``: no exponent tuple is built
-    in the loop.  The kappa rows of this call are tabled by the beta id of
-    ``left`` and the alpha id of ``right``; ``start=1`` drops ``kappa = 0``
-    and ``sign`` negates each left coefficient.
+    in the loop.  A pair adds its pointwise product, ``kappa = 0``, unless
+    ``start=1``, then its row of ``kappa >= 1`` terms, tabled by beta and alpha
+    id, ``()`` where they overlap nowhere; ``sign`` negates left coefficients.
     """
     _, left_terms, betas, _ = left
     _, right_terms, _, alphas = right
+    alpha_masks = list(map(_support, alphas))
     table = [
-        [(_structure_constants(beta1, alpha2, units, s) or _kappa_row(beta1, alpha2, units, s)
-          if any(map(min, beta1, alpha2)) else _KAPPA_ZERO)[start:] for alpha2 in alphas]
-        for beta1 in betas
+        [_structure_constants(beta1, alpha2, units, s) or _kappa_row(beta1, alpha2, units, s)
+         if mask1 & mask2 else () for alpha2, mask2 in zip(alphas, alpha_masks)]
+        for beta1, mask1 in zip(betas, map(_support, betas))
     ]
     for key1, b1, _, r1, i1 in left_terms:
         if sign < 0:
             r1, i1 = -r1, -i1
+        si1 = s * i1
         row = table[b1]
         for key2, _, a2, r2, i2 in right_terms:
             kappas = row[a2]
-            if not kappas:
+            if start and not kappas:
                 continue
             key = key1 + key2
-            re = r1 * r2 + s * i1 * i2
+            re = r1 * r2 + si1 * i2
             im = r1 * i2 + i1 * r2
+            if not start:  # kappa = 0, with factor 1: the pointwise product
+                entry = acc.get(key)
+                if entry is None:
+                    acc[key] = [re, im]
+                else:
+                    entry[0] += re
+                    entry[1] += im
+            if not kappas:
+                continue
             sim = s * im
             for delta, odd, c in kappas:
                 if odd:  # times u: re + u*im -> s*im + u*re

@@ -1,0 +1,95 @@
+"""Exhaustive basis oracles for the series star kernel.
+
+``star`` and ``scaled_bracket`` are bilinear, so an identity that holds on
+every pair of basis monomials ``c * q^alpha p^beta`` up to a degree holds on
+every symbol of that degree.  The random oracles of ``test_symbols`` sample
+the kappa rows of low exponents only; these sweeps enumerate every pair, so
+they reach each row the degree bound allows, the high rows included.
+
+* **Series against the distributional route.**  ``star(a, b)`` is a
+  polynomial in ``h`` of degree at most ``D = sum_i min(beta_a_i,
+  alpha_b_i)``.  It is checked to be so, and to equal
+  ``star_distributional(a, b, h)`` at ``D + 1`` distinct values of ``h``: an
+  identity in ``h``, not a sample of it.
+* **Classical limit.**  On the same pairs, the ``h``-constant part of
+  ``scaled_bracket`` equals ``poisson_bracket``.
+
+The left monomials carry ``1 + 2u`` and the right ones ``3 - u``: both parts
+of both coefficients are nonzero, so a fault that drops or swaps a part of
+the product of two binarions shows, which a coefficient of 1 cannot see.
+The cases are enumerated, never drawn, and their counts are pinned.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from hypermoyal import (
+    Binarion,
+    ExpPoly,
+    PolySymbol,
+    Sigma,
+    poisson_bracket,
+    scaled_bracket,
+    star,
+    star_distributional,
+)
+
+SIGMAS = (Sigma.HYPERBOLIC, Sigma.COMPLEX)
+
+#: ``(k, degree)``: every monomial in ``k`` degrees of freedom up to the
+#: degree.  ``p1^8 ⋆ q1^8`` reaches the default degree cap, 16.
+SHAPES = [(1, 8), (2, 4), (3, 3)]
+
+#: Distinct values of ``h``, enough for the largest ``D``, 8.
+H_VALUES = [Fraction(j, 2) for j in range(1, 10)]
+
+#: Per shape: monomials per side, and comparisons of the two routes per ring,
+#: ``sum over pairs of (D + 1)``.
+MONOMIALS = {(1, 8): 45, (2, 4): 70, (3, 3): 84}
+COMPARISONS = {(1, 8): 4917, (2, 4): 7852, (3, 3): 9558}
+
+
+def _basis(k: int, degree: int, coeff, sigma) -> list:
+    """Every monomial ``coeff * q^alpha p^beta`` with ``|alpha| + |beta| <=
+    degree``, as ``(alpha, beta, symbol, the symbol as an ExpPoly)``."""
+    out = []
+    for exps in product(range(degree + 1), repeat=2 * k):
+        if sum(exps) <= degree:
+            symbol = PolySymbol.monomial(exps[:k], exps[k:], coeff, sigma)
+            out.append((exps[:k], exps[k:], symbol, ExpPoly.from_poly_symbol(symbol)))
+    return out
+
+
+def _sides(k: int, degree: int, sigma) -> tuple:
+    return (_basis(k, degree, Binarion(1, 2, sigma), sigma),
+            _basis(k, degree, Binarion(3, -1, sigma), sigma))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"k{k}-degree{d}" for k, d in SHAPES])
+def test_series_star_equals_the_distributional_route_on_every_basis_pair(shape, sigma):
+    left, right = _sides(*shape, sigma)
+    assert len(left) == len(right) == MONOMIALS[shape]
+    compared, failures = 0, []
+    for _, beta, a, ea in left:
+        for alpha, _, b, eb in right:
+            series = star(a, b)
+            top = sum(map(min, beta, alpha))
+            assert max((d for _, _, d in series._terms), default=0) <= top
+            for h in H_VALUES[:top + 1]:
+                compared += 1
+                if ExpPoly.from_poly_symbol(series, h) != star_distributional(ea, eb, h):
+                    failures.append((a.to_text(), b.to_text(), h))
+    assert failures == []
+    assert compared == COMPARISONS[shape]
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"k{k}-degree{d}" for k, d in SHAPES])
+def test_classical_limit_of_scaled_bracket_on_every_basis_pair(shape, sigma):
+    left, right = _sides(*shape, sigma)
+    failures = [(a.to_text(), b.to_text()) for _, _, a, _ in left for _, _, b, _ in right
+                if scaled_bracket(a, b).h_constant_part() != poisson_bracket(a, b)]
+    assert failures == []

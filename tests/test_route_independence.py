@@ -173,7 +173,7 @@ def test_normal_ordered_route_does_not_differentiate_exppolys():
 @pytest.mark.parametrize(
     "kernel",
     ["_flatten", "_commutator_integers", "_structure_constants", "_kappa_row", "_accumulate",
-     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "KAPPA_ROWS",
+     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "_support", "KAPPA_ROWS",
      "KAPPA_ROW_TERMS"],
 )
 def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
@@ -183,7 +183,7 @@ def test_poisson_bracket_does_not_use_the_star_kernel(kernel):
 @pytest.mark.parametrize(
     "kernel",
     ["_flatten", "_structure_constants", "_kappa_row", "_accumulate", "star", "substitute_h",
-     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "KAPPA_ROWS",
+     "_common_denominator", "_kappa_units", "_unpacked", "_KAPPA_ZERO", "_support", "KAPPA_ROWS",
      "KAPPA_ROW_TERMS", *DERIVATIVE_HELPERS, *AXIS_HELPERS, "differentiate_multi"],
 )
 def test_distributional_star_does_not_use_the_series_or_operator_kernels(kernel):
@@ -234,7 +234,7 @@ def test_guard_sees_what_it_forbids():
     for helper in ("_kappa_units", "_unpacked"):
         assert helper in _names(_function(symbols, "star"))
         assert helper in _names(_function(symbols, "_commutator_integers"))
-    assert {"_structure_constants", "_kappa_row", "_KAPPA_ZERO"} <= _names(
+    assert {"_structure_constants", "_kappa_row", "_support"} <= _names(
         _function(symbols, "_accumulate"))
     assert {"KAPPA_ROWS", "KAPPA_ROW_TERMS", "_kappa_row"} <= _names(
         _function(symbols, "_structure_constants"))

@@ -539,8 +539,8 @@ def test_memoized_rows_are_tuples_and_pairs_without_overlap_are_not_memoized():
     row = symbols._structure_constants((2, 1), (1, 3), units, -1)
     assert symbols._structure_constants((2, 1), (1, 3), units, -1) is row
     assert isinstance(row, tuple) and all(isinstance(term, tuple) for term in row)
-    assert row[0] == symbols._KAPPA_ZERO[0] and len(row) == 2 * 2
-    assert isinstance(symbols._KAPPA_ZERO, tuple)
+    # kappa = 0, whose delta is 0, is added outside the row
+    assert len(row) == 2 * 2 - 1 and all(delta for delta, _, _ in row)
     symbols._structure_constants.cache_clear()
     q1, p1 = qp(H, 2)
     assert star(q1, p1) == q1 * p1 and moyal_bracket(q1 * q1, q1).is_zero()
@@ -584,12 +584,14 @@ def test_memo_keeps_no_row_above_the_term_bound(monkeypatch):
     assert symbols._structure_constants.cache_info().hits == 1
     assert once == twice and len(once.terms()) == 256
     monkeypatch.setattr(symbols, "KAPPA_ROW_TERMS", 256)
+    symbols._structure_constants.cache_clear()  # the slot still holds ()
     assert star(a, b) == once  # the same product from a memoized row
+    assert len(kept) == 2 and len(kept[1]) == 2**8 - 1  # every kappa but 0
 
 
 def test_every_row_of_the_star_wide_shapes_is_memoized(monkeypatch):
     """The largest shapes of perfbench's star-wide ladder per degree of
-    freedom; their longest rows have 12 terms."""
+    freedom; their longest rows have 11 terms, kappa = 0 left out."""
     pairs = [
         ("(q1+2*p1+1)^8", "(3*q1+p1)^8"),
         ("(q1+q2+p1+p2)^6", "(q1+2*q2+p1+p2+j)^5"),
@@ -599,7 +601,7 @@ def test_every_row_of_the_star_wide_shapes_is_memoized(monkeypatch):
     for x, y in pairs:
         a, b = parse_symbol(x, H), parse_symbol(y, H)
         star(a, b), scaled_bracket(a, b)
-    assert all(kept) and max(map(len, kept)) == 12 <= KAPPA_ROW_TERMS
+    assert all(kept) and max(map(len, kept)) == 11 < KAPPA_ROW_TERMS
 
 
 def test_full_selftest_shapes_fill_under_a_quarter_of_the_memo():
