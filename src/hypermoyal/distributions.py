@@ -126,7 +126,7 @@ class CharSum(ScalarRing):
         return self._binarions().get(Fraction(0), Binarion.zero(self.sigma))
 
     def conjugate(self) -> "CharSum":
-        return self._new({-r: (re, -im) for r, (re, im) in self._terms.items()}, self._cden)
+        return self._new(((-r, (re, -im)) for r, (re, im) in self._terms.items()), self._cden)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -225,11 +225,11 @@ class _CharSumTerms(SizedMap):
         }
 
     @classmethod
-    def _make(cls, size, sigma, terms: dict, cden: int = 1, den: int = 1):
+    def _make(cls, size, sigma, pairs, cden: int = 1, den: int = 1):
         """:meth:`SparseMap._make`, then with the vector and ``r`` parts of the
         keys, numerators over ``den``, reduced to the least common
         denominator."""
-        out = super()._make(size, sigma, terms, cden)
+        out = super()._make(size, sigma, pairs, cden)
         g = den
         for vector, _, r in out._terms:
             if g == 1:
@@ -244,8 +244,8 @@ class _CharSumTerms(SizedMap):
         out._den = den
         return out
 
-    def _new(self, terms: dict, cden: int, den: int = None):
-        return self._make(self._size, self.sigma, terms, cden, self._den if den is None else den)
+    def _new(self, pairs, cden: int, den: int = None):
+        return self._make(self._size, self.sigma, pairs, cden, self._den if den is None else den)
 
     def _at(self, den: int):
         """This element with its vector and ``r`` parts over ``den``, a multiple
@@ -277,7 +277,7 @@ class _CharSumTerms(SizedMap):
             groups.setdefault((vector, orders), {})[Fraction(r, den)] = value
         return [
             ((tuple(Fraction(n, den) for n in head[0]), head[1]),
-             CharSum._make(None, sigma, groups[head], cden))
+             CharSum._make(None, sigma, groups[head].items(), cden))
             for head in sorted(groups)
         ]
 
@@ -373,7 +373,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         for (alpha, beta, d), (re, im) in symbol._terms.items():
             c = hn**d * hd ** (top - d)  # h^d over hd^top
             add_parts(acc, (freq, alpha + beta, 0), c * re, c * im)
-        return cls._make(dim, symbol.sigma, acc, symbol._cden * hd**top)
+        return cls._make(dim, symbol.sigma, acc.items(), symbol._cden * hd**top)
 
     _constant_key = PolySymbol._constant_key
 
@@ -409,7 +409,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             f = freq[index]
             if f:  # times u f / den: x + u*y -> f (s*y + u*x)
                 add_parts(acc, (freq, exps, r), f * s * im, f * re)
-        return self._new(acc, self._cden * den)
+        return self._new(acc.items(), self._cden * den)
 
     def differentiate_multi(self, order) -> "ExpPoly":
         """Exact mixed partial derivative ``d^order``, in closed form.
@@ -456,7 +456,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
                     factor *= pads[m]
                     re, im = _times_unit_power((factor * c_re, factor * c_im), m, 1, s)
                     add_parts(acc, (freq, lowered, r), re, im)
-        return self._new(acc, self._cden * self._den**top)
+        return self._new(acc.items(), self._cden * self._den**top)
 
     def shift(self, offset) -> "ExpPoly":
         """Exact substitution ``x -> x + offset`` for a rational offset vector.
@@ -485,7 +485,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             for choice in iter_product(*expansions):
                 c = math.prod(x for _, x, _ in choice) * pads[sum(m for _, _, m in choice)]
                 add_parts(acc, (freq, tuple(j for j, _, _ in choice), phase), c * re, c * im)
-        return self._new(acc, self._cden * q**top, self._den * q)
+        return self._new(acc.items(), self._cden * q**top, self._den * q)
 
     def evaluate(self, point) -> CharSum:
         """Exact evaluation at a rational point; characters stay formal."""
@@ -498,7 +498,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             if mono:
                 phase = Fraction(r + sum(map(mul, freq, point)), self._den)
                 values.append((phase, coeff * mono))
-        return CharSum._make(None, self.sigma, *stored(values))
+        terms, cden = stored(values)
+        return CharSum._make(None, self.sigma, terms.items(), cden)
 
     # -- rendering ----------------------------------------------------------------------
 
@@ -599,7 +600,7 @@ class Ultradistribution(_CharSumTerms):
             raised = list(order)
             raised[axis] += 1
             out[(loc, tuple(raised), r)] = w
-        return self._new(out, self._cden)
+        return self._new(out.items(), self._cden)
 
     def derivative_multi(self, order) -> "Ultradistribution":
         """Raise every atom's derivative order by ``order`` in one pass.
@@ -611,9 +612,9 @@ class Ultradistribution(_CharSumTerms):
         for axis, n in enumerate(map(integer, order)):
             if n > 0:
                 raised[in_range(axis, self.dim, "axis", "dim {}")] = n
-        return self._new({
-            (loc, tuple(map(add, o, raised)), r): w for (loc, o, r), w in self._terms.items()
-        }, self._cden)
+        return self._new((
+            ((loc, tuple(map(add, o, raised)), r), w) for (loc, o, r), w in self._terms.items()
+        ), self._cden)
 
     def mul_monomial(self, exponents) -> "Ultradistribution":
         """Multiply by ``x^exponents``, expanded on atoms via the Leibniz rule.
@@ -646,7 +647,7 @@ class Ultradistribution(_CharSumTerms):
                 if sum(kappa) % 2:
                     scalar = -scalar
                 add_parts(acc, (loc, new_order, r), scalar * w_re, scalar * w_im)
-        return self._new(acc, self._cden * self._den ** sum(exponents))
+        return self._new(acc.items(), self._cden * self._den ** sum(exponents))
 
     def pair(self, f: ExpPoly) -> CharSum:
         """Exact pairing with a test function: ``(delta^(n)_x0, f) = (-1)^|n| (d^n f)(x0)``."""
@@ -672,9 +673,9 @@ class Ultradistribution(_CharSumTerms):
         Each atom ``(x0, n, w)`` contributes ``w * (-u*y)^n * exp(u*<y, x0>)``.
         """
         s = self.sigma.value
-        return ExpPoly._make(self.dim, self.sigma, {
-            key: _times_unit_power(w, sum(key[1]), -1, s) for key, w in self._terms.items()
-        }, self._cden, self._den)
+        return ExpPoly._make(self.dim, self.sigma, (
+            (key, _times_unit_power(w, sum(key[1]), -1, s)) for key, w in self._terms.items()
+        ), self._cden, self._den)
 
     def tensor(self, other: "Ultradistribution") -> "Ultradistribution":
         self._check_sigma(other)
@@ -722,9 +723,9 @@ def inverse_fourier_symbol(a, h=None) -> Ultradistribution:
     if a.dim % 2:
         raise DimensionMismatchError("phase-space symbols need even dimension")
     s = a.sigma.value  # -1/u = -s*u
-    return Ultradistribution._make(a.dim, a.sigma, {
-        key: _times_unit_power(coeff, sum(key[1]), -s, s) for key, coeff in a._terms.items()
-    }, a._cden, a._den)
+    return Ultradistribution._make(a.dim, a.sigma, (
+        (key, _times_unit_power(coeff, sum(key[1]), -s, s)) for key, coeff in a._terms.items()
+    ), a._cden, a._den)
 
 
 def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
@@ -907,7 +908,7 @@ def star_distributional(a, b, h, degree_cap: int = None) -> ExpPoly:
                 re, im = _times_unit_power((re, im), sum(order), -1, s)  # times (-u)^n
                 add_parts(acc, (loc, order, phase), re, im)
     den = wa * wb * hd ** (big_a + big_b) * da**big_b * db**big_a
-    return ExpPoly._make(2 * k, sigma, acc, den, hd * da * db)
+    return ExpPoly._make(2 * k, sigma, acc.items(), den, hd * da * db)
 
 
 def paley_wiener_growth(f: ExpPoly, n_max: int) -> tuple[float, float]:

@@ -134,10 +134,11 @@ class GrassmannElement(SizedMap, SparseAlgebra):
         return Parity.EVEN
 
     def even_part(self) -> "GrassmannElement":
-        return self._new({m: c for m, c in self._terms.items() if not m.bit_count() % 2}, self._cden)
+        return self._new(((m, c) for m, c in self._terms.items() if not m.bit_count() % 2),
+                         self._cden)
 
     def odd_part(self) -> "GrassmannElement":
-        return self._new({m: c for m, c in self._terms.items() if m.bit_count() % 2}, self._cden)
+        return self._new(((m, c) for m, c in self._terms.items() if m.bit_count() % 2), self._cden)
 
     # -- algebra -----------------------------------------------------------------
 

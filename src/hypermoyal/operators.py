@@ -360,7 +360,8 @@ class Operator:
                         key = (freq, tuple(map(add, lowered, alpha)), r)
                         dx, dy = (c * s * y, c * x) if odd else (c * x, c * y)
                         add_parts(acc, key, dx, dy)
-        return WaveFunction(ExpPoly._make(self.dof, sigma, acc, d_s * d_w * f_den**big_m, f_den), h)
+        den = d_s * d_w * f_den**big_m
+        return WaveFunction(ExpPoly._make(self.dof, sigma, acc.items(), den, f_den), h)
 
     def apply_shift_form(self, phi: WaveFunction, degree_cap: int = None) -> WaveFunction:
         """Route through the symbol's distribution.
@@ -430,7 +431,8 @@ class Operator:
                         phase + rho,
                     )
                     add_parts(acc, key, c_re * re + s * c_im * im, c_re * im + c_im * re)
-        return WaveFunction(ExpPoly._make(k, sigma, acc, d_a * h_d**top * d_p, key_den), h)
+        den = d_a * h_d**top * d_p
+        return WaveFunction(ExpPoly._make(k, sigma, acc.items(), den, key_den), h)
 
     # -- serialization -------------------------------------------------------------
 

@@ -23,8 +23,9 @@ with :func:`stored`, which reads each coefficient with
 that :meth:`SparseMap._constant` builds by ``_make``.
 Arithmetic and the route kernels sum integers, with :func:`add_parts`, over
 one denominator, and :meth:`SparseMap._make` (or ``_new``, which keeps the
-operand's size and signature) stores the sums with the zero pairs dropped,
-reduced by one gcd pass.  It checks nothing else: keys are canonical by
+operand's size and signature) stores the ``(key, (re, im))`` pairs of the sums
+in one pass, with the zero pairs dropped, reduced by one gcd pass.  It checks
+nothing else: keys are canonical by
 construction, which the test suite checks by passing every result back
 through the public constructor.  Structure constants, derivative factors,
 unit-power folds and the padding of denominators stay in each route; no
@@ -122,11 +123,11 @@ def from_parts(acc: dict, sigma, den: int = 1) -> dict:
     }
 
 
-def multiply(left: dict, right: dict, s: int, key_mul) -> dict:
+def multiply(left: dict, right: dict, s: int, key_mul):
     """The product of two stored ``{key: (re, im)}`` term maps of a ring where
-    ``u*u = s``, as integer parts over the product of their denominators: each
-    pair of terms under the key and sign that ``key_mul(k1, k2)`` gives as
-    ``(key, +-1)``, or dropped for ``None``."""
+    ``u*u = s``, as ``(key, [re, im])`` pairs of integer parts over the product
+    of their denominators, for ``_make``: each pair of terms under the key and
+    sign that ``key_mul(k1, k2)`` gives as ``(key, +-1)``, or dropped for ``None``."""
     acc = {}
     for k1, (x1, y1) in left.items():
         for k2, (x2, y2) in right.items():
@@ -134,7 +135,7 @@ def multiply(left: dict, right: dict, s: int, key_mul) -> dict:
             if term is not None:
                 key, sign = term
                 add_parts(acc, key, sign * (x1 * x2 + s * y1 * y2), sign * (x1 * y2 + y1 * x2))
-    return acc
+    return acc.items()
 
 
 def stored(pairs) -> tuple:
@@ -238,11 +239,12 @@ class SparseMap:
     _OWNER = None
 
     @classmethod
-    def _make(cls, size, sigma, terms: dict, cden: int = 1):
-        """The element of ``{key: (re, im)}`` (or ``[re, im]``) integer parts
-        over ``cden``, with the zero pairs dropped and reduced to the least
-        denominator; nothing else is checked."""
-        terms = {key: (re, im) for key, (re, im) in terms.items() if re or im}
+    def _make(cls, size, sigma, pairs, cden: int = 1):
+        """The element of ``(key, (re, im))`` (or ``[re, im]``) pairs of integer
+        parts over ``cden``, a dict's ``items()`` or a generator of distinct
+        keys, read once, in order, with the zero pairs dropped and reduced to
+        the least denominator; nothing else is checked."""
+        terms = {key: (re, im) for key, (re, im) in pairs if re or im}
         g = cden
         for re, im in terms.values():
             if g == 1:
@@ -255,8 +257,8 @@ class SparseMap:
         out._size, out.sigma, out._terms, out._cden = size, sigma, terms, cden
         return out
 
-    def _new(self, terms: dict, cden: int):
-        return self._make(self._size, self.sigma, terms, cden)
+    def _new(self, pairs, cden: int):
+        return self._make(self._size, self.sigma, pairs, cden)
 
     def _binarions(self) -> dict:
         """The stored terms as ``{key: Binarion}``, in stored order."""
@@ -272,7 +274,7 @@ class SparseMap:
         if isinstance(value, SparseMap):
             return self.constant(value, self._size, self.sigma)
         x, y, d = _integers(binarion_coefficient(value, self.sigma, self._OWNER))
-        return self._make(self._size, self.sigma, {self._constant_key(): (x, y)}, d)
+        return self._make(self._size, self.sigma, ((self._constant_key(), (x, y)),), d)
 
     def _constant_key(self):
         """The key of the constant term."""
@@ -310,7 +312,7 @@ class SparseMap:
         for key, (re, im) in b._terms.items():
             x, y = out.get(key, (0, 0))
             out[key] = (x + fb * re, y + fb * im)
-        return a._new(out, den)
+        return a._new(out.items(), den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -328,7 +330,7 @@ class SparseMap:
             groups.setdefault(key[:-1], {})[key[-1]] = value
         make, sigma, cden = self._VIEW._make, self.sigma, self._cden
         heads = sorted(groups, key=self._ORDER)
-        return [(head, make(None, sigma, groups[head], cden)) for head in heads]
+        return [(head, make(None, sigma, groups[head].items(), cden)) for head in heads]
 
     def __str__(self) -> str:
         if not self._terms:
@@ -359,7 +361,7 @@ class SparseMap:
         return o - self
 
     def __neg__(self):
-        return self._new({key: (-re, -im) for key, (re, im) in self._terms.items()}, self._cden)
+        return self._new(((key, (-re, -im)) for key, (re, im) in self._terms.items()), self._cden)
 
     def __eq__(self, other):
         if isinstance(other, self._SCALARS):

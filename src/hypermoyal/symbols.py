@@ -42,7 +42,8 @@ Inside the kernel each monomial ``(alpha, beta, hdeg)`` is one packed int,
 with fields whose width is the bit length of the operands' summed total
 degree, which bounds every exponent of the result (see :func:`star`).  So a
 pair's pointwise product, ``kappa = 0``, is one int addition and a kappa term
-one more, by a precomputed shift; the keys are decoded once, at the end.  Only
+one more, by a precomputed shift; the keys are decoded once, at the end, each
+distinct q or p half once, into the pairs that ``_make`` stores in one pass.  Only
 exponents that overlap somewhere have a row of ``kappa >= 1`` terms, memoized by
 pair, width and ring within the bounds :data:`KAPPA_ROWS` and :data:`KAPPA_ROW_TERMS`.
 """
@@ -104,7 +105,7 @@ class HPoly(ScalarRing):
 
     def conjugate(self):
         """Coefficientwise involution ``x + u*y -> x - u*y``."""
-        return self._new({key: (re, -im) for key, (re, im) in self._terms.items()}, self._cden)
+        return self._new(((key, (re, -im)) for key, (re, im) in self._terms.items()), self._cden)
 
     def times_h(self, power: int = 1) -> "HPoly":
         return HPoly({d + power: v for d, v in self._binarions().items()}, self.sigma)
@@ -113,7 +114,7 @@ class HPoly(ScalarRing):
         """Exact division by ``h``; every term must have degree >= 1."""
         if 0 in self._terms:
             raise ArithmeticError("not divisible by h: constant term present")
-        return self._new({d - 1: v for d, v in self._terms.items()}, self._cden)
+        return self._new(((d - 1, v) for d, v in self._terms.items()), self._cden)
 
     def substitute(self, h) -> Binarion:
         """Evaluate at a numeric (rational) value of ``h``."""
@@ -238,9 +239,9 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     def coeff(self, alpha, beta) -> HPoly:
         monomial = (tuple(alpha), tuple(beta))
-        return HPoly._make(None, self.sigma, {
-            d: v for (a, b, d), v in self._terms.items() if (a, b) == monomial
-        }, self._cden)
+        return HPoly._make(None, self.sigma, (
+            (d, v) for (a, b, d), v in self._terms.items() if (a, b) == monomial
+        ), self._cden)
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -282,7 +283,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
                 lowered = _bump(exps, index, -1)
                 key = (lowered, beta, d) if variable == "q" else (alpha, lowered, d)
                 out[key] = (re * e, im * e)
-        return self._new(out, self._cden)
+        return self._new(out.items(), self._cden)
 
     def differentiate_multi(self, variable: str, kappa) -> "PolySymbol":
         if variable not in ("q", "p"):
@@ -332,11 +333,11 @@ class PolySymbol(SizedMap, SparseAlgebra):
             if c is None:
                 c = powers[d] = hn**d * hd ** (top - d)
             add_parts(acc, (alpha, beta, 0), c * re, c * im)
-        return self._new(acc, self._cden * hd**top)
+        return self._new(acc.items(), self._cden * hd**top)
 
     def h_constant_part(self) -> "PolySymbol":
         """The ``h``-degree-0 part; this is the classical limit h -> 0."""
-        return self._new({key: v for key, v in self._terms.items() if key[2] == 0}, self._cden)
+        return self._new(((key, v) for key, v in self._terms.items() if key[2] == 0), self._cden)
 
     def scale_hpoly(self, factor: HPoly) -> "PolySymbol":
         return self * factor
@@ -347,7 +348,7 @@ class PolySymbol(SizedMap, SparseAlgebra):
     def div_h(self) -> "PolySymbol":
         if any(d == 0 for _, _, d in self._terms):
             raise ArithmeticError("not divisible by h: constant term present")
-        return self._new({(a, b, d - 1): v for (a, b, d), v in self._terms.items()}, self._cden)
+        return self._new((((a, b, d - 1), v) for (a, b, d), v in self._terms.items()), self._cden)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -537,15 +538,23 @@ def _accumulate(acc: dict, left, right, units, s: int, sign: int, start: int):
                     entry[1] += y
 
 
-def _unpacked(acc: dict, k: int, w: int) -> dict:
-    """The packed ``acc`` keyed by ``(alpha, beta, hdeg)``, decoded one field
-    at a time over all keys."""
-    mask = (1 << w) - 1
-    top = 2 * k * w
-    keys = list(acc)
-    fields = [[key >> i & mask for key in keys] for i in range(0, top, w)]
-    heads = zip(zip(*fields[:k]), zip(*fields[k:]), [key >> top for key in keys])
-    return dict(zip(heads, acc.values()))
+def _unpacked(acc: dict, k: int, w: int):
+    """The entries of the packed ``acc`` as ``((alpha, beta, hdeg), [re, im])``
+    pairs, in its order.  A key splits into its q half and its p half, ``k*w``
+    bits each, and the unbounded ``h`` field above them; each distinct half is
+    decoded once, so the terms share their exponent tuples."""
+    size = k * w
+    half, mask, shifts, vectors = (1 << size) - 1, (1 << w) - 1, range(0, size, w), {}
+    for key, entry in acc.items():
+        q = key & half
+        alpha = vectors.get(q)
+        if alpha is None:
+            alpha = vectors[q] = tuple([q >> i & mask for i in shifts])
+        p = key >> size & half
+        beta = vectors.get(p)
+        if beta is None:
+            beta = vectors[p] = tuple([p >> i & mask for i in shifts])
+        yield (alpha, beta, key >> 2 * size), entry
 
 
 def _check_operands(a: PolySymbol, b: PolySymbol, degree_cap) -> int:
@@ -578,7 +587,8 @@ def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     operands' summed total degree ``top``, so ``w = max(top.bit_length(),
     1)`` keeps the fields of every key apart.  A product of two monomials is
     one int addition and a kappa term one more; the keys are decoded once,
-    at the end.
+    at the end, into the pairs of :func:`_unpacked`, which the reducing
+    ``_make`` stores in one pass.
     """
     w = _check_operands(a, b, degree_cap)
     left, right = _flatten(a, w), _flatten(b, w)
@@ -588,8 +598,8 @@ def star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
 
 
 def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
-    """``a ⋆ b - b ⋆ a`` in integer form: ``(acc, den)``, with ``acc`` keyed
-    by ``(alpha, beta, hdeg)``.
+    """``a ⋆ b - b ⋆ a`` in integer form: ``(pairs, den)``, with the
+    :func:`_unpacked` pairs keyed by ``(alpha, beta, hdeg)``.
 
     The ``kappa = 0`` terms are the pointwise products, which cancel
     exactly, so both passes skip them and every key has ``hdeg >= 1``.
@@ -605,8 +615,7 @@ def _commutator_integers(a: PolySymbol, b: PolySymbol, degree_cap):
 
 def moyal_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
     """Star commutator ``a ⋆ b - b ⋆ a``; every term carries ``h``-degree >= 1."""
-    acc, den = _commutator_integers(a, b, degree_cap)
-    return a._new(acc, den)
+    return a._new(*_commutator_integers(a, b, degree_cap))
 
 
 def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
@@ -635,7 +644,7 @@ def poisson_bracket(a: PolySymbol, b: PolySymbol) -> PolySymbol:
                 if weight:
                     key = (_bump(alpha, i, -1), _bump(beta, i, -1), d1 + d2)
                     add_parts(acc, key, weight * re, weight * im)
-    return a._new(acc, a._cden * b._cden)
+    return a._new(acc.items(), a._cden * b._cden)
 
 
 def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
@@ -646,10 +655,8 @@ def scaled_bracket(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> Poly
     :func:`poisson_bracket` exactly for ``h``-free inputs, which is the
     package's central correspondence check.
     """
-    acc, den = _commutator_integers(a, b, degree_cap)
+    pairs, den = _commutator_integers(a, b, degree_cap)
     s = a.sigma.value
     # times u: re + u*im -> s*im + u*re; divided by h: one degree less
-    scaled = {
-        (alpha, beta, d - 1): (s * im, re) for (alpha, beta, d), (re, im) in acc.items()
-    }
-    return a._new(scaled, den)
+    return a._new((((alpha, beta, d - 1), (s * im, re))
+                   for (alpha, beta, d), (re, im) in pairs), den)

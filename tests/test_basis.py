@@ -1,10 +1,11 @@
-"""Exhaustive basis oracles for the series star kernel.
+"""Exhaustive basis oracles for the series star kernel and the apply routes.
 
-``star`` and ``scaled_bracket`` are bilinear, so an identity that holds on
-every pair of basis monomials ``c * q^alpha p^beta`` up to a degree holds on
-every symbol of that degree.  The random oracles of ``test_symbols`` sample
-the kappa rows of low exponents only; these sweeps enumerate every pair, so
-they reach each row the degree bound allows, the high rows included.
+``star``, ``scaled_bracket`` and operator application are bilinear, so an
+identity that holds on every pair of basis elements up to a degree holds on
+every pair of elements of that degree.  The random oracles of
+``test_symbols`` sample the kappa rows of low exponents only; these sweeps
+enumerate every pair, so they reach each row the degree bound allows, the
+high rows included.
 
 * **Series against the distributional route.**  ``star(a, b)`` is a
   polynomial in ``h`` of degree at most ``D = sum_i min(beta_a_i,
@@ -13,6 +14,10 @@ they reach each row the degree bound allows, the high rows included.
   identity in ``h``, not a sample of it.
 * **Classical limit.**  On the same pairs, the ``h``-constant part of
   ``scaled_bracket`` equals ``poisson_bracket``.
+* **Apply routes.**  ``apply_normal_ordered`` equals ``apply_shift_form``
+  for every k = 1 monomial symbol up to degree 6 applied to every
+  ``x^e exp(u f x)`` with ``e <= 6`` and ``f`` in ``{0, 1/2}``, at two
+  values of ``h``: the derivative rows ``d^b x^e`` up to ``b = e = 6``.
 
 The left monomials carry ``1 + 2u`` and the right ones ``3 - u``: both parts
 of both coefficients are nonzero, so a fault that drops or swaps a part of
@@ -28,8 +33,10 @@ import pytest
 from hypermoyal import (
     Binarion,
     ExpPoly,
+    Operator,
     PolySymbol,
     Sigma,
+    WaveFunction,
     poisson_bracket,
     scaled_bracket,
     star,
@@ -49,6 +56,14 @@ H_VALUES = [Fraction(j, 2) for j in range(1, 10)]
 #: ``sum over pairs of (D + 1)``.
 MONOMIALS = {(1, 8): 45, (2, 4): 70, (3, 3): 84}
 COMPARISONS = {(1, 8): 4917, (2, 4): 7852, (3, 3): 9558}
+
+#: Apply routes: symbols and powers ``x^e`` up to this degree, the
+#: frequencies ``f`` of ``x^e exp(u f x)``, and the values of ``h``.
+APPLY_DEGREE = 6
+APPLY_FREQS = (Fraction(0), Fraction(1, 2))
+APPLY_H = (Fraction(1, 3), Fraction(5, 2))
+#: 28 symbols times 14 wavefunctions times 2 values of ``h``, per ring.
+APPLY_PAIRS = 784
 
 
 def _basis(k: int, degree: int, coeff, sigma) -> list:
@@ -93,3 +108,21 @@ def test_classical_limit_of_scaled_bracket_on_every_basis_pair(shape, sigma):
     failures = [(a.to_text(), b.to_text()) for _, _, a, _ in left for _, _, b, _ in right
                 if scaled_bracket(a, b).h_constant_part() != poisson_bracket(a, b)]
     assert failures == []
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+def test_apply_routes_agree_on_every_basis_pair(sigma):
+    operands = [symbol for _, _, symbol, _ in _basis(1, APPLY_DEGREE, Binarion(1, 2, sigma), sigma)]
+    funcs = [ExpPoly(1, sigma, {((f,), (e,)): Binarion(3, -1, sigma)})
+             for e in range(APPLY_DEGREE + 1) for f in APPLY_FREQS]
+    compared, failures = 0, []
+    for h in APPLY_H:
+        for symbol in operands:
+            op = Operator(symbol, h)
+            for func in funcs:
+                phi = WaveFunction(func, h)
+                compared += 1
+                if op.apply_normal_ordered(phi) != op.apply_shift_form(phi):
+                    failures.append((symbol.to_text(), func.to_text(), h))
+    assert failures == []
+    assert compared == APPLY_PAIRS

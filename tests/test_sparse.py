@@ -161,12 +161,12 @@ def _assert_clean(x):
         assert math.gcd(x._den, *numerators) == 1
 
 
-def _unreduced_make(cls, size, sigma, terms, cden=1):
-    """``SparseMap._make`` without its gcd pass: zero pairs dropped, the
-    denominator kept as given."""
+def _unreduced_make(cls, size, sigma, pairs, cden=1):
+    """``SparseMap._make`` without its gcd pass: the ``(key, (re, im))``
+    pairs with the zero pairs dropped, the denominator kept as given."""
     out = object.__new__(cls)
     out._size, out.sigma, out._cden = size, sigma, cden
-    out._terms = {key: (re, im) for key, (re, im) in terms.items() if re or im}
+    out._terms = {key: (re, im) for key, (re, im) in pairs if re or im}
     return out
 
 
@@ -376,6 +376,33 @@ def test_public_constructors_still_validate():
     # a Grassmann mask beyond n
     with pytest.raises(DimensionMismatchError):
         GrassmannElement(2, H, {0b100: 1})
+
+
+def test_make_reads_a_one_shot_generator_of_pairs_once_and_in_order():
+    """``_make`` takes ``(key, (re, im))`` pairs: here a generator, with list
+    and tuple values, zero pairs and the common factor 6 over ``cden`` 18.
+    It reads each pair once, keeps the order of the others, drops the
+    zeros and reduces to ``cden`` 3."""
+    entries = [(3, [6, -12]), (0, (0, 0)), (5, (0, 18)), (1, [0, 0]), (2, (-6, 0))]
+    for sigma in SIGMAS:
+        reads = []
+
+        def pairs():
+            for pair in entries:
+                reads.append(pair[0])
+                yield pair
+
+        source = pairs()
+        x = HPoly._make(None, sigma, source, 18)
+        assert reads == [3, 0, 5, 1, 2]
+        assert next(source, None) is None
+        assert list(x._terms.items()) == [(3, (1, -2)), (5, (0, 3)), (2, (-1, 0))]
+        assert all(type(value) is tuple for value in x._terms.values())
+        assert x._cden == 3
+        _assert_clean(x)
+        third = Fraction(1, 3)
+        assert x == HPoly({2: -third, 3: Binarion(third, -2 * third, sigma),
+                           5: Binarion(0, 1, sigma)}, sigma)
 
 
 def test_add_parts_sums_both_parts_of_colliding_keys():

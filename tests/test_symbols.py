@@ -439,11 +439,28 @@ def _full_field_pairs():
                 yield a, b, top
 
 
+def _deep_h_pairs():
+    """Per k and ring, ``(a, b)`` whose products have an ``h``-degree of at
+    least ``2**w``: the ``h`` field above both halves of a packed key is
+    wider than a field, ``w = 3`` bits, while overlapping p and q exponents
+    give kappa terms beside it."""
+    for k in (1, 3):
+        for sigma in SIGMAS:
+            a = PolySymbol.monomial(
+                _axis(k, 0, 1), _axis(k, k - 1, 2), Binarion(2, -1, sigma), sigma, 6
+            ) + PolySymbol.monomial(_axis(k, 0, 0), _axis(k, 0, 1), Fraction(1, 3), sigma)
+            b = PolySymbol.monomial(
+                _axis(k, k - 1, 2), _axis(k, 0, 1), Binarion(1, Fraction(1, 2), sigma), sigma, 5
+            ) + PolySymbol.monomial(_axis(k, 0, 1), _axis(k, 0, 0), -1, sigma, 2)
+            yield a, b
+
+
 def _packing_cases():
     """``(a, b, degree_cap)``: random pairs for k = 1..3 in both rings with
     h- and unit-bearing coefficients over mixed denominators, zero and
     light-cone operands (see :func:`_oracle_pairs`), constants, products
-    at a raised cap whose fields need 6 bits, and full-field products."""
+    at a raised cap whose fields need 6 bits, full-field products, pairs
+    for k = 4 and k = 8, and products whose ``h``-degree outgrows a field."""
     rng = random.Random(97)
     for a, b in _oracle_pairs(97, 24):
         yield a, b, None
@@ -462,6 +479,17 @@ def _packing_cases():
             yield a, b, 40
     for a, b, top in _full_field_pairs():
         yield a, b, top
+    for k in (4, 8):
+        for sigma in SIGMAS:
+            a = _h_symbol(rng, k, sigma, 4) + PolySymbol.monomial(
+                _axis(k, 0, 1), _axis(k, k - 1, 2), Binarion(Fraction(1, 3), -2, sigma), sigma, 1
+            )
+            b = _h_symbol(rng, k, sigma, 4) + PolySymbol.monomial(
+                _axis(k, k - 1, 3), _axis(k, 1, 1), Binarion(2, Fraction(1, 2), sigma), sigma
+            )
+            yield a, b, None
+    for a, b in _deep_h_pairs():
+        yield a, b, None
 
 
 def _assert_series_kernel_equals_tuple_key_oracle(cold: bool):
@@ -497,6 +525,12 @@ def test_packed_fields_reach_their_width():
         assert top == 2**w - 1
         fields = [e for alpha, beta, _ in star(a, b, top).terms() for e in alpha + beta]
         assert max(fields) == top
+    for a, b in _deep_h_pairs():
+        w = symbols._check_operands(a, b, None)
+        assert w == 3
+        for x, y in ((a, b), (b, a)):
+            for kernel in (star, moyal_bracket, scaled_bracket):
+                assert max(d for _, _, d in kernel(x, y)._terms) >= 2**w
 
 
 # -- the memo of kappa rows -------------------------------------------------------
