@@ -50,11 +50,11 @@ closed form per coordinate pair ``(q1_i, p2_i)`` and is transformed back
 under its output key.  :meth:`ExpPoly.differentiate_multi` has a closed
 form per coordinate.  The integer rows of both closed forms are built once
 per shape and memoized under keys that hold no coefficient, frequency,
-location or ``h``, up to :data:`FACTOR_ROWS` rows each.  These kernels read
-each operand's stored integer coefficients and its ``_cden``, add them with
-:func:`hypermoyal.sparse.add_parts` and hand the sums and their one
-denominator to the reducing ``_make``.  On polynomial symbols this
-agrees exactly with :func:`hypermoyal.symbols.star`.
+location or ``h``; only keys inside :data:`FACTOR_ROW_TERMS` enter a memo.
+These kernels read each operand's stored integer coefficients and its
+``_cden``, add them with :func:`hypermoyal.sparse.add_parts` and hand the
+sums and their one denominator to the reducing ``_make``.  On polynomial
+symbols this agrees exactly with :func:`hypermoyal.symbols.star`.
 """
 
 from __future__ import annotations
@@ -198,7 +198,6 @@ class _CharSumTerms(SizedMap):
     """
 
     __slots__ = ("_den",)
-    _VIEW = CharSum
 
     def _fill(self, dim: int, sigma: Sigma, entries):
         """Validate ``((vector, orders), weight)`` entries and store their flat terms."""
@@ -419,11 +418,11 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
         ``j = n`` survives, and none when ``n > e``.  The ``m`` factors of
         ``u`` are ``sigma^(m//2) u^(m%2)``: a sign, and a re/im swap when
         ``m`` is odd.  Per axis the integers ``C(n, j) e!/(e - j)!`` come
-        from the row of :func:`_axis_factors`, memoized under ``(n, e)``;
-        ``f^(n - j)`` is applied here, and the axes are combined one at a
-        time into one list.  ``order`` may be shorter than ``dim``; entries
-        below one are no-ops, and a positive entry past ``dim`` raises
-        :class:`IndexError`.
+        from the row of :func:`_axis_factors`, memoized under ``(n, e)`` when
+        both are below :data:`FACTOR_ROW_TERMS`; ``f^(n - j)`` is applied
+        here, and the axes are combined one at a time into one list.
+        ``order`` may be shorter than ``dim``; entries below one are no-ops,
+        and a positive entry past ``dim`` raises :class:`IndexError`.
 
         The sums stay in integers: ``f`` is a numerator over ``_den``, so
         ``f^m`` is padded by ``_den^(M - m)``, ``M = |order|``, and the
@@ -442,7 +441,8 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             out = [(exps, 1, 0)]
             for i, n in axes:
                 e, f = exps[i], freq[i]
-                row = _axis_row(n, e) or _axis_factors(n, e)
+                row = (_axis_row if n < FACTOR_ROW_TERMS and e < FACTOR_ROW_TERMS
+                       else _axis_factors)(n, e)
                 if not f:
                     if n > e:
                         break
@@ -735,30 +735,21 @@ def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
     return distribution.fourier()
 
 
-#: Bound on each of this module's two memos of factor rows, whose keys hold
-#: no coefficient, frequency, location or ``h``: the axis rows of
+#: The bound on this module's two memos of factor rows, whose keys hold no
+#: coefficient, frequency, location or ``h``: the axis rows of
 #: :meth:`ExpPoly.differentiate_multi` under ``(n, e)`` and the twist rows of
-#: :func:`_pair_factors` under ``(a, b, x == 0, y == 0, sigma)``.  A process
-#: meets few shapes: 15-17 axis and 48-55 twist rows in an operator-route
-#: batch (seeds 1, 2, 3, 11, 601, 931), 16 and 23 in ``selftest --fast``, 20
-#: and 37 in a full selftest.
-FACTOR_ROWS = 1024
-#: A row is memoized only when the orders and exponents of its key are below
-#: this bound and it has at most this many terms; any other row is built each
-#: time.  So at most 32 * 32 = 1,024 axis rows exist, 1.2 MB in all, and of
-#: the 3,288 twist rows that qualify the largest takes 3.1 KB (``(a, b) =
-#: (30, 31)`` at the origin), so a full memo of twist rows holds at most
-#: 3.2 MB (measured with ``tracemalloc``).
+#: :func:`_pair_factors` under ``(a, b, x == 0, y == 0, sigma)``.  Each memo
+#: holds ``FACTOR_ROW_TERMS ** 2`` rows.  A row is memoized only when the
+#: orders and exponents of its key are below this bound and it has at most
+#: this many terms; any other row is built each time.  So at most 32 * 32 =
+#: 1,024 axis rows exist, 1.2 MB in all, the axis memo never evicts, and no
+#: other ``(n, e)`` enters it.  Of the 3,288 twist rows that qualify the
+#: largest takes 3.1 KB (``(a, b) = (30, 31)`` at the origin), so a full memo
+#: of twist rows holds at most 3.2 MB (measured with ``tracemalloc``).  A
+#: process meets few shapes: 15-17 axis and 48-55 twist rows in an
+#: operator-route batch (seeds 1, 2, 3, 11, 601, 931), 16 and 23 in
+#: ``selftest --fast``, 20 and 37 in a full selftest.
 FACTOR_ROW_TERMS = 32
-
-
-@lru_cache(maxsize=FACTOR_ROWS)
-def _axis_row(n: int, e: int) -> tuple:
-    """:func:`_axis_factors`, memoized; ``()`` in place of a row whose ``n`` or
-    ``e`` reaches :data:`FACTOR_ROW_TERMS`, which the caller builds each time."""
-    if n >= FACTOR_ROW_TERMS or e >= FACTOR_ROW_TERMS:
-        return ()
-    return _axis_factors(n, e)
 
 
 def _axis_factors(n: int, e: int) -> tuple:
@@ -770,7 +761,12 @@ def _axis_factors(n: int, e: int) -> tuple:
     return tuple((e - j, math.comb(n, j) * math.perm(e, j), n - j) for j in range(min(n, e) + 1))
 
 
-@lru_cache(maxsize=FACTOR_ROWS)
+#: :func:`_axis_factors`, memoized; asked only for ``n`` and ``e`` below
+#: :data:`FACTOR_ROW_TERMS`.
+_axis_row = lru_cache(maxsize=FACTOR_ROW_TERMS**2)(_axis_factors)
+
+
+@lru_cache(maxsize=FACTOR_ROW_TERMS**2)
 def _twist_row(a: int, b: int, x_zero: bool, y_zero: bool, sigma: int) -> tuple:
     """:func:`_twist_terms`, memoized; ``()`` in place of a row whose ``a`` or
     ``b`` reaches :data:`FACTOR_ROW_TERMS` or that has more terms than that,

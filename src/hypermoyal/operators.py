@@ -71,26 +71,14 @@ def _positive_h(h) -> Fraction:
     return h
 
 
-#: Bound on the memo of derivative rows, whose key ``(b, e)`` holds no
-#: coefficient, frequency or ``h``: a process meets few exponent pairs, 42-50
-#: rows in an operator-route batch (seeds 1, 2, 3, 11, 601, 931), 23 in
-#: ``selftest --fast`` and 36 in a full selftest.
-DERIVATIVE_ROWS = 1024
 #: A row is memoized only when its ``b`` and ``e`` are below this bound, so it
-#: has at most this many terms and at most 32 * 32 = 1,024 keys exist: the
-#: memo never evicts, and all 1,024 rows take 1.1 MB (measured with
-#: ``tracemalloc``).  A row of a larger ``b`` or ``e`` is built each time.
+#: has at most this many terms and at most 32 * 32 = 1,024 keys exist; the memo
+#: holds them all, so it never evicts, and all 1,024 rows take 1.1 MB (measured
+#: with ``tracemalloc``).  A process meets few of them: 42-50 rows in an
+#: operator-route batch (seeds 1, 2, 3, 11, 601, 931), 23 in ``selftest
+#: --fast`` and 36 in a full selftest.  A row of a larger ``b`` or ``e`` is
+#: built each time and never enters the memo.
 DERIVATIVE_ROW_TERMS = 32
-
-
-@lru_cache(maxsize=DERIVATIVE_ROWS)
-def _derivative_row(b: int, e: int) -> tuple:
-    """:func:`_derivative_factors`, memoized; ``()`` in place of a row whose
-    ``b`` or ``e`` reaches :data:`DERIVATIVE_ROW_TERMS`, which the caller
-    builds each time."""
-    if b >= DERIVATIVE_ROW_TERMS or e >= DERIVATIVE_ROW_TERMS:
-        return ()
-    return _derivative_factors(b, e)
 
 
 def _derivative_factors(b: int, e: int) -> tuple:
@@ -101,6 +89,11 @@ def _derivative_factors(b: int, e: int) -> tuple:
     :func:`_derivative_row` memoizes it under ``(b, e)``; it is a tuple, which
     no caller can change."""
     return tuple((e - j, math.comb(b, j) * math.perm(e, j), b - j) for j in range(min(b, e) + 1))
+
+
+#: :func:`_derivative_factors`, memoized; asked only for ``b`` and ``e`` below
+#: :data:`DERIVATIVE_ROW_TERMS`.
+_derivative_row = lru_cache(maxsize=DERIVATIVE_ROW_TERMS**2)(_derivative_factors)
 
 
 def _derivative_terms(beta, exps, nums) -> list:
@@ -117,7 +110,8 @@ def _derivative_terms(beta, exps, nums) -> list:
     """
     out = [((), 1, 0)]
     for b, e, n in zip(beta, exps, nums):
-        row = _derivative_row(b, e) or _derivative_factors(b, e)
+        row = (_derivative_row if b < DERIVATIVE_ROW_TERMS and e < DERIVATIVE_ROW_TERMS
+               else _derivative_factors)(b, e)
         if not n:
             if b > e:
                 return []

@@ -234,56 +234,43 @@ def check_eigenrelation(rng, cases: int) -> dict:
     return _entry(7, "plane-wave eigenrelation", _cases(rng, cases, case))
 
 
-def _random_round_trip(rng, sigma: Sigma):
-    """One forward/classify round trip; returns failure strings (empty = ok)."""
-    problems = []
-    # doubly stochastic conditionals keep both outcomes coupled symmetrically
-    c = Fraction(rng.randint(1, 9), 10)
-    p_a = (Fraction(1, 2), Fraction(1, 2))
-    cond = ((c, 1 - c), (1 - c, c))
-    base = rng.uniform(-2.0, 2.0)
-    if sigma is Sigma.COMPLEX:
-        delta = rng.uniform(0.1, math.pi - 0.1)
-        expected_regime, expected_sign = intf.Regime.TRIGONOMETRIC, None
-        phase2, signs = base + (math.pi - delta), ((1, 1), (1, 1))
-    else:
-        ranges = intf.theta_range(p_a, cond)
-        if not ranges[0].admissible or ranges[0].theta_max < 0.15:
-            return problems  # too close to the zero-interference boundary
-        delta = rng.uniform(0.1, min(2.0, 0.95 * ranges[0].theta_max))
-        expected_regime, expected_sign = intf.Regime.HYPERBOLIC, rng.choice((1, -1))
-        phase2 = base + delta
-        signs = ((1, 1), (1, -1)) if expected_sign > 0 else ((1, -1), (1, 1))
-    amp1, amp2 = (
-        intf.Amplitude2.from_probabilities(p_a, cond[j], (phase, base), sigma, signs=signs[j])
-        for j, phase in enumerate((base + delta, phase2))
-    )
-    try:
-        _, report = intf.forward(amp1, amp2)
-    except (intf.ValidationError, intf.InvalidStateError) as exc:  # pragma: no cover
-        problems.append(f"forward rejected a valid configuration: {exc}")
-        return problems
-    outcome = report.outcomes[0]
-    tol = 1e-12
-    if outcome.regime is not expected_regime:
-        problems.append(f"regime {outcome.regime} != {expected_regime}")
-    elif abs(outcome.theta - delta) > tol:
-        problems.append(f"theta {outcome.theta} != {delta}")
-    if expected_sign is not None and outcome.sign != expected_sign:
-        problems.append(f"sign {outcome.sign} != {expected_sign}")
-    lam = outcome.lam
-    if sigma is Sigma.COMPLEX and abs(lam) > 1 + 1e-12:
-        problems.append(f"complex |lambda| = {abs(lam)} > 1")
-    if sigma is Sigma.HYPERBOLIC and abs(lam) < 1 - 1e-12:
-        problems.append(f"hyperbolic |lambda| = {abs(lam)} < 1")
-    if abs(report.normalization_residual) > 1e-12:
-        problems.append(f"residual {report.normalization_residual}")
-    return problems
-
-
 def check_interference(rng, cases: int) -> dict:
     """Forward/inverse round trips plus the three exact worked tables."""
-    oks = _cases(rng, cases, lambda rng, sigma, i: (not _random_round_trip(rng, sigma),))
+
+    def case(rng, sigma, i):
+        # doubly stochastic conditionals keep both outcomes coupled symmetrically
+        c = Fraction(rng.randint(1, 9), 10)
+        p_a = (Fraction(1, 2), Fraction(1, 2))
+        cond = ((c, 1 - c), (1 - c, c))
+        base = rng.uniform(-2.0, 2.0)
+        if sigma is Sigma.COMPLEX:
+            delta = rng.uniform(0.1, math.pi - 0.1)
+            expected_regime, expected_sign = intf.Regime.TRIGONOMETRIC, None
+            phase2, signs = base + (math.pi - delta), ((1, 1), (1, 1))
+        else:
+            ranges = intf.theta_range(p_a, cond)
+            if not ranges[0].admissible or ranges[0].theta_max < 0.15:
+                return (True,)  # too close to the zero-interference boundary
+            delta = rng.uniform(0.1, min(2.0, 0.95 * ranges[0].theta_max))
+            expected_regime, expected_sign = intf.Regime.HYPERBOLIC, rng.choice((1, -1))
+            phase2 = base + delta
+            signs = ((1, 1), (1, -1)) if expected_sign > 0 else ((1, -1), (1, 1))
+        amp1, amp2 = (
+            intf.Amplitude2.from_probabilities(p_a, cond[j], (phase, base), sigma, signs=signs[j])
+            for j, phase in enumerate((base + delta, phase2))
+        )
+        try:
+            _, report = intf.forward(amp1, amp2)
+        except (intf.ValidationError, intf.InvalidStateError):  # pragma: no cover
+            return (False,)  # forward rejected a valid configuration
+        outcome, tol = report.outcomes[0], 1e-12
+        lam = abs(outcome.lam)
+        return (outcome.regime is expected_regime and abs(outcome.theta - delta) <= tol
+                and expected_sign in (None, outcome.sign)
+                and (lam <= 1 + tol if sigma is Sigma.COMPLEX else lam >= 1 - tol)
+                and abs(report.normalization_residual) <= tol,)
+
+    oks = _cases(rng, cases, case)
     # frozen exact tables: lambda = 0, 4/5 (trigonometric) and 3/2 (hyperbolic)
     half, trig, hyp = Fraction(1, 2), intf.Regime.TRIGONOMETRIC, intf.Regime.HYPERBOLIC
     worked = [

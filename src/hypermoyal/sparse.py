@@ -32,15 +32,15 @@ unit-power folds and the padding of denominators stay in each route; no
 route kernel calls :func:`multiply`.
 
 Views, text and JSON all come from one ``_grouped`` per class, the sorted
-terms, with the last key part grouped into a coefficient ring where a class
-declares one.  The four maps with a size (symbols, exponential polynomials,
-distributions and Grassmann elements) derive from :class:`SizedMap` and
-share one JSON shape: the size, ``sigma`` and a list of entries, whose
-repeated keys add through :func:`summed`.  Each class writes and reads only
-a single term, and JSON text is parsed by the package's one reader,
-:func:`errors.json_document`.  :class:`ScalarRing` builds the two maps
-without a size, which have no JSON form.  Every power ``x^e`` in the text
-is written by :func:`power_factors`.
+terms; symbols, exponential polynomials and distributions override it to
+group the last key part into a coefficient ring.  The four maps with a size
+(symbols, exponential polynomials, distributions and Grassmann elements)
+derive from :class:`SizedMap` and share one JSON shape: the size, ``sigma``
+and a list of entries, whose repeated keys add through :func:`summed`.
+Each class writes and reads only a single term, and JSON text is parsed by
+the package's one reader, :func:`errors.json_document`.
+:class:`ScalarRing` builds the two maps without a size, which have no JSON
+form.  Every power ``x^e`` in the text is written by :func:`power_factors`.
 
 The module is also the one home of every input bound, each with its
 reason: the default degree cap with :func:`check_degree_cap`, which all
@@ -223,16 +223,12 @@ class SparseMap:
     _cden`` (see the module docstring).
 
     Views, text and JSON all read :meth:`_grouped`, the terms as sorted
-    ``(head, coefficient)`` pairs.  A class whose last key part is the key
-    of a coefficient ring declares that ring as ``_VIEW``, and the sort key
-    of the heads as ``_ORDER``; the others view their stored terms.  Text
-    joins one ``_term_text(head, coefficient)`` per term with ``" + "``.
+    ``(head, coefficient)`` pairs.  Text joins one ``_term_text(head,
+    coefficient)`` per term with ``" + "``.
     """
 
     __slots__ = ("sigma", "_size", "_terms", "_cden")
 
-    _VIEW = None
-    _ORDER = None
     #: Operand types that enter arithmetic and comparison as constants.
     _SCALARS = (Binarion, int, Fraction)
     #: The class's name in the refusal of a coefficient of another signature.
@@ -320,17 +316,10 @@ class SparseMap:
     # -- views and text -----------------------------------------------------------
 
     def _grouped(self) -> list:
-        """The terms as ``(head, coefficient)`` pairs sorted by head: the stored
-        terms, or with a ``_VIEW`` ring the ``{last key part: value}`` part of
-        each head as an element of ``_VIEW``, the heads sorted by ``_ORDER``."""
-        if self._VIEW is None:
-            return sorted(self._binarions().items())
-        groups = {}
-        for key, value in self._terms.items():
-            groups.setdefault(key[:-1], {})[key[-1]] = value
-        make, sigma, cden = self._VIEW._make, self.sigma, self._cden
-        heads = sorted(groups, key=self._ORDER)
-        return [(head, make(None, sigma, groups[head].items(), cden)) for head in heads]
+        """The stored terms as ``(key, Binarion)`` pairs sorted by key.  A class
+        whose last key part is the key of a coefficient ring overrides it to
+        gather that part into an element of the ring."""
+        return sorted(self._binarions().items())
 
     def __str__(self) -> str:
         if not self._terms:

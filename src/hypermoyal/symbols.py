@@ -170,8 +170,6 @@ class PolySymbol(SizedMap, SparseAlgebra):
 
     __slots__ = ()
     _JSON_FIELDS = ("dof", "terms")
-    _VIEW = HPoly
-    _ORDER = staticmethod(_term_order_key)
     _SCALARS = (Binarion, HPoly, int, Fraction)
     _OWNER = "symbol"
     dof = property(lambda self: self._size, doc="Number of degrees of freedom ``k``.")
@@ -232,6 +230,16 @@ class PolySymbol(SizedMap, SparseAlgebra):
         return zero, zero, 0
 
     # -- queries -----------------------------------------------------------
+
+    def _grouped(self) -> list:
+        """The ``((alpha, beta), HPoly)`` terms, the ``h``-degrees of each
+        monomial gathered into its coefficient, sorted by monomial."""
+        groups = {}
+        for (alpha, beta, d), value in self._terms.items():
+            groups.setdefault((alpha, beta), {})[d] = value
+        sigma, cden = self.sigma, self._cden
+        return [(head, HPoly._make(None, sigma, groups[head].items(), cden))
+                for head in sorted(groups, key=_term_order_key)]
 
     def terms(self):
         """Term triples ``(alpha, beta, coeff)`` in canonical order."""

@@ -15,24 +15,37 @@ high rows included.
 * **Classical limit.**  On the same pairs, the ``h``-constant part of
   ``scaled_bracket`` equals ``poisson_bracket``.
 * **Apply routes.**  ``apply_normal_ordered`` equals ``apply_shift_form``
-  for every k = 1 monomial symbol up to degree 6 applied to every
-  ``x^e exp(u f x)`` with ``e <= 6`` and ``f`` in ``{0, 1/2}``, at two
-  values of ``h``: the derivative rows ``d^b x^e`` up to ``b = e = 6``.
+  for every k = 1 monomial symbol up to degree 8 applied to every
+  ``x^e exp(u f x)`` with ``e <= 8`` and ``f`` in ``{0, 1/2}``, at two
+  values of ``h``: the derivative rows ``d^b x^e`` up to ``b = e = 8``, the
+  reach of the default degree cap for one degree of freedom.
+* **Twist rows.**  ``distributions._pair_factors``, read from its memoized
+  integer rows, equals the rational closed form of ``test_distributions`` for
+  every ``delta^((a, b))``, ``a, b <= 8``, at the origin, on either axis and
+  off both.
+* **Associativity.**  ``(a ⋆ b) ⋆ c == a ⋆ (b ⋆ c)`` on every triple of k = 1
+  monomials up to degree 4.
+* **Grassmann.**  On every triple of basis monomials of four generators the
+  product is associative and equals the sign of the permutation that sorts
+  the generators, or zero when one repeats.
 
-The left monomials carry ``1 + 2u`` and the right ones ``3 - u``: both parts
-of both coefficients are nonzero, so a fault that drops or swaps a part of
-the product of two binarions shows, which a coefficient of 1 cannot see.
-The cases are enumerated, never drawn, and their counts are pinned.
+The left monomials carry ``1 + 2u`` and the right ones ``3 - u`` (a triple's
+third factor carries ``1 + 2u`` again): both parts of both coefficients are
+nonzero, so a fault that drops or swaps a part of the product of two
+binarions shows, which a coefficient of 1 cannot see.  The cases are
+enumerated, never drawn, and their counts are pinned.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from test_distributions import _pair_factors_as_fractions, _rational_pair_factors
 
 from hypermoyal import (
     Binarion,
     ExpPoly,
+    GrassmannElement,
     Operator,
     PolySymbol,
     Sigma,
@@ -59,11 +72,24 @@ COMPARISONS = {(1, 8): 4917, (2, 4): 7852, (3, 3): 9558}
 
 #: Apply routes: symbols and powers ``x^e`` up to this degree, the
 #: frequencies ``f`` of ``x^e exp(u f x)``, and the values of ``h``.
-APPLY_DEGREE = 6
+APPLY_DEGREE = 8
 APPLY_FREQS = (Fraction(0), Fraction(1, 2))
 APPLY_H = (Fraction(1, 3), Fraction(5, 2))
-#: 28 symbols times 14 wavefunctions times 2 values of ``h``, per ring.
-APPLY_PAIRS = 784
+#: 45 symbols times 18 wavefunctions times 2 values of ``h``, per ring.
+APPLY_PAIRS = 1620
+
+#: Twist rows: orders ``a, b`` up to this bound, at the four zero patterns of
+#: ``(x, y)``; 81 orders times 4 locations, per ring.
+TWIST_ORDER = 8
+TWIST_POINTS = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(-3, 5)), (Fraction(1, 2), Fraction(-3, 5))]
+TWIST_PAIRS = 324
+
+#: Associativity: every triple of the 15 k = 1 monomials up to degree 4.
+TRIPLE_DEGREE = 4
+TRIPLES = 15**3
+#: Grassmann: every triple of the 16 basis monomials of four generators.
+GENERATORS = 4
+GRASSMANN_TRIPLES = 16**3
 
 
 def _basis(k: int, degree: int, coeff, sigma) -> list:
@@ -126,3 +152,60 @@ def test_apply_routes_agree_on_every_basis_pair(sigma):
                     failures.append((symbol.to_text(), func.to_text(), h))
     assert failures == []
     assert compared == APPLY_PAIRS
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+def test_twist_rows_equal_the_rational_closed_form_on_every_order(sigma):
+    s, h = sigma.value, Fraction(2, 3)
+    compared, failures = 0, []
+    for a, b in product(range(TWIST_ORDER + 1), repeat=2):
+        for x, y in TWIST_POINTS:
+            compared += 1
+            if _pair_factors_as_fractions(x, y, a, b, h, s) != _rational_pair_factors(
+                    Fraction(x), Fraction(y), a, b, h, s):
+                failures.append((a, b, x, y))
+    assert failures == []
+    assert compared == TWIST_PAIRS
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+def test_star_is_associative_on_every_basis_triple(sigma):
+    left, right = (_basis(1, TRIPLE_DEGREE, c, sigma) for c in
+                   (Binarion(1, 2, sigma), Binarion(3, -1, sigma)))
+    firsts = [symbol for _, _, symbol, _ in left]
+    seconds = [symbol for _, _, symbol, _ in right]
+    pairs = {(i, j): star(a, b) for i, a in enumerate(firsts) for j, b in enumerate(seconds)}
+    tails = {(j, k): star(b, c) for j, b in enumerate(seconds) for k, c in enumerate(firsts)}
+    compared, failures = 0, []
+    for i, j, k in product(range(len(firsts)), range(len(seconds)), range(len(firsts))):
+        compared += 1
+        if star(pairs[i, j], firsts[k]) != star(firsts[i], tails[j, k]):
+            failures.append((firsts[i].to_text(), seconds[j].to_text(), firsts[k].to_text()))
+    assert failures == []
+    assert compared == TRIPLES
+
+
+def _permutation_sign(word) -> int:
+    """The sign of the permutation that sorts the distinct entries of ``word``."""
+    return (-1) ** sum(x > y for x, y in combinations(word, 2))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+def test_grassmann_product_is_associative_and_signed_on_every_basis_triple(sigma):
+    masks = range(1 << GENERATORS)
+    words = {m: [i for i in range(GENERATORS) if m >> i & 1] for m in masks}
+    ca, cb = Binarion(1, 2, sigma), Binarion(3, -1, sigma)
+    firsts = {m: GrassmannElement(GENERATORS, sigma, {m: ca}) for m in masks}
+    seconds = {m: GrassmannElement(GENERATORS, sigma, {m: cb}) for m in masks}
+    compared, failures = 0, []
+    for i, j, k in product(masks, repeat=3):
+        compared += 1
+        word = words[i] + words[j] + words[k]
+        expected = (GrassmannElement.zero(GENERATORS, sigma) if len(set(word)) < len(word) else
+                    GrassmannElement(GENERATORS, sigma,
+                                     {i | j | k: _permutation_sign(word) * ca * cb * ca}))
+        a, b, c = firsts[i], seconds[j], firsts[k]
+        if not (a * b) * c == a * (b * c) == expected:
+            failures.append((i, j, k))
+    assert failures == []
+    assert compared == GRASSMANN_TRIPLES

@@ -29,7 +29,7 @@ from hypermoyal import (
     symbol_from_distribution,
 )
 from hypermoyal import distributions, operators, selftest
-from hypermoyal.distributions import FACTOR_ROW_TERMS, FACTOR_ROWS
+from hypermoyal.distributions import FACTOR_ROW_TERMS
 from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
@@ -764,8 +764,9 @@ def test_differentiate_multi_memory_grows_with_the_result_not_the_order_squared(
 
 # -- the memos of factor rows ---------------------------------------------------------------
 #
-# ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``
-# and ``_twist_row`` (``_pair_factors``) by ``(a, b, x == 0, y == 0, sigma)``.
+# ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``,
+# asked only for keys below ``FACTOR_ROW_TERMS``, and ``_twist_row``
+# (``_pair_factors``) by ``(a, b, x == 0, y == 0, sigma)``.
 # No result may depend on what the memos hold: cold, warm, or cycled through a
 # bound smaller than the rows pushed through them.
 
@@ -851,14 +852,15 @@ def test_full_factor_memos_evict_and_results_stay_equal(monkeypatch):
 
 def _recorded_memo(monkeypatch, name) -> list:
     """Stand in a memo of the same bound that records each value it keeps."""
-    kept, build = [], getattr(distributions, name).__wrapped__
+    memo = getattr(distributions, name)
+    kept, build = [], memo.__wrapped__
 
     def recording(*args):
         kept.append(build(*args))
         return kept[-1]
 
     monkeypatch.setattr(distributions, name,
-                        functools.lru_cache(maxsize=FACTOR_ROWS)(recording))
+                        functools.lru_cache(maxsize=memo.cache_info().maxsize)(recording))
     return kept
 
 
@@ -874,8 +876,9 @@ def _pair_factors_as_fractions(x, y, a, b, h, sigma) -> list:
 
 
 def test_factor_memos_keep_no_row_above_the_bound(monkeypatch):
-    """Rows past the bound leave their slots empty, and the rows built in their
-    place give the results that memoized rows give under a raised bound."""
+    """Twist rows past the bound leave their slots empty, axis keys past it
+    never reach their memo, and the rows built in their place give the
+    results that memoized rows give under a raised bound."""
     top = FACTOR_ROW_TERMS
     # off the origin, (a, b) = (4, 4) has 55 terms; a = 32 or b = 32 reaches the bound
     twists = [(Fraction(1, 2), Fraction(-3, 5), 4, 4), (0, 0, top, 1), (0, Fraction(1, 3), 1, top)]
@@ -894,12 +897,28 @@ def test_factor_memos_keep_no_row_above_the_bound(monkeypatch):
                        for sigma in (1, -1) for x, y, a, b in twists]
     assert derived == _iterated_differentiate(f, (top,))
     assert results() == (twisted, derived)
-    assert twist_rows == [()] * 6 and axis_rows == [(), ()]
-    assert distributions._axis_row.cache_info().hits == 2
+    assert twist_rows == [()] * 6 and axis_rows == []
+    assert distributions._axis_row.cache_info().currsize == 0
     monkeypatch.setattr(distributions, "FACTOR_ROW_TERMS", 64)
     _clear_memos()
     assert results() == (twisted, derived)  # the same results from memoized rows
     assert max(map(len, axis_rows)) > top and all(twist_rows[6:])
+
+
+def test_out_of_bound_keys_never_enter_the_axis_memo():
+    """``d^2`` of ``x^e exp(u x)`` for 1,060 exponents ``e >= 40``, more keys
+    than the memo holds: their rows are built each time and never stored, so
+    the one in-bound row asked before them is still the memo's only row, and
+    a hit."""
+    inside = ExpPoly(1, H, {((1,), (3,)): 1})
+    outside = ExpPoly(1, H, {((1,), (e,)): 1 for e in range(40, 1100)})
+    distributions._axis_row.cache_clear()
+    once = inside.differentiate_multi((2,))
+    assert outside.differentiate_multi((2,)) == _iterated_differentiate(outside, (2,))
+    info = distributions._axis_row.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert inside.differentiate_multi((2,)) == once
+    assert distributions._axis_row.cache_info().hits == info.hits + 1
 
 
 def _traced_size(build) -> int:
@@ -917,7 +936,8 @@ def test_factor_row_bound_caps_the_memo_memory():
     measured), and the largest twist row it admits, ``(a, b) = (30, 31)`` at
     the origin, takes under 4 KB, so a full memo of twist rows stays under
     4 MB."""
-    assert FACTOR_ROWS == FACTOR_ROW_TERMS**2 == 1024
+    for memo in (distributions._axis_row, distributions._twist_row):
+        assert memo.cache_info().maxsize == FACTOR_ROW_TERMS**2 == 1024
     axis_rows = _traced_size(lambda: [distributions._axis_factors(n, e)
                                       for n in range(32) for e in range(32)])
     assert axis_rows < 2_000_000
@@ -953,7 +973,7 @@ def test_full_selftest_is_byte_identical_from_cold_and_warm_factor_memos():
     _clear_memos()
     cold = selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False)))
     for name in MEMOS:
-        assert 0 < getattr(distributions, name).cache_info().currsize < FACTOR_ROWS / 4
+        assert 0 < getattr(distributions, name).cache_info().currsize < FACTOR_ROW_TERMS**2 / 4
     warm = selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False)))
     for memo in (operators._derivative_row, distributions._axis_row, distributions._twist_row):
         assert memo.cache_info().hits > 0

@@ -1,6 +1,7 @@
 """Tests for pseudo-differential operator application and composition."""
 
 import functools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +31,7 @@ from hypermoyal import (
     star,
 )
 from hypermoyal import operators, selftest
-from hypermoyal.operators import DERIVATIVE_ROW_TERMS, DERIVATIVE_ROWS
+from hypermoyal.operators import DERIVATIVE_ROW_TERMS
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -431,9 +432,10 @@ def test_apply_normal_ordered_matches_iterated_oracle():
 
 # -- the memo of derivative rows ---------------------------------------------------------
 #
-# ``_derivative_row`` is memoized per process by ``(b, e)`` alone.  No result
-# may depend on what the memo holds: cold, warm, or cycled through a bound
-# smaller than the rows pushed through it.
+# ``_derivative_row`` is memoized per process by ``(b, e)`` alone, and is asked
+# only for keys below ``DERIVATIVE_ROW_TERMS``.  No result may depend on what
+# the memo holds: cold, warm, or cycled through a bound smaller than the rows
+# pushed through it.
 
 
 def _stored(phi):
@@ -491,14 +493,15 @@ def _recorded_derivative_memo(monkeypatch) -> list:
         return kept[-1]
 
     monkeypatch.setattr(operators, "_derivative_row",
-                        functools.lru_cache(maxsize=DERIVATIVE_ROWS)(recording))
+                        functools.lru_cache(maxsize=DERIVATIVE_ROW_TERMS**2)(recording))
     return kept
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_derivative_memo_keeps_no_row_above_the_bound(monkeypatch, sigma):
-    """``p^32`` on ``q^33``: ``b`` and ``e`` reach the bound, the slot holds no
-    row, and the row built in its place gives the same result."""
+    """``p^32`` on ``q^33``: ``b`` and ``e`` reach the bound, the memo is never
+    asked, and the row built in its place gives the result that a memoized
+    row gives under a raised bound."""
     h = Fraction(2, 3)
     top = DERIVATIVE_ROW_TERMS
     op = Operator(PolySymbol.monomial((0,), (top,), 1, sigma), h)
@@ -509,18 +512,32 @@ def test_derivative_memo_keeps_no_row_above_the_bound(monkeypatch, sigma):
     once = [op.apply_normal_ordered(phi, degree_cap=top) for phi in phis]
     assert [op.apply_normal_ordered(phi, degree_cap=top) for phi in phis] == once
     assert once == [_iterated_apply(op, phi) for phi in phis]
-    assert kept[0] == () and all(len(row) <= top for row in kept)
-    assert operators._derivative_row.cache_info().hits > 0
+    assert kept == [] and operators._derivative_row.cache_info().currsize == 0
     monkeypatch.setattr(operators, "DERIVATIVE_ROW_TERMS", top + 2)
-    operators._derivative_row.cache_clear()
     assert [op.apply_normal_ordered(phi, degree_cap=top) for phi in phis] == once
     assert max(map(len, kept)) > top  # the same results from a memoized row
+    assert operators._derivative_row.cache_info().hits > 0
+
+
+def test_out_of_bound_keys_never_enter_the_derivative_memo():
+    """1,060 keys ``(b, 3)``, ``b >= 40``, more than the memo holds, are built
+    each time and never stored: the one in-bound row asked before them is
+    still the memo's only row, and a hit."""
+    operators._derivative_row.cache_clear()
+    inside = operators._derivative_terms((2,), (3,), (1,))
+    for b in range(40, 1100):
+        assert operators._derivative_terms((b,), (3,), (1,)) == [
+            ((3 - j,), math.comb(b, j) * math.perm(3, j), b - j) for j in range(4)]
+    info = operators._derivative_row.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert operators._derivative_terms((2,), (3,), (1,)) == inside
+    assert operators._derivative_row.cache_info().hits == info.hits + 1
 
 
 def test_derivative_row_bound_caps_the_memo_memory():
     """The bound admits 32 * 32 keys, all of which fit the memo, and every
     admissible row together takes under 2 MB (1.1 MB when measured)."""
-    assert DERIVATIVE_ROWS == DERIVATIVE_ROW_TERMS**2 == 1024
+    assert operators._derivative_row.cache_info().maxsize == DERIVATIVE_ROW_TERMS**2 == 1024
     tracemalloc.start()
     try:
         rows = [operators._derivative_factors(b, e) for b in range(32) for e in range(32)]
@@ -533,7 +550,7 @@ def test_derivative_row_bound_caps_the_memo_memory():
 def test_full_selftest_shapes_fill_under_a_quarter_of_the_derivative_memo():
     operators._derivative_row.cache_clear()
     selftest._payload(0, selftest._sizes(fast=False))
-    assert 0 < operators._derivative_row.cache_info().currsize < DERIVATIVE_ROWS / 4
+    assert 0 < operators._derivative_row.cache_info().currsize < DERIVATIVE_ROW_TERMS**2 / 4
 
 
 def _exp_symbol(rng, k, sigma):

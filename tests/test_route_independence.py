@@ -128,10 +128,16 @@ def test_bound_guard_sees_what_it_forbids():
 
 def _reached(tree, *path) -> set:
     """:func:`_names` of the definition at ``path`` in ``tree`` and of every
-    function or method defined in ``tree`` under a name that it uses,
-    followed to the end, so a helper's helper is scanned too."""
+    function or method defined in ``tree`` under a name that it uses, and of
+    the value of every module-level name it uses (a memo such as
+    ``lru_cache(...)(builder)``), followed to the end, so a helper's helper
+    is scanned too."""
     defined = {}
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defined.setdefault(target.id, []).append(node.value)
         for child in node.body if isinstance(node, ast.ClassDef) else [node]:
             if isinstance(child, ast.FunctionDef):
                 defined.setdefault(child.name, []).append(child)
@@ -145,12 +151,12 @@ def _reached(tree, *path) -> set:
 
 #: The normal-ordered kernel's helpers in ``operators``, and the memo's bounds.
 DERIVATIVE_HELPERS = ["_derivative_terms", "_derivative_row", "_derivative_factors",
-                      "DERIVATIVE_ROWS", "DERIVATIVE_ROW_TERMS"]
+                      "DERIVATIVE_ROW_TERMS"]
 #: The factor-row helpers of ``distributions``: ``differentiate_multi``'s axis
 #: rows, the twist rows of ``_pair_factors``, and their bounds.
 AXIS_HELPERS = ["_axis_row", "_axis_factors"]
 TWIST_HELPERS = ["_pair_factors", "_twist_row", "_twist_terms"]
-FACTOR_BOUNDS = ["FACTOR_ROWS", "FACTOR_ROW_TERMS"]
+FACTOR_BOUNDS = ["FACTOR_ROW_TERMS"]
 
 
 def test_shift_route_does_not_use_the_normal_ordered_kernel():
@@ -218,12 +224,10 @@ def test_guard_sees_what_it_forbids():
     assert "_derivative_terms" in _names(_function(operators, "Operator", "apply_normal_ordered"))
     assert set(DERIVATIVE_HELPERS) <= _reached(_tree(operators), "Operator",
                                                "apply_normal_ordered")
-    assert {"_derivative_row", "_derivative_factors"} <= _names(
+    assert {"_derivative_row", "_derivative_factors", "DERIVATIVE_ROW_TERMS"} <= _names(
         _function(operators, "_derivative_terms"))
-    assert {"DERIVATIVE_ROW_TERMS", "_derivative_factors"} <= _names(
-        _function(operators, "_derivative_row"))
-    assert set(AXIS_HELPERS) <= _names(_function(distributions, "ExpPoly", "differentiate_multi"))
-    assert {"FACTOR_ROW_TERMS", "_axis_factors"} <= _names(_function(distributions, "_axis_row"))
+    assert {"FACTOR_ROW_TERMS", *AXIS_HELPERS} <= _names(
+        _function(distributions, "ExpPoly", "differentiate_multi"))
     assert {"_twist_row", "_twist_terms"} <= _names(_function(distributions, "_pair_factors"))
     assert {"FACTOR_ROW_TERMS", "_twist_terms"} <= _names(_function(distributions, "_twist_row"))
     assert set(TWIST_HELPERS + FACTOR_BOUNDS) <= _reached(_tree(distributions),
@@ -248,12 +252,13 @@ def test_guard_sees_what_it_forbids():
     "module, helper, planted, path",
     [(operators, ("_derivative_factors",), "_axis_row(b, e)",
       ("Operator", "apply_normal_ordered")),
-     (operators, ("_derivative_row",), "_twist_terms(b, e, 0, 0, 1)", ("_derivative_terms",)),
+     (operators, ("_derivative_terms",), "_twist_terms(b, e, 0, 0, 1)",
+      ("Operator", "apply_normal_ordered")),
      (operators, ("Operator", "_check_cap"), "_derivative_row(1, 1)",
       ("Operator", "apply_shift_form")),
      (distributions, ("_twist_terms",), "_derivative_factors(a, b)", ("star_distributional",)),
      (distributions, ("_twist_row",), "KAPPA_ROWS", ("_pair_factors",))],
-    ids=["axis-row-in-derivative-factors", "twist-terms-in-derivative-row",
+    ids=["axis-row-in-derivative-factors", "twist-terms-in-derivative-terms",
          "derivative-row-in-the-shift-route", "derivative-factors-in-twist-terms",
          "kappa-bound-in-twist-row"],
 )
@@ -266,6 +271,17 @@ def test_reach_guard_sees_a_cross_route_call_in_a_helper(module, helper, planted
     _definition(tree, *helper).body.insert(0, ast.parse(planted).body[0])
     assert name not in _names(_definition(tree, *path))
     assert name in _reached(tree, *path)
+
+
+def test_reach_guard_follows_a_memo_to_its_builder():
+    """A memo bound by assignment is scanned through its value: a derivative
+    memo planted over the axis rows is found from the normal-ordered route."""
+    tree = _tree(operators)
+    memo = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "_derivative_row")
+    assert "_axis_factors" not in _reached(tree, "Operator", "apply_normal_ordered")
+    memo.value.args[0] = ast.Name("_axis_factors")
+    assert "_axis_factors" in _reached(tree, "Operator", "apply_normal_ordered")
 
 
 #: Kernels that read the stored integer coefficients of their operands: none of

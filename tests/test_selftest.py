@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hypermoyal import distributions, grassmann, operators, selftest, symbols
+from hypermoyal import distributions, grassmann, interference, operators, selftest, symbols
 from hypermoyal.cli import main
 
 
@@ -18,8 +18,17 @@ def _always_false(original):
     return lambda *args, **kwargs: False
 
 
-def _extra_problem(original):
-    return lambda rng, sigma: original(rng, sigma) + ["planted"]
+def _theta_off(original):
+    """``forward`` whose first outcome's angle is off by 1e-9."""
+
+    def planted(*args):
+        context, report = original(*args)
+        first, *rest = report.outcomes
+        first = interference.OutcomeReport(*first._fields()[:-1], first.theta + 1e-9)
+        return context, interference.InterferenceReport((first, *rest),
+                                                         report.normalization_residual)
+
+    return planted
 
 
 #: check name -> (owner of the oracle, oracle name, fault built from the oracle)
@@ -30,7 +39,7 @@ FAULTS = {
     "two_path": (distributions, "star_distributional", _plus_one),
     "fourier_identities": (distributions.Ultradistribution, "fourier", _plus_one),
     "eigenrelation": (operators, "plane_wave_eigenvalue", _plus_one),
-    "interference": (selftest, "_random_round_trip", _extra_problem),
+    "interference": (interference, "forward", _theta_off),
     "grassmann": (grassmann, "supercommutator", _plus_one),
 }
 

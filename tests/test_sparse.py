@@ -135,6 +135,10 @@ REBUILD = {
     GrassmannElement: lambda x: GrassmannElement(x.n, x.sigma, dict(x.terms())),
 }
 
+#: The type of the coefficient in each ``(head, coefficient)`` view of a class.
+VIEWS = {HPoly: Binarion, CharSum: Binarion, PolySymbol: HPoly, ExpPoly: CharSum,
+         Ultradistribution: CharSum, GrassmannElement: Binarion}
+
 
 def _assert_clean(x):
     rebuilt = REBUILD[type(x)](x)
@@ -149,9 +153,9 @@ def _assert_clean(x):
         parts += value
     assert type(x._cden) is int and x._cden >= 1
     assert math.gcd(x._cden, *parts) == 1  # and 1 for the empty element
-    if x._VIEW is not None:
-        for _, coeff in x._grouped():
-            assert type(coeff) is x._VIEW and not coeff.is_zero()
+    for _, coeff in x._grouped():
+        assert type(coeff) is VIEWS[type(x)] and not coeff.is_zero()
+        if VIEWS[type(x)] is not Binarion:
             _assert_clean(coeff)
     if isinstance(x, (ExpPoly, Ultradistribution)):
         # vector and r numerators over the least common denominator
