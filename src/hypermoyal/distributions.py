@@ -768,11 +768,9 @@ _axis_row = lru_cache(maxsize=FACTOR_ROW_TERMS**2)(_axis_factors)
 
 @lru_cache(maxsize=FACTOR_ROW_TERMS**2)
 def _twist_row(a: int, b: int, x_zero: bool, y_zero: bool, sigma: int) -> tuple:
-    """:func:`_twist_terms`, memoized; ``()`` in place of a row whose ``a`` or
-    ``b`` reaches :data:`FACTOR_ROW_TERMS` or that has more terms than that,
-    which the caller builds each time."""
-    if a >= FACTOR_ROW_TERMS or b >= FACTOR_ROW_TERMS:
-        return ()
+    """:func:`_twist_terms`, memoized; asked only for ``a`` and ``b`` below
+    :data:`FACTOR_ROW_TERMS`, and ``()`` in place of a row with more terms
+    than that, which the caller builds each time."""
     row = _twist_terms(a, b, x_zero, y_zero, sigma)
     return row if sum(len(terms) for _, _, terms in row) <= FACTOR_ROW_TERMS else ()
 
@@ -814,9 +812,10 @@ def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     ``d_x^s d_y^t exp(c*x*y) / exp(c*x*y)``.  ``c^n = h^n sigma^(n//2) u^(n%2)``.
     At ``x = 0`` only ``j = t`` survives and at ``y = 0`` only ``j = s``.
     The integer part of each surviving term comes from the row of
-    :func:`_twist_terms`, memoized under ``(a, b, x == 0, y == 0, sigma)``;
-    the powers of ``h``, ``x`` and ``y`` are applied here, and zero factors
-    are dropped before any product is formed.
+    :func:`_twist_terms`, memoized under ``(a, b, x == 0, y == 0, sigma)``
+    when ``a`` and ``b`` are below :data:`FACTOR_ROW_TERMS`; the powers of
+    ``h``, ``x`` and ``y`` are applied here, and zero factors are dropped
+    before any product is formed.
 
     ``x``, ``y`` and ``h`` are ``(numerator, denominator)`` pairs, and ``re``
     and ``im`` integer numerators over ``hd^(a+b) xd^b yd^a``: each term
@@ -825,8 +824,9 @@ def _pair_factors(x, y, a, b, h, sigma: int) -> list:
     """
     (xn, xd), (yn, yd), (hn, hd) = x, y, h
     key = (a, b, not xn, not yn, sigma)
+    row = _twist_row(*key) if a < FACTOR_ROW_TERMS and b < FACTOR_ROW_TERMS else ()
     out = []
-    for da, db, terms in _twist_row(*key) or _twist_terms(*key):
+    for da, db, terms in row or _twist_terms(*key):
         parts = [0, 0]
         for odd, c, (e_hn, e_hd, e_xn, e_xd, e_yn, e_yd) in terms:
             parts[odd] += c * hn**e_hn * hd**e_hd * xn**e_xn * xd**e_xd * yn**e_yn * yd**e_yd

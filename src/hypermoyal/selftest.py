@@ -85,11 +85,11 @@ def _random_symbol(rng, k: int, sigma: Sigma, max_degree: int, max_terms: int = 
     return sym.PolySymbol(k, sigma, summed(pairs))
 
 
-def _random_distribution(rng, dim: int, sigma: Sigma):
+def _random_distribution(rng, dim: int, sigma: Sigma, max_atoms: int = 6, max_order: int = 4):
     atoms = []
-    for _ in range(rng.randint(1, 6)):
+    for _ in range(rng.randint(1, max_atoms)):
         loc = tuple(_random_fraction(rng) for _ in range(dim))
-        order = tuple(rng.randint(0, 4) for _ in range(dim))
+        order = tuple(rng.randint(0, max_order) for _ in range(dim))
         atoms.append((loc, order, _random_binarion(rng, sigma)))
     return dist.Ultradistribution(dim, sigma, atoms)
 

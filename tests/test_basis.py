@@ -19,6 +19,10 @@ high rows included.
   ``x^e exp(u f x)`` with ``e <= 8`` and ``f`` in ``{0, 1/2}``, at two
   values of ``h``: the derivative rows ``d^b x^e`` up to ``b = e = 8``, the
   reach of the default degree cap for one degree of freedom.
+* **Composition.**  ``compose_check(a, b, phi)`` holds for every pair of
+  k = 1 monomial symbols up to degree 3 and every ``x^e exp(u f x)`` with
+  ``e <= 3`` and ``f`` in ``{0, 1/2}``, at two values of ``h``: the series
+  product, read at ``h``, acts as the composed operators.
 * **Twist rows.**  ``distributions._pair_factors``, read from its memoized
   integer rows, equals the rational closed form of ``test_distributions`` for
   every ``delta^((a, b))``, ``a, b <= 8``, at the origin, on either axis and
@@ -50,6 +54,7 @@ from hypermoyal import (
     PolySymbol,
     Sigma,
     WaveFunction,
+    compose_check,
     poisson_bracket,
     scaled_bracket,
     star,
@@ -152,6 +157,24 @@ def test_apply_routes_agree_on_every_basis_pair(sigma):
                     failures.append((symbol.to_text(), func.to_text(), h))
     assert failures == []
     assert compared == APPLY_PAIRS
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
+def test_compose_check_on_every_basis_pair(sigma):
+    left, right = _sides(1, 3, sigma)
+    funcs = [ExpPoly(1, sigma, {((f,), (e,)): Binarion(3, -1, sigma)})
+             for e in range(4) for f in APPLY_FREQS]
+    compared, failures = 0, []
+    for h in APPLY_H:
+        for func in funcs:
+            phi = WaveFunction(func, h)
+            for _, _, a, _ in left:
+                for _, _, b, _ in right:
+                    compared += 1
+                    if not compose_check(a, b, phi):
+                        failures.append((a.to_text(), b.to_text(), func.to_text(), h))
+    assert failures == []
+    assert compared == 1600  # 10 symbols per side, 8 wavefunctions, 2 values of h
 
 
 @pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])

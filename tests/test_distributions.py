@@ -30,28 +30,17 @@ from hypermoyal import (
 )
 from hypermoyal import distributions, operators, selftest
 from hypermoyal.distributions import FACTOR_ROW_TERMS
+from hypermoyal.selftest import (
+    _random_binarion,
+    _random_distribution,
+    _random_fraction,
+    _random_symbol,
+)
 from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
 SIGMAS = (H, C)
-
-
-def _random_fraction(rng):
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-
-def _random_binarion(rng, sigma):
-    return Binarion(_random_fraction(rng), _random_fraction(rng), sigma)
-
-
-def _random_distribution(rng, dim, sigma, max_atoms=6, max_order=4):
-    atoms = []
-    for _ in range(rng.randint(1, max_atoms)):
-        loc = tuple(_random_fraction(rng) for _ in range(dim))
-        order = tuple(rng.randint(0, max_order) for _ in range(dim))
-        atoms.append((loc, order, _random_binarion(rng, sigma)))
-    return Ultradistribution(dim, sigma, atoms)
 
 
 def _random_exp_poly(rng, dim, sigma, max_terms=3, max_degree=3):
@@ -64,24 +53,6 @@ def _random_exp_poly(rng, dim, sigma, max_terms=3, max_degree=3):
         )
         out = out + term
     return out
-
-
-def _random_symbol(rng, k, sigma, max_degree=4, max_terms=3):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        alpha = [0] * k
-        beta = [0] * k
-        for _ in range(rng.randint(0, max_degree)):
-            slot = rng.randrange(2 * k)
-            if slot < k:
-                alpha[slot] += 1
-            else:
-                beta[slot - k] += 1
-        key = (tuple(alpha), tuple(beta))
-        coeff = _random_binarion(rng, sigma)
-        existing = terms.get(key)
-        terms[key] = coeff if existing is None else existing + coeff
-    return PolySymbol(k, sigma, terms)
 
 
 # -- CharSum (formal character ring) ------------------------------------------------
@@ -333,8 +304,8 @@ def test_two_path_star_equality_random():
     for sigma in SIGMAS:
         for i in range(30):
             k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma)
-            b = _random_symbol(rng, k, sigma)
+            a = _random_symbol(rng, k, sigma, 4)
+            b = _random_symbol(rng, k, sigma, 4)
             h = Fraction(rng.randint(1, 5), rng.randint(1, 4))
             via_series = ExpPoly.from_poly_symbol(star(a, b).substitute_h(h))
             via_atoms = star_distributional(a, b, h)
@@ -542,7 +513,7 @@ def _staged_oracle_cases():
             q, p = ExpPoly.coordinate(0, 2 * k, sigma), ExpPoly.coordinate(k, 2 * k, sigma)
             # (1+j)(1-j) = 0: in the hyperbolic ring every pair weight vanishes
             pairs = [(wave * p * Binarion(1, 1, sigma), wave * q * Binarion(1, -1, sigma)),
-                     (_random_symbol(rng, k, sigma), _random_symbol(rng, k, sigma))]
+                     (_random_symbol(rng, k, sigma, 4), _random_symbol(rng, k, sigma, 4))]
             pairs += [(_atom_symbol(rng, k, sigma), _atom_symbol(rng, k, sigma))
                       for _ in range(12)]
             cases += [(a, b, h) for a, b in pairs]
@@ -764,9 +735,9 @@ def test_differentiate_multi_memory_grows_with_the_result_not_the_order_squared(
 
 # -- the memos of factor rows ---------------------------------------------------------------
 #
-# ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``,
-# asked only for keys below ``FACTOR_ROW_TERMS``, and ``_twist_row``
-# (``_pair_factors``) by ``(a, b, x == 0, y == 0, sigma)``.
+# ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``
+# and ``_twist_row`` (``_pair_factors``) by ``(a, b, x == 0, y == 0, sigma)``,
+# each asked only for orders and exponents below ``FACTOR_ROW_TERMS``.
 # No result may depend on what the memos hold: cold, warm, or cycled through a
 # bound smaller than the rows pushed through them.
 
@@ -876,9 +847,9 @@ def _pair_factors_as_fractions(x, y, a, b, h, sigma) -> list:
 
 
 def test_factor_memos_keep_no_row_above_the_bound(monkeypatch):
-    """Twist rows past the bound leave their slots empty, axis keys past it
-    never reach their memo, and the rows built in their place give the
-    results that memoized rows give under a raised bound."""
+    """A twist row of more terms than the bound leaves its slot empty, keys
+    past it never reach their memo, and the rows built in their place give
+    the results that memoized rows give under a raised bound."""
     top = FACTOR_ROW_TERMS
     # off the origin, (a, b) = (4, 4) has 55 terms; a = 32 or b = 32 reaches the bound
     twists = [(Fraction(1, 2), Fraction(-3, 5), 4, 4), (0, 0, top, 1), (0, Fraction(1, 3), 1, top)]
@@ -897,28 +868,58 @@ def test_factor_memos_keep_no_row_above_the_bound(monkeypatch):
                        for sigma in (1, -1) for x, y, a, b in twists]
     assert derived == _iterated_differentiate(f, (top,))
     assert results() == (twisted, derived)
-    assert twist_rows == [()] * 6 and axis_rows == []
+    assert twist_rows == [()] * 2 and axis_rows == []  # the (4, 4) rows in both rings
+    assert distributions._twist_row.cache_info().currsize == 2
     assert distributions._axis_row.cache_info().currsize == 0
     monkeypatch.setattr(distributions, "FACTOR_ROW_TERMS", 64)
     _clear_memos()
     assert results() == (twisted, derived)  # the same results from memoized rows
-    assert max(map(len, axis_rows)) > top and all(twist_rows[6:])
+    assert max(map(len, axis_rows)) > top and len(twist_rows) == 8 and all(twist_rows[2:])
 
 
-def test_out_of_bound_keys_never_enter_the_axis_memo():
-    """``d^2`` of ``x^e exp(u x)`` for 1,060 exponents ``e >= 40``, more keys
-    than the memo holds: their rows are built each time and never stored, so
-    the one in-bound row asked before them is still the memo's only row, and
-    a hit."""
+def _axis_case():
+    """``d^2`` of ``x^e exp(u x)`` at ``e = 3``, and at the 1,060 exponents
+    ``e = 40..1099``, checked against the iterated oracle."""
     inside = ExpPoly(1, H, {((1,), (3,)): 1})
     outside = ExpPoly(1, H, {((1,), (e,)): 1 for e in range(40, 1100)})
-    distributions._axis_row.cache_clear()
-    once = inside.differentiate_multi((2,))
-    assert outside.differentiate_multi((2,)) == _iterated_differentiate(outside, (2,))
-    info = distributions._axis_row.cache_info()
+
+    def ask_outside():
+        assert outside.differentiate_multi((2,)) == _iterated_differentiate(outside, (2,))
+
+    return lambda: inside.differentiate_multi((2,)), ask_outside
+
+
+def _twist_case():
+    """The twist factors of ``delta^((1, 1))`` at ``(1/2, -3/5)``, and of the
+    1,072 keys ``(m, 0)`` and ``(0, m)``, ``m = 40..106``, at and off the
+    origin in both rings, every 67th checked against the closed form."""
+    h, x, y = Fraction(2, 3), Fraction(1, 2), Fraction(-3, 5)
+    keys = [(xi, yi, a, b, sigma) for m in range(40, 107) for a, b in ((m, 0), (0, m))
+            for xi in (0, x) for yi in (0, y) for sigma in (1, -1)]
+
+    def ask_outside():
+        for i, (xi, yi, a, b, sigma) in enumerate(keys):
+            got = _pair_factors_as_fractions(xi, yi, a, b, h, sigma)
+            if i % 67 == 0:
+                assert got == _rational_pair_factors(Fraction(xi), Fraction(yi), a, b, h, sigma)
+
+    return lambda: _pair_factors_as_fractions(x, y, 1, 1, h, 1), ask_outside
+
+
+@pytest.mark.parametrize("memo, case", [("_axis_row", _axis_case), ("_twist_row", _twist_case)],
+                         ids=("axis", "twist"))
+def test_out_of_bound_keys_never_enter_their_memo(memo, case):
+    """More keys past the bound than the memo holds: their rows are built
+    each time and never stored, so the one in-bound row asked before them is
+    still the memo's only row, and a hit."""
+    ask_inside, ask_outside = case()
+    getattr(distributions, memo).cache_clear()
+    once = ask_inside()
+    ask_outside()
+    info = getattr(distributions, memo).cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    assert inside.differentiate_multi((2,)) == once
-    assert distributions._axis_row.cache_info().hits == info.hits + 1
+    assert ask_inside() == once
+    assert getattr(distributions, memo).cache_info().hits == info.hits + 1
 
 
 def _traced_size(build) -> int:
@@ -1009,7 +1010,7 @@ def test_from_poly_symbol_matches_terms_rebuild():
             zero = PolySymbol.zero(k, sigma)
             cases = [(cancels, h), (zero, h), (zero, None)]
             for _ in range(8):
-                symbol = _random_symbol(rng, k, sigma)
+                symbol = _random_symbol(rng, k, sigma, 4)
                 cases.append((symbol, None))
                 hbar = HPoly({d: _random_binarion(rng, sigma) for d in range(rng.randint(1, 3))},
                              sigma)

@@ -19,25 +19,11 @@ from hypermoyal import (
     parity,
     supercommutator,
 )
+from hypermoyal.selftest import _random_grassmann
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
 SIGMAS = (H, C)
-
-
-def _random_element(rng, n, sigma, homogeneous=None):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        mask = rng.randrange(1 << n)
-        if homogeneous is not None and mask.bit_count() % 2 != homogeneous:
-            continue
-        coeff = Binarion(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-            Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-            sigma,
-        )
-        terms[mask] = terms.get(mask, Binarion.zero(sigma)) + coeff
-    return GrassmannElement(n, sigma, terms)
 
 
 # -- generator relations ---------------------------------------------------------
@@ -87,8 +73,8 @@ def test_even_part_is_closed():
     for sigma in SIGMAS:
         for _ in range(30):
             n = rng.randint(1, 6)
-            a = _random_element(rng, n, sigma, homogeneous=0)
-            b = _random_element(rng, n, sigma, homogeneous=0)
+            a = _random_grassmann(rng, n, sigma).even_part()
+            b = _random_grassmann(rng, n, sigma).even_part()
             assert parity(a * b) in (Parity.EVEN,)
 
 
@@ -105,8 +91,10 @@ def test_supercommutativity_randomized():
             n = rng.randint(1, 6)
             pa = rng.choice((0, 1))
             pb = rng.choice((0, 1))
-            a = _random_element(rng, n, sigma, homogeneous=pa)
-            b = _random_element(rng, n, sigma, homogeneous=pb)
+            a = _random_grassmann(rng, n, sigma)
+            a = a.odd_part() if pa else a.even_part()
+            b = _random_grassmann(rng, n, sigma)
+            b = b.odd_part() if pb else b.even_part()
             sign = -1 if (pa and pb) else 1
             assert a * b == sign * (b * a)
             assert supercommutator(a, b).is_zero()
@@ -117,8 +105,8 @@ def test_supercommutator_vanishes_for_mixed_elements():
     for sigma in SIGMAS:
         for _ in range(40):
             n = rng.randint(1, 6)
-            a = _random_element(rng, n, sigma)
-            b = _random_element(rng, n, sigma)
+            a = _random_grassmann(rng, n, sigma)
+            b = _random_grassmann(rng, n, sigma)
             assert supercommutator(a, b).is_zero()
 
 
@@ -127,9 +115,9 @@ def test_associativity_randomized():
     for sigma in SIGMAS:
         for _ in range(60):
             n = rng.randint(1, 6)
-            a = _random_element(rng, n, sigma)
-            b = _random_element(rng, n, sigma)
-            c = _random_element(rng, n, sigma)
+            a = _random_grassmann(rng, n, sigma)
+            b = _random_grassmann(rng, n, sigma)
+            c = _random_grassmann(rng, n, sigma)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
 

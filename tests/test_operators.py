@@ -32,45 +32,11 @@ from hypermoyal import (
 )
 from hypermoyal import operators, selftest
 from hypermoyal.operators import DERIVATIVE_ROW_TERMS
+from hypermoyal.selftest import _random_fraction, _random_symbol, _random_wavefunction
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
 SIGMAS = (H, C)
-
-
-def _random_fraction(rng):
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-
-def _random_symbol(rng, k, sigma, max_degree=4, max_terms=3):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        alpha = [0] * k
-        beta = [0] * k
-        for _ in range(rng.randint(0, max_degree)):
-            slot = rng.randrange(2 * k)
-            if slot < k:
-                alpha[slot] += 1
-            else:
-                beta[slot - k] += 1
-        coeff = Binarion(_random_fraction(rng), _random_fraction(rng), sigma)
-        key = (tuple(alpha), tuple(beta))
-        existing = terms.get(key)
-        terms[key] = coeff if existing is None else existing + coeff
-    return PolySymbol(k, sigma, terms)
-
-
-def _random_wavefunction(rng, k, sigma, h):
-    momentum = tuple(_random_fraction(rng) for _ in range(k))
-    wave = WaveFunction.plane_wave(momentum, h, sigma)
-    poly = ExpPoly.constant(Binarion(1, 0, sigma), k, sigma)
-    for _ in range(rng.randint(0, 2)):
-        index = rng.randrange(k)
-        poly = poly * (
-            ExpPoly.coordinate(index, k, sigma)
-            + ExpPoly.constant(_random_fraction(rng), k, sigma)
-        )
-    return WaveFunction(poly * wave.func, h)
 
 
 def _quadratic_wavefunction(sigma, h, momentum=Fraction(1, 2)):
@@ -327,7 +293,7 @@ def test_plane_wave_eigenrelation_random():
         for i in range(40):
             k = 1 + (i % 2)
             h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-            a = _random_symbol(rng, k, sigma)
+            a = _random_symbol(rng, k, sigma, 4)
             momentum = tuple(_random_fraction(rng) for _ in range(k))
             wave = WaveFunction.plane_wave(momentum, h, sigma)
             got = Operator(a, h).apply(wave)
@@ -342,8 +308,8 @@ def test_apply_is_linear():
     rng = random.Random(13)
     h = Fraction(1, 2)
     for sigma in SIGMAS:
-        a = _random_symbol(rng, 1, sigma)
-        b = _random_symbol(rng, 1, sigma)
+        a = _random_symbol(rng, 1, sigma, 4)
+        b = _random_symbol(rng, 1, sigma, 4)
         phi = _random_wavefunction(rng, 1, sigma, h)
         psi = _random_wavefunction(rng, 1, sigma, h)
         op_a = Operator(a, h)
@@ -676,7 +642,7 @@ def test_operator_json_round_trip():
     rng = random.Random(19)
     h = Fraction(2, 3)
     for sigma in SIGMAS:
-        a = _random_symbol(rng, 1, sigma)
+        a = _random_symbol(rng, 1, sigma, 4)
         op = Operator(a, h)
         back = Operator.from_json_dict(op.to_json_dict())
         assert back.symbol == a and back.h == h and back.sigma is sigma
@@ -689,7 +655,7 @@ def test_operator_equality_compares_symbol_h_and_sigma():
     rng = random.Random(29)
     h = Fraction(2, 3)
     for sigma in SIGMAS:
-        a = _random_symbol(rng, 1, sigma)
+        a = _random_symbol(rng, 1, sigma, 4)
         op = Operator(a, h)
         assert op == Operator(a + 0, h, sigma)
         assert op != Operator(a, Fraction(1, 3))

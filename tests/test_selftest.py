@@ -1,6 +1,7 @@
 """A planted fault in the oracle of each randomized selftest check makes that
 check report failures, and ``selftest`` exit 1: a check that never counts a
-failure is caught here."""
+failure is caught here.  The values the checks draw are pinned too, since
+the report, which holds only counts, cannot show a changed draw."""
 
 import hashlib
 import random
@@ -93,15 +94,16 @@ def test_a_failing_compose_check_object_fails_criterion_4(monkeypatch):
     assert entry["passed"] is False
 
 
-#: The generators that every randomized selftest case draws its values from.
-GENERATORS = ("_random_fraction", "_random_binarion", "_random_symbol",
-              "_random_distribution", "_random_wavefunction", "_random_grassmann")
-
-
-def _drawn_texts(monkeypatch, seed):
-    """The text of every value the generators return, nested calls included,
-    during one pass of ``run_selftest(seed, fast=True)``; its second pass
-    repeats the same draws, which criterion 10 checks."""
+@pytest.mark.parametrize("seed, count, digest", [
+    (0, 3135, "d090c8b6d1059b3382c6013e70926141f2ecdca2d9982fe0f659fc32ba54b2ba"),
+    (42, 3228, "c95cf9590f4c08c9c85b876b9a3db57179288d3d07a9638e66d6c15004e7b3c8"),
+], ids=("seed-0", "seed-42"))
+def test_the_selftest_draws_the_same_cases(monkeypatch, seed, count, digest):
+    """The report holds only counts, so a changed draw shows here, not in its
+    md5: the text of every value the six value generators return, nested
+    calls included, during one pass of ``run_selftest(seed, fast=True)`` is
+    pinned by its count and digest.  The second pass repeats the same draws,
+    which criterion 10 checks."""
     texts = []
 
     def recording(name, generator):
@@ -112,19 +114,9 @@ def _drawn_texts(monkeypatch, seed):
 
         return draw
 
-    for name in GENERATORS:
+    for name in ("_random_fraction", "_random_binarion", "_random_symbol",
+                 "_random_distribution", "_random_wavefunction", "_random_grassmann"):
         monkeypatch.setattr(selftest, name, recording(name, getattr(selftest, name)))
     selftest._payload(seed, selftest._sizes(fast=True))
-    return texts
-
-
-@pytest.mark.parametrize("seed, count, digest", [
-    (0, 3135, "d090c8b6d1059b3382c6013e70926141f2ecdca2d9982fe0f659fc32ba54b2ba"),
-    (42, 3228, "c95cf9590f4c08c9c85b876b9a3db57179288d3d07a9638e66d6c15004e7b3c8"),
-], ids=("seed-0", "seed-42"))
-def test_the_selftest_draws_the_same_cases(monkeypatch, seed, count, digest):
-    """The report holds only counts, so a changed draw shows here, not in its
-    md5: the drawn values of ``--fast`` for seeds 0 and 42 are pinned."""
-    texts = _drawn_texts(monkeypatch, seed)
     assert len(texts) == count
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest

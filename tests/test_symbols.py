@@ -28,6 +28,7 @@ from hypermoyal import (
     star,
 )
 from hypermoyal import selftest, symbols
+from hypermoyal.selftest import _random_symbol
 from hypermoyal.symbols import DEFAULT_DEGREE_CAP, KAPPA_ROW_TERMS, KAPPA_ROWS
 
 H = Sigma.HYPERBOLIC
@@ -47,28 +48,6 @@ def minus_sigma_uh(sigma):
     return PolySymbol.constant(
         HPoly.h_power(1, sigma, Binarion(0, -sigma.value, sigma)), 1, sigma
     )
-
-
-def _random_symbol(rng, k, sigma, max_degree, max_terms=3):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        alpha = [0] * k
-        beta = [0] * k
-        for _ in range(rng.randint(0, max_degree)):
-            slot = rng.randrange(2 * k)
-            if slot < k:
-                alpha[slot] += 1
-            else:
-                beta[slot - k] += 1
-        coeff = Binarion(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-            sigma,
-        )
-        key = (tuple(alpha), tuple(beta))
-        hp = HPoly.from_scalar(coeff)
-        terms[key] = terms[key] + hp if key in terms else hp
-    return PolySymbol(k, sigma, terms)
 
 
 def _series_star(a: PolySymbol, b: PolySymbol, degree_cap: int = None) -> PolySymbol:
