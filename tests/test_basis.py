@@ -82,6 +82,10 @@ APPLY_FREQS = (Fraction(0), Fraction(1, 2))
 APPLY_H = (Fraction(1, 3), Fraction(5, 2))
 #: 45 symbols times 18 wavefunctions times 2 values of ``h``, per ring.
 APPLY_PAIRS = 1620
+#: Composition: symbols and powers ``x^e`` up to this degree; 10 symbols per
+#: side squared, times 8 wavefunctions times 2 values of ``h``, per ring.
+COMPOSE_DEGREE = 3
+COMPOSE_PAIRS = 1600
 
 #: Twist rows: orders ``a, b`` up to this bound, at the four zero patterns of
 #: ``(x, y)``; 81 orders times 4 locations, per ring.
@@ -161,9 +165,9 @@ def test_apply_routes_agree_on_every_basis_pair(sigma):
 
 @pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])
 def test_compose_check_on_every_basis_pair(sigma):
-    left, right = _sides(1, 3, sigma)
+    left, right = _sides(1, COMPOSE_DEGREE, sigma)
     funcs = [ExpPoly(1, sigma, {((f,), (e,)): Binarion(3, -1, sigma)})
-             for e in range(4) for f in APPLY_FREQS]
+             for e in range(COMPOSE_DEGREE + 1) for f in APPLY_FREQS]
     compared, failures = 0, []
     for h in APPLY_H:
         for func in funcs:
@@ -174,7 +178,7 @@ def test_compose_check_on_every_basis_pair(sigma):
                     if not compose_check(a, b, phi):
                         failures.append((a.to_text(), b.to_text(), func.to_text(), h))
     assert failures == []
-    assert compared == 1600  # 10 symbols per side, 8 wavefunctions, 2 values of h
+    assert compared == COMPOSE_PAIRS
 
 
 @pytest.mark.parametrize("sigma", SIGMAS, ids=["hyperbolic", "complex"])

@@ -312,6 +312,9 @@ def test_apply_is_linear():
         b = _random_symbol(rng, 1, sigma, 4)
         phi = _random_wavefunction(rng, 1, sigma, h)
         psi = _random_wavefunction(rng, 1, sigma, h)
+        # a factor 5 in psi's frequency denominator and none in phi's, so
+        # phi + psi has a common denominator that neither part has alone
+        psi = WaveFunction(psi.func * ExpPoly.character((Fraction(1, 5),), sigma), h)
         op_a = Operator(a, h)
         op_b = Operator(b, h)
         op_ab = Operator(a + b, h)
