@@ -112,14 +112,13 @@ def add_parts(acc: dict, key, re, im):
 
 
 def from_parts(acc: dict, sigma, den: int = 1) -> dict:
-    """The nonzero ``(re + u*im) / den`` of the ``[re, im]`` entries of ``acc``
-    as binarions of the :class:`Sigma` ``sigma``, each built once, without
-    re-validation.  ``den`` is the common denominator of the numerators.  The
-    view edge."""
+    """The ``(re + u*im) / den`` of the stored ``[re, im]`` terms of ``acc``,
+    which hold no zero pair, as binarions of the :class:`Sigma` ``sigma``, each
+    built once, without re-validation.  ``den`` is the common denominator of
+    the numerators.  The view edge."""
     return {
         key: Binarion._exact(Fraction(re, den), Fraction(im, den), sigma)
         for key, (re, im) in acc.items()
-        if re or im
     }
 
 

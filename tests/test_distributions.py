@@ -1,7 +1,6 @@
 """Tests for point-supported distributions, the Fourier calculus, and the
 distributional star product."""
 
-import functools
 import math
 import random
 import tracemalloc
@@ -28,8 +27,7 @@ from hypermoyal import (
     star_distributional,
     symbol_from_distribution,
 )
-from hypermoyal import distributions, operators, selftest
-from hypermoyal.distributions import FACTOR_ROW_TERMS
+from hypermoyal import distributions
 from hypermoyal.selftest import (
     _random_binarion,
     _random_distribution,
@@ -428,6 +426,17 @@ def _rational_pair_factors(x, y, a, b, h, sigma: int) -> list:
     return out
 
 
+def _pair_factors_as_fractions(x, y, a, b, h, sigma) -> list:
+    """``distributions._pair_factors`` at rational ``x``, ``y`` and ``h``, its
+    integer parts divided by their denominator ``hd^(a+b) xd^b yd^a``."""
+    x, y, h = Fraction(x), Fraction(y), Fraction(h)
+    den = h.denominator ** (a + b) * x.denominator**b * y.denominator**a
+    return [(s, t, Fraction(re, den), Fraction(im, den))
+            for s, t, re, im in distributions._pair_factors(
+                (x.numerator, x.denominator), (y.numerator, y.denominator), a, b,
+                (h.numerator, h.denominator), sigma)]
+
+
 def _flat_atoms(distribution):
     """The ``(loc, order, r, weight)`` terms of ``distribution``, read from its
     public view."""
@@ -503,7 +512,8 @@ def _atom_symbol(rng, k, sigma):
 
 def _staged_oracle_cases():
     """``(a, b, h)`` for the staged oracle: light-cone weights, random
-    polynomial symbols and atoms away from the origin, ``k = 1, 2, 3``."""
+    polynomial symbols and atoms away from the origin, ``k = 1, 2, 3``.
+    ``tests/test_memos.py`` checks them from cold, warm and evicting memos."""
     rng = random.Random(61)
     cases = []
     for sigma in SIGMAS:
@@ -518,13 +528,6 @@ def _staged_oracle_cases():
                       for _ in range(12)]
             cases += [(a, b, h) for a, b in pairs]
     return cases
-
-
-def test_star_distributional_matches_staged_oracle():
-    for a, b, h in _staged_oracle_cases():
-        got = star_distributional(a, b, h)
-        assert got == _staged_star_distributional(a, b, h)
-        _assert_clean(got)
 
 
 # -- growth bound ----------------------------------------------------------------------
@@ -664,7 +667,8 @@ def _mixed_exp_poly(rng, dim, sigma):
 
 
 def _differentiate_multi_cases():
-    """``(f, order)`` for the iterated oracle, in both rings, ``dim = 1..4``."""
+    """``(f, order)`` for the iterated oracle, in both rings, ``dim = 1..4``;
+    ``tests/test_memos.py`` checks them from cold, warm and evicting memos."""
     rng = random.Random(53)
     cases = []
     for sigma in SIGMAS:
@@ -685,13 +689,6 @@ def _differentiate_multi_cases():
                 for _ in range(10)
             ]
     return cases
-
-
-def test_differentiate_multi_matches_iterated_oracle():
-    for f, order in _differentiate_multi_cases():
-        got = f.differentiate_multi(order)
-        assert got == _iterated_differentiate(f, order)
-        _assert_clean(got)
 
 
 def test_differentiate_multi_edge_cases():
@@ -731,254 +728,6 @@ def test_differentiate_multi_memory_grows_with_the_result_not_the_order_squared(
     peaks = {n: _peak_bytes(lambda n=n: f.differentiate_multi((n,))) for n in (5_000, 10_000)}
     assert peaks[10_000] < 1_000_000
     assert peaks[10_000] / peaks[5_000] < 2.5
-
-
-# -- the memos of factor rows ---------------------------------------------------------------
-#
-# ``_axis_row`` (``differentiate_multi``) is memoized per process by ``(n, e)``
-# and ``_twist_row`` (``_pair_factors``) by ``(a, b, x == 0, y == 0, sigma)``,
-# each asked only for orders and exponents below ``FACTOR_ROW_TERMS``.
-# No result may depend on what the memos hold: cold, warm, or cycled through a
-# bound smaller than the rows pushed through them.
-
-MEMOS = ("_axis_row", "_twist_row")
-
-
-def _clear_memos():
-    for name in MEMOS:
-        getattr(distributions, name).cache_clear()
-
-
-def _misses() -> list:
-    return [getattr(distributions, name).cache_info().misses for name in MEMOS]
-
-
-def _stored(element):
-    return element._terms, element._cden, element._den
-
-
-def _memo_results() -> list:
-    """Every result of the three oracle tests that meet the memos, each
-    checked against its oracle."""
-    from hypermoyal import compose_check
-
-    out = []
-    for f, order in _differentiate_multi_cases():
-        out.append(f.differentiate_multi(order))
-        assert out[-1] == _iterated_differentiate(f, order)
-    for a, b, h in _staged_oracle_cases():
-        out.append(star_distributional(a, b, h))
-        assert out[-1] == _staged_star_distributional(a, b, h)
-    for a, b, phi in _nonzero_twist_cases():
-        check = compose_check(a, b, phi)
-        assert check
-        out.append(check.lhs.func)
-    return out
-
-
-def test_factor_memos_cold_and_warm_give_equal_results(monkeypatch):
-    _memo_results()
-    misses = _misses()
-    warm = _memo_results()
-    assert _misses() == misses  # every row memoized
-    # a stand-in of bound 0 keeps nothing: every row is built cold
-    for name in MEMOS:
-        memo = getattr(distributions, name)
-        monkeypatch.setattr(distributions, name, functools.lru_cache(maxsize=0)(memo.__wrapped__))
-    cold = _memo_results()
-    assert cold == warm
-    assert list(map(_stored, cold)) == list(map(_stored, warm))
-
-
-def test_memoized_factor_rows_are_tuples():
-    _clear_memos()
-    row = distributions._axis_row(2, 3)
-    assert distributions._axis_row(2, 3) is row
-    assert row == ((3, 1, 2), (2, 6, 1), (1, 6, 0))  # d^2 x^3: (u f)^2 x^3 + 6 (u f) x^2 + 6x
-    twist = distributions._twist_row(1, 1, True, True, -1)
-    assert distributions._twist_row(1, 1, True, True, -1) is twist
-    # at the origin delta^((1, 1)) keeps j = s = t: the factors 1 and c = u*h
-    assert twist == ((1, 1, ((0, 1, (0, 2, 0, 1, 0, 1)),)),
-                     (0, 0, ((1, 1, (1, 1, 0, 1, 0, 1)),)))
-    for value in (row, twist, twist[0][2]):
-        assert isinstance(value, tuple) and all(isinstance(term, tuple) for term in value)
-
-
-def test_full_factor_memos_evict_and_results_stay_equal(monkeypatch):
-    expected = _memo_results()
-    bound = 8
-    stand_ins = []
-    for name in MEMOS:
-        stand_ins.append(functools.lru_cache(maxsize=bound)(
-            getattr(distributions, name).__wrapped__))
-        monkeypatch.setattr(distributions, name, stand_ins[-1])
-    got = _memo_results()
-    for stand_in in stand_ins:
-        info = stand_in.cache_info()
-        assert info.misses > 4 * bound  # far more rows built than the bound holds
-        assert info.currsize <= bound
-    assert got == expected
-    assert list(map(_stored, got)) == list(map(_stored, expected))
-
-
-def _recorded_memo(monkeypatch, name) -> list:
-    """Stand in a memo of the same bound that records each value it keeps."""
-    memo = getattr(distributions, name)
-    kept, build = [], memo.__wrapped__
-
-    def recording(*args):
-        kept.append(build(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(distributions, name,
-                        functools.lru_cache(maxsize=memo.cache_info().maxsize)(recording))
-    return kept
-
-
-def _pair_factors_as_fractions(x, y, a, b, h, sigma) -> list:
-    """``distributions._pair_factors`` at rational ``x``, ``y`` and ``h``, its
-    integer parts divided by their denominator ``hd^(a+b) xd^b yd^a``."""
-    x, y, h = Fraction(x), Fraction(y), Fraction(h)
-    den = h.denominator ** (a + b) * x.denominator**b * y.denominator**a
-    return [(s, t, Fraction(re, den), Fraction(im, den))
-            for s, t, re, im in distributions._pair_factors(
-                (x.numerator, x.denominator), (y.numerator, y.denominator), a, b,
-                (h.numerator, h.denominator), sigma)]
-
-
-def test_factor_memos_keep_no_row_above_the_bound(monkeypatch):
-    """A twist row of more terms than the bound leaves its slot empty, keys
-    past it never reach their memo, and the rows built in their place give
-    the results that memoized rows give under a raised bound."""
-    top = FACTOR_ROW_TERMS
-    # off the origin, (a, b) = (4, 4) has 55 terms; a = 32 or b = 32 reaches the bound
-    twists = [(Fraction(1, 2), Fraction(-3, 5), 4, 4), (0, 0, top, 1), (0, Fraction(1, 3), 1, top)]
-    f = ExpPoly.monomial((top + 1,), 1, H) + ExpPoly.character((Fraction(1, 3),), H)
-
-    def results():
-        twisted = [_pair_factors_as_fractions(x, y, a, b, Fraction(2, 3), sigma)
-                   for sigma in (1, -1) for x, y, a, b in twists]
-        return twisted, f.differentiate_multi((top,))
-
-    twist_rows = _recorded_memo(monkeypatch, "_twist_row")
-    axis_rows = _recorded_memo(monkeypatch, "_axis_row")
-    twisted, derived = results()
-    assert twisted == [_rational_pair_factors(Fraction(x), Fraction(y), a, b, Fraction(2, 3),
-                                              sigma)
-                       for sigma in (1, -1) for x, y, a, b in twists]
-    assert derived == _iterated_differentiate(f, (top,))
-    assert results() == (twisted, derived)
-    assert twist_rows == [()] * 2 and axis_rows == []  # the (4, 4) rows in both rings
-    assert distributions._twist_row.cache_info().currsize == 2
-    assert distributions._axis_row.cache_info().currsize == 0
-    monkeypatch.setattr(distributions, "FACTOR_ROW_TERMS", 64)
-    _clear_memos()
-    assert results() == (twisted, derived)  # the same results from memoized rows
-    assert max(map(len, axis_rows)) > top and len(twist_rows) == 8 and all(twist_rows[2:])
-
-
-def _axis_case():
-    """``d^2`` of ``x^e exp(u x)`` at ``e = 3``, and at the 1,060 exponents
-    ``e = 40..1099``, checked against the iterated oracle."""
-    inside = ExpPoly(1, H, {((1,), (3,)): 1})
-    outside = ExpPoly(1, H, {((1,), (e,)): 1 for e in range(40, 1100)})
-
-    def ask_outside():
-        assert outside.differentiate_multi((2,)) == _iterated_differentiate(outside, (2,))
-
-    return lambda: inside.differentiate_multi((2,)), ask_outside
-
-
-def _twist_case():
-    """The twist factors of ``delta^((1, 1))`` at ``(1/2, -3/5)``, and of the
-    1,072 keys ``(m, 0)`` and ``(0, m)``, ``m = 40..106``, at and off the
-    origin in both rings, every 67th checked against the closed form."""
-    h, x, y = Fraction(2, 3), Fraction(1, 2), Fraction(-3, 5)
-    keys = [(xi, yi, a, b, sigma) for m in range(40, 107) for a, b in ((m, 0), (0, m))
-            for xi in (0, x) for yi in (0, y) for sigma in (1, -1)]
-
-    def ask_outside():
-        for i, (xi, yi, a, b, sigma) in enumerate(keys):
-            got = _pair_factors_as_fractions(xi, yi, a, b, h, sigma)
-            if i % 67 == 0:
-                assert got == _rational_pair_factors(Fraction(xi), Fraction(yi), a, b, h, sigma)
-
-    return lambda: _pair_factors_as_fractions(x, y, 1, 1, h, 1), ask_outside
-
-
-@pytest.mark.parametrize("memo, case", [("_axis_row", _axis_case), ("_twist_row", _twist_case)],
-                         ids=("axis", "twist"))
-def test_out_of_bound_keys_never_enter_their_memo(memo, case):
-    """More keys past the bound than the memo holds: their rows are built
-    each time and never stored, so the one in-bound row asked before them is
-    still the memo's only row, and a hit."""
-    ask_inside, ask_outside = case()
-    getattr(distributions, memo).cache_clear()
-    once = ask_inside()
-    ask_outside()
-    info = getattr(distributions, memo).cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
-    assert ask_inside() == once
-    assert getattr(distributions, memo).cache_info().hits == info.hits + 1
-
-
-def _traced_size(build) -> int:
-    """The bytes that what ``build()`` returns holds, traced as it is built."""
-    tracemalloc.start()
-    try:
-        kept = build()  # held while it is measured
-        return tracemalloc.get_traced_memory()[0] if kept else 0
-    finally:
-        tracemalloc.stop()
-
-
-def test_factor_row_bound_caps_the_memo_memory():
-    """The bound admits 32 * 32 axis rows, under 2 MB together (1.2 MB when
-    measured), and the largest twist row it admits, ``(a, b) = (30, 31)`` at
-    the origin, takes under 4 KB, so a full memo of twist rows stays under
-    4 MB."""
-    for memo in (distributions._axis_row, distributions._twist_row):
-        assert memo.cache_info().maxsize == FACTOR_ROW_TERMS**2 == 1024
-    axis_rows = _traced_size(lambda: [distributions._axis_factors(n, e)
-                                      for n in range(32) for e in range(32)])
-    assert axis_rows < 2_000_000
-    largest = distributions._twist_terms(30, 31, True, True, -1)
-    assert sum(len(terms) for _, _, terms in largest) == 31
-    assert _traced_size(lambda: distributions._twist_terms(30, 31, True, True, -1)) < 4_000
-    assert distributions._twist_row(30, 31, True, True, -1) == largest
-    assert distributions._twist_row(31, 31, False, True, -1) == ()
-
-
-def test_twist_rows_at_and_off_the_origin_in_one_process():
-    """One ``(a, b, sigma)`` twisted at the origin and off it, at locations of
-    either sign, in both rings, in one process: each zero pattern has its
-    own memoized row."""
-    distributions._twist_row.cache_clear()
-    h = Fraction(2, 3)
-    points = [(0, 0), (Fraction(1, 2), 0), (0, Fraction(-3, 5)),
-              (Fraction(1, 2), Fraction(-3, 5)), (Fraction(-1, 2), Fraction(3, 5)), (0, 0)]
-    for sigma in (1, -1, 1):
-        for a, b in ((2, 3), (3, 1), (1, 1)):
-            for x, y in points:
-                assert _pair_factors_as_fractions(x, y, a, b, h, sigma) == _rational_pair_factors(
-                    Fraction(x), Fraction(y), a, b, h, sigma)
-    info = distributions._twist_row.cache_info()
-    assert info.currsize == 2 * 3 * 4 and info.hits > 0
-
-
-def test_full_selftest_is_byte_identical_from_cold_and_warm_factor_memos():
-    """One pass of the full ``selftest --seed 0`` from cold memos of
-    derivative, axis and twist rows fills under a quarter of each factor
-    memo, and a warm pass reports the same bytes."""
-    operators._derivative_row.cache_clear()
-    _clear_memos()
-    cold = selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False)))
-    for name in MEMOS:
-        assert 0 < getattr(distributions, name).cache_info().currsize < FACTOR_ROW_TERMS**2 / 4
-    warm = selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False)))
-    for memo in (operators._derivative_row, distributions._axis_row, distributions._twist_row):
-        assert memo.cache_info().hits > 0
-    assert cold == warm
 
 
 def _embed_via_terms(symbol, h=None):

@@ -1,9 +1,6 @@
 """Tests for pseudo-differential operator application and composition."""
 
-import functools
-import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,8 +27,6 @@ from hypermoyal import (
     inverse_fourier_symbol,
     star,
 )
-from hypermoyal import operators, selftest
-from hypermoyal.operators import DERIVATIVE_ROW_TERMS
 from hypermoyal.selftest import _random_fraction, _random_symbol, _random_wavefunction
 
 H = Sigma.HYPERBOLIC
@@ -366,7 +361,8 @@ def _mixed_wavefunction(rng, k, sigma, h):
 
 def _normal_ordered_cases():
     """Pairs of an operator and a wavefunction for the normal-ordered oracle,
-    in both rings and for one to three degrees of freedom."""
+    in both rings and for one to three degrees of freedom;
+    ``tests/test_memos.py`` checks them from cold, warm and evicting memos."""
     rng = random.Random(29)
     cases = []
     for sigma in SIGMAS:
@@ -390,136 +386,6 @@ def _normal_ordered_cases():
             cases += [(Operator(_h_symbol(rng, k, sigma), h), _mixed_wavefunction(rng, k, sigma, h))
                       for _ in range(12)]
     return cases
-
-
-def test_apply_normal_ordered_matches_iterated_oracle():
-    for op, phi in _normal_ordered_cases():
-        got = op.apply_normal_ordered(phi)
-        assert got == _iterated_apply(op, phi)
-        _assert_clean(got.func)
-
-
-# -- the memo of derivative rows ---------------------------------------------------------
-#
-# ``_derivative_row`` is memoized per process by ``(b, e)`` alone, and is asked
-# only for keys below ``DERIVATIVE_ROW_TERMS``.  No result may depend on what
-# the memo holds: cold, warm, or cycled through a bound smaller than the rows
-# pushed through it.
-
-
-def _stored(phi):
-    return phi.func._terms, phi.func._cden, phi.func._den
-
-
-def _applied(cases) -> list:
-    return [op.apply_normal_ordered(phi) for op, phi in cases]
-
-
-def test_derivative_memo_cold_and_warm_give_equal_results():
-    cases = _normal_ordered_cases()
-    expected = [_iterated_apply(op, phi) for op, phi in cases]
-    _applied(cases)
-    misses = operators._derivative_row.cache_info().misses
-    warm = _applied(cases)
-    assert operators._derivative_row.cache_info().misses == misses  # every row memoized
-    cold = []
-    for op, phi in cases:
-        operators._derivative_row.cache_clear()
-        cold.append(op.apply_normal_ordered(phi))
-    assert cold == warm == expected
-    assert list(map(_stored, cold)) == list(map(_stored, warm))
-
-
-def test_memoized_derivative_rows_are_tuples():
-    operators._derivative_row.cache_clear()
-    row = operators._derivative_row(2, 3)
-    assert operators._derivative_row(2, 3) is row
-    assert isinstance(row, tuple) and all(isinstance(term, tuple) for term in row)
-    assert row == ((3, 1, 2), (2, 6, 1), (1, 6, 0))  # d^2 x^3: (u f)^2 x^3 + 6 (u f) x^2 + 6x
-    assert operators._derivative_row(3, 1) == ((1, 1, 3), (0, 3, 2))
-
-
-def test_a_full_derivative_memo_evicts_and_results_stay_equal(monkeypatch):
-    cases = _normal_ordered_cases()
-    expected = _applied(cases)
-    bound = 8
-    stand_in = functools.lru_cache(maxsize=bound)(operators._derivative_row.__wrapped__)
-    monkeypatch.setattr(operators, "_derivative_row", stand_in)
-    got = _applied(cases)
-    info = stand_in.cache_info()
-    assert info.misses > 4 * bound  # far more rows built than the bound holds
-    assert info.currsize <= bound
-    assert got == expected
-    assert list(map(_stored, got)) == list(map(_stored, expected))
-
-
-def _recorded_derivative_memo(monkeypatch) -> list:
-    """Stand in a memo of the same bound that records each value it keeps."""
-    kept, build = [], operators._derivative_row.__wrapped__
-
-    def recording(*args):
-        kept.append(build(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(operators, "_derivative_row",
-                        functools.lru_cache(maxsize=DERIVATIVE_ROW_TERMS**2)(recording))
-    return kept
-
-
-@pytest.mark.parametrize("sigma", SIGMAS)
-def test_derivative_memo_keeps_no_row_above_the_bound(monkeypatch, sigma):
-    """``p^32`` on ``q^33``: ``b`` and ``e`` reach the bound, the memo is never
-    asked, and the row built in its place gives the result that a memoized
-    row gives under a raised bound."""
-    h = Fraction(2, 3)
-    top = DERIVATIVE_ROW_TERMS
-    op = Operator(PolySymbol.monomial((0,), (top,), 1, sigma), h)
-    phis = [WaveFunction(ExpPoly.monomial((top + 1,), 1, sigma), h),
-            WaveFunction(ExpPoly.monomial((top + 1,), 1, sigma), h).shift((Fraction(1, 2),)),
-            _quadratic_wavefunction(sigma, h)]
-    kept = _recorded_derivative_memo(monkeypatch)
-    once = [op.apply_normal_ordered(phi, degree_cap=top) for phi in phis]
-    assert [op.apply_normal_ordered(phi, degree_cap=top) for phi in phis] == once
-    assert once == [_iterated_apply(op, phi) for phi in phis]
-    assert kept == [] and operators._derivative_row.cache_info().currsize == 0
-    monkeypatch.setattr(operators, "DERIVATIVE_ROW_TERMS", top + 2)
-    assert [op.apply_normal_ordered(phi, degree_cap=top) for phi in phis] == once
-    assert max(map(len, kept)) > top  # the same results from a memoized row
-    assert operators._derivative_row.cache_info().hits > 0
-
-
-def test_out_of_bound_keys_never_enter_the_derivative_memo():
-    """1,060 keys ``(b, 3)``, ``b >= 40``, more than the memo holds, are built
-    each time and never stored: the one in-bound row asked before them is
-    still the memo's only row, and a hit."""
-    operators._derivative_row.cache_clear()
-    inside = operators._derivative_terms((2,), (3,), (1,))
-    for b in range(40, 1100):
-        assert operators._derivative_terms((b,), (3,), (1,)) == [
-            ((3 - j,), math.comb(b, j) * math.perm(3, j), b - j) for j in range(4)]
-    info = operators._derivative_row.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
-    assert operators._derivative_terms((2,), (3,), (1,)) == inside
-    assert operators._derivative_row.cache_info().hits == info.hits + 1
-
-
-def test_derivative_row_bound_caps_the_memo_memory():
-    """The bound admits 32 * 32 keys, all of which fit the memo, and every
-    admissible row together takes under 2 MB (1.1 MB when measured)."""
-    assert operators._derivative_row.cache_info().maxsize == DERIVATIVE_ROW_TERMS**2 == 1024
-    tracemalloc.start()
-    try:
-        rows = [operators._derivative_factors(b, e) for b in range(32) for e in range(32)]
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert max(map(len, rows)) == 32 and size < 2_000_000
-
-
-def test_full_selftest_shapes_fill_under_a_quarter_of_the_derivative_memo():
-    operators._derivative_row.cache_clear()
-    selftest._payload(0, selftest._sizes(fast=False))
-    assert 0 < operators._derivative_row.cache_info().currsize < DERIVATIVE_ROW_TERMS**2 / 4
 
 
 def _exp_symbol(rng, k, sigma):

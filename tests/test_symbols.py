@@ -1,6 +1,5 @@
 """Tests for the phase-space symbol algebra and its brackets."""
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -22,15 +21,14 @@ from hypermoyal import (
     Sigma,
     SignatureMismatchError,
     moyal_bracket,
-    parse_symbol,
     poisson_bracket,
     scaled_bracket,
     star,
 )
-from hypermoyal import selftest, symbols
+from hypermoyal import symbols
 from hypermoyal.selftest import _random_symbol
 from hypermoyal.sparse import summed
-from hypermoyal.symbols import DEFAULT_DEGREE_CAP, KAPPA_ROW_TERMS, KAPPA_ROWS
+from hypermoyal.symbols import DEFAULT_DEGREE_CAP
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -287,7 +285,8 @@ def test_mismatches_rejected():
 # ``_tuple_flatten``, ``_tuple_structure_constants`` and ``_tuple_accumulate``
 # are verbatim copies of the series kernel as it was before its monomials
 # became packed ints: every kappa term builds its ``(alpha, beta, hdeg)``
-# key from exponent tuples.  The packed kernel must equal them exactly.
+# key from exponent tuples.  The packed kernel must equal them exactly on the
+# packing cases, from cold, warm and evicting memos (``tests/test_memos.py``).
 
 
 def _tuple_flatten(symbol: PolySymbol):
@@ -483,29 +482,8 @@ def _packing_cases():
         yield a, b, None
 
 
-def _assert_series_kernel_equals_tuple_key_oracle(cold: bool):
-    """Every packing case equals the tuple-key oracle; with ``cold``, the
-    memo of kappa rows is cleared before each case."""
-    for a, b, cap in _packing_cases():
-        for x, y in ((a, b), (b, a)):
-            if cold:
-                symbols._structure_constants.cache_clear()
-            assert star(x, y, cap) == _tuple_star(x, y)
-            moyal, scaled = _tuple_brackets(x, y)
-            assert moyal_bracket(x, y, cap) == moyal
-            assert scaled_bracket(x, y, cap) == scaled
-
-
-def test_series_kernel_equals_tuple_key_oracle():
-    _assert_series_kernel_equals_tuple_key_oracle(cold=False)
-
-
-def test_series_kernel_equals_tuple_key_oracle_from_a_cold_memo():
-    _assert_series_kernel_equals_tuple_key_oracle(cold=True)
-
-
 def test_packed_fields_reach_their_width():
-    """The cases of the oracle test fill their fields: the raised-cap
+    """The packing cases fill their fields: the raised-cap
     products need 6 bits a field, and each full-field product has a
     field of ``2**w - 1``."""
     for a, b, cap in _packing_cases():
@@ -522,127 +500,6 @@ def test_packed_fields_reach_their_width():
         for x, y in ((a, b), (b, a)):
             for kernel in (star, moyal_bracket, scaled_bracket):
                 assert max(d for _, _, d in kernel(x, y)._terms) >= 2**w
-
-
-# -- the memo of kappa rows -------------------------------------------------------
-#
-# ``_structure_constants`` is memoized per process by exponent pair, field
-# width and ring.  No result may depend on what the memo holds: cold, warm,
-# or cycled through a bound smaller than the pairs pushed through it.
-
-KERNELS = (star, moyal_bracket, scaled_bracket)
-
-
-def _stored(symbol):
-    return symbol._terms, symbol._cden
-
-
-def _kernel_results(pairs) -> list:
-    return [(fn(x, y), fn(y, x)) for x, y in pairs for fn in KERNELS]
-
-
-def test_memo_cold_and_warm_give_equal_results():
-    pairs = list(_oracle_pairs(61, 12))
-    _kernel_results(pairs)
-    misses = symbols._structure_constants.cache_info().misses
-    warm = _kernel_results(pairs)
-    assert symbols._structure_constants.cache_info().misses == misses  # every row memoized
-    cold = []
-    for x, y in pairs:
-        for fn in KERNELS:
-            symbols._structure_constants.cache_clear()
-            forward = fn(x, y)
-            symbols._structure_constants.cache_clear()
-            cold.append((forward, fn(y, x)))
-    assert cold == warm
-    assert [tuple(map(_stored, r)) for r in cold] == [tuple(map(_stored, r)) for r in warm]
-
-
-def test_memoized_rows_are_tuples_and_pairs_without_overlap_are_not_memoized():
-    symbols._structure_constants.cache_clear()
-    units = symbols._kappa_units(2, 3)
-    row = symbols._structure_constants((2, 1), (1, 3), units, -1)
-    assert symbols._structure_constants((2, 1), (1, 3), units, -1) is row
-    assert isinstance(row, tuple) and all(isinstance(term, tuple) for term in row)
-    # kappa = 0, whose delta is 0, is added outside the row
-    assert len(row) == 2 * 2 - 1 and all(delta for delta, _, _ in row)
-    symbols._structure_constants.cache_clear()
-    q1, p1 = qp(H, 2)
-    assert star(q1, p1) == q1 * p1 and moyal_bracket(q1 * q1, q1).is_zero()
-    assert symbols._structure_constants.cache_info().currsize == 0
-
-
-def test_a_full_memo_evicts_and_results_stay_equal(monkeypatch):
-    pairs = list(_oracle_pairs(67, 9))
-    expected = _kernel_results(pairs)
-    bound = 8
-    stand_in = functools.lru_cache(maxsize=bound)(symbols._structure_constants.__wrapped__)
-    monkeypatch.setattr(symbols, "_structure_constants", stand_in)
-    got = _kernel_results(pairs)
-    info = stand_in.cache_info()
-    assert info.misses > 4 * bound  # far more rows built than the bound holds
-    assert info.currsize <= bound
-    assert got == expected
-    assert [tuple(map(_stored, r)) for r in got] == [tuple(map(_stored, r)) for r in expected]
-
-
-def _recorded_memo(monkeypatch) -> list:
-    """Stand in a memo of the same bound that records each value it keeps."""
-    kept, build = [], symbols._structure_constants.__wrapped__
-
-    def recording(*args):
-        kept.append(build(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(symbols, "_structure_constants",
-                        functools.lru_cache(maxsize=KAPPA_ROWS)(recording))
-    return kept
-
-
-def test_memo_keeps_no_row_above_the_term_bound(monkeypatch):
-    # one pair, beta1 = alpha2 = (1,)*8, whose row has 2^8 = 256 kappa terms
-    a = parse_symbol("p1*p2*p3*p4*p5*p6*p7*p8", H)
-    b = parse_symbol("q1*q2*q3*q4*q5*q6*q7*q8", H)
-    kept = _recorded_memo(monkeypatch)
-    once, twice = star(a, b), star(a, b)
-    assert kept == [()]  # the pair's slot holds no row
-    assert symbols._structure_constants.cache_info().hits == 1
-    assert once == twice and len(once.terms()) == 256
-    monkeypatch.setattr(symbols, "KAPPA_ROW_TERMS", 256)
-    symbols._structure_constants.cache_clear()  # the slot still holds ()
-    assert star(a, b) == once  # the same product from a memoized row
-    assert len(kept) == 2 and len(kept[1]) == 2**8 - 1  # every kappa but 0
-
-
-def test_every_row_of_the_star_wide_shapes_is_memoized(monkeypatch):
-    """The largest shapes of perfbench's star-wide ladder per degree of
-    freedom; their longest rows have 11 terms, kappa = 0 left out."""
-    pairs = [
-        ("(q1+2*p1+1)^8", "(3*q1+p1)^8"),
-        ("(q1+q2+p1+p2)^6", "(q1+2*q2+p1+p2+j)^5"),
-        ("(q1+q2+q3+p1+p2+p3)^4", "(q1+q2+2*q3+p1+p2+p3)^3"),
-    ]
-    kept = _recorded_memo(monkeypatch)
-    for x, y in pairs:
-        a, b = parse_symbol(x, H), parse_symbol(y, H)
-        star(a, b), scaled_bracket(a, b)
-    assert all(kept) and max(map(len, kept)) == 11 < KAPPA_ROW_TERMS
-
-
-def test_full_selftest_shapes_fill_under_a_quarter_of_the_memo():
-    """One pass of the full ``selftest --seed 0`` meets every shape its
-    second pass meets, and leaves the memo at least 4x headroom."""
-    symbols._structure_constants.cache_clear()
-    selftest._payload(0, selftest._sizes(fast=False))
-    assert 0 < symbols._structure_constants.cache_info().currsize < KAPPA_ROWS / 4
-
-
-def test_selftest_is_byte_identical_from_a_cold_and_a_warm_memo():
-    symbols._structure_constants.cache_clear()
-    cold = selftest.canonical_json(selftest.run_selftest(seed=0, fast=True))
-    warm = selftest.canonical_json(selftest.run_selftest(seed=0, fast=True))
-    assert symbols._structure_constants.cache_info().hits > 0
-    assert cold == warm
 
 
 # -- brackets ------------------------------------------------------------------
