@@ -11,7 +11,6 @@ import random
 import time
 
 from hypermoyal import Binarion, HPoly, PolySymbol, Sigma, moyal_bracket
-from hypermoyal.cli import main
 from hypermoyal.selftest import (
     check_associativity,
     check_classical_limit,
@@ -122,18 +121,15 @@ def test_criterion_9_grassmann_claims():
     _report(9, "supercommutativity and annihilator witnesses n=1..8", entry, elapsed, 60.0)
 
 
-def test_criterion_10_selftest_determinism(tmp_path, capsys):
-    first = tmp_path / "selftest-a.json"
-    second = tmp_path / "selftest-b.json"
-    code1 = main(["selftest", "--seed", "20260808", "--out", str(first)])
-    code2 = main(["selftest", "--seed", "20260808", "--out", str(second)])
-    capsys.readouterr()
-    identical = first.read_bytes() == second.read_bytes()
-    report = json.loads(first.read_text())
+def test_criterion_10_selftest_determinism(full_selftest, capsys):
+    # the suite's one full selftest (conftest.py), which the memo contract reads too
+    (code1, first, _), (code2, second, _) = full_selftest
+    identical = first == second
+    report = json.loads(first)
     status = "PASS" if (code1 == 0 and code2 == 0 and identical) else "FAIL"
     with capsys.disabled():
         print(f"\n[{status}] criterion 10: selftest --seed S is byte-stable "
-              f"({len(first.read_bytes())} bytes)")
+              f"({len(first)} bytes)")
     assert code1 == 0 and code2 == 0
     assert identical
     assert report["all_passed"] is True

@@ -3,13 +3,12 @@
 import copy
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from conftest import run_fresh
 
 import hypermoyal
 from hypermoyal import (
@@ -361,11 +360,7 @@ def test_apply_h_mismatch_is_one_line_error_without_traceback(tmp_path):
     phi = WaveFunction.plane_wave(Fraction(1), Fraction(1, 3), H)
     phi_path = tmp_path / "phi.json"
     phi_path.write_text(json.dumps(phi.to_json_dict()), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "hypermoyal.cli", "apply", str(op_path), str(phi_path)],
-        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
-    )
+    result = run_fresh("-m", "hypermoyal.cli", "apply", str(op_path), str(phi_path), timeout=30)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: operator h 1/2 differs from wavefunction h 1/3\n"
@@ -381,34 +376,34 @@ def test_apply_over_degree_cap_is_one_line_error(tmp_path, capsys):
         2, "", "error: operator symbol degree 17 exceeds cap 16\n")
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_apply_result_key_past_the_int_to_text_limit_is_one_line_error(tmp_path, capsys, fmt):
+def _one_term(dim, freq, exp) -> dict:
+    """The JSON form of ``exp(freq . x) x^exp`` on ``dim`` variables, sigma = +1."""
+    return {"dim": dim, "sigma": 1,
+            "terms": [{"freq": freq, "exp": exp, "coeff": {"re": "1", "im": "0"}}]}
+
+
+#: (operator document, wavefunction document) whose product has a number one
+#: past the int-to-text limit.
+APPLY_PAST_THE_LIMIT = {
     # each frequency has a 4,000-digit denominator; their sum, the result's
     # frequency, has one of about 8,000 digits
-    op_path = tmp_path / "op.json"
-    op_path.write_text(json.dumps({"h": "1", "sigma": 1, "kind": "exp", "symbol": {
-        "dim": 2, "sigma": 1, "terms": [{"freq": [f"1/{10**3999 + 3}", "0"], "exp": [0, 0],
-                                         "coeff": {"re": "1", "im": "0"}}]}}), encoding="utf-8")
-    wave_path = tmp_path / "wave.json"
-    wave_path.write_text(json.dumps({"h": "1", "func": {
-        "dim": 1, "sigma": 1, "terms": [{"freq": [f"1/{10**3999 + 1}"], "exp": [0],
-                                         "coeff": {"re": "1", "im": "0"}}]}}), encoding="utf-8")
-    code, out, err = run(capsys, "apply", str(op_path), str(wave_path), "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err == "error: number too long to write: more than 4300 digits\n"
+    "key": ({"h": "1", "sigma": 1, "kind": "exp",
+             "symbol": _one_term(2, [f"1/{10**3999 + 3}", "0"], [0, 0])},
+            {"h": "1", "func": _one_term(1, [f"1/{10**3999 + 1}"], [0])}),
+    # the wavefunction's exponent has 4,300 digits, at the limit; times q it
+    # has 4,301, one past, in the text and in the JSON integer field alike
+    "exponent": ({"symbol": "q", "h": "1", "sigma": 1},
+                 {"h": "1", "func": _one_term(1, ["0"], [10**4300 - 1])}),
+}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_apply_result_exponent_past_the_int_to_text_limit_is_one_line_error(tmp_path, capsys,
-                                                                            fmt):
-    # the wavefunction's exponent has 4,300 digits, at the limit; times q it
-    # has 4,301, one past, in the text and in the JSON integer field alike
-    op_path = tmp_path / "op.json"
-    op_path.write_text(json.dumps({"symbol": "q", "h": "1", "sigma": 1}), encoding="utf-8")
-    wave_path = tmp_path / "wave.json"
-    wave_path.write_text(json.dumps({"h": "1", "func": {
-        "dim": 1, "sigma": 1, "terms": [{"freq": ["0"], "exp": [10**4300 - 1],
-                                         "coeff": {"re": "1", "im": "0"}}]}}), encoding="utf-8")
+@pytest.mark.parametrize("documents", APPLY_PAST_THE_LIMIT.values(), ids=APPLY_PAST_THE_LIMIT)
+def test_apply_result_past_the_int_to_text_limit_is_one_line_error(tmp_path, capsys, documents,
+                                                                   fmt):
+    op_path, wave_path = tmp_path / "op.json", tmp_path / "wave.json"
+    for path, document in zip((op_path, wave_path), documents):
+        path.write_text(json.dumps(document), encoding="utf-8")
     code, out, err = run(capsys, "apply", str(op_path), str(wave_path), "--format", fmt)
     assert (code, out) == (2, "")
     assert err == "error: number too long to write: more than 4300 digits\n"
@@ -780,11 +775,8 @@ def test_super_expression_with_leading_minus_follows_double_dash(capsys):
 
 def test_super_work_does_not_grow_with_generator_count():
     """Mask checks and rendering visit a term's own generators, not all ``n``."""
-    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "hypermoyal.cli", "super", "t1", "t2", "--gens", "100000000"],
-        capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src},
-    )
+    result = run_fresh("-m", "hypermoyal.cli", "super", "t1", "t2", "--gens", "100000000",
+                       timeout=10)
     assert result.returncode == 0
     assert "a*b = θ1θ2\n" in result.stdout
 

@@ -10,6 +10,7 @@ from operator import add
 
 import pytest
 from test_sparse import _assert_clean
+from test_symbols import _cancelling_symbol
 
 from hypermoyal import (
     Binarion,
@@ -746,13 +747,8 @@ def test_from_poly_symbol_matches_terms_rebuild():
     rng = random.Random(61)
     for sigma in SIGMAS:
         for k in (1, 2, 3):
-            mono = ((1,) + (0,) * (k - 1), (0,) * k)
             h = Fraction(1, 2)
-            # (2 - u) + (-4 + 2u)*h vanishes at h = 1/2; (1 + u)*h^2 does not
-            cancels = PolySymbol(k, sigma, {
-                mono: HPoly({0: Binarion(2, -1, sigma), 1: Binarion(-4, 2, sigma)}, sigma),
-                ((0,) * k, (0,) * k): HPoly({2: Binarion(1, 1, sigma)}, sigma),
-            })
+            cancels = _cancelling_symbol(k, sigma)
             embedded = ExpPoly.from_poly_symbol(cancels, h)
             assert embedded == _embed_via_terms(cancels, h)
             assert embedded == ExpPoly.constant(Binarion(1, 1, sigma) * h**2, 2 * k, sigma)

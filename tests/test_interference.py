@@ -1,14 +1,12 @@
 """Tests for the trigonometric/hyperbolic interference analysis."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from conftest import fresh_modules
 
 import hypermoyal
 from hypermoyal import (
@@ -47,31 +45,20 @@ def test_classify_no_interference():
     assert report.normalization_residual == 0
 
 
-def test_classify_trigonometric_example():
-    report = classify(flat_context(Fraction(9, 10)))
+@pytest.mark.parametrize("row, first, theta", [
+    ((HALF, HALF, HALF, Fraction(9, 10)),
+     (HALF, Fraction(1, 4), Fraction(4, 5), Regime.TRIGONOMETRIC, None), math.acos(0.8)),
+    ((HALF, Fraction(9, 10), Fraction(1, 10), Fraction(19, 20)),
+     (HALF, Fraction(3, 20), Fraction(3, 2), Regime.HYPERBOLIC, 1), math.acosh(1.5)),
+], ids=["trigonometric", "hyperbolic"])
+def test_classify_example(row, first, theta):
+    report = classify(DichotomousContext.from_b1_row(*row))
     outcome = report.outcomes[0]
-    assert outcome.classical == HALF
-    assert outcome.d == Fraction(1, 4)
-    assert outcome.lam == Fraction(4, 5)
-    assert outcome.regime is Regime.TRIGONOMETRIC
-    assert outcome.theta == pytest.approx(math.acos(0.8), abs=1e-12)
+    assert (outcome.classical, outcome.d, outcome.lam, outcome.regime, outcome.sign) == first
+    assert outcome.theta == pytest.approx(theta, abs=1e-12)
     # the two outcomes balance exactly in rational arithmetic
     assert report.normalization_residual == 0
-    assert report.outcomes[1].lam == -Fraction(4, 5)
-
-
-def test_classify_hyperbolic_example():
-    ctx = DichotomousContext.from_b1_row(
-        HALF, Fraction(9, 10), Fraction(1, 10), Fraction(19, 20)
-    )
-    report = classify(ctx)
-    outcome = report.outcomes[0]
-    assert outcome.classical == HALF
-    assert outcome.d == Fraction(3, 20)
-    assert outcome.lam == Fraction(3, 2)
-    assert outcome.regime is Regime.HYPERBOLIC
-    assert outcome.sign == 1
-    assert outcome.theta == pytest.approx(math.acosh(1.5), abs=1e-12)
+    assert report.outcomes[1].lam == -outcome.lam
 
 
 def test_classify_degenerate():
@@ -418,10 +405,4 @@ def test_report_json_shape():
 
 def test_import_leaves_typing_unloaded():
     # -S keeps site (and anything it imports) out, so only the package counts
-    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
-    result = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, hypermoyal.interference; print('typing' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    assert "typing" not in fresh_modules("import hypermoyal.interference", "-S")

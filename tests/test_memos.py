@@ -7,8 +7,9 @@ cold, warm, or cycled through a bound smaller than the rows pushed through it,
 each result equals its route's oracle.  A memoized row is a tuple.  A row above
 the term bound keeps a ``()`` slot (kappa, twist) or never enters the memo
 (axis, derivative), and keys past the bound never enter a memo or evict a row.
-The bound caps the memo's memory, and a full selftest fills under a quarter of
-each memo.
+The bound caps the memo's memory, and the suite's one full selftest
+(criterion 10's two runs, the ``full_selftest`` fixture of ``conftest.py``)
+fills under a quarter of each memo.
 """
 
 import functools
@@ -32,7 +33,7 @@ from test_symbols import _packing_cases, _tuple_brackets, _tuple_star
 
 from hypermoyal import (ExpPoly, Operator, PolySymbol, Sigma, WaveFunction, moyal_bracket,
                         parse_symbol, scaled_bracket, star, star_distributional)
-from hypermoyal import distributions, operators, selftest, symbols
+from hypermoyal import distributions, operators, symbols
 from hypermoyal.symbols import KAPPA_ROW_TERMS
 
 H = Sigma.HYPERBOLIC
@@ -317,28 +318,18 @@ def test_the_bound_caps_the_memo_memory(memo):
     assert _traced_size(memo) < memo.max_bytes
 
 
-@pytest.fixture(scope="session")
-def full_selftest() -> list:
-    """The full ``selftest --seed 0`` payload from cold memos, then warm: per
-    pass its canonical JSON and each memo's ``cache_info()``."""
-    for memo in MEMOS:
-        memo.cached().cache_clear()
-    return [(selftest.canonical_json(selftest._payload(0, selftest._sizes(fast=False))),
-             {memo.label: memo.cached().cache_info() for memo in MEMOS}) for _ in range(2)]
-
-
 @EACH
 def test_full_selftest_fills_under_a_quarter_of_each_memo(full_selftest, memo):
-    """One pass meets every shape its second pass meets, and leaves each memo
-    at least 4x headroom."""
-    (_, cold), (_, warm) = full_selftest
-    assert 0 < cold[memo.label].currsize < memo.maxsize / 4
-    assert warm[memo.label].misses == cold[memo.label].misses
-    assert warm[memo.label].hits > cold[memo.label].hits
+    """Criterion 10's first run meets every shape its second run meets, and
+    leaves each memo at least 4x headroom."""
+    cold, warm = (memos[memo.cached()] for _, _, memos in full_selftest)
+    assert 0 < cold.currsize < memo.maxsize / 4
+    assert warm.misses == cold.misses
+    assert warm.hits > cold.hits
 
 
 def test_full_selftest_is_byte_identical_from_cold_and_warm_memos(full_selftest):
-    (cold, _), (warm, _) = full_selftest
+    (_, cold, _), (_, warm, _) = full_selftest
     assert cold == warm
 
 

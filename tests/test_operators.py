@@ -187,19 +187,6 @@ def test_compose_check_p_q_on_q_squared(sigma):
     assert compose_check(q, q, phi)
 
 
-def test_compose_check_randomized():
-    rng = random.Random(7)
-    h_values = (Fraction(1), Fraction(1, 3), Fraction(7, 2))
-    for sigma in SIGMAS:
-        for i in range(40):
-            h = h_values[i % 3]
-            k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
-            b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
-            phi = _random_wavefunction(rng, k, sigma, h)
-            assert compose_check(a, b, phi)
-
-
 def _two_denominator_wavefunction(rng, k, sigma, h):
     """Plane waves of momenta 1/2 and 1/3 in every coordinate, each times a
     random linear factor: two frequency denominators in one wavefunction."""
@@ -212,20 +199,26 @@ def _two_denominator_wavefunction(rng, k, sigma, h):
     return WaveFunction(func, h)
 
 
-@pytest.mark.parametrize("sigma", SIGMAS)
-def test_compose_check_mixed_frequency_denominators(sigma):
-    """``apply_normal_ordered`` lifts each term from its own frequency
-    denominator onto the lcm of all of them; one frequency per wavefunction
-    (as in the randomized test above) never exercises that lift."""
-    rng = random.Random(25)
+@pytest.mark.parametrize("seed, sigmas, count, wavefunction", [
+    (7, SIGMAS, 40, _random_wavefunction),
+    # ``apply_normal_ordered`` lifts each term from its own frequency
+    # denominator onto the lcm of all of them; one frequency per wavefunction
+    # (as in the row above) never exercises that lift
+    (25, (H,), 20, _two_denominator_wavefunction),
+    (25, (C,), 20, _two_denominator_wavefunction),
+], ids=["randomized", "mixed_denominators_hyperbolic", "mixed_denominators_complex"])
+def test_compose_check_randomized(seed, sigmas, count, wavefunction):
+    """One generator per row, drawn through the signatures in turn."""
+    rng = random.Random(seed)
     h_values = (Fraction(1), Fraction(1, 3), Fraction(7, 2))
-    for i in range(20):
-        h = h_values[i % 3]
-        k = 1 + (i % 2)
-        a = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
-        b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
-        phi = _two_denominator_wavefunction(rng, k, sigma, h)
-        assert compose_check(a, b, phi)
+    for sigma in sigmas:
+        for i in range(count):
+            h = h_values[i % 3]
+            k = 1 + (i % 2)
+            a = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
+            b = _random_symbol(rng, k, sigma, max_degree=4, max_terms=2)
+            phi = wavefunction(rng, k, sigma, h)
+            assert compose_check(a, b, phi)
 
 
 def test_compose_check_degree_cap():

@@ -1,11 +1,9 @@
 """The package's public names and the modules each entry point loads."""
 
 import importlib
-import os
-import subprocess
-import sys
 
 import pytest
+from conftest import fresh_modules
 
 import hypermoyal
 
@@ -62,40 +60,22 @@ def test_submodules_stay_reachable():
 
     assert distributions.star_distributional is hypermoyal.star_distributional
     # in a fresh interpreter, so that nothing has imported the submodule yet
-    loaded = _loaded_after(
-        "import hypermoyal\nassert hypermoyal.grassmann.parity is hypermoyal.parity"
-    )
-    assert "hypermoyal.grassmann" in loaded
-
-
-def _loaded_after(code: str) -> set:
-    """The ``hypermoyal`` modules a fresh interpreter holds after running ``code``."""
-    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
-    script = (
-        "import sys\n" + code + "\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('hypermoyal')))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    return set(result.stdout.splitlines()[-1].split())
+    code = "import hypermoyal\nassert hypermoyal.grassmann.parity is hypermoyal.parity"
+    assert "hypermoyal.grassmann" in fresh_modules(code)
 
 
 def test_package_import_loads_no_submodule():
-    assert _loaded_after("import hypermoyal") == {"hypermoyal"}
+    loaded = fresh_modules("import hypermoyal")
+    assert {m for m in loaded if m.startswith("hypermoyal")} == {"hypermoyal"}
 
 
-def test_star_command_loads_only_the_symbol_modules():
-    loaded = _loaded_after("from hypermoyal.cli import main\nmain(['star', 'p', 'q'])")
-    assert "hypermoyal.symbols" in loaded
-    for module in ("interference", "selftest", "operators", "distributions", "grassmann"):
-        assert f"hypermoyal.{module}" not in loaded
-
-
-def test_super_command_loads_no_operator_modules():
-    loaded = _loaded_after("from hypermoyal.cli import main\nmain(['super', 't1', 't2'])")
-    assert "hypermoyal.grassmann" in loaded
-    for module in ("interference", "operators", "selftest"):
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["star", "p", "q"], "symbols",
+     ("interference", "selftest", "operators", "distributions", "grassmann")),
+    (["super", "t1", "t2"], "grassmann", ("interference", "operators", "selftest")),
+], ids=["star", "super"])
+def test_a_command_loads_only_its_own_modules(argv, loads, skips):
+    loaded = fresh_modules(f"from hypermoyal.cli import main\nmain({argv!r})")
+    assert f"hypermoyal.{loads}" in loaded
+    for module in skips:
         assert f"hypermoyal.{module}" not in loaded

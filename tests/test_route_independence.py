@@ -21,12 +21,10 @@ unchecked builder ``_exact``.  No module imports :mod:`dataclasses` or
 import ast
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
 
 import pytest
+from conftest import fresh_modules
 
 import hypermoyal
 from hypermoyal import distributions, operators, scalars, sparse, symbols
@@ -622,20 +620,9 @@ def test_slow_import_guard_sees_what_it_forbids():
     assert _imported_modules(planted) & SLOW_IMPORTS == {"dataclasses"}
 
 
-def _fresh_modules(code: str) -> set:
-    """The modules a fresh interpreter holds after running ``code``."""
-    src = os.path.dirname(os.path.dirname(hypermoyal.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
-
-
 def test_no_import_loads_dataclasses_or_inspect():
     """Compared with a bare interpreter, so that a module a site hook loads
     does not decide the test."""
-    added = _fresh_modules("\n".join(f"import {name}" for name in MODULES)) - _fresh_modules("")
+    added = fresh_modules("\n".join(f"import {name}" for name in MODULES)) - fresh_modules("")
     assert "hypermoyal.cli" in added and "hypermoyal.interference" in added
     assert added & SLOW_IMPORTS == set()

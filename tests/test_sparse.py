@@ -16,6 +16,7 @@ The four classes with a size share one JSON codec in ``SizedMap``; every
 element, and each wrapper around one, reads back as itself.
 """
 
+import functools
 import json
 import math
 import random
@@ -101,17 +102,19 @@ def _exppoly_2(rng, sigma):
     return _exppoly(rng, sigma, dim=2)
 
 
-def _exppoly_mixed(rng, sigma):
-    """Plane waves on two variables whose frequencies and characters have
+def _mixed(rng, sigma, cls=ExpPoly):
+    """Plane waves on two variables, or atoms if ``cls`` is
+    ``Ultradistribution``, whose frequencies or locations and characters have
     different denominators, so that sums and products change ``_den``."""
     def rational():
         return Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4, 6)))
 
-    return ExpPoly(2, sigma, {
-        ((rational(), rational()), _exps(rng, 2)):
-            CharSum({rational(): _coeff(rng, sigma) for _ in range(2)}, sigma)
-        for _ in range(3)
-    })
+    parts = [((rational(), rational()), _exps(rng, 2),
+              CharSum({rational(): _coeff(rng, sigma) for _ in range(2)}, sigma))
+             for _ in range(3)]
+    if cls is ExpPoly:
+        return ExpPoly(2, sigma, {(vector, orders): w for vector, orders, w in parts})
+    return Ultradistribution(2, sigma, parts)
 
 
 def _distribution(rng, sigma):
@@ -254,7 +257,7 @@ def _extra_results(a, b, sigma):
 
 
 @pytest.mark.parametrize(
-    "make", [_hpoly, _charsum, _symbol, _exppoly, _exppoly_2, _exppoly_mixed, _grassmann]
+    "make", [_hpoly, _charsum, _symbol, _exppoly, _exppoly_2, _mixed, _grassmann]
 )
 def test_ring_results_are_clean(make):
     rng = random.Random(17)
@@ -313,10 +316,10 @@ def test_operator_route_results_are_clean():
     for sigma in SIGMAS:
         for _ in range(10):
             h = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-            phi = WaveFunction(_exppoly_mixed(rng, sigma), h)
+            phi = WaveFunction(_mixed(rng, sigma), h)
             symbol = _symbol(rng, sigma)
             plane = ExpPoly(4, sigma, {
-                (freq + freq, exps + exps): c for freq, exps, c in _exppoly_mixed(rng, sigma).terms()
+                (freq + freq, exps + exps): c for freq, exps, c in _mixed(rng, sigma).terms()
             })
             for result in (
                 Operator(symbol, h).apply_normal_ordered(phi).func,
@@ -483,7 +486,7 @@ def test_numerators_inverts_from_parts_in_both_rings():
                 if not c.is_zero():
                     terms[key] = c
             _assert_numerators_invert_from_parts(terms, sigma)
-        for element in (_symbol(rng, sigma), _exppoly_mixed(rng, sigma),
+        for element in (_symbol(rng, sigma), _mixed(rng, sigma),
                         _distribution(rng, sigma), _grassmann(rng, sigma)):
             _assert_numerators_invert_from_parts(_viewed_terms(element), sigma)
             # and the stored form is the numerators of the flat binarion view
@@ -596,19 +599,6 @@ def _keyed_pairs(draw):
     return element(), element()
 
 
-def _product_by_terms(a, b):
-    """``a * b`` (or ``a.tensor(b)``) rebuilt from the public views through
-    the public constructor."""
-    if isinstance(a, ExpPoly):
-        return ExpPoly(a.dim, a.sigma, summed(
-            ((tuple(map(add, f1, f2)), tuple(map(add, e1, e2))), w1 * w2)
-            for f1, e1, w1 in a.terms() for f2, e2, w2 in b.terms()
-        ))
-    return Ultradistribution(a.dim + b.dim, a.sigma, [
-        (l1 + l2, o1 + o2, w1 * w2) for l1, o1, w1 in a.atoms() for l2, o2, w2 in b.atoms()
-    ])
-
-
 @given(_keyed_pairs())
 def test_keys_over_one_denominator_property(pair):
     a, b = pair
@@ -616,8 +606,12 @@ def test_keys_over_one_denominator_property(pair):
     assert cls.from_json(a.to_json()) == a
     assert (a + b) - b == a
     assert (a - a).is_zero() and (a - a)._den == 1
-    product = a * b if cls is ExpPoly else a.tensor(b)
-    assert product == _product_by_terms(a, b)
+    if cls is ExpPoly:
+        product, term_mul, dim = a * b, _symbol_term_mul, a.dim
+    else:
+        product, term_mul, dim = a.tensor(b), _tensor_term_mul, a.dim + b.dim
+    assert (product.dim, product.sigma) == (dim, a.sigma)
+    assert _viewed_terms(product) == _by_terms(term_mul, _viewed_terms(a), _viewed_terms(b))
     for x in (a, b, a + b, a - b, product):
         _assert_clean(x)
 
@@ -941,26 +935,13 @@ TERM_MULS = {
 }
 
 
-def _distribution_mixed(rng, sigma):
-    """Atoms on two variables whose locations and characters have different
-    denominators."""
-    def rational():
-        return Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4, 6)))
-
-    return Ultradistribution(2, sigma, [
-        ((rational(), rational()), _exps(rng, 2),
-         CharSum({rational(): _coeff(rng, sigma) for _ in range(2)}, sigma))
-        for _ in range(3)
-    ])
-
-
 def _grassmann_wide(rng, sigma):
     """Six terms on five generators, so that most products reorder."""
     return GrassmannElement(5, sigma, {rng.randrange(32): _coeff(rng, sigma) for _ in range(6)})
 
 
 @pytest.mark.parametrize(
-    "make", [_hpoly, _charsum, _symbol, _exppoly_mixed, _grassmann, _grassmann_wide]
+    "make", [_hpoly, _charsum, _symbol, _mixed, _grassmann, _grassmann_wide]
 )
 def test_products_match_the_per_term_binarion_loop(make):
     rng = random.Random(29)
@@ -977,7 +958,8 @@ def test_products_match_the_per_term_binarion_loop(make):
                 _assert_clean(product)
 
 
-@pytest.mark.parametrize("make", [_distribution, _distribution_mixed])
+@pytest.mark.parametrize("make", [_distribution, pytest.param(
+    functools.partial(_mixed, cls=Ultradistribution), id="_distribution_mixed")])
 def test_tensor_and_scale_match_the_per_term_binarion_loop(make):
     rng = random.Random(31)
     for sigma in SIGMAS:
@@ -1009,7 +991,7 @@ def test_the_oracle_sees_products_vanish_and_reorder():
     assert _reorder_sign(0b10100, 0b01011) == -1
 
 
-@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _exppoly_mixed, _grassmann])
+@pytest.mark.parametrize("make", [_hpoly, _charsum, _symbol, _mixed, _grassmann])
 def test_a_scalar_of_the_other_sigma_does_not_combine(make):
     """A binarion of the other signature is refused on either side of ``*``,
     ``+`` and ``-``, as the per-term binarion product refused it."""
@@ -1029,7 +1011,7 @@ PUBLIC_CONSTANTS = {
     HPoly: (_hpoly, lambda x, c: HPoly({0: c}, x.sigma)),
     CharSum: (_charsum, lambda x, c: CharSum({0: c}, x.sigma)),
     PolySymbol: (_symbol, lambda x, c: PolySymbol.constant(c, x.dof, x.sigma)),
-    ExpPoly: (_exppoly_mixed, lambda x, c: ExpPoly.constant(c, x.dim, x.sigma)),
+    ExpPoly: (_mixed, lambda x, c: ExpPoly.constant(c, x.dim, x.sigma)),
     GrassmannElement: (_grassmann, lambda x, c: GrassmannElement.scalar(c, x.n, x.sigma)),
 }
 

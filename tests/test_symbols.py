@@ -242,24 +242,18 @@ def test_star_bilinear():
         assert star(c, a + b) == star(c, a) + star(c, b)
 
 
-def test_star_associative_seeded():
-    rng = random.Random(19)
+@pytest.mark.parametrize("seed, count, dofs, degree, h_in_b", [
+    (19, 40, (1, 2), 4, False),
+    (23, 10, (1,), 3, True),  # b times h, so that coefficients carry h
+], ids=["seeded", "h_coefficients"])
+def test_star_associative(seed, count, dofs, degree, h_in_b):
+    rng = random.Random(seed)
     for sigma in SIGMAS:
-        for i in range(40):
-            k = 1 + (i % 2)
-            a = _random_symbol(rng, k, sigma, 4)
-            b = _random_symbol(rng, k, sigma, 4)
-            c = _random_symbol(rng, k, sigma, 4)
-            assert star(star(a, b), c) == star(a, star(b, c))
-
-
-def test_star_associative_with_h_coefficients():
-    rng = random.Random(23)
-    for sigma in SIGMAS:
-        for _ in range(10):
-            a = _random_symbol(rng, 1, sigma, 3)
-            b = _random_symbol(rng, 1, sigma, 3).scale_hpoly(HPoly.h_power(1, sigma))
-            c = _random_symbol(rng, 1, sigma, 3)
+        for i in range(count):
+            k = dofs[i % len(dofs)]
+            a, b, c = (_random_symbol(rng, k, sigma, degree) for _ in range(3))
+            if h_in_b:
+                b = b.scale_hpoly(HPoly.h_power(1, sigma))
             assert star(star(a, b), c) == star(a, star(b, c))
 
 
@@ -902,17 +896,22 @@ def _substitute_via_terms(symbol, h):
     })
 
 
+def _cancelling_symbol(k, sigma):
+    """``(2 - u) q1 + (-4 + 2u) h q1 + (1 + u) h^2`` on ``k`` degrees of freedom:
+    its ``q1`` coefficient vanishes at ``h = 1/2``, and its constant does not."""
+    mono = ((1,) + (0,) * (k - 1), (0,) * k)
+    return PolySymbol(k, sigma, {
+        mono: HPoly({0: Binarion(2, -1, sigma), 1: Binarion(-4, 2, sigma)}, sigma),
+        ((0,) * k, (0,) * k): HPoly({2: Binarion(1, 1, sigma)}, sigma),
+    })
+
+
 def test_substitute_h_matches_terms_rebuild():
     rng = random.Random(83)
     for sigma in SIGMAS:
         for k in (1, 2, 3):
-            mono = ((1,) + (0,) * (k - 1), (0,) * k)
             h = Fraction(1, 2)
-            # (2 - u) + (-4 + 2u)*h vanishes at h = 1/2; (1 + u)*h^2 does not
-            cancels = PolySymbol(k, sigma, {
-                mono: HPoly({0: Binarion(2, -1, sigma), 1: Binarion(-4, 2, sigma)}, sigma),
-                ((0,) * k, (0,) * k): HPoly({2: Binarion(1, 1, sigma)}, sigma),
-            })
+            cancels = _cancelling_symbol(k, sigma)
             assert cancels.substitute_h(h) == PolySymbol.constant(
                 Binarion(1, 1, sigma) * h**2, k, sigma
             )
