@@ -71,6 +71,7 @@ from .scalars import (
     Sigma,
     _as_fraction,
     _cos_sin,
+    _integers,
     _json_fraction,
     _json_int,
     _num_str,
@@ -78,8 +79,9 @@ from .scalars import (
     binarion_from_json,
     binarion_to_json,
 )
-from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, check_degree_cap, in_range,
-                     integer, multiply, nonnegative, power_factors, stored, summed, zeros)
+from .sparse import (ScalarRing, SizedMap, SparseAlgebra, add_parts, coefficient_parts,
+                     check_degree_cap, in_range, integer, multiply, nonnegative, power_factors,
+                     stored, summed, zeros)
 from .symbols import PolySymbol
 
 
@@ -181,6 +183,28 @@ def _weight_from_json(data: dict, sigma: Sigma) -> CharSum:
     return CharSum.from_scalar(binarion_from_json(data, sigma))
 
 
+def _over(vector, den: int) -> tuple:
+    """The numerators of the rationals of ``vector`` over ``den``, a common
+    multiple of their denominators."""
+    return tuple([x.numerator * (den // x.denominator) for x in vector])
+
+
+def _least_keys(terms: dict, den: int) -> tuple:
+    """``terms`` keyed by ``(vector, orders, r)`` numerators over ``den``, and
+    ``den``, reduced to the least common denominator of the vectors and ``r``
+    parts (1 for no terms)."""
+    g = den
+    for vector, _, r in terms:
+        if g == 1:
+            break
+        g = math.gcd(g, r, *vector)
+    if g > 1:
+        den //= g
+        terms = {(tuple(n // g for n in vector), orders, r // g): c
+                 for (vector, orders, r), c in terms.items()}
+    return terms, den
+
+
 class _CharSumTerms(SizedMap):
     """The key storage, constructor and JSON entry of :class:`ExpPoly` and
     :class:`Ultradistribution`.
@@ -200,28 +224,56 @@ class _CharSumTerms(SizedMap):
     __slots__ = ("_den",)
 
     def _fill(self, dim: int, sigma: Sigma, entries):
-        """Validate ``((vector, orders), weight)`` entries and store their flat terms."""
-        negative, length = self._ERRORS
+        """Validate ``((vector, orders), weight)`` entries and store their flat
+        terms, the vector and ``r`` put over the lcm of their denominators
+        before the terms are summed."""
         self._size = integer(dim)
         if self._size < 1:
             raise DimensionMismatchError("dim must be >= 1")
         self.sigma = as_sigma(sigma)
-        pairs = []
+        heads, den = [], 1
         for (vector, orders), weight in entries:
-            vector = tuple(_as_fraction(x) for x in vector)
-            orders = nonnegative(orders, negative)
-            if len(vector) != self._size or len(orders) != self._size:
-                raise DimensionMismatchError(length.format(self._size))
-            pairs += [((vector, orders, r), c)
-                      for r, c in CharSum._coefficient_terms(weight, self.sigma, self._OWNER)]
-        terms, self._cden = stored(pairs)
-        den = math.lcm(*(x.denominator for vector, _, r in terms for x in (*vector, r)))
-        self._den = den
-        self._terms = {
-            (tuple(x.numerator * (den // x.denominator) for x in vector), orders,
-             r.numerator * (den // r.denominator)): c
-            for (vector, orders, r), c in terms.items()
-        }
+            vector, orders = self._head(self._size, vector, orders)
+            parts = CharSum._coefficient_parts(weight, self.sigma, self._OWNER)
+            den = math.lcm(den, *(x.denominator for x in vector),
+                           *(r.denominator for r, _ in parts))
+            heads.append((vector, orders, parts))
+        self._terms, self._cden = stored(
+            ((_over(vector, den), orders, r.numerator * (den // r.denominator)), c)
+            for vector, orders, parts in heads for r, c in parts
+        )
+        self._terms, self._den = _least_keys(self._terms, den)
+
+    @classmethod
+    def _head(cls, dim: int, vector, orders) -> tuple:
+        """The ``(vector, orders)`` of a term, checked: the vector's entries
+        read by :func:`_as_fraction`, but an exact int kept as it is, with the
+        same numerator and denominator; the orders nonnegative ints; both of
+        length ``dim``."""
+        vector = tuple([x if type(x) is int else _as_fraction(x) for x in vector])
+        orders = nonnegative(orders, cls._ERRORS[0])
+        if len(vector) != dim or len(orders) != dim:
+            raise DimensionMismatchError(cls._ERRORS[1].format(dim))
+        return vector, orders
+
+    @classmethod
+    def _term(cls, vector, orders, sigma: Sigma, coeff):
+        """The element of dimension ``len(vector)`` of the one term ``coeff`` at
+        ``(vector, orders)``, checked as :meth:`_fill` checks a term and built
+        by :meth:`_make`; a :class:`CharSum` coefficient goes through the
+        constructor."""
+        dim = len(vector)
+        if isinstance(coeff, CharSum):
+            out = object.__new__(cls)
+            out._fill(dim, sigma, (((vector, orders), coeff),))
+            return out
+        if dim < 1:
+            raise DimensionMismatchError("dim must be >= 1")
+        sigma = as_sigma(sigma)
+        vector, orders = cls._head(dim, vector, orders)
+        x, y, d = coefficient_parts(coeff, sigma, cls._OWNER)
+        den = math.lcm(*[v.denominator for v in vector])
+        return cls._make(dim, sigma, (((_over(vector, den), orders, 0), (x, y)),), d, den)
 
     @classmethod
     def _make(cls, size, sigma, pairs, cden: int = 1, den: int = 1):
@@ -229,18 +281,7 @@ class _CharSumTerms(SizedMap):
         keys, numerators over ``den``, reduced to the least common
         denominator."""
         out = super()._make(size, sigma, pairs, cden)
-        g = den
-        for vector, _, r in out._terms:
-            if g == 1:
-                break
-            g = math.gcd(g, r, *vector)
-        if g > 1:
-            den //= g
-            out._terms = {
-                (tuple(n // g for n in vector), orders, r // g): c
-                for (vector, orders, r), c in out._terms.items()
-            }
-        out._den = den
+        out._terms, out._den = _least_keys(out._terms, den)
         return out
 
     def _new(self, pairs, cden: int, den: int = None):
@@ -341,13 +382,13 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
 
     @classmethod
     def monomial(cls, exps, coeff, sigma: Sigma) -> "ExpPoly":
-        return cls(len(exps), sigma, {((0,) * len(exps), tuple(exps)): coeff})
+        return cls._term((0,) * len(exps), tuple(exps), sigma, coeff)
 
     @classmethod
     def character(cls, freq, sigma: Sigma, coeff=1) -> "ExpPoly":
         """Plane wave ``exp(u*<freq, x>)`` with an optional scalar factor."""
         freq = tuple(freq)
-        return cls(len(freq), sigma, {(freq, (0,) * len(freq)): coeff})
+        return cls._term(freq, (0,) * len(freq), sigma, coeff)
 
     @classmethod
     def from_poly_symbol(cls, symbol: PolySymbol, h=None) -> "ExpPoly":
@@ -497,7 +538,7 @@ class ExpPoly(_CharSumTerms, SparseAlgebra):
             mono = math.prod(x**e for x, e in zip(point, exps))
             if mono:
                 phase = Fraction(r + sum(map(mul, freq, point)), self._den)
-                values.append((phase, coeff * mono))
+                values.append((phase, _integers(coeff * mono)))
         terms, cden = stored(values)
         return CharSum._make(None, self.sigma, terms.items(), cden)
 
@@ -566,10 +607,9 @@ class Ultradistribution(_CharSumTerms):
     def delta(cls, loc, sigma: Sigma, order=None, weight=1) -> "Ultradistribution":
         """``weight * delta^(order)`` at ``loc`` (order defaults to zero)."""
         loc = tuple(_as_fraction(x) for x in loc)
-        dim = len(loc)
         if order is None:
-            order = (0,) * dim
-        return cls(dim, sigma, [(loc, tuple(order), weight)])
+            order = (0,) * len(loc)
+        return cls._term(loc, tuple(order), sigma, weight)
 
     # -- queries ------------------------------------------------------------------
 
@@ -744,8 +784,11 @@ def symbol_from_distribution(distribution: Ultradistribution) -> ExpPoly:
 #: this many terms; any other row is built each time.  So at most 32 * 32 =
 #: 1,024 axis rows exist, 1.2 MB in all, the axis memo never evicts, and no
 #: other ``(n, e)`` enters it.  Of the 3,288 twist rows that qualify the
-#: largest takes 3.1 KB (``(a, b) = (30, 31)`` at the origin), so a full memo
-#: of twist rows holds at most 3.2 MB (measured with ``tracemalloc``).  A
+#: largest holds 11,684 B (32 terms at ``(a, b) = (31, 31)`` at the origin),
+#: and the 1,024 largest hold 8.0 MB together, so a full memo of twist rows
+#: holds at most 8.0 MB.  Each size is ``sys.getsizeof`` summed over a row's
+#: tuples and ints, each object once; a ``tracemalloc`` reading misses the
+#: tuples taken from CPython's free lists.  A
 #: process meets few shapes: 15-17 axis and 48-55 twist rows in an
 #: operator-route batch (seeds 1, 2, 3, 11, 601, 931), 16 and 23 in
 #: ``selftest --fast``, 20 and 37 in a full selftest.

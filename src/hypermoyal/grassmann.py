@@ -20,7 +20,7 @@ import enum
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import Sigma, _num_str, as_sigma, binarion_from_json, binarion_to_json
-from .sparse import (MAX_WITNESS_GENERATORS, SizedMap, SparseAlgebra, binarion_coefficient,
+from .sparse import (MAX_WITNESS_GENERATORS, SizedMap, SparseAlgebra, coefficient_parts,
                      in_range, integer, stored)
 
 
@@ -96,7 +96,7 @@ class GrassmannElement(SizedMap, SparseAlgebra):
                     f"monomial uses generators up to θ{mask.bit_length()}, "
                     f"beyond n={_num_str(self.n)}"
                 )
-            pairs.append((mask, binarion_coefficient(coeff, self.sigma, self._OWNER)))
+            pairs.append((mask, coefficient_parts(coeff, self.sigma, self._OWNER)))
         self._terms, self._cden = stored(pairs)
 
     # -- constructors -----------------------------------------------------

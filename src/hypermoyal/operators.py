@@ -73,11 +73,12 @@ def _positive_h(h) -> Fraction:
 
 #: A row is memoized only when its ``b`` and ``e`` are below this bound, so it
 #: has at most this many terms and at most 32 * 32 = 1,024 keys exist; the memo
-#: holds them all, so it never evicts, and all 1,024 rows take 1.1 MB (measured
-#: with ``tracemalloc``).  A process meets few of them: 42-50 rows in an
-#: operator-route batch (seeds 1, 2, 3, 11, 601, 931), 23 in ``selftest
-#: --fast`` and 36 in a full selftest.  A row of a larger ``b`` or ``e`` is
-#: built each time and never enters the memo.
+#: holds them all, so it never evicts, and all 1,024 rows take 1.2 MB
+#: (``sys.getsizeof`` summed over their tuples and ints, each object once).  A
+#: process meets few of them: 42-50 rows in an operator-route batch (seeds 1,
+#: 2, 3, 11, 601, 931), 23 in ``selftest --fast`` and 36 in a full selftest.
+#: A row of a larger ``b`` or ``e`` is built each time and never enters the
+#: memo.
 DERIVATIVE_ROW_TERMS = 32
 
 
@@ -147,8 +148,9 @@ class WaveFunction:
         h = _positive_h(h)
         if isinstance(momentum, (int, Fraction, str)):
             momentum = (momentum,)
-        freq = tuple(_as_fraction(p) / h for p in momentum)
-        return cls(ExpPoly.character(freq, sigma), h)
+        out = object.__new__(cls)
+        out.h, out.func = h, ExpPoly.character(tuple(_as_fraction(p) / h for p in momentum), sigma)
+        return out
 
     @classmethod
     def zero(cls, dof: int, h, sigma: Sigma) -> "WaveFunction":

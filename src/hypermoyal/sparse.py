@@ -15,12 +15,16 @@ Coefficients are stored as integers: ``_terms`` maps each key to ints
 ``(re, im)``, the coefficient ``(re + u*im) / _cden``, over the least
 positive ``_cden`` (``gcd(_cden, every part) == 1``, no ``(0, 0)`` pair,
 ``_cden == 1`` when empty), so equal elements store equal terms.  Binarions
-exist only at two edges: a public constructor validates its input (key
-shapes, signs, the coefficients' signature) and sums and stores its terms
-with :func:`stored`, which reads each coefficient with
-:func:`scalars._integers`, and the views build binarions with
-:func:`from_parts`.  A scalar operand enters every class as the one term
-that :meth:`SparseMap._constant` builds by ``_make``.
+exist only at two edges.  A public constructor validates its input (key
+shapes, signs, the coefficients' signature) and reads it into integers in
+one pass: :func:`coefficient_parts` reads a scalar coefficient as ``(x, y,
+d)``, a binarion through :func:`scalars._integers`; a coefficient that is
+an element of a ring (an ``HPoly`` in a symbol, a ``CharSum`` weight) is
+read as it stores its terms, by :meth:`ScalarRing._coefficient_parts`; and
+:func:`stored` sums the triples per key over the least common denominator.
+The one-term constructors check their arguments with the same helpers and
+build their term by ``_make``, as :meth:`SparseMap._constant` builds a
+scalar operand.  The views build binarions with :func:`from_parts`.
 Arithmetic and the route kernels sum integers, with :func:`add_parts`, over
 one denominator, and :meth:`SparseMap._make` (or ``_new``, which keeps the
 operand's size and signature) stores the ``(key, (re, im))`` pairs of the sums
@@ -138,13 +142,40 @@ def multiply(left: dict, right: dict, s: int, key_mul):
 
 
 def stored(pairs) -> tuple:
-    """``(key, binarion)`` pairs summed per key, the zero sums dropped, as
-    ``({key: (re, im)}, den)`` over the least common denominator (``({}, 1)``
-    for none).  The constructor edge, and the twin of :func:`from_parts`;
-    each coefficient is read by :func:`scalars._integers`."""
-    terms = {key: _integers(c) for key, c in summed(pairs).items() if not c.is_zero()}
-    den = math.lcm(*(d for _, _, d in terms.values()))
-    return {key: (x * (den // d), y * (den // d)) for key, (x, y, d) in terms.items()}, den
+    """``(key, (x, y, d))`` pairs, each the coefficient ``(x + u*y) / d`` in
+    integers, summed per key, the zero sums dropped, as ``({key: (re, im)},
+    den)`` over the least common denominator (``({}, 1)`` for none).  The
+    constructor edge, and the twin of :func:`from_parts`: a binarion
+    coefficient is read by :func:`scalars._integers`, an element of a
+    coefficient ring as it is stored (see :meth:`ScalarRing._coefficient_parts`)."""
+    acc = {}
+    for key, (x, y, d) in pairs:
+        entry = acc.get(key)
+        if entry is not None:  # a repeated key: add the two fractions
+            x0, y0, d0 = entry
+            if d0 == d:
+                x, y = x0 + x, y0 + y
+            else:
+                x, y, d = x0 * d + x * d0, y0 * d + y * d0, d0 * d
+        acc[key] = x, y, d
+    den = math.lcm(*(d for x, y, d in acc.values() if x or y))
+    # a sum, or a ring element's term over its _cden, may share a factor with den
+    return _least({key: (x * (den // d), y * (den // d))
+                   for key, (x, y, d) in acc.items() if x or y}, den)
+
+
+def _least(terms: dict, den: int) -> tuple:
+    """``{key: (re, im)}`` over ``den``, and ``den``, divided by their greatest
+    common divisor: the same values over the least common denominator."""
+    g = den
+    for re, im in terms.values():
+        if g == 1:
+            break
+        g = math.gcd(g, re, im)
+    if g > 1:
+        den //= g
+        terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
+    return terms, den
 
 
 def integer(value) -> int:
@@ -189,10 +220,14 @@ def zeros(size: int) -> tuple:
 
 
 def nonnegative(values, message: str) -> tuple:
-    """``values`` as a tuple of :func:`integer` entries; a negative entry
-    raises ``message``."""
-    out = tuple(map(integer, values))
-    if any(v < 0 for v in out):
+    """``values`` as a tuple of ints: exact ``int`` entries as they are, any
+    other read by :func:`integer`; a negative entry raises ``message``."""
+    out = tuple(values)
+    for v in out:
+        if type(v) is not int:
+            out = tuple(map(integer, out))
+            break
+    if out and min(out) < 0:
         raise ValidationError(message)
     return out
 
@@ -203,13 +238,22 @@ def power_factors(names, exps) -> list:
     return [name if e == 1 else f"{name}^{_num_str(e)}" for name, e in zip(names, exps) if e]
 
 
-def binarion_coefficient(value, sigma, owner: str) -> Binarion:
-    """``value`` as a binarion of signature ``sigma``; rationals embed as reals."""
+def coefficient_parts(value, sigma, owner: str) -> tuple:
+    """``value``, a coefficient of an element of signature ``sigma``, as
+    integers ``(x, y, d)``, the value ``(x + u*y) / d``: an exact int or
+    ``Fraction`` as its numerator and denominator, any other rational as a
+    real binarion, and a binarion by :func:`scalars._integers`, once its
+    signature is checked against ``sigma``."""
+    kind = type(value)
+    if kind is int:
+        return value, 0, 1
+    if kind is Fraction:
+        return value.numerator, 0, value.denominator
     if not isinstance(value, Binarion):
         value = Binarion(value, 0, sigma)
     if value.sigma is not sigma:
         raise SignatureMismatchError(f"coefficient sigma differs from {owner} sigma")
-    return value
+    return _integers(value)
 
 
 class SparseMap:
@@ -239,15 +283,7 @@ class SparseMap:
         parts over ``cden``, a dict's ``items()`` or a generator of distinct
         keys, read once, in order, with the zero pairs dropped and reduced to
         the least denominator; nothing else is checked."""
-        terms = {key: (re, im) for key, (re, im) in pairs if re or im}
-        g = cden
-        for re, im in terms.values():
-            if g == 1:
-                break
-            g = math.gcd(g, re, im)
-        if g > 1:
-            cden //= g
-            terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
+        terms, cden = _least({key: (re, im) for key, (re, im) in pairs if re or im}, cden)
         out = object.__new__(cls)
         out._size, out.sigma, out._terms, out._cden = size, sigma, terms, cden
         return out
@@ -268,7 +304,7 @@ class SparseMap:
         coefficient of the public constructor does."""
         if isinstance(value, SparseMap):
             return self.constant(value, self._size, self.sigma)
-        x, y, d = _integers(binarion_coefficient(value, self.sigma, self._OWNER))
+        x, y, d = coefficient_parts(value, self.sigma, self._OWNER)
         return self._make(self._size, self.sigma, ((self._constant_key(), (x, y)),), d)
 
     def _constant_key(self):
@@ -466,7 +502,7 @@ class ScalarRing(SparseAlgebra):
         self._size = None
         self.sigma = as_sigma(sigma)
         self._terms, self._cden = stored(
-            (self._read_key(key), binarion_coefficient(value, self.sigma, self._OWNER))
+            (self._read_key(key), coefficient_parts(value, self.sigma, self._OWNER))
             for key, value in terms.items()
         )
 
@@ -485,14 +521,17 @@ class ScalarRing(SparseAlgebra):
         return cls({0: value}, sigma)
 
     @classmethod
-    def _coefficient_terms(cls, value, sigma: Sigma, owner: str):
-        """The ``(key, binarion)`` terms of ``value`` as a coefficient in an
-        element of ``sigma``: an element's of this ring, or a scalar's at key 0."""
+    def _coefficient_parts(cls, value, sigma: Sigma, owner: str):
+        """The ``(key, (x, y, d))`` terms of ``value`` as a coefficient in an
+        element of ``sigma``, each ``(x + u*y) / d``: an element's of this ring
+        as it stores them, over its ``_cden``, or a scalar's at key 0, read by
+        :func:`scalars._integers`."""
         if not isinstance(value, cls):
-            return ((0, binarion_coefficient(value, sigma, owner)),)
+            return ((0, coefficient_parts(value, sigma, owner)),)
         if value.sigma is not sigma:
             raise SignatureMismatchError(f"coefficient sigma differs from {owner} sigma")
-        return value._binarions().items()
+        d = value._cden
+        return [(key, (x, y, d)) for key, (x, y) in value._terms.items()]
 
     def items(self):
         """The ``(key, coefficient)`` terms in ascending key order."""

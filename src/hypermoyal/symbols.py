@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import add
+from operator import add, neg
 
 from .errors import DimensionMismatchError, ValidationError, json_field
 from .scalars import (Binarion, Record, Sigma, _as_fraction, _json_int, _num_str, as_sigma,
@@ -154,8 +154,7 @@ def _term_order_key(key):
     """Sort key of a monomial ``(alpha, beta)`` or a flat ``(alpha, beta, hdeg)``:
     total degree descending, then q and p exponents descending, then ``h``."""
     alpha, beta = key[0], key[1]
-    degree = sum(alpha) + sum(beta)
-    return (-degree, tuple(-a for a in alpha), tuple(-b for b in beta), key[2:])
+    return -sum(alpha) - sum(beta), tuple(map(neg, alpha)), tuple(map(neg, beta)), key[2:]
 
 
 class PolySymbol(SizedMap, SparseAlgebra):
@@ -187,8 +186,8 @@ class PolySymbol(SizedMap, SparseAlgebra):
                 raise DimensionMismatchError(
                     f"exponent vectors must have length {_num_str(self.dof)}"
                 )
-            pairs.extend(((alpha, beta, d), v)
-                         for d, v in HPoly._coefficient_terms(coeff, self.sigma, self._OWNER))
+            pairs += [((alpha, beta, d), c)
+                      for d, c in HPoly._coefficient_parts(coeff, self.sigma, self._OWNER)]
         self._terms, self._cden = stored(pairs)
 
     # -- constructors ---------------------------------------------------
@@ -236,7 +235,12 @@ class PolySymbol(SizedMap, SparseAlgebra):
         monomial gathered into its coefficient, sorted by monomial."""
         groups = {}
         for (alpha, beta, d), value in self._terms.items():
-            groups.setdefault((alpha, beta), {})[d] = value
+            head = alpha, beta
+            group = groups.get(head)
+            if group is None:
+                groups[head] = {d: value}
+            else:
+                group[d] = value
         sigma, cden = self.sigma, self._cden
         return [(head, HPoly._make(None, sigma, groups[head].items(), cden))
                 for head in sorted(groups, key=_term_order_key)]
@@ -438,8 +442,11 @@ KAPPA_ROWS = 4096
 #: Most multi-indices of a memoized row's pair, ``prod(min(beta1_i, alpha2_i)
 #: + 1)``; its row holds all but ``kappa = 0``: at most 11 terms in star-wide,
 #: 7 in a full selftest and 8 for one degree of freedom under the default cap,
-#: but 255 for ``beta1 = alpha2 = (1,)*8`` (42 KB).  At 195 bytes a term, the
-#: most measured, a full memo holds at most 4,096 * 31 * 195 B, about 25 MB.
+#: but 255 for ``beta1 = alpha2 = (1,)*8`` (27.7 KB).  By ``sys.getsizeof``
+#: summed over a row's tuples and ints, each object once, a term of the rows
+#: with ``k <= 3`` under the default cap takes at most 196 bytes (a one-term
+#: row), so a full memo holds about 4,096 * 31 * 196 B, 25 MB; the 31-term
+#: row of ``(1,)*5`` holds 3,348 B.
 KAPPA_ROW_TERMS = 32
 #: Bit ``i`` of ``_support(v)`` is set where ``v[i] > 0``; memoized, as rows are.
 _support = lru_cache(maxsize=KAPPA_ROWS)(lambda v: sum(1 << i for i, e in enumerate(v) if e))

@@ -15,7 +15,7 @@ fills under a quarter of each memo.
 import functools
 import itertools
 import math
-import tracemalloc
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -140,7 +140,7 @@ class Memo:
     above: Callable[[], list]  # results that need a row above the term bound,
     slots: int  # which leave this many ``()`` slots
     outside: Optional[Callable[[], None]]
-    max_bytes: int  # the traced bytes of the rows that bound the memory
+    max_bytes: int  # a cap on the bytes, by ``_footprint``, of the rows that bound the memory
     most: int  # the terms of the longest admitted row
     edge: tuple = ()  # the keys of the longest admitted row and of one too long
     terms: Callable[[tuple], int] = len
@@ -160,7 +160,9 @@ MEMOS = KAPPA, TWIST, AXIS, DERIVATIVE = [
          oracle=lambda x, y, _: (_tuple_star(x, y), *_tuple_brackets(x, y)),
          rows={((2, 1), (1, 3), symbols._kappa_units(2, 3), -1):
                ((3576, 1, -3), (4031, 1, -2), (7607, 0, -6))},
-         above=_kappa_above, slots=1, outside=None, max_bytes=31 * 195, most=31,
+         # the 31-term row of the edge key holds 3,348 B, 108 B a term: a cap of
+         # 112 B a term
+         above=_kappa_above, slots=1, outside=None, max_bytes=31 * 112, most=31,
          edge=(((1,) * 5, (1,) * 5, symbols._kappa_units(5, 5), -1),
                ((1,) * 6, (1,) * 6, symbols._kappa_units(6, 5), -1))),
     Memo("twist", distributions, "_twist_row", "FACTOR_ROW_TERMS", 1024,
@@ -172,18 +174,21 @@ MEMOS = KAPPA, TWIST, AXIS, DERIVATIVE = [
          # at the origin delta^((1, 1)) keeps j = s = t: the factors 1 and c = u*h
          rows={(1, 1, True, True, -1): ((1, 1, ((0, 1, (0, 2, 0, 1, 0, 1)),)),
                                         (0, 0, ((1, 1, (1, 1, 0, 1, 0, 1)),)))},
-         above=_twist_above, slots=2, outside=_twist_outside, max_bytes=4_000, most=31,
-         edge=((30, 31, True, True, -1), (31, 31, False, True, -1)),
+         # the largest of the 3,288 admitted rows, 32 terms at (a, b) = (31, 31)
+         # at the origin in either ring, holds 11,684 B
+         above=_twist_above, slots=2, outside=_twist_outside, max_bytes=12_000, most=32,
+         edge=((31, 31, True, True, -1), (31, 31, False, True, -1)),
          terms=lambda row: sum(len(terms) for _, _, terms in row)),
     Memo("axis", distributions, "_axis_row", "FACTOR_ROW_TERMS", 1024,
          cases=_differentiate_multi_cases, kernel=lambda f, order: f.differentiate_multi(order),
+         # all 1,024 admitted rows hold 1,184,344 B, as do the derivative rows
          oracle=_iterated_differentiate, rows=DERIVATIVE_ROWS, above=_axis_above, slots=0,
-         outside=_axis_outside, max_bytes=2_000_000, most=32),
+         outside=_axis_outside, max_bytes=1_200_000, most=32),
     Memo("derivative", operators, "_derivative_row", "DERIVATIVE_ROW_TERMS", 1024,
          cases=_normal_ordered_cases,
          kernel=lambda op, phi, cap=None: op.apply_normal_ordered(phi, degree_cap=cap),
          oracle=lambda op, phi, cap=None: _iterated_apply(op, phi), rows=DERIVATIVE_ROWS,
-         above=_derivative_above, slots=0, outside=_derivative_outside, max_bytes=2_000_000,
+         above=_derivative_above, slots=0, outside=_derivative_outside, max_bytes=1_200_000,
          most=32),
 ]
 EACH = pytest.mark.parametrize("memo", MEMOS, ids=attrgetter("label"))
@@ -220,14 +225,20 @@ def _largest(memo) -> list:
     return [build(*key) for key in itertools.product(range(32), repeat=2)]  # the bound, 32
 
 
-def _traced_size(memo) -> int:
-    """The bytes that the rows of :func:`_largest` hold, traced as they are built."""
-    tracemalloc.start()
-    try:
-        rows = _largest(memo)  # held while it is measured
-        return tracemalloc.get_traced_memory()[0] if rows else 0
-    finally:
-        tracemalloc.stop()
+def _footprint(rows) -> int:
+    """The bytes of ``rows``: ``sys.getsizeof`` summed over the tuples and ints
+    in them, each object counted once.  No allocator state moves it, unlike a
+    ``tracemalloc`` reading, which misses the tuples taken from CPython's free
+    lists and so can read a row smaller than it is."""
+    seen, total, stack = set(), 0, list(rows)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if type(obj) is tuple:
+                stack.extend(obj)
+    return total
 
 
 # -- the contract ---------------------------------------------------------------------
@@ -305,9 +316,10 @@ def test_out_of_bound_keys_never_enter_the_memo(memo):
 
 @EACH
 def test_the_bound_caps_the_memo_memory(memo):
-    """At 195 bytes a kappa term, the most measured, a full kappa memo holds at
-    most 4,096 * 31 * 195 B, about 25 MB; a full twist memo stays under 4 MB,
-    and all 1,024 axis or derivative rows under 2 MB."""
+    """By :func:`_footprint`, the 31-term kappa row of the edge key holds under
+    112 B a term; the largest twist row holds under 12,000 B, so a full twist
+    memo of 1,024 rows holds under 12.3 MB; and all 1,024 axis or derivative
+    rows hold under 1.2 MB."""
     assert memo.cached().cache_info().maxsize == memo.maxsize
     rows = _largest(memo)
     assert len(rows) == (1 if memo.edge else memo.maxsize)
@@ -315,7 +327,7 @@ def test_the_bound_caps_the_memo_memory(memo):
     if memo.edge:
         widest, over = memo.edge
         assert memo.cached()(*widest) == rows[0] and memo.cached()(*over) == ()
-    assert _traced_size(memo) < memo.max_bytes
+    assert _footprint(rows) < memo.max_bytes
 
 
 @EACH

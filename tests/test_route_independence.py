@@ -297,9 +297,11 @@ STORAGE_READERS = {
     "apply_shift_form": (operators, "Operator", "apply_shift_form"),
 }
 
-#: The names of the two coefficient edges, of what they build and of the one
-#: reader of a binarion's numerators.
-EDGES = {"numerators", "from_parts", "stored", "_binarions", "Binarion", "_integers"}
+#: The names of the two coefficient edges, of what they build, of the one
+#: reader of a binarion's numerators and of the two readers of a constructor's
+#: coefficients into integers.
+EDGES = {"numerators", "from_parts", "stored", "_binarions", "Binarion", "_integers",
+         "coefficient_parts", "_coefficient_parts"}
 
 
 @pytest.mark.parametrize(
@@ -319,6 +321,11 @@ def test_edge_guard_sees_what_it_forbids():
     assert EDGES & _names(planted) == {"numerators"}
     planted.body.insert(0, ast.parse("x, y, d = _integers(c)").body[0])
     assert EDGES & _names(planted) == {"numerators", "_integers"}
+    for line in ("x, y, d = coefficient_parts(c, sigma, 'symbol')",
+                 "parts = HPoly._coefficient_parts(c, sigma, 'symbol')"):
+        planted.body.insert(0, ast.parse(line).body[0])
+    assert EDGES & _names(planted) == {"numerators", "_integers", "coefficient_parts",
+                                       "_coefficient_parts"}
     assert "from_parts" in _names(_function(sparse, "SparseMap", "_binarions"))
 
 

@@ -10,7 +10,9 @@ numerators over one denominator, which must be the least one.  That rebuild
 reads back the result's own map, so it cannot see a term lost where two
 keys collide; results whose terms collide are also compared with an
 independent computation.  The public constructors keep rejecting malformed
-input with the same error types.
+input with the same error types and messages, checked in the same order, and
+store what summing the coefficients as binarions and then reading them as
+integers would store.
 
 The four classes with a size share one JSON codec in ``SizedMap``; every
 element, and each wrapper around one, reads back as itself.
@@ -53,6 +55,9 @@ from hypermoyal import (
     supercommutator,
 )
 from hypermoyal import sparse
+from hypermoyal.scalars import _integers
+from hypermoyal.selftest import (_random_binarion, _random_distribution, _random_fraction,
+                                 _random_grassmann, _random_symbol)
 from hypermoyal.sparse import SparseAlgebra, SparseMap, add_parts, from_parts, stored, summed
 
 H = Sigma.HYPERBOLIC
@@ -351,38 +356,488 @@ def test_evaluate_sums_colliding_phases(make):
             _assert_clean(value)
 
 
-def test_public_constructors_still_validate():
-    # wrong key length
-    with pytest.raises(DimensionMismatchError):
-        PolySymbol(2, H, {((1,), (0, 0)): 1})
-    with pytest.raises(DimensionMismatchError):
-        ExpPoly(2, H, {((0,), (0, 0)): 1})
-    with pytest.raises(DimensionMismatchError):
-        Ultradistribution(2, H, [((0,), (0, 0), 1)])
-    # negative exponent, order or h-degree
-    with pytest.raises(ValueError):
-        PolySymbol(1, H, {((0,), (-1,)): 1})
-    with pytest.raises(ValueError):
-        ExpPoly(1, H, {((0,), (-1,)): 1})
-    with pytest.raises(ValueError):
-        Ultradistribution(1, H, [((0,), (-1,), 1)])
-    with pytest.raises(ValueError):
-        HPoly({-1: 1}, H)
-    # a coefficient of the other signature
-    other = Binarion(1, 1, C)
-    for build in (
-        lambda c: HPoly({0: c}, H),
-        lambda c: CharSum({0: c}, H),
-        lambda c: PolySymbol(1, H, {((0,), (0,)): c}),
-        lambda c: ExpPoly(1, H, {((0,), (0,)): c}),
-        lambda c: Ultradistribution(1, H, [((0,), (0,), c)]),
-        lambda c: GrassmannElement(1, H, {0: c}),
+_OTHER = Binarion(1, 1, C)  # a coefficient of the other signature
+_OTHER_WEIGHT = CharSum({Fraction(1, 2): 1}, C)  # and a weight
+_FLOAT = "expected an exact rational, got float"
+_NONE = "expected an exact rational, got NoneType"
+_TEXT = "Invalid literal for Fraction: 'x'"
+
+#: Malformed input to each public constructor, and to each one-term
+#: constructor of exponential polynomials and wavefunctions: the error type
+#: and the exact message, read before anything is stored.
+CONSTRUCTOR_REFUSALS = {
+    "HPoly degree True": (lambda: HPoly({True: 1}, H), ValidationError, "True is not an integer"),
+    "HPoly degree 1.5": (lambda: HPoly({1.5: 1}, H), ValidationError, "1.5 is not an integer"),
+    "HPoly degree '1'": (lambda: HPoly({"1": 1}, H), ValidationError, "'1' is not an integer"),
+    "HPoly degree None": (lambda: HPoly({None: 1}, H), ValidationError, "None is not an integer"),
+    "HPoly degree -1": (lambda: HPoly({-1: 1}, H), ValidationError,
+                        "h-degree must be nonnegative"),
+    "HPoly coefficient 1.5": (lambda: HPoly({0: 1.5}, H), TypeError, _FLOAT),
+    "HPoly coefficient 'x'": (lambda: HPoly({0: "x"}, H), ValidationError, _TEXT),
+    "HPoly coefficient None": (lambda: HPoly({0: None}, H), TypeError, _NONE),
+    "HPoly coefficient sigma": (lambda: HPoly({0: _OTHER}, H), SignatureMismatchError,
+                                "coefficient sigma differs from HPoly sigma"),
+    "HPoly sigma 0": (lambda: HPoly({0: 1}, 0), ValidationError, "not a signature: 0"),
+    "CharSum r 0.5": (lambda: CharSum({0.5: 1}, H), TypeError, _FLOAT),
+    "CharSum r 'x'": (lambda: CharSum({"x": 1}, H), ValidationError, _TEXT),
+    "CharSum r None": (lambda: CharSum({None: 1}, H), TypeError, _NONE),
+    "CharSum coefficient 0.5": (lambda: CharSum({0: 0.5}, H), TypeError, _FLOAT),
+    "CharSum coefficient None": (lambda: CharSum({0: None}, H), TypeError, _NONE),
+    "CharSum coefficient sigma": (lambda: CharSum({0: _OTHER}, H), SignatureMismatchError,
+                                  "coefficient sigma differs from CharSum sigma"),
+    "PolySymbol dof 0": (lambda: PolySymbol(0, H, {}), DimensionMismatchError,
+                         "dof must be >= 1"),
+    "PolySymbol dof True": (lambda: PolySymbol(True, H, {}), ValidationError,
+                            "True is not an integer"),
+    "PolySymbol dof 1.5": (lambda: PolySymbol(1.5, H, {}), ValidationError,
+                           "1.5 is not an integer"),
+    "PolySymbol dof '1'": (lambda: PolySymbol("1", H, {}), ValidationError,
+                           "'1' is not an integer"),
+    "PolySymbol dof None": (lambda: PolySymbol(None, H, {}), ValidationError,
+                            "None is not an integer"),
+    "PolySymbol exponent True": (lambda: PolySymbol(1, H, {((True,), (0,)): 1}),
+                                 ValidationError, "True is not an integer"),
+    "PolySymbol exponent 1.5": (lambda: PolySymbol(1, H, {((1.5,), (0,)): 1}), ValidationError,
+                                "1.5 is not an integer"),
+    "PolySymbol exponent '1'": (lambda: PolySymbol(1, H, {((0,), ("1",)): 1}), ValidationError,
+                                "'1' is not an integer"),
+    "PolySymbol exponent None": (lambda: PolySymbol(1, H, {((None,), (0,)): 1}),
+                                 ValidationError, "None is not an integer"),
+    "PolySymbol exponent -1": (lambda: PolySymbol(1, H, {((0,), (-1,)): 1}), ValidationError,
+                               "negative exponents are not allowed"),
+    "PolySymbol length": (lambda: PolySymbol(2, H, {((1,), (0, 0)): 1}), DimensionMismatchError,
+                          "exponent vectors must have length 2"),
+    "PolySymbol coefficient 0.5": (lambda: PolySymbol(1, H, {((0,), (0,)): 0.5}), TypeError,
+                                   _FLOAT),
+    "PolySymbol coefficient None": (lambda: PolySymbol(1, H, {((0,), (0,)): None}), TypeError,
+                                    _NONE),
+    "PolySymbol coefficient sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): _OTHER}),
+                                     SignatureMismatchError,
+                                     "coefficient sigma differs from symbol sigma"),
+    "PolySymbol HPoly sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): HPoly({1: 1}, C)}),
+                               SignatureMismatchError,
+                               "coefficient sigma differs from symbol sigma"),
+    "PolySymbol CharSum coefficient": (
+        lambda: PolySymbol(1, H, {((0,), (0,)): CharSum({0: 1}, H)}), TypeError,
+        "expected an exact rational, got CharSum"),
+    "ExpPoly dim 0": (lambda: ExpPoly(0, H, {}), DimensionMismatchError, "dim must be >= 1"),
+    "ExpPoly dim True": (lambda: ExpPoly(True, H, {}), ValidationError,
+                         "True is not an integer"),
+    "ExpPoly dim 1.5": (lambda: ExpPoly(1.5, H, {}), ValidationError, "1.5 is not an integer"),
+    "ExpPoly dim None": (lambda: ExpPoly(None, H, {}), ValidationError,
+                         "None is not an integer"),
+    "ExpPoly frequency 0.5": (lambda: ExpPoly(1, H, {((0.5,), (0,)): 1}), TypeError, _FLOAT),
+    "ExpPoly frequency 'x'": (lambda: ExpPoly(1, H, {(("x",), (0,)): 1}), ValidationError,
+                              _TEXT),
+    "ExpPoly frequency None": (lambda: ExpPoly(1, H, {((None,), (0,)): 1}), TypeError, _NONE),
+    "ExpPoly exponent True": (lambda: ExpPoly(1, H, {((0,), (True,)): 1}), ValidationError,
+                              "True is not an integer"),
+    "ExpPoly exponent 1.5": (lambda: ExpPoly(1, H, {((0,), (1.5,)): 1}), ValidationError,
+                             "1.5 is not an integer"),
+    "ExpPoly exponent -1": (lambda: ExpPoly(1, H, {((0,), (-1,)): 1}), ValidationError,
+                            "negative exponents are not allowed"),
+    "ExpPoly frequency length": (lambda: ExpPoly(2, H, {((0,), (0, 0)): 1}),
+                                 DimensionMismatchError, "term vectors must have length 2"),
+    "ExpPoly exponent length": (lambda: ExpPoly(2, H, {((0, 0), (0,)): 1}),
+                                DimensionMismatchError, "term vectors must have length 2"),
+    "ExpPoly coefficient 0.5": (lambda: ExpPoly(1, H, {((0,), (0,)): 0.5}), TypeError, _FLOAT),
+    "ExpPoly coefficient None": (lambda: ExpPoly(1, H, {((0,), (0,)): None}), TypeError, _NONE),
+    "ExpPoly coefficient sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER}),
+                                  SignatureMismatchError,
+                                  "coefficient sigma differs from ExpPoly sigma"),
+    "ExpPoly weight sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER_WEIGHT}),
+                             SignatureMismatchError,
+                             "coefficient sigma differs from ExpPoly sigma"),
+    "ExpPoly HPoly weight": (lambda: ExpPoly(1, H, {((0,), (0,)): HPoly({0: 1}, H)}), TypeError,
+                             "expected an exact rational, got HPoly"),
+    "Ultradistribution dim 0": (lambda: Ultradistribution(0, H, []), DimensionMismatchError,
+                                "dim must be >= 1"),
+    "Ultradistribution dim True": (lambda: Ultradistribution(True, H, []), ValidationError,
+                                   "True is not an integer"),
+    "Ultradistribution location 0.5": (lambda: Ultradistribution(1, H, [((0.5,), (0,), 1)]),
+                                       TypeError, _FLOAT),
+    "Ultradistribution location None": (lambda: Ultradistribution(1, H, [((None,), (0,), 1)]),
+                                        TypeError, _NONE),
+    "Ultradistribution location 'x'": (lambda: Ultradistribution(1, H, [(("x",), (0,), 1)]),
+                                       ValidationError, _TEXT),
+    "Ultradistribution order -1": (lambda: Ultradistribution(1, H, [((0,), (-1,), 1)]),
+                                   ValidationError, "derivative orders must be nonnegative"),
+    "Ultradistribution order True": (lambda: Ultradistribution(1, H, [((0,), (True,), 1)]),
+                                     ValidationError, "True is not an integer"),
+    "Ultradistribution order 1.5": (lambda: Ultradistribution(1, H, [((0,), (1.5,), 1)]),
+                                    ValidationError, "1.5 is not an integer"),
+    "Ultradistribution order None": (lambda: Ultradistribution(1, H, [((0,), (None,), 1)]),
+                                     ValidationError, "None is not an integer"),
+    "Ultradistribution length": (lambda: Ultradistribution(2, H, [((0,), (0, 0), 1)]),
+                                 DimensionMismatchError, "atom vectors must have length 2"),
+    "Ultradistribution weight 0.5": (lambda: Ultradistribution(1, H, [((0,), (0,), 0.5)]),
+                                     TypeError, _FLOAT),
+    "Ultradistribution weight None": (lambda: Ultradistribution(1, H, [((0,), (0,), None)]),
+                                      TypeError, _NONE),
+    "Ultradistribution coefficient sigma": (
+        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER)]), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "Ultradistribution weight sigma": (
+        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER_WEIGHT)]), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "Grassmann n -1": (lambda: GrassmannElement(-1, H, {}), ValidationError,
+                       "generator count must be nonnegative"),
+    "Grassmann n True": (lambda: GrassmannElement(True, H, {}), ValidationError,
+                         "True is not an integer"),
+    "Grassmann n 1.5": (lambda: GrassmannElement(1.5, H, {}), ValidationError,
+                        "1.5 is not an integer"),
+    "Grassmann mask True": (lambda: GrassmannElement(1, H, {True: 1}), ValidationError,
+                            "True is not an integer"),
+    "Grassmann mask 1.5": (lambda: GrassmannElement(1, H, {1.5: 1}), ValidationError,
+                           "1.5 is not an integer"),
+    "Grassmann mask None": (lambda: GrassmannElement(1, H, {None: 1}), ValidationError,
+                            "None is not an integer"),
+    "Grassmann mask -1": (lambda: GrassmannElement(1, H, {-1: 1}), DimensionMismatchError,
+                          "monomial uses generators up to θ1, beyond n=1"),
+    "Grassmann mask beyond n": (lambda: GrassmannElement(2, H, {0b100: 1}),
+                                DimensionMismatchError,
+                                "monomial uses generators up to θ3, beyond n=2"),
+    "Grassmann coefficient 0.5": (lambda: GrassmannElement(1, H, {0: 0.5}), TypeError, _FLOAT),
+    "Grassmann coefficient sigma": (lambda: GrassmannElement(1, H, {0: _OTHER}),
+                                    SignatureMismatchError,
+                                    "coefficient sigma differs from algebra sigma"),
+    # the one-term constructors
+    "character frequency 0.5": (lambda: ExpPoly.character((0.5,), H), TypeError, _FLOAT),
+    "character frequency None": (lambda: ExpPoly.character((None,), H), TypeError, _NONE),
+    "character frequency 'x'": (lambda: ExpPoly.character(("x",), H), ValidationError, _TEXT),
+    "character no frequency": (lambda: ExpPoly.character((), H), DimensionMismatchError,
+                               "dim must be >= 1"),
+    "character frequency 1": (lambda: ExpPoly.character(1, H), TypeError,
+                              "'int' object is not iterable"),
+    "character sigma 2": (lambda: ExpPoly.character((1,), 2), ValidationError,
+                          "not a signature: 2"),
+    "character coefficient 0.5": (lambda: ExpPoly.character((1,), H, 0.5), TypeError, _FLOAT),
+    "character coefficient None": (lambda: ExpPoly.character((1,), H, None), TypeError, _NONE),
+    "character coefficient sigma": (lambda: ExpPoly.character((1,), H, _OTHER),
+                                    SignatureMismatchError,
+                                    "coefficient sigma differs from ExpPoly sigma"),
+    "character weight sigma": (lambda: ExpPoly.character((1,), H, _OTHER_WEIGHT),
+                               SignatureMismatchError,
+                               "coefficient sigma differs from ExpPoly sigma"),
+    "constant dim 0": (lambda: ExpPoly.constant(1, 0, H), DimensionMismatchError,
+                       "dim must be >= 1"),
+    "constant dim -1": (lambda: ExpPoly.constant(1, -1, H), DimensionMismatchError,
+                        "dim must be >= 1"),
+    "constant dim True": (lambda: ExpPoly.constant(1, True, H), ValidationError,
+                          "True is not an integer"),
+    "constant dim 1.5": (lambda: ExpPoly.constant(1, 1.5, H), ValidationError,
+                         "1.5 is not an integer"),
+    "constant dim '1'": (lambda: ExpPoly.constant(1, "1", H), ValidationError,
+                         "'1' is not an integer"),
+    "constant dim None": (lambda: ExpPoly.constant(1, None, H), ValidationError,
+                          "None is not an integer"),
+    "constant sigma 0": (lambda: ExpPoly.constant(1, 1, 0), ValidationError,
+                         "not a signature: 0"),
+    "constant value 0.5": (lambda: ExpPoly.constant(0.5, 1, H), TypeError, _FLOAT),
+    "constant value None": (lambda: ExpPoly.constant(None, 1, H), TypeError, _NONE),
+    "constant value 'x'": (lambda: ExpPoly.constant("x", 1, H), ValidationError, _TEXT),
+    "constant value sigma": (lambda: ExpPoly.constant(_OTHER, 1, H), SignatureMismatchError,
+                             "coefficient sigma differs from ExpPoly sigma"),
+    "constant weight sigma": (lambda: ExpPoly.constant(_OTHER_WEIGHT, 1, H),
+                              SignatureMismatchError,
+                              "coefficient sigma differs from ExpPoly sigma"),
+    "monomial exponent -1": (lambda: ExpPoly.monomial((-1,), 1, H), ValidationError,
+                             "negative exponents are not allowed"),
+    "monomial exponent True": (lambda: ExpPoly.monomial((True,), 1, H), ValidationError,
+                               "True is not an integer"),
+    "monomial exponent 1.5": (lambda: ExpPoly.monomial((1.5,), 1, H), ValidationError,
+                              "1.5 is not an integer"),
+    "monomial exponent None": (lambda: ExpPoly.monomial((None,), 1, H), ValidationError,
+                               "None is not an integer"),
+    "monomial exponent '1'": (lambda: ExpPoly.monomial(("1",), 1, H), ValidationError,
+                              "'1' is not an integer"),
+    "monomial no exponent": (lambda: ExpPoly.monomial((), 1, H), DimensionMismatchError,
+                             "dim must be >= 1"),
+    "monomial iterator": (lambda: ExpPoly.monomial(iter((1,)), 1, H), TypeError,
+                          "object of type 'tuple_iterator' has no len()"),
+    "monomial sigma 0": (lambda: ExpPoly.monomial((1,), 1, 0), ValidationError,
+                         "not a signature: 0"),
+    "monomial coefficient 0.5": (lambda: ExpPoly.monomial((1,), 0.5, H), TypeError, _FLOAT),
+    "monomial coefficient sigma": (lambda: ExpPoly.monomial((1,), _OTHER, H),
+                                   SignatureMismatchError,
+                                   "coefficient sigma differs from ExpPoly sigma"),
+    "monomial weight sigma": (lambda: ExpPoly.monomial((1,), _OTHER_WEIGHT, H),
+                              SignatureMismatchError,
+                              "coefficient sigma differs from ExpPoly sigma"),
+    "coordinate index True": (lambda: ExpPoly.coordinate(True, 2, H), ValidationError,
+                              "True is not an integer"),
+    "coordinate index None": (lambda: ExpPoly.coordinate(None, 2, H), ValidationError,
+                              "None is not an integer"),
+    "coordinate index -1": (lambda: ExpPoly.coordinate(-1, 2, H), IndexError,
+                            "index -1 out of range for dim 2"),
+    "coordinate dim 0": (lambda: ExpPoly.coordinate(0, 0, H), IndexError,
+                         "index 0 out of range for dim 0"),
+    "coordinate dim True": (lambda: ExpPoly.coordinate(0, True, H), ValidationError,
+                            "True is not an integer"),
+    "coordinate dim 1.5": (lambda: ExpPoly.coordinate(0, 1.5, H), ValidationError,
+                           "1.5 is not an integer"),
+    "coordinate sigma 'x'": (lambda: ExpPoly.coordinate(0, 1, "x"), ValidationError,
+                             "not a signature: 'x'"),
+    "plane_wave h 0": (lambda: WaveFunction.plane_wave((1,), 0, H), ValidationError,
+                       "h must be a positive rational"),
+    "plane_wave h -1": (lambda: WaveFunction.plane_wave((1,), -1, H), ValidationError,
+                        "h must be a positive rational"),
+    "plane_wave h 0.5": (lambda: WaveFunction.plane_wave((1,), 0.5, H), TypeError, _FLOAT),
+    "plane_wave h None": (lambda: WaveFunction.plane_wave((1,), None, H), TypeError, _NONE),
+    "plane_wave h 'x'": (lambda: WaveFunction.plane_wave((1,), "x", H), ValidationError, _TEXT),
+    "plane_wave h '1/0'": (lambda: WaveFunction.plane_wave((1,), "1/0", H), ValidationError,
+                           "zero denominator in '1/0'"),
+    "plane_wave momentum 0.5": (lambda: WaveFunction.plane_wave((0.5,), 1, H), TypeError,
+                                _FLOAT),
+    "plane_wave momentum None": (lambda: WaveFunction.plane_wave((None,), 1, H), TypeError,
+                                 _NONE),
+    "plane_wave momentum 'x'": (lambda: WaveFunction.plane_wave(("x",), 1, H), ValidationError,
+                                _TEXT),
+    "plane_wave no momentum": (lambda: WaveFunction.plane_wave((), 1, H),
+                               DimensionMismatchError, "dim must be >= 1"),
+    "plane_wave momentum float": (lambda: WaveFunction.plane_wave(0.5, 1, H), TypeError,
+                                  "'float' object is not iterable"),
+    "plane_wave sigma 0": (lambda: WaveFunction.plane_wave((1,), 1, 0), ValidationError,
+                           "not a signature: 0"),
+    # two faults at once: the check that comes first in the constructor wins
+    "character frequency and sigma": (
+        lambda: ExpPoly.character((0.5,), 2, _OTHER), ValidationError,
+        "not a signature: 2"),
+    "character frequency and coefficient": (
+        lambda: ExpPoly.character((0.5,), H, _OTHER), TypeError,
+        "expected an exact rational, got float"),
+    "monomial exponent and coefficient": (
+        lambda: ExpPoly.monomial((-1,), _OTHER, H), ValidationError,
+        "negative exponents are not allowed"),
+    "monomial exponent and sigma": (
+        lambda: ExpPoly.monomial((-1,), 1, "x"), ValidationError,
+        "not a signature: 'x'"),
+    "constant dim and sigma": (
+        lambda: ExpPoly.constant(_OTHER, 0, "x"), DimensionMismatchError,
+        "dim must be >= 1"),
+    "ExpPoly dim and sigma": (
+        lambda: ExpPoly(0, "x", {}), DimensionMismatchError,
+        "dim must be >= 1"),
+    "ExpPoly sigma and frequency": (
+        lambda: ExpPoly(1, "x", {((0.5,), (0,)): 1}), ValidationError,
+        "not a signature: 'x'"),
+    "ExpPoly frequency and exponent": (
+        lambda: ExpPoly(1, H, {((0.5,), (-1,)): 1}), TypeError,
+        "expected an exact rational, got float"),
+    "ExpPoly exponent and length": (
+        lambda: ExpPoly(2, H, {((0,), (-1, 0)): 1}), ValidationError,
+        "negative exponents are not allowed"),
+    "ExpPoly length and weight": (
+        lambda: ExpPoly(2, H, {((0,), (0, 0)): _OTHER_WEIGHT}), DimensionMismatchError,
+        "term vectors must have length 2"),
+    "PolySymbol exponent and length": (
+        lambda: PolySymbol(1, H, {((-1,), (0, 0)): _OTHER}), ValidationError,
+        "negative exponents are not allowed"),
+    "PolySymbol length and coefficient": (
+        lambda: PolySymbol(1, H, {((0,), (0, 0)): _OTHER}), DimensionMismatchError,
+        "exponent vectors must have length 1"),
+    "PolySymbol dof and sigma": (
+        lambda: PolySymbol(0, "x", {}), DimensionMismatchError,
+        "dof must be >= 1"),
+    "Ultradistribution location and order": (
+        lambda: Ultradistribution(2, H, [((0.5,), (-1,), _OTHER)]), TypeError,
+        "expected an exact rational, got float"),
+    "Ultradistribution order and weight": (
+        lambda: Ultradistribution(1, H, [((0,), (-1,), _OTHER_WEIGHT)]), ValidationError,
+        "derivative orders must be nonnegative"),
+    "plane_wave h and momentum": (
+        lambda: WaveFunction.plane_wave((0.5,), 0, 0), ValidationError,
+        "h must be a positive rational"),
+    "plane_wave momentum and sigma": (
+        lambda: WaveFunction.plane_wave((0.5,), 1, 0), TypeError,
+        "expected an exact rational, got float"),
+    "delta location and sigma": (
+        lambda: Ultradistribution.delta((0.5,), 0), TypeError,
+        "expected an exact rational, got float"),
+    "delta order and weight": (
+        lambda: Ultradistribution.delta((0,), H, (-1,), _OTHER), ValidationError,
+        "derivative orders must be nonnegative"),
+    "delta order length": (
+        lambda: Ultradistribution.delta((0,), H, (0, 0)), DimensionMismatchError,
+        "atom vectors must have length 1"),
+    "delta weight sigma": (
+        lambda: Ultradistribution.delta((0,), H, None, _OTHER_WEIGHT), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "delta no location": (
+        lambda: Ultradistribution.delta((), H), DimensionMismatchError,
+        "dim must be >= 1"),
+    "Grassmann mask and coefficient": (
+        lambda: GrassmannElement(1, H, {4: _OTHER}), DimensionMismatchError,
+        "monomial uses generators up to θ3, beyond n=1"),
+    "HPoly degree and coefficient": (
+        lambda: HPoly({-1: _OTHER}, H), ValidationError,
+        "h-degree must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CONSTRUCTOR_REFUSALS.values(),
+                         ids=CONSTRUCTOR_REFUSALS)
+def test_public_constructors_refuse_with_their_exact_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+class _Repeated(list):
+    """``(key, coefficient)`` terms with repeated keys, which no dict holds:
+    a constructor reads them through ``items()`` and sums them."""
+
+    def items(self):
+        return iter(self)
+
+
+def _scalar(value, sigma) -> Binarion:
+    return value if isinstance(value, Binarion) else Binarion(value, 0, sigma)
+
+
+def _reference_stored(pairs) -> tuple:
+    """The stored form of ``(key, coefficient)`` pairs by the sum-then-read
+    formula: the binarions summed per key, the zero sums dropped, each sum
+    read by ``_integers`` and all put over the lcm of their denominators."""
+    terms = {key: _integers(c) for key, c in summed(pairs).items() if not c.is_zero()}
+    den = math.lcm(*(d for _, _, d in terms.values()))
+    return {key: (x * (den // d), y * (den // d)) for key, (x, y, d) in terms.items()}, den
+
+
+def _reference_keyed(pairs) -> tuple:
+    """:func:`_reference_stored` of ``((vector, orders, r), coefficient)``
+    pairs, with the vector and ``r`` as numerators over the lcm of the
+    denominators of the terms left: ``(terms, cden, den)``."""
+    terms, cden = _reference_stored(pairs)
+    den = math.lcm(*(x.denominator for vector, _, r in terms for x in (*vector, r)))
+    return {(tuple(int(x * den) for x in vector), orders, int(r * den)): c
+            for (vector, orders, r), c in terms.items()}, cden, den
+
+
+def _ring_pairs(head, value, ring, sigma) -> list:
+    """The flat ``(head + (key,), binarion)`` pairs of a coefficient: each term
+    of an element of ``ring``, or a scalar at the ring's key 0."""
+    if isinstance(value, ring):
+        return [(head + (key,), c) for key, c in value.items()]
+    return [(head + (Fraction(0) if ring is CharSum else 0,), _scalar(value, sigma))]
+
+
+def _stored_form(x) -> tuple:
+    return x._terms, x._cden, getattr(x, "_den", None)
+
+
+def _stored_form_cases(rng, sigma) -> list:
+    """``(element, reference)`` pairs: constructor input drawn from the
+    selftest's generators, with repeated keys that cancel, mixed
+    denominators, weights whose ``r`` have their own denominators and
+    ``HPoly`` coefficients over a ``_cden`` that no one term needs."""
+    def hpoly():
+        return HPoly({d: _random_binarion(rng, sigma) for d in range(rng.randint(1, 3))}, sigma)
+
+    def charsum():
+        return CharSum({_random_fraction(rng): _random_binarion(rng, sigma)
+                        for _ in range(rng.randint(1, 3))}, sigma)
+
+    def cancelled(terms):
+        """``terms`` and, for some, the same key again with the negated
+        coefficient, so that the two cancel."""
+        out = _Repeated(terms)
+        for key, value in terms:
+            if rng.random() < 0.4:
+                out.append((key, -value))
+        return out
+
+    cases = []
+    degrees = cancelled([(rng.randint(0, 4), _random_binarion(rng, sigma)) for _ in range(4)])
+    cases.append((HPoly(degrees, sigma), _reference_stored(
+        (d, _scalar(c, sigma)) for d, c in degrees) + (None,)))
+    exponents = cancelled([(_random_fraction(rng), _random_binarion(rng, sigma))
+                           for _ in range(4)])
+    exponents += [(str(r), c) for r, c in exponents[:2]]  # the same r, as text
+    cases.append((CharSum(exponents, sigma), _reference_stored(
+        (Fraction(r), _scalar(c, sigma)) for r, c in exponents) + (None,)))
+
+    symbol = _random_symbol(rng, 2, sigma, 4, 4)
+    terms = cancelled([((a, b), rng.choice((c, hpoly(), _random_fraction(rng))))
+                       for a, b, c in symbol.terms()])
+    cases.append((PolySymbol(2, sigma, terms), _reference_stored(
+        pair for head, c in terms for pair in _ring_pairs(head, c, HPoly, sigma)) + (None,)))
+
+    def keyed(vector, orders, weight):
+        return _ring_pairs((tuple(map(Fraction, vector)), orders), weight, CharSum, sigma)
+
+    dim = rng.randint(1, 3)
+    atoms = [(loc, order, rng.choice((w, charsum())))
+             for loc, order, w in _random_distribution(rng, dim, sigma, 4, 2).atoms()]
+    atoms += [(loc, order, -w) for loc, order, w in atoms if rng.random() < 0.4]
+    atoms += [(tuple(map(str, loc)), order, w) for loc, order, w in atoms[:1]]
+    cases.append((Ultradistribution(dim, sigma, atoms), _reference_keyed(
+        pair for loc, order, w in atoms for pair in keyed(loc, order, w))))
+    terms = cancelled([((loc, order), w) for loc, order, w in atoms])
+    cases.append((ExpPoly(dim, sigma, terms), _reference_keyed(
+        pair for (freq, exps), w in terms for pair in keyed(freq, exps, w))))
+
+    element = _random_grassmann(rng, 3, sigma)
+    masks = cancelled(list(element.terms()) + [(rng.randrange(8), _random_fraction(rng))])
+    cases.append((GrassmannElement(3, sigma, masks), _reference_stored(
+        (m, _scalar(c, sigma)) for m, c in masks) + (None,)))
+
+    freq = tuple(_random_fraction(rng) for _ in range(dim))
+    exps = tuple(rng.randint(0, 2) for _ in range(dim))
+    value = rng.choice((_random_binarion(rng, sigma), _random_fraction(rng), charsum()))
+    index = rng.randrange(dim)
+    unit = tuple(int(i == index) for i in range(dim))
+    h = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    for element, (vector, orders, weight) in (
+        (ExpPoly.character(freq, sigma, value), (freq, (0,) * dim, value)),
+        (ExpPoly.constant(value, dim, sigma), ((0,) * dim, (0,) * dim, value)),
+        (ExpPoly.monomial(exps, value, sigma), ((0,) * dim, exps, value)),
+        (ExpPoly.coordinate(index, dim, sigma), ((0,) * dim, unit, 1)),
+        (Ultradistribution.delta(freq, sigma, exps, value), (freq, exps, value)),
+        (WaveFunction.plane_wave(freq, h, sigma).func,
+         (tuple(p / h for p in freq), (0,) * dim, 1)),
     ):
-        with pytest.raises(SignatureMismatchError):
-            build(other)
-    # a Grassmann mask beyond n
-    with pytest.raises(DimensionMismatchError):
-        GrassmannElement(2, H, {0b100: 1})
+        cases.append((element, _reference_keyed(keyed(vector, orders, weight))))
+    return cases
+
+
+def test_constructors_store_the_sum_then_read_form():
+    rng = random.Random(3803)
+    for _ in range(30):
+        for sigma in SIGMAS:
+            for element, reference in _stored_form_cases(rng, sigma):
+                assert _stored_form(element) == reference
+                _assert_clean(element)
+
+
+def test_stored_form_edges_of_the_constructors():
+    """A cancelled key takes its denominators with it, a bool or text entry
+    is read as the number it names, and zero builds the empty element."""
+    for sigma in SIGMAS:
+        b = Binarion(Fraction(1, 6), Fraction(-1, 4), sigma)
+        cancelled = ExpPoly(1, sigma, _Repeated([
+            (((Fraction(1, 3),), (0,)), CharSum({Fraction(1, 5): b}, sigma)),
+            ((("1/3",), (0,)), CharSum({"1/5": -b}, sigma)),
+            (((Fraction(1, 2),), (1,)), Fraction(2, 3)),
+        ]))
+        assert _stored_form(cancelled) == ({((1,), (1,), 0): (2, 0)}, 3, 2)
+        assert _stored_form(Ultradistribution(1, sigma, [((Fraction(1, 7),), (0,), b),
+                                                         ((Fraction(1, 7),), (0,), -b)])) == (
+            {}, 1, 1)
+        assert _stored_form(PolySymbol(1, sigma, {((1,), (0,)): HPoly({0: Fraction(1, 2),
+                                                                        1: Fraction(1, 3)},
+                                                                       sigma)})) == (
+            {((1,), (0,), 0): (3, 0), ((1,), (0,), 1): (2, 0)}, 6, None)
+        for element in (ExpPoly.character((True, "1/2"), sigma, True),
+                        ExpPoly(2, sigma, {((1, Fraction(1, 2)), (0, 0)): 1})):
+            assert _stored_form(element) == ({((2, 1), (0, 0), 0): (1, 0)}, 1, 2)
+        for element in (ExpPoly.constant(0, 2, sigma), ExpPoly.character((Fraction(1, 3),),
+                                                                          sigma, 0),
+                        ExpPoly.monomial((2,), Binarion(0, 0, sigma), sigma)):
+            assert _stored_form(element) == ({}, 1, 1)
+        wave = WaveFunction.plane_wave((True, "3/4"), Fraction(1, 2), sigma)
+        assert (wave.h, _stored_form(wave.func)) == (
+            Fraction(1, 2), ({((4, 3), (0, 0), 0): (1, 0)}, 1, 2))
 
 
 def test_make_reads_a_one_shot_generator_of_pairs_once_and_in_order():
@@ -453,11 +908,16 @@ def test_from_parts_takes_fraction_parts_as_they_are_or_over_one():
             assert all(type(v.re) is Fraction and type(v.im) is Fraction for v in out.values())
 
 
+def _stored_binarions(pairs) -> tuple:
+    """``stored`` of ``(key, binarion)`` pairs, each read by ``_integers``."""
+    return stored((key, _integers(c)) for key, c in pairs)
+
+
 def _assert_numerators_invert_from_parts(terms, sigma):
-    """``stored`` of the pairs of ``terms`` holds ints over the least common
+    """``stored`` of the binarions of ``terms`` holds ints over the least common
     denominator, in the map's order, and ``from_parts`` builds ``terms`` back
     from them."""
-    stored_terms, den = stored(terms.items())
+    stored_terms, den = _stored_binarions(terms.items())
     assert list(stored_terms) == list(terms)
     assert all(type(pair) is tuple and len(pair) == 2 for pair in stored_terms.values())
     parts = [n for re, im in stored_terms.values() for n in (re, im)]
@@ -490,28 +950,37 @@ def test_numerators_inverts_from_parts_in_both_rings():
                         _distribution(rng, sigma), _grassmann(rng, sigma)):
             _assert_numerators_invert_from_parts(_viewed_terms(element), sigma)
             # and the stored form is the numerators of the flat binarion view
-            assert stored(element._binarions().items()) == (element._terms, element._cden)
+            assert _stored_binarions(element._binarions().items()) == (element._terms,
+                                                                      element._cden)
 
 
 def test_numerators_take_the_least_common_denominator_and_one_when_empty():
     for sigma in SIGMAS:
-        assert stored([("a", Binarion(Fraction(1, 2), Fraction(1, 3), sigma))]) == (
+        assert _stored_binarions([("a", Binarion(Fraction(1, 2), Fraction(1, 3), sigma))]) == (
             {"a": (3, 2)}, 6)
-        terms, den = stored([(0, Binarion(Fraction(1, 2), 0, sigma)),
+        terms, den = _stored_binarions([(0, Binarion(Fraction(1, 2), 0, sigma)),
                              (1, Binarion(0, Fraction(-1, 3), sigma))])
         assert (den, list(terms.items())) == (6, [(0, (3, 0)), (1, (0, -2))])
-        assert stored([(0, Binarion(3, -4, sigma))]) == ({0: (3, -4)}, 1)
+        assert _stored_binarions([(0, Binarion(3, -4, sigma))]) == ({0: (3, -4)}, 1)
         # repeated keys add, in the order keys first appear; a cancelling sum
         # is dropped, and the denominator is that of the sums, not the inputs
         half = Binarion(Fraction(1, 2), Fraction(1, 3), sigma)
         fifth = Binarion(0, Fraction(1, 5), sigma)
-        terms, den = stored([("a", half), ("b", Binarion(1, 1, sigma)), ("a", -half),
+        terms, den = _stored_binarions([("a", half), ("b", Binarion(1, 1, sigma)), ("a", -half),
                              ("c", Binarion(Fraction(1, 4), 0, sigma)),
                              ("b", Binarion(0, Fraction(1, 6), sigma))])
         assert (den, list(terms.items())) == (12, [("b", (12, 14)), ("c", (3, 0))])
-        assert stored([(0, fifth), (1, half), (0, -fifth)]) == ({1: (3, 2)}, 6)
-        assert stored([(1, fifth), (2, half), (1, -fifth), (2, -half)]) == ({}, 1)
+        assert _stored_binarions([(0, fifth), (1, half), (0, -fifth)]) == ({1: (3, 2)}, 6)
+        assert _stored_binarions([(1, fifth), (2, half), (1, -fifth), (2, -half)]) == ({}, 1)
     assert stored([]) == ({}, 1)
+    # integer triples as a ring element stores them, over a denominator that
+    # one term alone does not need, and repeated keys over different ones
+    assert stored([(0, (3, 0, 6)), (1, (2, 0, 6))]) == ({0: (3, 0), 1: (2, 0)}, 6)
+    assert stored([(0, (3, 0, 6))]) == ({0: (1, 0)}, 2)
+    assert stored([(0, (1, 0, 2)), (1, (4, 0, 6)), (0, (1, -1, 3))]) == (
+        {0: (5, -2), 1: (4, 0)}, 6)
+    assert stored([(0, (1, 1, 2)), (0, (1, -1, 2)), (1, (2, 2, 4)), (1, (-1, -1, 2))]) == (
+        {0: (1, 0)}, 1)
 
 
 # -- JSON ----------------------------------------------------------------------
