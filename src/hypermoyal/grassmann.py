@@ -91,7 +91,9 @@ class GrassmannElement(SizedMap, SparseAlgebra):
         pairs = []
         for mask, coeff in (terms or {}).items():
             mask = integer(mask)
-            if mask < 0 or mask.bit_length() > self.n:
+            if mask < 0:
+                raise ValidationError("monomial mask is negative")
+            if mask.bit_length() > self.n:
                 raise DimensionMismatchError(
                     f"monomial uses generators up to θ{mask.bit_length()}, "
                     f"beyond n={_num_str(self.n)}"

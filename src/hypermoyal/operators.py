@@ -71,6 +71,14 @@ def _positive_h(h) -> Fraction:
     return h
 
 
+def _momentum(momentum):
+    """A momentum vector as given; text, or one value that is not iterable,
+    is the one entry of a 1-vector."""
+    if isinstance(momentum, str) or not hasattr(momentum, "__iter__"):
+        return (momentum,)
+    return momentum
+
+
 #: A row is memoized only when its ``b`` and ``e`` are below this bound, so it
 #: has at most this many terms and at most 32 * 32 = 1,024 keys exist; the memo
 #: holds them all, so it never evicts, and all 1,024 rows take 1.2 MB
@@ -146,10 +154,9 @@ class WaveFunction:
     def plane_wave(cls, momentum, h, sigma: Sigma) -> "WaveFunction":
         """``exp(u*<p0, q>/h)`` for a rational momentum vector ``p0``."""
         h = _positive_h(h)
-        if isinstance(momentum, (int, Fraction, str)):
-            momentum = (momentum,)
         out = object.__new__(cls)
-        out.h, out.func = h, ExpPoly.character(tuple(_as_fraction(p) / h for p in momentum), sigma)
+        out.h, out.func = h, ExpPoly.character(
+            tuple(_as_fraction(p) / h for p in _momentum(momentum)), sigma)
         return out
 
     @classmethod
@@ -536,9 +543,7 @@ def plane_wave_eigenvalue(symbol: PolySymbol, momentum, h) -> ExpPoly:
     ``apply(a, exp(u*<p0, q>/h)) = a(q, p0) * exp(u*<p0, q>/h)``.
     """
     h = _as_fraction(h)
-    if isinstance(momentum, (int, Fraction, str)):
-        momentum = (momentum,)
-    momentum = tuple(_as_fraction(p) for p in momentum)
+    momentum = tuple(_as_fraction(p) for p in _momentum(momentum))
     k = symbol.dof
     if len(momentum) != k:
         raise DimensionMismatchError("momentum length must match symbol dof")

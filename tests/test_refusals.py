@@ -151,7 +151,7 @@ REFUSALS = {
     "long grassmann parse n json": (lambda: parse_grassmann("t1", H, n=_LONG).to_json(),
                                     ValidationError, _TOO_LONG),
     "long grassmann mask n": (lambda: GrassmannElement(_LONG, H, {-1: 1}), ValidationError,
-                              _TOO_LONG),
+                              "monomial mask is negative"),
     "long witness half": (lambda: annihilator_witness(Fraction(_LONG + 1, 2), H),
                           ValidationError, _TOO_LONG),
     "symbol one dof past a tuple": (lambda: PolySymbol.one(10**30, H), ValidationError,
@@ -275,6 +275,8 @@ REFUSALS = {
         "normal-ordered route needs a polynomial symbol"),
     "eigenvalue momentum": (lambda: plane_wave_eigenvalue(_Q, (1, 2), 1), DimensionMismatchError,
                             "momentum length must match symbol dof"),
+    "eigenvalue momentum float": (lambda: plane_wave_eigenvalue(_Q, 0.5, 1), TypeError,
+                                  "expected an exact rational, got float"),
     # parsing
     "symbol name t1": (lambda: parse_symbol("t1", H), ParseError,
                        "unknown name 't1' in a symbol expression (at position 0)"),

@@ -492,8 +492,8 @@ CONSTRUCTOR_REFUSALS = {
                            "1.5 is not an integer"),
     "Grassmann mask None": (lambda: GrassmannElement(1, H, {None: 1}), ValidationError,
                             "None is not an integer"),
-    "Grassmann mask -1": (lambda: GrassmannElement(1, H, {-1: 1}), DimensionMismatchError,
-                          "monomial uses generators up to θ1, beyond n=1"),
+    "Grassmann mask -1": (lambda: GrassmannElement(1, H, {-1: 1}), ValidationError,
+                          "monomial mask is negative"),
     "Grassmann mask beyond n": (lambda: GrassmannElement(2, H, {0b100: 1}),
                                 DimensionMismatchError,
                                 "monomial uses generators up to θ3, beyond n=2"),
@@ -596,7 +596,7 @@ CONSTRUCTOR_REFUSALS = {
     "plane_wave no momentum": (lambda: WaveFunction.plane_wave((), 1, H),
                                DimensionMismatchError, "dim must be >= 1"),
     "plane_wave momentum float": (lambda: WaveFunction.plane_wave(0.5, 1, H), TypeError,
-                                  "'float' object is not iterable"),
+                                  _FLOAT),
     "plane_wave sigma 0": (lambda: WaveFunction.plane_wave((1,), 1, 0), ValidationError,
                            "not a signature: 0"),
     # two faults at once: the check that comes first in the constructor wins
