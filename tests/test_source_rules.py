@@ -37,7 +37,9 @@ its nodes for every rule of :data:`RULES`; a site is the innermost function
 around a labelled node, found by nesting (``"<module>"`` outside any
 function, ``"<import>"`` for an import), paired with the label when the
 rule gives one.  A reach row of :data:`REACH` reads the names that one
-definition uses, or reaches through the helpers it calls.  Each row of
+definition uses, or reaches through the helpers it calls; each guard of
+:data:`GUARDS` that binds the row is its own test, and a further test
+checks that the scan still sees the names the kernel is known to use.  Each row of
 :data:`PLANTS` plants a statement into a fresh parse of a module and checks
 that it adds exactly its sites to each rule, and nothing to any other.
 """
@@ -439,48 +441,64 @@ FRACTION = {"Fraction"}
 #: The stored terms and their denominator, which a storage reader reads.
 STORED = {"_terms", "_cden"}
 
-Reach = namedtuple("Reach", "module path scan forbidden required")
+#: Each guard of the reach rows: the names (or ``fnmatch`` patterns) that a
+#: kernel it binds must not reach.
+GUARDS = {
+    "normal-ordered kernel": DERIVATIVE_HELPERS,
+    "distributions helpers": AXIS_HELPERS | TWIST_HELPERS | FACTOR_BOUNDS,
+    "differentiation": {"differentiate*"},
+    "series or operator kernels": NOT_IN_THE_TWIST,
+    "series star kernel": STAR_KERNEL | {"_commutator_integers"},
+    "product loop": LOOP,
+    "coefficient edges": EDGES,
+    "Fraction": FRACTION,
+}
+NO_EDGES = ("coefficient edges",)
+INTEGER_KERNEL = ("coefficient edges", "Fraction")
+ROUTE_KERNEL = ("product loop", "coefficient edges", "Fraction")
+
+Reach = namedtuple("Reach", "module path scan guards required")
 
 #: Each route-independence check: a definition, the scan that reads it, the
-#: names (or ``fnmatch`` patterns) it must not reach and those it must.
+#: guards that bind it and the names it must reach.
 REACH = [
-    Reach("operators", "Operator.apply_shift_form", _reached, DERIVATIVE_HELPERS, set()),
+    Reach("operators", "Operator.apply_shift_form", _reached, ("normal-ordered kernel",), set()),
     Reach("operators", "Operator.apply_normal_ordered", _reached,
-          {*AXIS_HELPERS, *TWIST_HELPERS, *FACTOR_BOUNDS, "differentiate*"}, DERIVATIVE_HELPERS),
-    Reach("operators", "_derivative_terms", _reached,
-          {*AXIS_HELPERS, *TWIST_HELPERS, *FACTOR_BOUNDS}, set()),
-    Reach("distributions", "star_distributional", _reached, NOT_IN_THE_TWIST,
+          ("distributions helpers", "differentiation"), DERIVATIVE_HELPERS),
+    Reach("operators", "_derivative_terms", _reached, ("distributions helpers",), set()),
+    Reach("distributions", "star_distributional", _reached, ("series or operator kernels",),
           TWIST_HELPERS | FACTOR_BOUNDS),
-    Reach("distributions", "_pair_factors", _reached, NOT_IN_THE_TWIST, set()),
-    Reach("symbols", "poisson_bracket", _names,
-          {*STAR_KERNEL, "_commutator_integers", *LOOP, *EDGES, *FRACTION}, STORED),
-    Reach("symbols", "star", _names, LOOP | EDGES, {"_accumulate", "_kappa_units", "_unpacked"}),
-    Reach("symbols", "_commutator_integers", _names, LOOP | EDGES, {"_kappa_units", "_unpacked"}),
-    Reach("symbols", "_accumulate", _names, LOOP | EDGES,
+    Reach("distributions", "_pair_factors", _reached, ("series or operator kernels",), set()),
+    Reach("symbols", "poisson_bracket", _names, ("series star kernel", *ROUTE_KERNEL), STORED),
+    Reach("symbols", "star", _names, ("product loop", *NO_EDGES),
+          {"_accumulate", "_kappa_units", "_unpacked"}),
+    Reach("symbols", "_commutator_integers", _names, ("product loop", *NO_EDGES),
+          {"_kappa_units", "_unpacked"}),
+    Reach("symbols", "_accumulate", _names, ("product loop", *NO_EDGES),
           {"_structure_constants", "_kappa_row", "_support"}),
-    Reach("symbols", "moyal_bracket", _names, EDGES, set()),
-    Reach("symbols", "scaled_bracket", _names, EDGES, {"_commutator_integers"}),
-    Reach("symbols", "_structure_constants", _names, set(),
+    Reach("symbols", "moyal_bracket", _names, NO_EDGES, set()),
+    Reach("symbols", "scaled_bracket", _names, NO_EDGES, {"_commutator_integers"}),
+    Reach("symbols", "_structure_constants", _names, (),
           {"KAPPA_ROWS", "KAPPA_ROW_TERMS", "_kappa_row"}),
-    Reach("symbols", "_flatten", _names, EDGES, STORED),
-    Reach("symbols", "PolySymbol.substitute_h", _names, EDGES | FRACTION, STORED),
-    Reach("distributions", "ExpPoly.from_poly_symbol", _names, EDGES, STORED),
-    Reach("distributions", "ExpPoly.differentiate_multi", _names, EDGES | FRACTION,
+    Reach("symbols", "_flatten", _names, NO_EDGES, STORED),
+    Reach("symbols", "PolySymbol.substitute_h", _names, INTEGER_KERNEL, STORED),
+    Reach("distributions", "ExpPoly.from_poly_symbol", _names, NO_EDGES, STORED),
+    Reach("distributions", "ExpPoly.differentiate_multi", _names, INTEGER_KERNEL,
           STORED | FACTOR_BOUNDS | AXIS_HELPERS),
-    Reach("distributions", "ExpPoly.shift", _names, EDGES, STORED),
-    Reach("distributions", "Ultradistribution.mul_monomial", _names, EDGES | FRACTION, STORED),
-    Reach("distributions", "Ultradistribution.tensor", _names, set(), LOOP),
-    Reach("distributions", "star_distributional", _names, LOOP | EDGES | FRACTION, STORED),
-    Reach("distributions", "_pair_factors", _names, set(), {"_twist_row", "_twist_terms"}),
-    Reach("distributions", "_twist_row", _names, set(), {"FACTOR_ROW_TERMS", "_twist_terms"}),
-    Reach("operators", "Operator.apply_normal_ordered", _names, LOOP | EDGES | FRACTION,
+    Reach("distributions", "ExpPoly.shift", _names, NO_EDGES, STORED),
+    Reach("distributions", "Ultradistribution.mul_monomial", _names, INTEGER_KERNEL, STORED),
+    Reach("distributions", "Ultradistribution.tensor", _names, (), LOOP),
+    Reach("distributions", "star_distributional", _names, ROUTE_KERNEL, STORED),
+    Reach("distributions", "_pair_factors", _names, (), {"_twist_row", "_twist_terms"}),
+    Reach("distributions", "_twist_row", _names, (), {"FACTOR_ROW_TERMS", "_twist_terms"}),
+    Reach("operators", "Operator.apply_normal_ordered", _names, ROUTE_KERNEL,
           STORED | {"_derivative_terms"}),
-    Reach("operators", "Operator.apply_shift_form", _names, LOOP | EDGES | FRACTION,
+    Reach("operators", "Operator.apply_shift_form", _names, ROUTE_KERNEL,
           STORED | {"differentiate_multi"}),
-    Reach("operators", "_derivative_terms", _names, set(),
+    Reach("operators", "_derivative_terms", _names, (),
           {"_derivative_row", "_derivative_factors", "DERIVATIVE_ROW_TERMS"}),
-    Reach("sparse", "SparseAlgebra.__mul__", _names, set(), LOOP),
-    Reach("sparse", "SparseMap._binarions", _names, set(), {"from_parts"}),
+    Reach("sparse", "SparseAlgebra.__mul__", _names, (), LOOP),
+    Reach("sparse", "SparseMap._binarions", _names, (), {"from_parts"}),
 ]
 
 
@@ -488,7 +506,8 @@ def _key(row) -> str:
     return f"{row.scan.__name__[1:]} {row.path}"
 
 
-def _forbidden(names, patterns) -> set:
+def _forbidden(names, guards) -> set:
+    patterns = set().union(*(GUARDS[guard] for guard in guards))
     return {name for name in names if any(fnmatchcase(name, p) for p in patterns)}
 
 
@@ -499,7 +518,7 @@ def _readings(name, tree) -> dict:
     readings = {rule.name: sites[rule.name] for rule in RULES if name in rule.modules}
     for row in REACH:
         if row.module == name:
-            readings[_key(row)] = _forbidden(row.scan(tree, row.path), row.forbidden)
+            readings[_key(row)] = _forbidden(row.scan(tree, row.path), row.guards)
     return readings
 
 
@@ -508,17 +527,28 @@ def _unplanted(name) -> dict:
     return _readings(name, _tree(name))
 
 
+@functools.cache
+def _scanned(name, path, scan) -> frozenset:
+    return frozenset(scan(_tree(name), path))
+
+
 @pytest.mark.parametrize("rule, name", [(rule, name) for rule in RULES for name in rule.modules],
                          ids=lambda value: getattr(value, "name", value))
 def test_only_the_listed_sites_do_what_a_rule_names(rule, name):
     assert _unplanted(name)[rule.name] == rule.expected.get(name, set())
 
 
-@pytest.mark.parametrize("row", REACH, ids=_key)
-def test_a_kernel_reaches_only_its_own_route(row):
-    names = row.scan(_tree(row.module), row.path)
-    assert _forbidden(names, row.forbidden) == set()
-    assert row.required <= names
+@pytest.mark.parametrize("row, guard", [(row, guard) for row in REACH for guard in row.guards],
+                         ids=lambda value: _key(value) if isinstance(value, Reach) else value)
+def test_a_kernel_reaches_only_its_own_route(row, guard):
+    assert _forbidden(_scanned(row.module, row.path, row.scan), (guard,)) == set()
+
+
+@pytest.mark.parametrize("row", [row for row in REACH if row.required], ids=_key)
+def test_a_reach_scan_sees_the_names_its_kernel_uses(row):
+    """The scan still sees what the kernel is known to use, so a scan that
+    went blind cannot pass its guards."""
+    assert row.required <= _scanned(row.module, row.path, row.scan)
 
 
 # -- the planted violations -----------------------------------------------------
