@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from .errors import InvalidStateError, ValidationError
 from .scalars import (FLOAT_TOLERANCE, Record, Sigma, _as_fraction, _cos_sin, _float, _num_msg,
-                      _num_str, as_sigma)
+                      _num_str, _too_long, as_sigma)
+from .sparse import integer
 
 
 class Regime(enum.Enum):
@@ -224,11 +225,13 @@ class Amplitude2(Record):
         magnitudes = tuple(magnitudes)
         phases = tuple(map(_float, phases))
         sigma = as_sigma(sigma)
-        signs = tuple(int(s) for s in signs)
+        signs = tuple(map(integer, signs))
         if len(magnitudes) != 2 or len(phases) != 2 or len(signs) != 2:
             raise ValidationError("amplitudes are two-term superpositions")
         if any(m < 0 for m in magnitudes):
             raise ValidationError("magnitudes must be nonnegative")
+        if not all(map(math.isfinite, phases)):
+            raise ValidationError(f"amplitude phases must be finite, got {phases!r}")
         if any(s not in (-1, 1) for s in signs):
             raise ValidationError("signs must be +1 or -1")
         if sigma is Sigma.COMPLEX and signs != (1, 1):
@@ -369,8 +372,9 @@ def contexts_from_csv(path) -> list:
             if row_number == 1:
                 try:
                     _as_fraction(cells[0])
-                except ValidationError:
-                    continue  # header
+                except ValidationError as exc:
+                    if exc.args != _too_long().args:  # a number past the bound is no header
+                        continue  # header
             if len(cells) != 4:
                 raise ValidationError(
                     f"expected 4 columns, got {len(cells)} (row {row_number})"

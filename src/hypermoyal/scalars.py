@@ -102,7 +102,9 @@ class GClass(enum.Enum):
 
 def _as_fraction(value) -> Fraction:
     """An ``int``, ``Fraction`` or rational text as a ``Fraction``; the one
-    reader of rational text, which refuses bad text with ValidationError."""
+    reader of rational text, which refuses bad text with ValidationError, and
+    text whose exponent is past the int-to-text digit limit with the refusal
+    of :func:`_too_long`, before building its power of ten."""
     # exact type tests first: for an int, ``isinstance(value, Fraction)`` goes
     # through the ``numbers.Rational`` ABC check, which costs more than the
     # conversion
@@ -117,6 +119,15 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if not isinstance(value, str):
         raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    if "e" in value or "E" in value:
+        # ``Fraction`` builds ``10**exponent`` before any digit bound sees it
+        try:
+            exponent = abs(int(value.lower().partition("e")[2]))
+        except ValueError:  # not an exponent: ``Fraction`` refuses the text
+            exponent = 0
+        limit = sys.get_int_max_str_digits()
+        if limit and exponent > limit:
+            raise _too_long()
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -4,13 +4,11 @@ import copy
 import io
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from conftest import run_fresh
 
-import hypermoyal
 from hypermoyal import (
     Binarion,
     ExpPoly,
@@ -22,9 +20,8 @@ from hypermoyal import (
     contexts_from_csv,
     theta_range,
 )
-from hypermoyal.cli import MAX_STEPS, main
-from hypermoyal.grassmann import MAX_WITNESS_GENERATORS
-from hypermoyal.parsing import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
+from hypermoyal.cli import main
+from hypermoyal.sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX, MAX_STEPS, MAX_WITNESS_GENERATORS
 from test_interference import _near_boundary_tables
 
 H = Sigma.HYPERBOLIC
@@ -57,12 +54,6 @@ def test_star_sign_after_an_operator_binds_looser_than_power(capsys):
     assert run(capsys, "star", "--", "-q*p^2", "q") == (0, expected, "")
 
 
-def test_star_deep_nesting_is_one_line_error(capsys):
-    code, out, err = run(capsys, "star", "(" * 250 + "q" + ")" * 250, "q")
-    assert (code, out) == (2, "")
-    assert err == f"error: parentheses nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH})\n"
-
-
 def test_star_unit_absorbs(capsys):
     code, out, _ = run(capsys, "star", "1", "q^2", "--sigma", "+1")
     assert code == 0
@@ -82,15 +73,6 @@ def test_star_numeric_h(capsys):
     code, out, _ = run(capsys, "star", "p", "q", "--sigma", "+1", "--h", "1/2")
     assert code == 0
     assert out == "sigma=+1: q1*p1 + 1/2j\n"
-    code, _, err = run(capsys, "star", "p", "q", "--h", "-1")
-    assert code == 2 and "positive" in err
-
-
-def test_star_h_must_be_a_rational(capsys):
-    for value in ("abc", "1/0"):
-        code, out, err = run(capsys, "star", "p", "q", "--h", value)
-        assert code == 2 and out == ""
-        assert err == f"error: --h must be a positive rational, got {value}\n"
 
 
 def test_star_expression_with_leading_minus_follows_double_dash(capsys):
@@ -104,12 +86,6 @@ def test_star_json_format(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["result"] == "q1*p1 + 1j*h"
-
-
-def test_star_parse_error_has_position_and_fails(capsys):
-    code, _, err = run(capsys, "star", "p", "q +", "--sigma", "+1")
-    assert code == 2
-    assert "position" in err
 
 
 # -- limit ----------------------------------------------------------------------
@@ -131,19 +107,6 @@ def test_limit_cubes_shows_linear_decay(capsys):
     norms = [abs(float(v["re"])) + abs(float(v["im"])) for v in values]
     for a, b in zip(norms, norms[1:]):
         assert b < a / 1.9
-
-
-def test_limit_negative_steps_rejected(capsys):
-    code, out, err = run(capsys, "limit", "p", "q", "--steps", "-3")
-    assert code == 2 and out == ""
-    assert err == "error: --steps must be >= 0, got -3\n"
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_limit_value_too_large_for_a_float_is_one_line_error(capsys, fmt):
-    code, out, err = run(capsys, "limit", "10^400*q^2", "p^2", "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err == "error: value too large for a float\n"
 
 
 def _fail_on_use(*args, **kwargs):
@@ -196,15 +159,6 @@ def test_oversized_index_or_literal_is_refused_before_anything_is_built(
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("expression", ["2^15000", "*".join(["9" * MAX_DIGITS] * 5)])
-def test_coefficient_past_the_int_to_text_limit_is_one_line_error(capsys, expression, fmt):
-    code, out, err = run(capsys, "star", expression, "1", "--format", fmt)
-    assert (code, out) == (2, "")
-    limit = sys.get_int_max_str_digits()
-    assert err == f"error: number too long to write: more than {limit} digits\n"
-
-
 def test_limit_constant_inputs(capsys):
     code, out, _ = run(capsys, "limit", "5", "q", "--sigma", "+1")
     assert code == 0
@@ -253,27 +207,6 @@ UNREADABLE_JSON = {
 }
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize("text, message", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
-def test_fourier_unreadable_json_is_one_line_error(tmp_path, monkeypatch, capsys, text, message,
-                                                    source):
-    path = tmp_path / "atoms.json"
-    path.write_text(text, encoding="utf-8")
-    if source == "stdin":
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    argument = str(path) if source == "file" else "-"
-    assert run(capsys, "fourier", argument) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("bad, prefix", [(0, "operator"), (1, "wavefunction")])
-@pytest.mark.parametrize("text, message", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
-def test_apply_unreadable_json_names_its_document(tmp_path, capsys, text, message, bad, prefix):
-    paths = [tmp_path / "op.json", tmp_path / "phi.json"]
-    for i, (path, good) in enumerate(zip(paths, (json.dumps(OPERATOR), json.dumps(WAVE)))):
-        path.write_text(text if i == bad else good, encoding="utf-8")
-    assert run(capsys, "apply", *map(str, paths)) == (2, "", f"error: {prefix}: {message}\n")
-
-
 def test_apply_command_with_expression_symbol(tmp_path, capsys):
     op_path = tmp_path / "op.json"
     op_path.write_text(
@@ -289,12 +222,6 @@ def test_apply_command_with_expression_symbol(tmp_path, capsys):
     assert result == phi
 
 
-def test_apply_command_missing_file_fails(capsys):
-    code, _, err = run(capsys, "apply", "/nonexistent.json", "/also-missing.json")
-    assert code == 2
-    assert err
-
-
 ATOMS = {"dim": 1, "sigma": 1, "atoms": [{"loc": ["1/2"], "order": [2], "weight": {"re": "1"}}]}
 OPERATOR = {
     "h": "1/2",
@@ -303,55 +230,6 @@ OPERATOR = {
     "symbol": {"dof": 1, "sigma": 1, "terms": [{"q": [0], "p": [1], "coeff": [{"h": 0, "re": "1"}]}]},
 }
 WAVE = {"h": "1/2", "func": {"dim": 1, "sigma": 1, "terms": [{"freq": ["2"], "exp": [0], "coeff": {"re": "1"}}]}}
-
-
-def _drop_atoms(d):
-    del d["atoms"]
-
-
-def _negative_order(d):
-    d["atoms"][0]["order"] = [-1]
-
-
-def _bad_sigma(d):
-    d["sigma"] = 3
-
-
-def _bad_loc(d):
-    d["atoms"][0]["loc"] = ["x"]
-
-
-@pytest.mark.parametrize(
-    "malform, message",
-    [
-        (_drop_atoms, "missing field 'atoms'"),
-        (_negative_order, "atoms: order: derivative orders must be nonnegative"),
-        (_bad_sigma, "sigma: not a signature: 3"),
-        (_bad_loc, "atoms: loc: Invalid literal for Fraction: 'x'"),
-    ],
-)
-def test_fourier_malformed_json_is_one_line_error(tmp_path, capsys, malform, message):
-    data = copy.deepcopy(ATOMS)
-    malform(data)
-    path = tmp_path / "atoms.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert run(capsys, "fourier", str(path)) == (2, "", f"error: {message}\n")
-
-
-def test_apply_malformed_json_is_one_line_error(tmp_path, capsys):
-    op = copy.deepcopy(OPERATOR)
-    del op["symbol"]["terms"]
-    wave = copy.deepcopy(WAVE)
-    wave["h"] = "0"
-    paths = {}
-    for name, data in (("op", OPERATOR), ("bad_op", op), ("wave", WAVE), ("bad_wave", wave)):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(data), encoding="utf-8")
-    assert run(capsys, "apply", str(paths["op"]), str(paths["wave"]))[0] == 0
-    assert run(capsys, "apply", str(paths["bad_op"]), str(paths["wave"])) == (
-        2, "", "error: operator: symbol: missing field 'terms'\n")
-    assert run(capsys, "apply", str(paths["op"]), str(paths["bad_wave"])) == (
-        2, "", "error: wavefunction: h must be a positive rational\n")
 
 
 def test_apply_h_mismatch_is_one_line_error_without_traceback(tmp_path):
@@ -365,15 +243,6 @@ def test_apply_h_mismatch_is_one_line_error_without_traceback(tmp_path):
     assert result.stdout == ""
     assert result.stderr == "error: operator h 1/2 differs from wavefunction h 1/3\n"
     assert "Traceback" not in result.stderr
-
-
-def test_apply_over_degree_cap_is_one_line_error(tmp_path, capsys):
-    op_path = tmp_path / "op.json"
-    op_path.write_text(json.dumps({"symbol": "q^17", "h": "1/2", "sigma": 1}), encoding="utf-8")
-    wave_path = tmp_path / "wave.json"
-    wave_path.write_text(json.dumps(WAVE), encoding="utf-8")
-    assert run(capsys, "apply", str(op_path), str(wave_path)) == (
-        2, "", "error: operator symbol degree 17 exceeds cap 16\n")
 
 
 def _one_term(dim, freq, exp) -> dict:
@@ -397,40 +266,6 @@ APPLY_PAST_THE_LIMIT = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("documents", APPLY_PAST_THE_LIMIT.values(), ids=APPLY_PAST_THE_LIMIT)
-def test_apply_result_past_the_int_to_text_limit_is_one_line_error(tmp_path, capsys, documents,
-                                                                   fmt):
-    op_path, wave_path = tmp_path / "op.json", tmp_path / "wave.json"
-    for path, document in zip((op_path, wave_path), documents):
-        path.write_text(json.dumps(document), encoding="utf-8")
-    code, out, err = run(capsys, "apply", str(op_path), str(wave_path), "--format", fmt)
-    assert (code, out) == (2, "")
-    assert err == "error: number too long to write: more than 4300 digits\n"
-
-
-GRASSMANN = {"n": 2, "sigma": 1, "terms": [{"gens": [1, 2], "re": "1"}]}
-
-#: (reader, document, path to the field, value): an integer field holding a
-#: value that ``int`` would change or reject, or a generator outside ``1..n``.
-BAD_INTEGERS = [
-    (PolySymbol, OPERATOR["symbol"], ("dof",), 1.5),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), [0.5]),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), [[0]]),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), ["a"]),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "p"), ["1"]),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "coeff", 0, "h"), 0.5),
-    (ExpPoly, WAVE["func"], ("dim",), "1"),
-    (ExpPoly, WAVE["func"], ("terms", 0, "exp"), [2.7]),
-    (Ultradistribution, ATOMS, ("dim",), 1.5),
-    (Ultradistribution, ATOMS, ("atoms", 0, "order"), [1.9]),
-    (GrassmannElement, GRASSMANN, ("n",), 2.5),
-    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [1.5]),
-    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [0]),
-    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [10**9]),
-]
-
-
 def _with(document, path, value):
     data = copy.deepcopy(document)
     target = data
@@ -438,48 +273,6 @@ def _with(document, path, value):
         target = target[key]
     target[path[-1]] = value
     return data
-
-
-@pytest.mark.parametrize("reader, document, path, value", BAD_INTEGERS)
-def test_integer_fields_refuse_what_int_would_change(reader, document, path, value):
-    """The error names the field; a generator is checked against ``1..n``
-    before its bit is built."""
-    with pytest.raises(hypermoyal.HypermoyalError) as info:
-        reader.from_json_dict(_with(document, path, value))
-    assert f"{path[-1]}: " in str(info.value)
-
-
-#: (reader, document, path to the field, value): a JSON boolean where an
-#: integer belongs, which ``int`` would read as 0 or 1.
-BOOLEANS = [
-    (PolySymbol, OPERATOR["symbol"], ("dof",), True),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "q"), [True]),
-    (PolySymbol, OPERATOR["symbol"], ("terms", 0, "coeff", 0, "h"), True),
-    (ExpPoly, WAVE["func"], ("terms", 0, "exp"), [False]),
-    (Ultradistribution, ATOMS, ("dim",), True),
-    (GrassmannElement, GRASSMANN, ("terms", 0, "gens"), [True, 2]),
-]
-
-
-@pytest.mark.parametrize("reader, document, path, value", BOOLEANS)
-def test_integer_fields_refuse_booleans(reader, document, path, value):
-    with pytest.raises(hypermoyal.HypermoyalError) as info:
-        reader.from_json_dict(_with(document, path, value))
-    assert f"{path[-1]}: " in str(info.value) and "is not an integer" in str(info.value)
-
-
-def test_apply_refuses_an_unknown_operator_kind(tmp_path, capsys):
-    """A missing ``kind`` still means ``poly``."""
-    no_kind = copy.deepcopy(OPERATOR)
-    del no_kind["kind"]
-    paths = {}
-    for name, data in (("polly", _with(OPERATOR, ("kind",), "polly")), ("none", no_kind),
-                       ("wave", WAVE)):
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(data), encoding="utf-8")
-    assert run(capsys, "apply", str(paths["polly"]), str(paths["wave"])) == (
-        2, "", "error: operator: kind: expected 'poly' or 'exp', got 'polly'\n")
-    assert run(capsys, "apply", str(paths["none"]), str(paths["wave"]))[0] == 0
 
 
 def _write_documents(tmp_path, documents) -> list:
@@ -494,81 +287,28 @@ EXPRESSION_OPERATOR = {"symbol": "q*p", "h": "1/3", "sigma": 1}
 PLANE_WAVE_THIRD = WaveFunction.plane_wave(Fraction(1), Fraction(1, 3), H).to_json_dict()
 
 
-@pytest.mark.parametrize("kind, message", [
-    ("bogus", "operator: kind: expected 'poly' or 'exp', got 'bogus'"),
-    ("exp", "operator: symbol: an expression is a 'poly' symbol, not 'exp'"),
-])
-def test_apply_reads_an_expression_symbol_only_as_kind_poly(tmp_path, capsys, kind, message):
+def test_apply_reads_an_operator_without_kind_as_kind_poly(tmp_path, capsys):
     """An expression symbol passes through the one operator reader, which
-    refuses any ``kind`` but ``poly``; without ``kind`` it still reads."""
-    op, bad_op, wave = _write_documents(
-        tmp_path, (EXPRESSION_OPERATOR, {**EXPRESSION_OPERATOR, "kind": kind}, PLANE_WAVE_THIRD)
-    )
-    assert run(capsys, "apply", bad_op, wave) == (2, "", f"error: {message}\n")
+    refuses any ``kind`` but ``poly`` (rows of ``CLI_REFUSALS``); without
+    ``kind``, an expression and a term map still read."""
+    no_kind = {key: value for key, value in OPERATOR.items() if key != "kind"}
+    op, poly_op, term_map, wave, term_wave = _write_documents(tmp_path, (
+        EXPRESSION_OPERATOR, {**EXPRESSION_OPERATOR, "kind": "poly"}, no_kind, PLANE_WAVE_THIRD,
+        WAVE))
     assert run(capsys, "apply", op, wave) == (0, "q1*exp(j*(3*q1))\n", "")
-    poly_op = _write_documents(tmp_path, ({**EXPRESSION_OPERATOR, "kind": "poly"},))[0]
     assert run(capsys, "apply", poly_op, wave) == (0, "q1*exp(j*(3*q1))\n", "")
-
-
-@pytest.mark.parametrize("operator, message", [
-    ({"symbol": {"sigma": 1, "dof": 1}, "h": "1/3"}, "operator: symbol: missing field 'terms'"),
-    ({"symbol": "q*", "h": "1/3"}, "operator: missing field 'sigma'"),
-], ids=["term-map", "expression"])
-def test_apply_reads_the_sigma_first_only_for_an_expression(tmp_path, capsys, operator, message):
-    """A term-map symbol is read before ``h`` and ``sigma``; an expression is
-    parsed at the file's ``sigma``, which is therefore read first."""
-    paths = _write_documents(tmp_path, (operator, PLANE_WAVE_THIRD))
-    assert run(capsys, "apply", *paths) == (2, "", f"error: {message}\n")
+    assert run(capsys, "apply", term_map, term_wave)[0] == 0
 
 
 PLANE_WAVE_THIRD_2 = WaveFunction.plane_wave((1, 2), Fraction(1, 3), H).to_json_dict()
 
 
-@pytest.mark.parametrize("operator, result", [
-    (EXPRESSION_OPERATOR, (0, "q1*exp(j*(3*q1 + 6*q2))\n", "")),
-    ({**EXPRESSION_OPERATOR, "symbol": "q3*p1"},
-     (2, "", "error: operator: symbol: variable 'q3' out of range for dof 2 (at position 0)\n")),
-    ({**OPERATOR, "h": "1/3"}, (2, "", "error: operator dof 1 differs from wavefunction dof 2\n")),
-], ids=["expression", "index-above-dof", "term-map"])
-def test_apply_reads_an_expression_at_the_wavefunction_dof(tmp_path, capsys, operator, result):
+def test_apply_reads_an_expression_at_the_wavefunction_dof(tmp_path, capsys):
     """An expression symbol is parsed at the wavefunction's dof; a term map
-    keeps its own dof and is refused when it differs."""
-    paths = _write_documents(tmp_path, (operator, PLANE_WAVE_THIRD_2))
-    assert run(capsys, "apply", *paths) == result
-
-
-@pytest.mark.parametrize("command, documents, message", [
-    ("apply", ({**EXPRESSION_OPERATOR, "h": "1/0"}, PLANE_WAVE_THIRD),
-     "operator: h: zero denominator in '1/0'"),
-    ("apply", (EXPRESSION_OPERATOR, {**PLANE_WAVE_THIRD, "h": "1/0"}),
-     "wavefunction: h: zero denominator in '1/0'"),
-    ("fourier", (_with(ATOMS, ("atoms", 0, "loc"), ["1/0"]),),
-     "atoms: loc: zero denominator in '1/0'"),
-], ids=["operator", "wavefunction", "atoms"])
-def test_a_zero_denominator_is_named_as_such(tmp_path, capsys, command, documents, message):
-    paths = _write_documents(tmp_path, documents)
-    assert run(capsys, command, *paths) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "command, documents, message",
-    [
-        ("apply", (_with(OPERATOR, ("symbol", "terms", 0, "q"), [0.5]), WAVE),
-         "operator: symbol: terms: q: 0.5 is not an integer"),
-        ("apply", (OPERATOR, _with(WAVE, ("func", "terms", 0, "exp"), [2.7])),
-         "wavefunction: func: terms: exp: 2.7 is not an integer"),
-        ("fourier", (_with(ATOMS, ("atoms", 0, "order"), [1.9]),),
-         "atoms: order: 1.9 is not an integer"),
-    ],
-)
-def test_non_integer_exponent_or_order_is_one_line_error(
-    tmp_path, capsys, command, documents, message
-):
-    paths = []
-    for i, data in enumerate(documents):
-        paths.append(tmp_path / f"input{i}.json")
-        paths[-1].write_text(json.dumps(data), encoding="utf-8")
-    assert run(capsys, command, *map(str, paths)) == (2, "", f"error: {message}\n")
+    keeps its own dof and is refused when it differs (rows of
+    ``CLI_REFUSALS``)."""
+    paths = _write_documents(tmp_path, (EXPRESSION_OPERATOR, PLANE_WAVE_THIRD_2))
+    assert run(capsys, "apply", *paths) == (0, "q1*exp(j*(3*q1 + 6*q2))\n", "")
 
 
 # -- interfere -----------------------------------------------------------------------
@@ -603,34 +343,12 @@ def test_interfere_csv_report(tmp_path, capsys):
     assert len(lines) == 1 + 6  # header + two outcomes per table
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("row, message", [
-    # D^2 > 0, but D is below the smallest float
-    (f"1/{10**2999 + 1},1/{10**2999 + 3},1/2,1/2", "value too small for a float"),
-    # D is exact, and lambda is about 10^2000
-    (f"1/{10**4000},1,{10**4000 - 1}/{10**4000},1/2", "value too large for a float"),
-])
-def test_interfere_row_past_the_float_range_is_one_line_error(tmp_path, capsys, row, message,
-                                                              fmt):
-    path = tmp_path / "tables.csv"
-    path.write_text(row + "\n", encoding="utf-8")
-    assert run(capsys, "interfere", str(path), "--format", fmt) == (2, "", f"error: {message}\n")
-
-
 def test_interfere_empty_csv(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     code, out, _ = run(capsys, "interfere", str(path))
     assert code == 0
     assert json.loads(out) == []
-
-
-def test_interfere_malformed_probability(tmp_path, capsys):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.5,0.5,0.5,1.2\n", encoding="utf-8")
-    code, _, err = run(capsys, "interfere", str(path))
-    assert code == 2
-    assert "row 1" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -704,31 +422,6 @@ def test_interfere_ranges_equal_theta_range(tmp_path, capsys):
         (True, False), (False, False), (False, True)}
 
 
-@pytest.mark.parametrize(
-    "command, inputs, bad, prefix",
-    [
-        ("fourier", [ATOMS], 0, ""),
-        ("interfere", [CSV_ROWS], 0, ""),
-        ("apply", [OPERATOR, WAVE], 0, "operator: "),
-        ("apply", [OPERATOR, WAVE], 1, "wavefunction: "),
-        ("apply", [OPERATOR, "{not json"], None, "wavefunction: "),
-    ],
-    ids=["fourier-inputs0-0", "interfere-inputs1-0", "apply-inputs2-0", "apply-inputs3-1",
-         "apply-inputs4-not-json"],
-)
-def test_non_utf8_input_is_one_line_error(tmp_path, capsys, command, inputs, bad, prefix):
-    paths = []
-    for i, data in enumerate(inputs):
-        text = data if isinstance(data, str) else json.dumps(data)
-        path = tmp_path / f"input{i}"
-        path.write_bytes((b"\xff" if i == bad else b"") + text.encode("utf-8"))
-        paths.append(str(path))
-    code, out, err = run(capsys, command, *paths)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-    assert err.startswith("error: " + prefix)
-
-
 # -- super ----------------------------------------------------------------------------
 
 
@@ -749,18 +442,8 @@ def test_super_witness(capsys):
 
 
 def test_super_witness_bounds(capsys):
+    """The refusals below one and above the cap are rows of ``CLI_REFUSALS``."""
     assert MAX_WITNESS_GENERATORS >= 12
-    for n in ("0", "-1"):
-        code, out, err = run(capsys, "super", "--witness", n)
-        assert (code, out) == (2, "")
-        assert err == "error: witness needs at least one generator\n"
-    # refused by the cap before any of the 2^n work starts
-    too_many = str(10**9)
-    code, out, err = run(capsys, "super", "--witness", too_many)
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: witness needs at most {MAX_WITNESS_GENERATORS} generators, got {too_many}\n"
-    )
     code, out, _ = run(capsys, "super", "--witness", str(MAX_WITNESS_GENERATORS),
                        "--format", "json")
     assert code == 0
@@ -781,10 +464,171 @@ def test_super_work_does_not_grow_with_generator_count():
     assert "a*b = θ1θ2\n" in result.stdout
 
 
-def test_super_needs_arguments(capsys):
-    code, _, err = run(capsys, "super")
-    assert code == 2
-    assert "witness" in err
+# -- refusals --------------------------------------------------------------------------
+
+TOO_LONG = "number too long to write: more than 4300 digits"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+#: Each refusal of the command line: its argv, the documents it reads and the
+#: message of its one line on stderr.  ``{0}``, ``{1}``, ... in argv name the
+#: files written from the documents (text or bytes as they are, any other as
+#: JSON); ``-`` reads the first document from stdin.
+CLI_REFUSALS = {
+    # star and limit
+    "star deep nesting": (["star", "(" * 250 + "q" + ")" * 250, "q"], (),
+                          f"parentheses nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH})"),
+    "star parse error": (["star", "p", "q +", "--sigma", "+1"], (),
+                         "unexpected end of input (at position 3)"),
+    "star h -1": (["star", "p", "q", "--h", "-1"], (), "--h must be a positive rational, got -1"),
+    "star h abc": (["star", "p", "q", "--h", "abc"], (),
+                   "--h must be a positive rational, got abc"),
+    "star h 1/0": (["star", "p", "q", "--h", "1/0"], (),
+                   "--h must be a positive rational, got 1/0"),
+    "star h 1E-4301": (["star", "p", "q", "--h", "1E-4301"], (),
+                       "--h must be a positive rational, got 1E-4301"),
+    "star h 1e+4301": (["star", "p", "q", "--h", "1e+4301"], (),
+                       "--h must be a positive rational, got 1e+4301"),
+    **{f"star {name} {fmt}": (["star", expression, "1", "--format", fmt], (), TOO_LONG)
+       for name, expression in (("2^15000", "2^15000"),
+                                ("9...9^5", "*".join(["9" * MAX_DIGITS] * 5)))
+       for fmt in ("text", "json")},
+    "limit steps -3": (["limit", "p", "q", "--steps", "-3"], (), "--steps must be >= 0, got -3"),
+    **{f"limit float {fmt}": (["limit", "10^400*q^2", "p^2", "--format", fmt], (),
+                              "value too large for a float") for fmt in ("text", "json")},
+    # fourier and apply: a document the JSON parser refuses, in each place it is read
+    **{f"fourier {name}": (["fourier", "{0}"], (text,), message)
+       for name, (text, message) in UNREADABLE_JSON.items()},
+    **{f"fourier stdin {name}": (["fourier", "-"], (text,), message)
+       for name, (text, message) in UNREADABLE_JSON.items()},
+    **{f"apply operator {name}": (["apply", "{0}", "{1}"], (text, WAVE), f"operator: {message}")
+       for name, (text, message) in UNREADABLE_JSON.items()},
+    **{f"apply wavefunction {name}": (["apply", "{0}", "{1}"], (OPERATOR, text),
+                                      f"wavefunction: {message}")
+       for name, (text, message) in UNREADABLE_JSON.items()},
+    "fourier no atoms": (["fourier", "{0}"], ({"dim": 1, "sigma": 1},), "missing field 'atoms'"),
+    "fourier order -1": (["fourier", "{0}"], (_with(ATOMS, ("atoms", 0, "order"), [-1]),),
+                         "atoms: order: derivative orders must be nonnegative"),
+    "fourier sigma 3": (["fourier", "{0}"], (_with(ATOMS, ("sigma",), 3),),
+                        "sigma: not a signature: 3"),
+    "fourier loc 'x'": (["fourier", "{0}"], (_with(ATOMS, ("atoms", 0, "loc"), ["x"]),),
+                        "atoms: loc: Invalid literal for Fraction: 'x'"),
+    "fourier loc '1/0'": (["fourier", "{0}"], (_with(ATOMS, ("atoms", 0, "loc"), ["1/0"]),),
+                          "atoms: loc: zero denominator in '1/0'"),
+    "fourier loc 1E-4301": (["fourier", "{0}"], (_with(ATOMS, ("atoms", 0, "loc"), ["1E-4301"]),),
+                            f"atoms: loc: {TOO_LONG}"),
+    "fourier order [1.9]": (["fourier", "{0}"], (_with(ATOMS, ("atoms", 0, "order"), [1.9]),),
+                            "atoms: order: 1.9 is not an integer"),
+    "apply missing files": (["apply", "/nonexistent.json", "/also-missing.json"], (),
+                            "[Errno 2] No such file or directory: '/nonexistent.json'"),
+    "apply no terms": (
+        ["apply", "{0}", "{1}"], (_with(OPERATOR, ("symbol",), {"dof": 1, "sigma": 1}), WAVE),
+        "operator: symbol: missing field 'terms'"),
+    "apply h 0": (["apply", "{0}", "{1}"], (OPERATOR, _with(WAVE, ("h",), "0")),
+                  "wavefunction: h must be a positive rational"),
+    "apply degree cap": (
+        ["apply", "{0}", "{1}"], ({"symbol": "q^17", "h": "1/2", "sigma": 1}, WAVE),
+        "operator symbol degree 17 exceeds cap 16"),
+    **{f"apply {name} {fmt}": (["apply", "{0}", "{1}", "--format", fmt], documents, TOO_LONG)
+       for name, documents in APPLY_PAST_THE_LIMIT.items() for fmt in ("text", "json")},
+    "apply kind polly": (["apply", "{0}", "{1}"], (_with(OPERATOR, ("kind",), "polly"), WAVE),
+                         "operator: kind: expected 'poly' or 'exp', got 'polly'"),
+    "apply expression kind bogus": (["apply", "{0}", "{1}"],
+                                    ({**EXPRESSION_OPERATOR, "kind": "bogus"}, PLANE_WAVE_THIRD),
+                                    "operator: kind: expected 'poly' or 'exp', got 'bogus'"),
+    "apply expression kind exp": (
+        ["apply", "{0}", "{1}"], ({**EXPRESSION_OPERATOR, "kind": "exp"}, PLANE_WAVE_THIRD),
+        "operator: symbol: an expression is a 'poly' symbol, not 'exp'"),
+    # a term-map symbol is read before ``h`` and ``sigma``; an expression is
+    # parsed at the file's ``sigma``, which is therefore read first
+    "apply term map first": (["apply", "{0}", "{1}"],
+                             ({"symbol": {"sigma": 1, "dof": 1}, "h": "1/3"}, PLANE_WAVE_THIRD),
+                             "operator: symbol: missing field 'terms'"),
+    "apply sigma first": (["apply", "{0}", "{1}"], ({"symbol": "q*", "h": "1/3"}, PLANE_WAVE_THIRD),
+                          "operator: missing field 'sigma'"),
+    "apply expression above dof": (
+        ["apply", "{0}", "{1}"], ({**EXPRESSION_OPERATOR, "symbol": "q3*p1"}, PLANE_WAVE_THIRD_2),
+        "operator: symbol: variable 'q3' out of range for dof 2 (at position 0)"),
+    "apply term map dof": (["apply", "{0}", "{1}"], ({**OPERATOR, "h": "1/3"}, PLANE_WAVE_THIRD_2),
+                           "operator dof 1 differs from wavefunction dof 2"),
+    "apply operator h '1/0'": (
+        ["apply", "{0}", "{1}"], ({**EXPRESSION_OPERATOR, "h": "1/0"}, PLANE_WAVE_THIRD),
+        "operator: h: zero denominator in '1/0'"),
+    "apply wavefunction h '1/0'": (
+        ["apply", "{0}", "{1}"], (EXPRESSION_OPERATOR, {**PLANE_WAVE_THIRD, "h": "1/0"}),
+        "wavefunction: h: zero denominator in '1/0'"),
+    "apply q [0.5]": (
+        ["apply", "{0}", "{1}"], (_with(OPERATOR, ("symbol", "terms", 0, "q"), [0.5]), WAVE),
+        "operator: symbol: terms: q: 0.5 is not an integer"),
+    "apply exp [2.7]": (
+        ["apply", "{0}", "{1}"], (OPERATOR, _with(WAVE, ("func", "terms", 0, "exp"), [2.7])),
+        "wavefunction: func: terms: exp: 2.7 is not an integer"),
+    # interfere
+    **{f"interfere {name} {fmt}": (["interfere", "{0}", "--format", fmt], (row + "\n",), message)
+       for name, (row, message) in {
+           # D^2 > 0, but D is below the smallest float
+           "D": (f"1/{10**2999 + 1},1/{10**2999 + 3},1/2,1/2", "value too small for a float"),
+           # D is exact, and lambda is about 10^2000
+           "lambda": (f"1/{10**4000},1,{10**4000 - 1}/{10**4000},1/2",
+                      "value too large for a float"),
+       }.items() for fmt in ("json", "csv")},
+    "interfere probability": (["interfere", "{0}"], ("0.5,0.5,0.5,1.2\n",),
+                              "P(b1) = 6/5 outside [0, 1] (row 1)"),
+    "interfere cell 1e4301": (["interfere", "{0}"], (CSV_ROWS + "1/2,1/2,1e4301,1/2\n",),
+                              "not a number: '1e4301' (row 4)"),
+    # input that is not UTF-8
+    "fourier not utf-8": (["fourier", "{0}"], (b"\xff" + json.dumps(ATOMS).encode(),), NOT_UTF8),
+    "interfere not utf-8": (["interfere", "{0}"], (b"\xff" + CSV_ROWS.encode(),), NOT_UTF8),
+    "apply operator not utf-8": (
+        ["apply", "{0}", "{1}"], (b"\xff" + json.dumps(OPERATOR).encode(), WAVE),
+        f"operator: {NOT_UTF8}"),
+    "apply wavefunction not utf-8": (
+        ["apply", "{0}", "{1}"], (OPERATOR, b"\xff" + json.dumps(WAVE).encode()),
+        f"wavefunction: {NOT_UTF8}"),
+    "apply not json": (["apply", "{0}", "{1}"], (OPERATOR, "{not json"),
+                       "wavefunction: Expecting property name enclosed in double quotes: line 1 "
+                       "column 2 (char 1)"),
+    # super
+    "super witness 0": (["super", "--witness", "0"], (), "witness needs at least one generator"),
+    "super witness -1": (["super", "--witness", "-1"], (), "witness needs at least one generator"),
+    # refused by the cap before any of the 2^n work starts
+    "super witness 10^9": (
+        ["super", "--witness", str(10**9)], (),
+        f"witness needs at most {MAX_WITNESS_GENERATORS} generators, got {10**9}"),
+    "super no arguments": (["super"], (), "super needs two expressions or --witness N"),
+}
+
+
+@pytest.mark.parametrize("argv, documents, message", CLI_REFUSALS.values(), ids=CLI_REFUSALS)
+def test_a_refusal_exits_2_with_its_one_line(tmp_path, monkeypatch, capsys, argv, documents,
+                                             message):
+    paths = []
+    for i, document in enumerate(documents):
+        if not isinstance(document, (str, bytes)):
+            document = json.dumps(document)
+        paths.append(tmp_path / f"input{i}")
+        paths[-1].write_bytes(document if isinstance(document, bytes) else document.encode())
+    if "-" in argv:
+        monkeypatch.setattr("sys.stdin", io.StringIO(documents[0]))
+    argv = [arg.format(*paths) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_an_exponent_past_the_digit_limit_is_refused_before_its_power_is_built(tmp_path):
+    """``Fraction`` would build ``10**999999999`` and not return, so each case
+    runs in a fresh interpreter whose timeout fails the test instead of
+    hanging it."""
+    tables, atoms = tmp_path / "tables.csv", tmp_path / "atoms.json"
+    tables.write_text("1/2,1/2,1/2,1e-999999999\n", encoding="utf-8")
+    atoms.write_text(json.dumps(_with(ATOMS, ("atoms", 0, "loc"), ["1e999999999"])),
+                     encoding="utf-8")
+    for argv, message in [
+        (["star", "q", "p", "--h", "1e999999999"],
+         "--h must be a positive rational, got 1e999999999"),
+        (["interfere", str(tables)], "not a number: '1e-999999999' (row 1)"),
+        (["fourier", str(atoms)], f"atoms: loc: {TOO_LONG}"),
+    ]:
+        result = run_fresh("-m", "hypermoyal.cli", *argv, timeout=30)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 # -- selftest ----------------------------------------------------------------------------

@@ -8,11 +8,9 @@ import pytest
 from hypermoyal import grassmann
 from hypermoyal import (
     Binarion,
-    DimensionMismatchError,
     GrassmannElement,
     Parity,
     Sigma,
-    SignatureMismatchError,
     ValidationError,
     annihilator_witness,
     generators,
@@ -20,6 +18,7 @@ from hypermoyal import (
     supercommutator,
 )
 from hypermoyal.selftest import _random_grassmann
+from hypermoyal.sparse import MAX_WITNESS_GENERATORS
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -153,19 +152,11 @@ def test_witness_refuses_too_many_generators_before_any_work(monkeypatch):
         raise AssertionError("annihilator_witness started work")
 
     monkeypatch.setattr(grassmann, "GrassmannElement", no_work)
-    for n in (grassmann.MAX_WITNESS_GENERATORS + 1, 10**9):
-        with pytest.raises(ValidationError, match="at most"):
+    for n in (MAX_WITNESS_GENERATORS + 1, 10**9):
+        with pytest.raises(ValidationError) as err:
             annihilator_witness(n)
-
-
-def test_mismatches_rejected():
-    (a,) = generators(1, H)
-    (b,) = generators(1, C)
-    with pytest.raises(SignatureMismatchError):
-        a * b
-    c = generators(2, H)[0]
-    with pytest.raises(DimensionMismatchError):
-        a * c
+        assert str(err.value) == (
+            f"witness needs at most {MAX_WITNESS_GENERATORS} generators, got {n}")
 
 
 def test_text_and_json():
@@ -177,39 +168,3 @@ def test_text_and_json():
     assert back == element
 
 
-@pytest.mark.parametrize("indices", [(1, 0), (0, 0), (0, 2, 1), (-1,)])
-def test_monomial_refuses_a_word_that_is_not_strictly_ascending(indices):
-    """Such a word is not its own canonical monomial: a repeat is zero and a
-    reordering carries a sign, so it is refused rather than read as one."""
-    with pytest.raises(ValidationError, match="strictly ascending"):
-        GrassmannElement.monomial(indices, 3, H)
-
-
-@pytest.mark.parametrize("mask", [2.7, "3", True])
-def test_masks_must_be_integers(mask):
-    """A mask that ``int`` would change is refused, not truncated."""
-    with pytest.raises(ValidationError, match="is not an integer"):
-        GrassmannElement(2, H, {mask: 1})
-    assert GrassmannElement(2, H, {2.0: 1}).terms() == [(2, Binarion(1, 0, H))]
-
-
-@pytest.mark.parametrize("gens", [[1, 1], [2, 1]])
-def test_json_gens_must_strictly_ascend(gens):
-    data = {"n": 2, "sigma": 1, "terms": [{"gens": gens, "re": "1"}]}
-    with pytest.raises(ValidationError, match="^terms: gens: .*strictly ascending"):
-        GrassmannElement.from_json_dict(data)
-
-
-@pytest.mark.parametrize("index", [10**7, 10**8, 10**30])
-def test_monomial_refuses_an_index_past_n_before_building_its_bit(index):
-    """``1 << 10**30`` cannot be built at all, so only a check made before
-    the mask gets to raise; the message stays short at any index."""
-    with pytest.raises(DimensionMismatchError, match="beyond n=2") as info:
-        GrassmannElement.monomial((index,), 2, H)
-    assert len(str(info.value)) < 200
-
-
-def test_mask_past_n_is_named_by_its_highest_generator():
-    with pytest.raises(DimensionMismatchError) as info:
-        GrassmannElement(2, H, {1 << 10**6 | 1: 1})
-    assert str(info.value) == "monomial uses generators up to θ1000001, beyond n=2"

@@ -3,24 +3,21 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy as sp
 from sympy.parsing.sympy_parser import parse_expr
 
 from hypermoyal import (
     Binarion,
     HPoly,
-    ParseError,
     PolySymbol,
     Sigma,
-    ValidationError,
     parse_binarion,
     parse_grassmann,
     parse_symbol,
     star,
 )
 from hypermoyal.grassmann import generators
-from hypermoyal.parsing import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
+from hypermoyal.sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
@@ -137,31 +134,6 @@ def test_grammar_matches_sympy_on_random_expressions():
         assert got == {key: Fraction(int(c.p), int(c.q)) for key, c in want.items()}, text
 
 
-@pytest.mark.parametrize("text, message, position", [
-    ("-", "unexpected end of input", 1),
-    ("q*-", "unexpected end of input", 3),
-    ("--", "unexpected end of input", 2),
-    ("q+", "unexpected end of input", 2),
-    ("*q", "unexpected '*'", 0),
-    ("q*", "unexpected end of input", 2),
-    ("()", "unexpected ')'", 1),
-    ("-)", "unexpected ')'", 1),
-    ("+", "unexpected end of input", 1),
-    ("(q", "expected ')'", 2),
-    ("q^-2", "exponent must be a nonnegative integer", 2),
-    ("q^", "exponent must be a nonnegative integer", 2),
-    ("(q)(p)", "unexpected trailing '('", 3),
-    ("q p", "unexpected trailing 'p'", 2),
-    ("1/0", "zero denominator", 2),
-    ("3/", "expected denominator", 2),
-])
-def test_malformed_text_message_and_position(text, message, position):
-    with pytest.raises(ParseError) as err:
-        parse_symbol(text, H)
-    assert str(err.value) == f"{message} (at position {position})"
-    assert err.value.position == position
-
-
 def test_parse_unit_suffix_literals():
     assert parse_symbol("2j", H) == PolySymbol.constant(Binarion(0, 2, H), 1, H)
     assert parse_symbol("3/2i", C) == PolySymbol.constant(
@@ -171,22 +143,6 @@ def test_parse_unit_suffix_literals():
 
 def test_parse_whitespace_insensitive():
     assert parse_symbol("q^2*p+h", H) == parse_symbol(" q^2 * p + h ", H)
-
-
-@pytest.mark.parametrize("dof", [2.7, 1.5, True, "2"])
-def test_parse_dof_must_be_an_integer(dof):
-    """A ``dof`` that ``int`` would change is refused, not truncated."""
-    with pytest.raises(ValidationError, match="is not an integer"):
-        parse_symbol("q1*p1", H, dof)
-    assert parse_symbol("q1*p1", H, 2.0).dof == 2
-
-
-@pytest.mark.parametrize("n", [2.7, True, "2"])
-def test_parse_grassmann_n_must_be_an_integer(n):
-    """An ``n`` that ``int`` would change is refused, not truncated."""
-    with pytest.raises(ValidationError, match="is not an integer"):
-        parse_grassmann("t1*t2", H, n)
-    assert parse_grassmann("t1*t2", H, 2.0).n == 2
 
 
 def test_parse_dof_inference_and_override():
@@ -217,18 +173,11 @@ def test_round_trip_canonical_text():
 
 
 def test_indices_and_digit_runs_are_bounded():
+    """Text at each bound still reads; one past it is a row of
+    ``test_refusals.REFUSALS``."""
     assert parse_symbol(f"q{MAX_INDEX}", H).dof == MAX_INDEX
     assert parse_symbol("0" * (MAX_DIGITS - 1) + "1*p", H) == PolySymbol.coordinate("p", 0, 1, H)
     assert parse_grassmann(f"t{MAX_INDEX}", H, MAX_INDEX + 1) is not None
-    for text, position in ((f"p + q{MAX_INDEX + 1}", 4), (f"2*t{MAX_INDEX + 1}", 2)):
-        with pytest.raises(ParseError) as err:
-            parse_symbol(text, H) if "q" in text else parse_grassmann(text, H)
-        assert err.value.position == position
-    with pytest.raises(ParseError) as err:
-        parse_symbol("p - " + "1" * (MAX_DIGITS + 1), H)
-    assert err.value.position == 4
-    with pytest.raises(ValidationError):
-        parse_symbol("p", H, dof=MAX_INDEX + 1)
 
 
 def _nested(depth: int, inner: str) -> str:
@@ -236,53 +185,21 @@ def _nested(depth: int, inner: str) -> str:
 
 
 def test_parenthesis_nesting_is_bounded():
+    """Nesting at the bound reads on a deep caller stack; one deeper is a row
+    of ``test_refusals.REFUSALS``."""
     def parse_below(frames: int):
         """Parse at the bound with ``frames`` more frames on the caller's stack."""
         return parse_below(frames - 1) if frames else parse_symbol(_nested(MAX_DEPTH, "q"), H)
 
     assert parse_below(400) == PolySymbol.coordinate("q", 0, 1, H)
     assert parse_grassmann(_nested(MAX_DEPTH, "t1"), H) == generators(1, H)[0]
-    for parse, inner in ((parse_symbol, "q"), (parse_grassmann, "t1")):
-        with pytest.raises(ParseError, match=f"^parentheses nested deeper than {MAX_DEPTH} ") as err:
-            parse("2*" + _nested(MAX_DEPTH + 1, inner), H)
-        assert err.value.position == 2 + MAX_DEPTH
     # closed parentheses do not count toward the bound
     assert parse_symbol("+".join([_nested(MAX_DEPTH, "q")] * 3), H) == 3 * parse_symbol("q", H)
-
-
-def test_wrong_unit_rejected_with_position():
-    with pytest.raises(ParseError) as err:
-        parse_symbol("q + i*p", H)
-    assert err.value.position == 4
-    with pytest.raises(ParseError):
-        parse_symbol("j*q", C)
-
-
-def test_trailing_garbage_rejected():
-    with pytest.raises(ParseError):
-        parse_symbol("q + ", H)
-    with pytest.raises(ParseError):
-        parse_symbol("q q", H)
-    with pytest.raises(ParseError):
-        parse_symbol("q + $", H)
-    with pytest.raises(ParseError):
-        parse_symbol("q^-2", H)
-    with pytest.raises(ParseError):
-        parse_symbol("1/0", H)
-
-
-def test_variable_out_of_declared_range():
-    with pytest.raises(ParseError):
-        parse_symbol("q3", H, dof=2)
 
 
 def test_parse_binarion_values():
     assert parse_binarion("3 - 2j", H) == Binarion(3, -2, H)
     assert parse_binarion("-1/2", C) == Binarion(Fraction(-1, 2), 0, C)
-    with pytest.raises(ParseError):
-        parse_binarion("q + 1", H)
-    with pytest.raises(ParseError):
-        parse_binarion("h", H)
 
 
 def test_parse_grassmann():
@@ -292,7 +209,3 @@ def test_parse_grassmann():
     assert parse_grassmann("θ2*θ1", H, n=2) == -(t1 * t2)
     got = parse_grassmann("1 + 2j*t1", H, n=2)
     assert got == one + Binarion(0, 2, H) * t1
-    with pytest.raises(ParseError):
-        parse_grassmann("t3", H, n=2)
-    with pytest.raises(ParseError):
-        parse_grassmann("q*t1", H)

@@ -50,11 +50,6 @@ def test_dir_lists_every_public_name():
     assert set(PUBLIC_NAMES) | {"__all__", "__version__"} <= set(dir(hypermoyal))
 
 
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        hypermoyal.no_such_name  # noqa: B018
-
-
 def test_submodules_stay_reachable():
     from hypermoyal import distributions
 

@@ -1,13 +1,24 @@
-"""Each refusal of malformed input that a one-line call reaches raises its
-exception class with its message.  Most rows of the table are refusals that
-no other test triggers."""
+"""Every refusal of malformed input that one call reaches raises its exception
+class, the class itself and not a subclass, with its exact message.  Each
+refusal is one row of ``REFUSALS``, grouped by the module that refuses it or
+by the kind of input; a ``ParseError``'s message also ends with the position
+it carries.  The refusals of the command line are the rows of
+``test_cli.CLI_REFUSALS``, checked there by one harness of their own."""
 
+import ast
+import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import test_cli
+from test_cli import ATOMS, CLI_REFUSALS, OPERATOR, WAVE, _with
+from test_operators import _quadratic_wavefunction
 
+import hypermoyal
 from hypermoyal import (
     Amplitude2,
     Binarion,
@@ -18,6 +29,8 @@ from hypermoyal import (
     ExpPoly,
     GrassmannElement,
     HPoly,
+    InvalidStateError,
+    NotRepresentableError,
     Operator,
     ParseError,
     PhasePoint,
@@ -32,30 +45,38 @@ from hypermoyal import (
     as_sigma,
     character,
     classify,
+    compose_check,
     contexts_from_csv,
     forward,
     generators,
     inverse_fourier_symbol,
+    interference,
+    moyal_bracket,
     paley_wiener_growth,
+    parse_binarion,
     parse_grassmann,
     parse_symbol,
     plane_wave_eigenvalue,
     polar,
+    scaled_bracket,
     star,
     star_distributional,
     symbol_from_distribution,
     theta_range,
 )
 from hypermoyal.cli import _cmd_limit, build_parser
-from hypermoyal.scalars import HPolar
 from hypermoyal.errors import json_field
+from hypermoyal.scalars import HPolar, _as_fraction, _json_fraction
 from hypermoyal.sparse import (DEFAULT_DEGREE_CAP, MAX_DEPTH, MAX_DIGITS, MAX_INDEX, MAX_STEPS,
                                MAX_WITNESS_GENERATORS)
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
 HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
 _Q = PolySymbol.coordinate("q", 0, 1, H)
+_P = PolySymbol.coordinate("p", 0, 1, H)
+_X = ExpPoly.coordinate(0, 1, H)
 _DELTA = Ultradistribution.delta((0,), H)
 #: Rationals whose denominators have 4,301 and 4,300 digits: just past and at
 #: the int-to-text digit limit that ``tests/conftest.py`` pins.
@@ -71,6 +92,12 @@ _HUGE_LAMBDA = DichotomousContext.from_b1_row(Fraction(1, 10**4000), 1,
 #: An integer past the digit limit.
 _LONG = 10**5000
 _ONE = PolySymbol.one(1, H)
+_OTHER = Binarion(1, 1, C)  # a coefficient of the other signature
+_OTHER_WEIGHT = CharSum({HALF: 1}, C)  # and a weight
+_FLOAT = "expected an exact rational, got float"
+_NONE = "expected an exact rational, got NoneType"
+_TEXT = "Invalid literal for Fraction: 'x'"
+GRASSMANN = {"n": 2, "sigma": 1, "terms": [{"gens": [1, 2], "re": "1"}]}
 
 
 def _wave(momentum, h=1, sigma=H):
@@ -206,6 +233,12 @@ REFUSALS = {
                         ValidationError, _TOO_LONG),
     "delta r json": (lambda: Ultradistribution.delta((0,), H, weight=CharSum.character(_PAST, H))
                      .to_json(), ValidationError, _TOO_LONG),
+    "pair dims": (lambda: Ultradistribution.delta((0, 0), H).pair(ExpPoly.one(1, H)),
+                  DimensionMismatchError, "distribution dim 2 differs from test function dim 1"),
+    "from_poly_symbol formal h": (lambda: ExpPoly.from_poly_symbol(parse_symbol("h*q", H)),
+                                  ValidationError, "symbol carries formal h; pass a numeric h"),
+    "growth n_max 0": (lambda: paley_wiener_growth(ExpPoly.one(1, H), 0), ValidationError,
+                       "n_max must be >= 1"),
     # errors
     "json nested key": (lambda: json_field({"a": {}}, "a", lambda d: d["x"]), ValidationError,
                         "a: missing field 'x'"),
@@ -215,6 +248,29 @@ REFUSALS = {
     "generators n 2.5": (lambda: generators(2.5, H), ValidationError, "2.5 is not an integer"),
     "witness n 2.5": (lambda: annihilator_witness(2.5, H), ValidationError,
                       "2.5 is not an integer"),
+    "grassmann sigmas": (lambda: generators(1, H)[0] * generators(1, C)[0], SignatureMismatchError,
+                         "cannot combine sigma=+1 with sigma=-1"),
+    "grassmann sizes": (lambda: generators(1, H)[0] * generators(2, H)[0], DimensionMismatchError,
+                        "cannot combine n=1 with n=2"),
+    "monomial word (1, 0)": (lambda: GrassmannElement.monomial((1, 0), 3, H), ValidationError,
+                             "generators must be nonnegative and strictly ascending"),
+    "monomial word (0, 0)": (lambda: GrassmannElement.monomial((0, 0), 3, H), ValidationError,
+                             "generators must be nonnegative and strictly ascending"),
+    "monomial word (0, 2, 1)": (lambda: GrassmannElement.monomial((0, 2, 1), 3, H), ValidationError,
+                                "generators must be nonnegative and strictly ascending"),
+    "monomial word (-1,)": (lambda: GrassmannElement.monomial((-1,), 3, H), ValidationError,
+                            "generators must be nonnegative and strictly ascending"),
+    # ``1 << 10**30`` cannot be built, so only a check made before the mask
+    # gets to raise
+    "monomial index 10^7": (lambda: GrassmannElement.monomial((10**7,), 2, H),
+                            DimensionMismatchError, "generator θ10000001 is beyond n=2"),
+    "monomial index 10^8": (lambda: GrassmannElement.monomial((10**8,), 2, H),
+                            DimensionMismatchError, "generator θ100000001 is beyond n=2"),
+    "monomial index 10^30": (
+        lambda: GrassmannElement.monomial((10**30,), 2, H), DimensionMismatchError,
+        "generator θ1000000000000000000000000000001 is beyond n=2"),
+    "mask past n": (lambda: GrassmannElement(2, H, {1 << 10**6 | 1: 1}), DimensionMismatchError,
+                    "monomial uses generators up to θ1000001, beyond n=2"),
     # interference
     "context sizes": (lambda: DichotomousContext((1,), ((1, 1), (0, 0)), (1, 0)),
                       ValidationError, "context requires dichotomous (2-outcome) tables"),
@@ -250,6 +306,74 @@ REFUSALS = {
         "value too large for a float"),
     "csv columns": (lambda: _csv("\n1/2,1/2,1/2\n"), ValidationError,
                     "expected 4 columns, got 3 (row 2)"),
+    "b1 row observed 6/5": (
+        lambda: DichotomousContext.from_b1_row(HALF, HALF, HALF, Fraction(12, 10)), ValidationError,
+        "P(b1) = 6/5 outside [0, 1]"),
+    "context observed sum": (lambda: DichotomousContext(
+        (HALF, HALF), ((HALF, HALF), (HALF, HALF)), (HALF, Fraction(1, 4))),
+        ValidationError, "observed P(b) does not sum to 1"),
+    "context prior sum": (lambda: DichotomousContext(
+        (HALF, Fraction(1, 4)), ((HALF, HALF), (HALF, HALF)), (HALF, HALF)),
+        ValidationError, "P(a) does not sum to 1"),
+    "context range first": (
+        lambda: DichotomousContext((HALF, HALF), ((HALF, 2), (HALF, -1)), (HALF, _QUARTER), row=3),
+        ValidationError, "P(b1|a2) = 2 outside [0, 1] (row 3)"),
+    "context p-a": (lambda: DichotomousContext(
+        (HALF, _QUARTER), ((HALF, HALF), (HALF, HALF)), (HALF, _QUARTER), row=None),
+        ValidationError, "P(a) does not sum to 1"),
+    "context a1": (lambda: DichotomousContext(
+        (HALF, HALF), ((HALF, HALF), (_QUARTER, _QUARTER)), (HALF, HALF), row=2),
+        ValidationError, "conditionals for a1 do not sum to 1 (row 2)"),
+    "context a2": (lambda: DichotomousContext(
+        (HALF, HALF), ((HALF, HALF), (HALF, _QUARTER)), (HALF, HALF), row=None),
+        ValidationError, "conditionals for a2 do not sum to 1"),
+    "context observed": (lambda: DichotomousContext(
+        (HALF, HALF), ((HALF, HALF), (HALF, HALF)), (HALF, _QUARTER), row=7),
+        ValidationError, "observed P(b) does not sum to 1 (row 7)"),
+    "context float sum": (lambda: DichotomousContext(
+        (0.5, 0.5 + 1e-9), ((0.5, 0.5), (0.5, 0.5)), (0.5, 0.5), row=None),
+        ValidationError, "P(a) does not sum to 1"),
+    "amplitude prior": (
+        lambda: Amplitude2.from_probabilities((-1 / 2, 3 / 2), (1 / 2, 1 / 2), (0.0, 0.0), C),
+        ValidationError, "P(a1) = -0.5 outside [0, 1]"),
+    "amplitude conditional": (lambda: Amplitude2.from_probabilities(
+        (HALF, HALF), (HALF, 2), (0.0, 0.0), H), ValidationError, "P(b|a2) = 2 outside [0, 1]"),
+    "theta prior": (lambda: theta_range((-1 / 2, 3 / 2), ((1 / 2, 1 / 2), (1 / 2, 1 / 2))),
+                    ValidationError, "P(a1) = -0.5 outside [0, 1]"),
+    "theta conditional": (lambda: theta_range((HALF, HALF), ((HALF, HALF), (HALF, -1))),
+                          ValidationError, "P(b2|a2) = -1 outside [0, 1]"),
+    "sqrt -1": (lambda: interference._sqrt(-1), ValidationError, "square root of a negative value"),
+    # signs are read by ``sparse.integer``; phases must be finite
+    "amplitude signs (1.9, -1.2)": (lambda: Amplitude2((1, 1), (0.0, 0.0), H, signs=(1.9, -1.2)),
+                                    ValidationError, "1.9 is not an integer"),
+    "amplitude signs (True, -1)": (lambda: Amplitude2((1, 1), (0.0, 0.0), H, signs=(True, -1)),
+                                   ValidationError, "True is not an integer"),
+    "amplitude signs ('x', 1)": (lambda: Amplitude2((1, 1), (0.0, 0.0), H, signs=("x", 1)),
+                                 ValidationError, "'x' is not an integer"),
+    "amplitude phase nan": (lambda: Amplitude2((HALF, HALF), (math.nan, 0.0), C), ValidationError,
+                            "amplitude phases must be finite, got (nan, 0.0)"),
+    "amplitude phase inf": (lambda: Amplitude2((HALF, HALF), (math.inf, 0.0), C), ValidationError,
+                            "amplitude phases must be finite, got (inf, 0.0)"),
+    "amplitude phase -inf": (lambda: Amplitude2((HALF, HALF), (0.0, -math.inf), H), ValidationError,
+                             "amplitude phases must be finite, got (0.0, -inf)"),
+    # destructive hyperbolic pairing drives the Born value below zero
+    "forward below zero": (lambda: forward(Amplitude2((0.6, 0.6), (1.0, 0.0), H, signs=(1, -1)),
+                                           Amplitude2((math.sqrt(1 - 2 * 0.36), 0.0), (0.0, 0.0),
+                                                      H)),
+        InvalidStateError, "Born value -0.39101805706697546 outside [0, 1] (violates bound 0); "
+                           "the phase difference is inadmissible for this table"),
+    "forward magnitudes": (lambda: forward(Amplitude2((0.9, 0.9), (0.0, 0.0), C),
+                                           Amplitude2((0.9, 0.9), (0.0, 0.0), C)),
+        ValidationError, "amplitude magnitudes give sum P(a) = 3.24 != 1"),
+    "csv probability": (lambda: _csv("0.5,0.5,0.5,1.2\n"), ValidationError,
+                        "P(b1) = 6/5 outside [0, 1] (row 1)"),
+    "csv cell": (lambda: _csv("0.5,0.5,0.5,0.5\n0.5,oops,0.5,0.5\n"), ValidationError,
+                 "not a number: 'oops' (row 2)"),
+    # a first cell past the exponent bound is a number, not a header
+    "csv header exponent": (lambda: _csv("1e4301,1/2,1/2,1/2\n"), ValidationError,
+                            "not a number: '1e4301' (row 1)"),
+    "csv exponent": (lambda: _csv("0.5,0.5,0.5,1e-4301\n"), ValidationError,
+                     "not a number: '1e-4301' (row 1)"),
     # operators
     "wavefunction of 3": (lambda: WaveFunction(3, 1), TypeError, "func must be an ExpPoly"),
     "wavefunction sigmas": (lambda: _wave((1,)) + _wave((1,), sigma=C), SignatureMismatchError,
@@ -277,11 +401,101 @@ REFUSALS = {
                             "momentum length must match symbol dof"),
     "eigenvalue momentum float": (lambda: plane_wave_eigenvalue(_Q, 0.5, 1), TypeError,
                                   "expected an exact rational, got float"),
+    # ``degree_cap`` is keyword-only, so a positional fourth argument (once an
+    # ``h`` that had to equal ``phi.h``) is refused, not read as a cap
+    "compose_check positional cap": (
+        lambda: compose_check(_P, _Q, _quadratic_wavefunction(H, HALF), HALF), TypeError,
+        "compose_check() takes 3 positional arguments but 4 were given"),
+    "apply sigmas": (lambda: Operator(_Q, HALF).apply(_quadratic_wavefunction(C, HALF)),
+                     SignatureMismatchError, "operator and wavefunction signatures differ"),
+    "apply h": (lambda: Operator(_Q, HALF).apply(_quadratic_wavefunction(H, Fraction(1, 3))),
+                ValidationError, "operator h 1/2 differs from wavefunction h 1/3"),
+    "apply dofs": (lambda: Operator(_Q, HALF).apply(
+        WaveFunction.plane_wave((Fraction(1), Fraction(1)), HALF, H)),
+        DimensionMismatchError, "operator dof 1 differs from wavefunction dof 2"),
+    "plane_wave h -1 of 1": (lambda: WaveFunction.plane_wave(Fraction(1), Fraction(-1), H),
+                             ValidationError, "h must be a positive rational"),
+    # refused before the momentum is divided by h
+    "plane_wave momentum 1 h 0": (lambda: WaveFunction.plane_wave(1, 0, H), ValidationError,
+                                  "h must be a positive rational"),
+    "plane_wave momentum 1 h -1": (lambda: WaveFunction.plane_wave(1, -1, H), ValidationError,
+                                   "h must be a positive rational"),
+    "operator h 'x'": (lambda: Operator(_Q, "x"), ValidationError, _TEXT),
+    "operator h exponent": (lambda: Operator(_Q, "1e4301"), ValidationError, _TOO_LONG),
+    "plane_wave momentum '1/0'": (lambda: WaveFunction.plane_wave("1/0", 1, H), ValidationError,
+                                  "zero denominator in '1/0'"),
     # parsing
     "symbol name t1": (lambda: parse_symbol("t1", H), ParseError,
                        "unknown name 't1' in a symbol expression (at position 0)"),
     "grassmann unit i": (lambda: parse_grassmann("i", H), ParseError,
                          "unit 'i' does not match sigma=+1 (at position 0)"),
+    "parse '-'": (lambda: parse_symbol("-", H), ParseError,
+                  "unexpected end of input (at position 1)"),
+    "parse 'q*-'": (lambda: parse_symbol("q*-", H), ParseError,
+                    "unexpected end of input (at position 3)"),
+    "parse '--'": (lambda: parse_symbol("--", H), ParseError,
+                   "unexpected end of input (at position 2)"),
+    "parse 'q+'": (lambda: parse_symbol("q+", H), ParseError,
+                   "unexpected end of input (at position 2)"),
+    "parse '*q'": (lambda: parse_symbol("*q", H), ParseError, "unexpected '*' (at position 0)"),
+    "parse 'q*'": (lambda: parse_symbol("q*", H), ParseError,
+                   "unexpected end of input (at position 2)"),
+    "parse '()'": (lambda: parse_symbol("()", H), ParseError, "unexpected ')' (at position 1)"),
+    "parse '-)'": (lambda: parse_symbol("-)", H), ParseError, "unexpected ')' (at position 1)"),
+    "parse '+'": (lambda: parse_symbol("+", H), ParseError,
+                  "unexpected end of input (at position 1)"),
+    "parse '(q'": (lambda: parse_symbol("(q", H), ParseError, "expected ')' (at position 2)"),
+    "parse 'q^-2'": (lambda: parse_symbol("q^-2", H), ParseError,
+                     "exponent must be a nonnegative integer (at position 2)"),
+    "parse 'q^'": (lambda: parse_symbol("q^", H), ParseError,
+                   "exponent must be a nonnegative integer (at position 2)"),
+    "parse '(q)(p)'": (lambda: parse_symbol("(q)(p)", H), ParseError,
+                       "unexpected trailing '(' (at position 3)"),
+    "parse 'q p'": (lambda: parse_symbol("q p", H), ParseError,
+                    "unexpected trailing 'p' (at position 2)"),
+    "parse '1/0'": (lambda: parse_symbol("1/0", H), ParseError, "zero denominator (at position 2)"),
+    "parse '3/'": (lambda: parse_symbol("3/", H), ParseError,
+                   "expected denominator (at position 2)"),
+    # a bound passed after other text: the position is where the run starts
+    "parse index past the bound": (lambda: parse_symbol(f"p + q{MAX_INDEX + 1}", H), ParseError,
+                                   f"index of 'q' above {MAX_INDEX} (at position 4)"),
+    "grassmann index past the bound": (
+        lambda: parse_grassmann(f"2*t{MAX_INDEX + 1}", H), ParseError,
+        f"index of 't' above {MAX_INDEX} (at position 2)"),
+    "parse digits past the bound": (
+        lambda: parse_symbol("p - " + "1" * (MAX_DIGITS + 1), H), ParseError,
+        f"more than {MAX_DIGITS} digits in a row (at position 4)"),
+    "parse depth past the bound": (
+        lambda: parse_symbol("2*" + "(" * (MAX_DEPTH + 1) + "q" + ")" * (MAX_DEPTH + 1), H),
+        ParseError, f"parentheses nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH + 2})"),
+    "grassmann depth past the bound": (
+        lambda: parse_grassmann("2*" + "(" * (MAX_DEPTH + 1) + "t1" + ")" * (MAX_DEPTH + 1), H),
+        ParseError, f"parentheses nested deeper than {MAX_DEPTH} (at position {MAX_DEPTH + 2})"),
+    "parse unit i": (
+        lambda: parse_symbol("q + i*p", H), ParseError,
+        "unit 'i' belongs to sigma=-1; the requested signature is sigma=+1 (at position 4)"),
+    "parse 'q + '": (lambda: parse_symbol("q + ", H), ParseError,
+                     "unexpected end of input (at position 4)"),
+    "parse 'q q'": (lambda: parse_symbol("q q", H), ParseError,
+                    "unexpected trailing 'q' (at position 2)"),
+    "parse 'q + $'": (lambda: parse_symbol("q + $", H), ParseError,
+                      "unexpected character '$' (at position 4)"),
+    "parse 'j*q' complex": (
+        lambda: parse_symbol("j*q", C), ParseError,
+        "unit 'j' belongs to sigma=+1; the requested signature is sigma=-1 (at position 0)"),
+    "parse q3 at dof 2": (lambda: parse_symbol("q3", H, dof=2), ParseError,
+                          "variable 'q3' out of range for dof 2 (at position 0)"),
+    "parse p at dof past the bound": (
+        lambda: parse_symbol("p", H, dof=MAX_INDEX + 1), ValidationError,
+        f"dof must be <= {MAX_INDEX}, got {MAX_INDEX + 1}"),
+    "binarion 'q + 1'": (lambda: parse_binarion("q + 1", H), ParseError,
+                         "expected a scalar, found phase-space variables (at position 0)"),
+    "binarion 'h'": (lambda: parse_binarion("h", H), ParseError,
+                     "expected a scalar, found the parameter h (at position 0)"),
+    "grassmann t3 at n 2": (lambda: parse_grassmann("t3", H, n=2), ParseError,
+                            "generator 't3' out of range for n=2 (at position 0)"),
+    "grassmann 'q*t1'": (lambda: parse_grassmann("q*t1", H), ParseError,
+                         "unknown name 'q' in a Grassmann expression (at position 0)"),
     # scalars
     "sigma '2'": (lambda: as_sigma("2"), ValidationError, "not a signature: '2'"),
     "sigma 2": (lambda: as_sigma(2), ValidationError, "not a signature: 2"),
@@ -296,6 +510,54 @@ REFUSALS = {
     "reconstruct above floats": (lambda: HPolar(1, 1.0, 1000.0).reconstruct(), ValidationError,
                                  "value too large for a float"),
     "binarion over 0": (lambda: Binarion(1, 0, H) / 0, ZeroDivisorError, "division by zero"),
+    "invert light cone": (lambda: Binarion(1, 1, H).invert(), ZeroDivisorError,
+                          "1 + 1j lies on the light cone (z*conj(z) = 0) and is a zero divisor"),
+    "invert zero": (lambda: Binarion(0, 0, H).invert(), ZeroDivisorError, "cannot invert 0"),
+    "polar light cone": (lambda: polar(Binarion(1, 1, H)), NotRepresentableError,
+                         "modulus_sq = 0 <= 0: 1 + 1j lies outside the positive cone"),
+    "polar negative modulus": (lambda: polar(Binarion(1, 2, H)), NotRepresentableError,
+                               "modulus_sq = -3 <= 0: 1 + 2j lies outside the positive cone"),
+    "polar complex": (lambda: polar(Binarion(2, 1, C)), NotRepresentableError,
+                      "polar decomposition of this form exists only for the hyperbolic signature"),
+    "binarion sigmas +": (lambda: Binarion(1, 2, H) + Binarion(1, 2, C), SignatureMismatchError,
+                          "cannot combine sigma=+1 with sigma=-1"),
+    "binarion sigmas *": (lambda: Binarion(1, 2, H) * Binarion(1, 2, C), SignatureMismatchError,
+                          "cannot combine sigma=+1 with sigma=-1"),
+    "binarion '1/0'": (lambda: Binarion("1/0", 0, H), ValidationError, "zero denominator in '1/0'"),
+    "text '1/0'": (lambda: _as_fraction("1/0"), ValidationError, "zero denominator in '1/0'"),
+    "text 'x'": (lambda: _as_fraction("x"), ValidationError, _TEXT),
+    "text of 0.5": (lambda: _as_fraction(0.5), TypeError, _FLOAT),
+    "json text '3/0'": (lambda: _json_fraction("3/0"), ValidationError,
+                        "zero denominator in '3/0'"),
+    # an exponent past the digit limit, refused before its power of ten is built;
+    # each is small enough to build at once if it were not, so that such a
+    # regression fails here instead of hanging (the run of ``1e999999999`` is
+    # in ``test_cli``, in a fresh interpreter under a timeout)
+    "text 1e4301": (lambda: _as_fraction("1e4301"), ValidationError, _TOO_LONG),
+    "text 1E4301": (lambda: _as_fraction("1E4301"), ValidationError, _TOO_LONG),
+    "text 1e+4301": (lambda: _as_fraction("1e+4301"), ValidationError, _TOO_LONG),
+    "text -2.5E-4301": (lambda: _as_fraction("-2.5E-4301"), ValidationError, _TOO_LONG),
+    "binarion 1E-4301": (lambda: Binarion(0, "1E-4301", H), ValidationError, _TOO_LONG),
+    "binarion floats": (lambda: Binarion(10**400, 0, H).to_floats(), ValidationError,
+                        "value too large for a float"),
+    "charsum cosh floats": (lambda: CharSum.character(1000, H).to_floats(), ValidationError,
+                            "value too large for a float"),
+    "charsum exponent floats": (lambda: CharSum.character(Fraction(10**400, 3), C).to_floats(),
+                                ValidationError, "value too large for a float"),
+    "charsum product floats": (lambda: CharSum({700: Binarion(10**300, 0, H)}, H).to_floats(),
+                               ValidationError, "value too large for a float"),
+    "charsum sum floats": (lambda: CharSum({0: Binarion(10**308, 0, C),
+                                            Fraction(1, 10**9): Binarion(10**308, 0, C)},
+                                           C).to_floats(),
+        ValidationError, "value too large for a float"),
+    "charsum as_binarion": (lambda: CharSum.character(1, H).as_binarion(), ValidationError,
+                            "(1)*e^(1j) carries formal characters; not a plain scalar"),
+    "character of inf": (lambda: character(math.inf, H), ValidationError,
+                         "character requires finite theta, got inf"),
+    "character of nan": (lambda: character(math.nan, C), ValidationError,
+                         "character requires finite theta, got nan"),
+    "unknown public name": (lambda: hypermoyal.no_such_name, AttributeError,
+                            "module 'hypermoyal' has no attribute 'no_such_name'"),
     # sparse
     "scalar without sigma": (lambda: HPoly.from_scalar(1), TypeError,
                              "sigma required for rational scalars"),
@@ -327,6 +589,467 @@ REFUSALS = {
                                   "2.5 is not an integer"),
     "symbol evaluate dof": (lambda: _Q.evaluate(PhasePoint((0, 0), (0, 0)), 1),
                             DimensionMismatchError, "point has dof 2, symbol has dof 1"),
+    "star cap": (lambda: star(_Q**9, _Q**8), DegreeCapError,
+                 "star product degree 17 exceeds cap 16"),
+    "star sigmas": (lambda: star(_Q, PolySymbol.coordinate("q", 0, 1, C)), SignatureMismatchError,
+                    "cannot combine sigma=+1 with sigma=-1"),
+    "star dofs": (lambda: star(_Q, PolySymbol.coordinate("q", 0, 2, H)), DimensionMismatchError,
+                  "cannot combine dof=1 with dof=2"),
+    "moyal bracket cap": (lambda: moyal_bracket(_Q**9, _P**8), DegreeCapError,
+                          "star product degree 17 exceeds cap 16"),
+    "scaled bracket cap": (lambda: scaled_bracket(_Q**9, _P**8), DegreeCapError,
+                           "star product degree 17 exceeds cap 16"),
+    "differentiate index 1": (lambda: _Q.differentiate("q", 1), IndexError,
+                              "index 1 out of range for dof 1"),
+    "differentiate variable x": (lambda: _Q.differentiate("x"), ValidationError,
+                                 "variable must be 'q' or 'p'"),
+    "evaluate h -1": (lambda: _Q.evaluate(PhasePoint((1,), (1,)), Fraction(-1)), ValidationError,
+                      "h must be >= 0"),
+    "evaluate h -1 at 0": (lambda: _Q.evaluate(PhasePoint((0,), (0,)), -1), ValidationError,
+                           "h must be >= 0"),
+    "coordinate kind x": (lambda: PolySymbol.coordinate("x", 0, 1, H), ValidationError,
+                          "kind must be 'q' or 'p'"),
+    "phase point '1/0'": (lambda: PhasePoint(("1/0",), (1,)), ValidationError,
+                          "zero denominator in '1/0'"),
+    "substitute_h 'x'": (lambda: _Q.substitute_h("x"), ValidationError, _TEXT),
+    # public constructors, each refusal read before anything is stored
+    "HPoly degree True": (lambda: HPoly({True: 1}, H), ValidationError, "True is not an integer"),
+    "HPoly degree 1.5": (lambda: HPoly({1.5: 1}, H), ValidationError, "1.5 is not an integer"),
+    "HPoly degree '1'": (lambda: HPoly({"1": 1}, H), ValidationError, "'1' is not an integer"),
+    "HPoly degree None": (lambda: HPoly({None: 1}, H), ValidationError, "None is not an integer"),
+    "HPoly degree -1": (lambda: HPoly({-1: 1}, H), ValidationError,
+                        "h-degree must be nonnegative"),
+    "HPoly coefficient 1.5": (lambda: HPoly({0: 1.5}, H), TypeError, _FLOAT),
+    "HPoly coefficient 'x'": (lambda: HPoly({0: "x"}, H), ValidationError, _TEXT),
+    "HPoly coefficient None": (lambda: HPoly({0: None}, H), TypeError, _NONE),
+    "HPoly coefficient sigma": (lambda: HPoly({0: _OTHER}, H), SignatureMismatchError,
+                                "coefficient sigma differs from HPoly sigma"),
+    "HPoly sigma 0": (lambda: HPoly({0: 1}, 0), ValidationError, "not a signature: 0"),
+    "CharSum r 0.5": (lambda: CharSum({0.5: 1}, H), TypeError, _FLOAT),
+    "CharSum r 'x'": (lambda: CharSum({"x": 1}, H), ValidationError, _TEXT),
+    "CharSum r None": (lambda: CharSum({None: 1}, H), TypeError, _NONE),
+    "CharSum coefficient 0.5": (lambda: CharSum({0: 0.5}, H), TypeError, _FLOAT),
+    "CharSum coefficient None": (lambda: CharSum({0: None}, H), TypeError, _NONE),
+    "CharSum coefficient sigma": (lambda: CharSum({0: _OTHER}, H), SignatureMismatchError,
+                                  "coefficient sigma differs from CharSum sigma"),
+    "PolySymbol dof 0": (lambda: PolySymbol(0, H, {}), DimensionMismatchError,
+                         "dof must be >= 1"),
+    "PolySymbol dof True": (lambda: PolySymbol(True, H, {}), ValidationError,
+                            "True is not an integer"),
+    "PolySymbol dof 1.5": (lambda: PolySymbol(1.5, H, {}), ValidationError,
+                           "1.5 is not an integer"),
+    "PolySymbol dof '1'": (lambda: PolySymbol("1", H, {}), ValidationError,
+                           "'1' is not an integer"),
+    "PolySymbol dof None": (lambda: PolySymbol(None, H, {}), ValidationError,
+                            "None is not an integer"),
+    "PolySymbol exponent True": (lambda: PolySymbol(1, H, {((True,), (0,)): 1}),
+                                 ValidationError, "True is not an integer"),
+    "PolySymbol exponent 1.5": (lambda: PolySymbol(1, H, {((1.5,), (0,)): 1}), ValidationError,
+                                "1.5 is not an integer"),
+    "PolySymbol exponent '1'": (lambda: PolySymbol(1, H, {((0,), ("1",)): 1}), ValidationError,
+                                "'1' is not an integer"),
+    "PolySymbol exponent None": (lambda: PolySymbol(1, H, {((None,), (0,)): 1}),
+                                 ValidationError, "None is not an integer"),
+    "PolySymbol exponent -1": (lambda: PolySymbol(1, H, {((0,), (-1,)): 1}), ValidationError,
+                               "negative exponents are not allowed"),
+    "PolySymbol length": (lambda: PolySymbol(2, H, {((1,), (0, 0)): 1}), DimensionMismatchError,
+                          "exponent vectors must have length 2"),
+    "PolySymbol coefficient 0.5": (lambda: PolySymbol(1, H, {((0,), (0,)): 0.5}), TypeError,
+                                   _FLOAT),
+    "PolySymbol coefficient None": (lambda: PolySymbol(1, H, {((0,), (0,)): None}), TypeError,
+                                    _NONE),
+    "PolySymbol coefficient sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): _OTHER}),
+                                     SignatureMismatchError,
+                                     "coefficient sigma differs from symbol sigma"),
+    "PolySymbol HPoly sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): HPoly({1: 1}, C)}),
+                               SignatureMismatchError,
+                               "coefficient sigma differs from symbol sigma"),
+    "PolySymbol CharSum coefficient": (
+        lambda: PolySymbol(1, H, {((0,), (0,)): CharSum({0: 1}, H)}), TypeError,
+        "expected an exact rational, got CharSum"),
+    "ExpPoly dim 0": (lambda: ExpPoly(0, H, {}), DimensionMismatchError, "dim must be >= 1"),
+    "ExpPoly dim True": (lambda: ExpPoly(True, H, {}), ValidationError,
+                         "True is not an integer"),
+    "ExpPoly dim 1.5": (lambda: ExpPoly(1.5, H, {}), ValidationError, "1.5 is not an integer"),
+    "ExpPoly dim None": (lambda: ExpPoly(None, H, {}), ValidationError,
+                         "None is not an integer"),
+    "ExpPoly frequency 0.5": (lambda: ExpPoly(1, H, {((0.5,), (0,)): 1}), TypeError, _FLOAT),
+    "ExpPoly frequency 'x'": (lambda: ExpPoly(1, H, {(("x",), (0,)): 1}), ValidationError,
+                              _TEXT),
+    "ExpPoly frequency None": (lambda: ExpPoly(1, H, {((None,), (0,)): 1}), TypeError, _NONE),
+    "ExpPoly exponent True": (lambda: ExpPoly(1, H, {((0,), (True,)): 1}), ValidationError,
+                              "True is not an integer"),
+    "ExpPoly exponent 1.5": (lambda: ExpPoly(1, H, {((0,), (1.5,)): 1}), ValidationError,
+                             "1.5 is not an integer"),
+    "ExpPoly exponent -1": (lambda: ExpPoly(1, H, {((0,), (-1,)): 1}), ValidationError,
+                            "negative exponents are not allowed"),
+    "ExpPoly frequency length": (lambda: ExpPoly(2, H, {((0,), (0, 0)): 1}),
+                                 DimensionMismatchError, "term vectors must have length 2"),
+    "ExpPoly exponent length": (lambda: ExpPoly(2, H, {((0, 0), (0,)): 1}),
+                                DimensionMismatchError, "term vectors must have length 2"),
+    "ExpPoly coefficient 0.5": (lambda: ExpPoly(1, H, {((0,), (0,)): 0.5}), TypeError, _FLOAT),
+    "ExpPoly coefficient None": (lambda: ExpPoly(1, H, {((0,), (0,)): None}), TypeError, _NONE),
+    "ExpPoly coefficient sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER}),
+                                  SignatureMismatchError,
+                                  "coefficient sigma differs from ExpPoly sigma"),
+    "ExpPoly weight sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER_WEIGHT}),
+                             SignatureMismatchError,
+                             "coefficient sigma differs from ExpPoly sigma"),
+    "ExpPoly HPoly weight": (lambda: ExpPoly(1, H, {((0,), (0,)): HPoly({0: 1}, H)}), TypeError,
+                             "expected an exact rational, got HPoly"),
+    "Ultradistribution dim 0": (lambda: Ultradistribution(0, H, []), DimensionMismatchError,
+                                "dim must be >= 1"),
+    "Ultradistribution dim True": (lambda: Ultradistribution(True, H, []), ValidationError,
+                                   "True is not an integer"),
+    "Ultradistribution location 0.5": (lambda: Ultradistribution(1, H, [((0.5,), (0,), 1)]),
+                                       TypeError, _FLOAT),
+    "Ultradistribution location None": (lambda: Ultradistribution(1, H, [((None,), (0,), 1)]),
+                                        TypeError, _NONE),
+    "Ultradistribution location 'x'": (lambda: Ultradistribution(1, H, [(("x",), (0,), 1)]),
+                                       ValidationError, _TEXT),
+    "Ultradistribution order -1": (lambda: Ultradistribution(1, H, [((0,), (-1,), 1)]),
+                                   ValidationError, "derivative orders must be nonnegative"),
+    "Ultradistribution order True": (lambda: Ultradistribution(1, H, [((0,), (True,), 1)]),
+                                     ValidationError, "True is not an integer"),
+    "Ultradistribution order 1.5": (lambda: Ultradistribution(1, H, [((0,), (1.5,), 1)]),
+                                    ValidationError, "1.5 is not an integer"),
+    "Ultradistribution order None": (lambda: Ultradistribution(1, H, [((0,), (None,), 1)]),
+                                     ValidationError, "None is not an integer"),
+    "Ultradistribution length": (lambda: Ultradistribution(2, H, [((0,), (0, 0), 1)]),
+                                 DimensionMismatchError, "atom vectors must have length 2"),
+    "Ultradistribution weight 0.5": (lambda: Ultradistribution(1, H, [((0,), (0,), 0.5)]),
+                                     TypeError, _FLOAT),
+    "Ultradistribution weight None": (lambda: Ultradistribution(1, H, [((0,), (0,), None)]),
+                                      TypeError, _NONE),
+    "Ultradistribution coefficient sigma": (
+        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER)]), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "Ultradistribution weight sigma": (
+        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER_WEIGHT)]), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "Grassmann n -1": (lambda: GrassmannElement(-1, H, {}), ValidationError,
+                       "generator count must be nonnegative"),
+    "Grassmann n True": (lambda: GrassmannElement(True, H, {}), ValidationError,
+                         "True is not an integer"),
+    "Grassmann n 1.5": (lambda: GrassmannElement(1.5, H, {}), ValidationError,
+                        "1.5 is not an integer"),
+    "Grassmann mask True": (lambda: GrassmannElement(1, H, {True: 1}), ValidationError,
+                            "True is not an integer"),
+    "Grassmann mask 1.5": (lambda: GrassmannElement(1, H, {1.5: 1}), ValidationError,
+                           "1.5 is not an integer"),
+    "Grassmann mask None": (lambda: GrassmannElement(1, H, {None: 1}), ValidationError,
+                            "None is not an integer"),
+    "Grassmann mask -1": (lambda: GrassmannElement(1, H, {-1: 1}), ValidationError,
+                          "monomial mask is negative"),
+    "Grassmann mask beyond n": (lambda: GrassmannElement(2, H, {0b100: 1}),
+                                DimensionMismatchError,
+                                "monomial uses generators up to θ3, beyond n=2"),
+    "Grassmann coefficient 0.5": (lambda: GrassmannElement(1, H, {0: 0.5}), TypeError, _FLOAT),
+    "Grassmann coefficient sigma": (lambda: GrassmannElement(1, H, {0: _OTHER}),
+                                    SignatureMismatchError,
+                                    "coefficient sigma differs from algebra sigma"),
+    # the one-term constructors
+    "character frequency 0.5": (lambda: ExpPoly.character((0.5,), H), TypeError, _FLOAT),
+    "character frequency None": (lambda: ExpPoly.character((None,), H), TypeError, _NONE),
+    "character frequency 'x'": (lambda: ExpPoly.character(("x",), H), ValidationError, _TEXT),
+    "character no frequency": (lambda: ExpPoly.character((), H), DimensionMismatchError,
+                               "dim must be >= 1"),
+    "character frequency 1": (lambda: ExpPoly.character(1, H), TypeError,
+                              "'int' object is not iterable"),
+    "character sigma 2": (lambda: ExpPoly.character((1,), 2), ValidationError,
+                          "not a signature: 2"),
+    "character coefficient 0.5": (lambda: ExpPoly.character((1,), H, 0.5), TypeError, _FLOAT),
+    "character coefficient None": (lambda: ExpPoly.character((1,), H, None), TypeError, _NONE),
+    "character coefficient sigma": (lambda: ExpPoly.character((1,), H, _OTHER),
+                                    SignatureMismatchError,
+                                    "coefficient sigma differs from ExpPoly sigma"),
+    "character weight sigma": (lambda: ExpPoly.character((1,), H, _OTHER_WEIGHT),
+                               SignatureMismatchError,
+                               "coefficient sigma differs from ExpPoly sigma"),
+    "constant dim 0": (lambda: ExpPoly.constant(1, 0, H), DimensionMismatchError,
+                       "dim must be >= 1"),
+    "constant dim -1": (lambda: ExpPoly.constant(1, -1, H), DimensionMismatchError,
+                        "dim must be >= 1"),
+    "constant dim True": (lambda: ExpPoly.constant(1, True, H), ValidationError,
+                          "True is not an integer"),
+    "constant dim 1.5": (lambda: ExpPoly.constant(1, 1.5, H), ValidationError,
+                         "1.5 is not an integer"),
+    "constant dim '1'": (lambda: ExpPoly.constant(1, "1", H), ValidationError,
+                         "'1' is not an integer"),
+    "constant dim None": (lambda: ExpPoly.constant(1, None, H), ValidationError,
+                          "None is not an integer"),
+    "constant sigma 0": (lambda: ExpPoly.constant(1, 1, 0), ValidationError,
+                         "not a signature: 0"),
+    "constant value 0.5": (lambda: ExpPoly.constant(0.5, 1, H), TypeError, _FLOAT),
+    "constant value None": (lambda: ExpPoly.constant(None, 1, H), TypeError, _NONE),
+    "constant value 'x'": (lambda: ExpPoly.constant("x", 1, H), ValidationError, _TEXT),
+    "constant value sigma": (lambda: ExpPoly.constant(_OTHER, 1, H), SignatureMismatchError,
+                             "coefficient sigma differs from ExpPoly sigma"),
+    "constant weight sigma": (lambda: ExpPoly.constant(_OTHER_WEIGHT, 1, H),
+                              SignatureMismatchError,
+                              "coefficient sigma differs from ExpPoly sigma"),
+    "monomial exponent -1": (lambda: ExpPoly.monomial((-1,), 1, H), ValidationError,
+                             "negative exponents are not allowed"),
+    "monomial exponent True": (lambda: ExpPoly.monomial((True,), 1, H), ValidationError,
+                               "True is not an integer"),
+    "monomial exponent 1.5": (lambda: ExpPoly.monomial((1.5,), 1, H), ValidationError,
+                              "1.5 is not an integer"),
+    "monomial exponent None": (lambda: ExpPoly.monomial((None,), 1, H), ValidationError,
+                               "None is not an integer"),
+    "monomial exponent '1'": (lambda: ExpPoly.monomial(("1",), 1, H), ValidationError,
+                              "'1' is not an integer"),
+    "monomial no exponent": (lambda: ExpPoly.monomial((), 1, H), DimensionMismatchError,
+                             "dim must be >= 1"),
+    "monomial iterator": (lambda: ExpPoly.monomial(iter((1,)), 1, H), TypeError,
+                          "object of type 'tuple_iterator' has no len()"),
+    "monomial sigma 0": (lambda: ExpPoly.monomial((1,), 1, 0), ValidationError,
+                         "not a signature: 0"),
+    "monomial coefficient 0.5": (lambda: ExpPoly.monomial((1,), 0.5, H), TypeError, _FLOAT),
+    "monomial coefficient sigma": (lambda: ExpPoly.monomial((1,), _OTHER, H),
+                                   SignatureMismatchError,
+                                   "coefficient sigma differs from ExpPoly sigma"),
+    "monomial weight sigma": (lambda: ExpPoly.monomial((1,), _OTHER_WEIGHT, H),
+                              SignatureMismatchError,
+                              "coefficient sigma differs from ExpPoly sigma"),
+    "coordinate index True": (lambda: ExpPoly.coordinate(True, 2, H), ValidationError,
+                              "True is not an integer"),
+    "coordinate index None": (lambda: ExpPoly.coordinate(None, 2, H), ValidationError,
+                              "None is not an integer"),
+    "coordinate index -1": (lambda: ExpPoly.coordinate(-1, 2, H), IndexError,
+                            "index -1 out of range for dim 2"),
+    "coordinate dim 0": (lambda: ExpPoly.coordinate(0, 0, H), IndexError,
+                         "index 0 out of range for dim 0"),
+    "coordinate dim True": (lambda: ExpPoly.coordinate(0, True, H), ValidationError,
+                            "True is not an integer"),
+    "coordinate dim 1.5": (lambda: ExpPoly.coordinate(0, 1.5, H), ValidationError,
+                           "1.5 is not an integer"),
+    "coordinate sigma 'x'": (lambda: ExpPoly.coordinate(0, 1, "x"), ValidationError,
+                             "not a signature: 'x'"),
+    "plane_wave h 0": (lambda: WaveFunction.plane_wave((1,), 0, H), ValidationError,
+                       "h must be a positive rational"),
+    "plane_wave h -1": (lambda: WaveFunction.plane_wave((1,), -1, H), ValidationError,
+                        "h must be a positive rational"),
+    "plane_wave h 0.5": (lambda: WaveFunction.plane_wave((1,), 0.5, H), TypeError, _FLOAT),
+    "plane_wave h None": (lambda: WaveFunction.plane_wave((1,), None, H), TypeError, _NONE),
+    "plane_wave h 'x'": (lambda: WaveFunction.plane_wave((1,), "x", H), ValidationError, _TEXT),
+    "plane_wave h '1/0'": (lambda: WaveFunction.plane_wave((1,), "1/0", H), ValidationError,
+                           "zero denominator in '1/0'"),
+    "plane_wave momentum 0.5": (lambda: WaveFunction.plane_wave((0.5,), 1, H), TypeError,
+                                _FLOAT),
+    "plane_wave momentum None": (lambda: WaveFunction.plane_wave((None,), 1, H), TypeError,
+                                 _NONE),
+    "plane_wave momentum 'x'": (lambda: WaveFunction.plane_wave(("x",), 1, H), ValidationError,
+                                _TEXT),
+    "plane_wave no momentum": (lambda: WaveFunction.plane_wave((), 1, H),
+                               DimensionMismatchError, "dim must be >= 1"),
+    "plane_wave momentum float": (lambda: WaveFunction.plane_wave(0.5, 1, H), TypeError,
+                                  _FLOAT),
+    "plane_wave sigma 0": (lambda: WaveFunction.plane_wave((1,), 1, 0), ValidationError,
+                           "not a signature: 0"),
+    # two faults at once: the check that comes first in the constructor wins
+    "character frequency and sigma": (
+        lambda: ExpPoly.character((0.5,), 2, _OTHER), ValidationError,
+        "not a signature: 2"),
+    "character frequency and coefficient": (
+        lambda: ExpPoly.character((0.5,), H, _OTHER), TypeError,
+        "expected an exact rational, got float"),
+    "monomial exponent and coefficient": (
+        lambda: ExpPoly.monomial((-1,), _OTHER, H), ValidationError,
+        "negative exponents are not allowed"),
+    "monomial exponent and sigma": (
+        lambda: ExpPoly.monomial((-1,), 1, "x"), ValidationError,
+        "not a signature: 'x'"),
+    "constant dim and sigma": (
+        lambda: ExpPoly.constant(_OTHER, 0, "x"), DimensionMismatchError,
+        "dim must be >= 1"),
+    "ExpPoly dim and sigma": (
+        lambda: ExpPoly(0, "x", {}), DimensionMismatchError,
+        "dim must be >= 1"),
+    "ExpPoly sigma and frequency": (
+        lambda: ExpPoly(1, "x", {((0.5,), (0,)): 1}), ValidationError,
+        "not a signature: 'x'"),
+    "ExpPoly frequency and exponent": (
+        lambda: ExpPoly(1, H, {((0.5,), (-1,)): 1}), TypeError,
+        "expected an exact rational, got float"),
+    "ExpPoly exponent and length": (
+        lambda: ExpPoly(2, H, {((0,), (-1, 0)): 1}), ValidationError,
+        "negative exponents are not allowed"),
+    "ExpPoly length and weight": (
+        lambda: ExpPoly(2, H, {((0,), (0, 0)): _OTHER_WEIGHT}), DimensionMismatchError,
+        "term vectors must have length 2"),
+    "PolySymbol exponent and length": (
+        lambda: PolySymbol(1, H, {((-1,), (0, 0)): _OTHER}), ValidationError,
+        "negative exponents are not allowed"),
+    "PolySymbol length and coefficient": (
+        lambda: PolySymbol(1, H, {((0,), (0, 0)): _OTHER}), DimensionMismatchError,
+        "exponent vectors must have length 1"),
+    "PolySymbol dof and sigma": (
+        lambda: PolySymbol(0, "x", {}), DimensionMismatchError,
+        "dof must be >= 1"),
+    "Ultradistribution location and order": (
+        lambda: Ultradistribution(2, H, [((0.5,), (-1,), _OTHER)]), TypeError,
+        "expected an exact rational, got float"),
+    "Ultradistribution order and weight": (
+        lambda: Ultradistribution(1, H, [((0,), (-1,), _OTHER_WEIGHT)]), ValidationError,
+        "derivative orders must be nonnegative"),
+    "plane_wave h and momentum": (
+        lambda: WaveFunction.plane_wave((0.5,), 0, 0), ValidationError,
+        "h must be a positive rational"),
+    "plane_wave momentum and sigma": (
+        lambda: WaveFunction.plane_wave((0.5,), 1, 0), TypeError,
+        "expected an exact rational, got float"),
+    "delta location and sigma": (
+        lambda: Ultradistribution.delta((0.5,), 0), TypeError,
+        "expected an exact rational, got float"),
+    "delta order and weight": (
+        lambda: Ultradistribution.delta((0,), H, (-1,), _OTHER), ValidationError,
+        "derivative orders must be nonnegative"),
+    "delta order length": (
+        lambda: Ultradistribution.delta((0,), H, (0, 0)), DimensionMismatchError,
+        "atom vectors must have length 1"),
+    "delta weight sigma": (
+        lambda: Ultradistribution.delta((0,), H, None, _OTHER_WEIGHT), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "delta no location": (
+        lambda: Ultradistribution.delta((), H), DimensionMismatchError,
+        "dim must be >= 1"),
+    "Grassmann mask and coefficient": (
+        lambda: GrassmannElement(1, H, {4: _OTHER}), DimensionMismatchError,
+        "monomial uses generators up to θ3, beyond n=1"),
+    "HPoly degree and coefficient": (
+        lambda: HPoly({-1: _OTHER}, H), ValidationError,
+        "h-degree must be nonnegative"),
+    # index, order and size arguments, read by ``sparse.integer``: a value that
+    # ``int`` would change or refuse is refused, not truncated or stored
+    "coordinate 0.5": (lambda: ExpPoly.coordinate(0.5, 2, H), ValidationError,
+                       "0.5 is not an integer"),
+    "symbol coordinate 0.5": (lambda: PolySymbol.coordinate("q", 0.5, 2, H), ValidationError,
+                              "0.5 is not an integer"),
+    "generator 1.5": (lambda: GrassmannElement.generator(1.5, 3, H), ValidationError,
+                      "1.5 is not an integer"),
+    "differentiate 0.5": (lambda: _X.differentiate(0.5), ValidationError,
+                          "0.5 is not an integer"),
+    "symbol differentiate 0.5": (lambda: _Q.differentiate("q", 0.5), ValidationError,
+                                 "0.5 is not an integer"),
+    "derivative 0.5": (lambda: _DELTA.derivative(0.5), ValidationError, "0.5 is not an integer"),
+    "order (0.5,)": (lambda: _X.differentiate_multi((0.5,)), ValidationError,
+                     "0.5 is not an integer"),
+    "symbol order (0.5,)": (lambda: _Q.differentiate_multi("q", (0.5,)), ValidationError,
+                            "0.5 is not an integer"),
+    "atom order (0.5,)": (lambda: _DELTA.derivative_multi((0.5,)), ValidationError,
+                          "0.5 is not an integer"),
+    "n_max 2.5": (lambda: paley_wiener_growth(_X, 2.5), ValidationError,
+                  "2.5 is not an integer"),
+    "variable x": (lambda: _Q.differentiate_multi("x", (0,)), ValidationError,
+                   "variable must be 'q' or 'p'"),
+    "coordinate 2": (lambda: ExpPoly.coordinate(2, 2, H), IndexError,
+                     "index 2 out of range for dim 2"),
+    "symbol coordinate -1": (lambda: PolySymbol.coordinate("p", -1, 2, H), IndexError,
+                             "coordinate index -1 out of range for dof 2"),
+    "generator 3": (lambda: GrassmannElement.generator(3, 3, H), IndexError,
+                    "generator index 3 out of range for n=3"),
+    "derivative 1": (lambda: _DELTA.derivative(1), IndexError, "axis 1 out of range for dim 1"),
+    "order (0, 1)": (lambda: _X.differentiate_multi((0, 1)), IndexError,
+                     "index 1 out of range for dim 1"),
+    "atom order (0, 1)": (lambda: _DELTA.derivative_multi((0, 1)), IndexError,
+                          "axis 1 out of range for dim 1"),
+    "symbol order (0, 1)": (lambda: _Q.differentiate_multi("p", (0, 1)), IndexError,
+                            "index 1 out of range for dof 1"),
+    "dof 1.5": (lambda: PolySymbol.zero(1.5, H), ValidationError, "1.5 is not an integer"),
+    "dof True": (lambda: PolySymbol.zero(True, H), ValidationError, "True is not an integer"),
+    "dim 2.7": (lambda: ExpPoly.zero(2.7, H), ValidationError, "2.7 is not an integer"),
+    "atoms dim 1.5": (lambda: Ultradistribution.zero(1.5, H), ValidationError,
+                      "1.5 is not an integer"),
+    "n 3.9": (lambda: GrassmannElement.zero(3.9, H), ValidationError, "3.9 is not an integer"),
+    "h-degree 'x'": (lambda: HPoly({"x": 1}, H), ValidationError, "'x' is not an integer"),
+    "n 'two'": (lambda: parse_grassmann("t1", H, "two"), ValidationError,
+                "'two' is not an integer"),
+    "mask None": (lambda: GrassmannElement(2, H, {None: 1}), ValidationError,
+                  "None is not an integer"),
+    "h-degree inf": (lambda: HPoly({float("inf"): 1}, H), ValidationError, "inf is not an integer"),
+    "dof nan": (lambda: parse_symbol("q1", H, float("nan")), ValidationError,
+                "nan is not an integer"),
+    "parse dof 2.7": (lambda: parse_symbol("q1*p1", H, 2.7), ValidationError,
+                      "2.7 is not an integer"),
+    "parse dof 1.5": (lambda: parse_symbol("q1*p1", H, 1.5), ValidationError,
+                      "1.5 is not an integer"),
+    "parse dof True": (lambda: parse_symbol("q1*p1", H, True), ValidationError,
+                       "True is not an integer"),
+    "parse dof '2'": (lambda: parse_symbol("q1*p1", H, "2"), ValidationError,
+                      "'2' is not an integer"),
+    "parse n 2.7": (lambda: parse_grassmann("t1*t2", H, 2.7), ValidationError,
+                    "2.7 is not an integer"),
+    "parse n True": (lambda: parse_grassmann("t1*t2", H, True), ValidationError,
+                     "True is not an integer"),
+    "parse n '2'": (lambda: parse_grassmann("t1*t2", H, "2"), ValidationError,
+                    "'2' is not an integer"),
+    "grassmann mask 2.7": (lambda: GrassmannElement(2, H, {2.7: 1}), ValidationError,
+                           "2.7 is not an integer"),
+    "grassmann mask '3'": (lambda: GrassmannElement(2, H, {"3": 1}), ValidationError,
+                           "'3' is not an integer"),
+    "grassmann mask True n 2": (lambda: GrassmannElement(2, H, {True: 1}), ValidationError,
+                                "True is not an integer"),
+    # integer fields of JSON documents: the message names the field
+    "json symbol dof 1.5": (lambda: PolySymbol.from_json_dict(
+        _with(OPERATOR["symbol"], ("dof",), 1.5)), ValidationError, "dof: 1.5 is not an integer"),
+    "json symbol q [0.5]": (
+        lambda: PolySymbol.from_json_dict(_with(OPERATOR["symbol"], ("terms", 0, "q"), [0.5])),
+        ValidationError, "terms: q: 0.5 is not an integer"),
+    "json symbol q [[0]]": (
+        lambda: PolySymbol.from_json_dict(_with(OPERATOR["symbol"], ("terms", 0, "q"), [[0]])),
+        ValidationError, "terms: q: [0] is not an integer"),
+    "json symbol q ['a']": (
+        lambda: PolySymbol.from_json_dict(_with(OPERATOR["symbol"], ("terms", 0, "q"), ["a"])),
+        ValidationError, "terms: q: 'a' is not an integer"),
+    "json symbol p ['1']": (
+        lambda: PolySymbol.from_json_dict(_with(OPERATOR["symbol"], ("terms", 0, "p"), ["1"])),
+        ValidationError, "terms: p: '1' is not an integer"),
+    "json symbol h 0.5": (lambda: PolySymbol.from_json_dict(
+        _with(OPERATOR["symbol"], ("terms", 0, "coeff", 0, "h"), 0.5)),
+        ValidationError, "terms: coeff: h: 0.5 is not an integer"),
+    "json exppoly dim '1'": (lambda: ExpPoly.from_json_dict(_with(WAVE["func"], ("dim",), "1")),
+                             ValidationError, "dim: '1' is not an integer"),
+    "json exppoly exp [2.7]": (
+        lambda: ExpPoly.from_json_dict(_with(WAVE["func"], ("terms", 0, "exp"), [2.7])),
+        ValidationError, "terms: exp: 2.7 is not an integer"),
+    "json atoms dim 1.5": (lambda: Ultradistribution.from_json_dict(_with(ATOMS, ("dim",), 1.5)),
+                           ValidationError, "dim: 1.5 is not an integer"),
+    "json atoms order [1.9]": (
+        lambda: Ultradistribution.from_json_dict(_with(ATOMS, ("atoms", 0, "order"), [1.9])),
+        ValidationError, "atoms: order: 1.9 is not an integer"),
+    "json grassmann n 2.5": (lambda: GrassmannElement.from_json_dict(
+        _with(GRASSMANN, ("n",), 2.5)), ValidationError, "n: 2.5 is not an integer"),
+    "json grassmann gens [1.5]": (
+        lambda: GrassmannElement.from_json_dict(_with(GRASSMANN, ("terms", 0, "gens"), [1.5])),
+        ValidationError, "terms: gens: 1.5 is not an integer"),
+    "json grassmann gens [0]": (
+        lambda: GrassmannElement.from_json_dict(_with(GRASSMANN, ("terms", 0, "gens"), [0])),
+        ValidationError, "terms: gens: generator 0 is outside 1..2"),
+    "json grassmann gens [10^9]": (
+        lambda: GrassmannElement.from_json_dict(_with(GRASSMANN, ("terms", 0, "gens"), [10**9])),
+        ValidationError, "terms: gens: generator 1000000000 is outside 1..2"),
+    "json symbol dof true": (lambda: PolySymbol.from_json_dict(
+        _with(OPERATOR["symbol"], ("dof",), True)), ValidationError, "dof: True is not an integer"),
+    "json symbol q [true]": (
+        lambda: PolySymbol.from_json_dict(_with(OPERATOR["symbol"], ("terms", 0, "q"), [True])),
+        ValidationError, "terms: q: True is not an integer"),
+    "json symbol h true": (lambda: PolySymbol.from_json_dict(
+        _with(OPERATOR["symbol"], ("terms", 0, "coeff", 0, "h"), True)),
+        ValidationError, "terms: coeff: h: True is not an integer"),
+    "json exppoly exp [false]": (
+        lambda: ExpPoly.from_json_dict(_with(WAVE["func"], ("terms", 0, "exp"), [False])),
+        ValidationError, "terms: exp: False is not an integer"),
+    "json atoms dim true": (lambda: Ultradistribution.from_json_dict(
+        _with(ATOMS, ("dim",), True)), ValidationError, "dim: True is not an integer"),
+    "json grassmann gens [true, 2]": (
+        lambda: GrassmannElement.from_json_dict(_with(GRASSMANN, ("terms", 0, "gens"), [True, 2])),
+        ValidationError, "terms: gens: True is not an integer"),
+    "json gens [1, 1]": (lambda: GrassmannElement.from_json_dict(
+        {"n": 2, "sigma": 1, "terms": [{"gens": [1, 1], "re": "1"}]}),
+        ValidationError, "terms: gens: generators must be nonnegative and strictly ascending"),
+    "json gens [2, 1]": (lambda: GrassmannElement.from_json_dict(
+        {"n": 2, "sigma": 1, "terms": [{"gens": [2, 1], "re": "1"}]}),
+        ValidationError, "terms: gens: generators must be nonnegative and strictly ascending"),
 }
 
 
@@ -334,8 +1057,28 @@ REFUSALS = {
 def test_a_refusal_raises_its_class_and_message(call, error, message):
     with pytest.raises(error) as err:
         call()
-    assert type(err.value) is error
-    assert str(err.value) == message
+    assert type(err.value) is error and str(err.value) == message
+    if error is ParseError:
+        assert message.endswith(f" (at position {err.value.position})")
+
+
+def _table(module, name: str) -> ast.Dict:
+    """The dict display assigned to ``name`` in ``module``'s source."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
+
+
+def test_no_row_repeats_another():
+    """A repeated key would hide a row; a repeated call, or a command line
+    repeated on the same documents, would pin one refusal twice."""
+    library, cli = _table(sys.modules[__name__], "REFUSALS"), _table(test_cli, "CLI_REFUSALS")
+    assert len(library.keys) == len(REFUSALS)
+    keys = [key.value for key in cli.keys if key is not None]  # ``**`` splices have none
+    calls = [ast.unparse(row.elts[0]) for row in library.values]
+    lines = [repr(row[:2]) for row in CLI_REFUSALS.values()]
+    for rows in (keys, calls, lines):
+        assert len(set(rows)) == len(rows)
 
 
 def test_an_index_in_range_of_a_size_past_the_digit_limit_builds_its_element():

@@ -12,23 +12,12 @@ from hypermoyal import (
     Amplitude2,
     Binarion,
     CharSum,
-    ExpPoly,
     GClass,
     HPolar,
-    HypermoyalError,
-    NotRepresentableError,
-    Operator,
-    PhasePoint,
-    PolySymbol,
     Sigma,
-    SignatureMismatchError,
-    ValidationError,
-    WaveFunction,
     ZeroDivisorError,
     character,
-    paley_wiener_growth,
     parse_binarion,
-    parse_symbol,
     polar,
 )
 from hypermoyal.scalars import _as_fraction, _json_fraction
@@ -72,13 +61,6 @@ def test_invert_multiplies_back():
     inv = z.invert()
     assert inv == Binarion(Fraction(2, 3), Fraction(-1, 3), H)
     assert z * inv == 1
-
-
-def test_invert_light_cone_rejected():
-    with pytest.raises(ZeroDivisorError, match="light cone"):
-        b(1, 1, H).invert()
-    with pytest.raises(ZeroDivisorError):
-        b(0, 0, H).invert()
 
 
 def test_invert_unit():
@@ -173,15 +155,6 @@ def test_polar_two_plus_j():
     back = hp.reconstruct()
     assert abs(back.re - 2) < 1e-12
     assert abs(back.im - 1) < 1e-12
-
-
-def test_polar_rejects_outside_positive_cone():
-    with pytest.raises(NotRepresentableError):
-        polar(b(1, 1, H))
-    with pytest.raises(NotRepresentableError):
-        polar(b(1, 2, H))
-    with pytest.raises(NotRepresentableError):
-        polar(b(2, 1, C))
 
 
 def test_polar_round_trip_random():
@@ -397,13 +370,6 @@ def test_power_of_the_unit_and_of_zero():
 # -- signature discipline and text form -----------------------------------------------
 
 
-def test_cross_sigma_rejected():
-    with pytest.raises(SignatureMismatchError):
-        b(1, 2, H) + b(1, 2, C)
-    with pytest.raises(SignatureMismatchError):
-        b(1, 2, H) * b(1, 2, C)
-
-
 def test_parts_are_fractions_whatever_exact_type_they_come_in():
     class Third(Fraction):
         pass
@@ -414,9 +380,9 @@ def test_parts_are_fractions_whatever_exact_type_they_come_in():
         assert (z.re, z.im) == (3, 1)
         assert Binarion("2/6", Fraction(4), sigma) == Binarion(Fraction(1, 3), 4, sigma)
         assert type(Binarion(Third(1, 3), 0, sigma).re) is Third
-        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
             Binarion(0.5, 0, sigma)
-        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
             Binarion(1, 0.5, sigma)
 
 
@@ -439,62 +405,15 @@ def test_text_parse_round_trip():
 # -- the text-to-rational reader -----------------------------------------------------
 
 
-def test_as_fraction_reads_text_and_refuses_with_validation_errors():
+def test_as_fraction_reads_text():
+    """Its refusals are rows of ``test_refusals.REFUSALS``; an exponent at the
+    digit limit still reads."""
     assert _as_fraction(" -3/6 ") == Fraction(-1, 2)
     assert _as_fraction("0.25") == Fraction(1, 4)
-    with pytest.raises(ValidationError, match=r"^zero denominator in '1/0'$"):
-        _as_fraction("1/0")
-    with pytest.raises(ValidationError, match=r"^Invalid literal for Fraction: 'x'$"):
-        _as_fraction("x")
-    with pytest.raises(TypeError, match="expected an exact rational, got float"):
-        _as_fraction(0.5)
     assert _json_fraction(0.5) == Fraction(1, 2)
-    with pytest.raises(ValidationError, match=r"^zero denominator in '3/0'$"):
-        _json_fraction("3/0")
-
-
-_Q = PolySymbol.coordinate("q", 0, 1, H)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: Binarion("1/0", 0, H),
-    lambda: PhasePoint(("1/0",), (1,)),
-    lambda: WaveFunction.plane_wave("1/0", 1, H),
-    lambda: Operator(_Q, "x"),
-    lambda: _Q.substitute_h("x"),
-], ids=["binarion", "phase-point", "plane-wave", "operator-h", "substitute-h"])
-def test_constructors_refuse_bad_rational_text_with_validation_error(call):
-    with pytest.raises(ValidationError):
-        call()
-
-
-@pytest.mark.parametrize("value", [
-    lambda: Binarion(10**400, 0, H),
-    lambda: CharSum.character(1000, H),
-    lambda: CharSum.character(Fraction(10**400, 3), C),
-    lambda: CharSum({700: Binarion(10**300, 0, H)}, H),
-    lambda: CharSum({0: Binarion(10**308, 0, C), Fraction(1, 10**9): Binarion(10**308, 0, C)}, C),
-], ids=["binarion", "charsum-cosh", "charsum-exponent", "charsum-product", "charsum-sum"])
-def test_to_floats_refuses_a_value_too_large_for_a_float(value):
-    with pytest.raises(ValidationError, match=r"^value too large for a float$"):
-        value().to_floats()
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: PolySymbol.coordinate("x", 0, 1, H), "kind must be 'q' or 'p'"),
-    (lambda: _Q.differentiate("x"), "variable must be 'q' or 'p'"),
-    (lambda: _Q.evaluate(PhasePoint((0,), (0,)), -1), "h must be >= 0"),
-    (lambda: ExpPoly.from_poly_symbol(parse_symbol("h*q", H)),
-     "symbol carries formal h; pass a numeric h"),
-    (lambda: CharSum.character(1, H).as_binarion(), "carries formal characters"),
-    (lambda: paley_wiener_growth(ExpPoly.one(1, H), 0), "n_max must be >= 1"),
-    (lambda: character(float("inf"), H), "character requires finite theta, got inf"),
-    (lambda: character(float("nan"), C), "character requires finite theta, got nan"),
-], ids=["coordinate-kind", "differentiate-variable", "evaluate-h", "formal-h",
-        "as-binarion", "growth-n-max", "character-inf", "character-nan"])
-def test_malformed_input_raises_a_package_error(call, message):
-    with pytest.raises(HypermoyalError, match=message):
-        call()
+    assert _as_fraction("1e4300") == 10**4300
+    assert _as_fraction("-2.5E-4300") == Fraction(-25, 10**4301)
+    assert _as_fraction("1e+4300") == _as_fraction("1E4300")
 
 
 # -- the one choice of cos or cosh ----------------------------------------------

@@ -306,7 +306,8 @@ RULES = [
         "scalars": {("_num_str", "value"), ("_num_str", "float(value)"),
                     ("__str__", "self.value"),  # the ring's sign, written with its sign
                     ("_as_fraction", "exc"), ("_num_msg", "value"), ("_json_fraction", "value"),
-                    ("_too_long", "sys.get_int_max_str_digits")},
+                    ("_too_long", "sys.get_int_max_str_digits"),
+                    ("_as_fraction", "sys.get_int_max_str_digits")},  # the exponent bound
         "sparse": {("integer", "value"), ("__repr__", "self"), ("_term_text", "c")},
         "symbols": {("_render_monomial", "value")},
     }),

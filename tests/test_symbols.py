@@ -14,12 +14,10 @@ from test_sparse import _assert_clean
 from hypermoyal import (
     Binarion,
     DegreeCapError,
-    DimensionMismatchError,
     HPoly,
     PhasePoint,
     PolySymbol,
     Sigma,
-    SignatureMismatchError,
     moyal_bracket,
     poisson_bracket,
     scaled_bracket,
@@ -258,20 +256,10 @@ def test_star_associative(seed, count, dofs, degree, h_in_b):
 
 
 def test_star_degree_cap():
+    """Past the default cap of 16 the product is refused (a row of
+    ``test_refusals.REFUSALS``); a higher cap lets it through."""
     q, _ = qp(H)
-    with pytest.raises(DegreeCapError):
-        star(q**9, q**8)
     assert star(q**9, q**8, degree_cap=20) == q**17
-
-
-def test_mismatches_rejected():
-    qh, _ = qp(H)
-    qc, _ = qp(C)
-    with pytest.raises(SignatureMismatchError):
-        star(qh, qc)
-    q2 = PolySymbol.coordinate("q", 0, 2, H)
-    with pytest.raises(DimensionMismatchError):
-        star(qh, q2)
 
 
 # -- the tuple-key series kernel, kept as the oracle of the packed one ----------
@@ -629,9 +617,6 @@ def test_complex_star_is_bilinear_over_real_and_imaginary_parts():
 def test_brackets_degree_cap():
     q, p = qp(H)
     a, b = q**9, p**8
-    for bracket in (moyal_bracket, scaled_bracket):
-        with pytest.raises(DegreeCapError):
-            bracket(a, b)
     commutator = _series_star(a, b, 17) - _series_star(b, a, 17)
     assert moyal_bracket(a, b, degree_cap=17) == commutator
 
@@ -927,18 +912,6 @@ def test_substitute_h_matches_terms_rebuild():
 def test_differentiate_example():
     q, p = qp(H)
     assert (q * q * p).differentiate("q", 0) == 2 * (q * p)
-
-
-def test_differentiate_index_out_of_range():
-    q, _ = qp(H)
-    with pytest.raises(IndexError):
-        q.differentiate("q", 1)
-
-
-def test_evaluate_negative_h_rejected():
-    q, _ = qp(H)
-    with pytest.raises(ValueError):
-        q.evaluate(PhasePoint((1,), (1,)), Fraction(-1))
 
 
 def test_canonical_text():
