@@ -11,12 +11,13 @@ the tests of numbers too long to write do not depend on
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 import hypermoyal
-from hypermoyal import distributions, operators, symbols
+from hypermoyal import ExpPoly, WaveFunction, distributions, operators, symbols
 from hypermoyal.cli import main
 
 sys.set_int_max_str_digits(4300)
@@ -39,6 +40,12 @@ def fresh_modules(code: str, *flags: str) -> set:
     result = run_fresh(*flags, "-c", f"import sys\n{code}\nprint(' '.join(sys.modules))")
     assert (result.returncode, result.stderr) == (0, "")
     return set(result.stdout.splitlines()[-1].split())
+
+
+def _quadratic_wavefunction(sigma, h, momentum=Fraction(1, 2)):
+    """(1 + q)^2 times a plane wave."""
+    base = ExpPoly.one(1, sigma) + ExpPoly.coordinate(0, 1, sigma)
+    return WaveFunction(base * base * WaveFunction.plane_wave(momentum, h, sigma).func, h)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import copy
 import io
 import json
 import random
@@ -23,6 +22,8 @@ from hypermoyal import (
 from hypermoyal.cli import main
 from hypermoyal.sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX, MAX_STEPS, MAX_WITNESS_GENERATORS
 from test_interference import _near_boundary_tables
+from test_refusals import (ATOMS, OPERATOR, WAVE, _with, homed_rows, homed_tests, refusal_tests,
+                           rows_test)
 
 H = Sigma.HYPERBOLIC
 
@@ -222,16 +223,6 @@ def test_apply_command_with_expression_symbol(tmp_path, capsys):
     assert result == phi
 
 
-ATOMS = {"dim": 1, "sigma": 1, "atoms": [{"loc": ["1/2"], "order": [2], "weight": {"re": "1"}}]}
-OPERATOR = {
-    "h": "1/2",
-    "sigma": 1,
-    "kind": "poly",
-    "symbol": {"dof": 1, "sigma": 1, "terms": [{"q": [0], "p": [1], "coeff": [{"h": 0, "re": "1"}]}]},
-}
-WAVE = {"h": "1/2", "func": {"dim": 1, "sigma": 1, "terms": [{"freq": ["2"], "exp": [0], "coeff": {"re": "1"}}]}}
-
-
 def test_apply_h_mismatch_is_one_line_error_without_traceback(tmp_path):
     op_path = tmp_path / "op.json"
     op_path.write_text(json.dumps({"symbol": "q*p", "h": "1/2", "sigma": 1}), encoding="utf-8")
@@ -266,20 +257,15 @@ APPLY_PAST_THE_LIMIT = {
 }
 
 
-def _with(document, path, value):
-    data = copy.deepcopy(document)
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    return data
-
-
 def _write_documents(tmp_path, documents) -> list:
+    """The paths of files written from ``documents``, text or bytes as they
+    are and any other as JSON."""
     paths = []
-    for i, data in enumerate(documents):
-        paths.append(tmp_path / f"input{i}.json")
-        paths[-1].write_text(json.dumps(data), encoding="utf-8")
+    for i, document in enumerate(documents):
+        if not isinstance(document, (str, bytes)):
+            document = json.dumps(document)
+        paths.append(tmp_path / f"input{i}")
+        paths[-1].write_bytes(document if isinstance(document, bytes) else document.encode())
     return [str(path) for path in paths]
 
 
@@ -303,10 +289,17 @@ def test_apply_reads_an_operator_without_kind_as_kind_poly(tmp_path, capsys):
 PLANE_WAVE_THIRD_2 = WaveFunction.plane_wave((1, 2), Fraction(1, 3), H).to_json_dict()
 
 
-def test_apply_reads_an_expression_at_the_wavefunction_dof(tmp_path, capsys):
+#: The refusals of ``test_apply_reads_an_expression_at_the_wavefunction_dof``.
+DOF_REFUSALS = {"index-above-dof": "apply expression above dof", "term-map": "apply term map dof"}
+
+
+@pytest.mark.parametrize("row", [None, *DOF_REFUSALS.values()], ids=["expression", *DOF_REFUSALS])
+def test_apply_reads_an_expression_at_the_wavefunction_dof(request, tmp_path, capsys, row):
     """An expression symbol is parsed at the wavefunction's dof; a term map
     keeps its own dof and is refused when it differs (rows of
     ``CLI_REFUSALS``)."""
+    if row:
+        return _check_cli(request, row)
     paths = _write_documents(tmp_path, (EXPRESSION_OPERATOR, PLANE_WAVE_THIRD_2))
     assert run(capsys, "apply", *paths) == (0, "q1*exp(j*(3*q1 + 6*q2))\n", "")
 
@@ -469,6 +462,16 @@ def test_super_work_does_not_grow_with_generator_count():
 TOO_LONG = "number too long to write: more than 4300 digits"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
+#: expressions whose coefficients have a number past the int-to-text limit
+STAR_PAST_THE_LIMIT = {"2^15000": "2^15000", "9...9^5": "*".join(["9" * MAX_DIGITS] * 5)}
+#: table rows, and the message that refuses each, past the float range
+PAST_THE_FLOAT_RANGE = {
+    # D^2 > 0, but D is below the smallest float
+    "D": (f"1/{10**2999 + 1},1/{10**2999 + 3},1/2,1/2", "value too small for a float"),
+    # D is exact, and lambda is about 10^2000
+    "lambda": (f"1/{10**4000},1,{10**4000 - 1}/{10**4000},1/2", "value too large for a float"),
+}
+
 #: Each refusal of the command line: its argv, the documents it reads and the
 #: message of its one line on stderr.  ``{0}``, ``{1}``, ... in argv name the
 #: files written from the documents (text or bytes as they are, any other as
@@ -489,9 +492,7 @@ CLI_REFUSALS = {
     "star h 1e+4301": (["star", "p", "q", "--h", "1e+4301"], (),
                        "--h must be a positive rational, got 1e+4301"),
     **{f"star {name} {fmt}": (["star", expression, "1", "--format", fmt], (), TOO_LONG)
-       for name, expression in (("2^15000", "2^15000"),
-                                ("9...9^5", "*".join(["9" * MAX_DIGITS] * 5)))
-       for fmt in ("text", "json")},
+       for name, expression in STAR_PAST_THE_LIMIT.items() for fmt in ("text", "json")},
     "limit steps -3": (["limit", "p", "q", "--steps", "-3"], (), "--steps must be >= 0, got -3"),
     **{f"limit float {fmt}": (["limit", "10^400*q^2", "p^2", "--format", fmt], (),
                               "value too large for a float") for fmt in ("text", "json")},
@@ -564,13 +565,7 @@ CLI_REFUSALS = {
         "wavefunction: func: terms: exp: 2.7 is not an integer"),
     # interfere
     **{f"interfere {name} {fmt}": (["interfere", "{0}", "--format", fmt], (row + "\n",), message)
-       for name, (row, message) in {
-           # D^2 > 0, but D is below the smallest float
-           "D": (f"1/{10**2999 + 1},1/{10**2999 + 3},1/2,1/2", "value too small for a float"),
-           # D is exact, and lambda is about 10^2000
-           "lambda": (f"1/{10**4000},1,{10**4000 - 1}/{10**4000},1/2",
-                      "value too large for a float"),
-       }.items() for fmt in ("json", "csv")},
+       for name, (row, message) in PAST_THE_FLOAT_RANGE.items() for fmt in ("json", "csv")},
     "interfere probability": (["interfere", "{0}"], ("0.5,0.5,0.5,1.2\n",),
                               "P(b1) = 6/5 outside [0, 1] (row 1)"),
     "interfere cell 1e4301": (["interfere", "{0}"], (CSV_ROWS + "1/2,1/2,1e4301,1/2\n",),
@@ -598,19 +593,75 @@ CLI_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("argv, documents, message", CLI_REFUSALS.values(), ids=CLI_REFUSALS)
-def test_a_refusal_exits_2_with_its_one_line(tmp_path, monkeypatch, capsys, argv, documents,
-                                             message):
-    paths = []
-    for i, document in enumerate(documents):
-        if not isinstance(document, (str, bytes)):
-            document = json.dumps(document)
-        paths.append(tmp_path / f"input{i}")
-        paths[-1].write_bytes(document if isinstance(document, bytes) else document.encode())
+def _check_cli(request, row):
+    """The command line of ``CLI_REFUSALS[row]`` exits 2 with its one line."""
+    argv, documents, message = CLI_REFUSALS[row]
+    paths = _write_documents(request.getfixturevalue("tmp_path"), documents)
     if "-" in argv:
-        monkeypatch.setattr("sys.stdin", io.StringIO(documents[0]))
+        request.getfixturevalue("monkeypatch").setattr("sys.stdin", io.StringIO(documents[0]))
     argv = [arg.format(*paths) for arg in argv]
-    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert run(request.getfixturevalue("capsys"), *argv) == (2, "", f"error: {message}\n")
+
+
+#: A row that a test of this module checked before it joined the table is
+#: checked by that test still, under its old name and id, as in
+#: ``test_refusals.HOMES``; every other row is checked by
+#: ``test_a_refusal_exits_2_with_its_one_line``.
+CLI_HOMES = {
+    "test_cli::test_star_deep_nesting_is_one_line_error": ("star deep nesting",),
+    "test_cli::test_star_h_must_be_a_rational": ("star h abc", "star h 1/0"),
+    "test_cli::test_star_parse_error_has_position_and_fails": ("star parse error",),
+    "test_cli::test_limit_negative_steps_rejected": ("limit steps -3",),
+    "test_cli::test_limit_value_too_large_for_a_float_is_one_line_error": {
+        fmt: f"limit float {fmt}" for fmt in ("text", "json")},
+    "test_cli::test_coefficient_past_the_int_to_text_limit_is_one_line_error": {
+        f"{expression}-{fmt}": f"star {name} {fmt}"
+        for name, expression in STAR_PAST_THE_LIMIT.items() for fmt in ("text", "json")},
+    "test_cli::test_fourier_unreadable_json_is_one_line_error": {
+        f"{name}-{where}": f"{command} {name}" for name in UNREADABLE_JSON
+        for where, command in (("file", "fourier"), ("stdin", "fourier stdin"))},
+    "test_cli::test_apply_unreadable_json_names_its_document": {
+        f"{name}-{i}-{document}": f"apply {document} {name}" for name in UNREADABLE_JSON
+        for i, document in enumerate(("operator", "wavefunction"))},
+    "test_cli::test_apply_command_missing_file_fails": ("apply missing files",),
+    "test_cli::test_fourier_malformed_json_is_one_line_error": {
+        "_drop_atoms-missing field 'atoms'": "fourier no atoms",
+        "_negative_order-atoms: order: derivative orders must be nonnegative": "fourier order -1",
+        "_bad_sigma-sigma: not a signature: 3": "fourier sigma 3",
+        "_bad_loc-atoms: loc: Invalid literal for Fraction: 'x'": "fourier loc 'x'"},
+    "test_cli::test_apply_malformed_json_is_one_line_error": ("apply no terms", "apply h 0"),
+    "test_cli::test_apply_over_degree_cap_is_one_line_error": ("apply degree cap",),
+    "test_cli::test_apply_result_past_the_int_to_text_limit_is_one_line_error": {
+        f"{name}-{fmt}": f"apply {name} {fmt}" for name in APPLY_PAST_THE_LIMIT
+        for fmt in ("text", "json")},
+    "test_cli::test_apply_refuses_an_unknown_operator_kind": ("apply kind polly",),
+    "test_cli::test_apply_reads_an_expression_symbol_only_as_kind_poly": {
+        f"{row.split()[-1]}-{CLI_REFUSALS[row][2]}": row
+        for row in ("apply expression kind bogus", "apply expression kind exp")},
+    "test_cli::test_apply_reads_the_sigma_first_only_for_an_expression": {
+        "term-map": "apply term map first", "expression": "apply sigma first"},
+    "test_cli::test_a_zero_denominator_is_named_as_such": {
+        "operator": "apply operator h '1/0'", "wavefunction": "apply wavefunction h '1/0'",
+        "atoms": "fourier loc '1/0'"},
+    "test_cli::test_non_integer_exponent_or_order_is_one_line_error": {
+        f"{row.split()[0]}-documents{i}-{CLI_REFUSALS[row][2]}": row
+        for i, row in enumerate(("apply q [0.5]", "apply exp [2.7]", "fourier order [1.9]"))},
+    "test_cli::test_interfere_row_past_the_float_range_is_one_line_error": {
+        f"{row}-{message}-{fmt}": f"interfere {name} {fmt}"
+        for name, (row, message) in PAST_THE_FLOAT_RANGE.items() for fmt in ("json", "csv")},
+    "test_cli::test_interfere_malformed_probability": ("interfere probability",),
+    "test_cli::test_non_utf8_input_is_one_line_error": {
+        "fourier-inputs0-0": "fourier not utf-8", "interfere-inputs1-0": "interfere not utf-8",
+        "apply-inputs2-0": "apply operator not utf-8",
+        "apply-inputs3-1": "apply wavefunction not utf-8",
+        "apply-inputs4-not-json": "apply not json"},
+    "test_cli::test_super_needs_arguments": ("super no arguments",),
+}
+globals().update(refusal_tests(__name__), **homed_tests(__name__, CLI_HOMES, _check_cli))
+
+test_a_refusal_exits_2_with_its_one_line = rows_test(_check_cli, {
+    row: row for row in CLI_REFUSALS
+    if row not in homed_rows(CLI_HOMES) | set(DOF_REFUSALS.values())})
 
 
 def test_an_exponent_past_the_digit_limit_is_refused_before_its_power_is_built(tmp_path):

@@ -11,6 +11,7 @@ from operator import add
 import pytest
 from test_sparse import _assert_clean
 from test_symbols import _cancelling_symbol
+from test_refusals import refusal_tests
 
 from hypermoyal import (
     Binarion,
@@ -39,6 +40,7 @@ from hypermoyal.sparse import add_parts, from_parts
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 SIGMAS = (H, C)
 
 
@@ -767,3 +769,4 @@ def test_from_poly_symbol_rejects_formal_h():
         with pytest.raises(ValueError, match="^symbol carries formal h; pass a numeric h$"):
             _embed_via_terms(symbol)
         assert ExpPoly.from_poly_symbol(symbol, 2) == ExpPoly.monomial((1, 1), 2, sigma)
+

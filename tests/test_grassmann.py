@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_refusals import refusal_tests
 
 from hypermoyal import grassmann
 from hypermoyal import (
@@ -22,6 +23,7 @@ from hypermoyal.sparse import MAX_WITNESS_GENERATORS
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 SIGMAS = (H, C)
 
 
@@ -166,5 +168,4 @@ def test_text_and_json():
     assert str(element) == "3/2 + (1j)·θ1θ3"
     back = GrassmannElement.from_json_dict(element.to_json_dict())
     assert back == element
-
 

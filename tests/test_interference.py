@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import fresh_modules
+from test_refusals import refusal_tests
 
 from hypermoyal import (
     Amplitude2,
@@ -22,6 +23,7 @@ from hypermoyal import (
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 
 HALF = Fraction(1, 2)
 
@@ -329,3 +331,4 @@ def test_report_json_shape():
 def test_import_leaves_typing_unloaded():
     # -S keeps site (and anything it imports) out, so only the package counts
     assert "typing" not in fresh_modules("import hypermoyal.interference", "-S")
+

@@ -23,11 +23,12 @@ from types import ModuleType
 from typing import Callable, Optional
 
 import pytest
+from conftest import _quadratic_wavefunction
 from test_distributions import (_differentiate_multi_cases, _iterated_differentiate,
                                 _nonzero_twist_cases, _pair_factors_as_fractions,
                                 _rational_pair_factors, _staged_oracle_cases,
                                 _staged_star_distributional)
-from test_operators import _iterated_apply, _normal_ordered_cases, _quadratic_wavefunction
+from test_operators import _iterated_apply, _normal_ordered_cases
 from test_sparse import _assert_clean
 from test_symbols import _packing_cases, _tuple_brackets, _tuple_star
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import _quadratic_wavefunction
+from test_refusals import refusal_tests
 from test_sparse import _assert_clean
 
 from hypermoyal import (
@@ -28,13 +30,8 @@ from hypermoyal.selftest import _random_fraction, _random_symbol, _random_wavefu
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 SIGMAS = (H, C)
-
-
-def _quadratic_wavefunction(sigma, h, momentum=Fraction(1, 2)):
-    """(1 + q)^2 times a plane wave."""
-    base = ExpPoly.one(1, sigma) + ExpPoly.coordinate(0, 1, sigma)
-    return WaveFunction(base * base * WaveFunction.plane_wave(momentum, h, sigma).func, h)
 
 
 def _iterated_apply(op: Operator, phi: WaveFunction) -> WaveFunction:
@@ -515,3 +512,4 @@ def test_star_then_apply_matches_spec_example():
         factor = Binarion(0, 3 * sigma.value * h, sigma)  # 3*sigma*u*h
         expected = phi.func * ExpPoly.constant(factor, 1, sigma)
         assert lhs.func == expected
+

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import sympy as sp
 from sympy.parsing.sympy_parser import parse_expr
+from test_refusals import refusal_tests
 
 from hypermoyal import (
     Binarion,
@@ -21,6 +22,7 @@ from hypermoyal.sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 
 
 def _random_h_symbol(rng, k, sigma):
@@ -209,3 +211,4 @@ def test_parse_grassmann():
     assert parse_grassmann("θ2*θ1", H, n=2) == -(t1 * t2)
     got = parse_grassmann("1 + 2j*t1", H, n=2)
     assert got == one + Binarion(0, 2, H) * t1
+

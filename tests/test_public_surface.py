@@ -4,8 +4,11 @@ import importlib
 
 import pytest
 from conftest import fresh_modules
+from test_refusals import refusal_tests
 
 import hypermoyal
+
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 
 PUBLIC_NAMES = [
     "Amplitude2", "Binarion", "CharSum", "ComposeCheck", "DEFAULT_DEGREE_CAP",
@@ -74,3 +77,4 @@ def test_a_command_loads_only_its_own_modules(argv, loads, skips):
     assert f"hypermoyal.{loads}" in loaded
     for module in skips:
         assert f"hypermoyal.{module}" not in loaded
+

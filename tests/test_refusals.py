@@ -2,10 +2,13 @@
 class, the class itself and not a subclass, with its exact message.  Each
 refusal is one row of ``REFUSALS``, grouped by the module that refuses it or
 by the kind of input; a ``ParseError``'s message also ends with the position
-it carries.  The refusals of the command line are the rows of
-``test_cli.CLI_REFUSALS``, checked there by one harness of their own."""
+it carries.  ``check_refusal`` checks every row, under the name of the test
+that checked it before it was a row (``HOMES``) or else here.  The refusals
+of the command line are the rows of ``test_cli.CLI_REFUSALS``, checked there
+by one check of their own in the same way."""
 
 import ast
+import copy
 import math
 import os
 import sys
@@ -14,9 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import test_cli
-from test_cli import ATOMS, CLI_REFUSALS, OPERATOR, WAVE, _with
-from test_operators import _quadratic_wavefunction
+from conftest import _quadratic_wavefunction
 
 import hypermoyal
 from hypermoyal import (
@@ -97,7 +98,25 @@ _OTHER_WEIGHT = CharSum({HALF: 1}, C)  # and a weight
 _FLOAT = "expected an exact rational, got float"
 _NONE = "expected an exact rational, got NoneType"
 _TEXT = "Invalid literal for Fraction: 'x'"
+# well-formed documents, which rows of both tables break one field of
 GRASSMANN = {"n": 2, "sigma": 1, "terms": [{"gens": [1, 2], "re": "1"}]}
+ATOMS = {"dim": 1, "sigma": 1, "atoms": [{"loc": ["1/2"], "order": [2], "weight": {"re": "1"}}]}
+OPERATOR = {
+    "h": "1/2",
+    "sigma": 1,
+    "kind": "poly",
+    "symbol": {"dof": 1, "sigma": 1, "terms": [{"q": [0], "p": [1], "coeff": [{"h": 0, "re": "1"}]}]},
+}
+WAVE = {"h": "1/2", "func": {"dim": 1, "sigma": 1, "terms": [{"freq": ["2"], "exp": [0], "coeff": {"re": "1"}}]}}
+
+
+def _with(document, path, value):
+    data = copy.deepcopy(document)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
 
 
 def _wave(momentum, h=1, sigma=H):
@@ -110,6 +129,320 @@ def _csv(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return contexts_from_csv(path)
+
+
+#: Malformed input to each public constructor, and to each one-term
+#: constructor of exponential polynomials and wavefunctions: the error class
+#: and the exact message, read before anything is stored.  Rows of
+#: ``REFUSALS``, checked under ``test_sparse``'s name for them.
+CONSTRUCTOR_REFUSALS = {
+    "HPoly degree True": (lambda: HPoly({True: 1}, H), ValidationError, "True is not an integer"),
+    "HPoly degree 1.5": (lambda: HPoly({1.5: 1}, H), ValidationError, "1.5 is not an integer"),
+    "HPoly degree '1'": (lambda: HPoly({"1": 1}, H), ValidationError, "'1' is not an integer"),
+    "HPoly degree None": (lambda: HPoly({None: 1}, H), ValidationError, "None is not an integer"),
+    "HPoly degree -1": (lambda: HPoly({-1: 1}, H), ValidationError,
+                        "h-degree must be nonnegative"),
+    "HPoly coefficient 1.5": (lambda: HPoly({0: 1.5}, H), TypeError, _FLOAT),
+    "HPoly coefficient 'x'": (lambda: HPoly({0: "x"}, H), ValidationError, _TEXT),
+    "HPoly coefficient None": (lambda: HPoly({0: None}, H), TypeError, _NONE),
+    "HPoly coefficient sigma": (lambda: HPoly({0: _OTHER}, H), SignatureMismatchError,
+                                "coefficient sigma differs from HPoly sigma"),
+    "HPoly sigma 0": (lambda: HPoly({0: 1}, 0), ValidationError, "not a signature: 0"),
+    "CharSum r 0.5": (lambda: CharSum({0.5: 1}, H), TypeError, _FLOAT),
+    "CharSum r 'x'": (lambda: CharSum({"x": 1}, H), ValidationError, _TEXT),
+    "CharSum r None": (lambda: CharSum({None: 1}, H), TypeError, _NONE),
+    "CharSum coefficient 0.5": (lambda: CharSum({0: 0.5}, H), TypeError, _FLOAT),
+    "CharSum coefficient None": (lambda: CharSum({0: None}, H), TypeError, _NONE),
+    "CharSum coefficient sigma": (lambda: CharSum({0: _OTHER}, H), SignatureMismatchError,
+                                  "coefficient sigma differs from CharSum sigma"),
+    "PolySymbol dof 0": (lambda: PolySymbol(0, H, {}), DimensionMismatchError,
+                         "dof must be >= 1"),
+    "PolySymbol dof True": (lambda: PolySymbol(True, H, {}), ValidationError,
+                            "True is not an integer"),
+    "PolySymbol dof 1.5": (lambda: PolySymbol(1.5, H, {}), ValidationError,
+                           "1.5 is not an integer"),
+    "PolySymbol dof '1'": (lambda: PolySymbol("1", H, {}), ValidationError,
+                           "'1' is not an integer"),
+    "PolySymbol dof None": (lambda: PolySymbol(None, H, {}), ValidationError,
+                            "None is not an integer"),
+    "PolySymbol exponent True": (lambda: PolySymbol(1, H, {((True,), (0,)): 1}),
+                                 ValidationError, "True is not an integer"),
+    "PolySymbol exponent 1.5": (lambda: PolySymbol(1, H, {((1.5,), (0,)): 1}), ValidationError,
+                                "1.5 is not an integer"),
+    "PolySymbol exponent '1'": (lambda: PolySymbol(1, H, {((0,), ("1",)): 1}), ValidationError,
+                                "'1' is not an integer"),
+    "PolySymbol exponent None": (lambda: PolySymbol(1, H, {((None,), (0,)): 1}),
+                                 ValidationError, "None is not an integer"),
+    "PolySymbol exponent -1": (lambda: PolySymbol(1, H, {((0,), (-1,)): 1}), ValidationError,
+                               "negative exponents are not allowed"),
+    "PolySymbol length": (lambda: PolySymbol(2, H, {((1,), (0, 0)): 1}), DimensionMismatchError,
+                          "exponent vectors must have length 2"),
+    "PolySymbol coefficient 0.5": (lambda: PolySymbol(1, H, {((0,), (0,)): 0.5}), TypeError,
+                                   _FLOAT),
+    "PolySymbol coefficient None": (lambda: PolySymbol(1, H, {((0,), (0,)): None}), TypeError,
+                                    _NONE),
+    "PolySymbol coefficient sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): _OTHER}),
+                                     SignatureMismatchError,
+                                     "coefficient sigma differs from symbol sigma"),
+    "PolySymbol HPoly sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): HPoly({1: 1}, C)}),
+                               SignatureMismatchError,
+                               "coefficient sigma differs from symbol sigma"),
+    "PolySymbol CharSum coefficient": (
+        lambda: PolySymbol(1, H, {((0,), (0,)): CharSum({0: 1}, H)}), TypeError,
+        "expected an exact rational, got CharSum"),
+    "ExpPoly dim 0": (lambda: ExpPoly(0, H, {}), DimensionMismatchError, "dim must be >= 1"),
+    "ExpPoly dim True": (lambda: ExpPoly(True, H, {}), ValidationError,
+                         "True is not an integer"),
+    "ExpPoly dim 1.5": (lambda: ExpPoly(1.5, H, {}), ValidationError, "1.5 is not an integer"),
+    "ExpPoly dim None": (lambda: ExpPoly(None, H, {}), ValidationError,
+                         "None is not an integer"),
+    "ExpPoly frequency 0.5": (lambda: ExpPoly(1, H, {((0.5,), (0,)): 1}), TypeError, _FLOAT),
+    "ExpPoly frequency 'x'": (lambda: ExpPoly(1, H, {(("x",), (0,)): 1}), ValidationError,
+                              _TEXT),
+    "ExpPoly frequency None": (lambda: ExpPoly(1, H, {((None,), (0,)): 1}), TypeError, _NONE),
+    "ExpPoly exponent True": (lambda: ExpPoly(1, H, {((0,), (True,)): 1}), ValidationError,
+                              "True is not an integer"),
+    "ExpPoly exponent 1.5": (lambda: ExpPoly(1, H, {((0,), (1.5,)): 1}), ValidationError,
+                             "1.5 is not an integer"),
+    "ExpPoly exponent -1": (lambda: ExpPoly(1, H, {((0,), (-1,)): 1}), ValidationError,
+                            "negative exponents are not allowed"),
+    "ExpPoly frequency length": (lambda: ExpPoly(2, H, {((0,), (0, 0)): 1}),
+                                 DimensionMismatchError, "term vectors must have length 2"),
+    "ExpPoly exponent length": (lambda: ExpPoly(2, H, {((0, 0), (0,)): 1}),
+                                DimensionMismatchError, "term vectors must have length 2"),
+    "ExpPoly coefficient 0.5": (lambda: ExpPoly(1, H, {((0,), (0,)): 0.5}), TypeError, _FLOAT),
+    "ExpPoly coefficient None": (lambda: ExpPoly(1, H, {((0,), (0,)): None}), TypeError, _NONE),
+    "ExpPoly coefficient sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER}),
+                                  SignatureMismatchError,
+                                  "coefficient sigma differs from ExpPoly sigma"),
+    "ExpPoly weight sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER_WEIGHT}),
+                             SignatureMismatchError,
+                             "coefficient sigma differs from ExpPoly sigma"),
+    "ExpPoly HPoly weight": (lambda: ExpPoly(1, H, {((0,), (0,)): HPoly({0: 1}, H)}), TypeError,
+                             "expected an exact rational, got HPoly"),
+    "Ultradistribution dim 0": (lambda: Ultradistribution(0, H, []), DimensionMismatchError,
+                                "dim must be >= 1"),
+    "Ultradistribution dim True": (lambda: Ultradistribution(True, H, []), ValidationError,
+                                   "True is not an integer"),
+    "Ultradistribution location 0.5": (lambda: Ultradistribution(1, H, [((0.5,), (0,), 1)]),
+                                       TypeError, _FLOAT),
+    "Ultradistribution location None": (lambda: Ultradistribution(1, H, [((None,), (0,), 1)]),
+                                        TypeError, _NONE),
+    "Ultradistribution location 'x'": (lambda: Ultradistribution(1, H, [(("x",), (0,), 1)]),
+                                       ValidationError, _TEXT),
+    "Ultradistribution order -1": (lambda: Ultradistribution(1, H, [((0,), (-1,), 1)]),
+                                   ValidationError, "derivative orders must be nonnegative"),
+    "Ultradistribution order True": (lambda: Ultradistribution(1, H, [((0,), (True,), 1)]),
+                                     ValidationError, "True is not an integer"),
+    "Ultradistribution order 1.5": (lambda: Ultradistribution(1, H, [((0,), (1.5,), 1)]),
+                                    ValidationError, "1.5 is not an integer"),
+    "Ultradistribution order None": (lambda: Ultradistribution(1, H, [((0,), (None,), 1)]),
+                                     ValidationError, "None is not an integer"),
+    "Ultradistribution length": (lambda: Ultradistribution(2, H, [((0,), (0, 0), 1)]),
+                                 DimensionMismatchError, "atom vectors must have length 2"),
+    "Ultradistribution weight 0.5": (lambda: Ultradistribution(1, H, [((0,), (0,), 0.5)]),
+                                     TypeError, _FLOAT),
+    "Ultradistribution weight None": (lambda: Ultradistribution(1, H, [((0,), (0,), None)]),
+                                      TypeError, _NONE),
+    "Ultradistribution coefficient sigma": (
+        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER)]), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "Ultradistribution weight sigma": (
+        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER_WEIGHT)]), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "Grassmann n -1": (lambda: GrassmannElement(-1, H, {}), ValidationError,
+                       "generator count must be nonnegative"),
+    "Grassmann n True": (lambda: GrassmannElement(True, H, {}), ValidationError,
+                         "True is not an integer"),
+    "Grassmann n 1.5": (lambda: GrassmannElement(1.5, H, {}), ValidationError,
+                        "1.5 is not an integer"),
+    "Grassmann mask True": (lambda: GrassmannElement(1, H, {True: 1}), ValidationError,
+                            "True is not an integer"),
+    "Grassmann mask 1.5": (lambda: GrassmannElement(1, H, {1.5: 1}), ValidationError,
+                           "1.5 is not an integer"),
+    "Grassmann mask None": (lambda: GrassmannElement(1, H, {None: 1}), ValidationError,
+                            "None is not an integer"),
+    "Grassmann mask -1": (lambda: GrassmannElement(1, H, {-1: 1}), ValidationError,
+                          "monomial mask is negative"),
+    "Grassmann mask beyond n": (lambda: GrassmannElement(2, H, {0b100: 1}),
+                                DimensionMismatchError,
+                                "monomial uses generators up to θ3, beyond n=2"),
+    "Grassmann coefficient 0.5": (lambda: GrassmannElement(1, H, {0: 0.5}), TypeError, _FLOAT),
+    "Grassmann coefficient sigma": (lambda: GrassmannElement(1, H, {0: _OTHER}),
+                                    SignatureMismatchError,
+                                    "coefficient sigma differs from algebra sigma"),
+    # the one-term constructors
+    "character frequency 0.5": (lambda: ExpPoly.character((0.5,), H), TypeError, _FLOAT),
+    "character frequency None": (lambda: ExpPoly.character((None,), H), TypeError, _NONE),
+    "character frequency 'x'": (lambda: ExpPoly.character(("x",), H), ValidationError, _TEXT),
+    "character no frequency": (lambda: ExpPoly.character((), H), DimensionMismatchError,
+                               "dim must be >= 1"),
+    "character frequency 1": (lambda: ExpPoly.character(1, H), TypeError,
+                              "'int' object is not iterable"),
+    "character sigma 2": (lambda: ExpPoly.character((1,), 2), ValidationError,
+                          "not a signature: 2"),
+    "character coefficient 0.5": (lambda: ExpPoly.character((1,), H, 0.5), TypeError, _FLOAT),
+    "character coefficient None": (lambda: ExpPoly.character((1,), H, None), TypeError, _NONE),
+    "character coefficient sigma": (lambda: ExpPoly.character((1,), H, _OTHER),
+                                    SignatureMismatchError,
+                                    "coefficient sigma differs from ExpPoly sigma"),
+    "character weight sigma": (lambda: ExpPoly.character((1,), H, _OTHER_WEIGHT),
+                               SignatureMismatchError,
+                               "coefficient sigma differs from ExpPoly sigma"),
+    "constant dim 0": (lambda: ExpPoly.constant(1, 0, H), DimensionMismatchError,
+                       "dim must be >= 1"),
+    "constant dim -1": (lambda: ExpPoly.constant(1, -1, H), DimensionMismatchError,
+                        "dim must be >= 1"),
+    "constant dim True": (lambda: ExpPoly.constant(1, True, H), ValidationError,
+                          "True is not an integer"),
+    "constant dim 1.5": (lambda: ExpPoly.constant(1, 1.5, H), ValidationError,
+                         "1.5 is not an integer"),
+    "constant dim '1'": (lambda: ExpPoly.constant(1, "1", H), ValidationError,
+                         "'1' is not an integer"),
+    "constant dim None": (lambda: ExpPoly.constant(1, None, H), ValidationError,
+                          "None is not an integer"),
+    "constant sigma 0": (lambda: ExpPoly.constant(1, 1, 0), ValidationError,
+                         "not a signature: 0"),
+    "constant value 0.5": (lambda: ExpPoly.constant(0.5, 1, H), TypeError, _FLOAT),
+    "constant value None": (lambda: ExpPoly.constant(None, 1, H), TypeError, _NONE),
+    "constant value 'x'": (lambda: ExpPoly.constant("x", 1, H), ValidationError, _TEXT),
+    "constant value sigma": (lambda: ExpPoly.constant(_OTHER, 1, H), SignatureMismatchError,
+                             "coefficient sigma differs from ExpPoly sigma"),
+    "constant weight sigma": (lambda: ExpPoly.constant(_OTHER_WEIGHT, 1, H),
+                              SignatureMismatchError,
+                              "coefficient sigma differs from ExpPoly sigma"),
+    "monomial exponent -1": (lambda: ExpPoly.monomial((-1,), 1, H), ValidationError,
+                             "negative exponents are not allowed"),
+    "monomial exponent True": (lambda: ExpPoly.monomial((True,), 1, H), ValidationError,
+                               "True is not an integer"),
+    "monomial exponent 1.5": (lambda: ExpPoly.monomial((1.5,), 1, H), ValidationError,
+                              "1.5 is not an integer"),
+    "monomial exponent None": (lambda: ExpPoly.monomial((None,), 1, H), ValidationError,
+                               "None is not an integer"),
+    "monomial exponent '1'": (lambda: ExpPoly.monomial(("1",), 1, H), ValidationError,
+                              "'1' is not an integer"),
+    "monomial no exponent": (lambda: ExpPoly.monomial((), 1, H), DimensionMismatchError,
+                             "dim must be >= 1"),
+    "monomial iterator": (lambda: ExpPoly.monomial(iter((1,)), 1, H), TypeError,
+                          "object of type 'tuple_iterator' has no len()"),
+    "monomial sigma 0": (lambda: ExpPoly.monomial((1,), 1, 0), ValidationError,
+                         "not a signature: 0"),
+    "monomial coefficient 0.5": (lambda: ExpPoly.monomial((1,), 0.5, H), TypeError, _FLOAT),
+    "monomial coefficient sigma": (lambda: ExpPoly.monomial((1,), _OTHER, H),
+                                   SignatureMismatchError,
+                                   "coefficient sigma differs from ExpPoly sigma"),
+    "monomial weight sigma": (lambda: ExpPoly.monomial((1,), _OTHER_WEIGHT, H),
+                              SignatureMismatchError,
+                              "coefficient sigma differs from ExpPoly sigma"),
+    "coordinate index True": (lambda: ExpPoly.coordinate(True, 2, H), ValidationError,
+                              "True is not an integer"),
+    "coordinate index None": (lambda: ExpPoly.coordinate(None, 2, H), ValidationError,
+                              "None is not an integer"),
+    "coordinate index -1": (lambda: ExpPoly.coordinate(-1, 2, H), IndexError,
+                            "index -1 out of range for dim 2"),
+    "coordinate dim 0": (lambda: ExpPoly.coordinate(0, 0, H), IndexError,
+                         "index 0 out of range for dim 0"),
+    "coordinate dim True": (lambda: ExpPoly.coordinate(0, True, H), ValidationError,
+                            "True is not an integer"),
+    "coordinate dim 1.5": (lambda: ExpPoly.coordinate(0, 1.5, H), ValidationError,
+                           "1.5 is not an integer"),
+    "coordinate sigma 'x'": (lambda: ExpPoly.coordinate(0, 1, "x"), ValidationError,
+                             "not a signature: 'x'"),
+    "plane_wave h 0": (lambda: WaveFunction.plane_wave((1,), 0, H), ValidationError,
+                       "h must be a positive rational"),
+    "plane_wave h -1": (lambda: WaveFunction.plane_wave((1,), -1, H), ValidationError,
+                        "h must be a positive rational"),
+    "plane_wave h 0.5": (lambda: WaveFunction.plane_wave((1,), 0.5, H), TypeError, _FLOAT),
+    "plane_wave h None": (lambda: WaveFunction.plane_wave((1,), None, H), TypeError, _NONE),
+    "plane_wave h 'x'": (lambda: WaveFunction.plane_wave((1,), "x", H), ValidationError, _TEXT),
+    "plane_wave h '1/0'": (lambda: WaveFunction.plane_wave((1,), "1/0", H), ValidationError,
+                           "zero denominator in '1/0'"),
+    "plane_wave momentum 0.5": (lambda: WaveFunction.plane_wave((0.5,), 1, H), TypeError,
+                                _FLOAT),
+    "plane_wave momentum None": (lambda: WaveFunction.plane_wave((None,), 1, H), TypeError,
+                                 _NONE),
+    "plane_wave momentum 'x'": (lambda: WaveFunction.plane_wave(("x",), 1, H), ValidationError,
+                                _TEXT),
+    "plane_wave no momentum": (lambda: WaveFunction.plane_wave((), 1, H),
+                               DimensionMismatchError, "dim must be >= 1"),
+    "plane_wave momentum float": (lambda: WaveFunction.plane_wave(0.5, 1, H), TypeError,
+                                  _FLOAT),
+    "plane_wave sigma 0": (lambda: WaveFunction.plane_wave((1,), 1, 0), ValidationError,
+                           "not a signature: 0"),
+    # two faults at once: the check that comes first in the constructor wins
+    "character frequency and sigma": (
+        lambda: ExpPoly.character((0.5,), 2, _OTHER), ValidationError,
+        "not a signature: 2"),
+    "character frequency and coefficient": (
+        lambda: ExpPoly.character((0.5,), H, _OTHER), TypeError,
+        "expected an exact rational, got float"),
+    "monomial exponent and coefficient": (
+        lambda: ExpPoly.monomial((-1,), _OTHER, H), ValidationError,
+        "negative exponents are not allowed"),
+    "monomial exponent and sigma": (
+        lambda: ExpPoly.monomial((-1,), 1, "x"), ValidationError,
+        "not a signature: 'x'"),
+    "constant dim and sigma": (
+        lambda: ExpPoly.constant(_OTHER, 0, "x"), DimensionMismatchError,
+        "dim must be >= 1"),
+    "ExpPoly dim and sigma": (
+        lambda: ExpPoly(0, "x", {}), DimensionMismatchError,
+        "dim must be >= 1"),
+    "ExpPoly sigma and frequency": (
+        lambda: ExpPoly(1, "x", {((0.5,), (0,)): 1}), ValidationError,
+        "not a signature: 'x'"),
+    "ExpPoly frequency and exponent": (
+        lambda: ExpPoly(1, H, {((0.5,), (-1,)): 1}), TypeError,
+        "expected an exact rational, got float"),
+    "ExpPoly exponent and length": (
+        lambda: ExpPoly(2, H, {((0,), (-1, 0)): 1}), ValidationError,
+        "negative exponents are not allowed"),
+    "ExpPoly length and weight": (
+        lambda: ExpPoly(2, H, {((0,), (0, 0)): _OTHER_WEIGHT}), DimensionMismatchError,
+        "term vectors must have length 2"),
+    "PolySymbol exponent and length": (
+        lambda: PolySymbol(1, H, {((-1,), (0, 0)): _OTHER}), ValidationError,
+        "negative exponents are not allowed"),
+    "PolySymbol length and coefficient": (
+        lambda: PolySymbol(1, H, {((0,), (0, 0)): _OTHER}), DimensionMismatchError,
+        "exponent vectors must have length 1"),
+    "PolySymbol dof and sigma": (
+        lambda: PolySymbol(0, "x", {}), DimensionMismatchError,
+        "dof must be >= 1"),
+    "Ultradistribution location and order": (
+        lambda: Ultradistribution(2, H, [((0.5,), (-1,), _OTHER)]), TypeError,
+        "expected an exact rational, got float"),
+    "Ultradistribution order and weight": (
+        lambda: Ultradistribution(1, H, [((0,), (-1,), _OTHER_WEIGHT)]), ValidationError,
+        "derivative orders must be nonnegative"),
+    "plane_wave h and momentum": (
+        lambda: WaveFunction.plane_wave((0.5,), 0, 0), ValidationError,
+        "h must be a positive rational"),
+    "plane_wave momentum and sigma": (
+        lambda: WaveFunction.plane_wave((0.5,), 1, 0), TypeError,
+        "expected an exact rational, got float"),
+    "delta location and sigma": (
+        lambda: Ultradistribution.delta((0.5,), 0), TypeError,
+        "expected an exact rational, got float"),
+    "delta order and weight": (
+        lambda: Ultradistribution.delta((0,), H, (-1,), _OTHER), ValidationError,
+        "derivative orders must be nonnegative"),
+    "delta order length": (
+        lambda: Ultradistribution.delta((0,), H, (0, 0)), DimensionMismatchError,
+        "atom vectors must have length 1"),
+    "delta weight sigma": (
+        lambda: Ultradistribution.delta((0,), H, None, _OTHER_WEIGHT), SignatureMismatchError,
+        "coefficient sigma differs from distribution sigma"),
+    "delta no location": (
+        lambda: Ultradistribution.delta((), H), DimensionMismatchError,
+        "dim must be >= 1"),
+    "Grassmann mask and coefficient": (
+        lambda: GrassmannElement(1, H, {4: _OTHER}), DimensionMismatchError,
+        "monomial uses generators up to θ3, beyond n=1"),
+    "HPoly degree and coefficient": (
+        lambda: HPoly({-1: _OTHER}, H), ValidationError,
+        "h-degree must be nonnegative"),
+}
 
 
 #: name -> (call, exception class, message)
@@ -613,312 +946,7 @@ REFUSALS = {
                           "zero denominator in '1/0'"),
     "substitute_h 'x'": (lambda: _Q.substitute_h("x"), ValidationError, _TEXT),
     # public constructors, each refusal read before anything is stored
-    "HPoly degree True": (lambda: HPoly({True: 1}, H), ValidationError, "True is not an integer"),
-    "HPoly degree 1.5": (lambda: HPoly({1.5: 1}, H), ValidationError, "1.5 is not an integer"),
-    "HPoly degree '1'": (lambda: HPoly({"1": 1}, H), ValidationError, "'1' is not an integer"),
-    "HPoly degree None": (lambda: HPoly({None: 1}, H), ValidationError, "None is not an integer"),
-    "HPoly degree -1": (lambda: HPoly({-1: 1}, H), ValidationError,
-                        "h-degree must be nonnegative"),
-    "HPoly coefficient 1.5": (lambda: HPoly({0: 1.5}, H), TypeError, _FLOAT),
-    "HPoly coefficient 'x'": (lambda: HPoly({0: "x"}, H), ValidationError, _TEXT),
-    "HPoly coefficient None": (lambda: HPoly({0: None}, H), TypeError, _NONE),
-    "HPoly coefficient sigma": (lambda: HPoly({0: _OTHER}, H), SignatureMismatchError,
-                                "coefficient sigma differs from HPoly sigma"),
-    "HPoly sigma 0": (lambda: HPoly({0: 1}, 0), ValidationError, "not a signature: 0"),
-    "CharSum r 0.5": (lambda: CharSum({0.5: 1}, H), TypeError, _FLOAT),
-    "CharSum r 'x'": (lambda: CharSum({"x": 1}, H), ValidationError, _TEXT),
-    "CharSum r None": (lambda: CharSum({None: 1}, H), TypeError, _NONE),
-    "CharSum coefficient 0.5": (lambda: CharSum({0: 0.5}, H), TypeError, _FLOAT),
-    "CharSum coefficient None": (lambda: CharSum({0: None}, H), TypeError, _NONE),
-    "CharSum coefficient sigma": (lambda: CharSum({0: _OTHER}, H), SignatureMismatchError,
-                                  "coefficient sigma differs from CharSum sigma"),
-    "PolySymbol dof 0": (lambda: PolySymbol(0, H, {}), DimensionMismatchError,
-                         "dof must be >= 1"),
-    "PolySymbol dof True": (lambda: PolySymbol(True, H, {}), ValidationError,
-                            "True is not an integer"),
-    "PolySymbol dof 1.5": (lambda: PolySymbol(1.5, H, {}), ValidationError,
-                           "1.5 is not an integer"),
-    "PolySymbol dof '1'": (lambda: PolySymbol("1", H, {}), ValidationError,
-                           "'1' is not an integer"),
-    "PolySymbol dof None": (lambda: PolySymbol(None, H, {}), ValidationError,
-                            "None is not an integer"),
-    "PolySymbol exponent True": (lambda: PolySymbol(1, H, {((True,), (0,)): 1}),
-                                 ValidationError, "True is not an integer"),
-    "PolySymbol exponent 1.5": (lambda: PolySymbol(1, H, {((1.5,), (0,)): 1}), ValidationError,
-                                "1.5 is not an integer"),
-    "PolySymbol exponent '1'": (lambda: PolySymbol(1, H, {((0,), ("1",)): 1}), ValidationError,
-                                "'1' is not an integer"),
-    "PolySymbol exponent None": (lambda: PolySymbol(1, H, {((None,), (0,)): 1}),
-                                 ValidationError, "None is not an integer"),
-    "PolySymbol exponent -1": (lambda: PolySymbol(1, H, {((0,), (-1,)): 1}), ValidationError,
-                               "negative exponents are not allowed"),
-    "PolySymbol length": (lambda: PolySymbol(2, H, {((1,), (0, 0)): 1}), DimensionMismatchError,
-                          "exponent vectors must have length 2"),
-    "PolySymbol coefficient 0.5": (lambda: PolySymbol(1, H, {((0,), (0,)): 0.5}), TypeError,
-                                   _FLOAT),
-    "PolySymbol coefficient None": (lambda: PolySymbol(1, H, {((0,), (0,)): None}), TypeError,
-                                    _NONE),
-    "PolySymbol coefficient sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): _OTHER}),
-                                     SignatureMismatchError,
-                                     "coefficient sigma differs from symbol sigma"),
-    "PolySymbol HPoly sigma": (lambda: PolySymbol(1, H, {((0,), (0,)): HPoly({1: 1}, C)}),
-                               SignatureMismatchError,
-                               "coefficient sigma differs from symbol sigma"),
-    "PolySymbol CharSum coefficient": (
-        lambda: PolySymbol(1, H, {((0,), (0,)): CharSum({0: 1}, H)}), TypeError,
-        "expected an exact rational, got CharSum"),
-    "ExpPoly dim 0": (lambda: ExpPoly(0, H, {}), DimensionMismatchError, "dim must be >= 1"),
-    "ExpPoly dim True": (lambda: ExpPoly(True, H, {}), ValidationError,
-                         "True is not an integer"),
-    "ExpPoly dim 1.5": (lambda: ExpPoly(1.5, H, {}), ValidationError, "1.5 is not an integer"),
-    "ExpPoly dim None": (lambda: ExpPoly(None, H, {}), ValidationError,
-                         "None is not an integer"),
-    "ExpPoly frequency 0.5": (lambda: ExpPoly(1, H, {((0.5,), (0,)): 1}), TypeError, _FLOAT),
-    "ExpPoly frequency 'x'": (lambda: ExpPoly(1, H, {(("x",), (0,)): 1}), ValidationError,
-                              _TEXT),
-    "ExpPoly frequency None": (lambda: ExpPoly(1, H, {((None,), (0,)): 1}), TypeError, _NONE),
-    "ExpPoly exponent True": (lambda: ExpPoly(1, H, {((0,), (True,)): 1}), ValidationError,
-                              "True is not an integer"),
-    "ExpPoly exponent 1.5": (lambda: ExpPoly(1, H, {((0,), (1.5,)): 1}), ValidationError,
-                             "1.5 is not an integer"),
-    "ExpPoly exponent -1": (lambda: ExpPoly(1, H, {((0,), (-1,)): 1}), ValidationError,
-                            "negative exponents are not allowed"),
-    "ExpPoly frequency length": (lambda: ExpPoly(2, H, {((0,), (0, 0)): 1}),
-                                 DimensionMismatchError, "term vectors must have length 2"),
-    "ExpPoly exponent length": (lambda: ExpPoly(2, H, {((0, 0), (0,)): 1}),
-                                DimensionMismatchError, "term vectors must have length 2"),
-    "ExpPoly coefficient 0.5": (lambda: ExpPoly(1, H, {((0,), (0,)): 0.5}), TypeError, _FLOAT),
-    "ExpPoly coefficient None": (lambda: ExpPoly(1, H, {((0,), (0,)): None}), TypeError, _NONE),
-    "ExpPoly coefficient sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER}),
-                                  SignatureMismatchError,
-                                  "coefficient sigma differs from ExpPoly sigma"),
-    "ExpPoly weight sigma": (lambda: ExpPoly(1, H, {((0,), (0,)): _OTHER_WEIGHT}),
-                             SignatureMismatchError,
-                             "coefficient sigma differs from ExpPoly sigma"),
-    "ExpPoly HPoly weight": (lambda: ExpPoly(1, H, {((0,), (0,)): HPoly({0: 1}, H)}), TypeError,
-                             "expected an exact rational, got HPoly"),
-    "Ultradistribution dim 0": (lambda: Ultradistribution(0, H, []), DimensionMismatchError,
-                                "dim must be >= 1"),
-    "Ultradistribution dim True": (lambda: Ultradistribution(True, H, []), ValidationError,
-                                   "True is not an integer"),
-    "Ultradistribution location 0.5": (lambda: Ultradistribution(1, H, [((0.5,), (0,), 1)]),
-                                       TypeError, _FLOAT),
-    "Ultradistribution location None": (lambda: Ultradistribution(1, H, [((None,), (0,), 1)]),
-                                        TypeError, _NONE),
-    "Ultradistribution location 'x'": (lambda: Ultradistribution(1, H, [(("x",), (0,), 1)]),
-                                       ValidationError, _TEXT),
-    "Ultradistribution order -1": (lambda: Ultradistribution(1, H, [((0,), (-1,), 1)]),
-                                   ValidationError, "derivative orders must be nonnegative"),
-    "Ultradistribution order True": (lambda: Ultradistribution(1, H, [((0,), (True,), 1)]),
-                                     ValidationError, "True is not an integer"),
-    "Ultradistribution order 1.5": (lambda: Ultradistribution(1, H, [((0,), (1.5,), 1)]),
-                                    ValidationError, "1.5 is not an integer"),
-    "Ultradistribution order None": (lambda: Ultradistribution(1, H, [((0,), (None,), 1)]),
-                                     ValidationError, "None is not an integer"),
-    "Ultradistribution length": (lambda: Ultradistribution(2, H, [((0,), (0, 0), 1)]),
-                                 DimensionMismatchError, "atom vectors must have length 2"),
-    "Ultradistribution weight 0.5": (lambda: Ultradistribution(1, H, [((0,), (0,), 0.5)]),
-                                     TypeError, _FLOAT),
-    "Ultradistribution weight None": (lambda: Ultradistribution(1, H, [((0,), (0,), None)]),
-                                      TypeError, _NONE),
-    "Ultradistribution coefficient sigma": (
-        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER)]), SignatureMismatchError,
-        "coefficient sigma differs from distribution sigma"),
-    "Ultradistribution weight sigma": (
-        lambda: Ultradistribution(1, H, [((0,), (0,), _OTHER_WEIGHT)]), SignatureMismatchError,
-        "coefficient sigma differs from distribution sigma"),
-    "Grassmann n -1": (lambda: GrassmannElement(-1, H, {}), ValidationError,
-                       "generator count must be nonnegative"),
-    "Grassmann n True": (lambda: GrassmannElement(True, H, {}), ValidationError,
-                         "True is not an integer"),
-    "Grassmann n 1.5": (lambda: GrassmannElement(1.5, H, {}), ValidationError,
-                        "1.5 is not an integer"),
-    "Grassmann mask True": (lambda: GrassmannElement(1, H, {True: 1}), ValidationError,
-                            "True is not an integer"),
-    "Grassmann mask 1.5": (lambda: GrassmannElement(1, H, {1.5: 1}), ValidationError,
-                           "1.5 is not an integer"),
-    "Grassmann mask None": (lambda: GrassmannElement(1, H, {None: 1}), ValidationError,
-                            "None is not an integer"),
-    "Grassmann mask -1": (lambda: GrassmannElement(1, H, {-1: 1}), ValidationError,
-                          "monomial mask is negative"),
-    "Grassmann mask beyond n": (lambda: GrassmannElement(2, H, {0b100: 1}),
-                                DimensionMismatchError,
-                                "monomial uses generators up to θ3, beyond n=2"),
-    "Grassmann coefficient 0.5": (lambda: GrassmannElement(1, H, {0: 0.5}), TypeError, _FLOAT),
-    "Grassmann coefficient sigma": (lambda: GrassmannElement(1, H, {0: _OTHER}),
-                                    SignatureMismatchError,
-                                    "coefficient sigma differs from algebra sigma"),
-    # the one-term constructors
-    "character frequency 0.5": (lambda: ExpPoly.character((0.5,), H), TypeError, _FLOAT),
-    "character frequency None": (lambda: ExpPoly.character((None,), H), TypeError, _NONE),
-    "character frequency 'x'": (lambda: ExpPoly.character(("x",), H), ValidationError, _TEXT),
-    "character no frequency": (lambda: ExpPoly.character((), H), DimensionMismatchError,
-                               "dim must be >= 1"),
-    "character frequency 1": (lambda: ExpPoly.character(1, H), TypeError,
-                              "'int' object is not iterable"),
-    "character sigma 2": (lambda: ExpPoly.character((1,), 2), ValidationError,
-                          "not a signature: 2"),
-    "character coefficient 0.5": (lambda: ExpPoly.character((1,), H, 0.5), TypeError, _FLOAT),
-    "character coefficient None": (lambda: ExpPoly.character((1,), H, None), TypeError, _NONE),
-    "character coefficient sigma": (lambda: ExpPoly.character((1,), H, _OTHER),
-                                    SignatureMismatchError,
-                                    "coefficient sigma differs from ExpPoly sigma"),
-    "character weight sigma": (lambda: ExpPoly.character((1,), H, _OTHER_WEIGHT),
-                               SignatureMismatchError,
-                               "coefficient sigma differs from ExpPoly sigma"),
-    "constant dim 0": (lambda: ExpPoly.constant(1, 0, H), DimensionMismatchError,
-                       "dim must be >= 1"),
-    "constant dim -1": (lambda: ExpPoly.constant(1, -1, H), DimensionMismatchError,
-                        "dim must be >= 1"),
-    "constant dim True": (lambda: ExpPoly.constant(1, True, H), ValidationError,
-                          "True is not an integer"),
-    "constant dim 1.5": (lambda: ExpPoly.constant(1, 1.5, H), ValidationError,
-                         "1.5 is not an integer"),
-    "constant dim '1'": (lambda: ExpPoly.constant(1, "1", H), ValidationError,
-                         "'1' is not an integer"),
-    "constant dim None": (lambda: ExpPoly.constant(1, None, H), ValidationError,
-                          "None is not an integer"),
-    "constant sigma 0": (lambda: ExpPoly.constant(1, 1, 0), ValidationError,
-                         "not a signature: 0"),
-    "constant value 0.5": (lambda: ExpPoly.constant(0.5, 1, H), TypeError, _FLOAT),
-    "constant value None": (lambda: ExpPoly.constant(None, 1, H), TypeError, _NONE),
-    "constant value 'x'": (lambda: ExpPoly.constant("x", 1, H), ValidationError, _TEXT),
-    "constant value sigma": (lambda: ExpPoly.constant(_OTHER, 1, H), SignatureMismatchError,
-                             "coefficient sigma differs from ExpPoly sigma"),
-    "constant weight sigma": (lambda: ExpPoly.constant(_OTHER_WEIGHT, 1, H),
-                              SignatureMismatchError,
-                              "coefficient sigma differs from ExpPoly sigma"),
-    "monomial exponent -1": (lambda: ExpPoly.monomial((-1,), 1, H), ValidationError,
-                             "negative exponents are not allowed"),
-    "monomial exponent True": (lambda: ExpPoly.monomial((True,), 1, H), ValidationError,
-                               "True is not an integer"),
-    "monomial exponent 1.5": (lambda: ExpPoly.monomial((1.5,), 1, H), ValidationError,
-                              "1.5 is not an integer"),
-    "monomial exponent None": (lambda: ExpPoly.monomial((None,), 1, H), ValidationError,
-                               "None is not an integer"),
-    "monomial exponent '1'": (lambda: ExpPoly.monomial(("1",), 1, H), ValidationError,
-                              "'1' is not an integer"),
-    "monomial no exponent": (lambda: ExpPoly.monomial((), 1, H), DimensionMismatchError,
-                             "dim must be >= 1"),
-    "monomial iterator": (lambda: ExpPoly.monomial(iter((1,)), 1, H), TypeError,
-                          "object of type 'tuple_iterator' has no len()"),
-    "monomial sigma 0": (lambda: ExpPoly.monomial((1,), 1, 0), ValidationError,
-                         "not a signature: 0"),
-    "monomial coefficient 0.5": (lambda: ExpPoly.monomial((1,), 0.5, H), TypeError, _FLOAT),
-    "monomial coefficient sigma": (lambda: ExpPoly.monomial((1,), _OTHER, H),
-                                   SignatureMismatchError,
-                                   "coefficient sigma differs from ExpPoly sigma"),
-    "monomial weight sigma": (lambda: ExpPoly.monomial((1,), _OTHER_WEIGHT, H),
-                              SignatureMismatchError,
-                              "coefficient sigma differs from ExpPoly sigma"),
-    "coordinate index True": (lambda: ExpPoly.coordinate(True, 2, H), ValidationError,
-                              "True is not an integer"),
-    "coordinate index None": (lambda: ExpPoly.coordinate(None, 2, H), ValidationError,
-                              "None is not an integer"),
-    "coordinate index -1": (lambda: ExpPoly.coordinate(-1, 2, H), IndexError,
-                            "index -1 out of range for dim 2"),
-    "coordinate dim 0": (lambda: ExpPoly.coordinate(0, 0, H), IndexError,
-                         "index 0 out of range for dim 0"),
-    "coordinate dim True": (lambda: ExpPoly.coordinate(0, True, H), ValidationError,
-                            "True is not an integer"),
-    "coordinate dim 1.5": (lambda: ExpPoly.coordinate(0, 1.5, H), ValidationError,
-                           "1.5 is not an integer"),
-    "coordinate sigma 'x'": (lambda: ExpPoly.coordinate(0, 1, "x"), ValidationError,
-                             "not a signature: 'x'"),
-    "plane_wave h 0": (lambda: WaveFunction.plane_wave((1,), 0, H), ValidationError,
-                       "h must be a positive rational"),
-    "plane_wave h -1": (lambda: WaveFunction.plane_wave((1,), -1, H), ValidationError,
-                        "h must be a positive rational"),
-    "plane_wave h 0.5": (lambda: WaveFunction.plane_wave((1,), 0.5, H), TypeError, _FLOAT),
-    "plane_wave h None": (lambda: WaveFunction.plane_wave((1,), None, H), TypeError, _NONE),
-    "plane_wave h 'x'": (lambda: WaveFunction.plane_wave((1,), "x", H), ValidationError, _TEXT),
-    "plane_wave h '1/0'": (lambda: WaveFunction.plane_wave((1,), "1/0", H), ValidationError,
-                           "zero denominator in '1/0'"),
-    "plane_wave momentum 0.5": (lambda: WaveFunction.plane_wave((0.5,), 1, H), TypeError,
-                                _FLOAT),
-    "plane_wave momentum None": (lambda: WaveFunction.plane_wave((None,), 1, H), TypeError,
-                                 _NONE),
-    "plane_wave momentum 'x'": (lambda: WaveFunction.plane_wave(("x",), 1, H), ValidationError,
-                                _TEXT),
-    "plane_wave no momentum": (lambda: WaveFunction.plane_wave((), 1, H),
-                               DimensionMismatchError, "dim must be >= 1"),
-    "plane_wave momentum float": (lambda: WaveFunction.plane_wave(0.5, 1, H), TypeError,
-                                  _FLOAT),
-    "plane_wave sigma 0": (lambda: WaveFunction.plane_wave((1,), 1, 0), ValidationError,
-                           "not a signature: 0"),
-    # two faults at once: the check that comes first in the constructor wins
-    "character frequency and sigma": (
-        lambda: ExpPoly.character((0.5,), 2, _OTHER), ValidationError,
-        "not a signature: 2"),
-    "character frequency and coefficient": (
-        lambda: ExpPoly.character((0.5,), H, _OTHER), TypeError,
-        "expected an exact rational, got float"),
-    "monomial exponent and coefficient": (
-        lambda: ExpPoly.monomial((-1,), _OTHER, H), ValidationError,
-        "negative exponents are not allowed"),
-    "monomial exponent and sigma": (
-        lambda: ExpPoly.monomial((-1,), 1, "x"), ValidationError,
-        "not a signature: 'x'"),
-    "constant dim and sigma": (
-        lambda: ExpPoly.constant(_OTHER, 0, "x"), DimensionMismatchError,
-        "dim must be >= 1"),
-    "ExpPoly dim and sigma": (
-        lambda: ExpPoly(0, "x", {}), DimensionMismatchError,
-        "dim must be >= 1"),
-    "ExpPoly sigma and frequency": (
-        lambda: ExpPoly(1, "x", {((0.5,), (0,)): 1}), ValidationError,
-        "not a signature: 'x'"),
-    "ExpPoly frequency and exponent": (
-        lambda: ExpPoly(1, H, {((0.5,), (-1,)): 1}), TypeError,
-        "expected an exact rational, got float"),
-    "ExpPoly exponent and length": (
-        lambda: ExpPoly(2, H, {((0,), (-1, 0)): 1}), ValidationError,
-        "negative exponents are not allowed"),
-    "ExpPoly length and weight": (
-        lambda: ExpPoly(2, H, {((0,), (0, 0)): _OTHER_WEIGHT}), DimensionMismatchError,
-        "term vectors must have length 2"),
-    "PolySymbol exponent and length": (
-        lambda: PolySymbol(1, H, {((-1,), (0, 0)): _OTHER}), ValidationError,
-        "negative exponents are not allowed"),
-    "PolySymbol length and coefficient": (
-        lambda: PolySymbol(1, H, {((0,), (0, 0)): _OTHER}), DimensionMismatchError,
-        "exponent vectors must have length 1"),
-    "PolySymbol dof and sigma": (
-        lambda: PolySymbol(0, "x", {}), DimensionMismatchError,
-        "dof must be >= 1"),
-    "Ultradistribution location and order": (
-        lambda: Ultradistribution(2, H, [((0.5,), (-1,), _OTHER)]), TypeError,
-        "expected an exact rational, got float"),
-    "Ultradistribution order and weight": (
-        lambda: Ultradistribution(1, H, [((0,), (-1,), _OTHER_WEIGHT)]), ValidationError,
-        "derivative orders must be nonnegative"),
-    "plane_wave h and momentum": (
-        lambda: WaveFunction.plane_wave((0.5,), 0, 0), ValidationError,
-        "h must be a positive rational"),
-    "plane_wave momentum and sigma": (
-        lambda: WaveFunction.plane_wave((0.5,), 1, 0), TypeError,
-        "expected an exact rational, got float"),
-    "delta location and sigma": (
-        lambda: Ultradistribution.delta((0.5,), 0), TypeError,
-        "expected an exact rational, got float"),
-    "delta order and weight": (
-        lambda: Ultradistribution.delta((0,), H, (-1,), _OTHER), ValidationError,
-        "derivative orders must be nonnegative"),
-    "delta order length": (
-        lambda: Ultradistribution.delta((0,), H, (0, 0)), DimensionMismatchError,
-        "atom vectors must have length 1"),
-    "delta weight sigma": (
-        lambda: Ultradistribution.delta((0,), H, None, _OTHER_WEIGHT), SignatureMismatchError,
-        "coefficient sigma differs from distribution sigma"),
-    "delta no location": (
-        lambda: Ultradistribution.delta((), H), DimensionMismatchError,
-        "dim must be >= 1"),
-    "Grassmann mask and coefficient": (
-        lambda: GrassmannElement(1, H, {4: _OTHER}), DimensionMismatchError,
-        "monomial uses generators up to θ3, beyond n=1"),
-    "HPoly degree and coefficient": (
-        lambda: HPoly({-1: _OTHER}, H), ValidationError,
-        "h-degree must be nonnegative"),
+    **CONSTRUCTOR_REFUSALS,
     # index, order and size arguments, read by ``sparse.integer``: a value that
     # ``int`` would change or refuse is refused, not truncated or stored
     "coordinate 0.5": (lambda: ExpPoly.coordinate(0.5, 2, H), ValidationError,
@@ -1053,13 +1081,174 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
-def test_a_refusal_raises_its_class_and_message(call, error, message):
+def check_refusal(request, row):
+    """The call of ``REFUSALS[row]`` raises its class, the class itself and not
+    a subclass, with its exact message."""
+    call, error, message = REFUSALS[row]
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error and str(err.value) == message
     if error is ParseError:
         assert message.endswith(f" (at position {err.value.position})")
+
+
+def rows_test(check, rows):
+    """A test that runs ``check(request, row)`` on ``rows``: one case for each
+    id when ``rows`` maps ids to rows, else each row in turn in one run."""
+    if isinstance(rows, dict):
+        @pytest.mark.parametrize("row", rows.values(), ids=rows)
+        def test(request, row):
+            check(request, row)
+    else:
+        def test(request):
+            for row in rows:
+                check(request, row)
+    return test
+
+
+def homed_tests(module: str, homes: dict, check) -> dict:
+    """The tests of ``module`` that ``homes`` names, by name, each checking its rows."""
+    return {home.split("::")[1]: rows_test(check, rows) for home, rows in homes.items()
+            if home.startswith(f"{module}::")}
+
+
+def homed_rows(homes: dict) -> set:
+    return {row for rows in homes.values()
+            for row in (rows.values() if isinstance(rows, dict) else rows)}
+
+
+def _by_name(*rows) -> dict:
+    return dict(zip(rows, rows))
+
+
+#: A row that a test of another module checked before it joined this table is
+#: checked by that test still, under its old name and id: "module::test" ->
+#: its rows by their ids, or the rows a test without parameters checks in one
+#: run.  A row may belong to two such tests; every other row is checked by
+#: ``test_a_refusal_raises_its_class_and_message``.
+HOMES = {
+    "test_cli::test_integer_fields_refuse_booleans": {
+        "PolySymbol-document0-path0-True": "json symbol dof true",
+        "PolySymbol-document1-path1-value1": "json symbol q [true]",
+        "PolySymbol-document2-path2-True": "json symbol h true",
+        "ExpPoly-document3-path3-value3": "json exppoly exp [false]",
+        "Ultradistribution-document4-path4-True": "json atoms dim true",
+        "GrassmannElement-document5-path5-value5": "json grassmann gens [true, 2]"},
+    "test_cli::test_integer_fields_refuse_what_int_would_change": {
+        "PolySymbol-document0-path0-1.5": "json symbol dof 1.5",
+        "PolySymbol-document1-path1-value1": "json symbol q [0.5]",
+        "PolySymbol-document2-path2-value2": "json symbol q [[0]]",
+        "PolySymbol-document3-path3-value3": "json symbol q ['a']",
+        "PolySymbol-document4-path4-value4": "json symbol p ['1']",
+        "PolySymbol-document5-path5-0.5": "json symbol h 0.5",
+        "ExpPoly-document6-path6-1": "json exppoly dim '1'",
+        "ExpPoly-document7-path7-value7": "json exppoly exp [2.7]",
+        "Ultradistribution-document8-path8-1.5": "json atoms dim 1.5",
+        "Ultradistribution-document9-path9-value9": "json atoms order [1.9]",
+        "GrassmannElement-document10-path10-2.5": "json grassmann n 2.5",
+        "GrassmannElement-document11-path11-value11": "json grassmann gens [1.5]",
+        "GrassmannElement-document12-path12-value12": "json grassmann gens [0]",
+        "GrassmannElement-document13-path13-value13": "json grassmann gens [10^9]"},
+    "test_distributions::test_pair_dimension_mismatch": ("pair dims",),
+    "test_grassmann::test_json_gens_must_strictly_ascend": {
+        "gens0": "json gens [1, 1]", "gens1": "json gens [2, 1]"},
+    "test_grassmann::test_mask_past_n_is_named_by_its_highest_generator": ("mask past n",),
+    "test_grassmann::test_masks_must_be_integers": {
+        "2.7": "grassmann mask 2.7", "3": "grassmann mask '3'", "True": "grassmann mask True n 2"},
+    "test_grassmann::test_mismatches_rejected": ("grassmann sigmas", "grassmann sizes"),
+    "test_grassmann::test_monomial_refuses_a_word_that_is_not_strictly_ascending": {
+        "indices0": "monomial word (1, 0)", "indices1": "monomial word (0, 0)",
+        "indices2": "monomial word (0, 2, 1)", "indices3": "monomial word (-1,)"},
+    "test_grassmann::test_monomial_refuses_an_index_past_n_before_building_its_bit": {
+        "10000000": "monomial index 10^7", "100000000": "monomial index 10^8",
+        "1000000000000000000000000000000": "monomial index 10^30"},
+    "test_interference::test_context_checks_name_the_first_failure": {
+        "range-first": "context range first", "p-a": "context p-a", "a1": "context a1",
+        "a2": "context a2", "observed": "context observed", "float-sum": "context float sum"},
+    "test_interference::test_csv_malformed_probability": ("csv probability",),
+    "test_interference::test_csv_non_numeric_cell": ("csv cell",),
+    "test_interference::test_forward_rejects_negative_born_value": ("forward below zero",),
+    "test_interference::test_forward_validates_magnitude_consistency": ("forward magnitudes",),
+    "test_interference::test_invalid_tables_rejected": (
+        "b1 row observed 6/5", "context observed sum", "context prior sum"),
+    "test_interference::test_probabilities_outside_the_unit_interval_are_refused": {
+        "amplitude-prior": "amplitude prior", "amplitude-conditional": "amplitude conditional",
+        "theta-prior": "theta prior", "theta-conditional": "theta conditional", "sqrt": "sqrt -1"},
+    "test_operators::test_compose_check_takes_h_from_the_wavefunction": (
+        "compose_check positional cap",),
+    "test_operators::test_mismatches_rejected": (
+        "apply sigmas", "apply h", "apply dofs", "plane_wave h -1 of 1"),
+    "test_operators::test_plane_wave_rejects_nonpositive_h_before_dividing": {
+        "0": "plane_wave momentum 1 h 0", "-1": "plane_wave momentum 1 h -1"},
+    "test_parsing::test_malformed_text_message_and_position": {
+        "--unexpected end of input-1": "parse '-'", "q*--unexpected end of input-3": "parse 'q*-'",
+        "---unexpected end of input-2": "parse '--'", "q+-unexpected end of input-2": "parse 'q+'",
+        "*q-unexpected '*'-0": "parse '*q'", "q*-unexpected end of input-2": "parse 'q*'",
+        "()-unexpected ')'-1": "parse '()'", "-)-unexpected ')'-1": "parse '-)'",
+        "+-unexpected end of input-1": "parse '+'", "(q-expected ')'-2": "parse '(q'",
+        "q^-2-exponent must be a nonnegative integer-2": "parse 'q^-2'",
+        "q^-exponent must be a nonnegative integer-2": "parse 'q^'",
+        "(q)(p)-unexpected trailing '('-3": "parse '(q)(p)'",
+        "q p-unexpected trailing 'p'-2": "parse 'q p'", "1/0-zero denominator-2": "parse '1/0'",
+        "3/-expected denominator-2": "parse '3/'"},
+    "test_parsing::test_parse_dof_must_be_an_integer": {
+        "2.7": "parse dof 2.7", "1.5": "parse dof 1.5", "True": "parse dof True",
+        "2": "parse dof '2'"},
+    "test_parsing::test_parse_grassmann_n_must_be_an_integer": {
+        "2.7": "parse n 2.7", "True": "parse n True", "2": "parse n '2'"},
+    "test_parsing::test_trailing_garbage_rejected": (
+        "parse 'q + '", "parse 'q q'", "parse 'q + $'", "parse 'q^-2'", "parse '1/0'"),
+    "test_parsing::test_variable_out_of_declared_range": ("parse q3 at dof 2",),
+    "test_parsing::test_wrong_unit_rejected_with_position": (
+        "parse unit i", "parse 'j*q' complex"),
+    "test_public_surface::test_unknown_name_raises_attribute_error": ("unknown public name",),
+    "test_scalars::test_as_fraction_reads_text_and_refuses_with_validation_errors": (
+        "text '1/0'", "text 'x'", "text of 0.5", "json text '3/0'"),
+    "test_scalars::test_constructors_refuse_bad_rational_text_with_validation_error": {
+        "binarion": "binarion '1/0'", "phase-point": "phase point '1/0'",
+        "plane-wave": "plane_wave momentum '1/0'", "operator-h": "operator h 'x'",
+        "substitute-h": "substitute_h 'x'"},
+    "test_scalars::test_cross_sigma_rejected": ("binarion sigmas +", "binarion sigmas *"),
+    "test_scalars::test_invert_light_cone_rejected": ("invert light cone", "invert zero"),
+    "test_scalars::test_malformed_input_raises_a_package_error": {
+        "coordinate-kind": "coordinate kind x",
+        "differentiate-variable": "differentiate variable x", "evaluate-h": "evaluate h -1 at 0",
+        "formal-h": "from_poly_symbol formal h", "as-binarion": "charsum as_binarion",
+        "growth-n-max": "growth n_max 0", "character-inf": "character of inf",
+        "character-nan": "character of nan"},
+    "test_scalars::test_polar_rejects_outside_positive_cone": (
+        "polar light cone", "polar negative modulus", "polar complex"),
+    "test_scalars::test_to_floats_refuses_a_value_too_large_for_a_float": {
+        "binarion": "binarion floats", "charsum-cosh": "charsum cosh floats",
+        "charsum-exponent": "charsum exponent floats", "charsum-product": "charsum product floats",
+        "charsum-sum": "charsum sum floats"},
+    "test_sparse::test_an_h_degree_is_read_before_its_sign_is_checked": ("HPoly degree -1",),
+    "test_sparse::test_index_and_order_arguments_are_read_as_integers": _by_name(
+        "coordinate 0.5", "symbol coordinate 0.5", "generator 1.5", "differentiate 0.5",
+        "symbol differentiate 0.5", "derivative 0.5", "order (0.5,)", "symbol order (0.5,)",
+        "atom order (0.5,)", "n_max 2.5", "variable x", "coordinate 2", "symbol coordinate -1",
+        "generator 3", "derivative 1", "order (0, 1)", "atom order (0, 1)", "symbol order (0, 1)"),
+    "test_sparse::test_public_constructors_refuse_with_their_exact_error":
+        _by_name(*CONSTRUCTOR_REFUSALS),
+    "test_sparse::test_sizes_and_h_degrees_must_be_integers": {
+        **_by_name("dof 1.5", "dof True", "dim 2.7", "atoms dim 1.5", "n 3.9"),
+        "h-degree True": "HPoly degree True", "h-degree '1'": "HPoly degree '1'",
+        "h-degree 1.5": "HPoly degree 1.5"},
+    "test_sparse::test_what_int_refuses_is_a_validation_error": _by_name(
+        "h-degree 'x'", "n 'two'", "mask None", "h-degree inf", "dof nan"),
+    "test_symbols::test_differentiate_index_out_of_range": ("differentiate index 1",),
+    "test_symbols::test_evaluate_negative_h_rejected": ("evaluate h -1",),
+    "test_symbols::test_mismatches_rejected": ("star sigmas", "star dofs"),
+}
+
+
+def refusal_tests(module: str) -> dict:
+    """The tests of ``module`` that check rows of ``REFUSALS``, by name."""
+    return homed_tests(module, HOMES, check_refusal)
+
+
+test_a_refusal_raises_its_class_and_message = rows_test(
+    check_refusal, _by_name(*(row for row in REFUSALS if row not in homed_rows(HOMES))))
 
 
 def _table(module, name: str) -> ast.Dict:
@@ -1072,11 +1261,15 @@ def _table(module, name: str) -> ast.Dict:
 def test_no_row_repeats_another():
     """A repeated key would hide a row; a repeated call, or a command line
     repeated on the same documents, would pin one refusal twice."""
-    library, cli = _table(sys.modules[__name__], "REFUSALS"), _table(test_cli, "CLI_REFUSALS")
-    assert len(library.keys) == len(REFUSALS)
-    keys = [key.value for key in cli.keys if key is not None]  # ``**`` splices have none
-    calls = [ast.unparse(row.elts[0]) for row in library.values]
-    lines = [repr(row[:2]) for row in CLI_REFUSALS.values()]
+    import test_cli  # not at the top: ``test_cli`` imports this module
+
+    library = [_table(sys.modules[__name__], name) for name in ("CONSTRUCTOR_REFUSALS", "REFUSALS")]
+    rows = [row for table in library for key, row in zip(table.keys, table.values)
+            if key is not None]  # ``**`` splices have none
+    assert len(rows) == len(REFUSALS)
+    keys = [key.value for key in _table(test_cli, "CLI_REFUSALS").keys if key is not None]
+    calls = [ast.unparse(row.elts[0]) for row in rows]
+    lines = [repr(row[:2]) for row in test_cli.CLI_REFUSALS.values()]
     for rows in (keys, calls, lines):
         assert len(set(rows)) == len(rows)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_refusals import refusal_tests
 
 from hypermoyal import (
     Amplitude2,
@@ -24,6 +25,7 @@ from hypermoyal.scalars import _as_fraction, _json_fraction
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 SIGMAS = (H, C)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -475,3 +477,4 @@ def test_cos_or_cosh_is_bit_identical_to_the_explicit_formulas(sigma):
         assert decomposition.reconstruct() == Binarion(
             scale * expected.re, scale * expected.im, H
         )
+

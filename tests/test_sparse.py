@@ -27,6 +27,7 @@ from operator import add
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_refusals import refusal_tests
 
 from hypermoyal import (
     Binarion,
@@ -57,6 +58,7 @@ from hypermoyal.sparse import SparseAlgebra, SparseMap, add_parts, from_parts, s
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 SIGMAS = (H, C)
 
 
@@ -1147,3 +1149,4 @@ def test_the_product_hook_gives_only_keys_and_signs():
     assert GrassmannElement._key_mul(0b10, 0b01) == (0b11, -1)
     assert GrassmannElement._key_mul(0b11, 0b01) is None
     assert HPoly._key_mul(1, 2) == (3, 1)
+

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 import sympy as sp
+from test_refusals import refusal_tests
 from test_sparse import _assert_clean
 
 from hypermoyal import (
@@ -30,6 +31,7 @@ from hypermoyal.symbols import DEFAULT_DEGREE_CAP
 
 H = Sigma.HYPERBOLIC
 C = Sigma.COMPLEX
+globals().update(refusal_tests(__name__))  # the tests named in ``test_refusals.HOMES``
 SIGMAS = (H, C)
 
 
@@ -942,3 +944,4 @@ def test_json_round_trip():
                 HPoly({0: Binarion(1, 0, sigma), 2: Binarion(0, 1, sigma)}, sigma)
             )
             assert PolySymbol.from_json(a.to_json()) == a
+
