@@ -7,9 +7,12 @@ digits, JSON keys sorted.  Exit status is 0 exactly when every requested
 check passed.
 
 Each subcommand handler does its work and returns its exit status with one
-zero-argument renderer per format its ``--format`` offers: a ``json``
-renderer returns the data, any other the text.  :func:`main` runs only the
-chosen renderer and writes the result to stdout or ``--out``.
+zero-argument renderer per format its ``--format`` offers, which returns the
+text of that format (``_dump_json`` writes a ``json`` one's data).
+:func:`main` runs only the chosen renderer and writes its text to stdout or
+``--out``, so a refusal inside the renderer writes nothing.  ``interfere``
+does its work in its renderers: each CSV row is read, classified in ints by
+``interference._row_report`` and written as that row's text at once.
 """
 
 from __future__ import annotations
@@ -77,10 +80,10 @@ def _cmd_star(args):
         results.append((sigma, result if h is None else result.substitute_h(h)))
     return 0, {
         "text": lambda: "".join(f"sigma={sigma}: {r.to_text()}\n" for sigma, r in results),
-        "json": lambda: _one_or_all([
+        "json": lambda: _dump_json(_one_or_all([
             {"sigma": sigma.value, "result": r.to_text(), "terms": r.to_json_dict()["terms"]}
             for sigma, r in results
-        ]),
+        ])),
     }
 
 
@@ -107,7 +110,7 @@ def _cmd_limit(args):
         return "\n".join(lines) + "\n"
 
     def data():
-        return _one_or_all([
+        return _dump_json(_one_or_all([
             {
                 "sigma": sigma.value,
                 "residual": residual.to_text(),
@@ -115,7 +118,7 @@ def _cmd_limit(args):
                 "values_at_ones": [{"h": h, "re": re, "im": im} for h, re, im in rows],
             }
             for sigma, residual, ok, rows in results
-        ])
+        ]))
 
     return (0 if all(ok for _, _, ok, _ in results) else 1), {"text": text, "json": data}
 
@@ -124,13 +127,17 @@ def _cmd_fourier(args):
     from .distributions import Ultradistribution
 
     image = Ultradistribution.from_json_dict(_read_json(args.input)).fourier()
-    return 0, {"text": lambda: image.to_text() + "\n", "json": image.to_json_dict}
+    return 0, {"text": lambda: image.to_text() + "\n",
+               "json": lambda: _dump_json(image.to_json_dict())}
 
 
 def _load(role: str, path: str, build):
     """``build`` of the JSON in ``path``; a failure to read or build it is
-    prefixed with ``role``."""
-    return json_field({role: path}, role, lambda p: build(_read_json(p)))
+    prefixed with ``role``, a missing or unreadable file too."""
+    try:
+        return json_field({role: path}, role, lambda p: build(_read_json(p)))
+    except OSError as exc:
+        raise ValidationError(f"{role}: {exc}") from None
 
 
 def _cmd_apply(args):
@@ -142,31 +149,81 @@ def _cmd_apply(args):
     operator = json_field({"operator": document}, "operator",
                           lambda data: Operator._from_json(data, phi.dof))
     result = operator.apply(phi)
-    return 0, {"text": lambda: result.to_text() + "\n", "json": result.to_json_dict}
+    return 0, {"text": lambda: result.to_text() + "\n",
+               "json": lambda: _dump_json(result.to_json_dict())}
+
+
+#: One row of the ``interfere`` JSON report, as ``_dump_json`` writes the
+#: entry ``{"report": ..., "row": ..., "theta_range": ...}`` inside the list:
+#: the residual, both outcomes' fields, the row and both ranges' fields.
+_OUTCOME_JSON = """        {
+          "classical": %s,
+          "d": %s,
+          "interference": %s,
+          "lambda": %s,
+          "observed": %s,
+          "regime": %s,
+          "sign": %s,
+          "theta": %s
+        }"""
+_RANGE_JSON = """      {
+        "admissible": %s,
+        "cosh_max": %s,
+        "degenerate": %s,
+        "theta_max": %s
+      }"""
+_ROW_JSON = f"""  {{
+    "report": {{
+      "normalization_residual": %s,
+      "outcomes": [
+{_OUTCOME_JSON},
+{_OUTCOME_JSON}
+      ]
+    }},
+    "row": %s,
+    "theta_range": [
+{_RANGE_JSON},
+{_RANGE_JSON}
+    ]
+  }}"""
+
+
+def _json_value(value) -> str:
+    """A field of the ``interfere`` report as JSON: text quoted, an int by
+    ``_num_str``, ``None`` and a bool as their literals."""
+    if type(value) is str:
+        return f'"{value}"'
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return _num_str(value)
 
 
 def _cmd_interfere(args):
-    from . import interference as intf
+    from .interference import _row_report, _table_rows
 
-    report_rows = []
-    for row_number, ctx in intf.contexts_from_csv(args.csv):
-        report = intf.classify(ctx)
-        ranges = [intf._cosh_range(o.classical, o.d_squared, o.d) for o in report.outcomes]
-        report_rows.append({"row": row_number, "report": report.to_json_dict(),
-                            "theta_range": [r.to_json_dict() for r in ranges]})
+    def reports():
+        for row, values in _table_rows(args.csv):
+            yield (row, *_row_report(row, values))
+
+    def data():
+        texts = [_ROW_JSON % tuple(map(_json_value, (residual, *outcomes[0], *outcomes[1], row,
+                                                     *ranges[0], *ranges[1])))
+                 for row, residual, outcomes, ranges in reports()]
+        return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
 
     def csv():
-        lines = ["row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual"]
-        for entry in report_rows:
-            report = entry["report"]
-            for j, (o, bound) in enumerate(zip(report["outcomes"], entry["theta_range"]), 1):
-                cells = [_num_str(entry["row"]), _num_str(j), o["observed"], o["classical"], o["d"],
-                         o["lambda"], o["regime"], o["theta"], bound["cosh_max"],
-                         report["normalization_residual"]]
-                lines.append(",".join("" if c is None else c for c in cells))
-        return "\n".join(lines) + "\n"
+        lines = ["row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual\n"]
+        for row, residual, outcomes, ranges in reports():
+            for j, (outcome, bound) in enumerate(zip(outcomes, ranges), 1):
+                classical, d, _, lam, observed, regime, _, theta = outcome
+                cells = (_num_str(row), _num_str(j), observed, classical, d, lam, regime, theta,
+                         bound[1], residual)
+                lines.append(",".join("" if c is None else c for c in cells) + "\n")
+        return "".join(lines)
 
-    return 0, {"json": lambda: report_rows, "csv": csv}
+    return 0, {"json": data, "csv": csv}
 
 
 def _cmd_super(args):
@@ -181,12 +238,12 @@ def _cmd_super(args):
         return 0, {
             "text": lambda: f"witness = {witness} annihilates all {odd_count} odd basis "
             f"monomials and is nonzero\n",
-            "json": lambda: {
+            "json": lambda: _dump_json({
                 "witness": str(witness),
                 "generators": n,
                 "odd_monomials_annihilated": odd_count,
                 "nonzero": not witness.is_zero(),
-            },
+            }),
         }
     if not (args.a and args.b):
         raise HypermoyalError("super needs two expressions or --witness N")
@@ -202,14 +259,14 @@ def _cmd_super(args):
             f"a*b = {product}\n"
             f"supercommutator = {scomm}\n"
         ),
-        "json": lambda: {
+        "json": lambda: _dump_json({
             "a": str(a),
             "b": str(b),
             "parity_a": str(a.parity()),
             "parity_b": str(b.parity()),
             "product": str(product),
             "supercommutator": str(scomm),
-        },
+        }),
     }
 
 
@@ -227,7 +284,7 @@ def _cmd_selftest(args):
         lines.append("all passed" if report["all_passed"] else "FAILURES PRESENT")
         return "\n".join(lines) + "\n"
 
-    return (0 if report["all_passed"] else 1), {"json": lambda: report, "text": text}
+    return (0 if report["all_passed"] else 1), {"json": lambda: _dump_json(report), "text": text}
 
 
 # -- argument wiring --------------------------------------------------------------
@@ -337,9 +394,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status, renderers = args.handler(args)
-        fmt = args.format
-        rendered = renderers[fmt]()
-        text = _dump_json(rendered) if fmt == "json" else rendered
+        text = renderers[args.format]()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

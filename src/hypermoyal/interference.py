@@ -21,6 +21,13 @@ classical mixture, ``D_j^2`` and ``D_j`` once, and :func:`_cosh_range` builds
 its admissible theta range from those three.  The ``cos`` or ``cosh`` of a
 Born value comes from :func:`hypermoyal.scalars._cos_sin`, the one place that
 picks it.
+
+:func:`_table_rows` is the one reader of CSV tables.  The ``interfere``
+command reports each row it reads through :func:`_row_report`, which puts
+the row's four values over one denominator and computes the classification
+and theta ranges in ints, with each ``D_j`` from :func:`_sqrt`; the public
+:func:`classify`, :func:`theta_range` and records are its reference, and
+the tests compare the two byte for byte.
 """
 
 from __future__ import annotations
@@ -52,14 +59,15 @@ def _is_exact(*values) -> bool:
 def _sqrt(value):
     """Exact square root for perfect rational squares, float otherwise; a
     positive value whose float root is 0.0 raises :class:`ValidationError`."""
-    if value < 0:
-        raise ValidationError("square root of a negative value")
     if isinstance(value, (Fraction, int)):
-        value = Fraction(value)
-        num = math.isqrt(value.numerator)
-        den = math.isqrt(value.denominator)
-        if num * num == value.numerator and den * den == value.denominator:
-            return Fraction(num, den)
+        num, den = value.numerator, value.denominator
+        if num < 0:
+            raise ValidationError("square root of a negative value")
+        root_num, root_den = math.isqrt(num), math.isqrt(den)
+        if root_num * root_num == num and root_den * root_den == den:
+            return Fraction(root_num, root_den)
+    elif value < 0:
+        raise ValidationError("square root of a negative value")
     root = math.sqrt(value)
     if root == 0 and value > 0:
         raise ValidationError("value too small for a float")
@@ -351,21 +359,17 @@ def _parse_csv_value(text: str, row: int):
     text = text.strip()
     try:
         return _as_fraction(text)
-    except ValidationError:
-        raise ValidationError(f"not a number: {text!r} (row {row})") from None
+    except ValidationError as exc:
+        reason = exc.args[0] if exc.args == _too_long().args else f"not a number: {text!r}"
+        raise ValidationError(f"{reason} (row {row})") from None
 
 
-def contexts_from_csv(path) -> list:
-    """Read rows ``P(a1), P(b1|a1), P(b1|a2), P(b1)_observed`` as contexts.
-
-    Values are parsed as exact rationals (decimal literals included).  A
-    header row is skipped when its first cell is not numeric.  Errors carry
-    the 1-based row number.  Returns ``(row_number, context)`` pairs.
-    """
-    out = []
+def _table_rows(path):
+    """Each row of the CSV file at ``path`` as ``(row_number, values)``,
+    read as it is reached: the one CSV reader, which
+    :func:`contexts_from_csv` and the ``interfere`` command share."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row_number, row in enumerate(reader, start=1):
+        for row_number, row in enumerate(csv.reader(fh), start=1):
             cells = [c for c in row if c.strip() != ""]
             if not cells:
                 continue
@@ -379,7 +383,94 @@ def contexts_from_csv(path) -> list:
                 raise ValidationError(
                     f"expected 4 columns, got {len(cells)} (row {row_number})"
                 )
-            values = [_parse_csv_value(c, row_number) for c in cells]
-            ctx = DichotomousContext.from_b1_row(*values, row=row_number)
-            out.append((row_number, ctx))
-    return out
+            yield row_number, [_parse_csv_value(c, row_number) for c in cells]
+
+
+def contexts_from_csv(path) -> list:
+    """Read rows ``P(a1), P(b1|a1), P(b1|a2), P(b1)_observed`` as contexts.
+
+    Values are parsed as exact rationals (decimal literals included).  Blank
+    rows are skipped, and so is a header row, whose first cell is not
+    numeric.  Errors carry the 1-based row number.  Returns
+    ``(row_number, context)`` pairs.
+    """
+    return [(row, DichotomousContext.from_b1_row(*values, row=row))
+            for row, values in _table_rows(path)]
+
+
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, each part written by
+    :func:`_num_str`."""
+    g = math.gcd(num, den)
+    if g == den:
+        return _num_str(num // g)
+    return f"{_num_str(num // g)}/{_num_str(den // g)}"
+
+
+def _over_2d(num: int, den: int, d) -> tuple:
+    """``num / den / (2 * d)`` as ``(exact, value)``: for a float ``d`` both
+    are the float that a ``Fraction`` over a float gives; else ``exact`` is
+    the quotient's ``(numerator, denominator)`` and ``value`` its float."""
+    if type(d) is float:
+        value = _float(num, den) / (2 * d)
+        return value, value
+    num, den = num * d.denominator, 2 * den * d.numerator
+    return (num, den), _float(num, den)
+
+
+def _text(exact):
+    """The text of an ``exact`` of :func:`_over_2d`, or of a float; ``None``
+    stays ``None``."""
+    if exact is None:
+        return None
+    return _num_str(exact) if type(exact) is float else _ratio(*exact)
+
+
+def _row_report(row: int, values) -> tuple:
+    """:func:`classify` and :func:`_cosh_range` of the context of one row
+    that :func:`_table_rows` reads, computed in ints over the common
+    denominator of its four values and written as the ``to_json_dict`` texts
+    of the records: the residual, each outcome's ``(classical, d,
+    interference, lambda, observed, regime, sign, theta)`` and each range's
+    ``(admissible, cosh_max, degenerate, theta_max)``, in key order.  It
+    refuses what the records refuse, in their order: a value outside [0, 1],
+    then each outcome's ``D`` and lambda, each range's float, and last a
+    number too long to write."""
+    den = math.lcm(*[v.denominator for v in values])
+    a, c1, c2, seen = [v.numerator * (den // v.denominator) for v in values]
+    if not (0 <= a <= den and 0 <= c1 <= den and 0 <= c2 <= den and 0 <= seen <= den):
+        DichotomousContext.from_b1_row(*values, row=row)  # names the first value outside [0, 1]
+    den2 = den * den  # of each mixture and deviation below; den2**2 is that of D^2
+    found = []
+    for first, second, observed in ((c1 * a, c2 * (den - a), seen * den),
+                                    ((den - c1) * a, (den - c2) * (den - a), (den - seen) * den)):
+        classical, d_squared = first + second, first * second
+        deviation = observed - classical
+        d = _sqrt(Fraction(d_squared, den2 * den2))
+        lam = sign = theta = None
+        if not d_squared:
+            regime = Regime.DEGENERATE
+        else:  # as in classify
+            lam, x = _over_2d(deviation, den2, d)
+            if deviation * deviation > 4 * d_squared:
+                regime, sign = Regime.HYPERBOLIC, 1 if deviation > 0 else -1
+                theta = math.acosh(max(abs(x), 1.0))
+            else:
+                regime, theta = Regime.TRIGONOMETRIC, math.acos(min(1.0, max(-1.0, x)))
+        found.append((observed, classical, d_squared, deviation, d, lam, regime, sign, theta))
+    ranges = []
+    for _, classical, d_squared, _, d, *_ in found:
+        if not d_squared:
+            ranges.append((False, None, True, None))
+            continue
+        headroom = min(classical, den2 - classical)  # as in _cosh_range
+        cosh_max, x = _over_2d(headroom, den2, d)
+        admissible = headroom * headroom >= 4 * d_squared
+        ranges.append((admissible, cosh_max, False,
+                       math.acosh(max(x, 1.0)) if admissible else None))
+    outcomes = [(_ratio(classical, den2), _num_str(d), _ratio(deviation, 2 * den2), _text(lam),
+                 _ratio(observed, den2), regime.value, sign, _text(theta))
+                for observed, classical, _, deviation, d, lam, regime, sign, theta in found]
+    return (_ratio(found[0][3] + found[1][3], 2 * den2), outcomes,
+            [(admissible, _text(cosh_max), degenerate, _text(theta_max))
+             for admissible, cosh_max, degenerate, theta_max in ranges])

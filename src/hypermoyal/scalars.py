@@ -142,6 +142,8 @@ def _num_str(value) -> str:
     digit limit, left alone as it is set for the whole process, raises
     :class:`ValidationError`."""
     kind = type(value)  # exact type tests first, as in ``_as_fraction``
+    if kind is float:
+        return f"{value:.12g}"
     if kind is Fraction or kind is int or isinstance(value, (Fraction, int)):
         try:
             return str(value)
@@ -495,11 +497,13 @@ class HPolar(Record):
         return Binarion(scale * Fraction(c), scale * Fraction(s), Sigma.HYPERBOLIC)
 
 
-def _float(value) -> float:
-    """``float(value)``; a value past the float range raises
-    :class:`ValidationError`, where ``float`` raises ``OverflowError``."""
+def _float(value, den: int | None = None) -> float:
+    """``float(value)``, or the int ``value`` over the int ``den``, which
+    rounds as ``float(Fraction(value, den))`` does; a value past the float
+    range raises :class:`ValidationError`, where ``float`` and ``/`` raise
+    ``OverflowError``."""
     try:
-        return float(value)
+        return float(value) if den is None else value / den
     except OverflowError:
         raise ValidationError("value too large for a float") from None
 

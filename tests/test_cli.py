@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import io
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -16,10 +18,12 @@ from hypermoyal import (
     Sigma,
     Ultradistribution,
     WaveFunction,
+    classify,
     contexts_from_csv,
     theta_range,
 )
-from hypermoyal.cli import main
+from hypermoyal.cli import _dump_json, main
+from hypermoyal.interference import _cosh_range
 from hypermoyal.sparse import MAX_DEPTH, MAX_DIGITS, MAX_INDEX, MAX_STEPS, MAX_WITNESS_GENERATORS
 from test_interference import _near_boundary_tables
 from test_refusals import (ATOMS, OPERATOR, WAVE, _with, homed_rows, homed_tests, refusal_tests,
@@ -366,25 +370,27 @@ def test_interfere_takes_one_square_root_per_outcome(tmp_path, monkeypatch, caps
     assert len(calls) == 2 * rows.count("\n")
 
 
+def _probability_text(rng) -> str:
+    """Fraction or decimal text of a probability, as the cli-session
+    benchmark draws a cell of its ``interfere`` table."""
+    if rng.random() < 0.5:
+        return str(Fraction(rng.randint(0, 20), 20))
+    return f"0.{rng.randint(0, 999):03d}"
+
+
 def _oracle_table(seed: int) -> list:
     """About 200 rows of four cells: decimal and fraction text mixed, every
     eighth row with a 0 or 1 that makes ``D = 0`` for one or both outcomes,
     and the near-boundary tables of the ``theta_range`` tests."""
     rng = random.Random(seed)
-
-    def cell():
-        if rng.random() < 0.5:
-            return str(Fraction(rng.randint(0, 20), 20))
-        return f"0.{rng.randint(0, 999):03d}"
-
     rows = []
     for n in range(160):
-        cells = [cell() for _ in range(4)]
+        cells = [_probability_text(rng) for _ in range(4)]
         if n % 8 == 0:
             cells[rng.randrange(3)] = rng.choice(("0", "1"))
         rows.append(cells)
     for p_a, cond in _near_boundary_tables(seed, 40):
-        rows.append([str(p_a[0]), str(cond[0][0]), str(cond[0][1]), cell()])
+        rows.append([str(p_a[0]), str(cond[0][0]), str(cond[0][1]), _probability_text(rng)])
     rng.shuffle(rows)
     return rows
 
@@ -413,6 +419,123 @@ def test_interfere_ranges_equal_theta_range(tmp_path, capsys):
     assert len(expected) == 200
     assert {(r["degenerate"], r["admissible"]) for r in ranges} == {
         (True, False), (False, False), (False, True)}
+
+
+def _reference_report(path, fmt: str) -> str:
+    """The ``interfere`` report of ``path`` by the library's public records:
+    each context of :func:`contexts_from_csv`, its :func:`classify` and the
+    :func:`_cosh_range` of each outcome, written by ``to_json_dict`` and
+    :func:`_dump_json` or as CSV cells."""
+    entries = []
+    for row, ctx in contexts_from_csv(path):
+        report = classify(ctx)
+        ranges = [_cosh_range(o.classical, o.d_squared, o.d) for o in report.outcomes]
+        entries.append({"row": row, "report": report.to_json_dict(),
+                        "theta_range": [r.to_json_dict() for r in ranges]})
+    if fmt == "json":
+        return _dump_json(entries)
+    lines = ["row,outcome,observed,classical,d,lambda,regime,theta,cosh_max,residual"]
+    for entry in entries:
+        report = entry["report"]
+        for j, (o, bound) in enumerate(zip(report["outcomes"], entry["theta_range"]), 1):
+            cells = [str(entry["row"]), str(j), o["observed"], o["classical"], o["d"], o["lambda"],
+                     o["regime"], o["theta"], bound["cosh_max"], report["normalization_residual"]]
+            lines.append(",".join("" if c is None else c for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+#: Rows that reach each branch of a row's report: an exact ``D`` (1/4, 3/20),
+#: the hyperbolic regime of each sign with an exact and an irrational ``D``,
+#: ``D = 0`` for one outcome and for both, cells 0 and 1, and spaced cells.
+SPECIAL_ROWS = [
+    "1/2,1/2,1/2,1/2", "0.5,0.5,0.5,0.9", "0.5,0.9,0.1,0.95", "1/2,9/10,1/10,1/20",
+    "1/3,4/5,1/7,0.99", "1/3,4/5,1/7,0.01", "0.5,0,0.5,0.25", "0,1/2,1/2,1/2", "1/2,1,0,1/2",
+    "1,1,1,1", "0,0,0,0", "1,0,1,0", "0.25,0.75,0.125,0", " 1/7 , 2/7,3/7 ,4/7", "1,1/3,2/3,1",
+]
+#: The special rows as a file with a header, blank lines and a row of empty
+#: cells, and as one without.
+SPECIAL_TABLES = {
+    "header": "p_a1,p_b1_a1,p_b1_a2,p_b1\n\n" + "\n,,,\n".join(SPECIAL_ROWS) + "\n\n",
+    "no header": "\n".join(reversed(SPECIAL_ROWS)) + "\n",
+}
+
+
+def _table_text(seed: int) -> str:
+    return "".join(",".join(cells) + "\n" for cells in _oracle_table(seed))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("table", [*SPECIAL_TABLES, *(f"seed {s}" for s in range(30, 36))])
+def test_interfere_output_equals_the_reference_path(tmp_path, capsys, table, fmt):
+    """Both formats of ``interfere`` equal, byte for byte, the report that the
+    public records give for the same file."""
+    text = SPECIAL_TABLES.get(table) or _table_text(int(table.split()[1]))
+    path = tmp_path / "tables.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "interfere", str(path), "--format", fmt) == (
+        0, _reference_report(path, fmt), "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_interfere_refusal_on_the_last_row_writes_nothing(tmp_path, capsys, fmt):
+    path, out = tmp_path / "tables.csv", tmp_path / "report"
+    path.write_text(CSV_ROWS + "0.5,0.5,0.5,1.2\n", encoding="utf-8")
+    assert run(capsys, "interfere", str(path), "--format", fmt, "--out", str(out)) == (
+        2, "", "error: P(b1) = 6/5 outside [0, 1] (row 4)\n")
+    assert not out.exists()
+
+
+def _session_table(seed: int, rows: int) -> str:
+    """A table drawn as the cli-session benchmark draws its ``interfere`` input."""
+    rng = random.Random(seed)
+    return "p_a1,p_b1_a1,p_b1_a2,p_b1\n" + "".join(
+        ",".join(_probability_text(rng) for _ in range(4)) + "\n" for _ in range(rows))
+
+
+#: sha256 of each format's report on ``_session_table(4101, 2000)``
+SESSION_DIGESTS = {
+    "json": "1bbdf386e8826bfcdfe3f68b942b7488e9b58e1678e7edbdd6f24e948725a073",
+    "csv": "df1f727abdd29fa75e94c6ef7fbdeb70a449d6c549b5c6bc99c0e5eb14de223a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SESSION_DIGESTS))
+def test_interfere_keeps_its_bytes_on_a_session_table(tmp_path, capsys, fmt):
+    path, out = tmp_path / "tables.csv", tmp_path / "report"
+    path.write_text(_session_table(4101, 2000), encoding="utf-8")
+    assert run(capsys, "interfere", str(path), "--format", fmt, "--out", str(out)) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SESSION_DIGESTS[fmt]
+
+
+#: Runs ``hypermoyal.cli`` as ``-m`` does, then writes the process's peak
+#: resident size, ``VmHWM`` in kB, to stderr as it exits.
+_PEAK_RUNNER = """
+import atexit, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as fh:
+        sys.stderr.write([line for line in fh if line.startswith("VmHWM:")][0].split()[1])
+
+atexit.register(peak)
+sys.argv = ["hypermoyal", *sys.argv[1:]]
+runpy.run_module("hypermoyal.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_interfere_peak_memory_grows_little_with_rows(tmp_path, fmt):
+    """A 2,000-row table peaks at most 9 MB above a 1-row table, so the
+    command does not keep every row's report until it writes."""
+    peaks = []
+    for rows in (1, 2000):
+        path, out = tmp_path / f"{rows}.csv", tmp_path / f"{rows}.out"
+        path.write_text(_session_table(4101, rows), encoding="utf-8")
+        result = run_fresh("-c", _PEAK_RUNNER, "interfere", str(path), "--format", fmt,
+                           "--out", str(out))
+        assert result.returncode == 0
+        peaks.append(int(result.stderr))
+    assert peaks[1] - peaks[0] <= 9 * 1024, peaks
 
 
 # -- super ----------------------------------------------------------------------------
@@ -520,7 +643,7 @@ CLI_REFUSALS = {
     "fourier order [1.9]": (["fourier", "{0}"], (_with(ATOMS, ("atoms", 0, "order"), [1.9]),),
                             "atoms: order: 1.9 is not an integer"),
     "apply missing files": (["apply", "/nonexistent.json", "/also-missing.json"], (),
-                            "[Errno 2] No such file or directory: '/nonexistent.json'"),
+                            "operator: [Errno 2] No such file or directory: '/nonexistent.json'"),
     "apply no terms": (
         ["apply", "{0}", "{1}"], (_with(OPERATOR, ("symbol",), {"dof": 1, "sigma": 1}), WAVE),
         "operator: symbol: missing field 'terms'"),
@@ -569,7 +692,7 @@ CLI_REFUSALS = {
     "interfere probability": (["interfere", "{0}"], ("0.5,0.5,0.5,1.2\n",),
                               "P(b1) = 6/5 outside [0, 1] (row 1)"),
     "interfere cell 1e4301": (["interfere", "{0}"], (CSV_ROWS + "1/2,1/2,1e4301,1/2\n",),
-                              "not a number: '1e4301' (row 4)"),
+                              f"{TOO_LONG} (row 4)"),
     # input that is not UTF-8
     "fourier not utf-8": (["fourier", "{0}"], (b"\xff" + json.dumps(ATOMS).encode(),), NOT_UTF8),
     "interfere not utf-8": (["interfere", "{0}"], (b"\xff" + CSV_ROWS.encode(),), NOT_UTF8),
@@ -675,7 +798,7 @@ def test_an_exponent_past_the_digit_limit_is_refused_before_its_power_is_built(t
     for argv, message in [
         (["star", "q", "p", "--h", "1e999999999"],
          "--h must be a positive rational, got 1e999999999"),
-        (["interfere", str(tables)], "not a number: '1e-999999999' (row 1)"),
+        (["interfere", str(tables)], f"{TOO_LONG} (row 1)"),
         (["fourier", str(atoms)], f"atoms: loc: {TOO_LONG}"),
     ]:
         result = run_fresh("-m", "hypermoyal.cli", *argv, timeout=30)

@@ -313,7 +313,6 @@ RULES = [
     }),
     # Only ``_as_fraction`` is given text; each other is given a number.
     Rule("Fraction of one", (ast.Call,), _fraction_of_one, {
-        "interference": {("_sqrt", "value")},  # an int or Fraction, tested just before
         "parsing": {("primary", "numerator")},  # the int of a number token
         "scalars": {("_as_fraction", "value"), ("reconstruct", "self.sign * self.modulus"),
                     ("reconstruct", "c"), ("reconstruct", "s"),  # floats of _cos_sin
